@@ -116,12 +116,8 @@ def findm(l: int, n: int) -> int:
     """
     if not 0 <= l < 1 << (n - 1):
         raise ValueError(f"l={l} outside 0..2^{n-1}-1")
-    if l == 0:
-        return 1
-    m = 1
-    while h(n, m) < 2 * l:
-        m += 1
-    return m
+    # h(n, m) >= 2l  <=>  2^(n-m+1) <= 2^n - 2l
+    return max(1, n + 2 - ((1 << n) - 2 * l).bit_length())
 
 
 def in_region(column: int, l: int, n: int) -> bool:

@@ -29,9 +29,8 @@ from .reduction import bounds
 from .synthesis import SynthesisConfig, estimate_runtime_class, synthesize
 
 
-def _fail(message: str) -> "SystemExit":
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(2)
+class UsageError(Exception):
+    """Bad input or usage; ``main`` prints ``error: <message>`` and exits 2."""
 
 
 def _read_text(path: str) -> str:
@@ -39,7 +38,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _load_spec(path: str) -> tuple[Permutation, int, int]:
@@ -51,13 +50,13 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
     text = _read_text(path)
     toks = _tokens(text)
     if not toks:
-        raise _fail(f"{path}: empty input")
+        raise UsageError(f"{path}: empty input")
     try:
         first = int(toks[0])
     except ValueError:
-        raise _fail(f"{path}: first token {toks[0]!r} is not an integer") from None
+        raise UsageError(f"{path}: first token {toks[0]!r} is not an integer") from None
     if not 1 <= first <= MAX_WIDTH:
-        raise _fail(f"{path}: width {first} outside 1..{MAX_WIDTH}")
+        raise UsageError(f"{path}: width {first} outside 1..{MAX_WIDTH}")
     try:
         if len(toks) == (1 << first) + 1:
             perm = parse_permutation(text)
@@ -66,7 +65,7 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
         perm, garbage = embed_truth_table(table)
         return perm, table.n_out, garbage
     except ValueError as exc:
-        raise _fail(f"{path}: {exc}") from None
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _parse_depths(spec: str) -> dict[int, int]:
@@ -76,12 +75,12 @@ def _parse_depths(spec: str) -> dict[int, int]:
         if not part:
             continue
         if "=" not in part:
-            raise _fail(f"bad --depths entry {part!r}, expected j=d")
+            raise UsageError(f"bad --depths entry {part!r}, expected j=d")
         j, _, d = part.partition("=")
         try:
             out[int(j)] = int(d)
         except ValueError:
-            raise _fail(f"bad --depths entry {part!r}, expected integers") from None
+            raise UsageError(f"bad --depths entry {part!r}, expected integers") from None
     return out
 
 
@@ -129,7 +128,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _fail(f"cannot write {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -147,9 +146,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         table = resolve_table(args.cost_table)
         qc = quantum_cost(seq, table)
     except (ValueError, KeyError) as exc:
-        raise _fail(str(exc)) from None
+        raise UsageError(str(exc)) from None
     except OSError as exc:
-        raise _fail(f"cannot read cost table: {exc.strerror}") from None
+        raise UsageError(f"cannot read cost table: {exc.strerror}") from None
     if args.out:
         n = perm.width
         kwargs = {}
@@ -174,9 +173,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         seq = read_real(_read_text(args.circuit))
     except ValueError as exc:
-        raise _fail(f"{args.circuit}: {exc}") from None
+        raise UsageError(f"{args.circuit}: {exc}") from None
     if seq.width != perm.width:
-        raise _fail(
+        raise UsageError(
             f"width mismatch: permutation {perm.width}, circuit {seq.width}"
         )
     if verify_identity(perm, seq):
@@ -192,9 +191,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         table = resolve_table(args.cost_table)
         qc = quantum_cost(seq, table)
     except (ValueError, KeyError) as exc:
-        raise _fail(str(exc)) from None
+        raise UsageError(str(exc)) from None
     except OSError as exc:
-        raise _fail(f"cannot read cost table: {exc.strerror}") from None
+        raise UsageError(f"cannot read cost table: {exc.strerror}") from None
     print(f"gates {len(seq)}")
     print(f"toffoli {toffoli_count(seq)}")
     print(f"quantum_cost {qc}")
@@ -207,7 +206,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         seq = read_real(_read_text(args.circuit))
         result = expand_mct(seq, args.policy)
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise UsageError(str(exc)) from None
     _write(args.out, format_real(result.circuit))
     print(
         f"gates {len(result.circuit)} width {result.circuit.width} "
@@ -218,7 +217,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.n < 3:
-        raise _fail("--n must be at least 3")
+        raise UsageError("--n must be at least 3")
     b = bounds(args.n)
     print(f"width {b.width}")
     print(f"n_c {b.n_c}")
@@ -231,16 +230,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _bench_one(path: str, cfg: SynthesisConfig) -> dict[str, object]:
     t0 = time.perf_counter()
-    text = open(path, "r", encoding="utf-8").read()
-    toks = _tokens(text)
-    first = int(toks[0])
-    if len(toks) == (1 << first) + 1:
-        perm = parse_permutation(text)
-        n_out, garbage = perm.width, 0
-    else:
-        table = parse_truth_table(text)
-        perm, garbage = embed_truth_table(table)
-        n_out = table.n_out
+    perm, n_out, garbage = _load_spec(path)
     seq, report = synthesize(perm, cfg)
     if not verify_identity(perm, seq):  # synthesize already checks; belt and braces
         raise RuntimeError("verification failed")
@@ -255,7 +245,15 @@ def _bench_one(path: str, cfg: SynthesisConfig) -> dict[str, object]:
     }
 
 
+def _bench_failure(name: str, exc: Exception) -> None:
+    # A usage error already names the file, worded as ``synth`` words it.
+    message = str(exc) if isinstance(exc, UsageError) else f"{name}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         names = sorted(
             f
@@ -263,26 +261,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if f.endswith(".perm") or f.endswith(".tt")
         )
     except OSError as exc:
-        raise _fail(f"cannot list {args.directory}: {exc.strerror}") from None
+        raise UsageError(f"cannot list {args.directory}: {exc.strerror}") from None
     if not names:
-        raise _fail(f"no .perm or .tt files in {args.directory}")
+        raise UsageError(f"no .perm or .tt files in {args.directory}")
     cfg = _config_from_args(args)
     paths = [os.path.join(args.directory, f) for f in names]
     results: dict[str, dict[str, object]] = {}
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers up front: never more than there are
+    # files or cores.
+    workers = min(args.jobs, len(paths), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {name: pool.submit(_bench_one, path, cfg) for name, path in zip(names, paths)}
         for name, fut in futures.items():
             try:
                 results[name] = fut.result()
             except Exception as exc:
-                print(f"error: {name}: {exc}", file=sys.stderr)
+                _bench_failure(name, exc)
     else:
         for name, path in zip(names, paths):
             try:
                 results[name] = _bench_one(path, cfg)
             except Exception as exc:
-                print(f"error: {name}: {exc}", file=sys.stderr)
+                _bench_failure(name, exc)
     columns = ["name", "in", "out", "garbage", "quantum_cost", "toffoli", "seconds"]
     print("\t".join(columns))
     for name in names:
@@ -346,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     except BrokenPipeError:
         return 0
 

@@ -82,6 +82,16 @@ class Gate:
                 zeros |= bit
         return ones, zeros, 1 << (n - self.target)
 
+    @classmethod
+    def from_masks(cls, width: int, ones: int, zeros: int, tmask: int) -> "Gate":
+        """Inverse of ``masks``; controls come out in ascending line order."""
+        controls = tuple(
+            (line, bool(ones >> (width - line) & 1))
+            for line in range(1, width + 1)
+            if (ones | zeros) >> (width - line) & 1
+        )
+        return cls(width, width + 1 - tmask.bit_length(), controls)
+
     def widen(self, width: int) -> "Gate":
         """Embed into a wider circuit keeping the same 1-based lines."""
         if width < self.width:

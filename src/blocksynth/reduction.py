@@ -37,7 +37,6 @@ from .core import (
     PreconditionViolated,
     cx,
     mct,
-    x,
 )
 
 
@@ -119,15 +118,21 @@ def _block_bit(index: int, line: int, width: int) -> int:
     return (index >> (width - 1 - line)) & 1
 
 
-def _cons_gates(n: int, i: int, alpha: int, beta: int) -> list[Gate]:
-    if ((alpha ^ beta) & 1) == 0:
+# A gate as its column masks (must-be-1, must-be-0, target), the form
+# ``Gate.masks`` returns.  Pair selection scores candidates on these alone;
+# ``Gate`` objects are built only for the gates actually emitted.
+Masks = tuple[int, int, int]
+
+
+def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
+    gamma = alpha ^ beta
+    if (gamma & 1) == 0:
         raise PreconditionViolated(
             f"columns {alpha} and {beta} share parity; the pair cannot be "
             "conjoined into last-bit-adjacent columns"
         )
     m = findm(i, n)
-    gamma = alpha ^ beta
-    delta = next(j for j in range(1, n + 1) if _line_bit(gamma, j, n))
+    delta = n + 1 - gamma.bit_length()  # first line on which the columns differ
     if delta == n:
         return []  # already a block
     if delta < m:
@@ -135,34 +140,46 @@ def _cons_gates(n: int, i: int, alpha: int, beta: int) -> list[Gate]:
             f"pair columns {alpha},{beta} differ inside the protected prefix "
             f"(line {delta} < m={m}); lift the pair into the region first"
         )
-    gates: list[Gate] = []
+    t = 1 << (n - delta)
+    out: list[Masks] = []
+    # X on delta, CX delta->j for each lower differing line, X on delta again;
+    # the sandwich is only needed when block position i has delta's bit set.
     sandwich = _block_bit(i, delta, n) == 1
     if sandwich:
-        gates.append(x(n, delta))
-    for j in range(delta + 1, n):
-        if _line_bit(gamma, j, n):
-            gates.append(cx(n, delta, j))
+        out.append((0, 0, t))
+    rest = gamma & (t - 2)  # differing lines delta+1..n-1
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        out.append((t, 0, bit))
+        rest ^= bit
     if sandwich:
-        gates.append(x(n, delta))
-    gates.append(mct(n, [*range(1, m), n], delta))
-    return gates
+        out.append((0, 0, t))
+    out.append((h(n, m) | 1, 0, t))  # controls on lines 1..m-1 and line n
+    return out
+
+
+def _alloc_masks(n: int, i: int, alpha: int) -> list[Masks]:
+    gamma = i ^ (alpha >> 1)  # in block coordinates: line l is bit n-1-l
+    if gamma == 0:
+        return []  # already allocated
+    below = 1 << (gamma.bit_length() - 1)  # first differing block line
+    t = below << 1
+    out: list[Masks] = []
+    rest = gamma ^ below
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        out.append((t, 0, bit << 1))
+        rest ^= bit
+    out.append(((i & (below - 1)) << 1, 0, t))  # i's set bits below the target
+    return out
+
+
+def _cons_gates(n: int, i: int, alpha: int, beta: int) -> list[Gate]:
+    return [Gate.from_masks(n, *g) for g in _cons_masks(n, i, alpha, beta)]
 
 
 def _alloc_gates(n: int, i: int, alpha: int) -> list[Gate]:
-    j = alpha >> 1
-    gamma = i ^ j
-    if gamma == 0:
-        return []  # already allocated
-    delta = next(b for b in range(1, n) if _block_bit(gamma, b, n))
-    gates: list[Gate] = []
-    controls: list[int] = []
-    for xline in range(delta + 1, n):
-        if _block_bit(gamma, xline, n):
-            gates.append(cx(n, delta, xline))
-        if _block_bit(i, xline, n):
-            controls.append(xline)
-    gates.append(mct(n, controls, delta))
-    return gates
+    return [Gate.from_masks(n, *g) for g in _alloc_masks(n, i, alpha)]
 
 
 def _region_mask(n: int, i: int) -> int:
@@ -290,12 +307,21 @@ class _Engine:
     def allocate(self, i: int, a: int, b: int) -> None:
         """Lift if needed, conjoin, then slide the pair to position i."""
         self.lift_pair(i, a, b)
-        for g in _cons_gates(self.n, i, self.pos[a], self.pos[b]):
+        pos = self.pos
+        for g in _cons_gates(self.n, i, pos[a], pos[b]):
             self.emit(g)
-        assert self.pos[a] ^ self.pos[b] == 1, "conjoining failed to pair the columns"
-        for g in _alloc_gates(self.n, i, self.pos[a]):
+        if pos[a] ^ pos[b] != 1:
+            raise RuntimeError(
+                f"internal error: conjoining rows {a},{b} left them at columns "
+                f"{pos[a]},{pos[b]}"
+            )
+        for g in _alloc_gates(self.n, i, pos[a]):
             self.emit(g)
-        assert {self.pos[a], self.pos[b]} == {2 * i, 2 * i + 1}, "allocation missed"
+        if {pos[a], pos[b]} != {2 * i, 2 * i + 1}:
+            raise RuntimeError(
+                f"internal error: allocating rows {a},{b} to position {i} left "
+                f"them at columns {pos[a]},{pos[b]}"
+            )
 
     # -- plain pair scans -------------------------------------------------
 
@@ -360,6 +386,15 @@ def _n_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
         found = engine.best_out_of_region(i, "normal")
     if found is None:
         raise PairNotFound("no unallocated pair at normal positions remains")
+    return found
+
+
+def _i_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
+    found = engine.scan_region_pair(i)
+    if found is None:
+        found = engine.best_out_of_region(i, "inverted")
+    if found is None:
+        raise PairNotFound(f"no pair left for position {i}")
     return found
 
 
@@ -469,12 +504,7 @@ def _run_general(
             continue
         chosen = inverted_selector(i) if inverted_selector is not None else None
         if chosen is None:
-            found = engine.scan_region_pair(i)
-            if found is None:
-                found = engine.best_out_of_region(i, "inverted")
-            if found is None:
-                raise PairNotFound(f"no pair left for position {i}")
-            chosen = found
+            chosen = _i_pick_rows(engine, i)
         engine.allocate(i, *chosen)
     engine.emit(cx(n, 1, n))
 

@@ -11,10 +11,14 @@ widths 1 and 2 are finished from a precomputed optimal table instead.
 
 Pair selection inside the reductions optionally looks ahead: candidate
 pairs are scored by the exact Toffoli-equivalents of their construction
-and slide gates (computed analytically from the two columns, no state
-copy), plus the best reachable score over the next depth-1 positions.
-Near the end of a stage the remaining positions are solved exactly by
-branch and bound (``exhaustive_tail``).
+and slide gates, plus the best reachable score over the next depth-1
+positions; ties go to the pair that leaves the most free blocks.  The
+scorer works on plain data: one (row, column, partner column) triple per
+unallocated pair, and each candidate's gates as the (ones, zeros, target)
+column masks that ``reduction``'s gate builders produce.  It never copies
+the engine or builds a ``Gate``; the engine turns the masks into gates only
+for the pair it emits.  Near the end of a stage the remaining positions are
+solved exactly by branch and bound (``exhaustive_tail``).
 
 The emitted sequence is always verified against the input before being
 returned; a failure is an internal error, not a user error.
@@ -43,11 +47,12 @@ from .core import (
 )
 from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count
 from .reduction import (
-    PairNotFound,
+    Masks,
     RelevantPair,
-    _alloc_gates,
-    _cons_gates,
+    _alloc_masks,
+    _cons_masks,
     _Engine,
+    _i_pick_rows,
     _n_pick_rows,
     _region_mask,
     _run_general,
@@ -119,89 +124,127 @@ class SynthesisReport:
 # Lookahead pair selection.
 
 
-def _track(column: int, gates: list[Gate]) -> int:
-    for g in gates:
-        column = g.map_column(column)
+# ``_pair_gates``, ``_suffix`` and ``_count_free`` run once per scored
+# candidate, search node and tied candidate, so a profile or trace of these
+# module attributes counts the search.
+
+# (even row r, column of r, column of r + 1), one per unallocated pair.
+Pairs = list[tuple[int, int, int]]
+
+
+def _track(column: int, masks: list[Masks]) -> int:
+    for ones, zeros, tmask in masks:
+        if column & ones == ones and not column & zeros:
+            column ^= tmask
     return column
 
 
-def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Gate], int]:
-    """Construction+slide gates for a pair at columns (ca, cb), analytically."""
-    gates = _cons_gates(n, i, ca, cb)
-    a = _track(ca, gates)
-    gates = gates + _alloc_gates(n, i, a)
-    cost = sum(2 * g.control_count - 3 for g in gates if g.control_count >= 2)
-    return gates, cost
+def _pair_gates(
+    n: int, i: int, ca: int, cb: int, memo: dict
+) -> tuple[list[Masks], int]:
+    """Construction+slide gates for a pair at columns (ca, cb), as masks,
+    and their Toffoli cost (2m-3 per gate with m >= 2 controls).
+
+    ``memo`` lives for one selection, whose width is fixed and whose search
+    meets the same (i, ca, cb) in many branches.
+    """
+    key = (i, ca, cb)
+    found = memo.get(key)
+    if found is None:
+        masks = _cons_masks(n, i, ca, cb)
+        masks += _alloc_masks(n, i, _track(ca, masks))
+        cost = 0
+        for ones, zeros, _ in masks:
+            m = (ones | zeros).bit_count()
+            if m >= 2:
+                cost += 2 * m - 3
+        found = memo[key] = (masks, cost)
+    return found
 
 
 def _admissible_from(
-    n: int, cols: dict[int, int], i: int, kind: str
-) -> list[tuple[int, int]]:
-    """In-region pairs of the phase kind, as (smaller-column row, partner)."""
+    n: int, pairs: Pairs, i: int, kind: str
+) -> list[tuple[int, int, int, int]]:
+    """In-region pairs of the phase kind as (smaller-column row, partner,
+    their columns), by row."""
     mask = _region_mask(n, i)
+    want = 0 if kind == "normal" else 1  # parity of the even row's column
     out = []
-    for r, ca in cols.items():
-        if r & 1:
-            continue
-        cb = cols[r + 1]
+    for r, ca, cb in pairs:
         if (ca & mask) != mask or (cb & mask) != mask:
             continue
-        match_a = (r ^ ca) & 1 == 0
-        match_b = ((r + 1) ^ cb) & 1 == 0
-        if kind == "normal":
-            if not (match_a and match_b):
-                continue
-        else:
-            if match_a or match_b:
-                continue
-        out.append((r, r + 1) if ca < cb else (r + 1, r))
+        if ca & 1 != want or cb & 1 == want:
+            continue
+        out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
     out.sort()
     return out
 
 
-def _count_free(cols: dict[int, int], kind: str) -> int:
-    cnt = 0
-    for r, c in cols.items():
-        if r & 1:
+def _advance(pairs: Pairs, skip: int, masks: list[Masks]) -> Pairs:
+    """The pairs other than row ``skip``'s, moved by ``masks``."""
+    out = []
+    for r, c, p in pairs:
+        if r == skip:
             continue
-        if c ^ cols[r + 1] != 1:
-            continue
-        if (c & 1) == (0 if kind == "normal" else 1):
-            cnt += 1
-    return cnt
+        for ones, zeros, tmask in masks:
+            if c & ones == ones and not c & zeros:
+                c ^= tmask
+            if p & ones == ones and not p & zeros:
+                p ^= tmask
+        out.append((r, c, p))
+    return out
+
+
+def _count_free(pairs: Pairs, masks: list[Masks], skip: int, kind: str) -> int:
+    """Blocks of the phase kind among the pairs other than row ``skip``'s
+    once ``masks`` have run.
+
+    A gate that neither controls nor targets line n (column bit 0) moves the
+    two columns of a block together, so it can neither make nor break one:
+    only the masks up to the last one touching line n need to run.
+    """
+    k = len(masks)
+    while k and not (masks[k - 1][0] | masks[k - 1][1] | masks[k - 1][2]) & 1:
+        k -= 1
+    want = 0 if kind == "normal" else 1
+    after = _advance(pairs, skip, masks[:k])
+    return sum(1 for _, c, p in after if c ^ p == 1 and c & 1 == want)
 
 
 def _suffix(
     n: int,
-    cols: dict[int, int],
+    pairs: Pairs,
     i: int,
     depth_left: int,
     phase_end: int,
     kind: str,
     budget: float,
+    memo: dict,
 ) -> Optional[int]:
     """Cheapest total over the next ``depth_left`` positions, or None if the
     incoming budget cannot be beaten.  Runs dry (cost 0) where no admissible
     pair exists — the plain fallback path is not modelled."""
     if depth_left == 0 or i >= phase_end:
         return 0
-    cands = _admissible_from(n, cols, i, kind)
+    cands = _admissible_from(n, pairs, i, kind)
     if not cands:
         return 0
     scored = []
-    for a, b in cands:
-        gates, c0 = _pair_gates(n, i, cols[a], cols[b])
-        scored.append((c0, a, b, gates))
+    for a, _, ca, cb in cands:
+        masks, c0 = _pair_gates(n, i, ca, cb, memo)
+        scored.append((c0, a, masks))
     scored.sort(key=lambda t: t[0])
     best: Optional[int] = None
-    for c0, a, b, gates in scored:
+    for c0, a, masks in scored:
         if c0 >= budget:
             break
         if depth_left == 1 or i + 1 >= phase_end:
             sub = 0
         else:
-            nxt = {r: _track(c, gates) for r, c in cols.items() if r != a and r != b}
-            sub = _suffix(n, nxt, i + 1, depth_left - 1, phase_end, kind, budget - c0)
+            nxt = _advance(pairs, a & ~1, masks)
+            sub = _suffix(
+                n, nxt, i + 1, depth_left - 1, phase_end, kind, budget - c0, memo
+            )
             if sub is None:
                 continue
         total = c0 + sub
@@ -215,42 +258,43 @@ def _suffix(
 
 def _lookahead_choose(
     n: int,
-    cols: dict[int, int],
+    pairs: Pairs,
     i: int,
     kind: str,
     phase_end: int,
     d: int,
 ) -> Optional[tuple[int, int]]:
-    cands = _admissible_from(n, cols, i, kind)
+    cands = _admissible_from(n, pairs, i, kind)
     if not cands or d <= 0:
         return None
     best_total: Optional[int] = None
-    tied: list[tuple[int, int, list[Gate]]] = []
-    for a, b in cands:
-        gates, c0 = _pair_gates(n, i, cols[a], cols[b])
+    tied: list[tuple[int, int, list[Masks]]] = []
+    memo: dict = {}
+    for a, b, ca, cb in cands:
+        masks, c0 = _pair_gates(n, i, ca, cb, memo)
         if d == 1 or i + 1 >= phase_end:
             total = c0
         else:
             if best_total is not None and c0 > best_total:
                 continue
             budget = math.inf if best_total is None else best_total - c0 + 1
-            nxt = {r: _track(c, gates) for r, c in cols.items() if r != a and r != b}
-            sub = _suffix(n, nxt, i + 1, d - 1, phase_end, kind, budget)
+            nxt = _advance(pairs, a & ~1, masks)
+            sub = _suffix(n, nxt, i + 1, d - 1, phase_end, kind, budget, memo)
             if sub is None:
                 continue
             total = c0 + sub
         if best_total is None or total < best_total:
             best_total = total
-            tied = [(a, b, gates)]
+            tied = [(a, b, masks)]
         elif total == best_total:
-            tied.append((a, b, gates))
+            tied.append((a, b, masks))
     if len(tied) == 1:
         return tied[0][0], tied[0][1]
+    # Ties go to the pair leaving the most free blocks, then the lowest rows.
     best_key = None
     best_pair = None
-    for a, b, gates in tied:
-        after = {r: _track(c, gates) for r, c in cols.items() if r != a and r != b}
-        key = (-_count_free(after, kind), a, b)
+    for a, b, masks in tied:
+        key = (-_count_free(pairs, masks, a & ~1, kind), a, b)
         if best_key is None or key < best_key:
             best_key = key
             best_pair = (a, b)
@@ -272,27 +316,12 @@ def select_with_lookahead(
     selection (including its out-of-region fallback).
     """
     cfg = cfg or SynthesisConfig()
-    n = perm.width
-    kind = "normal" if phase == "normal_part" else "inverted"
-    phase_end = perm.size // 4 if phase == "normal_part" else perm.size // 2
-    if i >= (1 << (n - 1)) - cfg.exhaustive_tail:
-        d = phase_end - i
-    else:
-        d = cfg.depth_for(2 * (phase_end - i))
-    cols = {perm.entries[c]: c for c in range(2 * i, perm.size)}
-    chosen = _lookahead_choose(n, cols, i, kind, phase_end, d)
-    if chosen is None:
-        engine = _Engine(perm)
-        if kind == "normal":
-            chosen = _n_pick_rows(engine, i)
-        else:
-            found = engine.scan_region_pair(i)
-            if found is None:
-                found = engine.best_out_of_region(i, "inverted")
-            if found is None:
-                raise PairNotFound(f"no pair available for position {i}")
-            chosen = found
-    return RelevantPair(*chosen)
+    engine = _Engine(perm)
+    if phase == "normal_part":
+        chosen = _make_selector(engine, "normal", perm.size // 4, cfg)(i)
+        return RelevantPair(*(chosen or _n_pick_rows(engine, i)))
+    chosen = _make_selector(engine, "inverted", perm.size // 2, cfg)(i)
+    return RelevantPair(*(chosen or _i_pick_rows(engine, i)))
 
 
 def _make_selector(engine: _Engine, kind: str, phase_end: int, cfg: SynthesisConfig):
@@ -305,8 +334,9 @@ def _make_selector(engine: _Engine, kind: str, phase_end: int, cfg: SynthesisCon
             d = cfg.depth_for(2 * (phase_end - i))
         if d <= 0:
             return None
-        cols = {engine.entries[c]: c for c in range(2 * i, engine.size)}
-        return _lookahead_choose(n, cols, i, kind, phase_end, d)
+        pos = engine.pos
+        pairs = [(r, pos[r], pos[r + 1]) for r in engine.entries[2 * i:] if not r & 1]
+        return _lookahead_choose(n, pairs, i, kind, phase_end, d)
     return select
 
 

@@ -7,6 +7,9 @@ to confirm the tool chain end to end.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future
+
 import pytest
 
 from blocksynth import (
@@ -19,6 +22,7 @@ from blocksynth import (
     synthesize,
     toffoli_count,
 )
+from blocksynth import cli
 from blocksynth.cli import main
 
 from helpers import as_plain, circuit_table
@@ -337,3 +341,55 @@ class TestBench:
             main(["bench", str(tmp_path / "absent")])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        self._fill(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "jobs, cores, workers",
+        [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None), (64, 1, None), (64, None, None)],
+    )
+    def test_pool_is_clamped_to_files_and_cores(
+        self, tmp_path, capsys, monkeypatch, jobs, cores, workers
+    ):
+        # A stand-in pool that records its size and runs jobs in-process.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        self._fill(tmp_path)  # three files
+        assert main(["bench", str(tmp_path), "--jobs", str(jobs)]) == 0
+        assert started == ([] if workers is None else [workers])
+        names = [l.split("\t")[0] for l in capsys.readouterr().out.splitlines()[1:]]
+        assert names == ["a.perm", "b.perm", "xor.tt"]
+
+    def test_malformed_file_gets_the_synth_message(self, tmp_path, capsys):
+        self._fill(tmp_path)
+        broken = tmp_path / "broken.perm"
+        broken.write_text("99 0 1\n")
+        with pytest.raises(SystemExit):
+            main(["synth", str(broken)])
+        synth_err = capsys.readouterr().err
+        assert f"{broken}: width 99 outside" in synth_err
+        assert main(["bench", str(tmp_path)]) == 0
+        assert synth_err in capsys.readouterr().err

@@ -96,6 +96,15 @@ class TestGateBasics:
         assert g.map_column(0b111) == 0b110
         assert g.map_column(0b010) == 0b010
 
+    def test_from_masks_hand_value(self):
+        assert Gate.from_masks(3, 0b100, 0b001, 0b010) == mct(3, [(1, True), (3, False)], 2)
+
+    @given(st.integers(1, 8).flatmap(lambda w: gates(w)))
+    def test_from_masks_inverts_masks(self, g):
+        # controls come back in ascending line order
+        ordered = Gate(g.width, g.target, tuple(sorted(g.controls)))
+        assert Gate.from_masks(g.width, *g.masks()) == ordered
+
 
 class TestPermutationBasics:
     def test_identity(self):

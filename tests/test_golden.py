@@ -1,0 +1,67 @@
+"""Golden circuits: the exact ``.real`` text of a few fixed syntheses.
+
+Each case pins the SHA-256 of ``format_real(seq)`` (and, for a readable
+diff when it breaks, the Toffoli count).  A change that is meant to keep
+the same circuits must leave every hash as it is; a change that alters
+circuits on purpose regenerates them and says why.
+
+The cases cover the selection paths: the S-boxes and two width-8 maps at
+the default config (depth 1 with the exhaustive tail), a width-6 map at
+depth 2 (the ``_suffix`` branch and bound), and a width-9 map at depth 0
+with no tail (the plain scan and its fallbacks only).
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from blocksynth import SynthesisConfig, format_real, parse_permutation, sample, synthesize
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+
+DEFAULT = SynthesisConfig()
+DEPTH_2 = SynthesisConfig(depths={j: 2 for j in range(1, 25)})
+DEPTH_0_NO_TAIL = SynthesisConfig(depths={j: 0 for j in range(1, 25)}, exhaustive_tail=0)
+
+# name -> (map, config, Toffoli count, sha256 of format_real)
+GOLDEN = {
+    "khazad": (
+        "khazad", DEFAULT, 889,
+        "873b577c8e689eedb6c5960d43b9a69789b842e197e0f1200d4d5c8f856c5bfb",
+    ),
+    "skipjack": (
+        "skipjack", DEFAULT, 880,
+        "cb4e6ebf989a457221254d687a15068685091bf5e92fae37d245b2adf6967cfd",
+    ),
+    "sample-8-1": (
+        (8, 1), DEFAULT, 927,
+        "b4fa2b281e80b377ceb96237dad78240b7b88b24501cdd5f98ccc0bef020cbe0",
+    ),
+    "sample-8-2": (
+        (8, 2), DEFAULT, 890,
+        "69093e3a7272cb6a30176e9d868cb83bc8fa2f82097ae215363e2f84e3098e7c",
+    ),
+    "sample-6-1-depth-2": (
+        (6, 1), DEPTH_2, 119,
+        "8894b2b14220e025fb776e0e2160e18a6a557f83a6e700b61f4613114982cd06",
+    ),
+    "sample-9-1-depth-0-no-tail": (
+        (9, 1), DEPTH_0_NO_TAIL, 2920,
+        "48dded56e15dfeb65dc21f41eef18c3a0da03a0f5f2bd2b65f7edc7c93ad2a77",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_circuit(name):
+    source, cfg, toffoli, digest = GOLDEN[name]
+    if isinstance(source, str):
+        perm = parse_permutation((BENCH / f"{source}.perm").read_text())
+    else:
+        perm = sample(*source)
+    seq, report = synthesize(perm, cfg)
+    assert report.toffoli_total == toffoli
+    assert hashlib.sha256(format_real(seq).encode()).hexdigest() == digest

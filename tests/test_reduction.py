@@ -31,6 +31,8 @@ from blocksynth import (
     toffoli_count,
     x,
 )
+from blocksynth import reduction
+from blocksynth.reduction import _Engine
 from helpers import (
     balanced_entries,
     conditioning_budget,
@@ -295,6 +297,25 @@ class TestReduceGeneral:
         last_line = [g for g in seq if g.target == p.width]
         assert len(last_line) == 1
         assert last_line[0] == seq.gates[-1]
+
+
+class TestAllocateChecks:
+    """``_Engine.allocate`` checks its post-conditions with explicit raises,
+    so they still hold under ``python -O``."""
+
+    def test_unconjoined_pair_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_cons_gates", lambda n, i, a, b: [])
+        # rows 0 and 1 at columns 0 and 3: opposite parity, not adjacent
+        engine = _Engine(Permutation(3, (0, 2, 3, 1, 4, 5, 6, 7)))
+        with pytest.raises(RuntimeError, match="internal error: conjoining rows 0,1"):
+            engine.allocate(0, 0, 1)
+
+    def test_unallocated_pair_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_alloc_gates", lambda n, i, a: [])
+        # rows 2 and 3 already form a block, but at position 1
+        engine = _Engine(ID3)
+        with pytest.raises(RuntimeError, match="internal error: allocating rows 2,3"):
+            engine.allocate(0, 2, 3)
 
 
 def verify_reduction(p, seq, expected):

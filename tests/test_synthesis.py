@@ -31,6 +31,8 @@ from blocksynth import (
     x,
 )
 from blocksynth.core import GateSequence, cx, mct, toffoli
+from blocksynth.reduction import _alloc_gates, _cons_gates, _region_mask
+from blocksynth.synthesis import _admissible_from, _count_free, _pair_gates, _track
 
 from helpers import as_plain, circuit_table, independent_parity, sim_circuit
 
@@ -160,6 +162,71 @@ class TestSelectWithLookahead:
         ca, cb = aligned.positions[a], aligned.positions[b]
         assert (a ^ ca) & 1 == 0 and (b ^ cb) & 1 == 0
         assert ca < cb  # smaller column is reported first
+
+
+@st.composite
+def in_region_pairs(draw):
+    """(n, i, ca, cb): opposite-parity columns ca < cb in position i's region."""
+    n = draw(st.integers(3, 8))
+    i = draw(st.integers(0, (1 << (n - 1)) - 1))
+    mask = _region_mask(n, i)
+    region = [c for c in range(1 << n) if c & mask == mask]
+    ca = draw(st.sampled_from(region))
+    cb = draw(st.sampled_from([c for c in region if (c ^ ca) & 1]))
+    return n, i, min(ca, cb), max(ca, cb)
+
+
+def _emitted(n, i, ca, cb):
+    """The gates ``_Engine.allocate`` emits for an in-region pair."""
+    gates = _cons_gates(n, i, ca, cb)
+    gates += _alloc_gates(n, i, _moved(ca, gates))
+    return gates
+
+
+def _moved(column, gates):
+    for g in gates:
+        column = g.map_column(column)
+    return column
+
+
+class TestScorerModel:
+    """The scorer's mask triples stand in for the gates the engine emits."""
+
+    @given(in_region_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_masks_move_columns_like_the_emitted_gates(self, case):
+        n, i, ca, cb = case
+        gates = _emitted(n, i, ca, cb)
+        masks, cost = _pair_gates(n, i, ca, cb, {})
+        for c in range(1 << n):
+            assert _track(c, masks) == _moved(c, gates)
+        assert {_track(ca, masks), _track(cb, masks)} == {2 * i, 2 * i + 1}
+        assert cost == toffoli_count(GateSequence(n, tuple(gates)))
+
+    @given(
+        st.integers(3, 8),
+        st.integers(0, 10_000),
+        st.sampled_from(["normal", "inverted"]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_free_block_count_matches_running_every_mask(self, n, seed, kind, data):
+        pos = sample(n, seed).positions
+        pairs = [(r, pos[r], pos[r + 1]) for r in range(0, 1 << n, 2)]
+        i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
+        cands = _admissible_from(n, pairs, i, kind)
+        if not cands:
+            return
+        a, _, ca, cb = data.draw(st.sampled_from(cands))
+        masks, _ = _pair_gates(n, i, ca, cb, {})
+        gates = _emitted(n, i, ca, cb)
+        want = 0 if kind == "normal" else 1
+        expected = 0
+        for r, c, p in pairs:
+            c, p = _moved(c, gates), _moved(p, gates)
+            if r != a & ~1 and c ^ p == 1 and c & 1 == want:
+                expected += 1
+        assert _count_free(pairs, masks, a & ~1, kind) == expected
 
 
 # ---------------------------------------------------------------------------
