@@ -26,7 +26,7 @@ from .io_formats import (
     _tokens,
 )
 from .reduction import bounds
-from .synthesis import SynthesisConfig, estimate_runtime_class, synthesize
+from .synthesis import SynthesisConfig, synthesize
 
 
 class UsageError(Exception):
@@ -117,12 +117,6 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
     )
 
 
-def _max_depth(cfg: SynthesisConfig) -> int:
-    if cfg.depths is None:
-        return 1
-    return max(cfg.depths.values(), default=1)
-
-
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -134,13 +128,6 @@ def _write(path: str, text: str) -> None:
 def _cmd_synth(args: argparse.Namespace) -> int:
     perm, n_out, garbage = _load_spec(args.input)
     cfg = _config_from_args(args)
-    est = estimate_runtime_class(perm.width, _max_depth(cfg))
-    if est.warning:
-        print(
-            f"warning: estimated {est.bucket} runtime "
-            f"({est.complexity}, ~{est.seconds:.0f}s)",
-            file=sys.stderr,
-        )
     seq, report = synthesize(perm, cfg)
     try:
         table = resolve_table(args.cost_table)

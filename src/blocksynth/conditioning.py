@@ -31,6 +31,7 @@ from .core import (
     Permutation,
     PreconditionViolated,
     cx,
+    exchange_columns,
     mct,
 )
 from .reduction import PairNotFound, RelevantPair, _Engine, _region_mask
@@ -106,29 +107,31 @@ def _interrupting_rows(entries: list[int]) -> int:
     return 2 * sum(mism)
 
 
-def _closing_deltas(pos: list[int], width: int) -> list[int]:
-    """Change of the interrupting-row count for each closing-move control.
+def _closing_deltas(pos: list[int], width: int) -> tuple[int, list[int]]:
+    """The interrupting-row count, and its change for each closing-move control.
 
-    A last-line CX swaps the residents of every slot whose block index
-    matches the control; a pair changes interrupting status exactly when one
-    member's slot toggles and the other's does not, i.e. when their slot
-    indices differ at the control's bit — which makes the delta independent
-    of control polarity.
+    A pair is interrupting exactly when its members sit at columns of equal
+    parity.  A last-line CX swaps the residents of every slot whose block
+    index matches the control; a pair changes interrupting status exactly
+    when one member's slot toggles and the other's does not, i.e. when their
+    slot indices differ at the control's bit — which makes the delta
+    independent of control polarity.
     """
+    count = 0
     deltas = [0] * width  # index by control line, entries 1..width-1 used
-    npairs = len(pos) // 2
-    for p in range(npairs):
-        a, b = 2 * p, 2 * p + 1
-        ca, cb = pos[a], pos[b]
-        is_int = (((a ^ ca) ^ (b ^ cb)) & 1) == 1
-        diff = (ca >> 1) ^ (cb >> 1)
+    for a in range(0, len(pos), 2):
+        ca, cb = pos[a], pos[a + 1]
+        is_int = ((ca ^ cb) & 1) == 0
+        if is_int:
+            count += 2
+        diff = (ca ^ cb) >> 1
         if not diff:
             continue
         w = -2 if is_int else 2
         for line in range(1, width):
             if (diff >> (width - 1 - line)) & 1:
                 deltas[line] += w
-    return deltas
+    return count, deltas
 
 
 class _MixSearch:
@@ -137,29 +140,15 @@ class _MixSearch:
         self.cfg = cfg
         self.target = engine.size // 2
         self.prefixes = prefix_moves(engine.n)
+        self.prefix_masks = [g.masks() for g in self.prefixes]
         self.finals = closing_moves(engine.n)
         self.evaluated = 0
         self.found: Optional[list[Gate]] = None
         self.best: Optional[tuple[int, int, list[Gate]]] = None  # dist, order, gates
         self.order = 0
 
-    def _apply(self, g: Gate) -> None:
-        # engine.emit both applies and records; enumeration must not record,
-        # so apply directly on the scratch state (gates are involutions).
-        ones, zeros, tmask = g.masks()
-        entries, pos = self.e.entries, self.e.pos
-        for c in range(self.e.size):
-            if c & tmask:
-                continue
-            if (c & ones) == ones and (c & zeros) == 0:
-                d = c | tmask
-                ra, rb = entries[c], entries[d]
-                entries[c], entries[d] = rb, ra
-                pos[ra], pos[rb] = d, c
-
     def _leaf(self, prefix: list[Gate]) -> bool:
-        cur = _interrupting_rows(self.e.entries)
-        deltas = _closing_deltas(self.e.pos, self.e.n)
+        cur, deltas = _closing_deltas(self.e.pos, self.e.n)
         for g in self.finals:
             if self.evaluated >= self.cfg.enumeration_budget:
                 return True
@@ -179,12 +168,15 @@ class _MixSearch:
             return self._leaf(prefix)
         if self.evaluated >= self.cfg.enumeration_budget:
             return True
-        for g in self.prefixes:
-            self._apply(g)
+        # Apply on the scratch state without recording (engine.emit would
+        # record), then undo: every gate is an involution.
+        entries, pos = self.e.entries, self.e.pos
+        for g, (ones, zeros, tmask) in zip(self.prefixes, self.prefix_masks):
+            exchange_columns(entries, ones, zeros, tmask, pos)
             prefix.append(g)
             stop = self._walk(depth_left - 1, prefix)
             prefix.pop()
-            self._apply(g)
+            exchange_columns(entries, ones, zeros, tmask, pos)
             if stop:
                 return True
         return False
@@ -211,8 +203,12 @@ def _exact_move(width: int, src: int, dst: int) -> Gate:
     a control of the right polarity.
     """
     diff = src ^ dst
-    line = next(j for j in range(1, width + 1) if (diff >> (width - j)) & 1)
-    assert diff == 1 << (width - line), "exact move needs a single differing bit"
+    if diff == 0 or diff & (diff - 1):
+        raise RuntimeError(
+            f"internal error: exact move between columns {src},{dst} needs a "
+            "single differing bit"
+        )
+    line = width + 1 - diff.bit_length()
     controls = [
         (j, bool((src >> (width - j)) & 1)) for j in range(1, width + 1) if j != line
     ]
@@ -229,14 +225,10 @@ def _fixups(engine: _Engine, target: int) -> int:
     """
     n, size = engine.n, engine.size
     emitted = 0
-    guard = 0
     while True:
         lam = _interrupting_rows(engine.entries)
         if lam == target:
             return emitted
-        guard += 1
-        if guard > size:
-            raise RuntimeError("mix fixup failed to converge")  # pragma: no cover
         entries, pos = engine.entries, engine.pos
         mism = bytearray(size // 2)
         for col, row in enumerate(entries):
@@ -254,7 +246,11 @@ def _fixups(engine: _Engine, target: int) -> int:
                 slot_found = s
                 break
         if slot_found is None:
-            assert want_int, "a lowering toggle slot always exists above target"
+            if not want_int:
+                raise RuntimeError(
+                    f"internal error: no slot lowers the interrupting count {lam} "
+                    f"toward {target}"
+                )
             # every slot with two non-interrupting members is a block; walk a
             # member of one non-interrupting pair next to a member of another.
             pairs = [p for p in range(size // 2) if not mism[p]]
@@ -275,7 +271,11 @@ def _fixups(engine: _Engine, target: int) -> int:
         engine.emit(_slot_toggle(n, slot_found))
         emitted += 1
         new_lam = _interrupting_rows(engine.entries)
-        assert abs(new_lam - target) < abs(lam - target), "fixup made no progress"
+        if abs(new_lam - target) >= abs(lam - target):
+            raise RuntimeError(
+                f"internal error: a mix fixup moved the interrupting count from "
+                f"{lam} to {new_lam}, not toward {target}"
+            )
 
 
 def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
@@ -316,7 +316,12 @@ def mix(
     engine = _Engine(perm)
     _mix_engine(engine, cfg)
     result = engine.snapshot()
-    assert _interrupting_rows(list(result.entries)) == perm.size // 2
+    lam = _interrupting_rows(engine.entries)
+    if lam != perm.size // 2:
+        raise RuntimeError(
+            f"internal error: mixing left {lam} interrupting rows, not "
+            f"{perm.size // 2}"
+        )
     return result, engine.sequence()
 
 
@@ -384,7 +389,11 @@ def _scan_member(
 
 def _pre_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
     d_n, d_i = _deficits(engine, i)
-    assert d_n >= 0 and d_i >= 0, "conversion deficits can never go negative"
+    if d_n < 0 or d_i < 0:
+        raise RuntimeError(
+            f"internal error: negative conversion deficits {d_n},{d_i} at "
+            f"pseudo-block {i}"
+        )
     if d_n + d_i <= 0:
         raise PairNotFound("no pseudo-block conversions are outstanding")
     chosen = []
@@ -456,7 +465,9 @@ def preprocess(perm: Permutation) -> tuple[Permutation, GateSequence]:
     _run_preprocess(engine)
     result = engine.snapshot()
     after = classify_positions(result)
-    assert after.interrupting == 0 and after.normal == after.inverted, (
-        "preprocessing must end in an exact balanced split"
-    )
+    if after.interrupting != 0 or after.normal != after.inverted:
+        raise RuntimeError(
+            f"internal error: preprocessing ended in a {after.normal}:"
+            f"{after.inverted}:{after.interrupting} split, not an exact balance"
+        )
     return result, engine.sequence()

@@ -10,10 +10,15 @@ A gate acts on a permutation by exchanging columns: for every column ``c``
 whose bits satisfy all controls, the entries at ``c`` and at ``c`` with the
 target bit flipped are swapped.  Because a control may never sit on the
 target line, the set of satisfying columns is closed under the target flip.
+``exchange_columns`` is the one implementation of this: it walks only the
+gate's satisfying subcube, 2^(n-1-m) column pairs for m controls.
 
 The same ``GateSequence`` that maps a permutation P to the identity, executed
 left-to-right as a circuit on an input register x, computes P(x).  That dual
-reading is the contract for every emitted circuit.
+reading is the contract for every emitted circuit, and ``verify_identity``
+checks it bit-sliced over all 2^n inputs at once: line l is one int whose
+bit x is line l's value on input x, a gate does ``v[target] ^= AND(controls)``,
+and the result must equal the bit-planes of P's entries.
 """
 
 from __future__ import annotations
@@ -229,14 +234,28 @@ class GateSequence:
         return cls(gates[0].width, tuple(gates))
 
 
-def _apply_gate_inplace(entries: list[int], gate: Gate) -> None:
-    ones, zeros, tmask = gate.masks()
-    for c in range(len(entries)):
-        if c & tmask:
-            continue  # visit each column pair once, from its target-bit-0 side
-        if (c & ones) == ones and (c & zeros) == 0:
-            d = c | tmask
-            entries[c], entries[d] = entries[d], entries[c]
+def exchange_columns(
+    entries: list[int], ones: int, zeros: int, tmask: int, pos: list[int] | None = None
+) -> None:
+    """Apply the gate with masks ``(ones, zeros, tmask)`` to ``entries`` in place.
+
+    Visits each satisfying column pair once, from its target-bit-0 side ``c``
+    (``ones`` set, ``zeros`` and ``tmask`` clear, any free bits), by walking
+    the subsets of the free bits.  ``pos``, when given, is the inverse of
+    ``entries`` and is kept in step.
+    """
+    free = (len(entries) - 1) & ~(ones | zeros | tmask)
+    s = free
+    while True:
+        c = ones | s
+        d = c | tmask
+        ra, rb = entries[c], entries[d]
+        entries[c], entries[d] = rb, ra
+        if pos is not None:
+            pos[ra], pos[rb] = d, c
+        if not s:
+            return
+        s = (s - 1) & free
 
 
 def apply_gate(perm: Permutation, gate: Gate) -> Permutation:
@@ -244,7 +263,7 @@ def apply_gate(perm: Permutation, gate: Gate) -> Permutation:
     if perm.width != gate.width:
         raise WidthMismatch(f"permutation width {perm.width}, gate width {gate.width}")
     entries = list(perm.entries)
-    _apply_gate_inplace(entries, gate)
+    exchange_columns(entries, *gate.masks())
     return Permutation(perm.width, tuple(entries))
 
 
@@ -258,7 +277,7 @@ def apply_sequence(
         )
     entries = list(perm.entries)
     for g in seq.gates:
-        _apply_gate_inplace(entries, g)
+        exchange_columns(entries, *g.masks())
     return Permutation(perm.width, tuple(entries)), acc + seq
 
 
@@ -273,18 +292,31 @@ def run_circuit(seq: GateSequence, x: int) -> int:
     return x
 
 
+def _bit_planes(width: int, values: Iterable[int]) -> list[int]:
+    """Index l (1..width) holds, as bit x, line l's bit of ``values[x]``."""
+    rows = [format(v, f"0{width}b") for v in values]
+    rows.reverse()  # bit x of a plane is character size-1-x of its string
+    return [0] + [int("".join(plane), 2) for plane in zip(*rows)]
+
+
 def verify_identity(perm: Permutation, seq: GateSequence) -> bool:
     """True iff applying ``seq`` to ``perm`` yields the identity.
 
     Equivalently (the emitted-circuit contract): running ``seq`` as a circuit
-    on every input x returns perm(x).
+    on every input x returns perm(x).  That is how it is checked, on all 2^n
+    inputs at once: ``v[l]`` holds line l's value on input x as bit x.
     """
     if perm.width != seq.width:
         raise WidthMismatch(f"permutation width {perm.width}, seq width {seq.width}")
-    entries = list(perm.entries)
+    n = perm.width
+    full = (1 << perm.size) - 1
+    v = _bit_planes(n, range(perm.size))
     for g in seq.gates:
-        _apply_gate_inplace(entries, g)
-    return all(r == c for c, r in enumerate(entries))
+        fire = full
+        for line, positive in g.controls:
+            fire &= v[line] if positive else ~v[line]
+        v[g.target] ^= fire
+    return v == _bit_planes(n, perm.entries)
 
 
 def parity(perm: Permutation) -> Literal["even", "odd"]:

@@ -141,7 +141,11 @@ def _v_chain(width: int, controls: list[int], target: int, dirt: list[int]) -> l
         return [cx(width, controls[0], target)]
     if s == 2:
         return [toffoli(width, controls[0], controls[1], target)]
-    assert len(dirt) >= s - 2
+    if len(dirt) < s - 2:
+        raise RuntimeError(
+            f"internal error: a {s}-controlled V-chain needs {s - 2} borrowed "
+            f"lines, got {len(dirt)}"
+        )
     a = dirt[: s - 2]
     descend = [toffoli(width, controls[s - 1], a[s - 3], target)]
     for q in range(s - 3):
@@ -210,6 +214,10 @@ def expand_mct(
         for l in negatives:
             out.append(x(width, l))
     circuit = GateSequence(width, tuple(out))
-    assert all(g.control_count <= 2 for g in circuit)
-    assert all(pos for g in circuit for _, pos in g.controls)
+    for g in circuit:
+        if g.control_count > 2 or not all(pos for _, pos in g.controls):
+            raise RuntimeError(
+                f"internal error: expansion left {g}, which is not a NOT, CNOT "
+                "or Toffoli with positive controls"
+            )
     return ExpansionResult(circuit, work)

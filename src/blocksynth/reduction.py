@@ -36,6 +36,7 @@ from .core import (
     Permutation,
     PreconditionViolated,
     cx,
+    exchange_columns,
     mct,
 )
 
@@ -277,16 +278,7 @@ class _Engine:
 
     def emit(self, gate: Gate) -> None:
         self.gates.append(gate)
-        ones, zeros, tmask = gate.masks()
-        entries, pos = self.entries, self.pos
-        for c in range(self.size):
-            if c & tmask:
-                continue
-            if (c & ones) == ones and (c & zeros) == 0:
-                d = c | tmask
-                ra, rb = entries[c], entries[d]
-                entries[c], entries[d] = rb, ra
-                pos[ra], pos[rb] = d, c
+        exchange_columns(self.entries, *gate.masks(), self.pos)
 
     def lift_pair(self, i: int, a: int, b: int) -> None:
         mask = _region_mask(self.n, i)

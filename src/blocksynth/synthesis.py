@@ -483,50 +483,3 @@ def synthesize(
         lift_toffoli=sum(s.lift_toffoli for s in stages),
     )
     return seq, report
-
-
-# ---------------------------------------------------------------------------
-# Runtime estimation.
-
-
-@dataclass(frozen=True)
-class RuntimeEstimate:
-    complexity: str
-    seconds: float
-    bucket: str
-    warning: bool
-
-
-# Seconds per n * 2^((2+d)n) work unit, fitted to depth-0 runs of
-# ``synthesize`` at widths 8-10 (scripts/calibrate_runtime.py; the observed
-# seconds-per-unit was stable at ~1.1e-7 across those widths).
-_SECONDS_PER_UNIT = 1.1e-07
-
-
-def estimate_runtime_class(n: int, depth: int) -> RuntimeEstimate:
-    """Coarse worst-case wall-time forecast for ``synthesize``.
-
-    The unit count follows the worst-case class (each lookahead level can
-    multiply the scan work by the candidate-set size); sparse candidate
-    sets and branch-and-bound pruning usually come in far below it.
-    """
-    if n < 1 or depth < 0:
-        raise ValueError("need n >= 1 and depth >= 0")
-    units = n * 2 ** ((2 + depth) * n)
-    seconds = _SECONDS_PER_UNIT * units
-    if seconds < 1.0:
-        bucket = "sub-second"
-    elif seconds < 60.0:
-        bucket = "sub-minute"
-    elif seconds < 3600.0:
-        bucket = "minutes"
-    elif seconds < 86400.0:
-        bucket = "hours"
-    else:
-        bucket = "impractical"
-    return RuntimeEstimate(
-        complexity=f"O(n*2^({2 + depth}n))",
-        seconds=seconds,
-        bucket=bucket,
-        warning=seconds >= 3600.0,
-    )

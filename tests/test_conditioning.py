@@ -21,7 +21,9 @@ from blocksynth import (
     preprocess,
     sample,
 )
-from blocksynth.conditioning import closing_moves, prefix_moves
+from blocksynth import conditioning
+from blocksynth.conditioning import _exact_move, _fixups, closing_moves, prefix_moves
+from blocksynth.reduction import _Engine
 from helpers import mismatch_rows
 
 # Hand-classified width-4 map: 2 normal, 6 inverted, 8 interrupting rows —
@@ -221,3 +223,41 @@ class TestPreprocess:
         p = sample(width, seed)
         mixed, _ = mix(p)
         assert mismatch_rows(mixed.entries) == mixed.size // 2
+
+
+class TestInternalChecks:
+    """Invariants of mixing and preprocessing are explicit raises, so they
+    still hold under ``python -O``.  Each test breaks one helper."""
+
+    @pytest.mark.parametrize("src,dst", [(0, 3), (5, 5)])
+    def test_exact_move_needs_one_differing_bit(self, src, dst):
+        with pytest.raises(RuntimeError, match="internal error: exact move"):
+            _exact_move(3, src, dst)
+
+    def test_missing_lowering_slot(self, monkeypatch):
+        # The identity has no interrupting rows; claim it has 8 of 8.
+        monkeypatch.setattr(conditioning, "_interrupting_rows", lambda entries: 8)
+        engine = _Engine(Permutation.identity(3))
+        with pytest.raises(RuntimeError, match="internal error: no slot lowers"):
+            _fixups(engine, 4)
+
+    def test_fixup_without_progress(self, monkeypatch):
+        engine = _Engine(Permutation.identity(4))
+        monkeypatch.setattr(engine, "emit", lambda gate: None)
+        with pytest.raises(RuntimeError, match="internal error: a mix fixup moved"):
+            _fixups(engine, 8)
+
+    def test_mix_postcondition(self, monkeypatch):
+        monkeypatch.setattr(conditioning, "_mix_engine", lambda engine, cfg: None)
+        with pytest.raises(RuntimeError, match="internal error: mixing left 0"):
+            mix(Permutation.identity(3))
+
+    def test_negative_deficits(self, monkeypatch):
+        monkeypatch.setattr(conditioning, "_deficits", lambda engine, i: (-1, 1))
+        with pytest.raises(RuntimeError, match="internal error: negative conversion"):
+            pre_pick(HALF_INTERRUPTING, 0)
+
+    def test_preprocess_postcondition(self, monkeypatch):
+        monkeypatch.setattr(conditioning, "_run_preprocess", lambda engine: None)
+        with pytest.raises(RuntimeError, match="internal error: preprocessing ended in a 2:6:8"):
+            preprocess(HALF_INTERRUPTING)

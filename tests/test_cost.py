@@ -29,6 +29,7 @@ from blocksynth import (
     toffoli_count,
     x,
 )
+from blocksynth import cost
 
 from helpers import as_plain, circuit_table
 
@@ -336,6 +337,24 @@ class TestDirtyExpansion:
         result = expand_mct(seq, policy="dirty")
         assert result.work_lines == 0
         assert result.circuit.width == 6
+
+
+class TestExpansionChecks:
+    """Expansion's output checks are explicit raises, so they still hold
+    under ``python -O``."""
+
+    def test_short_borrowed_lines(self):
+        with pytest.raises(RuntimeError, match="internal error: a 4-controlled V-chain"):
+            cost._v_chain(6, [1, 2, 3, 4], 6, [5])
+
+    def test_unexpanded_gate(self, monkeypatch):
+        monkeypatch.setattr(
+            cost,
+            "_expand_positive",
+            lambda width, controls, target, policy, clean_base: [mct(width, controls, target)],
+        )
+        with pytest.raises(RuntimeError, match="internal error: expansion left C"):
+            expand_mct(GateSequence.of(mct(5, [1, 2, 3], 5)))
 
 
 class TestExpansionValidation:

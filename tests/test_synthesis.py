@@ -20,7 +20,6 @@ from blocksynth import (
     SynthesisConfig,
     WidthMismatch,
     bounds,
-    estimate_runtime_class,
     peephole,
     quantum_cost,
     sample,
@@ -382,46 +381,3 @@ class TestSynthesisConfig:
         cfg = SynthesisConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.seed = 5  # type: ignore[misc]
-
-
-# ---------------------------------------------------------------------------
-# Runtime forecasting
-
-
-class TestEstimateRuntimeClass:
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            estimate_runtime_class(0, 0)
-        with pytest.raises(ValueError):
-            estimate_runtime_class(4, -1)
-
-    def test_complexity_string_tracks_depth(self):
-        assert estimate_runtime_class(5, 0).complexity == "O(n*2^(2n))"
-        assert estimate_runtime_class(5, 2).complexity == "O(n*2^(4n))"
-
-    def test_buckets_hand_checked(self):
-        # unit model: n * 2^((2+depth)*n) at ~1.1e-7 s/unit
-        assert estimate_runtime_class(3, 0).bucket == "sub-second"
-        assert estimate_runtime_class(11, 0).bucket == "sub-minute"  # ~5 s
-        assert estimate_runtime_class(9, 1).bucket == "minutes"  # ~2.2 min
-        assert estimate_runtime_class(9, 2).bucket == "hours"  # ~19 h
-        assert estimate_runtime_class(10, 2).bucket == "impractical"  # ~14 days
-
-    def test_warning_flags_hour_plus_runs(self):
-        assert not estimate_runtime_class(3, 0).warning
-        assert not estimate_runtime_class(11, 0).warning
-        assert not estimate_runtime_class(9, 1).warning
-        assert estimate_runtime_class(9, 2).warning
-        assert estimate_runtime_class(10, 2).warning
-
-    def test_seconds_grow_with_width_and_depth(self):
-        for n in range(3, 12):
-            assert (
-                estimate_runtime_class(n + 1, 0).seconds
-                > estimate_runtime_class(n, 0).seconds
-            )
-        for d in range(0, 3):
-            assert (
-                estimate_runtime_class(8, d + 1).seconds
-                > estimate_runtime_class(8, d).seconds
-            )
