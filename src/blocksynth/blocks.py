@@ -1,4 +1,4 @@
-"""Classification of relevant row pairs and block bookkeeping.
+"""Classification of relevant row pairs and the search-region geometry.
 
 The relevant pair ⟨2j, 2j+1⟩ is classified by comparing each member's row
 parity with the parity of the column it currently occupies: both agree →
@@ -9,18 +9,18 @@ natural alternative and deliberately not used).
 
 A *block* is a column pair (2i, 2i+1) holding rows that differ by +1 (even
 block) or -1 (odd block).  ``block-wise position`` i indexes such column
-pairs.  Left-allocation is always re-derived as the longest all-block prefix
-rather than carried as mutable state.
+pairs.  The pipeline tests for blocks in two places, one per data layout:
+``reduction._holds_block`` reads the entries array of a live engine, and
+the lookahead scorer's ``synthesis._count_free`` reads the (row, column,
+partner column) triples it searches on.  Iteration i's search region is
+``reduction._region_mask``, built from ``h`` and ``findm`` below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 from .core import Permutation
-
-PairKind = Literal["even", "odd", "any"]
 
 
 @dataclass(frozen=True)
@@ -34,34 +34,6 @@ class PositionCounts:
     @property
     def total(self) -> int:
         return self.normal + self.inverted + self.interrupting
-
-
-@dataclass(frozen=True)
-class Block:
-    position: int
-    kind: Literal["even", "odd"]
-
-
-@dataclass(frozen=True)
-class BlockList:
-    """All blocks present, in ascending position order."""
-
-    width: int
-    entries: tuple[Block, ...]
-
-    def positions(self, kind: PairKind = "any") -> tuple[int, ...]:
-        return tuple(b.position for b in self.entries if kind in ("any", b.kind))
-
-    def left_allocated(self, kind: PairKind = "even") -> int:
-        """Length of the longest prefix 0..l-1 of positions all holding
-        blocks of the requested kind."""
-        have = {b.position: b.kind for b in self.entries}
-        l = 0
-        while True:
-            k = have.get(l)
-            if k is None or (kind != "any" and k != kind):
-                return l
-            l += 1
 
 
 def classify_positions(perm: Permutation) -> PositionCounts:
@@ -82,24 +54,6 @@ def classify_positions(perm: Permutation) -> PositionCounts:
     return PositionCounts(normal, inverted, interrupting)
 
 
-def find_blocks(perm: Permutation) -> BlockList:
-    """Scan all block-wise positions for even/odd blocks."""
-    entries = perm.entries
-    found = []
-    for i in range(perm.size // 2):
-        lo, hi = entries[2 * i], entries[2 * i + 1]
-        if hi - lo == 1 and lo % 2 == 0:
-            found.append(Block(i, "even"))
-        elif lo - hi == 1 and hi % 2 == 0:
-            found.append(Block(i, "odd"))
-    return BlockList(perm.width, tuple(found))
-
-
-def region_start(l: int, n: int) -> int:
-    """h_n(m) for m = findm(l, n): first column of the search region."""
-    return (1 << n) - (1 << (n - findm(l, n) + 1))
-
-
 def h(n: int, m: int) -> int:
     """Columns ≥ h(n, m) have their first m-1 bits all set."""
     return (1 << n) - (1 << (n - m + 1))
@@ -118,23 +72,3 @@ def findm(l: int, n: int) -> int:
         raise ValueError(f"l={l} outside 0..2^{n-1}-1")
     # h(n, m) >= 2l  <=>  2^(n-m+1) <= 2^n - 2l
     return max(1, n + 2 - ((1 << n) - 2 * l).bit_length())
-
-
-def in_region(column: int, l: int, n: int) -> bool:
-    """True iff ``column`` lies in the findm(l, n) search region."""
-    return column >= h(n, findm(l, n))
-
-
-def count_free_blocks(perm: Permutation, i: int, kind: PairKind = "any") -> int:
-    """Blocks of ``kind`` at positions ≥ i — candidates for zero-cost reuse."""
-    if not 0 <= i < perm.size // 2:
-        raise ValueError(f"i={i} outside 0..2^{perm.width-1}-1")
-    entries = perm.entries
-    count = 0
-    for p in range(i, perm.size // 2):
-        lo, hi = entries[2 * p], entries[2 * p + 1]
-        if hi - lo == 1 and lo % 2 == 0:
-            count += kind in ("any", "even")
-        elif lo - hi == 1 and hi % 2 == 0:
-            count += kind in ("any", "odd")
-    return count

@@ -94,7 +94,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
         default=9,
         help="exact search over the last positions of a stage (0 disables)",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-peephole", action="store_true")
     p.add_argument("--mix-depth", type=int, default=4)
     p.add_argument("--mix-budget", type=int, default=2_000_000)
@@ -112,7 +111,6 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         depths=depths,
         exhaustive_tail=args.tail_exhaustive,
         mix=MixConfig(max_depth=args.mix_depth, enumeration_budget=args.mix_budget),
-        seed=args.seed,
         post_peephole=not args.no_peephole,
     )
 

@@ -43,7 +43,6 @@ class MixConfig:
 
     max_depth: int = 4
     enumeration_budget: int = 2_000_000
-    allow_fallback_fixups: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.max_depth <= 4:
@@ -99,12 +98,17 @@ def closing_moves(width: int) -> tuple[Gate, ...]:
     return tuple(out)
 
 
-def _interrupting_rows(entries: list[int]) -> int:
+def _interrupting_pairs(entries: list[int]) -> bytearray:
+    """Byte p is 1 when pair p has exactly one member at a mismatching column."""
     mism = bytearray(len(entries) // 2)
     for col, row in enumerate(entries):
         if (row ^ col) & 1:
             mism[row >> 1] ^= 1
-    return 2 * sum(mism)
+    return mism
+
+
+def _interrupting_rows(entries: list[int]) -> int:
+    return 2 * sum(_interrupting_pairs(entries))
 
 
 def _closing_deltas(pos: list[int], width: int) -> tuple[int, list[int]]:
@@ -224,16 +228,19 @@ def _fixups(engine: _Engine, target: int) -> int:
     moves a member of another non-interrupting pair into such a slot.
     """
     n, size = engine.n, engine.size
+    entries, pos = engine.entries, engine.pos
     emitted = 0
+    last: Optional[int] = None
     while True:
-        lam = _interrupting_rows(engine.entries)
+        mism = _interrupting_pairs(entries)
+        lam = 2 * sum(mism)
+        if last is not None and abs(lam - target) >= abs(last - target):
+            raise RuntimeError(
+                f"internal error: a mix fixup moved the interrupting count from "
+                f"{last} to {lam}, not toward {target}"
+            )
         if lam == target:
             return emitted
-        entries, pos = engine.entries, engine.pos
-        mism = bytearray(size // 2)
-        for col, row in enumerate(entries):
-            if (row ^ col) & 1:
-                mism[row >> 1] ^= 1
         want_int = lam < target
         slot_found = None
         for s in range(size // 2):
@@ -270,12 +277,7 @@ def _fixups(engine: _Engine, target: int) -> int:
             slot_found = dst >> 1
         engine.emit(_slot_toggle(n, slot_found))
         emitted += 1
-        new_lam = _interrupting_rows(engine.entries)
-        if abs(new_lam - target) >= abs(lam - target):
-            raise RuntimeError(
-                f"internal error: a mix fixup moved the interrupting count from "
-                f"{lam} to {new_lam}, not toward {target}"
-            )
+        last = lam
 
 
 def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
@@ -288,11 +290,6 @@ def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
         for g in search.found:
             engine.emit(g)
         return MixStats(len(search.found), 0, search.evaluated, True)
-    if not cfg.allow_fallback_fixups:
-        raise RuntimeError(
-            "no composite within depth/budget reached the mixing target and "
-            "fallback fixups are disabled"
-        )
     applied = 0
     if search.best is not None:
         for g in search.best[2]:

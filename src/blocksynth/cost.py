@@ -1,7 +1,8 @@
 """Cost accounting and expansion of multi-controlled Toffolis.
 
 ``toffoli_count`` is the primary figure of merit: a gate with m >= 2
-controls counts as 2m-3 Toffoli-equivalents, smaller gates are free.
+controls counts as 2m-3 Toffoli-equivalents, smaller gates are free
+(``toffoli_equivalents``, which pair selection and region lifts also use).
 ``quantum_cost`` looks each gate up in a :class:`CostTable` keyed by control
 count (polarity never changes the price); lookups outside the table raise
 :class:`MissingCostEntry` rather than guessing.
@@ -46,10 +47,15 @@ class CostTable:
             ) from None
 
 
+def toffoli_equivalents(controls: int) -> int:
+    """Toffoli-equivalents of one gate: 2m-3 for m >= 2 controls, else 0."""
+    return 2 * controls - 3 if controls >= 2 else 0
+
+
 def _default_entries() -> dict[int, int]:
     entries = {0: 1, 1: 1, 2: 5, 3: 13, 4: 29}
     for m in range(5, 24):
-        entries[m] = 5 * (2 * m - 3)
+        entries[m] = 5 * toffoli_equivalents(m)
     return entries
 
 
@@ -94,8 +100,8 @@ def resolve_table(path: Optional[str] = None) -> CostTable:
 
 
 def toffoli_count(seq: GateSequence) -> int:
-    """Toffoli-equivalents: 2m-3 per gate with m >= 2 controls."""
-    return sum(2 * g.control_count - 3 for g in seq if g.control_count >= 2)
+    """Toffoli-equivalents summed over the gates of ``seq``."""
+    return sum(toffoli_equivalents(g.control_count) for g in seq)
 
 
 def quantum_cost(seq: GateSequence, table: Optional[CostTable] = None) -> int:

@@ -355,8 +355,6 @@ def write_report(report: SynthesisReport) -> str:
         ("exhaustive_tail", cfg.exhaustive_tail),
         ("mix_max_depth", cfg.mix.max_depth),
         ("mix_budget", cfg.mix.enumeration_budget),
-        ("mix_fallback", int(cfg.mix.allow_fallback_fixups)),
-        ("seed", cfg.seed),
         ("post_peephole", int(cfg.post_peephole)),
         ("stage_count", len(report.stages)),
     ]

@@ -39,6 +39,7 @@ from .core import (
     exchange_columns,
     mct,
 )
+from .cost import toffoli_equivalents
 
 
 class PairNotFound(ValueError):
@@ -290,8 +291,7 @@ class _Engine:
                 self.stats.lift_gates += 1
                 if g.control_count == self.n - 1:
                     self.stats.lift_full_gates += 1
-                if g.control_count >= 2:
-                    self.stats.lift_toffoli += 2 * g.control_count - 3
+                self.stats.lift_toffoli += toffoli_equivalents(g.control_count)
                 lifted = True
             if lifted:
                 self.stats.region_lifts += 1
@@ -463,17 +463,26 @@ def _holds_block(engine: _Engine, i: int, inverted: bool) -> bool:
     return hi == lo + 1 and lo % 2 == 0
 
 
-def _run_normal(
-    engine: _Engine, selector: Optional[Selector] = None
+def _fill(
+    engine: _Engine,
+    positions: range,
+    inverted: bool,
+    selector: Optional[Selector],
+    fallback: Callable[[_Engine, int], tuple[int, int]],
 ) -> None:
-    half = engine.size // 2
-    for i in range(half):
-        if _holds_block(engine, i, inverted=False):
+    """Give each position a block of the phase's kind: keep one it already
+    holds, else allocate the selector's pair, else ``fallback``'s scan."""
+    for i in positions:
+        if _holds_block(engine, i, inverted):
             continue
         chosen = selector(i) if selector is not None else None
         if chosen is None:
-            chosen = _n_pick_rows(engine, i)
+            chosen = fallback(engine, i)
         engine.allocate(i, *chosen)
+
+
+def _run_normal(engine: _Engine, selector: Optional[Selector] = None) -> None:
+    _fill(engine, range(engine.size // 2), False, selector, _n_pick_rows)
 
 
 def _run_general(
@@ -481,29 +490,13 @@ def _run_general(
     normal_selector: Optional[Selector] = None,
     inverted_selector: Optional[Selector] = None,
 ) -> None:
-    n = engine.n
-    quarter = engine.size // 4
-    half = engine.size // 2
-    for i in range(quarter):
-        if _holds_block(engine, i, inverted=False):
-            continue
-        chosen = normal_selector(i) if normal_selector is not None else None
-        if chosen is None:
-            chosen = _n_pick_rows(engine, i)
-        engine.allocate(i, *chosen)
-    for i in range(quarter, half):
-        if _holds_block(engine, i, inverted=True):
-            continue
-        chosen = inverted_selector(i) if inverted_selector is not None else None
-        if chosen is None:
-            chosen = _i_pick_rows(engine, i)
-        engine.allocate(i, *chosen)
-    engine.emit(cx(n, 1, n))
+    quarter, half = engine.size // 4, engine.size // 2
+    _fill(engine, range(quarter), False, normal_selector, _n_pick_rows)
+    _fill(engine, range(quarter, half), True, inverted_selector, _i_pick_rows)
+    engine.emit(cx(engine.n, 1, engine.n))
 
 
-def reduce_normal(
-    perm: Permutation, _selector: Optional[Selector] = None
-) -> tuple[Permutation, GateSequence]:
+def reduce_normal(perm: Permutation) -> tuple[Permutation, GateSequence]:
     """Reduce an all-normal permutation to Q ⊗ I_2.
 
     Output sequence never targets the last line; Toffoli count is bounded by
@@ -514,15 +507,11 @@ def reduce_normal(
     if perm.width < 2:
         raise PreconditionViolated("nothing to reduce at width 1")
     engine = _Engine(perm)
-    _run_normal(engine, _selector)
+    _run_normal(engine)
     return engine.snapshot(), engine.sequence()
 
 
-def reduce_general(
-    perm: Permutation,
-    _normal_selector: Optional[Selector] = None,
-    _inverted_selector: Optional[Selector] = None,
-) -> tuple[Permutation, GateSequence]:
+def reduce_general(perm: Permutation) -> tuple[Permutation, GateSequence]:
     """Reduce a balanced (half normal, half inverted, no interrupting)
     permutation to Q ⊗ I_2.
 
@@ -541,5 +530,5 @@ def reduce_general(
             f"{counts.inverted}:{counts.interrupting}"
         )
     engine = _Engine(perm)
-    _run_general(engine, _normal_selector, _inverted_selector)
+    _run_general(engine)
     return engine.snapshot(), engine.sequence()

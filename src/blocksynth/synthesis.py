@@ -45,7 +45,7 @@ from .core import (
     verify_identity,
     x,
 )
-from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count
+from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalents
 from .reduction import (
     Masks,
     RelevantPair,
@@ -70,13 +70,12 @@ class SynthesisConfig:
     j = (r-1).bit_length()); missing entries default to depth 1, and depth 0
     reproduces the plain scan-order selection.  ``exhaustive_tail`` switches
     the last positions of a stage to exact branch-and-bound (0 disables).
-    ``seed`` is recorded in reports; the pipeline itself is deterministic.
+    ``post_peephole`` cancels adjacent identical gates in the result.
     """
 
     depths: Optional[Mapping[int, int]] = None
     exhaustive_tail: int = 9
     mix: MixConfig = field(default_factory=MixConfig)
-    seed: int = 0
     post_peephole: bool = True
 
     def depth_for(self, remaining_rows: int) -> int:
@@ -143,7 +142,7 @@ def _pair_gates(
     n: int, i: int, ca: int, cb: int, memo: dict
 ) -> tuple[list[Masks], int]:
     """Construction+slide gates for a pair at columns (ca, cb), as masks,
-    and their Toffoli cost (2m-3 per gate with m >= 2 controls).
+    and their Toffoli cost.
 
     ``memo`` lives for one selection, whose width is fixed and whose search
     meets the same (i, ca, cb) in many branches.
@@ -155,9 +154,7 @@ def _pair_gates(
         masks += _alloc_masks(n, i, _track(ca, masks))
         cost = 0
         for ones, zeros, _ in masks:
-            m = (ones | zeros).bit_count()
-            if m >= 2:
-                cost += 2 * m - 3
+            cost += toffoli_equivalents((ones | zeros).bit_count())
         found = memo[key] = (masks, cost)
     return found
 

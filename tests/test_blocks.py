@@ -1,23 +1,13 @@
-"""Pair classification, block scanning and search-region geometry."""
+"""Pair classification, the two block tests and search-region geometry."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksynth import (
-    Block,
-    Permutation,
-    apply_gate,
-    classify_positions,
-    count_free_blocks,
-    find_blocks,
-    findm,
-    in_region,
-    region_start,
-    sample,
-    x,
-)
+from blocksynth import Permutation, apply_gate, classify_positions, findm, sample, x
 from blocksynth.blocks import h
+from blocksynth.reduction import _Engine, _holds_block, _region_mask
+from blocksynth.synthesis import _count_free
 from helpers import mismatch_rows
 
 
@@ -69,23 +59,25 @@ class TestRegionGeometry:
     def test_region_start_at_least_twice_l(self):
         for n in (3, 4, 5, 6, 8):
             for l in range(1 << (n - 1)):
-                assert region_start(l, n) >= 2 * l
+                assert _region_mask(n, l) >= 2 * l
 
     def test_region_is_suffix_interval(self):
         # Columns in the region are exactly those at or above its start.
         for n in (3, 4, 5):
             for l in range(1 << (n - 1)):
-                start = region_start(l, n)
+                mask = _region_mask(n, l)
                 for col in range(1 << n):
-                    assert in_region(col, l, n) == (col >= start)
+                    assert ((col & mask) == mask) == (col >= mask)
 
     def test_region_membership_is_prefix_mask(self):
-        # Same set expressed as "first m-1 bits all set".
+        # Same set expressed as "lines 1..m-1 all set", m = findm(l, n).
         for n in (3, 4, 5):
             for l in range(1 << (n - 1)):
-                mask = h(n, findm(l, n))
+                mask = _region_mask(n, l)
+                prefix = range(1, findm(l, n))
                 for col in range(1 << n):
-                    assert in_region(col, l, n) == ((col & mask) == mask)
+                    in_region = (col & mask) == mask
+                    assert in_region == all((col >> (n - b)) & 1 for b in prefix)
 
 
 class TestClassification:
@@ -137,45 +129,47 @@ class TestConservation:
         assert classify_positions(apply_gate(p, g)) == classify_positions(p)
 
 
-class TestBlocks:
-    def test_find_blocks_mixed(self):
-        p = Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7))
-        bl = find_blocks(p)
-        assert bl.entries == (Block(0, "even"),)
+def _pairs_from(engine, i):
+    """The scorer's (even row, column, partner column) triples for the
+    pairs whose even row sits at or past column 2i."""
+    pos = engine.pos
+    return [(r, pos[r], pos[r + 1]) for r in engine.entries[2 * i :] if not r & 1]
 
-    def test_find_blocks_odd(self):
-        p = Permutation.from_entries((1, 0, 3, 2))
-        bl = find_blocks(p)
-        assert bl.positions("odd") == (0, 1)
-        assert bl.positions("even") == ()
-        assert bl.left_allocated("odd") == 2
-        assert bl.left_allocated("even") == 0
 
-    def test_left_allocated_stops_at_gap(self):
-        p = Permutation.from_entries((0, 1, 6, 3, 4, 5, 2, 7))
-        bl = find_blocks(p)  # blocks at positions 0 and 2 only
-        assert bl.positions() == (0, 2)
-        assert bl.left_allocated("even") == 1
-        assert bl.left_allocated("any") == 1
+class TestBlockTests:
+    """``_holds_block`` reads the entries array, the scorer's
+    ``_count_free`` reads pair triples; both must find the same blocks."""
 
-    def test_count_free_blocks_identity(self):
-        p = Permutation.identity(3)
-        assert count_free_blocks(p, 0, "even") == 4
-        assert count_free_blocks(p, 2, "any") == 2
-        assert count_free_blocks(p, 0, "odd") == 0
+    def test_holds_block_even(self):
+        engine = _Engine(Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7)))
+        assert [_holds_block(engine, i, False) for i in range(4)] == [True] + [False] * 3
+        assert not any(_holds_block(engine, i, True) for i in range(4))
 
-    def test_count_free_blocks_zero(self):
-        p = Permutation.from_entries((7, 2, 0, 1, 5, 3, 6, 4))
-        assert count_free_blocks(p, 0, "odd") == 0
-        assert count_free_blocks(p, 0, "any") == 1
-        assert count_free_blocks(p, 2, "any") == 0
+    def test_holds_block_odd(self):
+        engine = _Engine(Permutation.from_entries((1, 0, 3, 2)))
+        assert [_holds_block(engine, i, True) for i in range(2)] == [True, True]
+        assert not any(_holds_block(engine, i, False) for i in range(2))
 
-    def test_count_free_blocks_excludes_lower_positions(self):
-        # the single block sits at position 0, below the i=1 window
-        p = Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7))
-        assert count_free_blocks(p, 1, "even") == 0
-        assert count_free_blocks(p, 0, "even") == 1
+    def test_count_free_identity(self):
+        engine = _Engine(Permutation.identity(3))
+        assert _count_free(_pairs_from(engine, 0), [], -1, "normal") == 4
+        assert _count_free(_pairs_from(engine, 2), [], -1, "normal") == 2
+        assert _count_free(_pairs_from(engine, 0), [], -1, "inverted") == 0
+        assert _count_free(_pairs_from(engine, 0), [], 0, "normal") == 3  # skip row 0's pair
 
-    def test_count_free_blocks_range(self):
-        with pytest.raises(ValueError):
-            count_free_blocks(Permutation.identity(3), 4)
+    def test_count_free_one_block(self):
+        # Rows 0, 1 sit at columns 2, 3: one even block, at position 1.
+        engine = _Engine(Permutation.from_entries((7, 2, 0, 1, 5, 3, 6, 4)))
+        assert _count_free(_pairs_from(engine, 0), [], -1, "normal") == 1
+        assert _count_free(_pairs_from(engine, 0), [], -1, "inverted") == 0
+        assert _count_free(_pairs_from(engine, 2), [], -1, "normal") == 0
+
+    @given(permutations(), st.data())
+    @settings(max_examples=120)
+    def test_block_tests_agree(self, p, data):
+        engine = _Engine(p)
+        i = data.draw(st.integers(0, p.size // 2 - 1))
+        pairs = _pairs_from(engine, i)
+        for inverted, kind in ((False, "normal"), (True, "inverted")):
+            held = sum(_holds_block(engine, q, inverted) for q in range(i, p.size // 2))
+            assert _count_free(pairs, [], -1, kind) == held

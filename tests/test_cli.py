@@ -8,7 +8,9 @@ to confirm the tool chain end to end.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -312,6 +314,15 @@ class TestBench:
         assert xor_row["in"] == "2"
         assert xor_row["out"] == "1"
         assert xor_row["garbage"] == "1"
+
+    def test_header_is_the_one_the_readme_documents(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### `bench", 1)[1].split("\n## ", 1)[0]
+        documented = re.search(r"`(name [a-z_ ]+)`", section).group(1)
+        write_perm(tmp_path, "a.perm", sample(3, seed=1))
+        assert main(["bench", str(tmp_path)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split("\t") == documented.split()
 
     def test_failures_reported_and_skipped(self, tmp_path, capsys):
         self._fill(tmp_path)

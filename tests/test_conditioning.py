@@ -119,12 +119,6 @@ class TestMix:
         mixed, seq = mix(p, cfg)
         assert classify_positions(mixed).interrupting == p.size // 2
 
-    def test_fallback_disabled_raises_off_target(self):
-        p = Permutation.identity(4)
-        cfg = MixConfig(max_depth=0, allow_fallback_fixups=False)
-        with pytest.raises(RuntimeError):
-            mix(p, cfg)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MixConfig(max_depth=5)
@@ -235,8 +229,10 @@ class TestInternalChecks:
             _exact_move(3, src, dst)
 
     def test_missing_lowering_slot(self, monkeypatch):
-        # The identity has no interrupting rows; claim it has 8 of 8.
-        monkeypatch.setattr(conditioning, "_interrupting_rows", lambda entries: 8)
+        # The identity has no interrupting rows; claim all 8 of them are.
+        monkeypatch.setattr(
+            conditioning, "_interrupting_pairs", lambda entries: bytearray([1] * 4)
+        )
         engine = _Engine(Permutation.identity(3))
         with pytest.raises(RuntimeError, match="internal error: no slot lowers"):
             _fixups(engine, 4)

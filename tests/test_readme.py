@@ -1,0 +1,14 @@
+"""The README's library quick start runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_snippet_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    toffoli, le, bound = capsys.readouterr().out.split()
+    assert le == "<=" and int(toffoli) <= int(bound)

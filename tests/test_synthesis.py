@@ -380,4 +380,4 @@ class TestSynthesisConfig:
     def test_frozen(self):
         cfg = SynthesisConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.seed = 5  # type: ignore[misc]
+            cfg.exhaustive_tail = 5  # type: ignore[misc]
