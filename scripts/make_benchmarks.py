@@ -11,13 +11,15 @@ Two classic 8-bit substitution boxes are produced:
   documented three-layer construction with middle-bit swaps, checked
   against the first sixteen bytes of the published table.
 
-Usage: python3 scripts/make_benchmarks.py [output_dir]
+Usage: PYTHONPATH=src python3 scripts/make_benchmarks.py [output_dir]
 """
 
 from __future__ import annotations
 
 import os
 import sys
+
+from blocksynth import Permutation, format_permutation
 
 # --- Skipjack -----------------------------------------------------------
 
@@ -125,10 +127,7 @@ def validate_khazad(sbox: tuple[int, ...]) -> None:
 
 
 def format_perm_file(title: str, values: tuple[int, ...]) -> str:
-    lines = [f"# {title}", "8"]
-    for start in range(0, 256, 16):
-        lines.append(" ".join(str(v) for v in values[start : start + 16]))
-    return "\n".join(lines) + "\n"
+    return f"# {title}\n" + format_permutation(Permutation(8, values))
 
 
 def main() -> int:

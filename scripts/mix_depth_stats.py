@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 from collections import Counter
 
-from blocksynth import MixConfig, preprocess, sample
+from blocksynth import MixConfig, sample
 from blocksynth.blocks import classify_positions
-from blocksynth.conditioning import _mix_engine
+from blocksynth.conditioning import _mix_engine, _run_preprocess
 from blocksynth.reduction import _Engine
 
 
@@ -45,8 +45,8 @@ def main() -> int:
         mixed = engine.snapshot()
         if classify_positions(mixed).interrupting == target:
             on_target += 1
-        balanced, _ = preprocess(mixed)
-        counts = classify_positions(balanced)
+        _run_preprocess(engine)
+        counts = classify_positions(engine.snapshot())
         assert counts.interrupting == 0 and counts.normal == counts.inverted
 
     n = args.samples

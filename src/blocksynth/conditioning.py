@@ -1,22 +1,25 @@
 """Conditioning passes that prepare a permutation for reduction.
 
-``mix`` drives the interrupting-row count to exactly half the rows by
-searching short CX composites (a few arbitrary CX moves followed by one CX
-targeting the last line).  When no composite within the configured depth and
-budget lands exactly, the closest candidate is applied and the remainder is
-repaired with fully controlled last-line toggles — each toggle moves the
-count by 4 toward the target, inserting a status-neutral rearrangement walk
-first whenever the two residents of every candidate slot belong to the same
-pair.
+Both passes run on a live ``reduction._Engine`` and end by checking their
+postcondition with an explicit raise, so it holds under ``python -O``.
 
-``preprocess`` consumes a half-interrupting state: it builds pseudo-blocks
-from one even-column and one odd-column interrupting member per iteration,
-parks them in the first quarter of the columns, and finally flips the last
-bit of that whole quarter with a single negatively controlled Toffoli.  The
-flipped member of each chosen pair changes its match status, so picking the
-mismatching or matching member steers the pair to normal or inverted — the
-choice is made against the live deficit so the result is an exact balanced
-split with zero interrupting rows.
+``_mix_engine`` drives the interrupting-row count to exactly half the rows
+by searching short CX composites (a few arbitrary CX moves followed by one
+CX targeting the last line).  When no composite within the configured
+depth and budget lands exactly, the closest candidate is applied and the
+remainder is repaired with fully controlled last-line toggles — each toggle
+moves the count by 4 toward the target, inserting a status-neutral
+rearrangement walk first whenever the two residents of every candidate slot
+belong to the same pair.
+
+``_run_preprocess`` consumes a half-interrupting state: it builds
+pseudo-blocks from one even-column and one odd-column interrupting member
+per iteration, parks them in the first quarter of the columns, and finally
+flips the last bit of that whole quarter with a single negatively
+controlled Toffoli.  The flipped member of each chosen pair changes its
+match status, so picking the mismatching or matching member steers the
+pair to normal or inverted — the choice is made against the live deficit
+so the result is an exact balanced split with zero interrupting rows.
 """
 
 from __future__ import annotations
@@ -24,17 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .blocks import classify_positions
-from .core import (
-    Gate,
-    GateSequence,
-    Permutation,
-    PreconditionViolated,
-    cx,
-    exchange_columns,
-    mct,
-)
-from .reduction import PairNotFound, RelevantPair, _Engine, _region_mask
+from .core import Gate, cx, exchange_columns, mct
+from .reduction import PairNotFound, _Engine, _region_mask
 
 
 @dataclass(frozen=True)
@@ -59,15 +53,6 @@ class MixStats:
     fixup_gates: int  # fully controlled repair gates appended after the composite
     evaluations: int  # composites scored during enumeration
     exact: bool  # True when a composite alone landed on target
-
-
-@dataclass(frozen=True)
-class PseudoPair(RelevantPair):
-    """Two interrupting-pair members chosen for one pseudo-block.
-
-    ``a`` sits at an even column, ``b`` at an odd one, so they conjoin like a
-    relevant pair even though they come from two different pairs.
-    """
 
 
 def prefix_moves(width: int) -> tuple[Gate, ...]:
@@ -281,6 +266,12 @@ def _fixups(engine: _Engine, target: int) -> int:
 
 
 def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
+    """Drive the interrupting-row count to exactly half the rows.
+
+    Applies a pure CX composite whenever one within ``cfg.max_depth`` and
+    ``cfg.enumeration_budget`` exists; otherwise the closest candidate plus
+    fully controlled repair toggles.
+    """
     target = engine.size // 2
     if _interrupting_rows(engine.entries) == target:
         return MixStats(0, 0, 0, True)
@@ -289,41 +280,41 @@ def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
     if search.found is not None:
         for g in search.found:
             engine.emit(g)
-        return MixStats(len(search.found), 0, search.evaluated, True)
-    applied = 0
-    if search.best is not None:
-        for g in search.best[2]:
-            engine.emit(g)
-        applied = len(search.best[2])
-    fixes = _fixups(engine, target)
-    return MixStats(applied, fixes, search.evaluated, False)
-
-
-def mix(
-    perm: Permutation, cfg: Optional[MixConfig] = None
-) -> tuple[Permutation, GateSequence]:
-    """Drive the interrupting-row count to exactly half the rows.
-
-    Returns the mixed permutation and the gates that were applied.  The
-    sequence is a pure CX composite whenever one within ``cfg.max_depth``
-    and ``cfg.enumeration_budget`` exists; otherwise the closest candidate
-    plus fully controlled repair toggles.
-    """
-    cfg = cfg or MixConfig()
-    engine = _Engine(perm)
-    _mix_engine(engine, cfg)
-    result = engine.snapshot()
+        stats = MixStats(len(search.found), 0, search.evaluated, True)
+    else:
+        applied = 0
+        if search.best is not None:
+            for g in search.best[2]:
+                engine.emit(g)
+            applied = len(search.best[2])
+        fixes = _fixups(engine, target)
+        stats = MixStats(applied, fixes, search.evaluated, False)
     lam = _interrupting_rows(engine.entries)
-    if lam != perm.size // 2:
+    if lam != target:
         raise RuntimeError(
-            f"internal error: mixing left {lam} interrupting rows, not "
-            f"{perm.size // 2}"
+            f"internal error: mixing left {lam} interrupting rows, not {target}"
         )
-    return result, engine.sequence()
+    return stats
 
 
 # ---------------------------------------------------------------------------
 # Preprocessing of half-interrupting states.
+
+
+def _pair_split(pos: list[int]) -> tuple[int, int]:
+    """Counts of normal and of inverted pairs; the rest are interrupting.
+
+    Row 2p matches at an even column and row 2p+1 at an odd one.
+    """
+    normal = inverted = 0
+    for p in range(0, len(pos), 2):
+        ma = pos[p] & 1 == 0
+        mb = pos[p + 1] & 1 == 1
+        if ma and mb:
+            normal += 1
+        elif not ma and not mb:
+            inverted += 1
+    return normal, inverted
 
 
 def _deficits(engine: _Engine, i: int) -> tuple[int, int]:
@@ -334,15 +325,8 @@ def _deficits(engine: _Engine, i: int) -> tuple[int, int]:
     it to the opposite column parity, turning its pair normal; a matching
     resident turns its pair inverted.
     """
-    entries, pos, size = engine.entries, engine.pos, engine.size
-    normal_pairs = inverted_pairs = 0
-    for p in range(size // 2):
-        ma = ((2 * p) ^ pos[2 * p]) & 1 == 0
-        mb = ((2 * p + 1) ^ pos[2 * p + 1]) & 1 == 0
-        if ma and mb:
-            normal_pairs += 1
-        elif not ma and not mb:
-            inverted_pairs += 1
+    entries, size = engine.entries, engine.size
+    normal_pairs, inverted_pairs = _pair_split(engine.pos)
     pend_n = pend_i = 0
     for col in range(2 * i):
         if (entries[col] ^ col) & 1:
@@ -411,36 +395,7 @@ def _pre_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
     return chosen[0], chosen[1]
 
 
-def pre_pick(perm: Permutation, i: int) -> PseudoPair:
-    """Choose the two interrupting-pair members for pseudo-block i.
-
-    ``a`` comes from a pair whose members sit at even columns, ``b`` from an
-    odd-column pair; the member to be flipped by the final quarter flip is
-    selected so the pair converts toward whichever of normal/inverted is
-    scarcer in the eventual balanced split.  Requires the preprocessing
-    precondition: exactly half the rows at interrupting positions.
-    """
-    if perm.width < 3:
-        raise PreconditionViolated("pseudo-block picking needs width >= 3")
-    interrupting = classify_positions(perm).interrupting
-    if interrupting != perm.size // 2:
-        raise PreconditionViolated(
-            f"need exactly {perm.size // 2} interrupting rows, got {interrupting}"
-        )
-    engine = _Engine(perm)
-    a, b = _pre_pick_rows(engine, i)
-    return PseudoPair(a, b)
-
-
 def _run_preprocess(engine: _Engine) -> None:
-    """Preprocessing phases on a live engine (caller checks preconditions)."""
-    for i in range(engine.size // 8):
-        a, b = _pre_pick_rows(engine, i)
-        engine.allocate(i, a, b)
-    engine.emit(mct(engine.n, [(1, False), (2, False)], engine.n))
-
-
-def preprocess(perm: Permutation) -> tuple[Permutation, GateSequence]:
     """Turn a half-interrupting state into an exact balanced split.
 
     Per iteration one even-column and one odd-column interrupting member are
@@ -448,23 +403,17 @@ def preprocess(perm: Permutation) -> tuple[Permutation, GateSequence]:
     negatively controlled Toffoli (controls on lines 1 and 2, target the
     last line) then flips the parked members' column parity, leaving half
     the rows normal, half inverted, none interrupting.  That Toffoli is the
-    only emitted gate targeting the last line.
+    only emitted gate targeting the last line.  The caller guarantees width
+    >= 3 and exactly half the rows interrupting.
     """
-    if perm.width < 3:
-        raise PreconditionViolated("preprocessing needs width >= 3")
-    counts = classify_positions(perm)
-    if counts.interrupting != perm.size // 2:
-        raise PreconditionViolated(
-            f"need exactly {perm.size // 2} interrupting rows, got "
-            f"{counts.interrupting}"
-        )
-    engine = _Engine(perm)
-    _run_preprocess(engine)
-    result = engine.snapshot()
-    after = classify_positions(result)
-    if after.interrupting != 0 or after.normal != after.inverted:
+    for i in range(engine.size // 8):
+        a, b = _pre_pick_rows(engine, i)
+        engine.allocate(i, a, b)
+    engine.emit(mct(engine.n, [(1, False), (2, False)], engine.n))
+    normal, inverted = _pair_split(engine.pos)
+    interrupting = engine.size // 2 - normal - inverted
+    if interrupting or normal != inverted:
         raise RuntimeError(
-            f"internal error: preprocessing ended in a {after.normal}:"
-            f"{after.inverted}:{after.interrupting} split, not an exact balance"
+            f"internal error: preprocessing ended in a {2 * normal}:"
+            f"{2 * inverted}:{2 * interrupting} split, not an exact balance"
         )
-    return result, engine.sequence()

@@ -2,19 +2,24 @@
 
 One *reduction* turns a width-n permutation into Q ⊗ I_2 — the last line
 becomes an identity wire — by conjoining each relevant pair into adjacent
-columns (``cons``) and sliding the resulting block to its home position
-(``alloc``), one block-wise position per iteration.  ``reduce_normal``
-handles inputs whose pairs all sit at normal positions and never needs a
-gate targeting the last line; ``reduce_general`` handles the balanced
-normal/inverted case with exactly one last-line gate at the very end.
+columns (``_cons_gates``) and sliding the resulting block to its home
+position (``_alloc_gates``), one block-wise position per iteration.  The
+driver is ``_Engine``, a working copy that applies gates and tracks row
+positions; ``_Engine.allocate`` runs one iteration for a chosen pair.
+``_run_normal`` handles inputs whose pairs all sit at normal positions and
+never emits a gate targeting the last line; ``_run_general`` handles the
+balanced normal/inverted case with exactly one last-line gate at the very
+end.  ``synthesis.synthesize`` dispatches to them by position class and
+supplies the lookahead selectors; with no selector each position takes the
+plain scan (``_n_pick_rows`` / ``_i_pick_rows``).
 
 Iteration i searches inside a shrinking column region (columns whose first
 m-1 bits are all set, m = findm(i, n)); there the conjoining MCT — controls
 on lines 1..m-1 plus line n — is guaranteed to fire on the chosen pair and
 provably cannot touch any column of an already-allocated block.  When no
 admissible pair sits inside the region (possible only in the normal-pair
-part of ``reduce_general``), the pair is first *lifted* into the region; see
-``lift_into_region``.
+part of ``_run_general``), the pair is first *lifted* into the region; see
+``_Engine.lift_pair``.
 
 The analytic Toffoli budgets for one whole reduction are exposed through
 ``bounds``; they are exact integers (the width-3 conditioning term of the
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal, Optional
 
-from .blocks import classify_positions, findm, h
+from .blocks import findm, h
 from .core import (
     Gate,
     GateSequence,
@@ -44,21 +49,6 @@ from .cost import toffoli_equivalents
 
 class PairNotFound(ValueError):
     """No admissible relevant pair exists — the state violates a contract."""
-
-
-@dataclass(frozen=True)
-class RelevantPair:
-    """Two row numbers forming (or standing in for) a relevant pair.
-
-    For true relevant pairs {a, b} = {2j, 2j+1}; preprocessing pseudo-pairs
-    relax this and only promise opposite column parity.
-    """
-
-    a: int
-    b: int
-
-    def __iter__(self):
-        return iter((self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -177,10 +167,19 @@ def _alloc_masks(n: int, i: int, alpha: int) -> list[Masks]:
 
 
 def _cons_gates(n: int, i: int, alpha: int, beta: int) -> list[Gate]:
+    """Gates conjoining the residents of columns ``alpha`` and ``beta`` into
+    two columns differing only in bit n; empty when they already do.
+
+    Requires opposite column parity, and the pair to sit inside the
+    iteration-i region whenever its columns differ on a protected prefix
+    line.
+    """
     return [Gate.from_masks(n, *g) for g in _cons_masks(n, i, alpha, beta)]
 
 
 def _alloc_gates(n: int, i: int, alpha: int) -> list[Gate]:
+    """Gates sliding the conjoined pair at column ``alpha`` to position i;
+    empty when it is already there."""
     return [Gate.from_masks(n, *g) for g in _alloc_masks(n, i, alpha)]
 
 
@@ -282,6 +281,9 @@ class _Engine:
         exchange_columns(self.entries, *gate.masks(), self.pos)
 
     def lift_pair(self, i: int, a: int, b: int) -> None:
+        """Move both rows into the iteration-i region; no gate when both
+        already sit there.  Touched columns never drop below 2i, so
+        left-allocated blocks survive (see ``_lift_step``)."""
         mask = _region_mask(self.n, i)
         for row, other in ((a, b), (b, a)):
             lifted = False
@@ -365,13 +367,6 @@ class _Engine:
         return best[1], best[2]
 
 
-def _pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
-    found = engine.scan_region_pair(i)
-    if found is None:
-        raise PairNotFound(f"no relevant pair inside the iteration-{i} region")
-    return found
-
-
 def _n_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
     found = engine.scan_region_normal(i)
     if found is None:
@@ -388,67 +383,6 @@ def _i_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
     if found is None:
         raise PairNotFound(f"no pair left for position {i}")
     return found
-
-
-# ---------------------------------------------------------------------------
-# Public single-step operations.
-
-
-def pick(perm: Permutation, i: int) -> RelevantPair:
-    """First relevant pair found scanning the iteration-i region upward.
-
-    The scan visits columns from the region start; a pair is reported from
-    its smaller column with the partner strictly to the right.
-    """
-    engine = _Engine(perm)
-    return RelevantPair(*_pick_rows(engine, i))
-
-
-def n_pick(perm: Permutation, i: int) -> RelevantPair:
-    """Like ``pick`` but restricted to pairs at normal positions.
-
-    Falls back to the normal pair maximizing its smaller column when the
-    region holds none; the caller is expected to lift that pair before
-    conjoining (see ``lift_into_region``).
-    """
-    engine = _Engine(perm)
-    return RelevantPair(*_n_pick_rows(engine, i))
-
-
-def lift_into_region(perm: Permutation, i: int, pair: RelevantPair) -> GateSequence:
-    """Gates moving both members of ``pair`` into the iteration-i region.
-
-    Empty when both already qualify.  Cheap single-CX steps are used when a
-    control bit exists that is clear on every allocated column and on the
-    other member; otherwise a fully controlled gate moves exactly one
-    resident one bit upward.  Touched columns never drop below 2i, so
-    left-allocated blocks survive.
-    """
-    engine = _Engine(perm)
-    engine.lift_pair(i, pair.a, pair.b)
-    return engine.sequence()
-
-
-def cons(perm: Permutation, i: int, pair: RelevantPair) -> GateSequence:
-    """Gates conjoining ``pair`` into two columns differing only in bit n.
-
-    Empty when the pair is already a block.  Requires opposite column
-    parity, and the pair to sit inside the iteration-i region whenever its
-    columns differ on a protected prefix line.
-    """
-    alpha = perm.position_of(pair.a)
-    beta = perm.position_of(pair.b)
-    return GateSequence(perm.width, tuple(_cons_gates(perm.width, i, alpha, beta)))
-
-
-def alloc(perm: Permutation, i: int, a: int) -> GateSequence:
-    """Gates sliding the conjoined pair containing row ``a`` to position i.
-
-    Empty when already there.  The pair must occupy last-bit-adjacent
-    columns (the state ``cons`` leaves behind).
-    """
-    col = perm.position_of(a)
-    return GateSequence(perm.width, tuple(_alloc_gates(perm.width, i, col)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +416,7 @@ def _fill(
 
 
 def _run_normal(engine: _Engine, selector: Optional[Selector] = None) -> None:
+    """Reduce an all-normal state; no emitted gate targets the last line."""
     _fill(engine, range(engine.size // 2), False, selector, _n_pick_rows)
 
 
@@ -490,45 +425,13 @@ def _run_general(
     normal_selector: Optional[Selector] = None,
     inverted_selector: Optional[Selector] = None,
 ) -> None:
+    """Reduce a balanced state (half normal, half inverted, no interrupting).
+
+    Normal pairs fill the left-half positions, inverted pairs the right
+    half, and one closing CX (control line 1, target line n) turns the
+    right-half blocks even: the only emitted gate targeting the last line.
+    """
     quarter, half = engine.size // 4, engine.size // 2
     _fill(engine, range(quarter), False, normal_selector, _n_pick_rows)
     _fill(engine, range(quarter, half), True, inverted_selector, _i_pick_rows)
     engine.emit(cx(engine.n, 1, engine.n))
-
-
-def reduce_normal(perm: Permutation) -> tuple[Permutation, GateSequence]:
-    """Reduce an all-normal permutation to Q ⊗ I_2.
-
-    Output sequence never targets the last line; Toffoli count is bounded by
-    bounds(n).n_c + bounds(n).n_a.
-    """
-    if any((r ^ c) & 1 for c, r in enumerate(perm.entries)):
-        raise PreconditionViolated("some relevant pair is not at normal positions")
-    if perm.width < 2:
-        raise PreconditionViolated("nothing to reduce at width 1")
-    engine = _Engine(perm)
-    _run_normal(engine)
-    return engine.snapshot(), engine.sequence()
-
-
-def reduce_general(perm: Permutation) -> tuple[Permutation, GateSequence]:
-    """Reduce a balanced (half normal, half inverted, no interrupting)
-    permutation to Q ⊗ I_2.
-
-    The first part fills the left-half positions with blocks built from
-    normal pairs, the second part the right half from inverted pairs, and a
-    single final CX (control line 1, target line n) turns the right-half
-    blocks even.  Exactly one emitted gate targets the last line.
-    """
-    if perm.width < 2:
-        raise PreconditionViolated("nothing to reduce at width 1")
-    counts = classify_positions(perm)
-    half = perm.size // 2
-    if not (counts.normal == half and counts.inverted == half):
-        raise PreconditionViolated(
-            f"need a {half}:{half}:0 row split, got {counts.normal}:"
-            f"{counts.inverted}:{counts.interrupting}"
-        )
-    engine = _Engine(perm)
-    _run_general(engine)
-    return engine.snapshot(), engine.sequence()

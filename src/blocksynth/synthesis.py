@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Optional
+from typing import Mapping, Optional
 
 from .blocks import classify_positions
 from .conditioning import MixConfig, _mix_engine, _run_preprocess
@@ -48,12 +48,9 @@ from .core import (
 from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalents
 from .reduction import (
     Masks,
-    RelevantPair,
     _alloc_masks,
     _cons_masks,
     _Engine,
-    _i_pick_rows,
-    _n_pick_rows,
     _region_mask,
     _run_general,
     _run_normal,
@@ -298,30 +295,15 @@ def _lookahead_choose(
     return best_pair
 
 
-def select_with_lookahead(
-    perm: Permutation,
-    i: int,
-    cfg: Optional[SynthesisConfig] = None,
-    phase: Literal["normal_part", "inverted_part"] = "normal_part",
-) -> RelevantPair:
-    """Pick the pair for position i by cost lookahead.
-
-    ``normal_part`` selects among in-region normal pairs for the left-half
-    positions (phase ends at a quarter of the columns), ``inverted_part``
-    among inverted pairs for the right half.  With depth 0, or when the
-    region holds no admissible pair, this degrades to the plain scan-order
-    selection (including its out-of-region fallback).
-    """
-    cfg = cfg or SynthesisConfig()
-    engine = _Engine(perm)
-    if phase == "normal_part":
-        chosen = _make_selector(engine, "normal", perm.size // 4, cfg)(i)
-        return RelevantPair(*(chosen or _n_pick_rows(engine, i)))
-    chosen = _make_selector(engine, "inverted", perm.size // 2, cfg)(i)
-    return RelevantPair(*(chosen or _i_pick_rows(engine, i)))
-
-
 def _make_selector(engine: _Engine, kind: str, phase_end: int, cfg: SynthesisConfig):
+    """The lookahead selector for one phase of a reduction on ``engine``.
+
+    ``kind`` "normal" selects among in-region normal pairs for the positions
+    before ``phase_end`` (a quarter of the columns in a general reduction,
+    half in an all-normal one), "inverted" among inverted pairs up to half.
+    The selector returns None at depth 0 or when the region holds no
+    admissible pair; the reduction then takes its plain scan.
+    """
     n = engine.n
     tail_at = (1 << (n - 1)) - cfg.exhaustive_tail
     def select(i: int) -> Optional[tuple[int, int]]:

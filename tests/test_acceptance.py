@@ -23,19 +23,12 @@ from blocksynth import (
     MixConfig,
     Permutation,
     SynthesisConfig,
-    alloc,
     apply_gate,
-    apply_sequence,
     bounds,
-    cons,
     cx,
     expand_mct,
-    lift_into_region,
     mct,
-    n_pick,
     parse_permutation,
-    preprocess,
-    reduce_normal,
     sample,
     synthesize,
     toffoli_count,
@@ -43,8 +36,14 @@ from blocksynth import (
     x,
 )
 from blocksynth.blocks import classify_positions, findm
-from blocksynth.conditioning import _mix_engine
-from blocksynth.reduction import _Engine
+from blocksynth.conditioning import _mix_engine, _run_preprocess
+from blocksynth.reduction import (
+    _alloc_gates,
+    _cons_gates,
+    _Engine,
+    _n_pick_rows,
+    _run_normal,
+)
 
 from helpers import (
     as_plain,
@@ -161,43 +160,40 @@ def test_criterion_04_per_call_budgets_width_8():
     worst = 0
     for k in range(1000):
         perm = sample(n, seed=k, kind="parity_aligned")
-        cur = perm
-        gates = []
+        engine = _Engine(perm)
+        pos = engine.pos
         for i in range(perm.size // 2):
-            lo, hi = cur.entries[2 * i], cur.entries[2 * i + 1]
+            lo, hi = engine.entries[2 * i], engine.entries[2 * i + 1]
             if hi == lo + 1 and lo % 2 == 0:
                 continue  # position already holds the right block
-            pair = n_pick(cur, i)
-            lifted = lift_into_region(cur, i, pair)
-            if len(lifted):
-                cur, _ = apply_sequence(cur, GateSequence(n), lifted)
-                gates.extend(lifted)
-            cseq = cons(cur, i, pair)
-            if len(cseq):
+            a, b = _n_pick_rows(engine, i)
+            engine.lift_pair(i, a, b)
+            cgates = _cons_gates(n, i, pos[a], pos[b])
+            if cgates:
                 m = findm(i, n)
-                *body, last = cseq.gates
+                *body, last = cgates
                 assert last.control_count == m
                 xs = sum(1 for g in body if g.control_count == 0)
                 cxs = sum(1 for g in body if g.control_count == 1)
                 assert xs in (0, 2) and xs + cxs == len(body)
                 assert cxs <= n - m - 1
-                cur, _ = apply_sequence(cur, GateSequence(n), cseq)
-                gates.extend(cseq)
-            aseq = alloc(cur, i, pair.a)
-            if len(aseq):
-                *body, last = aseq.gates
+                for g in cgates:
+                    engine.emit(g)
+            agates = _alloc_gates(n, i, pos[a])
+            if agates:
+                *body, last = agates
                 assert last.control_count <= bin(i).count("1")
                 assert all(g.control_count == 1 for g in body)
-                cur, _ = apply_sequence(cur, GateSequence(n), aseq)
-                gates.extend(aseq)
-            cols = {cur.positions[pair.a], cur.positions[pair.b]}
-            assert cols == {2 * i, 2 * i + 1}
-        total = toffoli_count(GateSequence(n, tuple(gates)))
+                for g in agates:
+                    engine.emit(g)
+            assert {pos[a], pos[b]} == {2 * i, 2 * i + 1}
+        total = toffoli_count(engine.sequence())
         assert total <= aggregate_cap, (k, total)
         worst = max(worst, total)
         if k < 3:  # the manual drive replays the production reduction
-            _, ref = reduce_normal(perm)
-            assert tuple(gates) == ref.gates
+            ref = _Engine(perm)
+            _run_normal(ref)
+            assert engine.gates == ref.gates
     elapsed = time.perf_counter() - t0
     report(
         f"[criterion 4] PASS: 1000/1000 within per-call shapes, worst "
@@ -220,8 +216,8 @@ def test_criterion_05_conditioning_postconditions():
             exact_hits += 1
         if stats.exact and stats.depth <= 2:
             depth_shallow += 1
-        after, _ = preprocess(mixed)
-        counts = classify_positions(after)
+        _run_preprocess(engine)
+        counts = classify_positions(engine.snapshot())
         if counts.interrupting == 0 and counts.normal == counts.inverted == 128:
             balanced_ok += 1
     assert exact_hits == samples, f"only {exact_hits}/{samples} hit {target}"

@@ -24,7 +24,7 @@ from blocksynth import (
     synthesize,
     toffoli_count,
 )
-from blocksynth import cli
+from blocksynth import cli, synthesis
 from blocksynth.cli import main
 
 from helpers import as_plain, circuit_table
@@ -393,6 +393,24 @@ class TestBench:
         assert started == ([] if workers is None else [workers])
         names = [l.split("\t")[0] for l in capsys.readouterr().out.splitlines()[1:]]
         assert names == ["a.perm", "b.perm", "xor.tt"]
+
+    def test_each_file_is_verified_once(self, tmp_path, capsys, monkeypatch):
+        # synthesize verifies its circuit before returning; bench must not
+        # verify it a second time.
+        calls = []
+
+        def counting(verify):
+            def wrapped(perm, seq):
+                calls.append(perm.width)
+                return verify(perm, seq)
+            return wrapped
+
+        monkeypatch.setattr(synthesis, "verify_identity", counting(synthesis.verify_identity))
+        monkeypatch.setattr(cli, "verify_identity", counting(cli.verify_identity))
+        self._fill(tmp_path)  # three files
+        assert main(["bench", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == [2, 3, 4]
 
     def test_malformed_file_gets_the_synth_message(self, tmp_path, capsys):
         self._fill(tmp_path)

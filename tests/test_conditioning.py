@@ -7,22 +7,26 @@ from hypothesis import strategies as st
 from blocksynth import (
     GateSequence,
     MixConfig,
-    PairNotFound,
     Permutation,
-    PreconditionViolated,
-    PseudoPair,
+    SynthesisConfig,
     apply_gate,
     apply_sequence,
     classify_positions,
     cx,
     mct,
-    mix,
-    pre_pick,
-    preprocess,
     sample,
+    synthesize,
 )
 from blocksynth import conditioning
-from blocksynth.conditioning import _exact_move, _fixups, closing_moves, prefix_moves
+from blocksynth.conditioning import (
+    _exact_move,
+    _fixups,
+    _mix_engine,
+    _pre_pick_rows,
+    _run_preprocess,
+    closing_moves,
+    prefix_moves,
+)
 from blocksynth.reduction import _Engine
 from helpers import mismatch_rows
 
@@ -31,6 +35,20 @@ from helpers import mismatch_rows
 HALF_INTERRUPTING = Permutation.from_entries(
     (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11)
 )
+
+
+def mix(p, cfg=None):
+    """Run the mixing pass on a fresh engine: (mixed state, gates)."""
+    engine = _Engine(p)
+    _mix_engine(engine, cfg or MixConfig())
+    return engine.snapshot(), engine.sequence()
+
+
+def preprocess(p):
+    """Run preprocessing on a fresh engine: (balanced state, gates)."""
+    engine = _Engine(p)
+    _run_preprocess(engine)
+    return engine.snapshot(), engine.sequence()
 
 
 @st.composite
@@ -151,29 +169,21 @@ class TestMix:
 
 class TestPrePick:
     def test_member_columns_have_opposite_parity(self):
-        pair = pre_pick(HALF_INTERRUPTING, 0)
-        assert isinstance(pair, PseudoPair)
-        ca = HALF_INTERRUPTING.position_of(pair.a)
-        cb = HALF_INTERRUPTING.position_of(pair.b)
+        a, b = _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0)
+        ca = HALF_INTERRUPTING.position_of(a)
+        cb = HALF_INTERRUPTING.position_of(b)
         assert ca % 2 == 0 and cb % 2 == 1
 
     def test_members_come_from_interrupting_pairs(self):
-        pair = pre_pick(HALF_INTERRUPTING, 0)
-        for member in (pair.a, pair.b):
+        for member in _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0):
             j = member >> 1
             ca = HALF_INTERRUPTING.position_of(2 * j)
             cb = HALF_INTERRUPTING.position_of(2 * j + 1)
             assert ((2 * j ^ ca) & 1) != ((2 * j + 1 ^ cb) & 1)
 
     def test_members_from_distinct_pairs(self):
-        pair = pre_pick(HALF_INTERRUPTING, 0)
-        assert pair.a >> 1 != pair.b >> 1
-
-    def test_rejects_states_off_the_precondition(self):
-        with pytest.raises(PreconditionViolated):
-            pre_pick(Permutation.identity(4), 0)
-        with pytest.raises(PreconditionViolated):
-            pre_pick(Permutation.from_entries((1, 0, 2, 3)), 0)
+        a, b = _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0)
+        assert a >> 1 != b >> 1
 
 
 class TestPreprocess:
@@ -191,14 +201,6 @@ class TestPreprocess:
         last_line = [g for g in seq if g.target == 4]
         assert last_line == [mct(4, [(1, False), (2, False)], 4)]
         assert seq.gates[-1] == last_line[0]
-
-    def test_rejects_small_width(self):
-        with pytest.raises(PreconditionViolated):
-            preprocess(Permutation.from_entries((1, 0, 2, 3)))
-
-    def test_rejects_wrong_interrupting_count(self):
-        with pytest.raises(PreconditionViolated):
-            preprocess(Permutation.identity(4))
 
     @given(st.integers(3, 5), st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
@@ -244,16 +246,26 @@ class TestInternalChecks:
             _fixups(engine, 8)
 
     def test_mix_postcondition(self, monkeypatch):
-        monkeypatch.setattr(conditioning, "_mix_engine", lambda engine, cfg: None)
+        # Width-3 state with 6 normal and 2 inverted rows: off the mixing
+        # target (4 interrupting rows), not balanced, not reducible.  With
+        # no composite search and repairs that emit nothing, mixing ends
+        # off target, and synthesize itself must say so.
+        p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 6, 7))
+        assert classify_positions(p).interrupting == 0
+        monkeypatch.setattr(conditioning, "_fixups", lambda engine, target: 0)
+        cfg = SynthesisConfig(mix=MixConfig(max_depth=0))
         with pytest.raises(RuntimeError, match="internal error: mixing left 0"):
-            mix(Permutation.identity(3))
+            synthesize(p, cfg)
 
     def test_negative_deficits(self, monkeypatch):
         monkeypatch.setattr(conditioning, "_deficits", lambda engine, i: (-1, 1))
         with pytest.raises(RuntimeError, match="internal error: negative conversion"):
-            pre_pick(HALF_INTERRUPTING, 0)
+            _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0)
 
     def test_preprocess_postcondition(self, monkeypatch):
-        monkeypatch.setattr(conditioning, "_run_preprocess", lambda engine: None)
-        with pytest.raises(RuntimeError, match="internal error: preprocessing ended in a 2:6:8"):
-            preprocess(HALF_INTERRUPTING)
+        # Deficits that always ask for normal pairs convert every
+        # interrupting pair to normal: 2 + 8 normal rows, 6 inverted.
+        # HALF_INTERRUPTING goes to preprocessing directly, inside synthesize.
+        monkeypatch.setattr(conditioning, "_deficits", lambda engine, i: (1, 0))
+        with pytest.raises(RuntimeError, match="internal error: preprocessing ended in a 10:6:0"):
+            synthesize(HALF_INTERRUPTING)

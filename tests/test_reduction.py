@@ -9,28 +9,27 @@ from blocksynth import (
     PairNotFound,
     Permutation,
     PreconditionViolated,
-    RelevantPair,
-    alloc,
     apply_sequence,
     bounds,
-    classify_positions,
-    cons,
     cx,
     findm,
     is_reducible,
-    lift_into_region,
     mct,
-    n_pick,
-    pick,
     preprocessing_bound,
-    reduce_general,
-    reduce_normal,
     sample,
     toffoli_count,
     x,
 )
 from blocksynth import reduction
-from blocksynth.reduction import _Engine
+from blocksynth.reduction import (
+    _alloc_gates,
+    _cons_gates,
+    _Engine,
+    _i_pick_rows,
+    _n_pick_rows,
+    _run_general,
+    _run_normal,
+)
 from helpers import (
     balanced_entries,
     conditioning_budget,
@@ -49,67 +48,91 @@ def aligned_perms(draw, min_width=2, max_width=5):
     return sample(width, seed, "parity_aligned")
 
 
+def lifted(p, i, pair):
+    """The lift gates for ``pair`` at iteration i, and the state after them."""
+    engine = _Engine(p)
+    engine.lift_pair(i, *pair)
+    return engine.sequence(), engine.snapshot()
+
+
+def conjoining(p, i, pair):
+    ca, cb = (p.position_of(r) for r in pair)
+    return GateSequence(p.width, tuple(_cons_gates(p.width, i, ca, cb)))
+
+
+def sliding(p, i, a):
+    return GateSequence(p.width, tuple(_alloc_gates(p.width, i, p.position_of(a))))
+
+
+def reduced(p, run):
+    """Run a whole reduction on a fresh engine: (result, gates)."""
+    engine = _Engine(p)
+    run(engine)
+    return engine.snapshot(), engine.sequence()
+
+
 class TestPick:
     def test_identity_region_pair(self):
-        assert pick(ID3, 1) == RelevantPair(4, 5)
+        assert _Engine(ID3).scan_region_pair(1) == (4, 5)
 
     def test_reports_smaller_column_first(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 7, 6, 4))
         # region for position 1 starts at column 4; row 5 sits at column 4,
         # its partner row 4 at column 7.
-        assert pick(p, 1) == RelevantPair(5, 4)
+        assert _Engine(p).scan_region_pair(1) == (5, 4)
 
     def test_raises_when_region_empty(self):
+        # every pair is interrupting and has a member below the region
         p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
+        assert _Engine(p).scan_region_pair(1) is None
         with pytest.raises(PairNotFound):
-            pick(p, 1)
+            _i_pick_rows(_Engine(p), 1)
 
     def test_pair_iterates(self):
-        a, b = pick(ID3, 1)
+        a, b = _Engine(ID3).scan_region_pair(1)
         assert (a, b) == (4, 5)
 
 
 class TestNPick:
     def test_identity(self):
-        assert n_pick(ID3, 1) == RelevantPair(4, 5)
+        assert _n_pick_rows(_Engine(ID3), 1) == (4, 5)
 
     def test_skips_non_normal_members(self):
         # Region [4,8) holds only inverted pairs; falls back outside.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        assert n_pick(p, 1) == RelevantPair(2, 3)
+        assert _n_pick_rows(_Engine(p), 1) == (2, 3)
 
     def test_fallback_maximizes_smaller_column(self):
         # Two normal pairs below the region: <0,1> at columns 0,1 and
         # <2,3> at columns 2,3 with position 1's region empty of normals.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        pair = n_pick(p, 1)
-        assert pair == RelevantPair(2, 3)  # columns 2,3 beat columns 0,1
+        pair = _n_pick_rows(_Engine(p), 1)
+        assert pair == (2, 3)  # columns 2,3 beat columns 0,1
 
     def test_raises_when_no_normal_pair_left(self):
         p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
         with pytest.raises(PairNotFound):
-            n_pick(p, 1)
+            _n_pick_rows(_Engine(p), 1)
 
 
 class TestLift:
     def test_noop_when_both_in_region(self):
-        assert len(lift_into_region(ID3, 1, RelevantPair(4, 5))) == 0
+        seq, _ = lifted(ID3, 1, (4, 5))
+        assert len(seq) == 0
 
     def test_moves_pair_into_region(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        pair = n_pick(p, 1)
-        seq = lift_into_region(p, 1, pair)
-        lifted, _ = apply_sequence(p, GateSequence(3), seq)
+        a, b = _n_pick_rows(_Engine(p), 1)
+        _, out = lifted(p, 1, (a, b))
         start = reduction._region_mask(3, 1)
-        assert lifted.position_of(pair.a) >= start
-        assert lifted.position_of(pair.b) >= start
+        assert out.position_of(a) >= start
+        assert out.position_of(b) >= start
 
     def test_preserves_columns_below_target(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        pair = n_pick(p, 1)
-        seq = lift_into_region(p, 1, pair)
-        lifted, _ = apply_sequence(p, GateSequence(3), seq)
-        assert lifted.entries[:2] == p.entries[:2]
+        pair = _n_pick_rows(_Engine(p), 1)
+        _, out = lifted(p, 1, pair)
+        assert out.entries[:2] == p.entries[:2]
 
     @given(aligned_perms(min_width=3, max_width=5), st.data())
     @settings(max_examples=80)
@@ -117,17 +140,17 @@ class TestLift:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            pair = n_pick(p, i)
+            a, b = _n_pick_rows(_Engine(p), i)
         except PairNotFound:
             return
-        seq = lift_into_region(p, i, pair)
-        lifted, _ = apply_sequence(p, GateSequence(n), seq)
+        seq, out = lifted(p, i, (a, b))
+        assert apply_sequence(p, GateSequence(n), seq)[0] == out
         mask = reduction._region_mask(n, i)
-        assert lifted.position_of(pair.a) & mask == mask
-        assert lifted.position_of(pair.b) & mask == mask
-        if p.position_of(pair.a) >= 2 * i and p.position_of(pair.b) >= 2 * i:
+        assert out.position_of(a) & mask == mask
+        assert out.position_of(b) & mask == mask
+        if p.position_of(a) >= 2 * i and p.position_of(b) >= 2 * i:
             # with no member starting below 2i, that prefix stays untouched
-            assert lifted.entries[: 2 * i] == p.entries[: 2 * i]
+            assert out.entries[: 2 * i] == p.entries[: 2 * i]
             for g in seq:
                 # each gate's positive controls alone pin every touched
                 # column at or past 2i, and the last line never moves
@@ -141,26 +164,26 @@ class TestCons:
         # The conjugating X pair wraps the (here empty) CX run, firing the
         # clean-up on bit-2-clear columns; the closing gate is the region MCT.
         p = Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7))
-        seq = cons(p, 1, RelevantPair(5, 4))
+        seq = conjoining(p, 1, (5, 4))
         assert seq == GateSequence.of(x(3, 2), x(3, 2), mct(3, [1, 3], 2))
         out, _ = apply_sequence(p, GateSequence(3), seq)
         assert out.entries == (0, 1, 6, 3, 2, 7, 4, 5)
         assert out.position_of(4) ^ out.position_of(5) == 1
 
     def test_empty_when_already_adjacent(self):
-        assert len(cons(ID3, 1, RelevantPair(6, 7))) == 0
+        assert len(conjoining(ID3, 1, (6, 7))) == 0
 
     def test_same_parity_rejected(self):
         p = Permutation.from_entries((0, 2, 1, 3, 4, 5, 6, 7))
         # rows 0 and 1 sit at columns 0 and 2: both even.
         with pytest.raises(PreconditionViolated):
-            cons(p, 0, RelevantPair(0, 1))
+            conjoining(p, 0, (0, 1))
 
     def test_out_of_region_prefix_difference_rejected(self):
         # rows 4,5 at columns 2,5 differ on line 1, protected for i=2.
         p = Permutation.from_entries((0, 1, 4, 3, 2, 5, 6, 7))
         with pytest.raises(PreconditionViolated):
-            cons(p, 2, RelevantPair(4, 5))
+            conjoining(p, 2, (4, 5))
 
     @given(aligned_perms(min_width=3, max_width=5), st.data())
     @settings(max_examples=120)
@@ -168,12 +191,11 @@ class TestCons:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            pair = n_pick(p, i)
+            pair = _n_pick_rows(_Engine(p), i)
         except PairNotFound:
             return
-        lift = lift_into_region(p, i, pair)
-        p2, _ = apply_sequence(p, GateSequence(n), lift)
-        seq = cons(p2, i, pair)
+        _, p2 = lifted(p, i, pair)
+        seq = conjoining(p2, i, pair)
         m = findm(i, n)
         if seq.gates:
             *body, last = seq.gates
@@ -191,26 +213,26 @@ class TestCons:
                 g.controls[0][0] == delta and g.target != n for g in cxs
             )
         out, _ = apply_sequence(p2, GateSequence(n), seq)
-        assert out.position_of(pair.a) ^ out.position_of(pair.b) == 1
+        assert out.position_of(pair[0]) ^ out.position_of(pair[1]) == 1
 
 
 class TestAlloc:
     def test_hand_worked_slide(self):
         p = Permutation.from_entries((0, 1, 6, 3, 2, 7, 4, 5))
-        seq = alloc(p, 1, 4)
+        seq = sliding(p, 1, 4)
         assert seq == GateSequence.of(cx(3, 2, 1))
         out, _ = apply_sequence(p, GateSequence(3), seq)
         assert out.entries == (0, 1, 4, 5, 2, 7, 6, 3)
 
     def test_uncontrolled_slide(self):
         p = Permutation.from_entries((2, 3, 0, 1, 4, 5, 6, 7))
-        seq = alloc(p, 0, 0)
+        seq = sliding(p, 0, 0)
         assert seq == GateSequence.of(x(3, 2))
         out, _ = apply_sequence(p, GateSequence(3), seq)
         assert out.entries[:2] == (0, 1)
 
     def test_empty_when_in_place(self):
-        assert len(alloc(ID3, 1, 2)) == 0
+        assert len(sliding(ID3, 1, 2)) == 0
 
     @given(aligned_perms(min_width=3, max_width=5), st.data())
     @settings(max_examples=120)
@@ -218,18 +240,17 @@ class TestAlloc:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            pair = n_pick(p, i)
+            a, b = _n_pick_rows(_Engine(p), i)
         except PairNotFound:
             return
-        lift = lift_into_region(p, i, pair)
-        p2, _ = apply_sequence(p, GateSequence(n), lift)
-        p3, _ = apply_sequence(p2, GateSequence(n), cons(p2, i, pair))
-        seq = alloc(p3, i, pair.a)
+        _, p2 = lifted(p, i, (a, b))
+        p3, _ = apply_sequence(p2, GateSequence(n), conjoining(p2, i, (a, b)))
+        seq = sliding(p3, i, a)
         for g in seq:
             assert g.target != n
             assert g.control_count <= max(1, bin(i).count("1"))
         out, _ = apply_sequence(p3, GateSequence(n), seq)
-        assert {out.position_of(pair.a), out.position_of(pair.b)} == {
+        assert {out.position_of(a), out.position_of(b)} == {
             2 * i,
             2 * i + 1,
         }
@@ -261,18 +282,14 @@ class TestBounds:
 
 
 class TestReduceNormal:
-    def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
-            reduce_normal(Permutation.from_entries((1, 0, 2, 3)))
-
     def test_identity_costs_nothing(self):
-        res, seq = reduce_normal(ID3)
+        res, seq = reduced(ID3, _run_normal)
         assert res == ID3 and len(seq) == 0
 
     @given(aligned_perms(min_width=2, max_width=5))
     @settings(max_examples=100, deadline=None)
     def test_reduces_and_respects_budget(self, p):
-        res, seq = reduce_normal(p)
+        res, seq = reduced(p, _run_normal)
         assert is_reducible(res)
         assert verify_reduction(p, seq, res)
         assert all(g.target != p.width for g in seq)
@@ -282,15 +299,11 @@ class TestReduceNormal:
 
 
 class TestReduceGeneral:
-    def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
-            reduce_general(ID3)
-
     @given(st.integers(2, 5), st.integers(0, 2000))
     @settings(max_examples=100, deadline=None)
     def test_reduces_balanced_input(self, width, seed):
         p = Permutation.from_entries(balanced_entries(width, seed))
-        res, seq = reduce_general(p)
+        res, seq = reduced(p, _run_general)
         assert is_reducible(res)
         assert verify_reduction(p, seq, res)
         last_line = [g for g in seq if g.target == p.width]

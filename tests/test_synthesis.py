@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from blocksynth import (
     Permutation,
-    RelevantPair,
     SynthesisConfig,
     WidthMismatch,
     bounds,
@@ -24,14 +23,25 @@ from blocksynth import (
     quantum_cost,
     sample,
     search_two_bit,
-    select_with_lookahead,
     synthesize,
     toffoli_count,
     x,
 )
 from blocksynth.core import GateSequence, cx, mct, toffoli
-from blocksynth.reduction import _alloc_gates, _cons_gates, _region_mask
-from blocksynth.synthesis import _admissible_from, _count_free, _pair_gates, _track
+from blocksynth.reduction import (
+    _alloc_gates,
+    _cons_gates,
+    _Engine,
+    _n_pick_rows,
+    _region_mask,
+)
+from blocksynth.synthesis import (
+    _admissible_from,
+    _count_free,
+    _make_selector,
+    _pair_gates,
+    _track,
+)
 
 from helpers import as_plain, circuit_table, independent_parity, sim_circuit
 
@@ -139,15 +149,25 @@ class TestPeephole:
 # Lookahead pair selection
 
 
+def normal_phase_selector(perm, cfg=None):
+    """The selector a general reduction uses for its normal-pair part."""
+    engine = _Engine(perm)
+    return engine, _make_selector(engine, "normal", perm.size // 4, cfg or SynthesisConfig())
+
+
 class TestSelectWithLookahead:
     def test_identity_start_picks_the_first_block(self):
-        assert select_with_lookahead(Permutation.identity(3), 0) == RelevantPair(0, 1)
+        _, select = normal_phase_selector(Permutation.identity(3))
+        assert select(0) == (0, 1)
 
     def test_depth_zero_degrades_to_scan_order(self):
         cfg = SynthesisConfig(depths={j: 0 for j in range(12)}, exhaustive_tail=0)
-        # plain scan order on the width-3 identity at position 1 settles on
-        # rows 4 and 5 (first admissible pair in region scan order)
-        assert select_with_lookahead(Permutation.identity(3), 1, cfg) == RelevantPair(4, 5)
+        # at depth 0 the selector declines and the reduction takes its plain
+        # scan, which on the width-3 identity at position 1 settles on rows 4
+        # and 5 (first admissible pair in region scan order)
+        engine, select = normal_phase_selector(Permutation.identity(3), cfg)
+        assert select(1) is None
+        assert _n_pick_rows(engine, 1) == (4, 5)
 
     @given(permutations(min_width=3, max_width=5), st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
@@ -155,8 +175,8 @@ class TestSelectWithLookahead:
         # force every row to its own column parity so normal pairs exist
         aligned = sample(perm.width, seed=perm.entries[0], kind="parity_aligned")
         cfg = SynthesisConfig(depths={j: depth for j in range(12)}, exhaustive_tail=0)
-        pair = select_with_lookahead(aligned, 0, cfg, phase="normal_part")
-        a, b = pair
+        _, select = normal_phase_selector(aligned, cfg)
+        a, b = select(0)
         assert b == (a ^ 1)
         ca, cb = aligned.positions[a], aligned.positions[b]
         assert (a ^ ca) & 1 == 0 and (b ^ cb) & 1 == 0
