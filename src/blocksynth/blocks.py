@@ -31,10 +31,6 @@ class PositionCounts:
     inverted: int
     interrupting: int
 
-    @property
-    def total(self) -> int:
-        return self.normal + self.inverted + self.interrupting
-
 
 def classify_positions(perm: Permutation) -> PositionCounts:
     """Count rows at normal / inverted / interrupting positions."""

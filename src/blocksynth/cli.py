@@ -107,12 +107,15 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         depths = _parse_depths(args.depths)
     else:
         depths = None
-    return SynthesisConfig(
-        depths=depths,
-        exhaustive_tail=args.tail_exhaustive,
-        mix=MixConfig(max_depth=args.mix_depth, enumeration_budget=args.mix_budget),
-        post_peephole=not args.no_peephole,
-    )
+    try:
+        return SynthesisConfig(
+            depths=depths,
+            exhaustive_tail=args.tail_exhaustive,
+            mix=MixConfig(max_depth=args.mix_depth, enumeration_budget=args.mix_budget),
+            post_peephole=not args.no_peephole,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -201,8 +204,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    if args.n < 3:
-        raise UsageError("--n must be at least 3")
+    if not 3 <= args.n <= MAX_WIDTH:
+        raise UsageError(f"--n must be within 3..{MAX_WIDTH}, got {args.n}")
     b = bounds(args.n)
     print(f"width {b.width}")
     print(f"n_c {b.n_c}")

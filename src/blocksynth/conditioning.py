@@ -1,7 +1,8 @@
 """Conditioning passes that prepare a permutation for reduction.
 
-Both passes run on a live ``reduction._Engine`` and end by checking their
-postcondition with an explicit raise, so it holds under ``python -O``.
+Both passes run on a live ``reduction._Engine``, emitting gates as mask
+triples like the reduction does, and end by checking their postcondition
+with an explicit raise, so it holds under ``python -O``.
 
 ``_mix_engine`` drives the interrupting-row count to exactly half the rows
 by searching short CX composites (a few arbitrary CX moves followed by one
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Gate, cx, exchange_columns, mct
+from .core import Masks, exchange_columns
 from .reduction import PairNotFound, _Engine, _region_mask
 
 
@@ -55,32 +56,29 @@ class MixStats:
     exact: bool  # True when a composite alone landed on target
 
 
-def prefix_moves(width: int) -> tuple[Gate, ...]:
-    """Every CX move usable inside a composite, in canonical order.
+def prefix_moves(width: int) -> tuple[Masks, ...]:
+    """Every CX move usable inside a composite, as masks, in canonical order.
 
     Ordered by (control line, polarity — positive first, target line);
-    2·n·(n-1) gates.
+    2·n·(n-1) moves.
     """
     out = []
     for control in range(1, width + 1):
-        for positive in (True, False):
+        c = 1 << (width - control)
+        for ones, zeros in ((c, 0), (0, c)):
             for target in range(1, width + 1):
-                if target == control:
-                    continue
-                out.append(cx(width, control, target, positive=positive))
+                if target != control:
+                    out.append((ones, zeros, 1 << (width - target)))
     return tuple(out)
 
 
-def closing_moves(width: int) -> tuple[Gate, ...]:
+def closing_moves(width: int) -> tuple[Masks, ...]:
     """The composite's mandatory last move: a CX targeting the last line.
 
-    Ordered by (control line, polarity); 2·(n-1) gates.
+    Ordered by (control line, polarity); 2·(n-1) moves.
     """
-    out = []
-    for control in range(1, width):
-        for positive in (True, False):
-            out.append(cx(width, control, width, positive=positive))
-    return tuple(out)
+    controls = (1 << (width - line) for line in range(1, width))
+    return tuple(m for c in controls for m in ((c, 0, 1), (0, c, 1)))
 
 
 def _interrupting_pairs(entries: list[int]) -> bytearray:
@@ -129,30 +127,28 @@ class _MixSearch:
         self.cfg = cfg
         self.target = engine.size // 2
         self.prefixes = prefix_moves(engine.n)
-        self.prefix_masks = [g.masks() for g in self.prefixes]
         self.finals = closing_moves(engine.n)
         self.evaluated = 0
-        self.found: Optional[list[Gate]] = None
-        self.best: Optional[tuple[int, int, list[Gate]]] = None  # dist, order, gates
-        self.order = 0
+        # (distance from target, moves) of the closest composite so far;
+        # the search stops at the first one at distance 0.
+        self.best: Optional[tuple[int, list[Masks]]] = None
 
-    def _leaf(self, prefix: list[Gate]) -> bool:
-        cur, deltas = _closing_deltas(self.e.pos, self.e.n)
+    def _leaf(self, prefix: list[Masks]) -> bool:
+        n = self.e.n
+        cur, deltas = _closing_deltas(self.e.pos, n)
         for g in self.finals:
             if self.evaluated >= self.cfg.enumeration_budget:
                 return True
             self.evaluated += 1
-            self.order += 1
-            control_line = g.controls[0][0]
+            control_line = n + 1 - (g[0] | g[1]).bit_length()
             dist = abs(cur + deltas[control_line] - self.target)
-            if dist == 0:
-                self.found = prefix + [g]
-                return True
             if self.best is None or dist < self.best[0]:
-                self.best = (dist, self.order, prefix + [g])
+                self.best = (dist, prefix + [g])
+                if dist == 0:
+                    return True
         return False
 
-    def _walk(self, depth_left: int, prefix: list[Gate]) -> bool:
+    def _walk(self, depth_left: int, prefix: list[Masks]) -> bool:
         if depth_left == 0:
             return self._leaf(prefix)
         if self.evaluated >= self.cfg.enumeration_budget:
@@ -160,32 +156,25 @@ class _MixSearch:
         # Apply on the scratch state without recording (engine.emit would
         # record), then undo: every gate is an involution.
         entries, pos = self.e.entries, self.e.pos
-        for g, (ones, zeros, tmask) in zip(self.prefixes, self.prefix_masks):
-            exchange_columns(entries, ones, zeros, tmask, pos)
+        for g in self.prefixes:
+            exchange_columns(entries, *g, pos)
             prefix.append(g)
             stop = self._walk(depth_left - 1, prefix)
             prefix.pop()
-            exchange_columns(entries, ones, zeros, tmask, pos)
+            exchange_columns(entries, *g, pos)
             if stop:
                 return True
         return False
 
     def run(self) -> None:
-        for t in range(1, self.cfg.max_depth + 1):
-            if self._walk(t - 1, []) and self.found is not None:
+        """Search composites of growing length until one lands or the
+        budget runs out (``_walk`` returns True for either)."""
+        for prefix_length in range(self.cfg.max_depth):
+            if self._walk(prefix_length, []):
                 return
-            if self.evaluated >= self.cfg.enumeration_budget:
-                return
 
 
-def _slot_toggle(width: int, slot: int) -> Gate:
-    controls = [
-        (line, bool((slot >> (width - 1 - line)) & 1)) for line in range(1, width)
-    ]
-    return mct(width, controls, width)
-
-
-def _exact_move(width: int, src: int, dst: int) -> Gate:
+def _exact_move(width: int, src: int, dst: int) -> Masks:
     """Fully controlled gate swapping exactly columns ``src`` and ``dst``.
 
     The columns must differ in a single bit; every other line is matched by
@@ -197,20 +186,18 @@ def _exact_move(width: int, src: int, dst: int) -> Gate:
             f"internal error: exact move between columns {src},{dst} needs a "
             "single differing bit"
         )
-    line = width + 1 - diff.bit_length()
-    controls = [
-        (j, bool((src >> (width - j)) & 1)) for j in range(1, width + 1) if j != line
-    ]
-    return mct(width, controls, line)
+    rest = ((1 << width) - 1) ^ diff
+    return src & rest, ~src & rest, diff
 
 
 def _fixups(engine: _Engine, target: int) -> int:
     """Append last-line slot toggles until the interrupting count hits target.
 
-    Returns the number of gates emitted.  Each toggle changes the count by
-    ±4; when raising the count and every slot holding two non-interrupting
-    members is a co-located pair (a block), a status-neutral walk first
-    moves a member of another non-interrupting pair into such a slot.
+    Returns the number of gates emitted.  A toggle is the exact move between
+    a slot's two columns and changes the count by ±4; when raising the
+    count and every slot holding two non-interrupting members is a
+    co-located pair (a block), a status-neutral walk first moves a member
+    of another non-interrupting pair into such a slot.
     """
     n, size = engine.n, engine.size
     entries, pos = engine.entries, engine.pos
@@ -252,15 +239,12 @@ def _fixups(engine: _Engine, target: int) -> int:
             dst = cb ^ 1
             cur = ca
             while cur != dst:
-                diff = cur ^ dst
-                line = next(j for j in range(1, n + 1) if (diff >> (n - j)) & 1)
-                step = cur ^ (1 << (n - line))
-                g = _exact_move(n, cur, step)
-                engine.emit(g)
+                step = cur ^ (1 << (cur ^ dst).bit_length() >> 1)  # top differing bit
+                engine.emit(*_exact_move(n, cur, step))
                 emitted += 1
                 cur = step
             slot_found = dst >> 1
-        engine.emit(_slot_toggle(n, slot_found))
+        engine.emit(*_exact_move(n, 2 * slot_found, 2 * slot_found + 1))
         emitted += 1
         last = lam
 
@@ -277,18 +261,11 @@ def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
         return MixStats(0, 0, 0, True)
     search = _MixSearch(engine, cfg)
     search.run()
-    if search.found is not None:
-        for g in search.found:
-            engine.emit(g)
-        stats = MixStats(len(search.found), 0, search.evaluated, True)
-    else:
-        applied = 0
-        if search.best is not None:
-            for g in search.best[2]:
-                engine.emit(g)
-            applied = len(search.best[2])
-        fixes = _fixups(engine, target)
-        stats = MixStats(applied, fixes, search.evaluated, False)
+    dist, moves = search.best or (None, [])
+    for g in moves:
+        engine.emit(*g)
+    fixes = 0 if dist == 0 else _fixups(engine, target)
+    stats = MixStats(len(moves), fixes, search.evaluated, dist == 0)
     lam = _interrupting_rows(engine.entries)
     if lam != target:
         raise RuntimeError(
@@ -409,7 +386,7 @@ def _run_preprocess(engine: _Engine) -> None:
     for i in range(engine.size // 8):
         a, b = _pre_pick_rows(engine, i)
         engine.allocate(i, a, b)
-    engine.emit(mct(engine.n, [(1, False), (2, False)], engine.n))
+    engine.emit(0, 3 << (engine.n - 2), 1)  # C(!1,!2)X on line n
     normal, inverted = _pair_split(engine.pos)
     interrupting = engine.size // 2 - normal - inverted
     if interrupting or normal != inverted:

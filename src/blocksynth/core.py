@@ -46,6 +46,11 @@ class PreconditionViolated(ValueError):
     """An operation was invoked on a state outside its contract."""
 
 
+# A gate as its column masks (must-be-1, must-be-0, target): the one gate
+# form between ``_Engine`` and ``_Engine.sequence``, which builds ``Gate``s.
+Masks = tuple[int, int, int]
+
+
 @dataclass(frozen=True)
 class Gate:
     """A multiple-controlled NOT.
@@ -75,7 +80,7 @@ class Gate:
     def control_count(self) -> int:
         return len(self.controls)
 
-    def masks(self) -> tuple[int, int, int]:
+    def masks(self) -> Masks:
         """(must-be-1 mask, must-be-0 mask, target mask) over column bits."""
         n = self.width
         ones = zeros = 0
@@ -104,17 +109,6 @@ class Gate:
         if width == self.width:
             return self
         return Gate(width, self.target, self.controls)
-
-    def map_column(self, column: int) -> int:
-        """Where this gate sends the contents of ``column``.
-
-        Controls never sit on the target line, so satisfaction is invariant
-        under the target flip and a single check covers both directions.
-        """
-        ones, zeros, tmask = self.masks()
-        if (column & ones) == ones and (column & zeros) == 0:
-            return column ^ tmask
-        return column
 
     def __str__(self) -> str:  # compact diagnostic form, e.g. C(1,3̄)X@2
         if not self.controls:

@@ -126,17 +126,16 @@ def parse_truth_table(text: str) -> TruthTable:
         n_in, n_out = int(toks[0]), int(toks[1])
     except ValueError:
         raise MalformedInteger(f"width tokens {toks[:2]} are not integers") from None
+    if not 1 <= n_in <= MAX_WIDTH:
+        raise WrongCount(f"n_in {n_in} outside 1..{MAX_WIDTH}")
     body = []
     for t in toks[2:]:
         try:
             body.append(int(t))
         except ValueError:
             raise MalformedInteger(f"row value {t!r} is not an integer") from None
-    if n_in < 1 or len(body) != 1 << n_in:
-        raise WrongCount(
-            f"n_in {n_in} needs {1 << n_in if n_in >= 1 else '?'} rows, "
-            f"found {len(body)}"
-        )
+    if len(body) != 1 << n_in:
+        raise WrongCount(f"n_in {n_in} needs {1 << n_in} rows, found {len(body)}")
     return TruthTable(n_in, n_out, tuple(body))
 
 

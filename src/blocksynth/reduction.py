@@ -2,8 +2,8 @@
 
 One *reduction* turns a width-n permutation into Q ⊗ I_2 — the last line
 becomes an identity wire — by conjoining each relevant pair into adjacent
-columns (``_cons_gates``) and sliding the resulting block to its home
-position (``_alloc_gates``), one block-wise position per iteration.  The
+columns (``_cons_masks``) and sliding the resulting block to its home
+position (``_alloc_masks``), one block-wise position per iteration.  The
 driver is ``_Engine``, a working copy that applies gates and tracks row
 positions; ``_Engine.allocate`` runs one iteration for a chosen pair.
 ``_run_normal`` handles inputs whose pairs all sit at normal positions and
@@ -12,6 +12,11 @@ balanced normal/inverted case with exactly one last-line gate at the very
 end.  ``synthesis.synthesize`` dispatches to them by position class and
 supplies the lookahead selectors; with no selector each position takes the
 plain scan (``_n_pick_rows`` / ``_i_pick_rows``).
+
+Inside the pipeline a gate is its (ones, zeros, target) column-mask triple
+(``core.Masks``): the builders here and in ``conditioning`` return
+triples, ``_Engine.emit`` records and applies them, and
+``_Engine.sequence`` builds the stage's ``Gate``s once, at the end.
 
 Iteration i searches inside a shrinking column region (columns whose first
 m-1 bits are all set, m = findm(i, n)); there the conjoining MCT — controls
@@ -38,11 +43,10 @@ from .blocks import findm, h
 from .core import (
     Gate,
     GateSequence,
+    Masks,
     Permutation,
     PreconditionViolated,
-    cx,
     exchange_columns,
-    mct,
 )
 from .cost import toffoli_equivalents
 
@@ -98,11 +102,8 @@ def preprocessing_bound(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gate construction: pure functions of (width, iteration, columns).
-
-
-def _line_bit(value: int, line: int, width: int) -> int:
-    return (value >> (width - line)) & 1
+# Gate construction: pure functions of (width, iteration, columns) that
+# return mask triples.
 
 
 def _block_bit(index: int, line: int, width: int) -> int:
@@ -110,13 +111,14 @@ def _block_bit(index: int, line: int, width: int) -> int:
     return (index >> (width - 1 - line)) & 1
 
 
-# A gate as its column masks (must-be-1, must-be-0, target), the form
-# ``Gate.masks`` returns.  Pair selection scores candidates on these alone;
-# ``Gate`` objects are built only for the gates actually emitted.
-Masks = tuple[int, int, int]
-
-
 def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
+    """Gates conjoining the residents of columns ``alpha`` and ``beta`` into
+    two columns differing only in bit n; empty when they already do.
+
+    Requires opposite column parity, and the pair to sit inside the
+    iteration-i region whenever its columns differ on a protected prefix
+    line.
+    """
     gamma = alpha ^ beta
     if (gamma & 1) == 0:
         raise PreconditionViolated(
@@ -151,6 +153,8 @@ def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
 
 
 def _alloc_masks(n: int, i: int, alpha: int) -> list[Masks]:
+    """Gates sliding the conjoined pair at column ``alpha`` to position i;
+    empty when it is already there."""
     gamma = i ^ (alpha >> 1)  # in block coordinates: line l is bit n-1-l
     if gamma == 0:
         return []  # already allocated
@@ -166,29 +170,12 @@ def _alloc_masks(n: int, i: int, alpha: int) -> list[Masks]:
     return out
 
 
-def _cons_gates(n: int, i: int, alpha: int, beta: int) -> list[Gate]:
-    """Gates conjoining the residents of columns ``alpha`` and ``beta`` into
-    two columns differing only in bit n; empty when they already do.
-
-    Requires opposite column parity, and the pair to sit inside the
-    iteration-i region whenever its columns differ on a protected prefix
-    line.
-    """
-    return [Gate.from_masks(n, *g) for g in _cons_masks(n, i, alpha, beta)]
-
-
-def _alloc_gates(n: int, i: int, alpha: int) -> list[Gate]:
-    """Gates sliding the conjoined pair at column ``alpha`` to position i;
-    empty when it is already there."""
-    return [Gate.from_masks(n, *g) for g in _alloc_masks(n, i, alpha)]
-
-
 def _region_mask(n: int, i: int) -> int:
     """Columns c with (c & mask) == mask are in iteration i's region."""
     return h(n, findm(i, n))
 
 
-def _lift_step(n: int, i: int, column: int, protected: int) -> Gate:
+def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
     """One gate moving ``column``'s resident toward the region.
 
     Prefers a plain CX whose control bit is provably clear on every
@@ -200,42 +187,29 @@ def _lift_step(n: int, i: int, column: int, protected: int) -> Gate:
     gate.  Every satisfied column then sits at or past 2i, so no
     left-allocated block can break.
     """
-    mask = _region_mask(n, i)
-    j = next(l for l in range(1, n) if _line_bit(mask, l, n) and not _line_bit(column, l, n))
-    for b in range(1, n + 1):
-        if b == j:
-            continue
-        if 2 * i > (1 << (n - b)):
-            continue  # an allocated column could carry this bit
-        if not _line_bit(column, b, n):
-            continue
-        if _line_bit(protected, b, n):
-            continue  # would drag the partner out of (or around) the region
-        return cx(n, b, j)
-    controls: list[tuple[int, bool]] = []
-    value = 0
-    for l in range(1, n + 1):
-        if l != j and _line_bit(column, l, n):
-            controls.append((l, True))
-            value += 1 << (n - l)
-            if value >= 2 * i:
-                break
-    partner_matches = all(_line_bit(protected, l, n) for l, _ in controls)
-    if value >= 2 * i and partner_matches:
-        chosen = {l for l, _ in controls}
-        for l in range(1, n + 1):
-            if l == j or l in chosen:
-                continue
-            if _line_bit(column, l, n) != _line_bit(protected, l, n):
-                controls.append((l, bool(_line_bit(column, l, n))))
-                partner_matches = False
-                break
-    if value < 2 * i or partner_matches:
-        # Pin the exact column: moves just this resident.  (If the partner
-        # sat one target-flip away the two would swap, but picked pairs
-        # occupy opposite-parity columns and the target is never line n.)
-        controls = [(l, bool(_line_bit(column, l, n))) for l in range(1, n + 1) if l != j]
-    return mct(n, controls, j)
+    missing = _region_mask(n, i) & ~column
+    t = 1 << missing.bit_length() >> 1  # first region line the column lacks
+    rest = ((1 << n) - 1) ^ t
+    floor = max(2 * i, 1)  # so that even at i = 0 a control is taken
+    # A control bit below 2i could be set on an allocated column; one set on
+    # the partner would drag it out of (or around) the region.
+    top = 1 << (column & ~protected & rest).bit_length() >> 1
+    if top >= floor:
+        return top, 0, t
+    ones, left = 0, column & rest
+    while left and ones < floor:
+        bit = 1 << left.bit_length() >> 1
+        ones, left = ones | bit, left ^ bit
+    differ = (column ^ protected) & rest
+    if ones >= 2 * i and protected & ones != ones:
+        return ones, 0, t
+    if ones >= 2 * i and differ:
+        bit = 1 << differ.bit_length() >> 1
+        return ones | column & bit, ~column & bit, t
+    # Pin the exact column: moves just this resident.  (If the partner sat
+    # one target-flip away the two would swap, but picked pairs occupy
+    # opposite-parity columns and the target is never line n.)
+    return column & rest, ~column & rest, t
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +221,6 @@ class ReductionStats:
     """Bookkeeping surfaced to synthesis reports."""
 
     region_lifts: int = 0  # members moved into the region
-    lift_gates: int = 0
-    lift_full_gates: int = 0  # fully controlled fallback steps
     lift_toffoli: int = 0  # Toffoli-equivalents spent on lift gates
 
 
@@ -258,7 +230,10 @@ Selector = Callable[[int], Optional[tuple[int, int]]]
 
 
 class _Engine:
-    """Applies gates to a working copy while tracking row positions."""
+    """Applies gates to a working copy while tracking row positions.
+
+    Gates are recorded as mask triples; ``sequence`` builds the ``Gate``s.
+    """
 
     def __init__(self, perm: Permutation):
         self.n = perm.width
@@ -267,18 +242,19 @@ class _Engine:
         self.pos = [0] * self.size
         for col, row in enumerate(perm.entries):
             self.pos[row] = col
-        self.gates: list[Gate] = []
+        self.gates: list[Masks] = []
         self.stats = ReductionStats()
 
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
 
     def sequence(self) -> GateSequence:
-        return GateSequence(self.n, tuple(self.gates))
+        n = self.n
+        return GateSequence(n, tuple(Gate.from_masks(n, *g) for g in self.gates))
 
-    def emit(self, gate: Gate) -> None:
-        self.gates.append(gate)
-        exchange_columns(self.entries, *gate.masks(), self.pos)
+    def emit(self, ones: int, zeros: int, tmask: int) -> None:
+        self.gates.append((ones, zeros, tmask))
+        exchange_columns(self.entries, ones, zeros, tmask, self.pos)
 
     def lift_pair(self, i: int, a: int, b: int) -> None:
         """Move both rows into the iteration-i region; no gate when both
@@ -288,12 +264,9 @@ class _Engine:
         for row, other in ((a, b), (b, a)):
             lifted = False
             while (self.pos[row] & mask) != mask:
-                g = _lift_step(self.n, i, self.pos[row], self.pos[other])
-                self.emit(g)
-                self.stats.lift_gates += 1
-                if g.control_count == self.n - 1:
-                    self.stats.lift_full_gates += 1
-                self.stats.lift_toffoli += toffoli_equivalents(g.control_count)
+                ones, zeros, t = _lift_step(self.n, i, self.pos[row], self.pos[other])
+                self.emit(ones, zeros, t)
+                self.stats.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
                 lifted = True
             if lifted:
                 self.stats.region_lifts += 1
@@ -302,15 +275,15 @@ class _Engine:
         """Lift if needed, conjoin, then slide the pair to position i."""
         self.lift_pair(i, a, b)
         pos = self.pos
-        for g in _cons_gates(self.n, i, pos[a], pos[b]):
-            self.emit(g)
+        for g in _cons_masks(self.n, i, pos[a], pos[b]):
+            self.emit(*g)
         if pos[a] ^ pos[b] != 1:
             raise RuntimeError(
                 f"internal error: conjoining rows {a},{b} left them at columns "
                 f"{pos[a]},{pos[b]}"
             )
-        for g in _alloc_gates(self.n, i, pos[a]):
-            self.emit(g)
+        for g in _alloc_masks(self.n, i, pos[a]):
+            self.emit(*g)
         if {pos[a], pos[b]} != {2 * i, 2 * i + 1}:
             raise RuntimeError(
                 f"internal error: allocating rows {a},{b} to position {i} left "
@@ -434,4 +407,4 @@ def _run_general(
     quarter, half = engine.size // 4, engine.size // 2
     _fill(engine, range(quarter), False, normal_selector, _n_pick_rows)
     _fill(engine, range(quarter, half), True, inverted_selector, _i_pick_rows)
-    engine.emit(cx(engine.n, 1, engine.n))
+    engine.emit(engine.size >> 1, 0, 1)  # CX line 1 -> line n

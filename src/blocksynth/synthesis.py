@@ -5,9 +5,11 @@ current permutation is inspected: already-reducible states cost nothing;
 all-normal states go straight to reduction; an exact half count of
 interrupting rows goes to preprocessing then reduction; a balanced
 normal/inverted split goes to the general reduction; anything else is first
-mixed.  Stage gates are widened back to the original width (lines keep
-their numbers; the stripped lines are the trailing ones) and concatenated;
-widths 1 and 2 are finished from a precomputed optimal table instead.
+mixed.  A stage's passes share one ``_Engine``, which records mask triples;
+its ``Gate``s are built once, when the stage ends, then widened back to the
+original width (lines keep their numbers; the stripped lines are the
+trailing ones) and concatenated.  Widths 1 and 2 are finished from a
+precomputed optimal table instead.
 
 Pair selection inside the reductions optionally looks ahead: candidate
 pairs are scored by the exact Toffoli-equivalents of their construction
@@ -16,8 +18,8 @@ positions; ties go to the pair that leaves the most free blocks.  The
 scorer works on plain data: one (row, column, partner column) triple per
 unallocated pair, and each candidate's gates as the (ones, zeros, target)
 column masks that ``reduction``'s gate builders produce.  It never copies
-the engine or builds a ``Gate``; the engine turns the masks into gates only
-for the pair it emits.  Near the end of a stage the remaining positions are
+the engine or builds a ``Gate``; the engine records the masks of the pair
+it emits.  Near the end of a stage the remaining positions are
 solved exactly by branch and bound (``exhaustive_tail``).
 
 The emitted sequence is always verified against the input before being
@@ -36,6 +38,7 @@ from .conditioning import MixConfig, _mix_engine, _run_preprocess
 from .core import (
     Gate,
     GateSequence,
+    Masks,
     Permutation,
     WidthMismatch,
     apply_gate,
@@ -47,7 +50,6 @@ from .core import (
 )
 from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalents
 from .reduction import (
-    Masks,
     _alloc_masks,
     _cons_masks,
     _Engine,
@@ -74,6 +76,15 @@ class SynthesisConfig:
     exhaustive_tail: int = 9
     mix: MixConfig = field(default_factory=MixConfig)
     post_peephole: bool = True
+
+    def __post_init__(self) -> None:
+        if self.exhaustive_tail < 0:
+            raise ValueError(
+                f"exhaustive_tail must be non-negative, got {self.exhaustive_tail}"
+            )
+        lowest = min((self.depths or {}).values(), default=0)
+        if lowest < 0:
+            raise ValueError(f"lookahead depths must be non-negative, got {lowest}")
 
     def depth_for(self, remaining_rows: int) -> int:
         if remaining_rows <= 0:

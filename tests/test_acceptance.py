@@ -38,8 +38,8 @@ from blocksynth import (
 from blocksynth.blocks import classify_positions, findm
 from blocksynth.conditioning import _mix_engine, _run_preprocess
 from blocksynth.reduction import (
-    _alloc_gates,
-    _cons_gates,
+    _alloc_masks,
+    _cons_masks,
     _Engine,
     _n_pick_rows,
     _run_normal,
@@ -168,24 +168,24 @@ def test_criterion_04_per_call_budgets_width_8():
                 continue  # position already holds the right block
             a, b = _n_pick_rows(engine, i)
             engine.lift_pair(i, a, b)
-            cgates = _cons_gates(n, i, pos[a], pos[b])
+            cgates = _cons_masks(n, i, pos[a], pos[b])
             if cgates:
                 m = findm(i, n)
-                *body, last = cgates
-                assert last.control_count == m
-                xs = sum(1 for g in body if g.control_count == 0)
-                cxs = sum(1 for g in body if g.control_count == 1)
+                *body, last = [(ones | zeros).bit_count() for ones, zeros, _ in cgates]
+                assert last == m
+                xs = sum(1 for c in body if c == 0)
+                cxs = sum(1 for c in body if c == 1)
                 assert xs in (0, 2) and xs + cxs == len(body)
                 assert cxs <= n - m - 1
                 for g in cgates:
-                    engine.emit(g)
-            agates = _alloc_gates(n, i, pos[a])
+                    engine.emit(*g)
+            agates = _alloc_masks(n, i, pos[a])
             if agates:
-                *body, last = agates
-                assert last.control_count <= bin(i).count("1")
-                assert all(g.control_count == 1 for g in body)
+                *body, last = [(ones | zeros).bit_count() for ones, zeros, _ in agates]
+                assert last <= bin(i).count("1")
+                assert all(c == 1 for c in body)
                 for g in agates:
-                    engine.emit(g)
+                    engine.emit(*g)
             assert {pos[a], pos[b]} == {2 * i, 2 * i + 1}
         total = toffoli_count(engine.sequence())
         assert total <= aggregate_cap, (k, total)

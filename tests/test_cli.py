@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from blocksynth import (
+    MAX_WIDTH,
     format_permutation,
     parse_real,
     parse_report,
@@ -131,6 +132,23 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", src, "--depths", "a=b"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mix-depth", "9"], "max_depth must be within 0..4, got 9"),
+            (["--mix-budget", "-1"], "enumeration_budget must be non-negative"),
+            (["--depth", "-3"], "lookahead depths must be non-negative, got -3"),
+            (["--depths", "2=1,3=-1"], "lookahead depths must be non-negative, got -1"),
+            (["--tail-exhaustive", "-4"], "exhaustive_tail must be non-negative, got -4"),
+        ],
+    )
+    def test_bad_config_values_are_usage_errors(self, tmp_path, capsys, flags, message):
+        src = write_perm(tmp_path, "p.perm", sample(3, seed=1))
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", src, *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unreadable_cost_table(self, tmp_path):
         src = write_perm(tmp_path, "p.perm", sample(3, seed=1))
@@ -290,6 +308,17 @@ class TestBound:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("n", [MAX_WIDTH + 1, 3000])
+    def test_width_above_max_rejected(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--n", str(n)])
+        assert exc.value.code == 2
+        assert f"--n must be within 3..{MAX_WIDTH}, got {n}" in capsys.readouterr().err
+
+    def test_max_width_accepted(self, capsys):
+        assert main(["bound", "--n", str(MAX_WIDTH)]) == 0
+        assert f"width {MAX_WIDTH}" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # bench
@@ -360,6 +389,13 @@ class TestBench:
             main(["bench", str(tmp_path), "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    def test_bad_config_value_rejected(self, tmp_path, capsys):
+        self._fill(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path), "--tail-exhaustive", "-1"])
+        assert exc.value.code == 2
+        assert "exhaustive_tail must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "jobs, cores, workers",

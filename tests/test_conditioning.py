@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
+    Gate,
     GateSequence,
     MixConfig,
     Permutation,
@@ -62,7 +63,7 @@ class TestMoveCatalogues:
     def test_prefix_moves_count_and_order(self):
         moves = prefix_moves(3)
         assert len(moves) == 2 * 3 * 2
-        assert [str(g) for g in moves[:4]] == [
+        assert [str(Gate.from_masks(3, *m)) for m in moves[:4]] == [
             "C(1)X@2",
             "C(1)X@3",
             "C(!1)X@2",
@@ -70,14 +71,14 @@ class TestMoveCatalogues:
         ]
 
     def test_closing_moves_all_target_last_line(self):
-        moves = closing_moves(4)
+        moves = [Gate.from_masks(4, *m) for m in closing_moves(4)]
         assert len(moves) == 2 * 3
         assert all(g.target == 4 for g in moves)
         assert [str(g) for g in moves[:2]] == ["C(1)X@4", "C(!1)X@4"]
 
     def test_catalogues_are_single_control(self):
-        assert all(g.control_count == 1 for g in prefix_moves(4))
-        assert all(g.control_count == 1 for g in closing_moves(4))
+        assert all((ones | zeros).bit_count() == 1 for ones, zeros, _ in prefix_moves(4))
+        assert all((ones | zeros).bit_count() == 1 for ones, zeros, _ in closing_moves(4))
 
 
 class TestInterruptingArithmetic:
@@ -241,7 +242,7 @@ class TestInternalChecks:
 
     def test_fixup_without_progress(self, monkeypatch):
         engine = _Engine(Permutation.identity(4))
-        monkeypatch.setattr(engine, "emit", lambda gate: None)
+        monkeypatch.setattr(engine, "emit", lambda *m: None)
         with pytest.raises(RuntimeError, match="internal error: a mix fixup moved"):
             _fixups(engine, 8)
 

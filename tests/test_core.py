@@ -102,12 +102,6 @@ class TestGateBasics:
     def test_bare_int_controls_are_positive(self):
         assert mct(3, [1, 3], 2) == mct(3, [(1, True), (3, True)], 2)
 
-    def test_map_column(self):
-        g = toffoli(3, 1, 2, 3)
-        assert g.map_column(0b110) == 0b111
-        assert g.map_column(0b111) == 0b110
-        assert g.map_column(0b010) == 0b010
-
     def test_from_masks_hand_value(self):
         assert Gate.from_masks(3, 0b100, 0b001, 0b010) == mct(3, [(1, True), (3, False)], 2)
 

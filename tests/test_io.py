@@ -159,6 +159,12 @@ class TestTruthTableFormat:
         with pytest.raises(WrongCount):
             parse_truth_table("2 1 0 1 1\n")
 
+    @pytest.mark.parametrize("n_in", [0, -2, MAX_WIDTH + 1, 3_000_000_000])
+    def test_parse_width_checked_before_row_count(self, n_in):
+        # 1 << n_in is never formed for an out-of-range width.
+        with pytest.raises(WrongCount, match=f"n_in {n_in} outside"):
+            parse_truth_table(f"{n_in} 1\n0 1")
+
 
 class TestEmbedTruthTable:
     def test_hand_worked_xor(self):

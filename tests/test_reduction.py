@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
+    Gate,
     GateSequence,
     PairNotFound,
     Permutation,
@@ -22,8 +23,8 @@ from blocksynth import (
 )
 from blocksynth import reduction
 from blocksynth.reduction import (
-    _alloc_gates,
-    _cons_gates,
+    _alloc_masks,
+    _cons_masks,
     _Engine,
     _i_pick_rows,
     _n_pick_rows,
@@ -55,13 +56,17 @@ def lifted(p, i, pair):
     return engine.sequence(), engine.snapshot()
 
 
+def as_sequence(n, masks):
+    return GateSequence(n, tuple(Gate.from_masks(n, *m) for m in masks))
+
+
 def conjoining(p, i, pair):
     ca, cb = (p.position_of(r) for r in pair)
-    return GateSequence(p.width, tuple(_cons_gates(p.width, i, ca, cb)))
+    return as_sequence(p.width, _cons_masks(p.width, i, ca, cb))
 
 
 def sliding(p, i, a):
-    return GateSequence(p.width, tuple(_alloc_gates(p.width, i, p.position_of(a))))
+    return as_sequence(p.width, _alloc_masks(p.width, i, p.position_of(a)))
 
 
 def reduced(p, run):
@@ -316,14 +321,14 @@ class TestAllocateChecks:
     so they still hold under ``python -O``."""
 
     def test_unconjoined_pair_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_cons_gates", lambda n, i, a, b: [])
+        monkeypatch.setattr(reduction, "_cons_masks", lambda n, i, a, b: [])
         # rows 0 and 1 at columns 0 and 3: opposite parity, not adjacent
         engine = _Engine(Permutation(3, (0, 2, 3, 1, 4, 5, 6, 7)))
         with pytest.raises(RuntimeError, match="internal error: conjoining rows 0,1"):
             engine.allocate(0, 0, 1)
 
     def test_unallocated_pair_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_alloc_gates", lambda n, i, a: [])
+        monkeypatch.setattr(reduction, "_alloc_masks", lambda n, i, a: [])
         # rows 2 and 3 already form a block, but at position 1
         engine = _Engine(ID3)
         with pytest.raises(RuntimeError, match="internal error: allocating rows 2,3"):

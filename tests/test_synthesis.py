@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
+    MixConfig,
     Permutation,
     SynthesisConfig,
     WidthMismatch,
@@ -27,10 +28,10 @@ from blocksynth import (
     toffoli_count,
     x,
 )
-from blocksynth.core import GateSequence, cx, mct, toffoli
+from blocksynth.core import Gate, GateSequence, apply_gate, cx, toffoli
 from blocksynth.reduction import (
-    _alloc_gates,
-    _cons_gates,
+    _alloc_masks,
+    _cons_masks,
     _Engine,
     _n_pick_rows,
     _region_mask,
@@ -196,16 +197,19 @@ def in_region_pairs(draw):
 
 
 def _emitted(n, i, ca, cb):
-    """The gates ``_Engine.allocate`` emits for an in-region pair."""
-    gates = _cons_gates(n, i, ca, cb)
-    gates += _alloc_gates(n, i, _moved(ca, gates))
-    return gates
+    """The gates ``_Engine.allocate`` emits for an in-region pair, built
+    from its mask triples the way ``_Engine.sequence`` builds them."""
+    gates = [Gate.from_masks(n, *m) for m in _cons_masks(n, i, ca, cb)]
+    moved = _destinations(n, gates)[ca]
+    return gates + [Gate.from_masks(n, *m) for m in _alloc_masks(n, i, moved)]
 
 
-def _moved(column, gates):
+def _destinations(n, gates):
+    """The column each column's contents reach once ``gates`` have run."""
+    perm = Permutation.identity(n)
     for g in gates:
-        column = g.map_column(column)
-    return column
+        perm = apply_gate(perm, g)
+    return perm.positions
 
 
 class TestScorerModel:
@@ -217,8 +221,9 @@ class TestScorerModel:
         n, i, ca, cb = case
         gates = _emitted(n, i, ca, cb)
         masks, cost = _pair_gates(n, i, ca, cb, {})
+        dest = _destinations(n, gates)
         for c in range(1 << n):
-            assert _track(c, masks) == _moved(c, gates)
+            assert _track(c, masks) == dest[c]
         assert {_track(ca, masks), _track(cb, masks)} == {2 * i, 2 * i + 1}
         assert cost == toffoli_count(GateSequence(n, tuple(gates)))
 
@@ -238,11 +243,11 @@ class TestScorerModel:
             return
         a, _, ca, cb = data.draw(st.sampled_from(cands))
         masks, _ = _pair_gates(n, i, ca, cb, {})
-        gates = _emitted(n, i, ca, cb)
+        dest = _destinations(n, _emitted(n, i, ca, cb))
         want = 0 if kind == "normal" else 1
         expected = 0
         for r, c, p in pairs:
-            c, p = _moved(c, gates), _moved(p, gates)
+            c, p = dest[c], dest[p]
             if r != a & ~1 and c ^ p == 1 and c & 1 == want:
                 expected += 1
         assert _count_free(pairs, masks, a & ~1, kind) == expected
@@ -320,6 +325,16 @@ class TestSynthesizeEndToEnd:
         second, _ = synthesize(perm)
         assert first.gates == second.gates
 
+    @given(permutations(min_width=3, max_width=5), st.sampled_from([0, 4]))
+    @settings(max_examples=30, deadline=None)
+    def test_gates_come_out_in_mask_form(self, perm, mix_depth):
+        # Stages record mask triples and build each Gate from one, so
+        # controls are in ascending line order and peephole's == sees every
+        # pair of equal gates.  Mix depth 0 forces the repair gates.
+        cfg = SynthesisConfig(mix=MixConfig(max_depth=mix_depth), post_peephole=False)
+        seq, _ = synthesize(perm, cfg)
+        assert all(g == Gate.from_masks(g.width, *g.masks()) for g in seq)
+
     def test_depth_zero_configuration_still_verifies(self):
         cfg = SynthesisConfig(depths={j: 0 for j in range(16)}, exhaustive_tail=0)
         perm = sample(6, seed=7)
@@ -388,6 +403,11 @@ class TestSynthesisConfig:
     def test_depth_for_zero_rows(self):
         assert SynthesisConfig().depth_for(0) == 0
         assert SynthesisConfig().depth_for(-5) == 0
+
+    @pytest.mark.parametrize("kwargs", [{"exhaustive_tail": -1}, {"depths": {3: 1, 4: -2}}])
+    def test_negative_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            SynthesisConfig(**kwargs)
 
     def test_depth_for_buckets_by_row_count(self):
         cfg = SynthesisConfig(depths={3: 2})
