@@ -11,8 +11,10 @@ A *block* is a column pair (2i, 2i+1) holding rows that differ by +1 (even
 block) or -1 (odd block).  ``block-wise position`` i indexes such column
 pairs.  The pipeline tests for blocks in two places, one per data layout:
 ``reduction._holds_block`` reads the entries array of a live engine, and
-the lookahead scorer's ``synthesis._count_free`` reads the (row, column,
-partner column) triples it searches on.  Iteration i's search region is
+the lookahead tie-break's ``synthesis._blocks`` counts them among the
+(row, column, partner column) triples it searches on.  How many blocks a
+candidate's gates leave is then arithmetic, not a replay of the gates
+(``synthesis._count_free``).  Iteration i's search region is
 ``reduction._region_mask``, built from ``h`` and ``findm`` below.
 """
 

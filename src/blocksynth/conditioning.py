@@ -26,6 +26,7 @@ so the result is an exact balanced split with zero interrupting rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import Masks, exchange_columns
@@ -294,26 +295,6 @@ def _pair_split(pos: list[int]) -> tuple[int, int]:
     return normal, inverted
 
 
-def _deficits(engine: _Engine, i: int) -> tuple[int, int]:
-    """Outstanding normal/inverted pair conversions, read off the state.
-
-    Pending conversions are visible as residents already parked at columns
-    below 2i: a mismatching resident will match once the quarter flip moves
-    it to the opposite column parity, turning its pair normal; a matching
-    resident turns its pair inverted.
-    """
-    entries, size = engine.entries, engine.size
-    normal_pairs, inverted_pairs = _pair_split(engine.pos)
-    pend_n = pend_i = 0
-    for col in range(2 * i):
-        if (entries[col] ^ col) & 1:
-            pend_n += 1
-        else:
-            pend_i += 1
-    t = size // 4
-    return t - normal_pairs - pend_n, t - inverted_pairs - pend_i
-
-
 def _scan_member(
     engine: _Engine,
     i: int,
@@ -321,13 +302,12 @@ def _scan_member(
     want_normal: bool,
     exclude_pair: int,
 ) -> Optional[int]:
+    """First unconsumed interrupting member at a column of ``col_parity``
+    that steers its pair the wanted way: the region's columns from the
+    left, then the rest from 2i (the region is every column >= its mask)."""
     entries, pos, size = engine.entries, engine.pos, engine.size
     mask = _region_mask(engine.n, i)
-    region = [c for c in range(mask, size) if (c & mask) == mask]
-    rest = [c for c in range(2 * i, size) if (c & mask) != mask]
-    for col in region + rest:
-        if col & 1 != col_parity:
-            continue
+    for col in chain(range(mask + col_parity, size, 2), range(2 * i + col_parity, mask, 2)):
         r = entries[col]
         if r >> 1 == exclude_pair:
             continue
@@ -345,19 +325,21 @@ def _scan_member(
     return None
 
 
-def _pre_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
-    d_n, d_i = _deficits(engine, i)
-    if d_n < 0 or d_i < 0:
+def _pre_pick_rows(engine: _Engine, i: int, deficits: list[int]) -> tuple[int, int]:
+    """Pseudo-block i's even-column and odd-column members.  Each steers its
+    pair toward the larger of ``deficits`` (the outstanding normal and
+    inverted conversions; normal on a tie) and decrements it in place."""
+    if min(deficits) < 0:
         raise RuntimeError(
-            f"internal error: negative conversion deficits {d_n},{d_i} at "
-            f"pseudo-block {i}"
+            f"internal error: negative conversion deficits {deficits[0]},"
+            f"{deficits[1]} at pseudo-block {i}"
         )
-    if d_n + d_i <= 0:
+    if sum(deficits) <= 0:
         raise PairNotFound("no pseudo-block conversions are outstanding")
     chosen = []
     exclude = -1
     for parity in (0, 1):
-        want_normal = d_n >= d_i
+        want_normal = deficits[0] >= deficits[1]
         row = _scan_member(engine, i, parity, want_normal, exclude)
         if row is None:
             raise PairNotFound(
@@ -365,10 +347,7 @@ def _pre_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
             )
         chosen.append(row)
         exclude = row >> 1
-        if want_normal:
-            d_n -= 1
-        else:
-            d_i -= 1
+        deficits[0 if want_normal else 1] -= 1
     return chosen[0], chosen[1]
 
 
@@ -382,9 +361,15 @@ def _run_preprocess(engine: _Engine) -> None:
     the rows normal, half inverted, none interrupting.  That Toffoli is the
     only emitted gate targeting the last line.  The caller guarantees width
     >= 3 and exactly half the rows interrupting.
+
+    No gate before that Toffoli targets the last line, so every row keeps
+    its column parity and every pair its class: the conversion deficits
+    are read off the state once, and each pick settles one conversion.
     """
+    quarter = engine.size // 4
+    deficits = [quarter - count for count in _pair_split(engine.pos)]
     for i in range(engine.size // 8):
-        a, b = _pre_pick_rows(engine, i)
+        a, b = _pre_pick_rows(engine, i, deficits)
         engine.allocate(i, a, b)
     engine.emit(0, 3 << (engine.n - 2), 1)  # C(!1,!2)X on line n
     normal, inverted = _pair_split(engine.pos)

@@ -332,9 +332,7 @@ def format_real(
 def write_report(report: SynthesisReport) -> str:
     """Flat two-token ``key value`` lines, fixed order, deterministic."""
     cfg = report.config
-    if cfg.depths is None:
-        depth_spec = "default"
-    elif not cfg.depths:
+    if not cfg.depths:
         depth_spec = "default"
     else:
         depth_spec = ",".join(f"{j}={d}" for j, d in sorted(cfg.depths.items()))

@@ -316,20 +316,17 @@ class _Engine:
         return None
 
     def best_out_of_region(
-        self, i: int, kind: Literal["normal", "inverted", "any"]
+        self, i: int, kind: Literal["normal", "inverted"]
     ) -> Optional[tuple[int, int]]:
         """Unallocated pair of ``kind`` maximizing its smaller column."""
         pos = self.pos
+        match = kind == "normal"  # both members match, or neither does
         best: Optional[tuple[int, int, int]] = None
         for base in range(0, self.size, 2):
             ca, cb = pos[base], pos[base + 1]
             if ca < 2 * i and cb < 2 * i:
                 continue  # allocated
-            match_a = (base ^ ca) & 1 == 0
-            match_b = ((base + 1) ^ cb) & 1 == 0
-            if kind == "normal" and not (match_a and match_b):
-                continue
-            if kind == "inverted" and (match_a or match_b):
+            if (ca & 1 == 0) != match or (cb & 1 == 1) != match:
                 continue
             lo = min(ca, cb)
             if best is None or lo > best[0]:

@@ -14,12 +14,14 @@ precomputed optimal table instead.
 Pair selection inside the reductions optionally looks ahead: candidate
 pairs are scored by the exact Toffoli-equivalents of their construction
 and slide gates, plus the best reachable score over the next depth-1
-positions; ties go to the pair that leaves the most free blocks.  The
-scorer works on plain data: one (row, column, partner column) triple per
-unallocated pair, and each candidate's gates as the (ones, zeros, target)
-column masks that ``reduction``'s gate builders produce.  It never copies
-the engine or builds a ``Gate``; the engine records the masks of the pair
-it emits.  Near the end of a stage the remaining positions are
+positions.  The scorer works on plain data: one (row, column, partner
+column) triple per unallocated pair, and each candidate's gates as the
+(ones, zeros, target) column masks that ``reduction``'s gate builders
+produce.  It never copies the engine or builds a ``Gate``; the engine
+records the masks of the pair it emits.  Ties go to the pair that leaves
+the most free blocks, a count read off the current blocks and a histogram
+of the candidates by slot gap, without running any candidate's masks
+(``_count_free``).  Near the end of a stage the remaining positions are
 solved exactly by branch and bound (``exhaustive_tail``).
 
 The emitted sequence is always verified against the input before being
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -38,6 +41,7 @@ from .conditioning import MixConfig, _mix_engine, _run_preprocess
 from .core import (
     Gate,
     GateSequence,
+    MAX_WIDTH,
     Masks,
     Permutation,
     WidthMismatch,
@@ -66,10 +70,11 @@ class SynthesisConfig:
 
     ``depths`` maps j to the lookahead depth used while the remaining row
     count r of the current phase satisfies 2^(j-1) < r <= 2^j (that is,
-    j = (r-1).bit_length()); missing entries default to depth 1, and depth 0
-    reproduces the plain scan-order selection.  ``exhaustive_tail`` switches
-    the last positions of a stage to exact branch-and-bound (0 disables).
-    ``post_peephole`` cancels adjacent identical gates in the result.
+    j = (r-1).bit_length(), so 1 <= j <= MAX_WIDTH); missing entries default
+    to depth 1, and depth 0 reproduces the plain scan-order selection.
+    ``exhaustive_tail`` switches the last positions of a stage to exact
+    branch-and-bound (0 disables).  ``post_peephole`` cancels adjacent
+    identical gates in the result.
     """
 
     depths: Optional[Mapping[int, int]] = None
@@ -82,9 +87,15 @@ class SynthesisConfig:
             raise ValueError(
                 f"exhaustive_tail must be non-negative, got {self.exhaustive_tail}"
             )
-        lowest = min((self.depths or {}).values(), default=0)
+        depths = self.depths or {}
+        lowest = min(depths.values(), default=0)
         if lowest < 0:
             raise ValueError(f"lookahead depths must be non-negative, got {lowest}")
+        stray = sorted(j for j in depths if not 1 <= j <= MAX_WIDTH)
+        if stray:
+            raise ValueError(
+                f"lookahead depth buckets must be within 1..{MAX_WIDTH}, got {stray[0]}"
+            )
 
     def depth_for(self, remaining_rows: int) -> int:
         if remaining_rows <= 0:
@@ -131,8 +142,9 @@ class SynthesisReport:
 # Lookahead pair selection.
 
 
-# ``_pair_gates``, ``_suffix`` and ``_count_free`` run once per scored
-# candidate, search node and tied candidate, so a profile or trace of these
+# ``_pair_gates`` builds and costs one candidate's masks; it and ``_suffix``
+# run once per scored candidate and search node.  ``_count_free`` runs once
+# per tied candidate and reads no masks.  So a profile or trace of these
 # module attributes counts the search.
 
 # (even row r, column of r, column of r + 1), one per unallocated pair.
@@ -200,20 +212,26 @@ def _advance(pairs: Pairs, skip: int, masks: list[Masks]) -> Pairs:
     return out
 
 
-def _count_free(pairs: Pairs, masks: list[Masks], skip: int, kind: str) -> int:
-    """Blocks of the phase kind among the pairs other than row ``skip``'s
-    once ``masks`` have run.
-
-    A gate that neither controls nor targets line n (column bit 0) moves the
-    two columns of a block together, so it can neither make nor break one:
-    only the masks up to the last one touching line n need to run.
-    """
-    k = len(masks)
-    while k and not (masks[k - 1][0] | masks[k - 1][1] | masks[k - 1][2]) & 1:
-        k -= 1
+def _blocks(pairs: Pairs, kind: str) -> int:
+    """Blocks of the phase kind among ``pairs``."""
     want = 0 if kind == "normal" else 1
-    after = _advance(pairs, skip, masks[:k])
-    return sum(1 for _, c, p in after if c ^ p == 1 and c & 1 == want)
+    return sum(1 for _, c, p in pairs if c ^ p == 1 and c & 1 == want)
+
+
+def _count_free(blocks: int, gaps: Counter[int], gap: int) -> int:
+    """Blocks of the phase kind left once the in-region pair whose slots
+    differ by ``gap`` is conjoined and slid, besides that pair itself.
+
+    ``blocks`` counts the phase's blocks now, ``gaps`` the admissible pairs
+    by slot gap (``gaps[0]`` are the blocks inside the region).  The only
+    gate touching line n is the conjoining MCT, which flips the candidate's
+    top differing line on the region's odd columns.  The gates before it
+    change every pair's column difference by one invertible linear map, and
+    never a region line.  So each block outside the region stays one, each
+    block inside it breaks, and each admissible pair with the candidate's
+    difference becomes one.
+    """
+    return blocks - gaps[0] + gaps[gap] - 1
 
 
 def _suffix(
@@ -273,9 +291,10 @@ def _lookahead_choose(
     if not cands or d <= 0:
         return None
     best_total: Optional[int] = None
-    tied: list[tuple[int, int, list[Masks]]] = []
+    tied: list[tuple[int, int, int, int]] = []
     memo: dict = {}
-    for a, b, ca, cb in cands:
+    for cand in cands:
+        a, _, ca, cb = cand
         masks, c0 = _pair_gates(n, i, ca, cb, memo)
         if d == 1 or i + 1 >= phase_end:
             total = c0
@@ -290,20 +309,16 @@ def _lookahead_choose(
             total = c0 + sub
         if best_total is None or total < best_total:
             best_total = total
-            tied = [(a, b, masks)]
+            tied = [cand]
         elif total == best_total:
-            tied.append((a, b, masks))
-    if len(tied) == 1:
-        return tied[0][0], tied[0][1]
-    # Ties go to the pair leaving the most free blocks, then the lowest rows.
-    best_key = None
-    best_pair = None
-    for a, b, masks in tied:
-        key = (-_count_free(pairs, masks, a & ~1, kind), a, b)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pair = (a, b)
-    return best_pair
+            tied.append(cand)
+    if len(tied) > 1:
+        # Ties go to the pair leaving the most free blocks, then the lowest
+        # rows: ``max`` keeps the first of equals, and ``cands`` is by row.
+        blocks = _blocks(pairs, kind)
+        gaps = Counter((ca ^ cb) >> 1 for _, _, ca, cb in cands)
+        return max(tied, key=lambda t: _count_free(blocks, gaps, (t[2] ^ t[3]) >> 1))[:2]
+    return tied[0][:2]
 
 
 def _make_selector(engine: _Engine, kind: str, phase_end: int, cfg: SynthesisConfig):

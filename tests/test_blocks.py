@@ -1,5 +1,7 @@
 """Pair classification, the two block tests and search-region geometry."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from blocksynth import Permutation, apply_gate, classify_positions, findm, sample, x
 from blocksynth.blocks import h
 from blocksynth.reduction import _Engine, _holds_block, _region_mask
-from blocksynth.synthesis import _count_free
+from blocksynth.synthesis import _admissible_from, _blocks, _count_free
 from helpers import mismatch_rows
 
 
@@ -137,8 +139,8 @@ def _pairs_from(engine, i):
 
 
 class TestBlockTests:
-    """``_holds_block`` reads the entries array, the scorer's
-    ``_count_free`` reads pair triples; both must find the same blocks."""
+    """``_holds_block`` reads the entries array, the scorer's ``_blocks``
+    reads pair triples; both must find the same blocks."""
 
     def test_holds_block_even(self):
         engine = _Engine(Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7)))
@@ -152,17 +154,22 @@ class TestBlockTests:
 
     def test_count_free_identity(self):
         engine = _Engine(Permutation.identity(3))
-        assert _count_free(_pairs_from(engine, 0), [], -1, "normal") == 4
-        assert _count_free(_pairs_from(engine, 2), [], -1, "normal") == 2
-        assert _count_free(_pairs_from(engine, 0), [], -1, "inverted") == 0
-        assert _count_free(_pairs_from(engine, 0), [], 0, "normal") == 3  # skip row 0's pair
+        pairs = _pairs_from(engine, 0)
+        assert _blocks(pairs, "normal") == 4
+        assert _blocks(_pairs_from(engine, 2), "normal") == 2
+        assert _blocks(pairs, "inverted") == 0
+        # Position 0's region is every column, so all four blocks are
+        # candidates at gap 0; taking row 0's pair leaves the other three.
+        gaps = Counter((ca ^ cb) >> 1 for *_, ca, cb in _admissible_from(3, pairs, 0, "normal"))
+        assert gaps == {0: 4}
+        assert _count_free(4, gaps, 0) == 3
 
     def test_count_free_one_block(self):
         # Rows 0, 1 sit at columns 2, 3: one even block, at position 1.
         engine = _Engine(Permutation.from_entries((7, 2, 0, 1, 5, 3, 6, 4)))
-        assert _count_free(_pairs_from(engine, 0), [], -1, "normal") == 1
-        assert _count_free(_pairs_from(engine, 0), [], -1, "inverted") == 0
-        assert _count_free(_pairs_from(engine, 2), [], -1, "normal") == 0
+        assert _blocks(_pairs_from(engine, 0), "normal") == 1
+        assert _blocks(_pairs_from(engine, 0), "inverted") == 0
+        assert _blocks(_pairs_from(engine, 2), "normal") == 0
 
     @given(permutations(), st.data())
     @settings(max_examples=120)
@@ -172,4 +179,4 @@ class TestBlockTests:
         pairs = _pairs_from(engine, i)
         for inverted, kind in ((False, "normal"), (True, "inverted")):
             held = sum(_holds_block(engine, q, inverted) for q in range(i, p.size // 2))
-            assert _count_free(pairs, [], -1, kind) == held
+            assert _blocks(pairs, kind) == held

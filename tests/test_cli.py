@@ -141,6 +141,7 @@ class TestSynth:
             (["--depth", "-3"], "lookahead depths must be non-negative, got -3"),
             (["--depths", "2=1,3=-1"], "lookahead depths must be non-negative, got -1"),
             (["--tail-exhaustive", "-4"], "exhaustive_tail must be non-negative, got -4"),
+            (["--depths", "99=0,-4=0"], "lookahead depth buckets must be within 1..24, got -4"),
         ],
     )
     def test_bad_config_values_are_usage_errors(self, tmp_path, capsys, flags, message):

@@ -23,6 +23,7 @@ from blocksynth.conditioning import (
     _exact_move,
     _fixups,
     _mix_engine,
+    _pair_split,
     _pre_pick_rows,
     _run_preprocess,
     closing_moves,
@@ -50,6 +51,26 @@ def preprocess(p):
     engine = _Engine(p)
     _run_preprocess(engine)
     return engine.snapshot(), engine.sequence()
+
+
+def state_deficits(engine, i):
+    """Outstanding normal/inverted conversions before pseudo-block i, read
+    off the whole state: the pairs' classes now, plus the conversion each
+    resident parked below column 2i will make once the quarter flip moves
+    it to the other column parity (a mismatching one turns its pair
+    normal, a matching one inverted)."""
+    normal, inverted = _pair_split(engine.pos)
+    parked_mismatching = sum((engine.entries[c] ^ c) & 1 for c in range(2 * i))
+    parked_matching = 2 * i - parked_mismatching
+    quarter = engine.size // 4
+    return [quarter - normal - parked_mismatching, quarter - inverted - parked_matching]
+
+
+def first_pick(p):
+    """The first pseudo-block's members, and the deficits they leave."""
+    engine = _Engine(p)
+    deficits = state_deficits(engine, 0)
+    return _pre_pick_rows(engine, 0, deficits), deficits
 
 
 @st.composite
@@ -170,21 +191,31 @@ class TestMix:
 
 class TestPrePick:
     def test_member_columns_have_opposite_parity(self):
-        a, b = _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0)
+        (a, b), _ = first_pick(HALF_INTERRUPTING)
         ca = HALF_INTERRUPTING.position_of(a)
         cb = HALF_INTERRUPTING.position_of(b)
         assert ca % 2 == 0 and cb % 2 == 1
 
     def test_members_come_from_interrupting_pairs(self):
-        for member in _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0):
+        for member in first_pick(HALF_INTERRUPTING)[0]:
             j = member >> 1
             ca = HALF_INTERRUPTING.position_of(2 * j)
             cb = HALF_INTERRUPTING.position_of(2 * j + 1)
             assert ((2 * j ^ ca) & 1) != ((2 * j + 1 ^ cb) & 1)
 
     def test_members_from_distinct_pairs(self):
-        a, b = _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0)
+        (a, b), _ = first_pick(HALF_INTERRUPTING)
         assert a >> 1 != b >> 1
+
+    def test_each_member_settles_one_conversion(self):
+        # 1 normal and 3 inverted pairs of 4 per class: 3 normal and 1
+        # inverted conversions outstanding.  Both members go to the larger.
+        assert state_deficits(_Engine(HALF_INTERRUPTING), 0) == [3, 1]
+        (a, b), deficits = first_pick(HALF_INTERRUPTING)
+        assert deficits == [1, 1]
+        for member in (a, b):
+            col = HALF_INTERRUPTING.position_of(member)
+            assert (member ^ col) & 1  # mismatching: its pair turns normal
 
 
 class TestPreprocess:
@@ -213,6 +244,24 @@ class TestPreprocess:
         assert counts.interrupting == 0
         assert counts.normal == counts.inverted == result.size // 2
         assert sum(g.target == width for g in seq) == 1
+
+    @given(st.integers(3, 6), st.integers(0, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_deficit_counters_match_the_state(self, width, seed):
+        # The counters start from one pair split and lose one per member;
+        # at every pseudo-block they must equal a fresh read of the state.
+        mixed, _ = mix(sample(width, seed))
+        seen = []
+
+        def checked(engine, i, deficits):
+            assert deficits == state_deficits(engine, i)
+            seen.append(i)
+            return _pre_pick_rows(engine, i, deficits)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conditioning, "_pre_pick_rows", checked)
+            preprocess(mixed)
+        assert seen == list(range(mixed.size // 8))
 
     @given(st.integers(3, 5), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -259,14 +308,20 @@ class TestInternalChecks:
             synthesize(p, cfg)
 
     def test_negative_deficits(self, monkeypatch):
-        monkeypatch.setattr(conditioning, "_deficits", lambda engine, i: (-1, 1))
+        # Five normal pairs claimed where a quarter of the rows makes four.
+        monkeypatch.setattr(conditioning, "_pair_split", lambda pos: (5, 0))
         with pytest.raises(RuntimeError, match="internal error: negative conversion"):
-            _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0)
+            _run_preprocess(_Engine(HALF_INTERRUPTING))
 
     def test_preprocess_postcondition(self, monkeypatch):
-        # Deficits that always ask for normal pairs convert every
-        # interrupting pair to normal: 2 + 8 normal rows, 6 inverted.
-        # HALF_INTERRUPTING goes to preprocessing directly, inside synthesize.
-        monkeypatch.setattr(conditioning, "_deficits", lambda engine, i: (1, 0))
+        # The opening split claims no normal pairs and four inverted, so the
+        # deficits ask for four normal conversions and every interrupting
+        # pair turns normal: 2 + 8 normal rows, 6 inverted.  The closing
+        # split is the real one.  HALF_INTERRUPTING goes to preprocessing
+        # directly, inside synthesize.
+        splits = [(0, 4)]
+        monkeypatch.setattr(
+            conditioning, "_pair_split", lambda pos: splits.pop() if splits else _pair_split(pos)
+        )
         with pytest.raises(RuntimeError, match="internal error: preprocessing ended in a 10:6:0"):
             synthesize(HALF_INTERRUPTING)

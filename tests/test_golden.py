@@ -6,9 +6,11 @@ the same circuits must leave every hash as it is; a change that alters
 circuits on purpose regenerates them and says why.
 
 The cases cover the selection paths: the S-boxes and two width-8 maps at
-the default config (depth 1 with the exhaustive tail), a width-6 map at
-depth 2 (the ``_suffix`` branch and bound), and a width-9 map at depth 0
-with no tail (the plain scan and its fallbacks only).
+the default config (depth 1 with the exhaustive tail), a width-10 map at
+the default config (where lookahead ties, and so the free-block
+tie-break, are most frequent), a width-6 map at depth 2 (the ``_suffix``
+branch and bound), and a width-9 map at depth 0 with no tail (the plain
+scan and its fallbacks only).
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ GOLDEN = {
     "sample-8-2": (
         (8, 2), DEFAULT, 890,
         "69093e3a7272cb6a30176e9d868cb83bc8fa2f82097ae215363e2f84e3098e7c",
+    ),
+    "sample-10-1": (
+        (10, 1), DEFAULT, 5600,
+        "2a7d8d139cf66e358ab047dd7f582ad6466fd24a07a83dfd215d13814c0c1ba5",
     ),
     "sample-6-1-depth-2": (
         (6, 1), DEPTH_2, 119,

@@ -9,6 +9,7 @@ breadth-first search written here from scratch.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from blocksynth.reduction import (
 )
 from blocksynth.synthesis import (
     _admissible_from,
+    _blocks,
     _count_free,
     _make_selector,
     _pair_gates,
@@ -162,7 +164,7 @@ class TestSelectWithLookahead:
         assert select(0) == (0, 1)
 
     def test_depth_zero_degrades_to_scan_order(self):
-        cfg = SynthesisConfig(depths={j: 0 for j in range(12)}, exhaustive_tail=0)
+        cfg = SynthesisConfig(depths={j: 0 for j in range(1, 12)}, exhaustive_tail=0)
         # at depth 0 the selector declines and the reduction takes its plain
         # scan, which on the width-3 identity at position 1 settles on rows 4
         # and 5 (first admissible pair in region scan order)
@@ -175,7 +177,7 @@ class TestSelectWithLookahead:
     def test_normal_phase_choice_is_admissible(self, perm, depth):
         # force every row to its own column parity so normal pairs exist
         aligned = sample(perm.width, seed=perm.entries[0], kind="parity_aligned")
-        cfg = SynthesisConfig(depths={j: depth for j in range(12)}, exhaustive_tail=0)
+        cfg = SynthesisConfig(depths={j: depth for j in range(1, 12)}, exhaustive_tail=0)
         _, select = normal_phase_selector(aligned, cfg)
         a, b = select(0)
         assert b == (a ^ 1)
@@ -236,13 +238,24 @@ class TestScorerModel:
     @settings(max_examples=150, deadline=None)
     def test_free_block_count_matches_running_every_mask(self, n, seed, kind, data):
         pos = sample(n, seed).positions
-        pairs = [(r, pos[r], pos[r + 1]) for r in range(0, 1 << n, 2)]
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
-        cands = _admissible_from(n, pairs, i, kind)
+
+        def pairs_and_cands():
+            pairs = [(r, pos[r], pos[r + 1]) for r in range(0, 1 << n, 2)]
+            return pairs, _admissible_from(n, pairs, i, kind)
+
+        pairs, cands = pairs_and_cands()
         if not cands:
             return
         a, _, ca, cb = data.draw(st.sampled_from(cands))
-        masks, _ = _pair_gates(n, i, ca, cb, {})
+        if data.draw(st.booleans()):
+            # Conjoin the drawn pair first: it stays a candidate, now at
+            # slot gap 0.
+            moved = _destinations(n, [Gate.from_masks(n, *m) for m in _cons_masks(n, i, ca, cb)])
+            pos = [moved[c] for c in pos]
+            pairs, cands = pairs_and_cands()
+            a, _, ca, cb = next(c for c in cands if c[0] >> 1 == a >> 1)
+            assert ca ^ cb == 1
         dest = _destinations(n, _emitted(n, i, ca, cb))
         want = 0 if kind == "normal" else 1
         expected = 0
@@ -250,7 +263,8 @@ class TestScorerModel:
             c, p = dest[c], dest[p]
             if r != a & ~1 and c ^ p == 1 and c & 1 == want:
                 expected += 1
-        assert _count_free(pairs, masks, a & ~1, kind) == expected
+        gaps = Counter((c ^ p) >> 1 for _, _, c, p in cands)
+        assert _count_free(_blocks(pairs, kind), gaps, (ca ^ cb) >> 1) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +350,7 @@ class TestSynthesizeEndToEnd:
         assert all(g == Gate.from_masks(g.width, *g.masks()) for g in seq)
 
     def test_depth_zero_configuration_still_verifies(self):
-        cfg = SynthesisConfig(depths={j: 0 for j in range(16)}, exhaustive_tail=0)
+        cfg = SynthesisConfig(depths={j: 0 for j in range(1, 16)}, exhaustive_tail=0)
         perm = sample(6, seed=7)
         seq, _ = synthesize(perm, cfg)
         assert circuit_table(6, as_plain(seq)) == list(perm.entries)
@@ -349,10 +363,10 @@ class TestSynthesizeEndToEnd:
         for seed in range(1, 13):
             perm = sample(5, seed=seed)
             shallow, _ = synthesize(
-                perm, SynthesisConfig(depths={j: 0 for j in range(16)}, exhaustive_tail=0)
+                perm, SynthesisConfig(depths={j: 0 for j in range(1, 16)}, exhaustive_tail=0)
             )
             deep, _ = synthesize(
-                perm, SynthesisConfig(depths={j: 2 for j in range(16)}, exhaustive_tail=0)
+                perm, SynthesisConfig(depths={j: 2 for j in range(1, 16)}, exhaustive_tail=0)
             )
             assert circuit_table(5, as_plain(deep)) == list(perm.entries)
             shallow_total += toffoli_count(shallow)
@@ -404,9 +418,18 @@ class TestSynthesisConfig:
         assert SynthesisConfig().depth_for(0) == 0
         assert SynthesisConfig().depth_for(-5) == 0
 
-    @pytest.mark.parametrize("kwargs", [{"exhaustive_tail": -1}, {"depths": {3: 1, 4: -2}}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"exhaustive_tail": -1},
+            {"depths": {3: 1, 4: -2}},
+            {"depths": {99: 0, -4: 0}},
+            {"depths": {0: 1, 1: 1}},
+        ],
+    )
     def test_negative_values_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="must be non-negative"):
+        # Depth buckets are keyed 1..24: no row count reaches another key.
+        with pytest.raises(ValueError, match=r"must be (non-negative|within 1\.\.24), got"):
             SynthesisConfig(**kwargs)
 
     def test_depth_for_buckets_by_row_count(self):
