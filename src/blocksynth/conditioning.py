@@ -241,11 +241,11 @@ def _fixups(engine: _Engine, target: int) -> int:
             cur = ca
             while cur != dst:
                 step = cur ^ (1 << (cur ^ dst).bit_length() >> 1)  # top differing bit
-                engine.emit(*_exact_move(n, cur, step))
+                engine.emit(_exact_move(n, cur, step))
                 emitted += 1
                 cur = step
             slot_found = dst >> 1
-        engine.emit(*_exact_move(n, 2 * slot_found, 2 * slot_found + 1))
+        engine.emit(_exact_move(n, 2 * slot_found, 2 * slot_found + 1))
         emitted += 1
         last = lam
 
@@ -263,8 +263,7 @@ def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
     search = _MixSearch(engine, cfg)
     search.run()
     dist, moves = search.best or (None, [])
-    for g in moves:
-        engine.emit(*g)
+    engine.emit(*moves)
     fixes = 0 if dist == 0 else _fixups(engine, target)
     stats = MixStats(len(moves), fixes, search.evaluated, dist == 0)
     lam = _interrupting_rows(engine.entries)
@@ -371,7 +370,7 @@ def _run_preprocess(engine: _Engine) -> None:
     for i in range(engine.size // 8):
         a, b = _pre_pick_rows(engine, i, deficits)
         engine.allocate(i, a, b)
-    engine.emit(0, 3 << (engine.n - 2), 1)  # C(!1,!2)X on line n
+    engine.emit((0, 3 << (engine.n - 2), 1))  # C(!1,!2)X on line n
     normal, inverted = _pair_split(engine.pos)
     interrupting = engine.size // 2 - normal - inverted
     if interrupting or normal != inverted:

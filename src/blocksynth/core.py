@@ -11,7 +11,10 @@ whose bits satisfy all controls, the entries at ``c`` and at ``c`` with the
 target bit flipped are swapped.  Because a control may never sit on the
 target line, the set of satisfying columns is closed under the target flip.
 ``exchange_columns`` is the one implementation of this: it walks only the
-gate's satisfying subcube, 2^(n-1-m) column pairs for m controls.
+gate's satisfying subcube, 2^(n-1-m) column pairs for m controls.  Gates
+that share their controls commute, so a run of them is the single map
+c -> c ^ T on the satisfying columns, T the XOR of their target bits; the
+kernel takes such a multi-bit target mask and still visits 2^(n-1-m) pairs.
 
 The same ``GateSequence`` that maps a permutation P to the identity, executed
 left-to-right as a circuit on an input register x, computes P(x).  That dual
@@ -95,12 +98,14 @@ class Gate:
     @classmethod
     def from_masks(cls, width: int, ones: int, zeros: int, tmask: int) -> "Gate":
         """Inverse of ``masks``; controls come out in ascending line order."""
-        controls = tuple(
-            (line, bool(ones >> (width - line) & 1))
-            for line in range(1, width + 1)
-            if (ones | zeros) >> (width - line) & 1
-        )
-        return cls(width, width + 1 - tmask.bit_length(), controls)
+        controls = []
+        rest = ones | zeros
+        while rest:  # highest control bit first: the lowest line number
+            top = rest.bit_length()
+            bit = 1 << (top - 1)
+            controls.append((width + 1 - top, bool(ones & bit)))
+            rest ^= bit
+        return cls(width, width + 1 - tmask.bit_length(), tuple(controls))
 
     def widen(self, width: int) -> "Gate":
         """Embed into a wider circuit keeping the same 1-based lines."""
@@ -231,18 +236,27 @@ class GateSequence:
 def exchange_columns(
     entries: list[int], ones: int, zeros: int, tmask: int, pos: list[int] | None = None
 ) -> None:
-    """Apply the gate with masks ``(ones, zeros, tmask)`` to ``entries`` in place.
+    """Apply the map c -> c ^ ``tmask`` to the columns c that have every
+    ``ones`` bit set and every ``zeros`` bit clear, in place.
 
-    Visits each satisfying column pair once, from its target-bit-0 side ``c``
-    (``ones`` set, ``zeros`` and ``tmask`` clear, any free bits), by walking
-    the subsets of the free bits.  ``pos``, when given, is the inverse of
-    ``entries`` and is kept in step.
+    With one target bit that is the gate with masks ``(ones, zeros, tmask)``;
+    with several it is the run of same-control gates, one per target bit, in
+    any order (they commute).  Visits each exchanged column pair once, from
+    its side ``c`` with ``tmask``'s top bit clear, by walking the subsets of
+    the free bits: 2^(n-1-m) pairs for m controls.  ``pos``, when given, is
+    the inverse of ``entries`` and is kept in step.  Raises
+    ``PreconditionViolated`` when ``tmask`` is empty or overlaps a control.
     """
-    free = (len(entries) - 1) & ~(ones | zeros | tmask)
+    if not tmask or tmask & (ones | zeros):
+        raise PreconditionViolated(
+            f"target mask {tmask:#x} is empty or overlaps the controls "
+            f"{ones:#x}/{zeros:#x}"
+        )
+    free = (len(entries) - 1) & ~(ones | zeros | 1 << tmask.bit_length() >> 1)
     s = free
     while True:
         c = ones | s
-        d = c | tmask
+        d = c ^ tmask
         ra, rb = entries[c], entries[d]
         entries[c], entries[d] = rb, ra
         if pos is not None:

@@ -17,6 +17,9 @@ Inside the pipeline a gate is its (ones, zeros, target) column-mask triple
 (``core.Masks``): the builders here and in ``conditioning`` return
 triples, ``_Engine.emit`` records and applies them, and
 ``_Engine.sequence`` builds the stage's ``Gate``s once, at the end.
+``emit`` applies its gates one exchange pass per run of gates with the
+same controls (``_passes``), so a conjoin or a slide costs at most two
+passes, however many CXs it records.
 
 Iteration i searches inside a shrinking column region (columns whose first
 m-1 bits are all set, m = findm(i, n)); there the conjoining MCT — controls
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Optional
+from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .blocks import findm, h
 from .core import (
@@ -136,18 +139,15 @@ def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
         )
     t = 1 << (n - delta)
     out: list[Masks] = []
-    # X on delta, CX delta->j for each lower differing line, X on delta again;
-    # the sandwich is only needed when block position i has delta's bit set.
-    sandwich = _block_bit(i, delta, n) == 1
-    if sandwich:
-        out.append((0, 0, t))
+    # CX delta->j for each lower differing line, wrapped in X on delta when
+    # block position i has delta's bit set; no run, no wrapper.
     rest = gamma & (t - 2)  # differing lines delta+1..n-1
     while rest:
         bit = 1 << (rest.bit_length() - 1)
         out.append((t, 0, bit))
         rest ^= bit
-    if sandwich:
-        out.append((0, 0, t))
+    if out and _block_bit(i, delta, n) == 1:
+        out = [(0, 0, t), *out, (0, 0, t)]
     out.append((h(n, m) | 1, 0, t))  # controls on lines 1..m-1 and line n
     return out
 
@@ -212,6 +212,34 @@ def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
     return column & rest, ~column & rest, t
 
 
+def _passes(gates: Sequence[Masks]) -> Iterator[Masks]:
+    """Exchange passes with the effect of applying ``gates`` in order.
+
+    Consecutive gates with the same controls commute, so each such run is
+    one pass whose target mask is the XOR of theirs.  Uncontrolled X gates
+    are deferred to one closing pass: X(F) then g equals g' then X(F), where
+    g' flips the polarity of g's controls on F.  So the conjoin's
+    X(t) · CX(t->j)... · X(t) sandwich is one pass negatively controlled on t.
+    """
+    frame = 0  # XOR of the X targets deferred so far
+    ones = zeros = tmask = 0
+    for o, z, t in gates:
+        if not o | z:
+            frame ^= t
+            continue
+        flip = frame & (o | z)
+        o, z = o ^ flip, z ^ flip
+        if o != ones or z != zeros:
+            if tmask:
+                yield ones, zeros, tmask
+            ones, zeros, tmask = o, z, 0
+        tmask ^= t
+    if tmask:
+        yield ones, zeros, tmask
+    if frame:
+        yield 0, 0, frame
+
+
 # ---------------------------------------------------------------------------
 # Mutable engine shared by the reduction and preprocessing drivers.
 
@@ -252,9 +280,11 @@ class _Engine:
         n = self.n
         return GateSequence(n, tuple(Gate.from_masks(n, *g) for g in self.gates))
 
-    def emit(self, ones: int, zeros: int, tmask: int) -> None:
-        self.gates.append((ones, zeros, tmask))
-        exchange_columns(self.entries, ones, zeros, tmask, self.pos)
+    def emit(self, *gates: Masks) -> None:
+        """Record ``gates`` and apply them, one pass per run (``_passes``)."""
+        self.gates.extend(gates)
+        for ones, zeros, tmask in _passes(gates):
+            exchange_columns(self.entries, ones, zeros, tmask, self.pos)
 
     def lift_pair(self, i: int, a: int, b: int) -> None:
         """Move both rows into the iteration-i region; no gate when both
@@ -265,7 +295,7 @@ class _Engine:
             lifted = False
             while (self.pos[row] & mask) != mask:
                 ones, zeros, t = _lift_step(self.n, i, self.pos[row], self.pos[other])
-                self.emit(ones, zeros, t)
+                self.emit((ones, zeros, t))
                 self.stats.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
                 lifted = True
             if lifted:
@@ -275,15 +305,13 @@ class _Engine:
         """Lift if needed, conjoin, then slide the pair to position i."""
         self.lift_pair(i, a, b)
         pos = self.pos
-        for g in _cons_masks(self.n, i, pos[a], pos[b]):
-            self.emit(*g)
+        self.emit(*_cons_masks(self.n, i, pos[a], pos[b]))
         if pos[a] ^ pos[b] != 1:
             raise RuntimeError(
                 f"internal error: conjoining rows {a},{b} left them at columns "
                 f"{pos[a]},{pos[b]}"
             )
-        for g in _alloc_masks(self.n, i, pos[a]):
-            self.emit(*g)
+        self.emit(*_alloc_masks(self.n, i, pos[a]))
         if {pos[a], pos[b]} != {2 * i, 2 * i + 1}:
             raise RuntimeError(
                 f"internal error: allocating rows {a},{b} to position {i} left "
@@ -404,4 +432,4 @@ def _run_general(
     quarter, half = engine.size // 4, engine.size // 2
     _fill(engine, range(quarter), False, normal_selector, _n_pick_rows)
     _fill(engine, range(quarter, half), True, inverted_selector, _i_pick_rows)
-    engine.emit(engine.size >> 1, 0, 1)  # CX line 1 -> line n
+    engine.emit((engine.size >> 1, 0, 1))  # CX line 1 -> line n

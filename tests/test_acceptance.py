@@ -177,15 +177,13 @@ def test_criterion_04_per_call_budgets_width_8():
                 cxs = sum(1 for c in body if c == 1)
                 assert xs in (0, 2) and xs + cxs == len(body)
                 assert cxs <= n - m - 1
-                for g in cgates:
-                    engine.emit(*g)
+                engine.emit(*cgates)
             agates = _alloc_masks(n, i, pos[a])
             if agates:
                 *body, last = [(ones | zeros).bit_count() for ones, zeros, _ in agates]
                 assert last <= bin(i).count("1")
                 assert all(c == 1 for c in body)
-                for g in agates:
-                    engine.emit(*g)
+                engine.emit(*agates)
             assert {pos[a], pos[b]} == {2 * i, 2 * i + 1}
         total = toffoli_count(engine.sequence())
         assert total <= aggregate_cap, (k, total)

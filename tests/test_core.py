@@ -13,6 +13,7 @@ from blocksynth import (
     NotABijection,
     NotReducible,
     Permutation,
+    PreconditionViolated,
     WidthMismatch,
     apply_gate,
     apply_sequence,
@@ -354,6 +355,39 @@ class TestExchangeColumns:
             full_scan(ref_entries, ref_pos, g)
         assert entries == ref_entries == plain
         assert pos == ref_pos
+
+    @given(shuffled(min_width=2), st.data())
+    @settings(max_examples=200)
+    def test_multi_bit_target_is_its_cx_run(self, perm, data):
+        # One pass with several target bits against the single-target gates
+        # sharing its controls, applied one by one.
+        n = perm.width
+        lines = data.draw(st.permutations(range(1, n + 1)))
+        k = data.draw(st.integers(2, n))
+        targets, spare = lines[:k], lines[k:]
+        picked = spare[: data.draw(st.integers(0, len(spare)))]
+        controls = tuple((l, data.draw(st.booleans())) for l in picked)
+        run = [Gate(n, t, controls) for t in targets]
+        ones, zeros, _ = run[0].masks()
+        tmask = 0
+        for g in run:
+            tmask |= g.masks()[2]
+        entries, pos = list(perm.entries), list(perm.positions)
+        exchange_columns(entries, ones, zeros, tmask, pos)
+        ref_entries, ref_pos = list(perm.entries), list(perm.positions)
+        for g in data.draw(st.permutations(run)):
+            full_scan(ref_entries, ref_pos, g)
+        assert entries == ref_entries
+        assert pos == ref_pos
+
+    @pytest.mark.parametrize(
+        "ones, zeros, tmask", [(0, 0, 0), (0b100, 0, 0b110), (0, 0b001, 0b011)]
+    )
+    def test_empty_or_overlapping_target_mask_rejected(self, ones, zeros, tmask):
+        entries = list(range(8))
+        with pytest.raises(PreconditionViolated, match="target mask"):
+            exchange_columns(entries, ones, zeros, tmask)
+        assert entries == list(range(8))
 
 
 class TestBitSlicedVerify:

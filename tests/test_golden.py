@@ -9,8 +9,9 @@ The cases cover the selection paths: the S-boxes and two width-8 maps at
 the default config (depth 1 with the exhaustive tail), a width-10 map at
 the default config (where lookahead ties, and so the free-block
 tie-break, are most frequent), a width-6 map at depth 2 (the ``_suffix``
-branch and bound), and a width-9 map at depth 0 with no tail (the plain
-scan and its fallbacks only).
+branch and bound), and width-9 and width-11 maps at depth 0 with no tail
+(the plain scan and its fallbacks only; the width-11 one is where the
+fused CX-run passes of ``_Engine.emit`` carry most of the time).
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ GOLDEN = {
     "sample-9-1-depth-0-no-tail": (
         (9, 1), DEPTH_0_NO_TAIL, 2920,
         "48dded56e15dfeb65dc21f41eef18c3a0da03a0f5f2bd2b65f7edc7c93ad2a77",
+    ),
+    "sample-11-1-depth-0-no-tail": (
+        (11, 1), DEPTH_0_NO_TAIL, 16748,
+        "d9619ef4828cf7d50e198662aa2aeb99391f32ec40fcf41a2fc57ff23ae03c18",
     ),
 }
 

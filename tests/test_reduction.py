@@ -22,12 +22,14 @@ from blocksynth import (
     x,
 )
 from blocksynth import reduction
+from blocksynth.core import exchange_columns
 from blocksynth.reduction import (
     _alloc_masks,
     _cons_masks,
     _Engine,
     _i_pick_rows,
     _n_pick_rows,
+    _passes,
     _run_general,
     _run_normal,
 )
@@ -166,11 +168,11 @@ class TestLift:
 
 class TestCons:
     def test_hand_worked_example(self):
-        # The conjugating X pair wraps the (here empty) CX run, firing the
-        # clean-up on bit-2-clear columns; the closing gate is the region MCT.
+        # The columns differ only on lines 2 and 3, so the CX run is empty
+        # and so is its X wrapper; only the region MCT remains.
         p = Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7))
         seq = conjoining(p, 1, (5, 4))
-        assert seq == GateSequence.of(x(3, 2), x(3, 2), mct(3, [1, 3], 2))
+        assert seq == GateSequence.of(mct(3, [1, 3], 2))
         out, _ = apply_sequence(p, GateSequence(3), seq)
         assert out.entries == (0, 1, 6, 3, 2, 7, 4, 5)
         assert out.position_of(4) ^ out.position_of(5) == 1
@@ -212,6 +214,7 @@ class TestCons:
             cxs = [g for g in body if g.control_count == 1]
             assert len(xs) + len(cxs) == len(body)
             assert len(xs) in (0, 2)
+            assert not xs or cxs  # the X pair only wraps a non-empty run
             assert all(g.target == delta for g in xs)
             assert len(cxs) <= n - m - 1
             assert all(
@@ -314,6 +317,63 @@ class TestReduceGeneral:
         last_line = [g for g in seq if g.target == p.width]
         assert len(last_line) == 1
         assert last_line[0] == seq.gates[-1]
+
+
+@st.composite
+def mask_lists(draw):
+    """A width and a gate list drawn from a few control masks (one of them
+    uncontrolled), so runs, repeats and X sandwiches all turn up."""
+    n = draw(st.integers(2, 6))
+    full = (1 << n) - 1
+    pool = [(0, 0)]
+    for _ in range(2):
+        ctl = draw(st.integers(1, full))
+        ones = ctl & draw(st.integers(0, full))
+        pool.append((ones, ctl ^ ones))
+    out = []
+    for _ in range(draw(st.integers(0, 12))):
+        ones, zeros = draw(st.sampled_from(pool))
+        free = [1 << b for b in range(n) if not (ones | zeros) >> b & 1]
+        if free:
+            out.append((ones, zeros, draw(st.sampled_from(free))))
+    return n, out
+
+
+class TestFusedEmission:
+    """``_Engine.emit`` applies each run of same-control gates in one pass;
+    the gates it records must still replay to the state it holds."""
+
+    @given(mask_lists(), st.integers(0, 10_000))
+    @settings(max_examples=300)
+    def test_passes_act_like_the_gates(self, case, seed):
+        n, gates = case
+        p = sample(n, seed)
+        entries, pos = list(p.entries), list(p.positions)
+        passes = list(_passes(gates))
+        for g in passes:
+            exchange_columns(entries, *g, pos)
+        ref_entries, ref_pos = list(p.entries), list(p.positions)
+        for g in gates:
+            exchange_columns(ref_entries, *g, ref_pos)
+        assert entries == ref_entries
+        assert pos == ref_pos
+        assert len(passes) <= len(gates)
+
+    def test_conjoin_sandwich_is_one_negative_pass(self):
+        # X(2) · CX(2->3) · CX(2->4) · X(2) at width 4, then an MCT
+        run = [(0, 0, 4), (4, 0, 2), (4, 0, 1), (0, 0, 4), (8 | 1, 0, 4)]
+        assert list(_passes(run)) == [(0, 4, 3), (9, 0, 4)]
+
+    @given(aligned_perms(min_width=3, max_width=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_allocate_state_replays_from_the_sequence(self, p, data):
+        engine = _Engine(p)
+        last = data.draw(st.integers(0, p.size // 2 - 1))
+        for i in range(last + 1):
+            engine.allocate(i, *_n_pick_rows(engine, i))
+        replayed, _ = apply_sequence(p, GateSequence(p.width), engine.sequence())
+        assert engine.snapshot() == replayed
+        assert engine.pos == list(replayed.positions)
 
 
 class TestAllocateChecks:
