@@ -2,10 +2,12 @@
 
 The relevant pair ⟨2j, 2j+1⟩ is classified by comparing each member's row
 parity with the parity of the column it currently occupies: both agree →
-normal, both disagree → inverted, mixed → interrupting.  Counts are kept per
-row number, so each pair contributes 2 (this matches the "2^{n-1} rows at
-interrupting positions" arithmetic used throughout; per-pair counting is the
-natural alternative and deliberately not used).
+normal, both disagree → inverted, mixed → interrupting.  ``_pair_split``
+is the one census: it counts normal and inverted pairs on a row → column
+array.  ``synthesis.synthesize`` dispatches on it, the conditioning passes
+check their postconditions with it, and ``classify_positions`` reports it
+per row number, so each pair contributes 2 (this matches the "2^{n-1} rows
+at interrupting positions" arithmetic used throughout).
 
 A *block* is a column pair (2i, 2i+1) holding rows that differ by +1 (even
 block) or -1 (odd block).  ``block-wise position`` i indexes such column
@@ -21,6 +23,7 @@ candidate's gates leave is then arithmetic, not a replay of the gates
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Permutation
 
@@ -34,22 +37,27 @@ class PositionCounts:
     interrupting: int
 
 
+def _pair_split(pos: Sequence[int]) -> tuple[int, int]:
+    """Counts of normal and of inverted pairs; the rest are interrupting.
+
+    ``pos`` maps each row to its column.  Row 2p matches at an even column
+    and row 2p+1 at an odd one.
+    """
+    normal = inverted = 0
+    for p in range(0, len(pos), 2):
+        ma = pos[p] & 1 == 0
+        mb = pos[p + 1] & 1 == 1
+        if ma and mb:
+            normal += 1
+        elif not ma and not mb:
+            inverted += 1
+    return normal, inverted
+
+
 def classify_positions(perm: Permutation) -> PositionCounts:
     """Count rows at normal / inverted / interrupting positions."""
-    normal = inverted = interrupting = 0
-    # A row matches iff row parity == parity of the column holding it.
-    pos = perm.positions
-    for j in range(perm.size // 2):
-        a, b = 2 * j, 2 * j + 1
-        match_a = (a ^ pos[a]) & 1 == 0
-        match_b = (b ^ pos[b]) & 1 == 0
-        if match_a and match_b:
-            normal += 2
-        elif not match_a and not match_b:
-            inverted += 2
-        else:
-            interrupting += 2
-    return PositionCounts(normal, inverted, interrupting)
+    normal, inverted = _pair_split(perm.positions)
+    return PositionCounts(2 * normal, 2 * inverted, perm.size - 2 * (normal + inverted))
 
 
 def h(n: int, m: int) -> int:

@@ -12,10 +12,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .conditioning import MixConfig
-from .core import MAX_WIDTH, Permutation, verify_identity
-from .cost import expand_mct, quantum_cost, resolve_table, toffoli_count
+from .core import MAX_WIDTH, GateSequence, Permutation, verify_identity
+from .cost import (
+    CostTable,
+    MissingCostEntry,
+    expand_mct,
+    quantum_cost,
+    resolve_table,
+    toffoli_count,
+)
 from .io_formats import (
     embed_truth_table,
     format_real,
@@ -126,17 +134,29 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    perm, n_out, garbage = _load_spec(args.input)
-    cfg = _config_from_args(args)
-    seq, report = synthesize(perm, cfg)
+def _table_from_args(args: argparse.Namespace) -> CostTable:
+    """The command's cost table, resolved once; unreadable is a usage error."""
     try:
-        table = resolve_table(args.cost_table)
-        qc = quantum_cost(seq, table)
-    except (ValueError, KeyError) as exc:
+        return resolve_table(args.cost_table)
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
     except OSError as exc:
         raise UsageError(f"cannot read cost table: {exc.strerror}") from None
+
+
+def _priced(seq: GateSequence, table: CostTable) -> int:
+    try:
+        return quantum_cost(seq, table)
+    except MissingCostEntry as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _cmd_synth(args: argparse.Namespace) -> int:
+    perm, n_out, garbage = _load_spec(args.input)
+    cfg = _config_from_args(args)
+    table = _table_from_args(args)
+    seq, report = synthesize(perm, cfg)
+    qc = _priced(seq, table)
     if args.out:
         n = perm.width
         kwargs = {}
@@ -148,6 +168,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             }
         _write(args.out, format_real(seq, **kwargs))
     if args.report:
+        report = replace(report, quantum_cost_total=qc, cost_table=table.name)
         _write(args.report, write_report(report))
     print(
         f"width {perm.width} gates {len(seq)} toffoli {report.toffoli_total} "
@@ -174,14 +195,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
+    table = _table_from_args(args)
     try:
         seq = read_real(_read_text(args.circuit))
-        table = resolve_table(args.cost_table)
-        qc = quantum_cost(seq, table)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
-    except OSError as exc:
-        raise UsageError(f"cannot read cost table: {exc.strerror}") from None
+    qc = _priced(seq, table)
     print(f"gates {len(seq)}")
     print(f"toffoli {toffoli_count(seq)}")
     print(f"quantum_cost {qc}")
@@ -216,16 +235,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_one(path: str, cfg: SynthesisConfig) -> dict[str, object]:
+def _bench_one(path: str, cfg: SynthesisConfig, table: CostTable) -> dict[str, object]:
     t0 = time.perf_counter()
     perm, n_out, garbage = _load_spec(path)
-    _, report = synthesize(perm, cfg)  # verifies the circuit, raises if wrong
+    seq, report = synthesize(perm, cfg)  # verifies the circuit, raises if wrong
     return {
         "name": os.path.basename(path),
         "in": perm.width,
         "out": n_out,
         "garbage": garbage,
-        "quantum_cost": report.quantum_cost_total,
+        "quantum_cost": quantum_cost(seq, table),  # a missing entry fails this file
         "toffoli": report.toffoli_total,
         "seconds": time.perf_counter() - t0,
     }
@@ -251,6 +270,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not names:
         raise UsageError(f"no .perm or .tt files in {args.directory}")
     cfg = _config_from_args(args)
+    table = _table_from_args(args)
     paths = [os.path.join(args.directory, f) for f in names]
     results: dict[str, dict[str, object]] = {}
     # The pool starts all its workers up front: never more than there are
@@ -258,7 +278,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     workers = min(args.jobs, len(paths), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_bench_one, path, cfg) for name, path in zip(names, paths)}
+            futures = {name: pool.submit(_bench_one, path, cfg, table) for name, path in zip(names, paths)}
         for name, fut in futures.items():
             try:
                 results[name] = fut.result()
@@ -267,7 +287,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         for name, path in zip(names, paths):
             try:
-                results[name] = _bench_one(path, cfg)
+                results[name] = _bench_one(path, cfg, table)
             except Exception as exc:
                 _bench_failure(name, exc)
     columns = ["name", "in", "out", "garbage", "quantum_cost", "toffoli", "seconds"]

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
+from .blocks import _pair_split
 from .core import Masks, exchange_columns
 from .reduction import PairNotFound, _Engine, _region_mask
 
@@ -89,10 +90,6 @@ def _interrupting_pairs(entries: list[int]) -> bytearray:
         if (row ^ col) & 1:
             mism[row >> 1] ^= 1
     return mism
-
-
-def _interrupting_rows(entries: list[int]) -> int:
-    return 2 * sum(_interrupting_pairs(entries))
 
 
 def _closing_deltas(pos: list[int], width: int) -> tuple[int, list[int]]:
@@ -258,40 +255,23 @@ def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
     fully controlled repair toggles.
     """
     target = engine.size // 2
-    if _interrupting_rows(engine.entries) == target:
+    if engine.size - 2 * sum(_pair_split(engine.pos)) == target:
         return MixStats(0, 0, 0, True)
     search = _MixSearch(engine, cfg)
     search.run()
     dist, moves = search.best or (None, [])
     engine.emit(*moves)
     fixes = 0 if dist == 0 else _fixups(engine, target)
-    stats = MixStats(len(moves), fixes, search.evaluated, dist == 0)
-    lam = _interrupting_rows(engine.entries)
+    lam = engine.size - 2 * sum(_pair_split(engine.pos))
     if lam != target:
         raise RuntimeError(
             f"internal error: mixing left {lam} interrupting rows, not {target}"
         )
-    return stats
+    return MixStats(len(moves), fixes, search.evaluated, dist == 0)
 
 
 # ---------------------------------------------------------------------------
 # Preprocessing of half-interrupting states.
-
-
-def _pair_split(pos: list[int]) -> tuple[int, int]:
-    """Counts of normal and of inverted pairs; the rest are interrupting.
-
-    Row 2p matches at an even column and row 2p+1 at an odd one.
-    """
-    normal = inverted = 0
-    for p in range(0, len(pos), 2):
-        ma = pos[p] & 1 == 0
-        mb = pos[p + 1] & 1 == 1
-        if ma and mb:
-            normal += 1
-        elif not ma and not mb:
-            inverted += 1
-    return normal, inverted
 
 
 def _scan_member(

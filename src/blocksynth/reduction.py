@@ -9,9 +9,11 @@ positions; ``_Engine.allocate`` runs one iteration for a chosen pair.
 ``_run_normal`` handles inputs whose pairs all sit at normal positions and
 never emits a gate targeting the last line; ``_run_general`` handles the
 balanced normal/inverted case with exactly one last-line gate at the very
-end.  ``synthesis.synthesize`` dispatches to them by position class and
-supplies the lookahead selectors; with no selector each position takes the
-plain scan (``_n_pick_rows`` / ``_i_pick_rows``).
+end.  Both fill their positions through ``_fill``, keyed by the phase's
+pair kind ("normal" or "inverted").  ``synthesis.synthesize`` dispatches to
+them by the pair census and supplies the lookahead selectors; where a
+selector declines, ``_pick_rows`` takes the first in-region pair of the
+kind (``_Engine.scan_region``), else the best one outside the region.
 
 Inside the pipeline a gate is its (ones, zeros, target) column-mask triple
 (``core.Masks``): the builders here and in ``conditioning`` return
@@ -244,23 +246,22 @@ def _passes(gates: Sequence[Masks]) -> Iterator[Masks]:
 # Mutable engine shared by the reduction and preprocessing drivers.
 
 
-@dataclass
-class ReductionStats:
-    """Bookkeeping surfaced to synthesis reports."""
-
-    region_lifts: int = 0  # members moved into the region
-    lift_toffoli: int = 0  # Toffoli-equivalents spent on lift gates
-
-
 # A selector maps an iteration index to the chosen pair of row numbers, or
 # None to delegate to the engine's plain scan.
 Selector = Callable[[int], Optional[tuple[int, int]]]
+
+# The pair kind a reduction phase allocates.  Row 2p matches at an even
+# column and row 2p+1 at an odd one; a normal pair has both members
+# matching, an inverted pair neither.
+Kind = Literal["normal", "inverted"]
 
 
 class _Engine:
     """Applies gates to a working copy while tracking row positions.
 
     Gates are recorded as mask triples; ``sequence`` builds the ``Gate``s.
+    ``region_lifts`` counts the members moved into the region and
+    ``lift_toffoli`` the Toffoli-equivalents their lift gates cost.
     """
 
     def __init__(self, perm: Permutation):
@@ -271,14 +272,22 @@ class _Engine:
         for col, row in enumerate(perm.entries):
             self.pos[row] = col
         self.gates: list[Masks] = []
-        self.stats = ReductionStats()
+        self.region_lifts = 0
+        self.lift_toffoli = 0
 
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
 
-    def sequence(self) -> GateSequence:
-        n = self.n
-        return GateSequence(n, tuple(Gate.from_masks(n, *g) for g in self.gates))
+    def sequence(self, width: Optional[int] = None) -> GateSequence:
+        """The recorded gates, built at ``width`` (default: the engine's).
+
+        A wider circuit keeps the same 1-based lines and adds trailing ones,
+        which are the low column bits, so each mask shifts left."""
+        width = width or self.n
+        s = width - self.n
+        return GateSequence(
+            width, tuple(Gate.from_masks(width, o << s, z << s, t << s) for o, z, t in self.gates)
+        )
 
     def emit(self, *gates: Masks) -> None:
         """Record ``gates`` and apply them, one pass per run (``_passes``)."""
@@ -296,10 +305,10 @@ class _Engine:
             while (self.pos[row] & mask) != mask:
                 ones, zeros, t = _lift_step(self.n, i, self.pos[row], self.pos[other])
                 self.emit((ones, zeros, t))
-                self.stats.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
+                self.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
                 lifted = True
             if lifted:
-                self.stats.region_lifts += 1
+                self.region_lifts += 1
 
     def allocate(self, i: int, a: int, b: int) -> None:
         """Lift if needed, conjoin, then slide the pair to position i."""
@@ -320,32 +329,22 @@ class _Engine:
 
     # -- plain pair scans -------------------------------------------------
 
-    def scan_region_pair(self, i: int) -> Optional[tuple[int, int]]:
-        """First pair (by ascending column) whose partner sits further right."""
+    def scan_region(self, i: int, kind: Kind) -> Optional[tuple[int, int]]:
+        """First in-region pair of ``kind`` by ascending column, the member
+        at the smaller column first."""
+        want = 0 if kind == "normal" else 1  # row ^ column parity of each member
         k = _region_mask(self.n, i)
         entries, pos = self.entries, self.pos
         for col in range(k, self.size - 1):
             a = entries[col]
-            t = pos[a ^ 1]
-            if t > col:
-                return a, a ^ 1
-        return None
-
-    def scan_region_normal(self, i: int) -> Optional[tuple[int, int]]:
-        k = _region_mask(self.n, i)
-        entries, pos = self.entries, self.pos
-        for col in range(k, self.size - 1):
-            a = entries[col]
-            if (a ^ col) & 1:
+            if (a ^ col) & 1 != want:
                 continue
             t = pos[a ^ 1]
-            if t > col and (((a ^ 1) ^ t) & 1) == 0:
+            if t > col and (a ^ 1 ^ t) & 1 == want:
                 return a, a ^ 1
         return None
 
-    def best_out_of_region(
-        self, i: int, kind: Literal["normal", "inverted"]
-    ) -> Optional[tuple[int, int]]:
+    def best_out_of_region(self, i: int, kind: Kind) -> Optional[tuple[int, int]]:
         """Unallocated pair of ``kind`` maximizing its smaller column."""
         pos = self.pos
         match = kind == "normal"  # both members match, or neither does
@@ -365,21 +364,13 @@ class _Engine:
         return best[1], best[2]
 
 
-def _n_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
-    found = engine.scan_region_normal(i)
+def _pick_rows(engine: _Engine, i: int, kind: Kind) -> tuple[int, int]:
+    """The plain pick: the region scan, else the best pair outside it."""
+    found = engine.scan_region(i, kind)
     if found is None:
-        found = engine.best_out_of_region(i, "normal")
+        found = engine.best_out_of_region(i, kind)
     if found is None:
-        raise PairNotFound("no unallocated pair at normal positions remains")
-    return found
-
-
-def _i_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
-    found = engine.scan_region_pair(i)
-    if found is None:
-        found = engine.best_out_of_region(i, "inverted")
-    if found is None:
-        raise PairNotFound(f"no pair left for position {i}")
+        raise PairNotFound(f"no unallocated {kind} pair left for position {i}")
     return found
 
 
@@ -387,35 +378,31 @@ def _i_pick_rows(engine: _Engine, i: int) -> tuple[int, int]:
 # Whole reductions.
 
 
-def _holds_block(engine: _Engine, i: int, inverted: bool) -> bool:
-    """Position i already carries a block of the phase's kind (free win)."""
+def _holds_block(engine: _Engine, i: int, kind: Kind) -> bool:
+    """Position i already carries a block of ``kind`` (free win)."""
     lo, hi = engine.entries[2 * i], engine.entries[2 * i + 1]
-    if inverted:
+    if kind == "inverted":
         return lo == hi + 1 and hi % 2 == 0
     return hi == lo + 1 and lo % 2 == 0
 
 
 def _fill(
-    engine: _Engine,
-    positions: range,
-    inverted: bool,
-    selector: Optional[Selector],
-    fallback: Callable[[_Engine, int], tuple[int, int]],
+    engine: _Engine, positions: range, kind: Kind, selector: Optional[Selector]
 ) -> None:
-    """Give each position a block of the phase's kind: keep one it already
-    holds, else allocate the selector's pair, else ``fallback``'s scan."""
+    """Give each position a block of ``kind``: keep one it already holds,
+    else allocate the selector's pair, else ``_pick_rows``'s."""
     for i in positions:
-        if _holds_block(engine, i, inverted):
+        if _holds_block(engine, i, kind):
             continue
         chosen = selector(i) if selector is not None else None
         if chosen is None:
-            chosen = fallback(engine, i)
+            chosen = _pick_rows(engine, i, kind)
         engine.allocate(i, *chosen)
 
 
 def _run_normal(engine: _Engine, selector: Optional[Selector] = None) -> None:
     """Reduce an all-normal state; no emitted gate targets the last line."""
-    _fill(engine, range(engine.size // 2), False, selector, _n_pick_rows)
+    _fill(engine, range(engine.size // 2), "normal", selector)
 
 
 def _run_general(
@@ -430,6 +417,6 @@ def _run_general(
     right-half blocks even: the only emitted gate targeting the last line.
     """
     quarter, half = engine.size // 4, engine.size // 2
-    _fill(engine, range(quarter), False, normal_selector, _n_pick_rows)
-    _fill(engine, range(quarter, half), True, inverted_selector, _i_pick_rows)
+    _fill(engine, range(quarter), "normal", normal_selector)
+    _fill(engine, range(quarter, half), "inverted", inverted_selector)
     engine.emit((engine.size >> 1, 0, 1))  # CX line 1 -> line n

@@ -1,28 +1,30 @@
 """End-to-end circuit synthesis for arbitrary permutations.
 
 ``synthesize`` walks the width down one line at a time.  At each stage the
-current permutation is inspected: already-reducible states cost nothing;
-all-normal states go straight to reduction; an exact half count of
-interrupting rows goes to preprocessing then reduction; a balanced
-normal/inverted split goes to the general reduction; anything else is first
-mixed.  A stage's passes share one ``_Engine``, which records mask triples;
-its ``Gate``s are built once, when the stage ends, then widened back to the
-original width (lines keep their numbers; the stripped lines are the
-trailing ones) and concatenated.  Widths 1 and 2 are finished from a
-precomputed optimal table instead.
+pair census of the current permutation (``blocks._pair_split``) picks the
+path: already-reducible states cost nothing; all-normal states go straight
+to reduction; an exact half count of interrupting rows goes to
+preprocessing then reduction; a balanced normal/inverted split goes to the
+general reduction; anything else is first mixed.  A stage's passes share
+one ``_Engine``, which records mask triples; its ``Gate``s are built once,
+when the stage ends, at the original width (lines keep their numbers; the
+stripped lines are the trailing ones), and concatenated.  Widths 1 and 2
+are finished from a precomputed optimal table instead.
 
-Pair selection inside the reductions optionally looks ahead: candidate
-pairs are scored by the exact Toffoli-equivalents of their construction
-and slide gates, plus the best reachable score over the next depth-1
-positions.  The scorer works on plain data: one (row, column, partner
-column) triple per unallocated pair, and each candidate's gates as the
-(ones, zeros, target) column masks that ``reduction``'s gate builders
-produce.  It never copies the engine or builds a ``Gate``; the engine
-records the masks of the pair it emits.  Ties go to the pair that leaves
-the most free blocks, a count read off the current blocks and a histogram
-of the candidates by slot gap, without running any candidate's masks
-(``_count_free``).  Near the end of a stage the remaining positions are
-solved exactly by branch and bound (``exhaustive_tail``).
+Pair selection inside the reductions is one branch and bound, ``_suffix``:
+candidate pairs are scored by the exact Toffoli-equivalents of their
+construction and slide gates plus the best reachable score over the next
+positions.  Lookahead searches a per-scale depth ahead; near the end of a
+stage (``exhaustive_tail``) the depth runs to the end of the phase, so the
+same search solves the tail exactly.  The scorer works on plain data: one
+(row, column, partner column) triple per unallocated pair, and each
+candidate's gates as the (ones, zeros, target) column masks that
+``reduction``'s gate builders produce.  It never copies the engine or
+builds a ``Gate``; the engine records the masks of the pair it emits.  The
+search's root collects every candidate that reaches the best total; ties
+go to the pair that leaves the most free blocks, a count read off the
+current blocks and a histogram of the candidates by slot gap, without
+running any candidate's masks (``_count_free``).
 
 The emitted sequence is always verified against the input before being
 returned; a failure is an internal error, not a user error.
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .blocks import classify_positions
+from .blocks import _pair_split
 from .conditioning import MixConfig, _mix_engine, _run_preprocess
 from .core import (
     Gate,
@@ -243,28 +245,35 @@ def _suffix(
     kind: str,
     budget: float,
     memo: dict,
+    tied: Optional[list[tuple[int, int, int, int]]] = None,
 ) -> Optional[int]:
     """Cheapest total over the next ``depth_left`` positions, or None if the
     incoming budget cannot be beaten.  Runs dry (cost 0) where no admissible
-    pair exists — the plain fallback path is not modelled."""
+    pair exists — the plain fallback path is not modelled.
+
+    At the root, ``tied`` collects every candidate whose total equals the
+    best: the budget keeps one unit of slack there, so each candidate that
+    can reach the best is costed exactly, whatever the visiting order.
+    """
     if depth_left == 0 or i >= phase_end:
         return 0
     cands = _admissible_from(n, pairs, i, kind)
     if not cands:
         return 0
     scored = []
-    for a, _, ca, cb in cands:
-        masks, c0 = _pair_gates(n, i, ca, cb, memo)
-        scored.append((c0, a, masks))
+    for cand in cands:
+        masks, c0 = _pair_gates(n, i, cand[2], cand[3], memo)
+        scored.append((c0, cand, masks))
     scored.sort(key=lambda t: t[0])
+    slack = 0 if tied is None else 1
     best: Optional[int] = None
-    for c0, a, masks in scored:
+    for c0, cand, masks in scored:
         if c0 >= budget:
             break
         if depth_left == 1 or i + 1 >= phase_end:
             sub = 0
         else:
-            nxt = _advance(pairs, a & ~1, masks)
+            nxt = _advance(pairs, cand[0] & ~1, masks)
             sub = _suffix(
                 n, nxt, i + 1, depth_left - 1, phase_end, kind, budget - c0, memo
             )
@@ -272,10 +281,11 @@ def _suffix(
                 continue
         total = c0 + sub
         if best is None or total < best:
-            best = total
-            budget = total
-        if best == 0:
-            break
+            best, budget = total, total + slack
+            if tied is not None:
+                tied.clear()
+        if tied is not None:
+            tied.append(cand)
     return best
 
 
@@ -287,38 +297,17 @@ def _lookahead_choose(
     phase_end: int,
     d: int,
 ) -> Optional[tuple[int, int]]:
-    cands = _admissible_from(n, pairs, i, kind)
-    if not cands or d <= 0:
-        return None
-    best_total: Optional[int] = None
+    """The pair that ``_suffix`` finds cheapest over the next ``d``
+    positions; ties go to the pair leaving the most free blocks, then to
+    the lowest rows."""
     tied: list[tuple[int, int, int, int]] = []
-    memo: dict = {}
-    for cand in cands:
-        a, _, ca, cb = cand
-        masks, c0 = _pair_gates(n, i, ca, cb, memo)
-        if d == 1 or i + 1 >= phase_end:
-            total = c0
-        else:
-            if best_total is not None and c0 > best_total:
-                continue
-            budget = math.inf if best_total is None else best_total - c0 + 1
-            nxt = _advance(pairs, a & ~1, masks)
-            sub = _suffix(n, nxt, i + 1, d - 1, phase_end, kind, budget, memo)
-            if sub is None:
-                continue
-            total = c0 + sub
-        if best_total is None or total < best_total:
-            best_total = total
-            tied = [cand]
-        elif total == best_total:
-            tied.append(cand)
+    _suffix(n, pairs, i, d, phase_end, kind, math.inf, {}, tied)
     if len(tied) > 1:
-        # Ties go to the pair leaving the most free blocks, then the lowest
-        # rows: ``max`` keeps the first of equals, and ``cands`` is by row.
+        # ``max`` keeps the first of equals, and the sort puts rows in order.
         blocks = _blocks(pairs, kind)
-        gaps = Counter((ca ^ cb) >> 1 for _, _, ca, cb in cands)
-        return max(tied, key=lambda t: _count_free(blocks, gaps, (t[2] ^ t[3]) >> 1))[:2]
-    return tied[0][:2]
+        gaps = Counter((ca ^ cb) >> 1 for _, _, ca, cb in _admissible_from(n, pairs, i, kind))
+        return max(sorted(tied), key=lambda t: _count_free(blocks, gaps, (t[2] ^ t[3]) >> 1))[:2]
+    return tied[0][:2] if tied else None
 
 
 def _make_selector(engine: _Engine, kind: str, phase_end: int, cfg: SynthesisConfig):
@@ -415,18 +404,17 @@ def synthesize(
     for w in range(n0, 2, -1):
         mix_gates = pre_gates = red_gates = 0
         mix_depth = mix_fix = lifts = lift_tof = 0
-        stage_seq = GateSequence(w)
+        stage_seq = GateSequence(n0)
         if not is_reducible(current):
             engine = _Engine(current)
-            counts = classify_positions(current)
-            size, half, quarter = engine.size, engine.size // 2, engine.size // 4
-            if counts.normal == size:
-                _run_normal(engine, _make_selector(engine, "normal", half, cfg))
+            pairs = engine.size // 2
+            normal, inverted = _pair_split(engine.pos)
+            if normal == pairs:
+                _run_normal(engine, _make_selector(engine, "normal", pairs, cfg))
                 red_gates = len(engine.gates)
             else:
-                balanced = counts.interrupting == 0 and counts.normal == half
-                if not balanced:
-                    if counts.interrupting != half:
+                if not normal == inverted == pairs // 2:  # not balanced
+                    if normal + inverted != pairs // 2:  # not half interrupting
                         mstats = _mix_engine(engine, cfg.mix)
                         mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
                         mix_gates = len(engine.gates)
@@ -436,13 +424,12 @@ def synthesize(
                 mark = len(engine.gates)
                 _run_general(
                     engine,
-                    _make_selector(engine, "normal", quarter, cfg),
-                    _make_selector(engine, "inverted", half, cfg),
+                    _make_selector(engine, "normal", pairs // 2, cfg),
+                    _make_selector(engine, "inverted", pairs, cfg),
                 )
                 red_gates = len(engine.gates) - mark
-            lifts = engine.stats.region_lifts
-            lift_tof = engine.stats.lift_toffoli
-            stage_seq = engine.sequence()
+            lifts, lift_tof = engine.region_lifts, engine.lift_toffoli
+            stage_seq = engine.sequence(n0)
             current = engine.snapshot()
         stages.append(
             StageStats(
@@ -458,7 +445,7 @@ def synthesize(
                 lift_toffoli=lift_tof,
             )
         )
-        out.extend(g.widen(n0) for g in stage_seq)
+        out.extend(stage_seq)
         current = reduce_width(current)
 
     if n0 >= 2:

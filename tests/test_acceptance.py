@@ -41,7 +41,7 @@ from blocksynth.reduction import (
     _alloc_masks,
     _cons_masks,
     _Engine,
-    _n_pick_rows,
+    _pick_rows,
     _run_normal,
 )
 
@@ -166,7 +166,7 @@ def test_criterion_04_per_call_budgets_width_8():
             lo, hi = engine.entries[2 * i], engine.entries[2 * i + 1]
             if hi == lo + 1 and lo % 2 == 0:
                 continue  # position already holds the right block
-            a, b = _n_pick_rows(engine, i)
+            a, b = _pick_rows(engine, i, "normal")
             engine.lift_pair(i, a, b)
             cgates = _cons_masks(n, i, pos[a], pos[b])
             if cgates:

@@ -144,13 +144,13 @@ class TestBlockTests:
 
     def test_holds_block_even(self):
         engine = _Engine(Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7)))
-        assert [_holds_block(engine, i, False) for i in range(4)] == [True] + [False] * 3
-        assert not any(_holds_block(engine, i, True) for i in range(4))
+        assert [_holds_block(engine, i, "normal") for i in range(4)] == [True] + [False] * 3
+        assert not any(_holds_block(engine, i, "inverted") for i in range(4))
 
     def test_holds_block_odd(self):
         engine = _Engine(Permutation.from_entries((1, 0, 3, 2)))
-        assert [_holds_block(engine, i, True) for i in range(2)] == [True, True]
-        assert not any(_holds_block(engine, i, False) for i in range(2))
+        assert [_holds_block(engine, i, "inverted") for i in range(2)] == [True, True]
+        assert not any(_holds_block(engine, i, "normal") for i in range(2))
 
     def test_count_free_identity(self):
         engine = _Engine(Permutation.identity(3))
@@ -177,6 +177,6 @@ class TestBlockTests:
         engine = _Engine(p)
         i = data.draw(st.integers(0, p.size // 2 - 1))
         pairs = _pairs_from(engine, i)
-        for inverted, kind in ((False, "normal"), (True, "inverted")):
-            held = sum(_holds_block(engine, q, inverted) for q in range(i, p.size // 2))
+        for kind in ("normal", "inverted"):
+            held = sum(_holds_block(engine, q, kind) for q in range(i, p.size // 2))
             assert _blocks(pairs, kind) == held

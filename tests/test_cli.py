@@ -40,6 +40,13 @@ def write_perm(tmp_path, name, perm):
 XOR_TT = "2 1\n0 1 1 0\n"
 
 
+def write_flat_table(tmp_path):
+    """A cost table pricing every gate at 1, for up to 7 controls."""
+    path = tmp_path / "flat.qc"
+    path.write_text("\n".join(f"{m} 1" for m in range(8)) + "\n")
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -157,6 +164,19 @@ class TestSynth:
             main(["synth", src, "--cost-table", str(tmp_path / "absent.qc")])
         assert exc.value.code == 2
 
+    def test_report_is_priced_with_the_cost_table(self, tmp_path, capsys):
+        perm = sample(4, seed=9)
+        src = write_perm(tmp_path, "p.perm", perm)
+        table = write_flat_table(tmp_path)
+        report_path = tmp_path / "p.report"
+        rc = main(["synth", src, "--cost-table", table, "--report", str(report_path)])
+        assert rc == 0
+        fields = dict(zip(*[iter(capsys.readouterr().out.split())] * 2))
+        parsed = parse_report(report_path.read_text())
+        assert int(fields["quantum_cost"]) == int(fields["gates"])  # every gate costs 1
+        assert parsed["quantum_cost_total"] == int(fields["quantum_cost"])
+        assert parsed["cost_table"] == "flat.qc"
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -229,10 +249,9 @@ class TestCost:
 
     def test_custom_cost_table(self, tmp_path, capsys):
         out = self._circuit(tmp_path)
-        table = tmp_path / "flat.qc"
-        table.write_text("\n".join(f"{m} 1" for m in range(8)) + "\n")
+        table = write_flat_table(tmp_path)
         capsys.readouterr()
-        rc = main(["cost", "--circuit", str(out), "--cost-table", str(table)])
+        rc = main(["cost", "--circuit", str(out), "--cost-table", table])
         assert rc == 0
         lines = dict(l.split() for l in capsys.readouterr().out.splitlines())
         seq = read_real(out.read_text())
@@ -390,6 +409,24 @@ class TestBench:
             main(["bench", str(tmp_path), "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    def test_rows_are_priced_with_the_cost_table(self, tmp_path, capsys):
+        perm = sample(4, seed=2)
+        write_perm(tmp_path, "b.perm", perm)
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        rc = main(["bench", str(tmp_path), "--cost-table", write_flat_table(tables)])
+        assert rc == 0
+        header, row = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
+        seq, _ = synthesize(perm)
+        assert dict(zip(header, row))["quantum_cost"] == str(len(seq))
+
+    def test_unreadable_cost_table(self, tmp_path, capsys):
+        self._fill(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path), "--cost-table", str(tmp_path / "absent.qc")])
+        assert exc.value.code == 2
+        assert "cannot read cost table" in capsys.readouterr().err
 
     def test_bad_config_value_rejected(self, tmp_path, capsys):
         self._fill(tmp_path)

@@ -27,8 +27,7 @@ from blocksynth.reduction import (
     _alloc_masks,
     _cons_masks,
     _Engine,
-    _i_pick_rows,
-    _n_pick_rows,
+    _pick_rows,
     _passes,
     _run_general,
     _run_normal,
@@ -80,46 +79,46 @@ def reduced(p, run):
 
 class TestPick:
     def test_identity_region_pair(self):
-        assert _Engine(ID3).scan_region_pair(1) == (4, 5)
+        assert _Engine(ID3).scan_region(1, "normal") == (4, 5)
 
     def test_reports_smaller_column_first(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 7, 6, 4))
         # region for position 1 starts at column 4; row 5 sits at column 4,
         # its partner row 4 at column 7.
-        assert _Engine(p).scan_region_pair(1) == (5, 4)
+        assert _Engine(p).scan_region(1, "inverted") == (5, 4)
 
     def test_raises_when_region_empty(self):
         # every pair is interrupting and has a member below the region
         p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
-        assert _Engine(p).scan_region_pair(1) is None
+        assert _Engine(p).scan_region(1, "inverted") is None
         with pytest.raises(PairNotFound):
-            _i_pick_rows(_Engine(p), 1)
+            _pick_rows(_Engine(p), 1, "inverted")
 
     def test_pair_iterates(self):
-        a, b = _Engine(ID3).scan_region_pair(1)
+        a, b = _Engine(ID3).scan_region(1, "normal")
         assert (a, b) == (4, 5)
 
 
 class TestNPick:
     def test_identity(self):
-        assert _n_pick_rows(_Engine(ID3), 1) == (4, 5)
+        assert _pick_rows(_Engine(ID3), 1, "normal") == (4, 5)
 
     def test_skips_non_normal_members(self):
         # Region [4,8) holds only inverted pairs; falls back outside.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        assert _n_pick_rows(_Engine(p), 1) == (2, 3)
+        assert _pick_rows(_Engine(p), 1, "normal") == (2, 3)
 
     def test_fallback_maximizes_smaller_column(self):
         # Two normal pairs below the region: <0,1> at columns 0,1 and
         # <2,3> at columns 2,3 with position 1's region empty of normals.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        pair = _n_pick_rows(_Engine(p), 1)
+        pair = _pick_rows(_Engine(p), 1, "normal")
         assert pair == (2, 3)  # columns 2,3 beat columns 0,1
 
     def test_raises_when_no_normal_pair_left(self):
         p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
         with pytest.raises(PairNotFound):
-            _n_pick_rows(_Engine(p), 1)
+            _pick_rows(_Engine(p), 1, "normal")
 
 
 class TestLift:
@@ -129,7 +128,7 @@ class TestLift:
 
     def test_moves_pair_into_region(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        a, b = _n_pick_rows(_Engine(p), 1)
+        a, b = _pick_rows(_Engine(p), 1, "normal")
         _, out = lifted(p, 1, (a, b))
         start = reduction._region_mask(3, 1)
         assert out.position_of(a) >= start
@@ -137,7 +136,7 @@ class TestLift:
 
     def test_preserves_columns_below_target(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        pair = _n_pick_rows(_Engine(p), 1)
+        pair = _pick_rows(_Engine(p), 1, "normal")
         _, out = lifted(p, 1, pair)
         assert out.entries[:2] == p.entries[:2]
 
@@ -147,7 +146,7 @@ class TestLift:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            a, b = _n_pick_rows(_Engine(p), i)
+            a, b = _pick_rows(_Engine(p), i, "normal")
         except PairNotFound:
             return
         seq, out = lifted(p, i, (a, b))
@@ -198,7 +197,7 @@ class TestCons:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            pair = _n_pick_rows(_Engine(p), i)
+            pair = _pick_rows(_Engine(p), i, "normal")
         except PairNotFound:
             return
         _, p2 = lifted(p, i, pair)
@@ -248,7 +247,7 @@ class TestAlloc:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            a, b = _n_pick_rows(_Engine(p), i)
+            a, b = _pick_rows(_Engine(p), i, "normal")
         except PairNotFound:
             return
         _, p2 = lifted(p, i, (a, b))
@@ -370,7 +369,7 @@ class TestFusedEmission:
         engine = _Engine(p)
         last = data.draw(st.integers(0, p.size // 2 - 1))
         for i in range(last + 1):
-            engine.allocate(i, *_n_pick_rows(engine, i))
+            engine.allocate(i, *_pick_rows(engine, i, "normal"))
         replayed, _ = apply_sequence(p, GateSequence(p.width), engine.sequence())
         assert engine.snapshot() == replayed
         assert engine.pos == list(replayed.positions)

@@ -21,6 +21,7 @@ from blocksynth import (
     SynthesisConfig,
     WidthMismatch,
     bounds,
+    findm,
     peephole,
     quantum_cost,
     sample,
@@ -29,12 +30,13 @@ from blocksynth import (
     toffoli_count,
     x,
 )
+from blocksynth import synthesis
 from blocksynth.core import Gate, GateSequence, apply_gate, cx, toffoli
 from blocksynth.reduction import (
     _alloc_masks,
     _cons_masks,
     _Engine,
-    _n_pick_rows,
+    _pick_rows,
     _region_mask,
 )
 from blocksynth.synthesis import (
@@ -170,7 +172,7 @@ class TestSelectWithLookahead:
         # and 5 (first admissible pair in region scan order)
         engine, select = normal_phase_selector(Permutation.identity(3), cfg)
         assert select(1) is None
-        assert _n_pick_rows(engine, 1) == (4, 5)
+        assert _pick_rows(engine, 1, "normal") == (4, 5)
 
     @given(permutations(min_width=3, max_width=5), st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
@@ -267,6 +269,90 @@ class TestScorerModel:
         assert _count_free(_blocks(pairs, kind), gaps, (ca ^ cb) >> 1) == expected
 
 
+def _reference_choice(perm, i, kind, phase_end, depth):
+    """The pair the lookahead should pick, by brute force on permutations.
+
+    Each in-region pair of ``kind`` is allocated by applying its emitted
+    gates; the best one has the least total Toffoli count over the next
+    ``depth`` positions (up to ``phase_end``), then leaves the most blocks
+    of ``kind`` after position i, then has the lowest rows.
+    """
+    n = perm.width
+    want = 0 if kind == "normal" else 1  # column parity of the even row
+
+    def candidates(p, i):
+        top = findm(i, n) - 1  # the region's columns start with top 1-bits
+        out = []
+        for r in range(0, p.size, 2):
+            ca, cb = p.position_of(r), p.position_of(r + 1)
+            if any(c >> (n - top) != (1 << top) - 1 for c in (ca, cb)):
+                continue
+            if ca % 2 == want and cb % 2 != want:
+                out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
+        return out
+
+    def allocated(p, i, cand):
+        gates = _emitted(n, i, cand[2], cand[3])
+        for g in gates:
+            p = apply_gate(p, g)
+        return p, toffoli_count(GateSequence(n, tuple(gates)))
+
+    def cheapest(p, i, left):
+        if left == 0 or i >= phase_end:
+            return 0
+        moves = (allocated(p, i, c) for c in candidates(p, i))
+        return min((cost + cheapest(q, i + 1, left - 1) for q, cost in moves), default=0)
+
+    def blocks_after(p, i):
+        slots = (p.entries[2 * q : 2 * q + 2] for q in range(i + 1, p.size // 2))
+        return sum(1 for lo, hi in slots if (lo, hi)[want] % 2 == 0 and lo ^ hi == 1)
+
+    scored = []
+    for cand in candidates(perm, i):
+        q, cost = allocated(perm, i, cand)
+        total = cost + cheapest(q, i + 1, depth - 1)
+        scored.append((total, -blocks_after(q, i), min(cand[:2]), cand[:2]))
+    return min(scored)[-1] if scored else None
+
+
+class TestOneSearch:
+    """Lookahead and the exact tail run one branch and bound; its pick must
+    match a brute-force enumeration that never touches the scorer."""
+
+    @given(
+        st.integers(3, 5),
+        st.integers(0, 10_000),
+        st.sampled_from(["uniform", "parity_aligned"]),
+        st.sampled_from(["normal", "inverted"]),
+        st.sampled_from([1, 2, 3, "tail"]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pick_matches_brute_force(self, n, seed, sample_kind, kind, depth, data):
+        perm = sample(n, seed, sample_kind)
+        phase_end = data.draw(st.sampled_from([perm.size // 4, perm.size // 2]))
+        if depth == "tail":
+            # the exhaustive tail covers the stage: depth runs to phase_end
+            i = data.draw(st.integers(max(0, phase_end - 5), phase_end - 1))
+            cfg = SynthesisConfig(exhaustive_tail=1 << (n - 1))
+            d = phase_end - i
+        else:
+            i = data.draw(st.integers(0, phase_end - 1))
+            cfg = SynthesisConfig(depths={j: depth for j in range(1, 25)}, exhaustive_tail=0)
+            d = depth
+        select = _make_selector(_Engine(perm), kind, phase_end, cfg)
+        assert select(i) == _reference_choice(perm, i, kind, phase_end, d)
+
+    @pytest.mark.parametrize("seed, depth", [(22, 2), (35, 3)])
+    def test_ties_reached_through_different_first_costs(self, seed, depth):
+        # Here tied candidates differ in their first position's cost, so the
+        # search meets them out of row order; the tie-break must not.
+        perm = sample(4, seed, "parity_aligned")
+        cfg = SynthesisConfig(depths={j: depth for j in range(1, 25)}, exhaustive_tail=0)
+        select = _make_selector(_Engine(perm), "normal", 4, cfg)
+        assert select(1) == _reference_choice(perm, 1, "normal", 4, depth)
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 
@@ -332,6 +418,23 @@ class TestSynthesizeEndToEnd:
         assert report.lift_toffoli == sum(s.lift_toffoli for s in report.stages)
         assert report.wall_time_s >= 0.0
         assert report.cost_table == "default"
+
+    @pytest.mark.parametrize("width, seed", [(3, 4), (5, 1), (6, 2)])
+    def test_each_output_gate_is_built_once(self, monkeypatch, width, seed):
+        # Stage gates are built at the output width from their masks, not
+        # built narrow and widened; the two-bit endgame widens its table's
+        # gates, so the table is built before counting.
+        synthesis._two_bit_table()
+        built = []
+        post_init = Gate.__post_init__
+
+        def counting(gate):
+            built.append(gate.width)
+            post_init(gate)
+
+        monkeypatch.setattr(Gate, "__post_init__", counting)
+        seq, _ = synthesize(sample(width, seed), SynthesisConfig(post_peephole=False))
+        assert built == [width] * len(seq)
 
     def test_deterministic(self):
         perm = sample(6, seed=42)
