@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 from collections import Counter
 
-from blocksynth import MixConfig, sample
+from blocksynth import sample
 from blocksynth.blocks import classify_positions
-from blocksynth.conditioning import _mix_engine, _run_preprocess
+from blocksynth.conditioning import MIX_MAX_DEPTH, _mix_engine, _run_preprocess
 from blocksynth.reduction import _Engine
 
 
@@ -26,10 +26,8 @@ def main() -> int:
     parser.add_argument("--width", type=int, default=8)
     parser.add_argument("--samples", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mix-depth", type=int, default=4)
     args = parser.parse_args()
 
-    cfg = MixConfig(max_depth=args.mix_depth)
     target = 1 << (args.width - 1)
     depth_hist: Counter[int] = Counter()
     exact = with_fixups = on_target = 0
@@ -37,9 +35,9 @@ def main() -> int:
     for k in range(args.samples):
         perm = sample(args.width, seed=args.seed + k)
         engine = _Engine(perm)
-        stats = _mix_engine(engine, cfg)
+        stats = _mix_engine(engine)
         depth_hist[stats.depth] += 1
-        exact += stats.exact
+        exact += stats.fixup_gates == 0
         with_fixups += stats.fixup_gates > 0
         total_fixup_gates += stats.fixup_gates
         mixed = engine.snapshot()
@@ -50,7 +48,7 @@ def main() -> int:
         assert counts.interrupting == 0 and counts.normal == counts.inverted
 
     n = args.samples
-    print(f"width {args.width}, {n} samples, mix max_depth {args.mix_depth}")
+    print(f"width {args.width}, {n} samples, mix max_depth {MIX_MAX_DEPTH}")
     print(f"reached interrupting == {target}: {on_target}/{n}")
     print(f"exact composite (no repair gates): {exact}/{n} ({100*exact/n:.1f}%)")
     shallow = sum(v for d, v in depth_hist.items() if d <= 2)

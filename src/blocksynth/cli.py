@@ -14,7 +14,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .conditioning import MixConfig
 from .core import MAX_WIDTH, GateSequence, Permutation, verify_identity
 from .cost import (
     CostTable,
@@ -76,52 +75,23 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _parse_depths(spec: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise UsageError(f"bad --depths entry {part!r}, expected j=d")
-        j, _, d = part.partition("=")
-        try:
-            out[int(j)] = int(d)
-        except ValueError:
-            raise UsageError(f"bad --depths entry {part!r}, expected integers") from None
-    return out
-
-
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--depth", type=int, help="constant lookahead depth")
-    group.add_argument("--depths", help="per-scale lookahead depths, e.g. 2=1,3=2")
+    p.add_argument("--depth", type=int, help="constant lookahead depth")
     p.add_argument(
         "--tail-exhaustive",
         type=int,
         default=9,
         help="exact search over the last positions of a stage (0 disables)",
     )
-    p.add_argument("--no-peephole", action="store_true")
-    p.add_argument("--mix-depth", type=int, default=4)
-    p.add_argument("--mix-budget", type=int, default=2_000_000)
     p.add_argument("--cost-table", help="quantum-cost table file")
 
 
 def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
+    depths = None
     if args.depth is not None:
         depths = {j: args.depth for j in range(1, MAX_WIDTH + 1)}
-    elif args.depths:
-        depths = _parse_depths(args.depths)
-    else:
-        depths = None
     try:
-        return SynthesisConfig(
-            depths=depths,
-            exhaustive_tail=args.tail_exhaustive,
-            mix=MixConfig(max_depth=args.mix_depth, enumeration_budget=args.mix_budget),
-            post_peephole=not args.no_peephole,
-        )
+        return SynthesisConfig(depths=depths, exhaustive_tail=args.tail_exhaustive)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

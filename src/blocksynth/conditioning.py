@@ -6,12 +6,12 @@ with an explicit raise, so it holds under ``python -O``.
 
 ``_mix_engine`` drives the interrupting-row count to exactly half the rows
 by searching short CX composites (a few arbitrary CX moves followed by one
-CX targeting the last line).  When no composite within the configured
-depth and budget lands exactly, the closest candidate is applied and the
-remainder is repaired with fully controlled last-line toggles — each toggle
-moves the count by 4 toward the target, inserting a status-neutral
-rearrangement walk first whenever the two residents of every candidate slot
-belong to the same pair.
+CX targeting the last line).  When no composite within ``MIX_MAX_DEPTH``
+moves and ``MIX_BUDGET`` evaluations lands exactly, the closest candidate
+is applied and the remainder is repaired with fully controlled last-line
+toggles — each toggle moves the count by 4 toward the target, inserting a
+status-neutral rearrangement walk first whenever the two residents of
+every candidate slot belong to the same pair.
 
 ``_run_preprocess`` consumes a half-interrupting state: it builds
 pseudo-blocks from one even-column and one odd-column interrupting member
@@ -34,28 +34,19 @@ from .core import Masks, exchange_columns
 from .reduction import PairNotFound, _Engine, _region_mask
 
 
-@dataclass(frozen=True)
-class MixConfig:
-    """Knobs for the mixing search."""
-
-    max_depth: int = 4
-    enumeration_budget: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.max_depth <= 4:
-            raise ValueError(f"max_depth must be within 0..4, got {self.max_depth}")
-        if self.enumeration_budget < 0:
-            raise ValueError("enumeration_budget must be non-negative")
+# Bounds of the mixing search, read at call time.  Random maps at widths
+# 3-11 stay far inside both; lowering either only adds repair gates.
+MIX_MAX_DEPTH = 4
+MIX_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
 class MixStats:
-    """How the mixing target was reached."""
+    """How the mixing target was reached (exactly when ``fixup_gates`` is 0)."""
 
     depth: int  # composite length actually applied (0 when input was on target)
     fixup_gates: int  # fully controlled repair gates appended after the composite
     evaluations: int  # composites scored during enumeration
-    exact: bool  # True when a composite alone landed on target
 
 
 def prefix_moves(width: int) -> tuple[Masks, ...]:
@@ -120,9 +111,8 @@ def _closing_deltas(pos: list[int], width: int) -> tuple[int, list[int]]:
 
 
 class _MixSearch:
-    def __init__(self, engine: _Engine, cfg: MixConfig):
+    def __init__(self, engine: _Engine):
         self.e = engine
-        self.cfg = cfg
         self.target = engine.size // 2
         self.prefixes = prefix_moves(engine.n)
         self.finals = closing_moves(engine.n)
@@ -135,7 +125,7 @@ class _MixSearch:
         n = self.e.n
         cur, deltas = _closing_deltas(self.e.pos, n)
         for g in self.finals:
-            if self.evaluated >= self.cfg.enumeration_budget:
+            if self.evaluated >= MIX_BUDGET:
                 return True
             self.evaluated += 1
             control_line = n + 1 - (g[0] | g[1]).bit_length()
@@ -149,7 +139,7 @@ class _MixSearch:
     def _walk(self, depth_left: int, prefix: list[Masks]) -> bool:
         if depth_left == 0:
             return self._leaf(prefix)
-        if self.evaluated >= self.cfg.enumeration_budget:
+        if self.evaluated >= MIX_BUDGET:
             return True
         # Apply on the scratch state without recording (engine.emit would
         # record), then undo: every gate is an involution.
@@ -167,7 +157,7 @@ class _MixSearch:
     def run(self) -> None:
         """Search composites of growing length until one lands or the
         budget runs out (``_walk`` returns True for either)."""
-        for prefix_length in range(self.cfg.max_depth):
+        for prefix_length in range(MIX_MAX_DEPTH):
             if self._walk(prefix_length, []):
                 return
 
@@ -247,17 +237,17 @@ def _fixups(engine: _Engine, target: int) -> int:
         last = lam
 
 
-def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
+def _mix_engine(engine: _Engine) -> MixStats:
     """Drive the interrupting-row count to exactly half the rows.
 
-    Applies a pure CX composite whenever one within ``cfg.max_depth`` and
-    ``cfg.enumeration_budget`` exists; otherwise the closest candidate plus
-    fully controlled repair toggles.
+    Applies a pure CX composite whenever one within ``MIX_MAX_DEPTH`` moves
+    and ``MIX_BUDGET`` evaluations exists; otherwise the closest candidate
+    plus fully controlled repair toggles.
     """
     target = engine.size // 2
     if engine.size - 2 * sum(_pair_split(engine.pos)) == target:
-        return MixStats(0, 0, 0, True)
-    search = _MixSearch(engine, cfg)
+        return MixStats(0, 0, 0)
+    search = _MixSearch(engine)
     search.run()
     dist, moves = search.best or (None, [])
     engine.emit(*moves)
@@ -267,7 +257,7 @@ def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
         raise RuntimeError(
             f"internal error: mixing left {lam} interrupting rows, not {target}"
         )
-    return MixStats(len(moves), fixes, search.evaluated, dist == 0)
+    return MixStats(len(moves), fixes, search.evaluated)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +265,7 @@ def _mix_engine(engine: _Engine, cfg: MixConfig) -> MixStats:
 
 
 def _scan_member(
-    engine: _Engine,
-    i: int,
-    col_parity: int,
-    want_normal: bool,
-    exclude_pair: int,
+    engine: _Engine, i: int, col_parity: int, want_normal: bool
 ) -> Optional[int]:
     """First unconsumed interrupting member at a column of ``col_parity``
     that steers its pair the wanted way: the region's columns from the
@@ -288,8 +274,6 @@ def _scan_member(
     mask = _region_mask(engine.n, i)
     for col in chain(range(mask + col_parity, size, 2), range(2 * i + col_parity, mask, 2)):
         r = entries[col]
-        if r >> 1 == exclude_pair:
-            continue
         partner = r ^ 1
         pcol = pos[partner]
         if pcol < 2 * i:
@@ -307,7 +291,9 @@ def _scan_member(
 def _pre_pick_rows(engine: _Engine, i: int, deficits: list[int]) -> tuple[int, int]:
     """Pseudo-block i's even-column and odd-column members.  Each steers its
     pair toward the larger of ``deficits`` (the outstanding normal and
-    inverted conversions; normal on a tie) and decrements it in place."""
+    inverted conversions; normal on a tie) and decrements it in place.
+    An interrupting pair's members sit at columns of equal parity, so the
+    two scans never meet the same pair."""
     if min(deficits) < 0:
         raise RuntimeError(
             f"internal error: negative conversion deficits {deficits[0]},"
@@ -316,16 +302,14 @@ def _pre_pick_rows(engine: _Engine, i: int, deficits: list[int]) -> tuple[int, i
     if sum(deficits) <= 0:
         raise PairNotFound("no pseudo-block conversions are outstanding")
     chosen = []
-    exclude = -1
     for parity in (0, 1):
         want_normal = deficits[0] >= deficits[1]
-        row = _scan_member(engine, i, parity, want_normal, exclude)
+        row = _scan_member(engine, i, parity, want_normal)
         if row is None:
             raise PairNotFound(
                 f"no unconsumed interrupting member at column parity {parity}"
             )
         chosen.append(row)
-        exclude = row >> 1
         deficits[0 if want_normal else 1] -= 1
     return chosen[0], chosen[1]
 

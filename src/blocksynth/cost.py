@@ -27,6 +27,8 @@ from .core import Gate, GateSequence, cx, toffoli, x
 class MissingCostEntry(KeyError):
     """The cost table has no row for this control count."""
 
+    __str__ = BaseException.__str__  # KeyError's own str() quotes the message
+
 
 COST_TABLE_ENV = "BLOCKSYNTH_COST_TABLE"
 

@@ -350,9 +350,6 @@ def write_report(report: SynthesisReport) -> str:
         ("cost_table", report.cost_table),
         ("depths", depth_spec),
         ("exhaustive_tail", cfg.exhaustive_tail),
-        ("mix_max_depth", cfg.mix.max_depth),
-        ("mix_budget", cfg.mix.enumeration_budget),
-        ("post_peephole", int(cfg.post_peephole)),
         ("stage_count", len(report.stages)),
     ]
     for s in report.stages:

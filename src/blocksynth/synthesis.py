@@ -26,8 +26,9 @@ go to the pair that leaves the most free blocks, a count read off the
 current blocks and a histogram of the candidates by slot gap, without
 running any candidate's masks (``_count_free``).
 
-The emitted sequence is always verified against the input before being
-returned; a failure is an internal error, not a user error.
+Adjacent identical gates are cancelled (``peephole``), and the result is
+always verified against the input before being returned; a failure is an
+internal error, not a user error.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .blocks import _pair_split
-from .conditioning import MixConfig, _mix_engine, _run_preprocess
+from .conditioning import _mix_engine, _run_preprocess
 from .core import (
     Gate,
     GateSequence,
@@ -75,14 +76,11 @@ class SynthesisConfig:
     j = (r-1).bit_length(), so 1 <= j <= MAX_WIDTH); missing entries default
     to depth 1, and depth 0 reproduces the plain scan-order selection.
     ``exhaustive_tail`` switches the last positions of a stage to exact
-    branch-and-bound (0 disables).  ``post_peephole`` cancels adjacent
-    identical gates in the result.
+    branch-and-bound (0 disables).
     """
 
     depths: Optional[Mapping[int, int]] = None
     exhaustive_tail: int = 9
-    mix: MixConfig = field(default_factory=MixConfig)
-    post_peephole: bool = True
 
     def __post_init__(self) -> None:
         if self.exhaustive_tail < 0:
@@ -415,7 +413,7 @@ def synthesize(
             else:
                 if not normal == inverted == pairs // 2:  # not balanced
                     if normal + inverted != pairs // 2:  # not half interrupting
-                        mstats = _mix_engine(engine, cfg.mix)
+                        mstats = _mix_engine(engine)
                         mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
                         mix_gates = len(engine.gates)
                     mark = len(engine.gates)
@@ -453,9 +451,7 @@ def synthesize(
     elif not current.is_identity():
         out.append(x(1, 1))
 
-    seq = GateSequence(n0, tuple(out))
-    if cfg.post_peephole:
-        seq = peephole(seq)
+    seq = peephole(GateSequence(n0, tuple(out)))
     if not verify_identity(perm, seq):
         raise RuntimeError(
             "internal error: synthesized circuit does not realize the input"

@@ -20,7 +20,6 @@ import pytest
 
 from blocksynth import (
     GateSequence,
-    MixConfig,
     Permutation,
     SynthesisConfig,
     apply_gate,
@@ -208,11 +207,11 @@ def test_criterion_05_conditioning_postconditions():
     for k in range(samples):
         perm = sample(8, seed=k)
         engine = _Engine(perm)
-        stats = _mix_engine(engine, MixConfig())
+        stats = _mix_engine(engine)
         mixed = engine.snapshot()
         if classify_positions(mixed).interrupting == target:
             exact_hits += 1
-        if stats.exact and stats.depth <= 2:
+        if stats.fixup_gates == 0 and stats.depth <= 2:
             depth_shallow += 1
         _run_preprocess(engine)
         counts = classify_positions(engine.snapshot())

@@ -47,6 +47,16 @@ def write_flat_table(tmp_path):
     return str(path)
 
 
+def write_gap_table(tmp_path):
+    """A cost table with no entry for one-control gates."""
+    path = tmp_path / "gap.qc"
+    path.write_text("0 1\n2 5\n3 13\n")
+    return str(path)
+
+
+GAP_MESSAGE = "cost table 'gap.qc' has no entry for 1 controls"
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -124,31 +134,11 @@ class TestSynth:
             main(["synth", str(src)])
         assert exc.value.code == 2
 
-    def test_depth_and_depths_are_exclusive(self, tmp_path, capsys):
-        src = write_perm(tmp_path, "p.perm", sample(3, seed=1))
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", src, "--depth", "1", "--depths", "2=1"])
-        assert exc.value.code == 2
-        capsys.readouterr()
-
-    def test_malformed_depths_spec(self, tmp_path):
-        src = write_perm(tmp_path, "p.perm", sample(3, seed=1))
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", src, "--depths", "nonsense"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", src, "--depths", "a=b"])
-        assert exc.value.code == 2
-
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--mix-depth", "9"], "max_depth must be within 0..4, got 9"),
-            (["--mix-budget", "-1"], "enumeration_budget must be non-negative"),
             (["--depth", "-3"], "lookahead depths must be non-negative, got -3"),
-            (["--depths", "2=1,3=-1"], "lookahead depths must be non-negative, got -1"),
             (["--tail-exhaustive", "-4"], "exhaustive_tail must be non-negative, got -4"),
-            (["--depths", "99=0,-4=0"], "lookahead depth buckets must be within 1..24, got -4"),
         ],
     )
     def test_bad_config_values_are_usage_errors(self, tmp_path, capsys, flags, message):
@@ -164,6 +154,13 @@ class TestSynth:
             main(["synth", src, "--cost-table", str(tmp_path / "absent.qc")])
         assert exc.value.code == 2
 
+    def test_missing_cost_entry_prints_unquoted(self, tmp_path, capsys):
+        src = write_perm(tmp_path, "p.perm", sample(4, seed=3))
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", src, "--cost-table", write_gap_table(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {GAP_MESSAGE}\n"
+
     def test_report_is_priced_with_the_cost_table(self, tmp_path, capsys):
         perm = sample(4, seed=9)
         src = write_perm(tmp_path, "p.perm", perm)
@@ -176,6 +173,18 @@ class TestSynth:
         assert int(fields["quantum_cost"]) == int(fields["gates"])  # every gate costs 1
         assert parsed["quantum_cost_total"] == int(fields["quantum_cost"])
         assert parsed["cost_table"] == "flat.qc"
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+@pytest.mark.parametrize(
+    "flags", [["--no-peephole"], ["--mix-depth", "4"], ["--mix-budget", "9"], ["--depths", "2=1"]]
+)
+def test_removed_flags_exit_2(tmp_path, capsys, command, flags):
+    target = write_perm(tmp_path, "p.perm", sample(3, seed=1))
+    with pytest.raises(SystemExit) as exc:
+        main([command, target if command == "synth" else str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +269,11 @@ class TestCost:
 
     def test_incomplete_cost_table_is_a_clean_error(self, tmp_path, capsys):
         out = self._circuit(tmp_path)
-        table = tmp_path / "tiny.qc"
-        table.write_text("0 1\n")
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(["cost", "--circuit", str(out), "--cost-table", str(table)])
+            main(["cost", "--circuit", str(out), "--cost-table", write_gap_table(tmp_path)])
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {GAP_MESSAGE}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +434,13 @@ class TestBench:
             main(["bench", str(tmp_path), "--cost-table", str(tmp_path / "absent.qc")])
         assert exc.value.code == 2
         assert "cannot read cost table" in capsys.readouterr().err
+
+    def test_missing_cost_entry_prints_unquoted(self, tmp_path, capsys):
+        write_perm(tmp_path, "b.perm", sample(4, seed=2))
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        assert main(["bench", str(tmp_path), "--cost-table", write_gap_table(tables)]) == 0
+        assert capsys.readouterr().err == f"error: b.perm: {GAP_MESSAGE}\n"
 
     def test_bad_config_value_rejected(self, tmp_path, capsys):
         self._fill(tmp_path)

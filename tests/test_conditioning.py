@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from blocksynth import (
     Gate,
     GateSequence,
-    MixConfig,
     Permutation,
-    SynthesisConfig,
     apply_gate,
     apply_sequence,
     classify_positions,
@@ -39,10 +37,10 @@ HALF_INTERRUPTING = Permutation.from_entries(
 )
 
 
-def mix(p, cfg=None):
+def mix(p):
     """Run the mixing pass on a fresh engine: (mixed state, gates)."""
     engine = _Engine(p)
-    _mix_engine(engine, cfg or MixConfig())
+    _mix_engine(engine)
     return engine.snapshot(), engine.sequence()
 
 
@@ -155,17 +153,10 @@ class TestMix:
     @given(permutations(min_width=3, max_width=4))
     @settings(max_examples=40, deadline=None)
     def test_pure_fixup_fallback(self, p):
-        cfg = MixConfig(max_depth=0)
-        mixed, seq = mix(p, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditioning, "MIX_MAX_DEPTH", 0)  # no composite search
+            mixed, seq = mix(p)
         assert classify_positions(mixed).interrupting == p.size // 2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MixConfig(max_depth=5)
-        with pytest.raises(ValueError):
-            MixConfig(max_depth=-1)
-        with pytest.raises(ValueError):
-            MixConfig(enumeration_budget=-1)
 
     def test_gate_shapes(self):
         # identity is far off target and (at width 4) has no exact composite
@@ -303,9 +294,9 @@ class TestInternalChecks:
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 6, 7))
         assert classify_positions(p).interrupting == 0
         monkeypatch.setattr(conditioning, "_fixups", lambda engine, target: 0)
-        cfg = SynthesisConfig(mix=MixConfig(max_depth=0))
+        monkeypatch.setattr(conditioning, "MIX_MAX_DEPTH", 0)
         with pytest.raises(RuntimeError, match="internal error: mixing left 0"):
-            synthesize(p, cfg)
+            synthesize(p)
 
     def test_negative_deficits(self, monkeypatch):
         # Five normal pairs claimed where a quarter of the rows makes four.

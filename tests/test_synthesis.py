@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
-    MixConfig,
     Permutation,
     SynthesisConfig,
     WidthMismatch,
@@ -30,7 +29,7 @@ from blocksynth import (
     toffoli_count,
     x,
 )
-from blocksynth import synthesis
+from blocksynth import conditioning, synthesis
 from blocksynth.core import Gate, GateSequence, apply_gate, cx, toffoli
 from blocksynth.reduction import (
     _alloc_masks,
@@ -141,7 +140,9 @@ class TestPeephole:
     @given(permutations(min_width=3, max_width=4))
     @settings(max_examples=25, deadline=None)
     def test_preserves_function_and_is_stable(self, perm):
-        seq, _ = synthesize(perm, SynthesisConfig(post_peephole=False))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "peephole", lambda seq: seq)  # raw output
+            seq, _ = synthesize(perm)
         slim = peephole(seq)
         assert circuit_table(perm.width, as_plain(slim)) == list(perm.entries)
         assert all(
@@ -433,7 +434,8 @@ class TestSynthesizeEndToEnd:
             post_init(gate)
 
         monkeypatch.setattr(Gate, "__post_init__", counting)
-        seq, _ = synthesize(sample(width, seed), SynthesisConfig(post_peephole=False))
+        monkeypatch.setattr(synthesis, "peephole", lambda seq: seq)
+        seq, _ = synthesize(sample(width, seed))
         assert built == [width] * len(seq)
 
     def test_deterministic(self):
@@ -448,8 +450,10 @@ class TestSynthesizeEndToEnd:
         # Stages record mask triples and build each Gate from one, so
         # controls are in ascending line order and peephole's == sees every
         # pair of equal gates.  Mix depth 0 forces the repair gates.
-        cfg = SynthesisConfig(mix=MixConfig(max_depth=mix_depth), post_peephole=False)
-        seq, _ = synthesize(perm, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditioning, "MIX_MAX_DEPTH", mix_depth)
+            mp.setattr(synthesis, "peephole", lambda seq: seq)
+            seq, _ = synthesize(perm)
         assert all(g == Gate.from_masks(g.width, *g.masks()) for g in seq)
 
     def test_depth_zero_configuration_still_verifies(self):
@@ -475,14 +479,6 @@ class TestSynthesizeEndToEnd:
             shallow_total += toffoli_count(shallow)
             deep_total += toffoli_count(deep)
         assert deep_total < shallow_total
-
-    def test_peephole_toggle(self):
-        perm = sample(5, seed=11)
-        raw, _ = synthesize(perm, SynthesisConfig(post_peephole=False))
-        slim, _ = synthesize(perm, SynthesisConfig(post_peephole=True))
-        assert len(slim) <= len(raw)
-        assert circuit_table(5, as_plain(raw)) == list(perm.entries)
-        assert circuit_table(5, as_plain(slim)) == list(perm.entries)
 
 
 class TestParityTheorem:
@@ -542,6 +538,10 @@ class TestSynthesisConfig:
         assert cfg.depth_for(5) == 2
         assert cfg.depth_for(8) == 2
         assert cfg.depth_for(9) == 1
+
+    def test_settable_values(self):
+        names = [f.name for f in dataclasses.fields(SynthesisConfig)]
+        assert names == ["depths", "exhaustive_tail"]
 
     def test_frozen(self):
         cfg = SynthesisConfig()
