@@ -48,6 +48,13 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _read_circuit(path: str) -> GateSequence:
+    try:
+        return read_real(_read_text(path))
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _load_spec(path: str) -> tuple[Permutation, int, int]:
     """Read a permutation or truth-table file; returns (perm, n_out, garbage).
 
@@ -149,10 +156,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     perm, _, _ = _load_spec(args.perm)
-    try:
-        seq = read_real(_read_text(args.circuit))
-    except ValueError as exc:
-        raise UsageError(f"{args.circuit}: {exc}") from None
+    seq = _read_circuit(args.circuit)
     if seq.width != perm.width:
         raise UsageError(
             f"width mismatch: permutation {perm.width}, circuit {seq.width}"
@@ -166,10 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     table = _table_from_args(args)
-    try:
-        seq = read_real(_read_text(args.circuit))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    seq = _read_circuit(args.circuit)
     qc = _priced(seq, table)
     print(f"gates {len(seq)}")
     print(f"toffoli {toffoli_count(seq)}")
@@ -179,11 +180,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    try:
-        seq = read_real(_read_text(args.circuit))
-        result = expand_mct(seq, args.policy)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = expand_mct(_read_circuit(args.circuit), args.policy)
     _write(args.out, format_real(result.circuit))
     print(
         f"gates {len(result.circuit)} width {result.circuit.width} "

@@ -5,11 +5,12 @@ triples like the reduction does, and end by checking their postcondition
 with an explicit raise, so it holds under ``python -O``.
 
 ``_mix_engine`` drives the interrupting-row count to exactly half the rows
-by searching short CX composites (a few arbitrary CX moves followed by one
-CX targeting the last line).  When no composite within ``MIX_MAX_DEPTH``
-moves and ``MIX_BUDGET`` evaluations lands exactly, the closest candidate
-is applied and the remainder is repaired with fully controlled last-line
-toggles — each toggle moves the count by 4 toward the target, inserting a
+by searching short CX composites (a few CX moves followed by one CX
+targeting the last line), scored off the Walsh spectrum of the pairs'
+column differences.  When no composite within ``MIX_MAX_DEPTH`` moves and
+``MIX_BUDGET`` evaluations lands exactly, the closest candidate is applied
+and the remainder is repaired with fully controlled last-line toggles —
+each toggle moves the count by 4 toward the target, inserting a
 status-neutral rearrangement walk first whenever the two residents of
 every candidate slot belong to the same pair.
 
@@ -30,7 +31,7 @@ from itertools import chain
 from typing import Optional
 
 from .blocks import _pair_split
-from .core import Masks, exchange_columns
+from .core import Masks
 from .reduction import PairNotFound, _Engine, _region_mask
 
 
@@ -50,28 +51,20 @@ class MixStats:
 
 
 def prefix_moves(width: int) -> tuple[Masks, ...]:
-    """Every CX move usable inside a composite, as masks, in canonical order.
-
-    Ordered by (control line, polarity — positive first, target line);
-    2·n·(n-1) moves.
-    """
-    out = []
-    for control in range(1, width + 1):
-        c = 1 << (width - control)
-        for ones, zeros in ((c, 0), (0, c)):
-            for target in range(1, width + 1):
-                if target != control:
-                    out.append((ones, zeros, 1 << (width - target)))
-    return tuple(out)
+    """Every CX move usable inside a composite, as masks: by control line,
+    then target line; n·(n-1) moves.  Controls are positive only: a negative
+    one adds an X on the target, which leaves every score unchanged."""
+    return tuple(
+        (1 << (width - control), 0, 1 << (width - target))
+        for control in range(1, width + 1)
+        for target in range(1, width + 1)
+        if target != control
+    )
 
 
 def closing_moves(width: int) -> tuple[Masks, ...]:
-    """The composite's mandatory last move: a CX targeting the last line.
-
-    Ordered by (control line, polarity); 2·(n-1) moves.
-    """
-    controls = (1 << (width - line) for line in range(1, width))
-    return tuple(m for c in controls for m in ((c, 0, 1), (0, c, 1)))
+    """The composite's last move, a CX onto the last line, by control line."""
+    return tuple((1 << (width - line), 0, 1) for line in range(1, width))
 
 
 def _interrupting_pairs(entries: list[int]) -> bytearray:
@@ -83,37 +76,41 @@ def _interrupting_pairs(entries: list[int]) -> bytearray:
     return mism
 
 
-def _closing_deltas(pos: list[int], width: int) -> tuple[int, list[int]]:
-    """The interrupting-row count, and its change for each closing-move control.
+def _walsh_spectrum(pos: list[int]) -> list[int]:
+    """W(a) = sum over pairs of (-1)^<a, d>, d the pair's column difference.
 
-    A pair is interrupting exactly when its members sit at columns of equal
-    parity.  A last-line CX swaps the residents of every slot whose block
-    index matches the control; a pair changes interrupting status exactly
-    when one member's slot toggles and the other's does not, i.e. when their
-    slot indices differ at the control's bit — which makes the delta
-    independent of control polarity.
+    A pair is interrupting exactly when bit 0 of d is 0 (its members sit at
+    columns of equal parity).  A CX composite maps every d by one linear
+    map, so after one that makes the last column bit the functional a, the
+    interrupting-row count is (number of pairs) + W(a).
     """
-    count = 0
-    deltas = [0] * width  # index by control line, entries 1..width-1 used
-    for a in range(0, len(pos), 2):
-        ca, cb = pos[a], pos[a + 1]
-        is_int = ((ca ^ cb) & 1) == 0
-        if is_int:
-            count += 2
-        diff = (ca ^ cb) >> 1
-        if not diff:
-            continue
-        w = -2 if is_int else 2
-        for line in range(1, width):
-            if (diff >> (width - 1 - line)) & 1:
-                deltas[line] += w
-    return count, deltas
+    size = len(pos)
+    spectrum = [0] * size
+    for a in range(0, size, 2):
+        spectrum[pos[a] ^ pos[a + 1]] += 1
+    h = 1
+    while h < size:  # in-place fast Walsh-Hadamard transform
+        for base in range(0, size, 2 * h):
+            for j in range(base, base + h):
+                x, y = spectrum[j], spectrum[j + h]
+                spectrum[j], spectrum[j + h] = x + y, x - y
+        h *= 2
+    return spectrum
 
 
 class _MixSearch:
+    """Composites tracked as the rows of their linear map, never applied.
+
+    ``rows[m]``, keyed by a column bit's mask as in the moves' masks, is the
+    functional (a mask over the input column's bits) giving that bit after
+    the prefix.  A prefix move c->t is ``rows[t] ^= rows[c]``, and a closing
+    move from c lands ``|W(rows[1] ^ rows[c])|`` rows from the target (mask
+    1 is the last line).
+    """
+
     def __init__(self, engine: _Engine):
-        self.e = engine
-        self.target = engine.size // 2
+        self.spectrum = _walsh_spectrum(engine.pos)
+        self.rows = {1 << b: 1 << b for b in range(engine.n)}
         self.prefixes = prefix_moves(engine.n)
         self.finals = closing_moves(engine.n)
         self.evaluated = 0
@@ -122,14 +119,13 @@ class _MixSearch:
         self.best: Optional[tuple[int, list[Masks]]] = None
 
     def _leaf(self, prefix: list[Masks]) -> bool:
-        n = self.e.n
-        cur, deltas = _closing_deltas(self.e.pos, n)
+        rows, spectrum = self.rows, self.spectrum
+        last = rows[1]
         for g in self.finals:
             if self.evaluated >= MIX_BUDGET:
                 return True
             self.evaluated += 1
-            control_line = n + 1 - (g[0] | g[1]).bit_length()
-            dist = abs(cur + deltas[control_line] - self.target)
+            dist = abs(spectrum[last ^ rows[g[0]]])
             if self.best is None or dist < self.best[0]:
                 self.best = (dist, prefix + [g])
                 if dist == 0:
@@ -141,15 +137,14 @@ class _MixSearch:
             return self._leaf(prefix)
         if self.evaluated >= MIX_BUDGET:
             return True
-        # Apply on the scratch state without recording (engine.emit would
-        # record), then undo: every gate is an involution.
-        entries, pos = self.e.entries, self.e.pos
+        rows = self.rows
         for g in self.prefixes:
-            exchange_columns(entries, *g, pos)
+            control, _, target = g
+            rows[target] ^= rows[control]
             prefix.append(g)
             stop = self._walk(depth_left - 1, prefix)
             prefix.pop()
-            exchange_columns(entries, *g, pos)
+            rows[target] ^= rows[control]
             if stop:
                 return True
         return False

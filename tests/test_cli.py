@@ -57,6 +57,20 @@ def write_gap_table(tmp_path):
 GAP_MESSAGE = "cost table 'gap.qc' has no entry for 1 controls"
 
 
+def write_undeclared_line(tmp_path):
+    """A .real file whose line 6 names an undeclared variable."""
+    bad = tmp_path / "bad.real"
+    bad.write_text(
+        ".numvars 3\n.variables a b c\n.inputs a b c\n.outputs a b c\n"
+        ".begin\nt1 q\n.end\n"
+    )
+    return bad
+
+
+def parse_error(bad):
+    return f"error: {bad}: line 6: 'q' not declared\n"
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -275,6 +289,13 @@ class TestCost:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"error: {GAP_MESSAGE}\n"
 
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        bad = write_undeclared_line(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--circuit", str(bad)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == parse_error(bad)
+
 
 # ---------------------------------------------------------------------------
 # expand
@@ -305,6 +326,15 @@ class TestExpand:
             if policy == "clean":
                 assert got & ((1 << work) - 1) == 0
             assert got >> work == perm.entries[col]
+
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        bad = write_undeclared_line(tmp_path)
+        out = tmp_path / "out.real"
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--circuit", str(bad), "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == parse_error(bad)
+        assert not out.exists()
 
     def test_unknown_policy_rejected_by_argparse(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

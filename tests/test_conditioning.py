@@ -21,9 +21,11 @@ from blocksynth.conditioning import (
     _exact_move,
     _fixups,
     _mix_engine,
+    _MixSearch,
     _pair_split,
     _pre_pick_rows,
     _run_preprocess,
+    _walsh_spectrum,
     closing_moves,
     prefix_moves,
 )
@@ -81,23 +83,61 @@ def permutations(draw, min_width=3, max_width=5):
 class TestMoveCatalogues:
     def test_prefix_moves_count_and_order(self):
         moves = prefix_moves(3)
-        assert len(moves) == 2 * 3 * 2
-        assert [str(Gate.from_masks(3, *m)) for m in moves[:4]] == [
+        assert len(moves) == 3 * 2
+        assert [str(Gate.from_masks(3, *m)) for m in moves] == [
             "C(1)X@2",
             "C(1)X@3",
-            "C(!1)X@2",
-            "C(!1)X@3",
+            "C(2)X@1",
+            "C(2)X@3",
+            "C(3)X@1",
+            "C(3)X@2",
         ]
 
     def test_closing_moves_all_target_last_line(self):
         moves = [Gate.from_masks(4, *m) for m in closing_moves(4)]
-        assert len(moves) == 2 * 3
+        assert len(moves) == 3
         assert all(g.target == 4 for g in moves)
-        assert [str(g) for g in moves[:2]] == ["C(1)X@4", "C(!1)X@4"]
+        assert [str(g) for g in moves] == ["C(1)X@4", "C(2)X@4", "C(3)X@4"]
 
     def test_catalogues_are_single_control(self):
         assert all((ones | zeros).bit_count() == 1 for ones, zeros, _ in prefix_moves(4))
         assert all((ones | zeros).bit_count() == 1 for ones, zeros, _ in closing_moves(4))
+
+
+class TestWalshScoring:
+    @given(permutations(max_width=6), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_count_after_composite_is_pairs_plus_spectrum(self, p, data):
+        """A composite whose last column bit reads the functional a leaves
+        (pairs) + W(a) interrupting rows, and a negative control on any one
+        move leaves the count unchanged."""
+        n = p.width
+        lines = st.integers(1, n)
+        moves = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            control = data.draw(lines)
+            moves.append((control, data.draw(lines.filter(lambda t: t != control))))
+        moves.append((data.draw(st.integers(1, n - 1)), n))
+        rows = {line: 1 << (n - line) for line in range(1, n + 1)}
+        for control, target in moves:
+            rows[target] ^= rows[control]
+        spectrum = _walsh_spectrum(p.positions)
+        expected = p.size // 2 + spectrum[rows[n]]
+        for negated in [None, *range(len(moves))]:  # all positive, then each move negative
+            q = p
+            for k, (control, target) in enumerate(moves):
+                q = apply_gate(q, cx(n, control, target, positive=k != negated))
+            assert classify_positions(q).interrupting == expected
+
+    @given(permutations(max_width=6))
+    @settings(max_examples=60, deadline=None)
+    def test_search_leaves_the_engine_untouched(self, p):
+        engine = _Engine(p)
+        entries, pos = list(engine.entries), list(engine.pos)
+        search = _MixSearch(engine)
+        search.run()
+        assert search.best is not None
+        assert (engine.entries, engine.pos, engine.gates) == (entries, pos, [])
 
 
 class TestInterruptingArithmetic:
