@@ -2,8 +2,8 @@
 """Measure how hard the mixing pass works on random permutations.
 
 For seeded uniform samples at one width, reports how many reach the
-interrupting-row target exactly, the distribution of composite depths the
-search needed, and how often fully controlled repair gates were required.
+interrupting-row target exactly, the distribution of composite depths (CX
+gates emitted), and how often fully controlled repair gates were required.
 Also confirms the follow-up balancing pass lands every sample on zero
 interrupting rows with equal normal/inverted counts.
 
@@ -17,7 +17,7 @@ from collections import Counter
 
 from blocksynth import sample
 from blocksynth.blocks import classify_positions
-from blocksynth.conditioning import MIX_MAX_DEPTH, _mix_engine, _run_preprocess
+from blocksynth.conditioning import _mix_engine, _run_preprocess
 from blocksynth.reduction import _Engine
 
 
@@ -48,7 +48,7 @@ def main() -> int:
         assert counts.interrupting == 0 and counts.normal == counts.inverted
 
     n = args.samples
-    print(f"width {args.width}, {n} samples, mix max_depth {MIX_MAX_DEPTH}")
+    print(f"width {args.width}, {n} samples")
     print(f"reached interrupting == {target}: {on_target}/{n}")
     print(f"exact composite (no repair gates): {exact}/{n} ({100*exact/n:.1f}%)")
     shallow = sum(v for d, v in depth_hist.items() if d <= 2)

@@ -5,12 +5,11 @@ triples like the reduction does, and end by checking their postcondition
 with an explicit raise, so it holds under ``python -O``.
 
 ``_mix_engine`` drives the interrupting-row count to exactly half the rows
-by searching short CX composites (a few CX moves followed by one CX
-targeting the last line), scored off the Walsh spectrum of the pairs'
-column differences.  When no composite within ``MIX_MAX_DEPTH`` moves and
-``MIX_BUDGET`` evaluations lands exactly, the closest candidate is applied
-and the remainder is repaired with fully controlled last-line toggles —
-each toggle moves the count by 4 toward the target, inserting a
+with one CX composite picked off the Walsh spectrum of the pairs' column
+differences: the nonzero functional a with the smallest |W(a)|, put on the
+last line.  No X/CX circuit of any length does better, so only when that
+W(a) is not 0 is the remainder repaired with fully controlled last-line
+toggles — each toggle moves the count by 4 toward the target, inserting a
 status-neutral rearrangement walk first whenever the two residents of
 every candidate slot belong to the same pair.
 
@@ -35,36 +34,13 @@ from .core import Masks
 from .reduction import PairNotFound, _Engine, _region_mask
 
 
-# Bounds of the mixing search, read at call time.  Random maps at widths
-# 3-11 stay far inside both; lowering either only adds repair gates.
-MIX_MAX_DEPTH = 4
-MIX_BUDGET = 2_000_000
-
-
 @dataclass(frozen=True)
 class MixStats:
     """How the mixing target was reached (exactly when ``fixup_gates`` is 0)."""
 
-    depth: int  # composite length actually applied (0 when input was on target)
+    depth: int  # CX gates in the composite (0 when the input was on target)
     fixup_gates: int  # fully controlled repair gates appended after the composite
-    evaluations: int  # composites scored during enumeration
-
-
-def prefix_moves(width: int) -> tuple[Masks, ...]:
-    """Every CX move usable inside a composite, as masks: by control line,
-    then target line; n·(n-1) moves.  Controls are positive only: a negative
-    one adds an X on the target, which leaves every score unchanged."""
-    return tuple(
-        (1 << (width - control), 0, 1 << (width - target))
-        for control in range(1, width + 1)
-        for target in range(1, width + 1)
-        if target != control
-    )
-
-
-def closing_moves(width: int) -> tuple[Masks, ...]:
-    """The composite's last move, a CX onto the last line, by control line."""
-    return tuple((1 << (width - line), 0, 1) for line in range(1, width))
+    evaluations: int  # nonzero functionals scored (0 when the input was on target)
 
 
 def _interrupting_pairs(entries: list[int]) -> bytearray:
@@ -96,65 +72,6 @@ def _walsh_spectrum(pos: list[int]) -> list[int]:
                 spectrum[j], spectrum[j + h] = x + y, x - y
         h *= 2
     return spectrum
-
-
-class _MixSearch:
-    """Composites tracked as the rows of their linear map, never applied.
-
-    ``rows[m]``, keyed by a column bit's mask as in the moves' masks, is the
-    functional (a mask over the input column's bits) giving that bit after
-    the prefix.  A prefix move c->t is ``rows[t] ^= rows[c]``, and a closing
-    move from c lands ``|W(rows[1] ^ rows[c])|`` rows from the target (mask
-    1 is the last line).
-    """
-
-    def __init__(self, engine: _Engine):
-        self.spectrum = _walsh_spectrum(engine.pos)
-        self.rows = {1 << b: 1 << b for b in range(engine.n)}
-        self.prefixes = prefix_moves(engine.n)
-        self.finals = closing_moves(engine.n)
-        self.evaluated = 0
-        # (distance from target, moves) of the closest composite so far;
-        # the search stops at the first one at distance 0.
-        self.best: Optional[tuple[int, list[Masks]]] = None
-
-    def _leaf(self, prefix: list[Masks]) -> bool:
-        rows, spectrum = self.rows, self.spectrum
-        last = rows[1]
-        for g in self.finals:
-            if self.evaluated >= MIX_BUDGET:
-                return True
-            self.evaluated += 1
-            dist = abs(spectrum[last ^ rows[g[0]]])
-            if self.best is None or dist < self.best[0]:
-                self.best = (dist, prefix + [g])
-                if dist == 0:
-                    return True
-        return False
-
-    def _walk(self, depth_left: int, prefix: list[Masks]) -> bool:
-        if depth_left == 0:
-            return self._leaf(prefix)
-        if self.evaluated >= MIX_BUDGET:
-            return True
-        rows = self.rows
-        for g in self.prefixes:
-            control, _, target = g
-            rows[target] ^= rows[control]
-            prefix.append(g)
-            stop = self._walk(depth_left - 1, prefix)
-            prefix.pop()
-            rows[target] ^= rows[control]
-            if stop:
-                return True
-        return False
-
-    def run(self) -> None:
-        """Search composites of growing length until one lands or the
-        budget runs out (``_walk`` returns True for either)."""
-        for prefix_length in range(MIX_MAX_DEPTH):
-            if self._walk(prefix_length, []):
-                return
 
 
 def _exact_move(width: int, src: int, dst: int) -> Masks:
@@ -232,27 +149,52 @@ def _fixups(engine: _Engine, target: int) -> int:
         last = lam
 
 
+def _composite(a: int) -> list[Masks]:
+    """CX moves after which the last column bit reads the functional ``a``.
+
+    When ``a`` has line n's bit (mask 1), one CX from each other set line
+    onto line n; otherwise ``a``'s lowest-mask line first swaps with line n
+    (three CXs), then the same.  Lowest mask first throughout.
+    """
+    moves: list[Masks] = []
+    rest = a & ~1
+    if not a & 1:
+        low = a & -a
+        moves += [(low, 0, 1), (1, 0, low), (low, 0, 1)]
+        rest ^= low
+    while rest:
+        line = rest & -rest
+        moves.append((line, 0, 1))
+        rest ^= line
+    return moves
+
+
 def _mix_engine(engine: _Engine) -> MixStats:
     """Drive the interrupting-row count to exactly half the rows.
 
-    Applies a pure CX composite whenever one within ``MIX_MAX_DEPTH`` moves
-    and ``MIX_BUDGET`` evaluations exists; otherwise the closest candidate
-    plus fully controlled repair toggles.
+    Picks the nonzero functional a with the smallest |W(a)| (then one
+    containing line n, the fewest lines, the smallest mask) and emits the
+    CX composite that puts it on the last line.  Every invertible linear
+    map ends in some nonzero a, so repair toggles run only when no X/CX
+    circuit of any length lands exactly.
     """
     target = engine.size // 2
     if engine.size - 2 * sum(_pair_split(engine.pos)) == target:
         return MixStats(0, 0, 0)
-    search = _MixSearch(engine)
-    search.run()
-    dist, moves = search.best or (None, [])
+    spectrum = _walsh_spectrum(engine.pos)
+    a = min(
+        range(1, engine.size),
+        key=lambda f: (abs(spectrum[f]), not f & 1, f.bit_count(), f),
+    )
+    moves = _composite(a)
     engine.emit(*moves)
-    fixes = 0 if dist == 0 else _fixups(engine, target)
+    fixes = _fixups(engine, target) if spectrum[a] else 0
     lam = engine.size - 2 * sum(_pair_split(engine.pos))
     if lam != target:
         raise RuntimeError(
             f"internal error: mixing left {lam} interrupting rows, not {target}"
         )
-    return MixStats(len(moves), fixes, search.evaluated)
+    return MixStats(len(moves), fixes, engine.size - 1)
 
 
 # ---------------------------------------------------------------------------

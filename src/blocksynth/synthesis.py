@@ -3,9 +3,10 @@
 ``synthesize`` walks the width down one line at a time.  At each stage the
 pair census of the current permutation (``blocks._pair_split``) picks the
 path: already-reducible states cost nothing; all-normal states go straight
-to reduction; an exact half count of interrupting rows goes to
-preprocessing then reduction; a balanced normal/inverted split goes to the
-general reduction; anything else is first mixed.  A stage's passes share
+to reduction, and all-inverted ones too after one X on the last line; an
+exact half count of interrupting rows goes to preprocessing then
+reduction; a balanced normal/inverted split goes to the general reduction;
+anything else is first mixed.  A stage's passes share
 one ``_Engine``, which records mask triples; its ``Gate``s are built once,
 when the stage ends, at the original width (lines keep their numbers; the
 stripped lines are the trailing ones), and concatenated.  Widths 1 and 2
@@ -117,7 +118,7 @@ class StageStats:
     toffoli: int
     bound: int  # analytic per-reduction Toffoli budget at this width
     region_lifts: int
-    mix_depth: int  # composite length the mixing search applied
+    mix_depth: int  # CX gates in the mixing composite
     mix_fixups: int  # fully controlled repair gates after the composite
     lift_toffoli: int = 0  # Toffoli-equivalents spent lifting pairs in-region
 
@@ -407,9 +408,13 @@ def synthesize(
             engine = _Engine(current)
             pairs = engine.size // 2
             normal, inverted = _pair_split(engine.pos)
+            if inverted == pairs:  # X on the last line makes every pair normal
+                engine.emit((0, 0, 1))
+                normal = pairs
+                mix_gates = 1
             if normal == pairs:
                 _run_normal(engine, _make_selector(engine, "normal", pairs, cfg))
-                red_gates = len(engine.gates)
+                red_gates = len(engine.gates) - mix_gates
             else:
                 if not normal == inverted == pairs // 2:  # not balanced
                     if normal + inverted != pairs // 2:  # not half interrupting

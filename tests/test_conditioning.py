@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itertools import permutations as orderings
+
 from blocksynth import (
     Gate,
     GateSequence,
@@ -18,16 +20,14 @@ from blocksynth import (
 )
 from blocksynth import conditioning
 from blocksynth.conditioning import (
+    _composite,
     _exact_move,
     _fixups,
     _mix_engine,
-    _MixSearch,
     _pair_split,
     _pre_pick_rows,
     _run_preprocess,
     _walsh_spectrum,
-    closing_moves,
-    prefix_moves,
 )
 from blocksynth.reduction import _Engine
 from helpers import mismatch_rows
@@ -37,6 +37,13 @@ from helpers import mismatch_rows
 HALF_INTERRUPTING = Permutation.from_entries(
     (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11)
 )
+
+
+def flat_spectrum(pos):
+    """Stands in for ``_walsh_spectrum`` to force repairs: every |W(a)| ties
+    and is nonzero, so the pick is a = 1, which emits no CX and leaves the
+    count as it was."""
+    return [len(pos) // 2] * len(pos)
 
 
 def mix(p):
@@ -80,30 +87,6 @@ def permutations(draw, min_width=3, max_width=5):
     return Permutation.from_entries(tuple(entries))
 
 
-class TestMoveCatalogues:
-    def test_prefix_moves_count_and_order(self):
-        moves = prefix_moves(3)
-        assert len(moves) == 3 * 2
-        assert [str(Gate.from_masks(3, *m)) for m in moves] == [
-            "C(1)X@2",
-            "C(1)X@3",
-            "C(2)X@1",
-            "C(2)X@3",
-            "C(3)X@1",
-            "C(3)X@2",
-        ]
-
-    def test_closing_moves_all_target_last_line(self):
-        moves = [Gate.from_masks(4, *m) for m in closing_moves(4)]
-        assert len(moves) == 3
-        assert all(g.target == 4 for g in moves)
-        assert [str(g) for g in moves] == ["C(1)X@4", "C(2)X@4", "C(3)X@4"]
-
-    def test_catalogues_are_single_control(self):
-        assert all((ones | zeros).bit_count() == 1 for ones, zeros, _ in prefix_moves(4))
-        assert all((ones | zeros).bit_count() == 1 for ones, zeros, _ in closing_moves(4))
-
-
 class TestWalshScoring:
     @given(permutations(max_width=6), st.data())
     @settings(max_examples=120, deadline=None)
@@ -129,15 +112,61 @@ class TestWalshScoring:
                 q = apply_gate(q, cx(n, control, target, positive=k != negated))
             assert classify_positions(q).interrupting == expected
 
+    @given(permutations(max_width=6), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_composite_puts_the_functional_on_the_last_line(self, p, data):
+        a = data.draw(st.integers(1, p.size - 1))
+        q = p
+        for masks in _composite(a):
+            q = apply_gate(q, Gate.from_masks(p.width, *masks))
+        expected = p.size // 2 + _walsh_spectrum(p.positions)[a]
+        assert classify_positions(q).interrupting == expected
+
+
+class TestSpectralPick:
     @given(permutations(max_width=6))
-    @settings(max_examples=60, deadline=None)
-    def test_search_leaves_the_engine_untouched(self, p):
+    @settings(max_examples=80, deadline=None)
+    def test_emitted_moves_land_on_the_smallest_spectral_value(self, p):
+        """The composite leaves (pairs) + W(a) interrupting rows, with
+        |W(a)| the smallest over every nonzero a; repairs follow exactly
+        when that is not 0."""
         engine = _Engine(p)
-        entries, pos = list(engine.entries), list(engine.pos)
-        search = _MixSearch(engine)
-        search.run()
-        assert search.best is not None
-        assert (engine.entries, engine.pos, engine.gates) == (entries, pos, [])
+        stats = _mix_engine(engine)
+        q = p
+        for masks in engine.gates[: stats.depth]:
+            q = apply_gate(q, Gate.from_masks(p.width, *masks))
+        closest = min(abs(w) for w in _walsh_spectrum(p.positions)[1:])
+        assert abs(classify_positions(q).interrupting - p.size // 2) == closest
+        assert (stats.fixup_gates == 0) == (closest == 0)
+        assert len(engine.gates) == stats.depth + stats.fixup_gates
+
+    def test_width_three_against_every_cx_circuit(self):
+        """At width 3 some CX circuit lands on half interrupting rows
+        exactly when some nonzero a has W(a) = 0, and that is exactly when
+        mixing needs no repair gates.  X gates leave every pair's column
+        difference alone, so CX circuits are every X/CX circuit here.  The
+        count depends only on the multiset of pairs' column differences,
+        so one map per multiset covers all 8! maps."""
+        moves = [cx(3, c, t) for c in range(1, 4) for t in range(1, 4) if t != c]
+        maps = {}
+        for entries in orderings(range(8)):
+            p = Permutation.from_entries(entries)
+            pos = p.positions
+            maps.setdefault(tuple(sorted(pos[r] ^ pos[r + 1] for r in (0, 2, 4, 6))), p)
+        landings = 0
+        for p in maps.values():
+            reached, frontier = {p}, [p]
+            while frontier:
+                frontier = [apply_gate(q, g) for q in frontier for g in moves]
+                frontier = [q for q in set(frontier) if q not in reached]
+                reached.update(frontier)
+            assert len(reached) == 168  # GL(3, 2)
+            lands = any(classify_positions(q).interrupting == 4 for q in reached)
+            spectral = 0 in _walsh_spectrum(p.positions)[1:]
+            repaired = _mix_engine(_Engine(p)).fixup_gates > 0
+            assert lands == spectral == (not repaired)
+            landings += lands
+        assert (len(maps), landings) == (35, 28)
 
 
 class TestInterruptingArithmetic:
@@ -194,14 +223,15 @@ class TestMix:
     @settings(max_examples=40, deadline=None)
     def test_pure_fixup_fallback(self, p):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(conditioning, "MIX_MAX_DEPTH", 0)  # no composite search
+            mp.setattr(conditioning, "_walsh_spectrum", flat_spectrum)  # no composite
             mixed, seq = mix(p)
         assert classify_positions(mixed).interrupting == p.size // 2
 
     def test_gate_shapes(self):
-        # identity is far off target and (at width 4) has no exact composite
-        # within depth 4, so the output is a best composite plus fully
-        # controlled repair toggles — never anything in between.
+        # Every pair of the identity has column difference 1, so |W(a)| is
+        # the pair count for every a: no CX circuit lands, and the output is
+        # a composite plus fully controlled repair toggles — never anything
+        # in between.
         p = Permutation.identity(4)
         mixed, seq = mix(p)
         assert classify_positions(mixed).interrupting == 8
@@ -329,12 +359,12 @@ class TestInternalChecks:
     def test_mix_postcondition(self, monkeypatch):
         # Width-3 state with 6 normal and 2 inverted rows: off the mixing
         # target (4 interrupting rows), not balanced, not reducible.  With
-        # no composite search and repairs that emit nothing, mixing ends
-        # off target, and synthesize itself must say so.
+        # no composite and repairs that emit nothing, mixing ends off
+        # target, and synthesize itself must say so.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 6, 7))
         assert classify_positions(p).interrupting == 0
         monkeypatch.setattr(conditioning, "_fixups", lambda engine, target: 0)
-        monkeypatch.setattr(conditioning, "MIX_MAX_DEPTH", 0)
+        monkeypatch.setattr(conditioning, "_walsh_spectrum", flat_spectrum)
         with pytest.raises(RuntimeError, match="internal error: mixing left 0"):
             synthesize(p)
 

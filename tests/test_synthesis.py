@@ -444,17 +444,28 @@ class TestSynthesizeEndToEnd:
         second, _ = synthesize(perm)
         assert first.gates == second.gates
 
-    @given(permutations(min_width=3, max_width=5), st.sampled_from([0, 4]))
+    @given(permutations(min_width=3, max_width=5), st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_gates_come_out_in_mask_form(self, perm, mix_depth):
+    def test_gates_come_out_in_mask_form(self, perm, force_repairs):
         # Stages record mask triples and build each Gate from one, so
         # controls are in ascending line order and peephole's == sees every
-        # pair of equal gates.  Mix depth 0 forces the repair gates.
+        # pair of equal gates.  A flat spectrum forces the repair gates: it
+        # picks a = 1, which emits no CX and leaves the count where it was.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(conditioning, "MIX_MAX_DEPTH", mix_depth)
+            if force_repairs:
+                mp.setattr(conditioning, "_walsh_spectrum", lambda pos: [len(pos) // 2] * len(pos))
             mp.setattr(synthesis, "peephole", lambda seq: seq)
             seq, _ = synthesize(perm)
         assert all(g == Gate.from_masks(g.width, *g.masks()) for g in seq)
+
+    @pytest.mark.parametrize("width,k", [(3, 7), (6, 1), (8, 1), (8, 0b10110101), (10, 5)])
+    def test_xor_with_a_constant_costs_no_toffoli(self, width, k):
+        # x -> x ^ k is all inverted at every stage where k has the last
+        # line's bit: one X there makes it all normal, with nothing to mix.
+        seq, report = synthesize(Permutation.from_entries(tuple(v ^ k for v in range(1 << width))))
+        assert report.toffoli_total == 0
+        assert len(seq) == k.bit_count()
+        assert report.assumption1_deviations == 0
 
     def test_depth_zero_configuration_still_verifies(self):
         cfg = SynthesisConfig(depths={j: 0 for j in range(1, 16)}, exhaustive_tail=0)
