@@ -6,12 +6,13 @@ with an explicit raise, so it holds under ``python -O``.
 
 ``_mix_engine`` drives the interrupting-row count to exactly half the rows
 with one CX composite picked off the Walsh spectrum of the pairs' column
-differences: the nonzero functional a with the smallest |W(a)|, put on the
-last line.  No X/CX circuit of any length does better, so only when that
-W(a) is not 0 is the remainder repaired with fully controlled last-line
-toggles — each toggle moves the count by 4 toward the target, inserting a
-status-neutral rearrangement walk first whenever the two residents of
-every candidate slot belong to the same pair.
+differences: a functional a with the smallest |W(a)|, put on the last line
+by the shortest CX circuit (ties go to the first in move order).  No X/CX
+circuit of any length does better, so only when that W(a) is not 0 is the
+remainder repaired with fully controlled last-line toggles — each toggle
+moves the count by 4 toward the target, inserting a status-neutral
+rearrangement walk first whenever the two residents of every candidate
+slot belong to the same pair.
 
 ``_run_preprocess`` consumes a half-interrupting state: it builds
 pseudo-blocks from one even-column and one odd-column interrupting member
@@ -40,7 +41,7 @@ class MixStats:
 
     depth: int  # CX gates in the composite (0 when the input was on target)
     fixup_gates: int  # fully controlled repair gates appended after the composite
-    evaluations: int  # nonzero functionals scored (0 when the input was on target)
+    evaluations: int  # nonzero functionals scored: always size - 1
 
 
 def _interrupting_pairs(entries: list[int]) -> bytearray:
@@ -152,40 +153,40 @@ def _fixups(engine: _Engine, target: int) -> int:
 def _composite(a: int) -> list[Masks]:
     """CX moves after which the last column bit reads the functional ``a``.
 
-    When ``a`` has line n's bit (mask 1), one CX from each other set line
-    onto line n; otherwise ``a``'s lowest-mask line first swaps with line n
-    (three CXs), then the same.  Lowest mask first throughout.
+    A chain through ``a``'s lines other than line n (mask 1), in line
+    order, into line n: CX(l1->l2), ..., CX(lk->n).  When ``a`` lacks line
+    n, a CX(n->lk) just before the last move cancels line n's own bit.
+    No shorter CX circuit puts ``a`` there, and none of the same length
+    comes earlier in move order (control line, then target line).
     """
-    moves: list[Masks] = []
-    rest = a & ~1
+    chain = [1 << b for b in reversed(range(1, a.bit_length())) if a >> b & 1] + [1]
+    moves: list[Masks] = [(c, 0, t) for c, t in zip(chain, chain[1:])]
     if not a & 1:
-        low = a & -a
-        moves += [(low, 0, 1), (1, 0, low), (low, 0, 1)]
-        rest ^= low
-    while rest:
-        line = rest & -rest
-        moves.append((line, 0, 1))
-        rest ^= line
+        moves.insert(-1, (1, 0, chain[-2]))
     return moves
+
+
+def _sweep_rank(a: int) -> tuple[int, list[tuple[int, int]]]:
+    """Where ``_composite(a)`` comes in a sweep of CX circuits by growing
+    length, then in move order (control line, then target line)."""
+    moves = _composite(a)
+    return len(moves), [(-c, -t) for c, _, t in moves]
 
 
 def _mix_engine(engine: _Engine) -> MixStats:
     """Drive the interrupting-row count to exactly half the rows.
 
-    Picks the nonzero functional a with the smallest |W(a)| (then one
-    containing line n, the fewest lines, the smallest mask) and emits the
-    CX composite that puts it on the last line.  Every invertible linear
-    map ends in some nonzero a, so repair toggles run only when no X/CX
-    circuit of any length lands exactly.
+    Among the functionals a with the smallest |W(a)|, emits the composite
+    that comes first in a sweep of CX circuits by growing length, then in
+    move order; a = 1 is the empty composite, so an input already on
+    target gets no gate.  Every invertible linear map ends in some nonzero
+    a, so repair toggles run only when no X/CX circuit of any length lands
+    exactly.
     """
     target = engine.size // 2
-    if engine.size - 2 * sum(_pair_split(engine.pos)) == target:
-        return MixStats(0, 0, 0)
     spectrum = _walsh_spectrum(engine.pos)
-    a = min(
-        range(1, engine.size),
-        key=lambda f: (abs(spectrum[f]), not f & 1, f.bit_count(), f),
-    )
+    closest = min(abs(w) for w in spectrum[1:])
+    a = min((f for f in range(1, engine.size) if abs(spectrum[f]) == closest), key=_sweep_rank)
     moves = _composite(a)
     engine.emit(*moves)
     fixes = _fixups(engine, target) if spectrum[a] else 0

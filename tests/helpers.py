@@ -1,4 +1,4 @@
-"""Independent oracles shared by the test suite.
+"""Independent oracles shared by the test suite, and one stub.
 
 Everything here recomputes expectations from first principles (bit fiddling,
 brute-force search, explicit summation) without calling into the package's
@@ -140,3 +140,10 @@ def rebalance_budget(n: int) -> int:
     for i in range(2, n - 2):
         s += (2 * i - 3) * comb(n - 3, i)
     return ceil(s)
+
+
+def flat_spectrum(pos):
+    """Stands in for ``conditioning._walsh_spectrum`` to force mixing's
+    repairs: every |W(a)| ties and is nonzero, so the pick is a = 1, which
+    emits no CX and leaves the count as it was."""
+    return [len(pos) // 2] * len(pos)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itertools import permutations as orderings
+from itertools import permutations as orderings, product
 
 from blocksynth import (
     Gate,
@@ -30,20 +30,13 @@ from blocksynth.conditioning import (
     _walsh_spectrum,
 )
 from blocksynth.reduction import _Engine
-from helpers import mismatch_rows
+from helpers import flat_spectrum, mismatch_rows
 
 # Hand-classified width-4 map: 2 normal, 6 inverted, 8 interrupting rows —
 # exactly on the mixing target and a valid preprocessing input.
 HALF_INTERRUPTING = Permutation.from_entries(
     (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11)
 )
-
-
-def flat_spectrum(pos):
-    """Stands in for ``_walsh_spectrum`` to force repairs: every |W(a)| ties
-    and is nonzero, so the pick is a = 1, which emits no CX and leaves the
-    count as it was."""
-    return [len(pos) // 2] * len(pos)
 
 
 def mix(p):
@@ -139,6 +132,32 @@ class TestSpectralPick:
         assert abs(classify_positions(q).interrupting - p.size // 2) == closest
         assert (stats.fixup_gates == 0) == (closest == 0)
         assert len(engine.gates) == stats.depth + stats.fixup_gates
+
+    def test_pick_is_the_first_closest_circuit_of_a_sweep(self):
+        """Sweeping CX circuits by growing length, then in move order
+        (control line, then target line), ``_composite(a)`` is the first
+        circuit that puts a on the last line, and mixing emits the first
+        circuit whose functional has the smallest |W|."""
+        n = 4
+        lines = range(1, n + 1)
+        moves = [(1 << (n - c), 0, 1 << (n - t)) for c in lines for t in lines if t != c]
+        first = {}  # functional -> first circuit putting it on the last line
+        for length in range(5):
+            for circuit in product(moves, repeat=length):
+                rows = {1 << b: 1 << b for b in range(n)}
+                for c, _, t in circuit:
+                    rows[t] ^= rows[c]
+                first.setdefault(rows[1], list(circuit))
+        assert sorted(first) == list(range(1, 1 << n))
+        assert all(_composite(a) == circuit for a, circuit in first.items())
+        for seed in range(20):
+            p = sample(n, seed)
+            spectrum = _walsh_spectrum(p.positions)
+            closest = min(abs(spectrum[a]) for a in first)
+            engine = _Engine(p)
+            stats = _mix_engine(engine)
+            expected = next(c for a, c in first.items() if abs(spectrum[a]) == closest)
+            assert engine.gates[: stats.depth] == expected
 
     def test_width_three_against_every_cx_circuit(self):
         """At width 3 some CX circuit lands on half interrupting rows

@@ -32,36 +32,36 @@ DEPTH_0_NO_TAIL = SynthesisConfig(depths={j: 0 for j in range(1, 25)}, exhaustiv
 # name -> (map, config, Toffoli count, sha256 of format_real)
 GOLDEN = {
     "khazad": (
-        "khazad", DEFAULT, 880,
-        "676f1e76203e37187fa4b3349c6dfa3f84b4b3e1b779d05c09f1522ca0506d65",
+        "khazad", DEFAULT, 889,
+        "873b577c8e689eedb6c5960d43b9a69789b842e197e0f1200d4d5c8f856c5bfb",
     ),
     "skipjack": (
-        "skipjack", DEFAULT, 885,
-        "3389aa9335ba8dfbb342a5aa85e1bd8fc63d95dcc30416bfab1b586726bed9b8",
+        "skipjack", DEFAULT, 880,
+        "cb4e6ebf989a457221254d687a15068685091bf5e92fae37d245b2adf6967cfd",
     ),
     "sample-8-1": (
-        (8, 1), DEFAULT, 868,
-        "d53560f3cb6f6ad17a2ce76ab1a47c9daa459eb65b5a1a880add7f4c73a70442",
+        (8, 1), DEFAULT, 927,
+        "b4fa2b281e80b377ceb96237dad78240b7b88b24501cdd5f98ccc0bef020cbe0",
     ),
     "sample-8-2": (
-        (8, 2), DEFAULT, 892,
-        "e154e4f4114fdac665ac76b303225d4503868041b4202d92337e1f5ecd784ebd",
+        (8, 2), DEFAULT, 890,
+        "69093e3a7272cb6a30176e9d868cb83bc8fa2f82097ae215363e2f84e3098e7c",
     ),
     "sample-10-1": (
-        (10, 1), DEFAULT, 5581,
-        "fc1e80847abfd232948132350af6eea19e9dae6c7b74e95917d6a8d309c14ecf",
+        (10, 1), DEFAULT, 5600,
+        "2a7d8d139cf66e358ab047dd7f582ad6466fd24a07a83dfd215d13814c0c1ba5",
     ),
     "sample-6-1-depth-2": (
-        (6, 1), DEPTH_2, 117,
-        "291d4b29c3ea8d802e2f6be02a4262611441ba25601e263d5e76140ae089edab",
+        (6, 1), DEPTH_2, 119,
+        "8894b2b14220e025fb776e0e2160e18a6a557f83a6e700b61f4613114982cd06",
     ),
     "sample-9-1-depth-0-no-tail": (
-        (9, 1), DEPTH_0_NO_TAIL, 2945,
-        "5f3c3e2977e342edc151c753043e7af082da7a160a914c2b8a54d5d1e403b3ba",
+        (9, 1), DEPTH_0_NO_TAIL, 2920,
+        "48dded56e15dfeb65dc21f41eef18c3a0da03a0f5f2bd2b65f7edc7c93ad2a77",
     ),
     "sample-11-1-depth-0-no-tail": (
-        (11, 1), DEPTH_0_NO_TAIL, 16761,
-        "d45a06f1faebcc1af61d0b54c140ec0ca74044204c0393624f2f076bf3e203f3",
+        (11, 1), DEPTH_0_NO_TAIL, 16748,
+        "d9619ef4828cf7d50e198662aa2aeb99391f32ec40fcf41a2fc57ff23ae03c18",
     ),
 }
 

@@ -47,7 +47,7 @@ from blocksynth.synthesis import (
     _track,
 )
 
-from helpers import as_plain, circuit_table, independent_parity, sim_circuit
+from helpers import as_plain, circuit_table, flat_spectrum, independent_parity, sim_circuit
 
 
 @st.composite
@@ -449,11 +449,10 @@ class TestSynthesizeEndToEnd:
     def test_gates_come_out_in_mask_form(self, perm, force_repairs):
         # Stages record mask triples and build each Gate from one, so
         # controls are in ascending line order and peephole's == sees every
-        # pair of equal gates.  A flat spectrum forces the repair gates: it
-        # picks a = 1, which emits no CX and leaves the count where it was.
+        # pair of equal gates.  A flat spectrum forces the repair gates.
         with pytest.MonkeyPatch.context() as mp:
             if force_repairs:
-                mp.setattr(conditioning, "_walsh_spectrum", lambda pos: [len(pos) // 2] * len(pos))
+                mp.setattr(conditioning, "_walsh_spectrum", flat_spectrum)
             mp.setattr(synthesis, "peephole", lambda seq: seq)
             seq, _ = synthesize(perm)
         assert all(g == Gate.from_masks(g.width, *g.masks()) for g in seq)
