@@ -107,14 +107,6 @@ class Gate:
             rest ^= bit
         return cls(width, width + 1 - tmask.bit_length(), tuple(controls))
 
-    def widen(self, width: int) -> "Gate":
-        """Embed into a wider circuit keeping the same 1-based lines."""
-        if width < self.width:
-            raise WidthMismatch(f"cannot narrow gate from {self.width} to {width}")
-        if width == self.width:
-            return self
-        return Gate(width, self.target, self.controls)
-
     def __str__(self) -> str:  # compact diagnostic form, e.g. C(1,3̄)X@2
         if not self.controls:
             return f"X@{self.target}"
@@ -222,9 +214,6 @@ class GateSequence:
         if other.width != self.width:
             raise WidthMismatch(f"{self.width} vs {other.width}")
         return GateSequence(self.width, self.gates + other.gates)
-
-    def widen(self, width: int) -> "GateSequence":
-        return GateSequence(width, tuple(g.widen(width) for g in self.gates))
 
     @classmethod
     def of(cls, *gates: Gate) -> "GateSequence":

@@ -201,7 +201,8 @@ def expand_mct(
     before and after each expanded gate.  Dirty policy borrows existing
     lines outside a gate's support and appends at most one extra line (only
     when some gate touches every original line); borrowed lines are restored
-    no matter their prior value.
+    no matter their prior value.  Each distinct gate is expanded, and its
+    piece checked, once per call.
     """
     if policy not in ("clean", "dirty"):
         raise ValueError(f"unknown expansion policy {policy!r}")
@@ -212,20 +213,26 @@ def expand_mct(
     else:
         work = 1 if any(g.control_count >= 3 and g.control_count + 2 > n for g in seq) else 0
     width = n + work
+    pieces: dict[Gate, list[Gate]] = {}  # each distinct gate, expanded once
     out: list[Gate] = []
     for g in seq:
-        negatives = sorted(l for l, positive in g.controls if not positive)
-        controls = sorted(l for l, _ in g.controls)
-        for l in negatives:
-            out.append(x(width, l))
-        out.extend(_expand_positive(width, controls, g.target, policy, n))
-        for l in negatives:
-            out.append(x(width, l))
-    circuit = GateSequence(width, tuple(out))
-    for g in circuit:
-        if g.control_count > 2 or not all(pos for _, pos in g.controls):
+        piece = pieces.get(g)
+        if piece is None:
+            piece = pieces[g] = _expand_gate(g, width, policy, n)
+        out.extend(piece)
+    return ExpansionResult(GateSequence(width, tuple(out)), work)
+
+
+def _expand_gate(g: Gate, width: int, policy: str, clean_base: int) -> list[Gate]:
+    """``g`` at ``width`` in NOTs, CNOTs and Toffolis with positive controls."""
+    conjugate = [x(width, l) for l, positive in sorted(g.controls) if not positive]
+    controls = sorted(l for l, _ in g.controls)
+    piece = conjugate + _expand_positive(width, controls, g.target, policy, clean_base)
+    piece += conjugate
+    for p in piece:
+        if p.control_count > 2 or not all(pos for _, pos in p.controls):
             raise RuntimeError(
-                f"internal error: expansion left {g}, which is not a NOT, CNOT "
+                f"internal error: expansion left {p}, which is not a NOT, CNOT "
                 "or Toffoli with positive controls"
             )
-    return ExpansionResult(circuit, work)
+    return piece

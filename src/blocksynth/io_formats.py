@@ -32,7 +32,8 @@ class Unbalanced(ValueError):
 
 
 class UnknownDirective(ValueError):
-    """Unsupported dot-directive or gate type in a circuit file."""
+    """Unsupported or misplaced dot-directive, or unsupported gate type, in a
+    circuit file."""
 
 
 class UnknownLineName(ValueError):
@@ -40,7 +41,8 @@ class UnknownLineName(ValueError):
 
 
 class ArityMismatch(ValueError):
-    """Gate or directive got the wrong number of operands."""
+    """Gate or directive got the wrong number of operands, or operands that
+    repeat a line."""
 
 
 def _tokens(text: str) -> list[str]:
@@ -194,25 +196,37 @@ class CircuitFile:
 
 
 def parse_real(text: str) -> CircuitFile:
+    """Parse a circuit file; every error names the offending line.
+
+    The header directives must come before ``.begin``, so the width and the
+    line names are fixed for the whole body, and one dict maps each distinct
+    gate line to its ``Gate``: a line that recurs is parsed once.
+    """
     width = 0
     variables: tuple[str, ...] = ()
     var_index: dict[str, int] = {}
+    parsed: dict[str, Gate] = {}
     gates: list[Gate] = []
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     constants = ""
     garbage = ""
-    in_body = False
-    ended = False
+    begun = ended = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
-        head = toks[0]
         if ended:
             raise UnknownDirective(f"line {lineno}: content after .end")
+        g = parsed.get(line)
+        if g is not None:
+            gates.append(g)
+            continue
+        toks = line.split()
+        head = toks[0]
         if head.startswith("."):
+            if begun and head not in (".begin", ".end"):
+                raise UnknownDirective(f"line {lineno}: {head} after .begin")
             if head == ".version":
                 pass
             elif head == ".numvars":
@@ -224,6 +238,11 @@ def parse_real(text: str) -> CircuitFile:
                     raise MalformedInteger(
                         f"line {lineno}: bad .numvars value {toks[1]!r}"
                     ) from None
+                if variables and len(variables) != width:
+                    raise ArityMismatch(
+                        f"line {lineno}: {width} variables declared, "
+                        f"{len(variables)} named"
+                    )
             elif head == ".variables":
                 variables = tuple(toks[1:])
                 if width and len(variables) != width:
@@ -232,6 +251,9 @@ def parse_real(text: str) -> CircuitFile:
                         f"{len(variables)} named"
                     )
                 var_index = {name: i + 1 for i, name in enumerate(variables)}
+                if len(var_index) != len(variables):
+                    twice = next(v for v in variables if variables.count(v) > 1)
+                    raise ArityMismatch(f"line {lineno}: variable {twice!r} named twice")
             elif head == ".inputs":
                 inputs = tuple(toks[1:])
             elif head == ".outputs":
@@ -241,18 +263,21 @@ def parse_real(text: str) -> CircuitFile:
             elif head == ".garbage":
                 garbage = toks[1] if len(toks) > 1 else ""
             elif head == ".begin":
+                if begun:
+                    raise UnknownDirective(f"line {lineno}: second .begin")
                 if width < 1 or not variables:
                     raise ArityMismatch(
                         f"line {lineno}: .begin before .numvars/.variables"
                     )
-                in_body = True
+                begun = True
             elif head == ".end":
-                in_body = False
+                if not begun:
+                    raise UnknownDirective(f"line {lineno}: .end without .begin")
                 ended = True
             else:
                 raise UnknownDirective(f"line {lineno}: {head}")
             continue
-        if not in_body:
+        if not begun:
             raise UnknownDirective(
                 f"line {lineno}: gate line {head!r} outside .begin/.end"
             )
@@ -269,9 +294,12 @@ def parse_real(text: str) -> CircuitFile:
             if name not in var_index:
                 raise UnknownLineName(f"line {lineno}: {name!r} not declared")
             lines.append(var_index[name])
-        gates.append(
-            Gate(width, lines[-1], tuple((l, True) for l in lines[:-1]))
-        )
+        try:
+            g = Gate(width, lines[-1], tuple((l, True) for l in lines[:-1]))
+        except ValueError as exc:
+            raise ArityMismatch(f"line {lineno}: {exc}") from None
+        gates.append(g)
+        parsed[line] = g
     if not ended:
         raise UnknownDirective("missing .end")
     return CircuitFile(
@@ -291,7 +319,11 @@ def format_real(
     constants: str = "",
     garbage: str = "",
 ) -> str:
-    """Serialize a sequence; negative controls become X conjugations."""
+    """Serialize a sequence; negative controls become X conjugations.
+
+    One dict maps each distinct gate to its text, so a gate that recurs is
+    rendered once.
+    """
     n = seq.width
     names = [f"x{i}" for i in range(1, n + 1)]
     lines = [
@@ -309,18 +341,18 @@ def format_real(
         lines.append(".garbage " + garbage)
     lines.append(".begin")
 
-    def emit(gate_lines: list[int]) -> None:
-        lines.append(
-            f"t{len(gate_lines)} " + " ".join(names[l - 1] for l in gate_lines)
-        )
+    def render(g: Gate) -> str:
+        negatives = [f"t1 {names[l - 1]}" for l, positive in sorted(g.controls) if not positive]
+        operands = sorted(l for l, _ in g.controls) + [g.target]
+        gate = f"t{len(operands)} " + " ".join(names[l - 1] for l in operands)
+        return "\n".join(negatives + [gate] + negatives)
 
+    rendered: dict[Gate, str] = {}
     for g in seq:
-        negatives = sorted(l for l, positive in g.controls if not positive)
-        for l in negatives:
-            emit([l])
-        emit(sorted(l for l, _ in g.controls) + [g.target])
-        for l in negatives:
-            emit([l])
+        text = rendered.get(g)
+        if text is None:
+            text = rendered[g] = render(g)
+        lines.append(text)
     lines.append(".end")
     return "\n".join(lines) + "\n"
 

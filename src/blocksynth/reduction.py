@@ -18,7 +18,8 @@ kind (``_Engine.scan_region``), else the best one outside the region.
 Inside the pipeline a gate is its (ones, zeros, target) column-mask triple
 (``core.Masks``): the builders here and in ``conditioning`` return
 triples, ``_Engine.emit`` records and applies them, and
-``_Engine.sequence`` builds the stage's ``Gate``s once, at the end.
+``_Engine.sequence`` builds the stage's ``Gate``s at the end, each distinct
+one once (``_build_gates``).
 ``emit`` applies its gates one exchange pass per run of gates with the
 same controls (``_passes``), so a conjoin or a slide costs at most two
 passes, however many CXs it records.
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 from .blocks import findm, h
 from .core import (
@@ -256,6 +257,26 @@ Selector = Callable[[int], Optional[tuple[int, int]]]
 Kind = Literal["normal", "inverted"]
 
 
+def _build_gates(
+    built: dict[Masks, Gate], width: int, shift: int, masks: Iterable[Masks]
+) -> tuple[Gate, ...]:
+    """``Gate``s at ``width`` for triples recorded ``shift`` lines narrower.
+
+    A wider circuit keeps the same 1-based lines and adds trailing ones,
+    which are the low column bits, so each mask shifts left.  ``built`` maps
+    a shifted triple to its ``Gate``, so a gate that recurs is built and
+    validated once per dict; keep one dict per width.
+    """
+    out = []
+    for o, z, t in masks:
+        key = (o << shift, z << shift, t << shift)
+        g = built.get(key)
+        if g is None:
+            g = built[key] = Gate.from_masks(width, *key)
+        out.append(g)
+    return tuple(out)
+
+
 class _Engine:
     """Applies gates to a working copy while tracking row positions.
 
@@ -278,16 +299,17 @@ class _Engine:
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
 
-    def sequence(self, width: Optional[int] = None) -> GateSequence:
+    def sequence(
+        self, width: Optional[int] = None, built: Optional[dict[Masks, Gate]] = None
+    ) -> GateSequence:
         """The recorded gates, built at ``width`` (default: the engine's).
 
-        A wider circuit keeps the same 1-based lines and adds trailing ones,
-        which are the low column bits, so each mask shifts left."""
+        ``built`` is shared with ``_build_gates``; pass one dict to several
+        calls at the same width to build each distinct gate once across them.
+        """
         width = width or self.n
-        s = width - self.n
-        return GateSequence(
-            width, tuple(Gate.from_masks(width, o << s, z << s, t << s) for o, z, t in self.gates)
-        )
+        built = {} if built is None else built
+        return GateSequence(width, _build_gates(built, width, width - self.n, self.gates))
 
     def emit(self, *gates: Masks) -> None:
         """Record ``gates`` and apply them, one pass per run (``_passes``)."""

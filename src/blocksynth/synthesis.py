@@ -7,10 +7,12 @@ to reduction, and all-inverted ones too after one X on the last line; an
 exact half count of interrupting rows goes to preprocessing then
 reduction; a balanced normal/inverted split goes to the general reduction;
 anything else is first mixed.  A stage's passes share
-one ``_Engine``, which records mask triples; its ``Gate``s are built once,
-when the stage ends, at the original width (lines keep their numbers; the
+one ``_Engine``, which records mask triples; its ``Gate``s are built when
+the stage ends, at the original width (lines keep their numbers; the
 stripped lines are the trailing ones), and concatenated.  Widths 1 and 2
-are finished from a precomputed optimal table instead.
+are finished from a precomputed optimal table instead.  One dict per call
+holds every gate built so far, so a gate that recurs, in any stage or the
+endgame, is built once.
 
 Pair selection inside the reductions is one branch and bound, ``_suffix``:
 candidate pairs are scored by the exact Toffoli-equivalents of their
@@ -59,6 +61,7 @@ from .core import (
 from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalents
 from .reduction import (
     _alloc_masks,
+    _build_gates,
     _cons_masks,
     _Engine,
     _region_mask,
@@ -397,6 +400,7 @@ def synthesize(
     t0 = time.perf_counter()
     n0 = perm.width
     out: list[Gate] = []
+    built: dict[Masks, Gate] = {}  # every output gate, by its masks at width n0
     stages: list[StageStats] = []
     current = perm
 
@@ -432,7 +436,7 @@ def synthesize(
                 )
                 red_gates = len(engine.gates) - mark
             lifts, lift_tof = engine.region_lifts, engine.lift_toffoli
-            stage_seq = engine.sequence(n0)
+            stage_seq = engine.sequence(n0, built)
             current = engine.snapshot()
         stages.append(
             StageStats(
@@ -452,7 +456,8 @@ def synthesize(
         current = reduce_width(current)
 
     if n0 >= 2:
-        out.extend(g.widen(n0) for g in search_two_bit(current))
+        endgame = (g.masks() for g in search_two_bit(current))
+        out.extend(_build_gates(built, n0, n0 - 2, endgame))
     elif not current.is_identity():
         out.append(x(1, 1))
 

@@ -93,13 +93,6 @@ class TestGateBasics:
         assert str(cx(3, 1, 3)) == "C(1)X@3"
         assert str(mct(3, [(1, True), (3, False)], 2)) == "C(1,!3)X@2"
 
-    def test_widen_keeps_lines(self):
-        g = toffoli(3, 1, 2, 3)
-        w = g.widen(5)
-        assert w.width == 5 and w.target == 3 and w.controls == g.controls
-        with pytest.raises(WidthMismatch):
-            g.widen(2)
-
     def test_bare_int_controls_are_positive(self):
         assert mct(3, [1, 3], 2) == mct(3, [(1, True), (3, True)], 2)
 

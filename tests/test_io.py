@@ -27,6 +27,7 @@ from blocksynth import (
     WrongCount,
     cx,
     embed_truth_table,
+    expand_mct,
     format_permutation,
     format_real,
     format_truth_table,
@@ -43,6 +44,7 @@ from blocksynth import (
     x,
 )
 
+from blocksynth import cost
 from helpers import as_plain, circuit_table
 
 
@@ -295,6 +297,44 @@ class TestCircuitFileParsing:
         with pytest.raises(UnknownDirective):
             parse_real(text)
 
+    def test_duplicate_variable_names(self):
+        text = ".numvars 2\n.variables a a\n.begin\nt1 a\n.end\n"
+        with pytest.raises(ArityMismatch, match=r"^line 2: .*'a'"):
+            parse_real(text)
+
+    def test_numvars_after_begin(self):
+        text = ".numvars 2\n.variables a b\n.begin\n.numvars 3\nt1 a\n.end\n"
+        with pytest.raises(UnknownDirective, match=r"^line 4: "):
+            parse_real(text)
+
+    def test_variables_after_begin(self):
+        text = ".numvars 2\n.variables a b\n.begin\nt1 a\n.variables b a\nt1 a\n.end\n"
+        with pytest.raises(UnknownDirective, match=r"^line 5: "):
+            parse_real(text)
+
+    def test_numvars_must_match_earlier_variables(self):
+        text = ".variables a b c\n.numvars 2\n.begin\nt1 c\n.end\n"
+        with pytest.raises(ArityMismatch, match=r"^line 2: "):
+            parse_real(text)
+
+    def test_end_without_begin(self):
+        with pytest.raises(UnknownDirective, match=r"^line 3: "):
+            parse_real(".numvars 1\n.variables a\n.end\n")
+
+    def test_second_begin(self):
+        text = ".numvars 1\n.variables a\n.begin\nt1 a\n.begin\nt1 a\n.end\n"
+        with pytest.raises(UnknownDirective, match=r"^line 5: "):
+            parse_real(text)
+
+    def test_invalid_gate_names_its_line(self):
+        text = ".numvars 2\n.variables a b\n.begin\nt1 a\nt2 a a\n.end\n"
+        with pytest.raises(ArityMismatch, match=r"^line 5: control line 1 repeated"):
+            parse_real(text)
+
+    def test_recurring_gate_lines_give_equal_gates(self):
+        text = ".numvars 2\n.variables a b\n.begin\nt2 a b\nt1 b\nt2 a b  # again\n.end\n"
+        assert parse_real(text).gates == (cx(2, 1, 2), x(2, 2), cx(2, 1, 2))
+
 
 class TestCircuitFileRoundTrip:
     def test_positive_controls_round_trip_exactly(self):
@@ -322,6 +362,71 @@ class TestCircuitFileRoundTrip:
         seq, _ = synthesize(perm)
         back = read_real(format_real(seq))
         assert circuit_table(perm.width, as_plain(back)) == list(perm.entries)
+
+
+@st.composite
+def repetitive_sequences(draw):
+    """Sequences drawn from a small pool of gates, with negative controls."""
+    width = draw(st.integers(min_value=1, max_value=6))
+
+    def gate():
+        target = draw(st.integers(min_value=1, max_value=width))
+        others = [l for l in range(1, width + 1) if l != target]
+        lines = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        return mct(width, [(l, draw(st.booleans())) for l in lines], target)
+
+    pool = [gate() for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    gates = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return GateSequence(width, tuple(gates))
+
+
+def _conjugated(g, width):
+    """``g`` at ``width`` with positive controls, between X gates on the
+    lines of its negative controls."""
+    negatives = [x(width, l) for l, positive in sorted(g.controls) if not positive]
+    positive = mct(width, sorted(l for l, _ in g.controls), g.target)
+    return negatives, positive
+
+
+class TestToolsAgainstPerGateReferences:
+    """The circuit tools handle each distinct gate once per call; the
+    references here handle every gate on its own."""
+
+    @given(repetitive_sequences())
+    @settings(max_examples=60, deadline=None)
+    def test_format_real(self, seq):
+        names = [f"x{l}" for l in range(1, seq.width + 1)]
+        body = []
+        for g in seq:
+            negatives, positive = _conjugated(g, seq.width)
+            flips = [f"t1 {names[n.target - 1]}" for n in negatives]
+            lines = [l for l, _ in positive.controls] + [g.target]
+            body += flips + [f"t{len(lines)} " + " ".join(names[l - 1] for l in lines)] + flips
+        header = [".version 2.0", f".numvars {seq.width}", ".variables " + " ".join(names)]
+        assert format_real(seq) == "\n".join(header + [".begin"] + body + [".end"]) + "\n"
+
+    @given(repetitive_sequences())
+    @settings(max_examples=60, deadline=None)
+    def test_read_real(self, seq):
+        expected = []
+        for g in seq:
+            negatives, positive = _conjugated(g, seq.width)
+            expected += negatives + [positive] + negatives
+        assert read_real(format_real(seq)).gates == tuple(expected)
+
+    @pytest.mark.parametrize("policy", ["clean", "dirty"])
+    @given(seq=repetitive_sequences())
+    @settings(max_examples=60, deadline=None)
+    def test_expand_mct(self, policy, seq):
+        result = expand_mct(seq, policy)
+        width = result.circuit.width
+        expected = []
+        for g in seq:
+            negatives, positive = _conjugated(g, width)
+            controls = [l for l, _ in positive.controls]
+            piece = cost._expand_positive(width, controls, g.target, policy, seq.width)
+            expected += negatives + piece + negatives
+        assert result.circuit.gates == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

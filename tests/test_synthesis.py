@@ -420,23 +420,26 @@ class TestSynthesizeEndToEnd:
         assert report.wall_time_s >= 0.0
         assert report.cost_table == "default"
 
-    @pytest.mark.parametrize("width, seed", [(3, 4), (5, 1), (6, 2)])
+    @pytest.mark.parametrize("width, seed", [(3, 4), (5, 1), (6, 2), (8, 1)])
     def test_each_output_gate_is_built_once(self, monkeypatch, width, seed):
-        # Stage gates are built at the output width from their masks, not
-        # built narrow and widened; the two-bit endgame widens its table's
-        # gates, so the table is built before counting.
+        # Stage and endgame gates are built at the output width from their
+        # masks, not built narrow and widened, and a gate that recurs is
+        # built once per call and shared.  The two-bit table's own width-2
+        # gates are built once per process, so the table is built first.
         synthesis._two_bit_table()
         built = []
         post_init = Gate.__post_init__
 
         def counting(gate):
-            built.append(gate.width)
+            built.append(gate)
             post_init(gate)
 
         monkeypatch.setattr(Gate, "__post_init__", counting)
-        monkeypatch.setattr(synthesis, "peephole", lambda seq: seq)
         seq, _ = synthesize(sample(width, seed))
-        assert built == [width] * len(seq)
+        assert {g.width for g in built} == {width}
+        assert len(set(built)) == len(built)
+        assert {id(g) for g in seq} <= {id(g) for g in built}
+        assert len(built) < len(seq)
 
     def test_deterministic(self):
         perm = sample(6, seed=42)
