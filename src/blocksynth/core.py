@@ -41,10 +41,6 @@ class NotABijection(ValueError):
     """Entry list is not a permutation of 0..2^n-1."""
 
 
-class NotReducible(ValueError):
-    """Permutation is not of the form Q (x) I_2."""
-
-
 class PreconditionViolated(ValueError):
     """An operation was invoked on a state outside its contract."""
 
@@ -331,35 +327,6 @@ def parity(perm: Permutation) -> Literal["even", "odd"]:
             length += 1
         transpositions += length - 1
     return "even" if transpositions % 2 == 0 else "odd"
-
-
-def reduce_width(perm: Permutation) -> Permutation:
-    """Strip the identity last line from a permutation of the form Q (x) I_2.
-
-    Requires every column pair (2i, 2i+1) to hold rows (2k, 2k+1); the result
-    maps block position i to k.
-    """
-    if perm.width < 2:
-        raise NotReducible("width-1 permutations have no tensor factor to strip")
-    entries = perm.entries
-    out = []
-    for i in range(perm.size // 2):
-        lo, hi = entries[2 * i], entries[2 * i + 1]
-        if lo % 2 != 0 or hi != lo + 1:
-            raise NotReducible(
-                f"columns {2*i},{2*i+1} hold rows {lo},{hi}; need an even block"
-            )
-        out.append(lo // 2)
-    return Permutation(perm.width - 1, tuple(out))
-
-
-def is_reducible(perm: Permutation) -> bool:
-    """True iff the last line is already an identity wire (Q (x) I_2 form)."""
-    entries = perm.entries
-    return all(
-        entries[c] % 2 == 0 and entries[c + 1] == entries[c] + 1
-        for c in range(0, perm.size, 2)
-    )
 
 
 def sample(

@@ -30,9 +30,6 @@ class MissingCostEntry(KeyError):
     __str__ = BaseException.__str__  # KeyError's own str() quotes the message
 
 
-COST_TABLE_ENV = "BLOCKSYNTH_COST_TABLE"
-
-
 @dataclass(frozen=True)
 class CostTable:
     """Quantum-cost lookup keyed by number of controls."""
@@ -92,13 +89,8 @@ def read_cost_table(path: str) -> CostTable:
 
 
 def resolve_table(path: Optional[str] = None) -> CostTable:
-    """Explicit path, else the COST_TABLE_ENV override, else the default."""
-    if path:
-        return read_cost_table(path)
-    env = os.environ.get(COST_TABLE_ENV)
-    if env:
-        return read_cost_table(env)
-    return DEFAULT_TABLE
+    """The table in the file at ``path``, else the default."""
+    return read_cost_table(path) if path else DEFAULT_TABLE
 
 
 def toffoli_count(seq: GateSequence) -> int:

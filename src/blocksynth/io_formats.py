@@ -103,10 +103,9 @@ class TruthTable:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_in <= MAX_WIDTH or self.n_out < 1:
+        if not (1 <= self.n_in <= MAX_WIDTH and 1 <= self.n_out <= MAX_WIDTH):
             raise WrongCount(
-                f"need 1 <= n_in <= {MAX_WIDTH} and n_out >= 1, "
-                f"got {self.n_in}/{self.n_out}"
+                f"need 1 <= n_in, n_out <= {MAX_WIDTH}, got {self.n_in}/{self.n_out}"
             )
         if len(self.rows) != 1 << self.n_in:
             raise WrongCount(
@@ -130,6 +129,8 @@ def parse_truth_table(text: str) -> TruthTable:
         raise MalformedInteger(f"width tokens {toks[:2]} are not integers") from None
     if not 1 <= n_in <= MAX_WIDTH:
         raise WrongCount(f"n_in {n_in} outside 1..{MAX_WIDTH}")
+    if not 1 <= n_out <= MAX_WIDTH:
+        raise WrongCount(f"n_out {n_out} outside 1..{MAX_WIDTH}")
     body = []
     for t in toks[2:]:
         try:

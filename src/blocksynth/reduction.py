@@ -15,11 +15,13 @@ them by the pair census and supplies the lookahead selectors; where a
 selector declines, ``_pick_rows`` takes the first in-region pair of the
 kind (``_Engine.scan_region``), else the best one outside the region.
 
-Inside the pipeline a gate is its (ones, zeros, target) column-mask triple
-(``core.Masks``): the builders here and in ``conditioning`` return
-triples, ``_Engine.emit`` records and applies them, and
-``_Engine.sequence`` builds the stage's ``Gate``s at the end, each distinct
-one once (``_build_gates``).
+One ``_Engine`` serves a whole ``synthesize`` call: after each reduction
+``_Engine.strip`` drops the identity last line in place, so the next stage
+works on Q.  Inside the pipeline a gate is its (ones, zeros, target)
+column-mask triple (``core.Masks``): the builders here and in
+``conditioning`` return triples, ``_Engine.emit`` records and applies them,
+and ``_Engine.sequence`` builds the stage's ``Gate``s at the input width,
+each distinct one once per engine.
 ``emit`` applies its gates one exchange pass per run of gates with the
 same controls (``_passes``), so a conjoin or a slide costs at most two
 passes, however many CXs it records.
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .blocks import findm, h
 from .core import (
@@ -257,41 +259,28 @@ Selector = Callable[[int], Optional[tuple[int, int]]]
 Kind = Literal["normal", "inverted"]
 
 
-def _build_gates(
-    built: dict[Masks, Gate], width: int, shift: int, masks: Iterable[Masks]
-) -> tuple[Gate, ...]:
-    """``Gate``s at ``width`` for triples recorded ``shift`` lines narrower.
-
-    A wider circuit keeps the same 1-based lines and adds trailing ones,
-    which are the low column bits, so each mask shifts left.  ``built`` maps
-    a shifted triple to its ``Gate``, so a gate that recurs is built and
-    validated once per dict; keep one dict per width.
-    """
-    out = []
-    for o, z, t in masks:
-        key = (o << shift, z << shift, t << shift)
-        g = built.get(key)
-        if g is None:
-            g = built[key] = Gate.from_masks(width, *key)
-        out.append(g)
-    return tuple(out)
-
-
 class _Engine:
     """Applies gates to a working copy while tracking row positions.
 
-    Gates are recorded as mask triples; ``sequence`` builds the ``Gate``s.
-    ``region_lifts`` counts the members moved into the region and
-    ``lift_toffoli`` the Toffoli-equivalents their lift gates cost.
+    One engine carries a whole synthesis: ``strip`` drops the identity last
+    line after each stage's reduction and starts the next stage's record.
+    Gates are recorded as mask triples at the current width; ``sequence``
+    builds the stage's ``Gate``s at the input width.  ``region_lifts``
+    counts the stage's members moved into the region and ``lift_toffoli``
+    the Toffoli-equivalents their lift gates cost.
     """
 
     def __init__(self, perm: Permutation):
-        self.n = perm.width
+        self.width = self.n = perm.width
         self.size = perm.size
         self.entries = list(perm.entries)
         self.pos = [0] * self.size
         for col, row in enumerate(perm.entries):
             self.pos[row] = col
+        self.built: dict[Masks, Gate] = {}  # every Gate built, by its masks
+        self._start_stage()
+
+    def _start_stage(self) -> None:
         self.gates: list[Masks] = []
         self.region_lifts = 0
         self.lift_toffoli = 0
@@ -299,17 +288,41 @@ class _Engine:
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
 
-    def sequence(
-        self, width: Optional[int] = None, built: Optional[dict[Masks, Gate]] = None
-    ) -> GateSequence:
-        """The recorded gates, built at ``width`` (default: the engine's).
+    def strip(self) -> None:
+        """Drop the last line of a Q ⊗ I_2 state, leaving Q, and start a new
+        stage."""
+        entries = self.entries
+        for c in range(0, self.size, 2):
+            lo, hi = entries[c], entries[c + 1]
+            if lo & 1 or hi != lo + 1:
+                raise RuntimeError(
+                    f"internal error: columns {c},{c + 1} hold rows {lo},{hi}; "
+                    "the last line is not an identity wire"
+                )
+        self.entries = [row >> 1 for row in entries[::2]]
+        self.pos = [col >> 1 for col in self.pos[::2]]
+        self.n -= 1
+        self.size >>= 1
+        self._start_stage()
 
-        ``built`` is shared with ``_build_gates``; pass one dict to several
-        calls at the same width to build each distinct gate once across them.
+    def sequence(self) -> GateSequence:
+        """The gates recorded since the last ``strip``, built at the input
+        width.
+
+        A wider circuit keeps the same 1-based lines and adds trailing ones,
+        which are the low column bits, so each mask shifts left.  ``built``
+        maps a shifted triple to its ``Gate``, so a gate that recurs in any
+        stage is built and validated once per engine.
         """
-        width = width or self.n
-        built = {} if built is None else built
-        return GateSequence(width, _build_gates(built, width, width - self.n, self.gates))
+        shift, built = self.width - self.n, self.built
+        out = []
+        for o, z, t in self.gates:
+            key = (o << shift, z << shift, t << shift)
+            g = built.get(key)
+            if g is None:
+                g = built[key] = Gate.from_masks(self.width, *key)
+            out.append(g)
+        return GateSequence(self.width, tuple(out))
 
     def emit(self, *gates: Masks) -> None:
         """Record ``gates`` and apply them, one pass per run (``_passes``)."""

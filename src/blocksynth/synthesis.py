@@ -1,18 +1,18 @@
 """End-to-end circuit synthesis for arbitrary permutations.
 
-``synthesize`` walks the width down one line at a time.  At each stage the
-pair census of the current permutation (``blocks._pair_split``) picks the
-path: already-reducible states cost nothing; all-normal states go straight
-to reduction, and all-inverted ones too after one X on the last line; an
-exact half count of interrupting rows goes to preprocessing then
-reduction; a balanced normal/inverted split goes to the general reduction;
-anything else is first mixed.  A stage's passes share
-one ``_Engine``, which records mask triples; its ``Gate``s are built when
-the stage ends, at the original width (lines keep their numbers; the
-stripped lines are the trailing ones), and concatenated.  Widths 1 and 2
-are finished from a precomputed optimal table instead.  One dict per call
-holds every gate built so far, so a gate that recurs, in any stage or the
-endgame, is built once.
+``synthesize`` walks the width down one line at a time on one working copy,
+an ``_Engine`` built from the input.  At each stage the pair census of the
+current state (``blocks._pair_split``) picks the path: all-normal states
+go straight to reduction, and all-inverted ones too after one X on the
+last line; an exact half count of interrupting rows goes to preprocessing
+then reduction; a balanced normal/inverted split goes to the general
+reduction; anything else is first mixed.  An already-reducible state is
+all-normal and holds every block, so its stage emits nothing.  The engine
+records mask triples; when a stage ends its ``Gate``s are built at the
+input width (lines keep their numbers; the stripped lines are the trailing
+ones), and ``_Engine.strip`` drops the identity last line.  Width 2 is
+finished from a precomputed optimal table, width 1 with at most one X,
+both on the same engine, which builds each distinct gate once per call.
 
 Pair selection inside the reductions is one branch and bound, ``_suffix``:
 candidate pairs are scored by the exact Toffoli-equivalents of their
@@ -53,15 +53,12 @@ from .core import (
     WidthMismatch,
     apply_gate,
     cx,
-    is_reducible,
-    reduce_width,
     verify_identity,
     x,
 )
 from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalents
 from .reduction import (
     _alloc_masks,
-    _build_gates,
     _cons_masks,
     _Engine,
     _region_mask,
@@ -400,44 +397,37 @@ def synthesize(
     t0 = time.perf_counter()
     n0 = perm.width
     out: list[Gate] = []
-    built: dict[Masks, Gate] = {}  # every output gate, by its masks at width n0
     stages: list[StageStats] = []
-    current = perm
+    engine = _Engine(perm)
 
     for w in range(n0, 2, -1):
-        mix_gates = pre_gates = red_gates = 0
-        mix_depth = mix_fix = lifts = lift_tof = 0
-        stage_seq = GateSequence(n0)
-        if not is_reducible(current):
-            engine = _Engine(current)
-            pairs = engine.size // 2
-            normal, inverted = _pair_split(engine.pos)
-            if inverted == pairs:  # X on the last line makes every pair normal
-                engine.emit((0, 0, 1))
-                normal = pairs
-                mix_gates = 1
-            if normal == pairs:
-                _run_normal(engine, _make_selector(engine, "normal", pairs, cfg))
-                red_gates = len(engine.gates) - mix_gates
-            else:
-                if not normal == inverted == pairs // 2:  # not balanced
-                    if normal + inverted != pairs // 2:  # not half interrupting
-                        mstats = _mix_engine(engine)
-                        mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
-                        mix_gates = len(engine.gates)
-                    mark = len(engine.gates)
-                    _run_preprocess(engine)
-                    pre_gates = len(engine.gates) - mark
+        mix_gates = pre_gates = mix_depth = mix_fix = 0
+        pairs = engine.size // 2
+        normal, inverted = _pair_split(engine.pos)
+        if inverted == pairs:  # X on the last line makes every pair normal
+            engine.emit((0, 0, 1))
+            normal = pairs
+            mix_gates = 1
+        if normal == pairs:
+            _run_normal(engine, _make_selector(engine, "normal", pairs, cfg))
+            red_gates = len(engine.gates) - mix_gates
+        else:
+            if not normal == inverted == pairs // 2:  # not balanced
+                if normal + inverted != pairs // 2:  # not half interrupting
+                    mstats = _mix_engine(engine)
+                    mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
+                    mix_gates = len(engine.gates)
                 mark = len(engine.gates)
-                _run_general(
-                    engine,
-                    _make_selector(engine, "normal", pairs // 2, cfg),
-                    _make_selector(engine, "inverted", pairs, cfg),
-                )
-                red_gates = len(engine.gates) - mark
-            lifts, lift_tof = engine.region_lifts, engine.lift_toffoli
-            stage_seq = engine.sequence(n0, built)
-            current = engine.snapshot()
+                _run_preprocess(engine)
+                pre_gates = len(engine.gates) - mark
+            mark = len(engine.gates)
+            _run_general(
+                engine,
+                _make_selector(engine, "normal", pairs // 2, cfg),
+                _make_selector(engine, "inverted", pairs, cfg),
+            )
+            red_gates = len(engine.gates) - mark
+        stage_seq = engine.sequence()
         stages.append(
             StageStats(
                 width=w,
@@ -446,20 +436,20 @@ def synthesize(
                 red_gates=red_gates,
                 toffoli=toffoli_count(stage_seq),
                 bound=bounds(w).per_reduction_total,
-                region_lifts=lifts,
+                region_lifts=engine.region_lifts,
                 mix_depth=mix_depth,
                 mix_fixups=mix_fix,
-                lift_toffoli=lift_tof,
+                lift_toffoli=engine.lift_toffoli,
             )
         )
         out.extend(stage_seq)
-        current = reduce_width(current)
+        engine.strip()
 
-    if n0 >= 2:
-        endgame = (g.masks() for g in search_two_bit(current))
-        out.extend(_build_gates(built, n0, n0 - 2, endgame))
-    elif not current.is_identity():
-        out.append(x(1, 1))
+    if engine.n == 2:
+        engine.emit(*(g.masks() for g in search_two_bit(engine.snapshot())))
+    elif engine.entries[0]:
+        engine.emit((0, 0, 1))
+    out.extend(engine.sequence())
 
     seq = peephole(GateSequence(n0, tuple(out)))
     if not verify_identity(perm, seq):

@@ -38,6 +38,11 @@ def as_plain(seq):
     return [(g.target, tuple(g.controls)) for g in seq]
 
 
+def with_identity_wire(entries) -> tuple[int, ...]:
+    """Entries of Q ⊗ I_2: Q on the leading lines, an identity last line."""
+    return tuple(2 * r + b for r in entries for b in (0, 1))
+
+
 def circuit_table(width: int, gates) -> list[int]:
     """Full input/output table of a plain-form circuit."""
     return [sim_circuit(width, gates, x) for x in range(1 << width)]

@@ -141,6 +141,15 @@ class TestSynth:
             main(["synth", str(src)])
         assert exc.value.code == 2
 
+    def test_truth_table_output_width_is_bounded(self, tmp_path, capsys):
+        # Checked before any row is read: 2^n_out is never formed.
+        src = tmp_path / "wide.tt"
+        src.write_text(f"4 {MAX_WIDTH + 1}\n" + " ".join(map(str, range(16))) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(src)])
+        assert exc.value.code == 2
+        assert f"n_out {MAX_WIDTH + 1} outside 1..{MAX_WIDTH}" in capsys.readouterr().err
+
     def test_empty_input(self, tmp_path):
         src = tmp_path / "empty.perm"
         src.write_text("# nothing\n")

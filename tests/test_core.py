@@ -11,17 +11,14 @@ from blocksynth import (
     GateSequence,
     MAX_WIDTH,
     NotABijection,
-    NotReducible,
     Permutation,
     PreconditionViolated,
     WidthMismatch,
     apply_gate,
     apply_sequence,
     cx,
-    is_reducible,
     mct,
     parity,
-    reduce_width,
     run_circuit,
     sample,
     toffoli,
@@ -29,6 +26,7 @@ from blocksynth import (
     x,
 )
 from blocksynth.core import exchange_columns
+from blocksynth.reduction import _Engine
 from helpers import as_plain, circuit_table, sim_circuit
 
 
@@ -269,24 +267,25 @@ class TestParity:
 
 
 class TestReduceWidth:
+    """``_Engine.strip`` turns a Q ⊗ I_2 state into Q in place."""
+
+    @staticmethod
+    def stripped(p):
+        engine = _Engine(p)
+        engine.strip()
+        return engine
+
     def test_identity(self):
-        assert reduce_width(Permutation.identity(3)) == Permutation.identity(2)
+        assert self.stripped(Permutation.identity(3)).snapshot() == Permutation.identity(2)
 
     def test_blockwise_map(self):
-        p = Permutation.from_entries((2, 3, 0, 1))
-        assert reduce_width(p) == Permutation.from_entries((1, 0))
+        engine = self.stripped(Permutation.from_entries((2, 3, 0, 1)))
+        assert engine.snapshot() == Permutation.from_entries((1, 0))
+        assert (engine.n, engine.size, engine.pos) == (1, 2, [1, 0])
 
     def test_rejects_odd_low_entry(self):
-        with pytest.raises(NotReducible):
-            reduce_width(Permutation.from_entries((1, 0, 2, 3)))
-
-    def test_rejects_width_one(self):
-        with pytest.raises(NotReducible):
-            reduce_width(Permutation.identity(1))
-
-    def test_is_reducible(self):
-        assert is_reducible(Permutation.from_entries((2, 3, 0, 1)))
-        assert not is_reducible(Permutation.from_entries((1, 0, 2, 3)))
+        with pytest.raises(RuntimeError, match="internal error: columns 0,1 hold rows 1,0"):
+            self.stripped(Permutation.from_entries((1, 0, 2, 3)))
 
 
 class TestSample:

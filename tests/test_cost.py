@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
-    COST_TABLE_ENV,
     CostTable,
     DEFAULT_TABLE,
     GateSequence,
@@ -169,22 +168,12 @@ class TestCostTableParsing:
         assert table.name == "mytable.qc"
         assert table.cost_of(2) == 6
 
-    def test_resolve_explicit_path_wins(self, tmp_path, monkeypatch):
+    def test_resolve_explicit_path_wins(self, tmp_path):
         explicit = tmp_path / "explicit.qc"
         explicit.write_text("2 100\n")
-        via_env = tmp_path / "env.qc"
-        via_env.write_text("2 200\n")
-        monkeypatch.setenv(COST_TABLE_ENV, str(via_env))
         assert resolve_table(str(explicit)).cost_of(2) == 100
 
-    def test_resolve_env_override(self, tmp_path, monkeypatch):
-        via_env = tmp_path / "env.qc"
-        via_env.write_text("2 200\n")
-        monkeypatch.setenv(COST_TABLE_ENV, str(via_env))
-        assert resolve_table().cost_of(2) == 200
-
-    def test_resolve_default_when_nothing_set(self, monkeypatch):
-        monkeypatch.delenv(COST_TABLE_ENV, raising=False)
+    def test_resolve_default_when_nothing_set(self):
         assert resolve_table() is DEFAULT_TABLE
 
 

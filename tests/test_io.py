@@ -146,6 +146,8 @@ class TestTruthTableFormat:
             TruthTable(0, 1, ())
         with pytest.raises(WrongCount):
             TruthTable(2, 0, (0, 0, 0, 0))
+        with pytest.raises(WrongCount):
+            TruthTable(2, MAX_WIDTH + 1, (0, 0, 0, 0))
 
     def test_parse_needs_two_width_tokens(self):
         with pytest.raises(WrongCount):
@@ -166,6 +168,12 @@ class TestTruthTableFormat:
         # 1 << n_in is never formed for an out-of-range width.
         with pytest.raises(WrongCount, match=f"n_in {n_in} outside"):
             parse_truth_table(f"{n_in} 1\n0 1")
+
+    @pytest.mark.parametrize("n_out", [0, -1, MAX_WIDTH + 1, 100_000_000_000])
+    def test_parse_output_width_checked_before_rows(self, n_out):
+        # 1 << n_out is never formed for an out-of-range width.
+        with pytest.raises(WrongCount, match=f"n_out {n_out} outside"):
+            parse_truth_table(f"2 {n_out}\n0 1 1 0")
 
 
 class TestEmbedTruthTable:

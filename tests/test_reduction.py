@@ -10,11 +10,11 @@ from blocksynth import (
     PairNotFound,
     Permutation,
     PreconditionViolated,
+    apply_gate,
     apply_sequence,
     bounds,
     cx,
     findm,
-    is_reducible,
     mct,
     preprocessing_bound,
     sample,
@@ -38,6 +38,7 @@ from helpers import (
     conjoin_budget,
     rebalance_budget,
     slide_budget,
+    with_identity_wire,
 )
 
 ID3 = Permutation.identity(3)
@@ -68,6 +69,12 @@ def conjoining(p, i, pair):
 
 def sliding(p, i, a):
     return as_sequence(p.width, _alloc_masks(p.width, i, p.position_of(a)))
+
+
+def has_identity_last_line(p):
+    """Q ⊗ I_2 form: every column pair (2i, 2i+1) holds rows (2k, 2k+1)."""
+    e = p.entries
+    return all(e[c] % 2 == 0 and e[c + 1] == e[c] + 1 for c in range(0, p.size, 2))
 
 
 def reduced(p, run):
@@ -297,7 +304,7 @@ class TestReduceNormal:
     @settings(max_examples=100, deadline=None)
     def test_reduces_and_respects_budget(self, p):
         res, seq = reduced(p, _run_normal)
-        assert is_reducible(res)
+        assert has_identity_last_line(res)
         assert verify_reduction(p, seq, res)
         assert all(g.target != p.width for g in seq)
         if p.width >= 3:
@@ -311,7 +318,7 @@ class TestReduceGeneral:
     def test_reduces_balanced_input(self, width, seed):
         p = Permutation.from_entries(balanced_entries(width, seed))
         res, seq = reduced(p, _run_general)
-        assert is_reducible(res)
+        assert has_identity_last_line(res)
         assert verify_reduction(p, seq, res)
         last_line = [g for g in seq if g.target == p.width]
         assert len(last_line) == 1
@@ -397,3 +404,36 @@ class TestAllocateChecks:
 def verify_reduction(p, seq, expected):
     got, _ = apply_sequence(p, GateSequence(p.width), seq)
     return got == expected
+
+
+class TestEngineStrip:
+    """One engine runs a whole synthesis; ``strip`` moves it one width down."""
+
+    @given(st.integers(1, 6), st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_strip_leaves_the_factor(self, width, seed):
+        q = sample(width, seed)
+        engine = _Engine(Permutation(width + 1, with_identity_wire(q.entries)))
+        engine.strip()
+        assert engine.snapshot() == q
+        assert (engine.n, engine.size, engine.pos) == (width, q.size, list(q.positions))
+
+    def test_gates_after_strip_keep_their_lines_and_are_shared(self):
+        engine = _Engine(Permutation.identity(4))
+        engine.emit((0b1000, 0, 0b0010), (0b1000, 0, 0b0010))  # CX 1->3, twice
+        first = engine.sequence()
+        engine.strip()
+        assert (engine.width, engine.n, engine.gates) == (4, 3, [])
+        engine.emit((0b100, 0, 0b001))  # CX 1->3 at width 3
+        (gate,) = engine.sequence()
+        assert gate == cx(4, 1, 3)
+        assert gate is first.gates[0] is first.gates[1]
+        assert engine.snapshot() == apply_gate(Permutation.identity(3), cx(3, 1, 3))
+
+    def test_strip_starts_a_new_stage_record(self):
+        engine = _Engine(Permutation.from_entries(balanced_entries(4, 1)))
+        _run_general(engine)
+        assert engine.gates and engine.region_lifts and engine.lift_toffoli
+        engine.strip()
+        assert (engine.gates, engine.region_lifts, engine.lift_toffoli) == ([], 0, 0)
+        assert len(engine.sequence()) == 0

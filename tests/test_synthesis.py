@@ -47,7 +47,16 @@ from blocksynth.synthesis import (
     _track,
 )
 
-from helpers import as_plain, circuit_table, flat_spectrum, independent_parity, sim_circuit
+from helpers import (
+    as_plain,
+    circuit_table,
+    flat_spectrum,
+    independent_parity,
+    sim_circuit,
+    with_identity_wire,
+)
+
+DEPTH_ZERO = SynthesisConfig(depths={j: 0 for j in range(1, 16)}, exhaustive_tail=0)
 
 
 @st.composite
@@ -441,6 +450,47 @@ class TestSynthesizeEndToEnd:
         assert {id(g) for g in seq} <= {id(g) for g in built}
         assert len(built) < len(seq)
 
+    @pytest.mark.parametrize("cfg", [SynthesisConfig(), DEPTH_ZERO], ids=["default", "d0t0"])
+    @given(st.integers(1, 7), st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_identity_wire_input_gives_its_factors_circuit(self, cfg, width, seed):
+        # A Q ⊗ I_2 stage is all-normal and already holds every block, so
+        # it emits nothing and the circuit is Q's on the leading lines.
+        q = sample(width, seed)
+        seq, report = synthesize(Permutation(width + 1, with_identity_wire(q.entries)), cfg)
+        narrow, _ = synthesize(q, cfg)
+        assert as_plain(seq) == as_plain(narrow)
+        if width >= 2:
+            top = dataclasses.asdict(report.stages[0])
+            assert top.pop("width") == width + 1
+            assert top.pop("bound") == bounds(width + 1).per_reduction_total
+            assert set(top.values()) == {0}
+
+    def test_a_stage_that_keeps_the_last_line_is_an_internal_error(self, monkeypatch):
+        # ``strip`` checks the Q ⊗ I_2 form with a raise, so it holds
+        # under ``python -O``; a reduction that does nothing breaks it.
+        perm = sample(4, 1, "parity_aligned")
+        monkeypatch.setattr(synthesis, "_run_normal", lambda engine, selector=None: None)
+        with pytest.raises(RuntimeError, match="internal error: .* not an identity wire"):
+            synthesize(perm)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 6])
+    def test_only_the_endgame_takes_a_snapshot(self, monkeypatch, width):
+        # One working copy runs every stage; only the width-2 table lookup
+        # turns it back into a ``Permutation``.
+        synthesis._two_bit_table()
+        made = []
+        post_init = Permutation.__post_init__
+
+        def counting(perm):
+            made.append(perm.width)
+            post_init(perm)
+
+        perm = sample(width, 5)
+        monkeypatch.setattr(Permutation, "__post_init__", counting)
+        synthesize(perm)
+        assert made == ([2] if width >= 2 else [])
+
     def test_deterministic(self):
         perm = sample(6, seed=42)
         first, _ = synthesize(perm)
@@ -470,9 +520,8 @@ class TestSynthesizeEndToEnd:
         assert report.assumption1_deviations == 0
 
     def test_depth_zero_configuration_still_verifies(self):
-        cfg = SynthesisConfig(depths={j: 0 for j in range(1, 16)}, exhaustive_tail=0)
         perm = sample(6, seed=7)
-        seq, _ = synthesize(perm, cfg)
+        seq, _ = synthesize(perm, DEPTH_ZERO)
         assert circuit_table(6, as_plain(seq)) == list(perm.entries)
 
     def test_deeper_lookahead_helps_in_aggregate(self):
