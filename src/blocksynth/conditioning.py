@@ -30,9 +30,15 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .blocks import _pair_split
 from .core import Masks
-from .reduction import PairNotFound, _Engine, _region_mask
+from .reduction import (
+    INVERTED,
+    NORMAL,
+    PairNotFound,
+    _Engine,
+    _pair_split,
+    _region_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -44,13 +50,9 @@ class MixStats:
     evaluations: int  # nonzero functionals scored: always size - 1
 
 
-def _interrupting_pairs(entries: list[int]) -> bytearray:
-    """Byte p is 1 when pair p has exactly one member at a mismatching column."""
-    mism = bytearray(len(entries) // 2)
-    for col, row in enumerate(entries):
-        if (row ^ col) & 1:
-            mism[row >> 1] ^= 1
-    return mism
+def _interrupting_pairs(pos: list[int]) -> bytearray:
+    """Byte p is 1 when pair p's members sit at columns of equal parity."""
+    return bytearray(~(pos[p] ^ pos[p + 1]) & 1 for p in range(0, len(pos), 2))
 
 
 def _walsh_spectrum(pos: list[int]) -> list[int]:
@@ -105,7 +107,7 @@ def _fixups(engine: _Engine, target: int) -> int:
     emitted = 0
     last: Optional[int] = None
     while True:
-        mism = _interrupting_pairs(entries)
+        mism = _interrupting_pairs(pos)
         lam = 2 * sum(mism)
         if last is not None and abs(lam - target) >= abs(last - target):
             raise RuntimeError(
@@ -202,26 +204,22 @@ def _mix_engine(engine: _Engine) -> MixStats:
 # Preprocessing of half-interrupting states.
 
 
-def _scan_member(
-    engine: _Engine, i: int, col_parity: int, want_normal: bool
-) -> Optional[int]:
+def _scan_member(engine: _Engine, i: int, col_parity: int, kind: int) -> Optional[int]:
     """First unconsumed interrupting member at a column of ``col_parity``
-    that steers its pair the wanted way: the region's columns from the
-    left, then the rest from 2i (the region is every column >= its mask)."""
+    whose flip to the other column parity turns its pair to ``kind``: the
+    region's columns from the left, then the rest from 2i (the region is
+    every column >= its mask)."""
     entries, pos, size = engine.entries, engine.pos, engine.size
     mask = _region_mask(engine.n, i)
     for col in chain(range(mask + col_parity, size, 2), range(2 * i + col_parity, mask, 2)):
         r = entries[col]
-        partner = r ^ 1
-        pcol = pos[partner]
+        pcol = pos[r ^ 1]
         if pcol < 2 * i:
             continue  # pair already consumed: its other member is parked
-        mism_r = (r ^ col) & 1 == 1
-        mism_p = (partner ^ pcol) & 1 == 1
-        if not (mism_r ^ mism_p):
+        if (col ^ pcol) & 1:
             continue  # not an interrupting pair
-        if want_normal != mism_r:
-            continue  # flip the mismatching member for normal, matching for inverted
+        if (r ^ col) & 1 == kind:
+            continue  # once flipped, (r ^ column) & 1 must read ``kind``
         return r
     return None
 
@@ -241,14 +239,14 @@ def _pre_pick_rows(engine: _Engine, i: int, deficits: list[int]) -> tuple[int, i
         raise PairNotFound("no pseudo-block conversions are outstanding")
     chosen = []
     for parity in (0, 1):
-        want_normal = deficits[0] >= deficits[1]
-        row = _scan_member(engine, i, parity, want_normal)
+        kind = NORMAL if deficits[NORMAL] >= deficits[INVERTED] else INVERTED
+        row = _scan_member(engine, i, parity, kind)
         if row is None:
             raise PairNotFound(
                 f"no unconsumed interrupting member at column parity {parity}"
             )
         chosen.append(row)
-        deficits[0 if want_normal else 1] -= 1
+        deficits[kind] -= 1
     return chosen[0], chosen[1]
 
 

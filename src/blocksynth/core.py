@@ -145,6 +145,8 @@ class Permutation:
             raise NotABijection(
                 f"width {self.width} needs {size} entries, got {len(self.entries)}"
             )
+        if set(map(type, self.entries)) != {int}:
+            raise NotABijection("entries must be ints")
         if sorted(self.entries) != list(range(size)):
             raise NotABijection("entries are not a permutation of 0..2^n-1")
 
@@ -166,24 +168,6 @@ class Permutation:
 
     def __call__(self, column: int) -> int:
         return self.entries[column]
-
-    def position_of(self, row: int) -> int:
-        """Column currently holding ``row`` (O(1) after first use)."""
-        return self.positions[row]
-
-    @property
-    def positions(self) -> tuple[int, ...]:
-        cached = self.__dict__.get("_positions")
-        if cached is None:
-            pos = [0] * self.size
-            for col, row in enumerate(self.entries):
-                pos[row] = col
-            cached = tuple(pos)
-            self.__dict__["_positions"] = cached
-        return cached
-
-    def is_identity(self) -> bool:
-        return all(r == c for c, r in enumerate(self.entries))
 
 
 @dataclass(frozen=True)
@@ -337,19 +321,14 @@ def sample(
     ``parity_aligned`` keeps every row at a column of its own parity
     (r_i ≡ i mod 2), i.e. all relevant pairs sit at normal positions.
     """
+    stride = {"uniform": 1, "parity_aligned": 2}.get(kind)
+    if stride is None:
+        raise ValueError(f"unknown sample kind {kind!r}")
     rng = random.Random(f"{seed}:{kind}:{width}")
     size = 1 << width
-    if kind == "uniform":
-        entries = list(range(size))
-        rng.shuffle(entries)
-    elif kind == "parity_aligned":
-        evens = list(range(0, size, 2))
-        odds = list(range(1, size, 2))
-        rng.shuffle(evens)
-        rng.shuffle(odds)
-        entries = [0] * size
-        entries[0::2] = evens
-        entries[1::2] = odds
-    else:
-        raise ValueError(f"unknown sample kind {kind!r}")
+    entries = [0] * size
+    for start in range(stride):  # shuffle each class of rows among its columns
+        rows = list(range(start, size, stride))
+        rng.shuffle(rows)
+        entries[start::stride] = rows
     return Permutation(width, tuple(entries))

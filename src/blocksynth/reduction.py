@@ -1,4 +1,15 @@
-"""Pair selection, block construction/allocation, and size reduction.
+"""Pair classification and selection, block construction/allocation, and
+size reduction.
+
+The relevant pair ⟨2j, 2j+1⟩ is classified by the parities of its members'
+columns: equal parities make it interrupting; otherwise its kind (``NORMAL``
+or ``INVERTED``, the bits 0 and 1) is the parity of the even row's column,
+and each member of a kind-k pair has (row ^ column) & 1 == k.  Every
+census, scan and block test reads this one rule.  ``_pair_split`` is the
+census: ``synthesis.synthesize`` dispatches on it and the conditioning
+passes check their postconditions with it.  A *block* of kind k is a
+column pair (2i, 2i+1) holding one relevant pair; i is its block-wise
+position.
 
 One *reduction* turns a width-n permutation into Q ⊗ I_2 — the last line
 becomes an identity wire — by conjoining each relevant pair into adjacent
@@ -10,10 +21,10 @@ positions; ``_Engine.allocate`` runs one iteration for a chosen pair.
 never emits a gate targeting the last line; ``_run_general`` handles the
 balanced normal/inverted case with exactly one last-line gate at the very
 end.  Both fill their positions through ``_fill``, keyed by the phase's
-pair kind ("normal" or "inverted").  ``synthesis.synthesize`` dispatches to
-them by the pair census and supplies the lookahead selectors; where a
-selector declines, ``_pick_rows`` takes the first in-region pair of the
-kind (``_Engine.scan_region``), else the best one outside the region.
+pair kind.  ``synthesis.synthesize`` dispatches to them by the census and
+supplies the lookahead selectors; where a selector declines,
+``_pick_rows`` takes the first in-region pair of the kind
+(``_Engine.scan_region``), else the best one outside the region.
 
 One ``_Engine`` serves a whole ``synthesize`` call: after each reduction
 ``_Engine.strip`` drops the identity last line in place, so the next stage
@@ -26,13 +37,13 @@ each distinct one once per engine.
 same controls (``_passes``), so a conjoin or a slide costs at most two
 passes, however many CXs it records.
 
-Iteration i searches inside a shrinking column region (columns whose first
-m-1 bits are all set, m = findm(i, n)); there the conjoining MCT — controls
-on lines 1..m-1 plus line n — is guaranteed to fire on the chosen pair and
-provably cannot touch any column of an already-allocated block.  When no
-admissible pair sits inside the region (possible only in the normal-pair
-part of ``_run_general``), the pair is first *lifted* into the region; see
-``_Engine.lift_pair``.
+Iteration i searches inside a shrinking column region (``_region_mask``:
+columns whose first m-1 bits are all set, m = findm(i, n)); there the
+conjoining MCT — controls on lines 1..m-1 plus line n — is guaranteed to
+fire on the chosen pair and provably cannot touch any column of an
+already-allocated block.  When no admissible pair sits inside the region
+(possible only in the normal-pair part of ``_run_general``), the pair is
+first *lifted* into the region; see ``_Engine.lift_pair``.
 
 The analytic Toffoli budgets for one whole reduction are exposed through
 ``bounds``; they are exact integers (the width-3 conditioning term of the
@@ -45,9 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .blocks import findm, h
 from .core import (
     Gate,
     GateSequence,
@@ -57,6 +67,10 @@ from .core import (
     exchange_columns,
 )
 from .cost import toffoli_equivalents
+
+
+# The pair kinds, as the bit each member's (row ^ column) parity reads.
+NORMAL, INVERTED = 0, 1
 
 
 class PairNotFound(ValueError):
@@ -109,6 +123,44 @@ def preprocessing_bound(n: int) -> int:
     return math.ceil(raw)
 
 
+def _pair_split(pos: Sequence[int]) -> tuple[int, int]:
+    """Counts of normal and of inverted pairs; the rest are interrupting.
+
+    ``pos`` maps each row to its column.
+    """
+    split = [0, 0]
+    for p in range(0, len(pos), 2):
+        if (pos[p] ^ pos[p + 1]) & 1:
+            split[pos[p] & 1] += 1
+    return split[NORMAL], split[INVERTED]
+
+
+# ---------------------------------------------------------------------------
+# Region geometry.
+
+
+def findm(l: int, n: int) -> int:
+    """Smallest m ≥ 1 whose region (see ``_region_mask``) starts at or past
+    column 2l; m = 1 when l = 0.
+
+    Columns whose m-1 most significant bits are all 1 are the region where
+    the conjoining MCT (controls on lines 1..m-1 plus line n) is guaranteed
+    to fire.  Defined for block-wise positions 0..2^(n-1)-1; the position
+    one past the end has no region.
+    """
+    if not 0 <= l < 1 << (n - 1):
+        raise ValueError(f"l={l} outside 0..2^{n-1}-1")
+    # 2^n - 2^(n-m+1) >= 2l  <=>  2^(n-m+1) <= 2^n - 2l
+    return max(1, n + 2 - ((1 << n) - 2 * l).bit_length())
+
+
+def _region_mask(n: int, i: int) -> int:
+    """Columns c with (c & mask) == mask are in iteration i's region: those
+    whose first m-1 bits are all set, m = findm(i, n).  They are also the
+    columns c >= mask."""
+    return (1 << n) - (1 << (n - findm(i, n) + 1))
+
+
 # ---------------------------------------------------------------------------
 # Gate construction: pure functions of (width, iteration, columns) that
 # return mask triples.
@@ -125,7 +177,7 @@ def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
 
     Requires opposite column parity, and the pair to sit inside the
     iteration-i region whenever its columns differ on a protected prefix
-    line.
+    line (a line of the region mask).
     """
     gamma = alpha ^ beta
     if (gamma & 1) == 0:
@@ -133,14 +185,14 @@ def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
             f"columns {alpha} and {beta} share parity; the pair cannot be "
             "conjoined into last-bit-adjacent columns"
         )
-    m = findm(i, n)
+    region = _region_mask(n, i)
     delta = n + 1 - gamma.bit_length()  # first line on which the columns differ
     if delta == n:
         return []  # already a block
-    if delta < m:
+    if gamma & region:
         raise PreconditionViolated(
             f"pair columns {alpha},{beta} differ inside the protected prefix "
-            f"(line {delta} < m={m}); lift the pair into the region first"
+            f"(line {delta}); lift the pair into the region first"
         )
     t = 1 << (n - delta)
     out: list[Masks] = []
@@ -153,7 +205,7 @@ def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
         rest ^= bit
     if out and _block_bit(i, delta, n) == 1:
         out = [(0, 0, t), *out, (0, 0, t)]
-    out.append((h(n, m) | 1, 0, t))  # controls on lines 1..m-1 and line n
+    out.append((region | 1, 0, t))  # controls on lines 1..m-1 and line n
     return out
 
 
@@ -173,11 +225,6 @@ def _alloc_masks(n: int, i: int, alpha: int) -> list[Masks]:
         rest ^= bit
     out.append(((i & (below - 1)) << 1, 0, t))  # i's set bits below the target
     return out
-
-
-def _region_mask(n: int, i: int) -> int:
-    """Columns c with (c & mask) == mask are in iteration i's region."""
-    return h(n, findm(i, n))
 
 
 def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
@@ -252,11 +299,6 @@ def _passes(gates: Sequence[Masks]) -> Iterator[Masks]:
 # A selector maps an iteration index to the chosen pair of row numbers, or
 # None to delegate to the engine's plain scan.
 Selector = Callable[[int], Optional[tuple[int, int]]]
-
-# The pair kind a reduction phase allocates.  Row 2p matches at an even
-# column and row 2p+1 at an odd one; a normal pair has both members
-# matching, an inverted pair neither.
-Kind = Literal["normal", "inverted"]
 
 
 class _Engine:
@@ -364,31 +406,29 @@ class _Engine:
 
     # -- plain pair scans -------------------------------------------------
 
-    def scan_region(self, i: int, kind: Kind) -> Optional[tuple[int, int]]:
+    def scan_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """First in-region pair of ``kind`` by ascending column, the member
         at the smaller column first."""
-        want = 0 if kind == "normal" else 1  # row ^ column parity of each member
         k = _region_mask(self.n, i)
         entries, pos = self.entries, self.pos
         for col in range(k, self.size - 1):
             a = entries[col]
-            if (a ^ col) & 1 != want:
+            if (a ^ col) & 1 != kind:
                 continue
             t = pos[a ^ 1]
-            if t > col and (a ^ 1 ^ t) & 1 == want:
+            if t > col and (a ^ 1 ^ t) & 1 == kind:
                 return a, a ^ 1
         return None
 
-    def best_out_of_region(self, i: int, kind: Kind) -> Optional[tuple[int, int]]:
+    def best_out_of_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """Unallocated pair of ``kind`` maximizing its smaller column."""
         pos = self.pos
-        match = kind == "normal"  # both members match, or neither does
         best: Optional[tuple[int, int, int]] = None
         for base in range(0, self.size, 2):
             ca, cb = pos[base], pos[base + 1]
             if ca < 2 * i and cb < 2 * i:
                 continue  # allocated
-            if (ca & 1 == 0) != match or (cb & 1 == 1) != match:
+            if not (ca ^ cb) & 1 or ca & 1 != kind:
                 continue
             lo = min(ca, cb)
             if best is None or lo > best[0]:
@@ -399,13 +439,14 @@ class _Engine:
         return best[1], best[2]
 
 
-def _pick_rows(engine: _Engine, i: int, kind: Kind) -> tuple[int, int]:
+def _pick_rows(engine: _Engine, i: int, kind: int) -> tuple[int, int]:
     """The plain pick: the region scan, else the best pair outside it."""
     found = engine.scan_region(i, kind)
     if found is None:
         found = engine.best_out_of_region(i, kind)
     if found is None:
-        raise PairNotFound(f"no unallocated {kind} pair left for position {i}")
+        name = "inverted" if kind else "normal"
+        raise PairNotFound(f"no unallocated {name} pair left for position {i}")
     return found
 
 
@@ -413,16 +454,14 @@ def _pick_rows(engine: _Engine, i: int, kind: Kind) -> tuple[int, int]:
 # Whole reductions.
 
 
-def _holds_block(engine: _Engine, i: int, kind: Kind) -> bool:
+def _holds_block(engine: _Engine, i: int, kind: int) -> bool:
     """Position i already carries a block of ``kind`` (free win)."""
     lo, hi = engine.entries[2 * i], engine.entries[2 * i + 1]
-    if kind == "inverted":
-        return lo == hi + 1 and hi % 2 == 0
-    return hi == lo + 1 and lo % 2 == 0
+    return lo ^ hi == 1 and lo & 1 == kind
 
 
 def _fill(
-    engine: _Engine, positions: range, kind: Kind, selector: Optional[Selector]
+    engine: _Engine, positions: range, kind: int, selector: Optional[Selector]
 ) -> None:
     """Give each position a block of ``kind``: keep one it already holds,
     else allocate the selector's pair, else ``_pick_rows``'s."""
@@ -437,7 +476,7 @@ def _fill(
 
 def _run_normal(engine: _Engine, selector: Optional[Selector] = None) -> None:
     """Reduce an all-normal state; no emitted gate targets the last line."""
-    _fill(engine, range(engine.size // 2), "normal", selector)
+    _fill(engine, range(engine.size // 2), NORMAL, selector)
 
 
 def _run_general(
@@ -452,6 +491,6 @@ def _run_general(
     right-half blocks even: the only emitted gate targeting the last line.
     """
     quarter, half = engine.size // 4, engine.size // 2
-    _fill(engine, range(quarter), "normal", normal_selector)
-    _fill(engine, range(quarter, half), "inverted", inverted_selector)
+    _fill(engine, range(quarter), NORMAL, normal_selector)
+    _fill(engine, range(quarter, half), INVERTED, inverted_selector)
     engine.emit((engine.size >> 1, 0, 1))  # CX line 1 -> line n

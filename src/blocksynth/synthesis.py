@@ -2,7 +2,7 @@
 
 ``synthesize`` walks the width down one line at a time on one working copy,
 an ``_Engine`` built from the input.  At each stage the pair census of the
-current state (``blocks._pair_split``) picks the path: all-normal states
+current state (``reduction._pair_split``) picks the path: all-normal states
 go straight to reduction, and all-inverted ones too after one X on the
 last line; an exact half count of interrupting rows goes to preprocessing
 then reduction; a balanced normal/inverted split goes to the general
@@ -42,7 +42,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .blocks import _pair_split
 from .conditioning import _mix_engine, _run_preprocess
 from .core import (
     Gate,
@@ -58,9 +57,12 @@ from .core import (
 )
 from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalents
 from .reduction import (
+    INVERTED,
+    NORMAL,
     _alloc_masks,
     _cons_masks,
     _Engine,
+    _pair_split,
     _region_mask,
     _run_general,
     _run_normal,
@@ -84,14 +86,16 @@ class SynthesisConfig:
     exhaustive_tail: int = 9
 
     def __post_init__(self) -> None:
-        if self.exhaustive_tail < 0:
-            raise ValueError(
-                f"exhaustive_tail must be non-negative, got {self.exhaustive_tail}"
-            )
         depths = self.depths or {}
-        lowest = min(depths.values(), default=0)
-        if lowest < 0:
-            raise ValueError(f"lookahead depths must be non-negative, got {lowest}")
+        checked = [("exhaustive_tail", self.exhaustive_tail)]
+        checked += [("lookahead depths", d) for d in depths.values()]
+        for what, value in checked:
+            # A fractional depth never counts down to 0: its search would
+            # run to the end of every phase.
+            if type(value) is not int:
+                raise ValueError(f"{what} must be of type int, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{what} must be non-negative, got {value}")
         stray = sorted(j for j in depths if not 1 <= j <= MAX_WIDTH)
         if stray:
             raise ValueError(
@@ -181,17 +185,16 @@ def _pair_gates(
 
 
 def _admissible_from(
-    n: int, pairs: Pairs, i: int, kind: str
+    n: int, pairs: Pairs, i: int, kind: int
 ) -> list[tuple[int, int, int, int]]:
     """In-region pairs of the phase kind as (smaller-column row, partner,
     their columns), by row."""
     mask = _region_mask(n, i)
-    want = 0 if kind == "normal" else 1  # parity of the even row's column
     out = []
     for r, ca, cb in pairs:
         if (ca & mask) != mask or (cb & mask) != mask:
             continue
-        if ca & 1 != want or cb & 1 == want:
+        if ca & 1 != kind or cb & 1 == kind:
             continue
         out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
     out.sort()
@@ -213,10 +216,9 @@ def _advance(pairs: Pairs, skip: int, masks: list[Masks]) -> Pairs:
     return out
 
 
-def _blocks(pairs: Pairs, kind: str) -> int:
+def _blocks(pairs: Pairs, kind: int) -> int:
     """Blocks of the phase kind among ``pairs``."""
-    want = 0 if kind == "normal" else 1
-    return sum(1 for _, c, p in pairs if c ^ p == 1 and c & 1 == want)
+    return sum(1 for _, c, p in pairs if c ^ p == 1 and c & 1 == kind)
 
 
 def _count_free(blocks: int, gaps: Counter[int], gap: int) -> int:
@@ -241,7 +243,7 @@ def _suffix(
     i: int,
     depth_left: int,
     phase_end: int,
-    kind: str,
+    kind: int,
     budget: float,
     memo: dict,
     tied: Optional[list[tuple[int, int, int, int]]] = None,
@@ -292,7 +294,7 @@ def _lookahead_choose(
     n: int,
     pairs: Pairs,
     i: int,
-    kind: str,
+    kind: int,
     phase_end: int,
     d: int,
 ) -> Optional[tuple[int, int]]:
@@ -309,12 +311,12 @@ def _lookahead_choose(
     return tied[0][:2] if tied else None
 
 
-def _make_selector(engine: _Engine, kind: str, phase_end: int, cfg: SynthesisConfig):
+def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisConfig):
     """The lookahead selector for one phase of a reduction on ``engine``.
 
-    ``kind`` "normal" selects among in-region normal pairs for the positions
+    ``kind`` NORMAL selects among in-region normal pairs for the positions
     before ``phase_end`` (a quarter of the columns in a general reduction,
-    half in an all-normal one), "inverted" among inverted pairs up to half.
+    half in an all-normal one), INVERTED among inverted pairs up to half.
     The selector returns None at depth 0 or when the region holds no
     admissible pair; the reduction then takes its plain scan.
     """
@@ -409,7 +411,7 @@ def synthesize(
             normal = pairs
             mix_gates = 1
         if normal == pairs:
-            _run_normal(engine, _make_selector(engine, "normal", pairs, cfg))
+            _run_normal(engine, _make_selector(engine, NORMAL, pairs, cfg))
             red_gates = len(engine.gates) - mix_gates
         else:
             if not normal == inverted == pairs // 2:  # not balanced
@@ -423,8 +425,8 @@ def synthesize(
             mark = len(engine.gates)
             _run_general(
                 engine,
-                _make_selector(engine, "normal", pairs // 2, cfg),
-                _make_selector(engine, "inverted", pairs, cfg),
+                _make_selector(engine, NORMAL, pairs // 2, cfg),
+                _make_selector(engine, INVERTED, pairs, cfg),
             )
             red_gates = len(engine.gates) - mark
         stage_seq = engine.sequence()

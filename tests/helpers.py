@@ -91,6 +91,14 @@ def independent_parity(entries) -> str:
     return "odd" if transpositions % 2 else "even"
 
 
+def positions(perm) -> list[int]:
+    """The column of each row: ``perm.entries`` inverted."""
+    pos = [0] * len(perm.entries)
+    for col, row in enumerate(perm.entries):
+        pos[row] = col
+    return pos
+
+
 def mismatch_rows(entries) -> int:
     """Rows belonging to a pair with exactly one parity-mismatched member."""
     size = len(entries)

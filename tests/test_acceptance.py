@@ -26,6 +26,7 @@ from blocksynth import (
     bounds,
     cx,
     expand_mct,
+    findm,
     mct,
     parse_permutation,
     sample,
@@ -34,12 +35,13 @@ from blocksynth import (
     verify_identity,
     x,
 )
-from blocksynth.blocks import classify_positions, findm
 from blocksynth.conditioning import _mix_engine, _run_preprocess
 from blocksynth.reduction import (
+    NORMAL,
     _alloc_masks,
     _cons_masks,
     _Engine,
+    _pair_split,
     _pick_rows,
     _run_normal,
 )
@@ -49,6 +51,8 @@ from helpers import (
     circuit_table,
     conjoin_budget,
     independent_parity,
+    mismatch_rows,
+    positions,
     sim_circuit,
     slide_budget,
 )
@@ -165,7 +169,7 @@ def test_criterion_04_per_call_budgets_width_8():
             lo, hi = engine.entries[2 * i], engine.entries[2 * i + 1]
             if hi == lo + 1 and lo % 2 == 0:
                 continue  # position already holds the right block
-            a, b = _pick_rows(engine, i, "normal")
+            a, b = _pick_rows(engine, i, NORMAL)
             engine.lift_pair(i, a, b)
             cgates = _cons_masks(n, i, pos[a], pos[b])
             if cgates:
@@ -208,14 +212,12 @@ def test_criterion_05_conditioning_postconditions():
         perm = sample(8, seed=k)
         engine = _Engine(perm)
         stats = _mix_engine(engine)
-        mixed = engine.snapshot()
-        if classify_positions(mixed).interrupting == target:
+        if mismatch_rows(engine.entries) == target:
             exact_hits += 1
         if stats.fixup_gates == 0 and stats.depth <= 2:
             depth_shallow += 1
         _run_preprocess(engine)
-        counts = classify_positions(engine.snapshot())
-        if counts.interrupting == 0 and counts.normal == counts.inverted == 128:
+        if _pair_split(engine.pos) == (64, 64):  # 128 rows each, none interrupting
             balanced_ok += 1
     assert exact_hits == samples, f"only {exact_hits}/{samples} hit {target}"
     assert balanced_ok == samples, f"only {balanced_ok}/{samples} balanced"
@@ -248,22 +250,16 @@ def test_criterion_06_invariant_suite():
         width = rng.randrange(3, 8)
         perm = random_perm(width)
         gate = random_gate(width)
-        before = classify_positions(perm)
         after_perm = apply_gate(perm, gate)
-        after = classify_positions(after_perm)
         if gate.target != width:  # off-last-line gates preserve all classes
-            assert (before.normal, before.inverted, before.interrupting) == (
-                after.normal,
-                after.inverted,
-                after.interrupting,
-            )
+            assert _pair_split(positions(after_perm)) == _pair_split(positions(perm))
             conserved += 1
-        assert (after.interrupting - before.interrupting) % 4 == 0
+        assert (mismatch_rows(after_perm.entries) - mismatch_rows(perm.entries)) % 4 == 0
         deltas += 1
         assert apply_gate(after_perm, gate) == perm
         involutions += 1
     for entries in itertools.permutations(range(8)):
-        assert classify_positions(Permutation(3, entries)).interrupting % 4 == 0
+        assert mismatch_rows(entries) % 4 == 0
     report(
         f"[criterion 6] PASS: {conserved} conservation, {deltas} mod-4 delta, "
         f"{involutions} involution checks; width-3 count exhaustively = 0 mod 4"

@@ -12,7 +12,6 @@ from blocksynth import (
     Permutation,
     apply_gate,
     apply_sequence,
-    classify_positions,
     cx,
     mct,
     sample,
@@ -30,13 +29,14 @@ from blocksynth.conditioning import (
     _walsh_spectrum,
 )
 from blocksynth.reduction import _Engine
-from helpers import flat_spectrum, mismatch_rows
+from helpers import flat_spectrum, mismatch_rows, positions
 
 # Hand-classified width-4 map: 2 normal, 6 inverted, 8 interrupting rows —
 # exactly on the mixing target and a valid preprocessing input.
 HALF_INTERRUPTING = Permutation.from_entries(
     (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11)
 )
+HALF_POS = positions(HALF_INTERRUPTING)
 
 
 def mix(p):
@@ -97,13 +97,13 @@ class TestWalshScoring:
         rows = {line: 1 << (n - line) for line in range(1, n + 1)}
         for control, target in moves:
             rows[target] ^= rows[control]
-        spectrum = _walsh_spectrum(p.positions)
+        spectrum = _walsh_spectrum(positions(p))
         expected = p.size // 2 + spectrum[rows[n]]
         for negated in [None, *range(len(moves))]:  # all positive, then each move negative
             q = p
             for k, (control, target) in enumerate(moves):
                 q = apply_gate(q, cx(n, control, target, positive=k != negated))
-            assert classify_positions(q).interrupting == expected
+            assert mismatch_rows(q.entries) == expected
 
     @given(permutations(max_width=6), st.data())
     @settings(max_examples=120, deadline=None)
@@ -112,8 +112,8 @@ class TestWalshScoring:
         q = p
         for masks in _composite(a):
             q = apply_gate(q, Gate.from_masks(p.width, *masks))
-        expected = p.size // 2 + _walsh_spectrum(p.positions)[a]
-        assert classify_positions(q).interrupting == expected
+        expected = p.size // 2 + _walsh_spectrum(positions(p))[a]
+        assert mismatch_rows(q.entries) == expected
 
 
 class TestSpectralPick:
@@ -128,8 +128,8 @@ class TestSpectralPick:
         q = p
         for masks in engine.gates[: stats.depth]:
             q = apply_gate(q, Gate.from_masks(p.width, *masks))
-        closest = min(abs(w) for w in _walsh_spectrum(p.positions)[1:])
-        assert abs(classify_positions(q).interrupting - p.size // 2) == closest
+        closest = min(abs(w) for w in _walsh_spectrum(positions(p))[1:])
+        assert abs(mismatch_rows(q.entries) - p.size // 2) == closest
         assert (stats.fixup_gates == 0) == (closest == 0)
         assert len(engine.gates) == stats.depth + stats.fixup_gates
 
@@ -152,7 +152,7 @@ class TestSpectralPick:
         assert all(_composite(a) == circuit for a, circuit in first.items())
         for seed in range(20):
             p = sample(n, seed)
-            spectrum = _walsh_spectrum(p.positions)
+            spectrum = _walsh_spectrum(positions(p))
             closest = min(abs(spectrum[a]) for a in first)
             engine = _Engine(p)
             stats = _mix_engine(engine)
@@ -170,7 +170,7 @@ class TestSpectralPick:
         maps = {}
         for entries in orderings(range(8)):
             p = Permutation.from_entries(entries)
-            pos = p.positions
+            pos = positions(p)
             maps.setdefault(tuple(sorted(pos[r] ^ pos[r + 1] for r in (0, 2, 4, 6))), p)
         landings = 0
         for p in maps.values():
@@ -180,8 +180,8 @@ class TestSpectralPick:
                 frontier = [q for q in set(frontier) if q not in reached]
                 reached.update(frontier)
             assert len(reached) == 168  # GL(3, 2)
-            lands = any(classify_positions(q).interrupting == 4 for q in reached)
-            spectral = 0 in _walsh_spectrum(p.positions)[1:]
+            lands = any(mismatch_rows(q.entries) == 4 for q in reached)
+            spectral = 0 in _walsh_spectrum(positions(p))[1:]
             repaired = _mix_engine(_Engine(p)).fixup_gates > 0
             assert lands == spectral == (not repaired)
             landings += lands
@@ -193,14 +193,15 @@ class TestInterruptingArithmetic:
     @settings(max_examples=120)
     def test_count_is_multiple_of_four(self, p):
         """Even/odd-column interrupting pairs pair off, so rows ≡ 0 mod 4."""
-        assert classify_positions(p).interrupting % 4 == 0
+        assert mismatch_rows(p.entries) % 4 == 0
 
     @given(permutations())
     @settings(max_examples=120)
     def test_even_and_odd_column_interrupting_pairs_balance(self, p):
         even_pairs = odd_pairs = 0
+        pos = positions(p)
         for j in range(p.size // 2):
-            ca, cb = p.position_of(2 * j), p.position_of(2 * j + 1)
+            ca, cb = pos[2 * j], pos[2 * j + 1]
             if ((2 * j ^ ca) & 1) == ((2 * j + 1 ^ cb) & 1):
                 continue  # not interrupting
             if ca & 1:
@@ -215,8 +216,8 @@ class TestInterruptingArithmetic:
         control = data.draw(st.integers(1, p.width - 1))
         polarity = data.draw(st.booleans())
         g = cx(p.width, control, p.width, positive=polarity)
-        before = classify_positions(p).interrupting
-        after = classify_positions(apply_gate(p, g)).interrupting
+        before = mismatch_rows(p.entries)
+        after = mismatch_rows(apply_gate(p, g).entries)
         assert (after - before) % 4 == 0
 
 
@@ -230,7 +231,7 @@ class TestMix:
     @settings(max_examples=60, deadline=None)
     def test_reaches_target_exactly(self, p):
         mixed, seq = mix(p)
-        assert classify_positions(mixed).interrupting == p.size // 2
+        assert mismatch_rows(mixed.entries) == p.size // 2
         replayed, _ = apply_sequence(p, GateSequence(p.width), seq)
         assert replayed == mixed
 
@@ -244,7 +245,7 @@ class TestMix:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conditioning, "_walsh_spectrum", flat_spectrum)  # no composite
             mixed, seq = mix(p)
-        assert classify_positions(mixed).interrupting == p.size // 2
+        assert mismatch_rows(mixed.entries) == p.size // 2
 
     def test_gate_shapes(self):
         # Every pair of the identity has column difference 1, so |W(a)| is
@@ -253,7 +254,7 @@ class TestMix:
         # in between.
         p = Permutation.identity(4)
         mixed, seq = mix(p)
-        assert classify_positions(mixed).interrupting == 8
+        assert mismatch_rows(mixed.entries) == 8
         assert len(seq) >= 1
         # vocabulary: single-control composite moves plus fully controlled
         # repair gates (slot toggles on the last line, plus status-neutral
@@ -272,15 +273,13 @@ class TestMix:
 class TestPrePick:
     def test_member_columns_have_opposite_parity(self):
         (a, b), _ = first_pick(HALF_INTERRUPTING)
-        ca = HALF_INTERRUPTING.position_of(a)
-        cb = HALF_INTERRUPTING.position_of(b)
+        ca, cb = HALF_POS[a], HALF_POS[b]
         assert ca % 2 == 0 and cb % 2 == 1
 
     def test_members_come_from_interrupting_pairs(self):
         for member in first_pick(HALF_INTERRUPTING)[0]:
             j = member >> 1
-            ca = HALF_INTERRUPTING.position_of(2 * j)
-            cb = HALF_INTERRUPTING.position_of(2 * j + 1)
+            ca, cb = HALF_POS[2 * j], HALF_POS[2 * j + 1]
             assert ((2 * j ^ ca) & 1) != ((2 * j + 1 ^ cb) & 1)
 
     def test_members_from_distinct_pairs(self):
@@ -294,15 +293,13 @@ class TestPrePick:
         (a, b), deficits = first_pick(HALF_INTERRUPTING)
         assert deficits == [1, 1]
         for member in (a, b):
-            col = HALF_INTERRUPTING.position_of(member)
-            assert (member ^ col) & 1  # mismatching: its pair turns normal
+            assert (member ^ HALF_POS[member]) & 1  # mismatching: its pair turns normal
 
 
 class TestPreprocess:
     def test_worked_example(self):
         result, seq = preprocess(HALF_INTERRUPTING)
-        counts = classify_positions(result)
-        assert (counts.normal, counts.inverted, counts.interrupting) == (8, 8, 0)
+        assert _pair_split(positions(result)) == (4, 4)  # 8 rows each, none interrupting
         replayed, _ = apply_sequence(
             HALF_INTERRUPTING, GateSequence(4), seq
         )
@@ -320,9 +317,7 @@ class TestPreprocess:
         p = sample(width, seed)
         mixed, _ = mix(p)
         result, seq = preprocess(mixed)
-        counts = classify_positions(result)
-        assert counts.interrupting == 0
-        assert counts.normal == counts.inverted == result.size // 2
+        assert _pair_split(positions(result)) == (result.size // 4, result.size // 4)
         assert sum(g.target == width for g in seq) == 1
 
     @given(st.integers(3, 6), st.integers(0, 500))
@@ -363,7 +358,7 @@ class TestInternalChecks:
     def test_missing_lowering_slot(self, monkeypatch):
         # The identity has no interrupting rows; claim all 8 of them are.
         monkeypatch.setattr(
-            conditioning, "_interrupting_pairs", lambda entries: bytearray([1] * 4)
+            conditioning, "_interrupting_pairs", lambda pos: bytearray([1] * 4)
         )
         engine = _Engine(Permutation.identity(3))
         with pytest.raises(RuntimeError, match="internal error: no slot lowers"):
@@ -381,7 +376,7 @@ class TestInternalChecks:
         # no composite and repairs that emit nothing, mixing ends off
         # target, and synthesize itself must say so.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 6, 7))
-        assert classify_positions(p).interrupting == 0
+        assert mismatch_rows(p.entries) == 0
         monkeypatch.setattr(conditioning, "_fixups", lambda engine, target: 0)
         monkeypatch.setattr(conditioning, "_walsh_spectrum", flat_spectrum)
         with pytest.raises(RuntimeError, match="internal error: mixing left 0"):

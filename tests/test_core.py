@@ -27,7 +27,7 @@ from blocksynth import (
 )
 from blocksynth.core import exchange_columns
 from blocksynth.reduction import _Engine
-from helpers import as_plain, circuit_table, sim_circuit
+from helpers import as_plain, circuit_table, positions, sim_circuit
 
 
 @st.composite
@@ -108,7 +108,6 @@ class TestPermutationBasics:
     def test_identity(self):
         p = Permutation.identity(3)
         assert p.entries == tuple(range(8))
-        assert p.is_identity()
 
     def test_from_entries_rejects_non_bijection(self):
         with pytest.raises(NotABijection):
@@ -120,6 +119,13 @@ class TestPermutationBasics:
         with pytest.raises(NotABijection):
             Permutation.from_entries((0, 1, 2, 7))
 
+    @pytest.mark.parametrize("entries", [(0, 1, 2, 3.0), (0, 1, "2", 3), (False, True)])
+    def test_rejects_entries_that_are_not_ints(self, entries):
+        # 3.0 == 3, so a float entry passes the bijection check and only
+        # fails later, as an index.
+        with pytest.raises(NotABijection, match="must be ints"):
+            Permutation.from_entries(entries)
+
     def test_width_cap(self):
         with pytest.raises(ValueError):
             Permutation(MAX_WIDTH + 1, ())
@@ -129,7 +135,7 @@ class TestPermutationBasics:
     def test_call_and_position(self):
         p = Permutation.from_entries((2, 0, 3, 1))
         assert [p(c) for c in range(4)] == [2, 0, 3, 1]
-        assert [p.position_of(r) for r in range(4)] == [1, 3, 0, 2]
+        assert positions(p) == [1, 3, 0, 2]
 
 
 class TestHandVerifiedApplication:
@@ -338,7 +344,7 @@ class TestExchangeColumns:
     @settings(max_examples=200)
     def test_matches_full_scan(self, perm, data):
         gs = data.draw(st.lists(gates(perm.width), min_size=1, max_size=4))
-        entries, pos = list(perm.entries), list(perm.positions)
+        entries, pos = list(perm.entries), positions(perm)
         ref_entries, ref_pos = list(entries), list(pos)
         plain = list(entries)
         for g in gs:
@@ -364,9 +370,9 @@ class TestExchangeColumns:
         tmask = 0
         for g in run:
             tmask |= g.masks()[2]
-        entries, pos = list(perm.entries), list(perm.positions)
+        entries, pos = list(perm.entries), positions(perm)
         exchange_columns(entries, ones, zeros, tmask, pos)
-        ref_entries, ref_pos = list(perm.entries), list(perm.positions)
+        ref_entries, ref_pos = list(perm.entries), positions(perm)
         for g in data.draw(st.permutations(run)):
             full_scan(ref_entries, ref_pos, g)
         assert entries == ref_entries
@@ -403,7 +409,7 @@ class TestBitSlicedVerify:
                 entries[a], entries[b] = entries[b], entries[a]
                 perm = Permutation(perm.width, tuple(entries))
         reached, _ = apply_sequence(perm, GateSequence(perm.width), seq)
-        assert verify_identity(perm, seq) == reached.is_identity()
+        assert verify_identity(perm, seq) == (reached.entries == tuple(range(reached.size)))
 
 
 class TestSimulatorSelfCheck:

@@ -1,4 +1,7 @@
-"""Pair selection, conjoin/slide gate construction, and whole reductions."""
+"""Pair classification, region geometry, pair selection, conjoin/slide gate
+construction, and whole reductions."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,24 +27,39 @@ from blocksynth import (
 from blocksynth import reduction
 from blocksynth.core import exchange_columns
 from blocksynth.reduction import (
+    INVERTED,
+    NORMAL,
     _alloc_masks,
     _cons_masks,
     _Engine,
+    _holds_block,
+    _pair_split,
     _pick_rows,
     _passes,
+    _region_mask,
     _run_general,
     _run_normal,
 )
+from blocksynth.synthesis import _admissible_from, _blocks, _count_free
 from helpers import (
     balanced_entries,
     conditioning_budget,
     conjoin_budget,
+    mismatch_rows,
+    positions,
     rebalance_budget,
     slide_budget,
     with_identity_wire,
 )
 
 ID3 = Permutation.identity(3)
+
+
+@st.composite
+def permutations(draw, min_width=2, max_width=4):
+    width = draw(st.integers(min_width, max_width))
+    entries = draw(st.permutations(tuple(range(1 << width))))
+    return Permutation.from_entries(tuple(entries))
 
 
 @st.composite
@@ -63,12 +81,12 @@ def as_sequence(n, masks):
 
 
 def conjoining(p, i, pair):
-    ca, cb = (p.position_of(r) for r in pair)
-    return as_sequence(p.width, _cons_masks(p.width, i, ca, cb))
+    pos = positions(p)
+    return as_sequence(p.width, _cons_masks(p.width, i, pos[pair[0]], pos[pair[1]]))
 
 
 def sliding(p, i, a):
-    return as_sequence(p.width, _alloc_masks(p.width, i, p.position_of(a)))
+    return as_sequence(p.width, _alloc_masks(p.width, i, positions(p)[a]))
 
 
 def has_identity_last_line(p):
@@ -84,48 +102,220 @@ def reduced(p, run):
     return engine.snapshot(), engine.sequence()
 
 
+class TestRegionGeometry:
+    def test_region_mask_values_width_3(self):
+        assert [_region_mask(3, l) for l in range(4)] == [0, 4, 4, 6]
+
+    def test_region_mask_values_width_8(self):
+        # at the first position of each m = 1..8
+        firsts = [0, 1, 65, 97, 113, 121, 125, 127]
+        assert [_region_mask(8, l) for l in firsts] == [0, 128, 192, 224, 240, 248, 252, 254]
+
+    @pytest.mark.parametrize(
+        "l,n,m",
+        [
+            (0, 3, 1),
+            (1, 3, 2),
+            (2, 3, 2),
+            (3, 3, 3),
+            (1, 8, 2),
+            (64, 8, 2),
+            (65, 8, 3),
+            (96, 8, 3),
+            (97, 8, 4),
+            (127, 8, 8),
+        ],
+    )
+    def test_findm_hand_values(self, l, n, m):
+        assert findm(l, n) == m
+
+    def test_findm_is_minimal(self):
+        def start(n, m):  # the first column whose lines 1..m-1 are all set
+            return (1 << n) - (1 << (n - m + 1))
+
+        for n in (3, 4, 5, 6):
+            for l in range(1, 1 << (n - 1)):
+                m = findm(l, n)
+                assert 2 * l <= start(n, m)
+                assert m == 1 or 2 * l > start(n, m - 1)
+
+    def test_findm_range(self):
+        with pytest.raises(ValueError):
+            findm(-1, 3)
+        with pytest.raises(ValueError):
+            findm(4, 3)
+
+    def test_region_start_at_least_twice_l(self):
+        for n in (3, 4, 5, 6, 8):
+            for l in range(1 << (n - 1)):
+                assert _region_mask(n, l) >= 2 * l
+
+    def test_region_is_suffix_interval(self):
+        # Columns in the region are exactly those at or above its start.
+        for n in (3, 4, 5):
+            for l in range(1 << (n - 1)):
+                mask = _region_mask(n, l)
+                for col in range(1 << n):
+                    assert ((col & mask) == mask) == (col >= mask)
+
+    def test_region_membership_is_prefix_mask(self):
+        # The mask is lines 1..m-1, m = findm(l, n), written out bit by bit.
+        for n in (3, 4, 5, 6, 8):
+            for l in range(1 << (n - 1)):
+                lines = range(1, findm(l, n))
+                assert _region_mask(n, l) == sum(1 << (n - line) for line in lines)
+
+
+class TestClassification:
+    """The census counts pairs: (normal, inverted), the rest interrupting."""
+
+    def test_identity_all_normal(self):
+        assert _pair_split(positions(ID3)) == (4, 0)
+
+    def test_hand_worked_width_4(self):
+        p = Permutation.from_entries(
+            (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11)
+        )
+        assert _pair_split(positions(p)) == (1, 3)
+        assert mismatch_rows(p.entries) == 8
+
+    def test_swapped_pair_counts(self):
+        # Swapping columns 0,1 leaves pair <0,1> inverted; others normal.
+        p = Permutation.from_entries((1, 0, 2, 3, 4, 5, 6, 7))
+        assert _pair_split(positions(p)) == (3, 1)
+
+    @given(permutations())
+    @settings(max_examples=120)
+    def test_counts_are_even_and_sum(self, p):
+        normal, inverted = _pair_split(positions(p))
+        assert 2 * (normal + inverted) <= p.size
+        assert (p.size - 2 * (normal + inverted)) % 4 == 0
+
+    @given(permutations())
+    @settings(max_examples=120)
+    def test_interrupting_matches_reference(self, p):
+        normal, inverted = _pair_split(positions(p))
+        assert p.size - 2 * (normal + inverted) == mismatch_rows(p.entries)
+
+    @given(permutations())
+    @settings(max_examples=120)
+    def test_kinds_follow_the_member_rule(self, p):
+        # Each member of a kind-k pair has (row ^ column) & 1 == k.
+        pos = positions(p)
+        bits = [{(r ^ pos[r]) & 1, (r + 1 ^ pos[r + 1]) & 1} for r in range(0, p.size, 2)]
+        assert _pair_split(pos) == (bits.count({NORMAL}), bits.count({INVERTED}))
+
+    @given(st.integers(2, 5), st.integers(0, 30))
+    @settings(max_examples=50)
+    def test_parity_aligned_classifies_all_normal(self, width, seed):
+        p = sample(width, seed, "parity_aligned")
+        assert _pair_split(positions(p)) == (p.size // 2, 0)
+
+
+class TestConservation:
+    """Gates away from the last line cannot change any pair's kind."""
+
+    @given(permutations(), st.data())
+    @settings(max_examples=120)
+    def test_counts_invariant_without_last_line_target(self, p, data):
+        target = data.draw(st.integers(1, p.width - 1))
+        moved = apply_gate(p, x(p.width, target))
+        assert _pair_split(positions(moved)) == _pair_split(positions(p))
+
+
+def _pairs_from(engine, i):
+    """The scorer's (even row, column, partner column) triples for the
+    pairs whose even row sits at or past column 2i."""
+    pos = engine.pos
+    return [(r, pos[r], pos[r + 1]) for r in engine.entries[2 * i :] if not r & 1]
+
+
+class TestBlockTests:
+    """``_holds_block`` reads the entries array, the scorer's ``_blocks``
+    reads pair triples; both must find the same blocks."""
+
+    def test_holds_block_even(self):
+        engine = _Engine(Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7)))
+        assert [_holds_block(engine, i, NORMAL) for i in range(4)] == [True] + [False] * 3
+        assert not any(_holds_block(engine, i, INVERTED) for i in range(4))
+
+    def test_holds_block_odd(self):
+        engine = _Engine(Permutation.from_entries((1, 0, 3, 2)))
+        assert [_holds_block(engine, i, INVERTED) for i in range(2)] == [True, True]
+        assert not any(_holds_block(engine, i, NORMAL) for i in range(2))
+
+    def test_count_free_identity(self):
+        engine = _Engine(Permutation.identity(3))
+        pairs = _pairs_from(engine, 0)
+        assert _blocks(pairs, NORMAL) == 4
+        assert _blocks(_pairs_from(engine, 2), NORMAL) == 2
+        assert _blocks(pairs, INVERTED) == 0
+        # Position 0's region is every column, so all four blocks are
+        # candidates at gap 0; taking row 0's pair leaves the other three.
+        gaps = Counter((ca ^ cb) >> 1 for *_, ca, cb in _admissible_from(3, pairs, 0, NORMAL))
+        assert gaps == {0: 4}
+        assert _count_free(4, gaps, 0) == 3
+
+    def test_count_free_one_block(self):
+        # Rows 0, 1 sit at columns 2, 3: one even block, at position 1.
+        engine = _Engine(Permutation.from_entries((7, 2, 0, 1, 5, 3, 6, 4)))
+        assert _blocks(_pairs_from(engine, 0), NORMAL) == 1
+        assert _blocks(_pairs_from(engine, 0), INVERTED) == 0
+        assert _blocks(_pairs_from(engine, 2), NORMAL) == 0
+
+    @given(permutations(), st.data())
+    @settings(max_examples=120)
+    def test_block_tests_agree(self, p, data):
+        engine = _Engine(p)
+        i = data.draw(st.integers(0, p.size // 2 - 1))
+        pairs = _pairs_from(engine, i)
+        for kind in (NORMAL, INVERTED):
+            held = sum(_holds_block(engine, q, kind) for q in range(i, p.size // 2))
+            assert _blocks(pairs, kind) == held
+
+
 class TestPick:
     def test_identity_region_pair(self):
-        assert _Engine(ID3).scan_region(1, "normal") == (4, 5)
+        assert _Engine(ID3).scan_region(1, NORMAL) == (4, 5)
 
     def test_reports_smaller_column_first(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 7, 6, 4))
         # region for position 1 starts at column 4; row 5 sits at column 4,
         # its partner row 4 at column 7.
-        assert _Engine(p).scan_region(1, "inverted") == (5, 4)
+        assert _Engine(p).scan_region(1, INVERTED) == (5, 4)
 
     def test_raises_when_region_empty(self):
         # every pair is interrupting and has a member below the region
         p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
-        assert _Engine(p).scan_region(1, "inverted") is None
+        assert _Engine(p).scan_region(1, INVERTED) is None
         with pytest.raises(PairNotFound):
-            _pick_rows(_Engine(p), 1, "inverted")
+            _pick_rows(_Engine(p), 1, INVERTED)
 
     def test_pair_iterates(self):
-        a, b = _Engine(ID3).scan_region(1, "normal")
+        a, b = _Engine(ID3).scan_region(1, NORMAL)
         assert (a, b) == (4, 5)
 
 
 class TestNPick:
     def test_identity(self):
-        assert _pick_rows(_Engine(ID3), 1, "normal") == (4, 5)
+        assert _pick_rows(_Engine(ID3), 1, NORMAL) == (4, 5)
 
     def test_skips_non_normal_members(self):
         # Region [4,8) holds only inverted pairs; falls back outside.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        assert _pick_rows(_Engine(p), 1, "normal") == (2, 3)
+        assert _pick_rows(_Engine(p), 1, NORMAL) == (2, 3)
 
     def test_fallback_maximizes_smaller_column(self):
         # Two normal pairs below the region: <0,1> at columns 0,1 and
         # <2,3> at columns 2,3 with position 1's region empty of normals.
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        pair = _pick_rows(_Engine(p), 1, "normal")
+        pair = _pick_rows(_Engine(p), 1, NORMAL)
         assert pair == (2, 3)  # columns 2,3 beat columns 0,1
 
     def test_raises_when_no_normal_pair_left(self):
         p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
         with pytest.raises(PairNotFound):
-            _pick_rows(_Engine(p), 1, "normal")
+            _pick_rows(_Engine(p), 1, NORMAL)
 
 
 class TestLift:
@@ -135,15 +325,15 @@ class TestLift:
 
     def test_moves_pair_into_region(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        a, b = _pick_rows(_Engine(p), 1, "normal")
+        a, b = _pick_rows(_Engine(p), 1, NORMAL)
         _, out = lifted(p, 1, (a, b))
-        start = reduction._region_mask(3, 1)
-        assert out.position_of(a) >= start
-        assert out.position_of(b) >= start
+        start = _region_mask(3, 1)
+        assert positions(out)[a] >= start
+        assert positions(out)[b] >= start
 
     def test_preserves_columns_below_target(self):
         p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
-        pair = _pick_rows(_Engine(p), 1, "normal")
+        pair = _pick_rows(_Engine(p), 1, NORMAL)
         _, out = lifted(p, 1, pair)
         assert out.entries[:2] == p.entries[:2]
 
@@ -153,15 +343,16 @@ class TestLift:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            a, b = _pick_rows(_Engine(p), i, "normal")
+            a, b = _pick_rows(_Engine(p), i, NORMAL)
         except PairNotFound:
             return
         seq, out = lifted(p, i, (a, b))
         assert apply_sequence(p, GateSequence(n), seq)[0] == out
-        mask = reduction._region_mask(n, i)
-        assert out.position_of(a) & mask == mask
-        assert out.position_of(b) & mask == mask
-        if p.position_of(a) >= 2 * i and p.position_of(b) >= 2 * i:
+        mask = _region_mask(n, i)
+        before, after = positions(p), positions(out)
+        assert after[a] & mask == mask
+        assert after[b] & mask == mask
+        if before[a] >= 2 * i and before[b] >= 2 * i:
             # with no member starting below 2i, that prefix stays untouched
             assert out.entries[: 2 * i] == p.entries[: 2 * i]
             for g in seq:
@@ -181,7 +372,7 @@ class TestCons:
         assert seq == GateSequence.of(mct(3, [1, 3], 2))
         out, _ = apply_sequence(p, GateSequence(3), seq)
         assert out.entries == (0, 1, 6, 3, 2, 7, 4, 5)
-        assert out.position_of(4) ^ out.position_of(5) == 1
+        assert positions(out)[4] ^ positions(out)[5] == 1
 
     def test_empty_when_already_adjacent(self):
         assert len(conjoining(ID3, 1, (6, 7))) == 0
@@ -204,7 +395,7 @@ class TestCons:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            pair = _pick_rows(_Engine(p), i, "normal")
+            pair = _pick_rows(_Engine(p), i, NORMAL)
         except PairNotFound:
             return
         _, p2 = lifted(p, i, pair)
@@ -227,7 +418,8 @@ class TestCons:
                 g.controls[0][0] == delta and g.target != n for g in cxs
             )
         out, _ = apply_sequence(p2, GateSequence(n), seq)
-        assert out.position_of(pair[0]) ^ out.position_of(pair[1]) == 1
+        pos = positions(out)
+        assert pos[pair[0]] ^ pos[pair[1]] == 1
 
 
 class TestAlloc:
@@ -254,7 +446,7 @@ class TestAlloc:
         n = p.width
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
-            a, b = _pick_rows(_Engine(p), i, "normal")
+            a, b = _pick_rows(_Engine(p), i, NORMAL)
         except PairNotFound:
             return
         _, p2 = lifted(p, i, (a, b))
@@ -264,10 +456,8 @@ class TestAlloc:
             assert g.target != n
             assert g.control_count <= max(1, bin(i).count("1"))
         out, _ = apply_sequence(p3, GateSequence(n), seq)
-        assert {out.position_of(a), out.position_of(b)} == {
-            2 * i,
-            2 * i + 1,
-        }
+        pos = positions(out)
+        assert {pos[a], pos[b]} == {2 * i, 2 * i + 1}
 
 
 class TestBounds:
@@ -354,11 +544,11 @@ class TestFusedEmission:
     def test_passes_act_like_the_gates(self, case, seed):
         n, gates = case
         p = sample(n, seed)
-        entries, pos = list(p.entries), list(p.positions)
+        entries, pos = list(p.entries), positions(p)
         passes = list(_passes(gates))
         for g in passes:
             exchange_columns(entries, *g, pos)
-        ref_entries, ref_pos = list(p.entries), list(p.positions)
+        ref_entries, ref_pos = list(p.entries), positions(p)
         for g in gates:
             exchange_columns(ref_entries, *g, ref_pos)
         assert entries == ref_entries
@@ -376,10 +566,10 @@ class TestFusedEmission:
         engine = _Engine(p)
         last = data.draw(st.integers(0, p.size // 2 - 1))
         for i in range(last + 1):
-            engine.allocate(i, *_pick_rows(engine, i, "normal"))
+            engine.allocate(i, *_pick_rows(engine, i, NORMAL))
         replayed, _ = apply_sequence(p, GateSequence(p.width), engine.sequence())
         assert engine.snapshot() == replayed
-        assert engine.pos == list(replayed.positions)
+        assert engine.pos == positions(replayed)
 
 
 class TestAllocateChecks:
@@ -416,7 +606,7 @@ class TestEngineStrip:
         engine = _Engine(Permutation(width + 1, with_identity_wire(q.entries)))
         engine.strip()
         assert engine.snapshot() == q
-        assert (engine.n, engine.size, engine.pos) == (width, q.size, list(q.positions))
+        assert (engine.n, engine.size, engine.pos) == (width, q.size, positions(q))
 
     def test_gates_after_strip_keep_their_lines_and_are_shared(self):
         engine = _Engine(Permutation.identity(4))

@@ -32,6 +32,8 @@ from blocksynth import (
 from blocksynth import conditioning, synthesis
 from blocksynth.core import Gate, GateSequence, apply_gate, cx, toffoli
 from blocksynth.reduction import (
+    INVERTED,
+    NORMAL,
     _alloc_masks,
     _cons_masks,
     _Engine,
@@ -52,6 +54,7 @@ from helpers import (
     circuit_table,
     flat_spectrum,
     independent_parity,
+    positions,
     sim_circuit,
     with_identity_wire,
 )
@@ -167,7 +170,7 @@ class TestPeephole:
 def normal_phase_selector(perm, cfg=None):
     """The selector a general reduction uses for its normal-pair part."""
     engine = _Engine(perm)
-    return engine, _make_selector(engine, "normal", perm.size // 4, cfg or SynthesisConfig())
+    return engine, _make_selector(engine, NORMAL, perm.size // 4, cfg or SynthesisConfig())
 
 
 class TestSelectWithLookahead:
@@ -182,7 +185,7 @@ class TestSelectWithLookahead:
         # and 5 (first admissible pair in region scan order)
         engine, select = normal_phase_selector(Permutation.identity(3), cfg)
         assert select(1) is None
-        assert _pick_rows(engine, 1, "normal") == (4, 5)
+        assert _pick_rows(engine, 1, NORMAL) == (4, 5)
 
     @given(permutations(min_width=3, max_width=5), st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
@@ -193,7 +196,7 @@ class TestSelectWithLookahead:
         _, select = normal_phase_selector(aligned, cfg)
         a, b = select(0)
         assert b == (a ^ 1)
-        ca, cb = aligned.positions[a], aligned.positions[b]
+        ca, cb = positions(aligned)[a], positions(aligned)[b]
         assert (a ^ ca) & 1 == 0 and (b ^ cb) & 1 == 0
         assert ca < cb  # smaller column is reported first
 
@@ -223,7 +226,7 @@ def _destinations(n, gates):
     perm = Permutation.identity(n)
     for g in gates:
         perm = apply_gate(perm, g)
-    return perm.positions
+    return positions(perm)
 
 
 class TestScorerModel:
@@ -244,12 +247,12 @@ class TestScorerModel:
     @given(
         st.integers(3, 8),
         st.integers(0, 10_000),
-        st.sampled_from(["normal", "inverted"]),
+        st.sampled_from([NORMAL, INVERTED]),
         st.data(),
     )
     @settings(max_examples=150, deadline=None)
     def test_free_block_count_matches_running_every_mask(self, n, seed, kind, data):
-        pos = sample(n, seed).positions
+        pos = positions(sample(n, seed))
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
 
         def pairs_and_cands():
@@ -269,11 +272,10 @@ class TestScorerModel:
             a, _, ca, cb = next(c for c in cands if c[0] >> 1 == a >> 1)
             assert ca ^ cb == 1
         dest = _destinations(n, _emitted(n, i, ca, cb))
-        want = 0 if kind == "normal" else 1
         expected = 0
         for r, c, p in pairs:
             c, p = dest[c], dest[p]
-            if r != a & ~1 and c ^ p == 1 and c & 1 == want:
+            if r != a & ~1 and c ^ p == 1 and c & 1 == kind:
                 expected += 1
         gaps = Counter((c ^ p) >> 1 for _, _, c, p in cands)
         assert _count_free(_blocks(pairs, kind), gaps, (ca ^ cb) >> 1) == expected
@@ -288,16 +290,16 @@ def _reference_choice(perm, i, kind, phase_end, depth):
     of ``kind`` after position i, then has the lowest rows.
     """
     n = perm.width
-    want = 0 if kind == "normal" else 1  # column parity of the even row
 
     def candidates(p, i):
         top = findm(i, n) - 1  # the region's columns start with top 1-bits
+        pos = positions(p)
         out = []
         for r in range(0, p.size, 2):
-            ca, cb = p.position_of(r), p.position_of(r + 1)
+            ca, cb = pos[r], pos[r + 1]
             if any(c >> (n - top) != (1 << top) - 1 for c in (ca, cb)):
                 continue
-            if ca % 2 == want and cb % 2 != want:
+            if ca % 2 == kind and cb % 2 != kind:  # the even row's column parity
                 out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
         return out
 
@@ -315,7 +317,7 @@ def _reference_choice(perm, i, kind, phase_end, depth):
 
     def blocks_after(p, i):
         slots = (p.entries[2 * q : 2 * q + 2] for q in range(i + 1, p.size // 2))
-        return sum(1 for lo, hi in slots if (lo, hi)[want] % 2 == 0 and lo ^ hi == 1)
+        return sum(1 for lo, hi in slots if (lo, hi)[kind] % 2 == 0 and lo ^ hi == 1)
 
     scored = []
     for cand in candidates(perm, i):
@@ -333,7 +335,7 @@ class TestOneSearch:
         st.integers(3, 5),
         st.integers(0, 10_000),
         st.sampled_from(["uniform", "parity_aligned"]),
-        st.sampled_from(["normal", "inverted"]),
+        st.sampled_from([NORMAL, INVERTED]),
         st.sampled_from([1, 2, 3, "tail"]),
         st.data(),
     )
@@ -359,8 +361,8 @@ class TestOneSearch:
         # search meets them out of row order; the tie-break must not.
         perm = sample(4, seed, "parity_aligned")
         cfg = SynthesisConfig(depths={j: depth for j in range(1, 25)}, exhaustive_tail=0)
-        select = _make_selector(_Engine(perm), "normal", 4, cfg)
-        assert select(1) == _reference_choice(perm, 1, "normal", 4, depth)
+        select = _make_selector(_Engine(perm), NORMAL, 4, cfg)
+        assert select(1) == _reference_choice(perm, 1, NORMAL, 4, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +593,22 @@ class TestSynthesisConfig:
     def test_negative_values_rejected(self, kwargs):
         # Depth buckets are keyed 1..24: no row count reaches another key.
         with pytest.raises(ValueError, match=r"must be (non-negative|within 1\.\.24), got"):
+            SynthesisConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"depths": {j: 1.5 for j in range(1, 25)}},
+            {"depths": {3: 1.0}},
+            {"depths": {3: True}},
+            {"exhaustive_tail": "3"},
+            {"exhaustive_tail": 9.0},
+        ],
+    )
+    def test_non_integer_values_rejected(self, kwargs):
+        # A depth of 1.5 never counts down to 0, so every pick would search
+        # to the end of its phase.
+        with pytest.raises(ValueError, match="must be of type int, got"):
             SynthesisConfig(**kwargs)
 
     def test_depth_for_buckets_by_row_count(self):
