@@ -103,10 +103,10 @@ def _fixups(engine: _Engine, target: int) -> int:
     of another non-interrupting pair into such a slot.
     """
     n, size = engine.n, engine.size
-    entries, pos = engine.entries, engine.pos
     emitted = 0
     last: Optional[int] = None
     while True:
+        entries, pos = engine.entries, engine.pos
         mism = _interrupting_pairs(pos)
         lam = 2 * sum(mism)
         if last is not None and abs(lam - target) >= abs(last - target):
@@ -209,11 +209,9 @@ def _scan_member(engine: _Engine, i: int, col_parity: int, kind: int) -> Optiona
     whose flip to the other column parity turns its pair to ``kind``: the
     region's columns from the left, then the rest from 2i (the region is
     every column >= its mask)."""
-    entries, pos, size = engine.entries, engine.pos, engine.size
     mask = _region_mask(engine.n, i)
-    for col in chain(range(mask + col_parity, size, 2), range(2 * i + col_parity, mask, 2)):
-        r = entries[col]
-        pcol = pos[r ^ 1]
+    columns = chain(range(mask + col_parity, engine.size, 2), range(2 * i + col_parity, mask, 2))
+    for col, r, pcol in engine.walk(columns):
         if pcol < 2 * i:
             continue  # pair already consumed: its other member is parked
         if (col ^ pcol) & 1:

@@ -16,6 +16,14 @@ that share their controls commute, so a run of them is the single map
 c -> c ^ T on the satisfying columns, T the XOR of their target bits; the
 kernel takes such a multi-bit target mask and still visits 2^(n-1-m) pairs.
 
+A gate with at most one control is an affine map of the column numbers
+(c -> c ^ T, or c -> c ^ T when bit t of c reads the control's value).  So
+a holder of the entries may leave them in place and compose such gates
+into an affine column frame F instead: column c's entry is stored at F(c).
+``exchange_columns`` takes that frame and walks the image of the
+satisfying subcube, at the same 2^(n-1-m) pairs; ``reduction._Engine``
+keeps such a frame.
+
 The same ``GateSequence`` that maps a permutation P to the identity, executed
 left-to-right as a circuit on an input register x, computes P(x).  That dual
 reading is the contract for every emitted circuit, and ``verify_identity``
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Sequence
 
 MAX_WIDTH = 24
@@ -74,6 +83,12 @@ class Gate:
             if line == self.target or line in seen:
                 raise ValueError(f"control line {line} repeated or equal to target")
             seen.add(line)
+        # Gates key the per-call dicts that build, render and expand each
+        # distinct gate once, so the hash is computed once, here.
+        object.__setattr__(self, "_hash", hash((self.width, self.target, self.controls)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def control_count(self) -> int:
@@ -138,6 +153,8 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.width) is not int:
+            raise ValueError(f"width must be an int, got {self.width!r}")
         if not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
         size = 1 << self.width
@@ -202,8 +219,28 @@ class GateSequence:
         return cls(gates[0].width, tuple(gates))
 
 
+# Affine column map: (images of column bits 0..n-1, offset).  Column c maps
+# to the offset XOR the images of c's set bits.
+Frame = tuple[Sequence[int], int]
+
+
+def linear_image(images: Sequence[int], mask: int) -> int:
+    """XOR of ``images[b]`` over the set bits b of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def exchange_columns(
-    entries: list[int], ones: int, zeros: int, tmask: int, pos: list[int] | None = None
+    entries: list[int],
+    ones: int,
+    zeros: int,
+    tmask: int,
+    pos: list[int] | None = None,
+    frame: Frame | None = None,
 ) -> None:
     """Apply the map c -> c ^ ``tmask`` to the columns c that have every
     ``ones`` bit set and every ``zeros`` bit clear, in place.
@@ -211,28 +248,59 @@ def exchange_columns(
     With one target bit that is the gate with masks ``(ones, zeros, tmask)``;
     with several it is the run of same-control gates, one per target bit, in
     any order (they commute).  Visits each exchanged column pair once, from
-    its side ``c`` with ``tmask``'s top bit clear, by walking the subsets of
-    the free bits: 2^(n-1-m) pairs for m controls.  ``pos``, when given, is
-    the inverse of ``entries`` and is kept in step.  Raises
-    ``PreconditionViolated`` when ``tmask`` is empty or overlaps a control.
+    its side with ``tmask``'s top bit clear: 2^(n-1-m) pairs for m controls.
+    ``pos``, when given, is the inverse of ``entries`` and is kept in step.
+
+    ``frame``, when given, is an affine map F from the gate's columns to the
+    indices of ``entries``: the pair (c, c ^ tmask) is stored at (F(c),
+    F(c) ^ F's image of ``tmask``).  The walk starts at F(``ones``) and
+    steps by the images of the free bits, so it costs the same as without a
+    frame, which is the identity.  Raises ``PreconditionViolated`` when
+    ``tmask`` is empty or overlaps a control.
     """
+    check_target(ones, zeros, tmask)
+    if pos is None:
+        pos = [0] * len(entries)  # scratch: nobody reads it
+    free = (len(entries) - 1) & ~(ones | zeros | 1 << tmask.bit_length() >> 1)
+    steps = []
+    while free:
+        low = free & -free
+        steps.append(low)
+        free ^= low
+    if frame is not None:
+        images, offset = frame
+        ones, tmask = offset ^ linear_image(images, ones), linear_image(images, tmask)
+        steps = [images[low.bit_length() - 1] for low in steps]
+    order = _gray_order(len(steps))
+    steps.append(0)
+    c = ones
+    for k in order:
+        d = c ^ tmask
+        ra, rb = entries[c], entries[d]
+        entries[c], entries[d] = rb, ra
+        pos[ra], pos[rb] = d, c
+        c ^= steps[k]
+
+
+@lru_cache(maxsize=None)
+def _gray_order(k: int) -> tuple[int, ...]:
+    """The free bit that each step of a k-bit Gray-code walk flips: step j
+    flips the lowest set bit of j + 1, so the walk meets every subset of the
+    free bits once; the closing step is k, which flips nothing."""
+    order: tuple[int, ...] = ()
+    for j in range(k):
+        order = order + (j,) + order
+    return order + (k,)
+
+
+def check_target(ones: int, zeros: int, tmask: int) -> None:
+    """Raise ``PreconditionViolated`` when ``tmask`` is empty or overlaps a
+    control."""
     if not tmask or tmask & (ones | zeros):
         raise PreconditionViolated(
             f"target mask {tmask:#x} is empty or overlaps the controls "
             f"{ones:#x}/{zeros:#x}"
         )
-    free = (len(entries) - 1) & ~(ones | zeros | 1 << tmask.bit_length() >> 1)
-    s = free
-    while True:
-        c = ones | s
-        d = c ^ tmask
-        ra, rb = entries[c], entries[d]
-        entries[c], entries[d] = rb, ra
-        if pos is not None:
-            pos[ra], pos[rb] = d, c
-        if not s:
-            return
-        s = (s - 1) & free
 
 
 def apply_gate(perm: Permutation, gate: Gate) -> Permutation:
@@ -253,8 +321,9 @@ def apply_sequence(
             f"widths differ: perm {perm.width}, acc {acc.width}, seq {seq.width}"
         )
     entries = list(perm.entries)
+    scratch = [0] * perm.size  # one throwaway ``pos`` for every gate
     for g in seq.gates:
-        exchange_columns(entries, *g.masks())
+        exchange_columns(entries, *g.masks(), scratch)
     return Permutation(perm.width, tuple(entries)), acc + seq
 
 

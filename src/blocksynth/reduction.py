@@ -33,9 +33,13 @@ column-mask triple (``core.Masks``): the builders here and in
 ``conditioning`` return triples, ``_Engine.emit`` records and applies them,
 and ``_Engine.sequence`` builds the stage's ``Gate``s at the input width,
 each distinct one once per engine.
-``emit`` applies its gates one exchange pass per run of gates with the
-same controls (``_passes``), so a conjoin or a slide costs at most two
-passes, however many CXs it records.
+The engine keeps its copy behind an affine column frame: an X or CX gate
+is an affine map of the column numbers, so ``emit`` folds it into the
+frame in O(n) and moves no entry.  Only gates with two or more controls
+swap entries, 2^(n-1-m) pairs each.  So the CX runs of a conjoin or a
+slide cost nothing but the conjoining or sliding MCT's walk.  Reads go
+through the frame (``_Engine.row``, ``col``, ``walk`` and ``pairs_from``);
+whole-array readers take ``entries`` or ``pos``, which materialize it.
 
 Iteration i searches inside a shrinking column region (``_region_mask``:
 columns whose first m-1 bits are all set, m = findm(i, n)); there the
@@ -56,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Gate,
@@ -64,7 +68,9 @@ from .core import (
     Masks,
     Permutation,
     PreconditionViolated,
+    check_target,
     exchange_columns,
+    linear_image,
 )
 from .cost import toffoli_equivalents
 
@@ -157,8 +163,10 @@ def findm(l: int, n: int) -> int:
 def _region_mask(n: int, i: int) -> int:
     """Columns c with (c & mask) == mask are in iteration i's region: those
     whose first m-1 bits are all set, m = findm(i, n).  They are also the
-    columns c >= mask."""
-    return (1 << n) - (1 << (n - findm(i, n) + 1))
+    columns c >= mask.  As n - m + 1 is one less than the bit length of
+    2^n - 2i (see ``findm``), the mask is 2^n less the largest power of two
+    not above 2^n - 2i; i must lie in 0..2^(n-1)-1."""
+    return (1 << n) - (1 << ((1 << n) - 2 * i).bit_length() >> 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +215,14 @@ def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
         out = [(0, 0, t), *out, (0, 0, t)]
     out.append((region | 1, 0, t))  # controls on lines 1..m-1 and line n
     return out
+
+
+def _track(column: int, masks: list[Masks]) -> int:
+    """Where ``masks``, applied in order, move ``column``."""
+    for ones, zeros, tmask in masks:
+        if column & ones == ones and not column & zeros:
+            column ^= tmask
+    return column
 
 
 def _alloc_masks(n: int, i: int, alpha: int) -> list[Masks]:
@@ -264,34 +280,6 @@ def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
     return column & rest, ~column & rest, t
 
 
-def _passes(gates: Sequence[Masks]) -> Iterator[Masks]:
-    """Exchange passes with the effect of applying ``gates`` in order.
-
-    Consecutive gates with the same controls commute, so each such run is
-    one pass whose target mask is the XOR of theirs.  Uncontrolled X gates
-    are deferred to one closing pass: X(F) then g equals g' then X(F), where
-    g' flips the polarity of g's controls on F.  So the conjoin's
-    X(t) · CX(t->j)... · X(t) sandwich is one pass negatively controlled on t.
-    """
-    frame = 0  # XOR of the X targets deferred so far
-    ones = zeros = tmask = 0
-    for o, z, t in gates:
-        if not o | z:
-            frame ^= t
-            continue
-        flip = frame & (o | z)
-        o, z = o ^ flip, z ^ flip
-        if o != ones or z != zeros:
-            if tmask:
-                yield ones, zeros, tmask
-            ones, zeros, tmask = o, z, 0
-        tmask ^= t
-    if tmask:
-        yield ones, zeros, tmask
-    if frame:
-        yield 0, 0, frame
-
-
 # ---------------------------------------------------------------------------
 # Mutable engine shared by the reduction and preprocessing drivers.
 
@@ -301,8 +289,29 @@ def _passes(gates: Sequence[Masks]) -> Iterator[Masks]:
 Selector = Callable[[int], Optional[tuple[int, int]]]
 
 
+def _span(images: list[int], offset: int) -> list[int]:
+    """Entry x is ``offset`` XOR the images of x's set bits."""
+    out = [offset]
+    for image in images:
+        out += [v ^ image for v in out]
+    return out
+
+
 class _Engine:
     """Applies gates to a working copy while tracking row positions.
+
+    The copy is stored behind an affine column frame F: the row at column c
+    sits at ``_entries[F(c)]``, and row r's column is F⁻¹(``_pos[r]``).
+    Each map is kept as the images of the column bits (``_f``, ``_g``) plus
+    an offset (``_f0``, ``_g0``).  A gate with at most one control is an
+    affine map of the columns, so ``emit`` folds it into the frame in O(n);
+    only a gate with two or more controls moves stored entries, walking its
+    subcube's image (``core.exchange_columns``).  Single reads go through
+    ``row`` and ``col``, column scans (``walk``) through half-width tables
+    built once per frame (``_tables``), and ``pairs_from`` through one full
+    table of F⁻¹.  ``entries`` and ``pos`` materialize the frame into the
+    stored lists and reset it to the identity, so they are only valid until
+    the next ``emit``.
 
     One engine carries a whole synthesis: ``strip`` drops the identity last
     line after each stage's reduction and starts the next stage's record.
@@ -315,17 +324,69 @@ class _Engine:
     def __init__(self, perm: Permutation):
         self.width = self.n = perm.width
         self.size = perm.size
-        self.entries = list(perm.entries)
-        self.pos = [0] * self.size
+        self._entries = list(perm.entries)
+        self._pos = [0] * self.size
         for col, row in enumerate(perm.entries):
-            self.pos[row] = col
+            self._pos[row] = col
         self.built: dict[Masks, Gate] = {}  # every Gate built, by its masks
+        self._reset_frame()
         self._start_stage()
+
+    def _reset_frame(self) -> None:
+        self._f = [1 << b for b in range(self.n)]  # column bit -> stored
+        self._g = list(self._f)  # stored bit -> column
+        self._f0 = self._g0 = 0
+        self._framed = False  # set by the first fold; False means F is the identity
+        self._tabs: Optional[tuple[list[int], ...]] = None
 
     def _start_stage(self) -> None:
         self.gates: list[Masks] = []
         self.region_lifts = 0
         self.lift_toffoli = 0
+
+    def _tables(self) -> tuple[list[int], ...]:
+        """(F high, F low, F⁻¹ high, F⁻¹ low): F(c) is F high[c >> h] ^
+        F low[c & (2^h - 1)] with h = n // 2, and likewise F⁻¹."""
+        if self._tabs is None:
+            h = self.n >> 1
+            f, g = self._f, self._g
+            self._tabs = (
+                _span(f[h:], self._f0), _span(f[:h], 0), _span(g[h:], self._g0), _span(g[:h], 0)
+            )
+        return self._tabs
+
+    def _settle(self) -> None:
+        """Move every row to its column and reset the frame."""
+        if self._framed:
+            stored = _span(self._f, self._f0)  # column -> stored column
+            columns = _span(self._g, self._g0)  # stored column -> column
+            self._entries = list(map(self._entries.__getitem__, stored))
+            self._pos = list(map(columns.__getitem__, self._pos))
+            self._reset_frame()
+
+    @property
+    def entries(self) -> list[int]:
+        """Row at each column; valid until the next ``emit``."""
+        self._settle()
+        return self._entries
+
+    @property
+    def pos(self) -> list[int]:
+        """Column of each row; valid until the next ``emit``."""
+        self._settle()
+        return self._pos
+
+    def row(self, column: int) -> int:
+        """The row at ``column``."""
+        if self._framed:
+            column = self._f0 ^ linear_image(self._f, column)
+        return self._entries[column]
+
+    def col(self, row: int) -> int:
+        """The column of ``row``."""
+        if self._framed:
+            return self._g0 ^ linear_image(self._g, self._pos[row])
+        return self._pos[row]
 
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
@@ -341,10 +402,11 @@ class _Engine:
                     f"internal error: columns {c},{c + 1} hold rows {lo},{hi}; "
                     "the last line is not an identity wire"
                 )
-        self.entries = [row >> 1 for row in entries[::2]]
-        self.pos = [col >> 1 for col in self.pos[::2]]
+        self._entries = [row >> 1 for row in entries[::2]]
+        self._pos = [col >> 1 for col in self._pos[::2]]
         self.n -= 1
         self.size >>= 1
+        self._reset_frame()
         self._start_stage()
 
     def sequence(self) -> GateSequence:
@@ -367,56 +429,107 @@ class _Engine:
         return GateSequence(self.width, tuple(out))
 
     def emit(self, *gates: Masks) -> None:
-        """Record ``gates`` and apply them, one pass per run (``_passes``)."""
-        self.gates.extend(gates)
-        for ones, zeros, tmask in _passes(gates):
-            exchange_columns(self.entries, ones, zeros, tmask, self.pos)
+        """Record ``gates`` and apply them in order: one with two or more
+        controls walks the stored entries, any other folds into the frame.
 
-    def lift_pair(self, i: int, a: int, b: int) -> None:
-        """Move both rows into the iteration-i region; no gate when both
-        already sit there.  Touched columns never drop below 2i, so
-        left-allocated blocks survive (see ``_lift_step``)."""
+        The gate g maps column c to g(c), so the new frame is F ∘ g and its
+        inverse g ∘ F⁻¹.  For a CX from control bit t onto targets T, F's
+        image of t gains F's image of T, and each image of F⁻¹ holding t
+        gains T; an X on T, or a negative control, also moves F's offset by
+        F's image of T.  F⁻¹'s offset is the old one mapped by g.
+        """
+        self.gates.extend(gates)
+        f, f0, g, g0 = self._f, self._f0, self._g, self._g0
+        framed = self._framed
+        for ones, zeros, tmask in gates:
+            controls = ones | zeros
+            if controls & (controls - 1):
+                frame = (f, f0) if framed else None
+                exchange_columns(self._entries, ones, zeros, tmask, self._pos, frame)
+                continue
+            check_target(ones, zeros, tmask)
+            if tmask & (tmask - 1):
+                image = linear_image(f, tmask)
+            else:
+                image = f[tmask.bit_length() - 1]
+            if controls:
+                f[controls.bit_length() - 1] ^= image
+                for b, v in enumerate(g):
+                    if v & controls:
+                        g[b] = v ^ tmask
+            if not ones:
+                f0 ^= image
+            if g0 & ones == ones and not g0 & zeros:
+                g0 ^= tmask
+            framed, self._tabs = True, None
+        self._f0, self._g, self._g0, self._framed = f0, g, g0, framed
+
+    def lift_pair(self, i: int, a: int, b: int) -> tuple[int, int]:
+        """Move both rows into the iteration-i region, and return their
+        columns; no gate when both already sit there.  Touched columns
+        never drop below 2i, so left-allocated blocks survive (see
+        ``_lift_step``)."""
         mask = _region_mask(self.n, i)
-        for row, other in ((a, b), (b, a)):
-            lifted = False
-            while (self.pos[row] & mask) != mask:
-                ones, zeros, t = _lift_step(self.n, i, self.pos[row], self.pos[other])
+        cols = [self.col(a), self.col(b)]
+        for k in (0, 1):
+            if cols[k] & mask != mask:
+                self.region_lifts += 1
+            while cols[k] & mask != mask:
+                ones, zeros, t = _lift_step(self.n, i, cols[k], cols[1 - k])
                 self.emit((ones, zeros, t))
                 self.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
-                lifted = True
-            if lifted:
-                self.region_lifts += 1
+                cols = [self.col(a), self.col(b)]
+        return cols[0], cols[1]
 
     def allocate(self, i: int, a: int, b: int) -> None:
         """Lift if needed, conjoin, then slide the pair to position i."""
-        self.lift_pair(i, a, b)
-        pos = self.pos
-        self.emit(*_cons_masks(self.n, i, pos[a], pos[b]))
-        if pos[a] ^ pos[b] != 1:
+        ca, cb = self.lift_pair(i, a, b)
+        masks = _cons_masks(self.n, i, ca, cb)
+        self.emit(*masks)
+        ca, cb = _track(ca, masks), _track(cb, masks)
+        if ca ^ cb != 1:
             raise RuntimeError(
                 f"internal error: conjoining rows {a},{b} left them at columns "
-                f"{pos[a]},{pos[b]}"
+                f"{ca},{cb}"
             )
-        self.emit(*_alloc_masks(self.n, i, pos[a]))
-        if {pos[a], pos[b]} != {2 * i, 2 * i + 1}:
+        masks = _alloc_masks(self.n, i, ca)
+        self.emit(*masks)
+        ca, cb = _track(ca, masks), _track(cb, masks)
+        if {ca, cb} != {2 * i, 2 * i + 1}:
             raise RuntimeError(
                 f"internal error: allocating rows {a},{b} to position {i} left "
-                f"them at columns {pos[a]},{pos[b]}"
+                f"them at columns {ca},{cb}"
             )
 
-    # -- plain pair scans -------------------------------------------------
+    # -- scans ------------------------------------------------------------
+
+    def pairs_from(self, i: int) -> list[tuple[int, int, int]]:
+        """(even row r, column of r, column of r + 1) for each pair whose
+        even row sits at column 2i or past it, by row."""
+        pos, start = self._pos, 2 * i
+        # stored column -> column
+        columns = _span(self._g, self._g0) if self._framed else range(self.size)
+        return [
+            (r, c, columns[pos[r + 1]])
+            for r in range(0, self.size, 2)
+            if (c := columns[pos[r]]) >= start
+        ]
+
+    def walk(self, columns: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+        """(column, its row r, the column of r ^ 1) for each of ``columns``."""
+        entries, pos = self._entries, self._pos
+        fhi, flo, ghi, glo = self._tables()
+        h, low = self.n >> 1, (1 << (self.n >> 1)) - 1
+        for c in columns:
+            r = entries[fhi[c >> h] ^ flo[c & low]]
+            s = pos[r ^ 1]
+            yield c, r, ghi[s >> h] ^ glo[s & low]
 
     def scan_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """First in-region pair of ``kind`` by ascending column, the member
         at the smaller column first."""
-        k = _region_mask(self.n, i)
-        entries, pos = self.entries, self.pos
-        for col in range(k, self.size - 1):
-            a = entries[col]
-            if (a ^ col) & 1 != kind:
-                continue
-            t = pos[a ^ 1]
-            if t > col and (a ^ 1 ^ t) & 1 == kind:
+        for col, a, t in self.walk(range(_region_mask(self.n, i), self.size - 1)):
+            if (a ^ col) & 1 == kind and t > col and (a ^ 1 ^ t) & 1 == kind:
                 return a, a ^ 1
         return None
 
@@ -456,7 +569,7 @@ def _pick_rows(engine: _Engine, i: int, kind: int) -> tuple[int, int]:
 
 def _holds_block(engine: _Engine, i: int, kind: int) -> bool:
     """Position i already carries a block of ``kind`` (free win)."""
-    lo, hi = engine.entries[2 * i], engine.entries[2 * i + 1]
+    lo, hi = engine.row(2 * i), engine.row(2 * i + 1)
     return lo ^ hi == 1 and lo & 1 == kind
 
 

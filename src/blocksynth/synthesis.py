@@ -8,7 +8,11 @@ last line; an exact half count of interrupting rows goes to preprocessing
 then reduction; a balanced normal/inverted split goes to the general
 reduction; anything else is first mixed.  An already-reducible state is
 all-normal and holds every block, so its stage emits nothing.  The engine
-records mask triples; when a stage ends its ``Gate``s are built at the
+records mask triples and folds the X and CX gates among them into its
+affine column frame, so the census and the end-of-stage strip read the
+state through ``_Engine.pos`` and ``entries``, which materialize the frame
+once, and the selectors through ``_Engine.pairs_from``, which maps the
+pairs' columns through it.  When a stage ends its ``Gate``s are built at the
 input width (lines keep their numbers; the stripped lines are the trailing
 ones), and ``_Engine.strip`` drops the identity last line.  Width 2 is
 finished from a precomputed optimal table, width 1 with at most one X,
@@ -66,6 +70,7 @@ from .reduction import (
     _region_mask,
     _run_general,
     _run_normal,
+    _track,
     bounds,
 )
 
@@ -96,6 +101,10 @@ class SynthesisConfig:
                 raise ValueError(f"{what} must be of type int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{what} must be non-negative, got {value}")
+        for j in depths:
+            # ``depth_for`` looks buckets up by int: any other key is never read.
+            if type(j) is not int:
+                raise ValueError(f"lookahead depth buckets must be of type int, got {j!r}")
         stray = sorted(j for j in depths if not 1 <= j <= MAX_WIDTH)
         if stray:
             raise ValueError(
@@ -154,13 +163,6 @@ class SynthesisReport:
 
 # (even row r, column of r, column of r + 1), one per unallocated pair.
 Pairs = list[tuple[int, int, int]]
-
-
-def _track(column: int, masks: list[Masks]) -> int:
-    for ones, zeros, tmask in masks:
-        if column & ones == ones and not column & zeros:
-            column ^= tmask
-    return column
 
 
 def _pair_gates(
@@ -329,9 +331,7 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
             d = cfg.depth_for(2 * (phase_end - i))
         if d <= 0:
             return None
-        pos = engine.pos
-        pairs = [(r, pos[r], pos[r + 1]) for r in engine.entries[2 * i:] if not r & 1]
-        return _lookahead_choose(n, pairs, i, kind, phase_end, d)
+        return _lookahead_choose(n, engine.pairs_from(i), i, kind, phase_end, d)
     return select
 
 

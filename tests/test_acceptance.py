@@ -164,13 +164,13 @@ def test_criterion_04_per_call_budgets_width_8():
     for k in range(1000):
         perm = sample(n, seed=k, kind="parity_aligned")
         engine = _Engine(perm)
-        pos = engine.pos
         for i in range(perm.size // 2):
             lo, hi = engine.entries[2 * i], engine.entries[2 * i + 1]
             if hi == lo + 1 and lo % 2 == 0:
                 continue  # position already holds the right block
             a, b = _pick_rows(engine, i, NORMAL)
             engine.lift_pair(i, a, b)
+            pos = engine.pos  # valid until the next emit
             cgates = _cons_masks(n, i, pos[a], pos[b])
             if cgates:
                 m = findm(i, n)
@@ -181,12 +181,14 @@ def test_criterion_04_per_call_budgets_width_8():
                 assert xs in (0, 2) and xs + cxs == len(body)
                 assert cxs <= n - m - 1
                 engine.emit(*cgates)
+                pos = engine.pos
             agates = _alloc_masks(n, i, pos[a])
             if agates:
                 *body, last = [(ones | zeros).bit_count() for ones, zeros, _ in agates]
                 assert last <= bin(i).count("1")
                 assert all(c == 1 for c in body)
                 engine.emit(*agates)
+                pos = engine.pos
             assert {pos[a], pos[b]} == {2 * i, 2 * i + 1}
         total = toffoli_count(engine.sequence())
         assert total <= aggregate_cap, (k, total)

@@ -94,6 +94,16 @@ class TestGateBasics:
     def test_bare_int_controls_are_positive(self):
         assert mct(3, [1, 3], 2) == mct(3, [(1, True), (3, True)], 2)
 
+    @given(st.integers(1, 8).flatmap(lambda w: gates(w)))
+    def test_equal_gates_built_apart_hash_alike(self, g):
+        # The hash is computed once per gate; a gate rebuilt from its masks
+        # or its fields must still find the original in a dict.
+        rebuilt = Gate.from_masks(g.width, *g.masks())
+        twin = Gate(g.width, g.target, tuple(sorted(g.controls)))
+        assert rebuilt == twin and hash(rebuilt) == hash(twin)
+        assert {twin: 1}[rebuilt] == 1
+        assert hash(g) == hash((g.width, g.target, g.controls))
+
     def test_from_masks_hand_value(self):
         assert Gate.from_masks(3, 0b100, 0b001, 0b010) == mct(3, [(1, True), (3, False)], 2)
 
@@ -125,6 +135,11 @@ class TestPermutationBasics:
         # fails later, as an index.
         with pytest.raises(NotABijection, match="must be ints"):
             Permutation.from_entries(entries)
+
+    @pytest.mark.parametrize("width", [2.0, "2", None])
+    def test_rejects_a_width_that_is_not_an_int(self, width):
+        with pytest.raises(ValueError, match="width must be an int"):
+            Permutation(width, (0, 1, 2, 3))
 
     def test_width_cap(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from blocksynth import (
     x,
 )
 from blocksynth import reduction
-from blocksynth.core import exchange_columns
 from blocksynth.reduction import (
     INVERTED,
     NORMAL,
@@ -35,7 +34,6 @@ from blocksynth.reduction import (
     _holds_block,
     _pair_split,
     _pick_rows,
-    _passes,
     _region_mask,
     _run_general,
     _run_normal,
@@ -516,49 +514,78 @@ class TestReduceGeneral:
 
 
 @st.composite
-def mask_lists(draw):
-    """A width and a gate list drawn from a few control masks (one of them
-    uncontrolled), so runs, repeats and X sandwiches all turn up."""
-    n = draw(st.integers(2, 6))
-    full = (1 << n) - 1
-    pool = [(0, 0)]
-    for _ in range(2):
-        ctl = draw(st.integers(1, full))
-        ones = ctl & draw(st.integers(0, full))
-        pool.append((ones, ctl ^ ones))
-    out = []
-    for _ in range(draw(st.integers(0, 12))):
-        ones, zeros = draw(st.sampled_from(pool))
-        free = [1 << b for b in range(n) if not (ones | zeros) >> b & 1]
-        if free:
-            out.append((ones, zeros, draw(st.sampled_from(free))))
-    return n, out
+def gate_batches(draw):
+    """A width 3..9 and batches of gates for one ``emit`` each: X gates, CX
+    runs of either polarity onto one or more targets, and MCTs with 2..n-1
+    controls."""
+    n = draw(st.integers(3, 9))
+    lines = st.integers(0, n - 1).map(lambda b: 1 << b)
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        batch = []
+        for _ in range(draw(st.integers(1, 4))):
+            shape = draw(st.sampled_from(["x", "cx", "mct"]))
+            if shape == "x":
+                batch.append((0, 0, draw(lines)))
+                continue
+            order = draw(st.permutations([1 << b for b in range(n)]))
+            if shape == "cx":
+                control, targets = order[0], order[1 : 1 + draw(st.integers(1, n - 1))]
+                positive = draw(st.booleans())
+                for t in targets:  # a run: one CX per target, same control
+                    batch.append((control, 0, t) if positive else (0, control, t))
+                continue
+            m = draw(st.integers(2, n - 1))
+            ones = zeros = 0
+            for bit in order[1 : 1 + m]:
+                if draw(st.booleans()):
+                    ones |= bit
+                else:
+                    zeros |= bit
+            batch.append((ones, zeros, order[0]))
+        batches.append(batch)
+    return n, batches
 
 
 class TestFusedEmission:
-    """``_Engine.emit`` applies each run of same-control gates in one pass;
-    the gates it records must still replay to the state it holds."""
+    """``_Engine.emit`` folds X and CX gates into the column frame and
+    walks only the others; every read must still see the state that the
+    recorded gates replay to."""
 
-    @given(mask_lists(), st.integers(0, 10_000))
-    @settings(max_examples=300)
-    def test_passes_act_like_the_gates(self, case, seed):
-        n, gates = case
-        p = sample(n, seed)
-        entries, pos = list(p.entries), positions(p)
-        passes = list(_passes(gates))
-        for g in passes:
-            exchange_columns(entries, *g, pos)
-        ref_entries, ref_pos = list(p.entries), positions(p)
-        for g in gates:
-            exchange_columns(ref_entries, *g, ref_pos)
-        assert entries == ref_entries
-        assert pos == ref_pos
-        assert len(passes) <= len(gates)
+    @given(gate_batches(), st.integers(0, 10_000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_frame_matches_a_plain_replay(self, case, seed, data):
+        n, batches = case
+        state = sample(n, seed)
+        engine = _Engine(state)
+        for batch in batches:
+            engine.emit(*batch)
+            for ones, zeros, t in batch:
+                state = apply_gate(state, Gate.from_masks(n, ones, zeros, t))
+            pos = positions(state)
+            assert [engine.row(c) for c in range(state.size)] == list(state.entries)
+            assert [engine.col(r) for r in range(state.size)] == pos
+            i = data.draw(st.integers(0, state.size // 2 - 1))
+            assert engine.pairs_from(i) == sorted(
+                (r, pos[r], pos[r + 1]) for r in state.entries[2 * i :] if not r & 1
+            )
+            if data.draw(st.booleans()):  # materializes and resets the frame
+                assert engine.snapshot() == state
+        assert engine.snapshot() == state
+        assert engine.pos == positions(state)
 
-    def test_conjoin_sandwich_is_one_negative_pass(self):
-        # X(2) · CX(2->3) · CX(2->4) · X(2) at width 4, then an MCT
-        run = [(0, 0, 4), (4, 0, 2), (4, 0, 1), (0, 0, 4), (8 | 1, 0, 4)]
-        assert list(_passes(run)) == [(0, 4, 3), (9, 0, 4)]
+    def test_conjoin_sandwich_moves_no_entry(self):
+        # X(2) · CX(2->3) · CX(2->4) · X(2) at width 4 only changes the
+        # frame; the MCT after it walks the stored entries.
+        p = sample(4, 3)
+        engine = _Engine(p)
+        sandwich = [(0, 0, 4), (4, 0, 2), (4, 0, 1), (0, 0, 4)]
+        engine.emit(*sandwich)
+        assert engine._entries == list(p.entries)
+        engine.emit((8 | 1, 0, 4))
+        assert engine._entries != list(p.entries)
+        replayed, _ = apply_sequence(p, GateSequence(4), engine.sequence())
+        assert engine.snapshot() == replayed
 
     @given(aligned_perms(min_width=3, max_width=6), st.data())
     @settings(max_examples=100, deadline=None)

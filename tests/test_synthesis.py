@@ -611,6 +611,12 @@ class TestSynthesisConfig:
         with pytest.raises(ValueError, match="must be of type int, got"):
             SynthesisConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", [3.5, 3.0, "3", True])
+    def test_non_integer_buckets_rejected(self, key):
+        # depth_for looks buckets up by int, so such a depth is never used.
+        with pytest.raises(ValueError, match="buckets must be of type int, got"):
+            SynthesisConfig(depths={key: 2})
+
     def test_depth_for_buckets_by_row_count(self):
         cfg = SynthesisConfig(depths={3: 2})
         # j = (r-1).bit_length(): rows 5..8 land in bucket 3
