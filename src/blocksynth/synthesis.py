@@ -23,8 +23,13 @@ candidate pairs are scored by the exact Toffoli-equivalents of their
 construction and slide gates plus the best reachable score over the next
 positions.  Lookahead searches a per-scale depth ahead; near the end of a
 stage (``exhaustive_tail``) the depth runs to the end of the phase, so the
-same search solves the tail exactly.  The scorer works on plain data: one
-(row, column, partner column) triple per unallocated pair, and each
+same search solves the tail exactly.  The selections of one phase that
+search to its end share a table of the states met below their roots: a
+state is the position, the depth left and the unallocated pairs' column
+pairs, and pick orders and successive selections often reach the same one.
+An entry holds the state's exact cost, or a budget it could not beat; a
+child is looked up before it is searched.  The scorer works on plain data:
+one (row, column, partner column) triple per unallocated pair, and each
 candidate's gates as the (ones, zeros, target) column masks that
 ``reduction``'s gate builders produce.  It never copies the engine or
 builds a ``Gate``; the engine records the masks of the pair it emits.  The
@@ -33,9 +38,11 @@ go to the pair that leaves the most free blocks, a count read off the
 current blocks and a histogram of the candidates by slot gap, without
 running any candidate's masks (``_count_free``).
 
+Each stage's Toffoli count, less what its region lifts and mix repair
+gates cost, is checked against ``bounds(w).per_reduction_total``.
 Adjacent identical gates are cancelled (``peephole``), and the result is
-always verified against the input before being returned; a failure is an
-internal error, not a user error.
+always verified against the input before being returned.  A failure of
+either check is an internal error, not a user error.
 """
 
 from __future__ import annotations
@@ -248,6 +255,7 @@ def _suffix(
     kind: int,
     budget: float,
     memo: dict,
+    seen: Optional[dict],
     tied: Optional[list[tuple[int, int, int, int]]] = None,
 ) -> Optional[int]:
     """Cheapest total over the next ``depth_left`` positions, or None if the
@@ -257,6 +265,12 @@ def _suffix(
     At the root, ``tied`` collects every candidate whose total equals the
     best: the budget keeps one unit of slack there, so each candidate that
     can reach the best is costed exactly, whatever the visiting order.
+
+    Below the root the answer depends only on the state, so ``seen``, when
+    given, keeps one entry per child state searched: (True, its exact
+    minimum) or (False, a budget it could not beat).  A child is looked up
+    before it is searched, and searched again only when its entry cannot
+    decide the new budget.
     """
     if depth_left == 0 or i >= phase_end:
         return 0
@@ -277,9 +291,22 @@ def _suffix(
             sub = 0
         else:
             nxt = _advance(pairs, cand[0] & ~1, masks)
-            sub = _suffix(
-                n, nxt, i + 1, depth_left - 1, phase_end, kind, budget - c0, memo
-            )
+            left = budget - c0
+            key = known = None
+            if seen is not None:
+                # Rows never matter; the even row's column keeps the pair kind.
+                key = (i + 1, depth_left - 1, frozenset((c, p) for _, c, p in nxt))
+                known = seen.get(key)
+            if known is not None and (known[0] or known[1] >= left):
+                # An exact cost answers any budget; a bound, any at or below it.
+                exact, v = known
+                sub = v if exact and v < left else None
+            else:
+                sub = _suffix(
+                    n, nxt, i + 1, depth_left - 1, phase_end, kind, left, memo, seen
+                )
+                if key is not None:
+                    seen[key] = (False, left) if sub is None else (True, sub)
             if sub is None:
                 continue
         total = c0 + sub
@@ -299,12 +326,14 @@ def _lookahead_choose(
     kind: int,
     phase_end: int,
     d: int,
+    seen: Optional[dict],
 ) -> Optional[tuple[int, int]]:
     """The pair that ``_suffix`` finds cheapest over the next ``d``
     positions; ties go to the pair leaving the most free blocks, then to
-    the lowest rows."""
+    the lowest rows.  ``seen`` is ``_suffix``'s state table, or None; a
+    table stays valid while ``n``, ``kind`` and ``phase_end`` do."""
     tied: list[tuple[int, int, int, int]] = []
-    _suffix(n, pairs, i, d, phase_end, kind, math.inf, {}, tied)
+    _suffix(n, pairs, i, d, phase_end, kind, math.inf, {}, seen, tied)
     if len(tied) > 1:
         # ``max`` keeps the first of equals, and the sort puts rows in order.
         blocks = _blocks(pairs, kind)
@@ -321,9 +350,16 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
     half in an all-normal one), INVERTED among inverted pairs up to half.
     The selector returns None at depth 0 or when the region holds no
     admissible pair; the reduction then takes its plain scan.
+
+    The selections whose search runs to ``phase_end`` share one ``_suffix``
+    state table, dropped with the selector: each such selection's states
+    were mostly met by the one before it.  A search of fixed depth meets
+    its states at other depths next time, and the few orders that reach
+    one state within a search do not repay the keys, so it keeps none.
     """
     n = engine.n
     tail_at = (1 << (n - 1)) - cfg.exhaustive_tail
+    seen: dict = {}
     def select(i: int) -> Optional[tuple[int, int]]:
         if i >= tail_at:
             d = phase_end - i
@@ -331,7 +367,8 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
             d = cfg.depth_for(2 * (phase_end - i))
         if d <= 0:
             return None
-        return _lookahead_choose(n, engine.pairs_from(i), i, kind, phase_end, d)
+        table = seen if d >= phase_end - i else None
+        return _lookahead_choose(n, engine.pairs_from(i), i, kind, phase_end, d, table)
     return select
 
 
@@ -430,20 +467,27 @@ def synthesize(
             )
             red_gates = len(engine.gates) - mark
         stage_seq = engine.sequence()
-        stages.append(
-            StageStats(
-                width=w,
-                mix_gates=mix_gates,
-                pre_gates=pre_gates,
-                red_gates=red_gates,
-                toffoli=toffoli_count(stage_seq),
-                bound=bounds(w).per_reduction_total,
-                region_lifts=engine.region_lifts,
-                mix_depth=mix_depth,
-                mix_fixups=mix_fix,
-                lift_toffoli=engine.lift_toffoli,
-            )
+        stage = StageStats(
+            width=w,
+            mix_gates=mix_gates,
+            pre_gates=pre_gates,
+            red_gates=red_gates,
+            toffoli=toffoli_count(stage_seq),
+            bound=bounds(w).per_reduction_total,
+            region_lifts=engine.region_lifts,
+            mix_depth=mix_depth,
+            mix_fixups=mix_fix,
+            lift_toffoli=engine.lift_toffoli,
         )
+        # Region lifts and mix repair gates (each fully controlled) are the
+        # logged deviations from the analysis behind the budget.
+        spent = stage.toffoli - stage.lift_toffoli - mix_fix * toffoli_equivalents(w - 1)
+        if spent > stage.bound:
+            raise RuntimeError(
+                f"internal error: the width-{w} stage spent {spent} Toffolis besides "
+                f"its lifts and mix repairs, over its budget of {stage.bound}"
+            )
+        stages.append(stage)
         out.extend(stage_seq)
         engine.strip()
 

@@ -9,6 +9,7 @@ breadth-first search written here from scratch.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
@@ -42,10 +43,12 @@ from blocksynth.reduction import (
 )
 from blocksynth.synthesis import (
     _admissible_from,
+    _advance,
     _blocks,
     _count_free,
     _make_selector,
     _pair_gates,
+    _suffix,
     _track,
 )
 
@@ -365,6 +368,81 @@ class TestOneSearch:
         assert select(1) == _reference_choice(perm, 1, NORMAL, 4, depth)
 
 
+class _NoTable(dict):
+    """A ``_suffix`` state table that keeps nothing, so every state is
+    searched."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestStateTable:
+    """``_suffix`` answers a state it has met from its table; each answer
+    must be the one a search without a table gives."""
+
+    @given(
+        st.integers(3, 7),
+        st.integers(0, 10_000),
+        st.sampled_from(["uniform", "parity_aligned"]),
+        st.sampled_from([NORMAL, INVERTED]),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_table_answers_as_a_search_without_one(
+        self, n, seed, sample_kind, kind, falling, data
+    ):
+        perm = sample(n, seed, sample_kind)
+        phase_end = data.draw(st.sampled_from([perm.size // 4, perm.size // 2]))
+        i = data.draw(st.integers(max(0, phase_end - 8), phase_end - 1))
+        pairs = _Engine(perm).pairs_from(i)
+        # The root and two of its children, so later calls meet states that
+        # earlier ones stored.
+        states = [(i, pairs)]
+        for row, _, ca, cb in _admissible_from(n, pairs, i, kind)[:2]:
+            if i + 1 < phase_end:
+                masks, _ = _pair_gates(n, i, ca, cb, {})
+                states.append((i + 1, _advance(pairs, row & ~1, masks)))
+        calls = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            k = data.draw(st.integers(0, len(states) - 1))
+            depth = data.draw(st.integers(1, 3))
+            at, state = states[k]
+            best = _suffix(n, state, at, depth, phase_end, kind, math.inf, {}, _NoTable())
+            # Budgets near the best meet the entries at their edges.
+            budget = data.draw(st.one_of(st.integers(max(1, best - 2), best + 2), st.just(math.inf)))
+            calls.append((budget, k, depth))
+        if falling:
+            calls.sort(key=lambda call: -call[0])
+        seen: dict = {}
+        for budget, k, depth in calls:
+            at, state = states[k]
+            want = _suffix(n, state, at, depth, phase_end, kind, budget, {}, _NoTable())
+            for _ in range(2):  # the repeat is answered from the table
+                assert _suffix(n, state, at, depth, phase_end, kind, budget, {}, seen) == want
+
+    @given(
+        st.integers(3, 6),
+        st.integers(0, 10_000),
+        st.sampled_from(["uniform", "parity_aligned"]),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([0, 4, 9]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_phase_long_table_picks_as_a_fresh_one(self, n, seed, sample_kind, depth, tail):
+        choose = synthesis._lookahead_choose
+
+        def checked(n, pairs, i, kind, phase_end, d, seen):
+            got = choose(n, pairs, i, kind, phase_end, d, seen)
+            assert got == choose(n, pairs, i, kind, phase_end, d, {})
+            return got
+
+        cfg = SynthesisConfig(depths={j: depth for j in range(1, 25)}, exhaustive_tail=tail)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_lookahead_choose", checked)
+            synthesize(sample(n, seed, sample_kind), cfg)
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 
@@ -475,6 +553,32 @@ class TestSynthesizeEndToEnd:
         monkeypatch.setattr(synthesis, "_run_normal", lambda engine, selector=None: None)
         with pytest.raises(RuntimeError, match="internal error: .* not an identity wire"):
             synthesize(perm)
+
+    def test_a_stage_over_its_budget_is_an_internal_error(self, monkeypatch):
+        # The per-stage budget is checked with a raise, so it holds under
+        # ``python -O``.
+        real = synthesis.bounds
+        monkeypatch.setattr(
+            synthesis, "bounds", lambda w: dataclasses.replace(real(w), per_reduction_total=1)
+        )
+        with pytest.raises(RuntimeError, match="internal error: the width-5 stage .* budget of 1$"):
+            synthesize(sample(5, 1))
+
+    def test_mix_repairs_sit_outside_the_stage_budget(self):
+        # At the default config this map's width-4 stage needs three mix
+        # repair gates (3 Toffolis each) and ends one Toffoli over its
+        # budget net of lifts alone; net of the repairs it is within.
+        perm = Permutation(6, (
+            23, 61, 9, 10, 16, 55, 43, 59, 38, 46, 39, 8, 2, 5, 41, 0,
+            3, 6, 56, 54, 40, 33, 36, 15, 49, 50, 42, 57, 37, 45, 30, 11,
+            35, 34, 31, 48, 51, 27, 20, 24, 13, 17, 4, 47, 32, 12, 14, 1,
+            21, 60, 18, 44, 58, 19, 25, 53, 28, 62, 63, 7, 29, 52, 22, 26,
+        ))
+        seq, report = synthesize(perm)
+        assert circuit_table(6, as_plain(seq)) == list(perm.entries)
+        stage = report.stages[2]
+        assert (stage.width, stage.mix_fixups) == (4, 3)
+        assert stage.toffoli - stage.lift_toffoli == stage.bound + 1
 
     @pytest.mark.parametrize("width", [1, 2, 3, 6])
     def test_only_the_endgame_takes_a_snapshot(self, monkeypatch, width):
