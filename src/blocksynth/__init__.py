@@ -18,11 +18,8 @@ from .core import (
     PreconditionViolated,
     WidthMismatch,
     apply_gate,
-    apply_sequence,
     cx,
     mct,
-    parity,
-    run_circuit,
     sample,
     toffoli,
     verify_identity,
@@ -42,7 +39,6 @@ from .cost import (
 )
 from .io_formats import (
     ArityMismatch,
-    CircuitFile,
     MalformedInteger,
     TruthTable,
     Unbalanced,
@@ -52,9 +48,7 @@ from .io_formats import (
     embed_truth_table,
     format_permutation,
     format_real,
-    format_truth_table,
     parse_permutation,
-    parse_real,
     parse_report,
     parse_truth_table,
     read_real,
@@ -64,7 +58,6 @@ from .reduction import (
     BoundSet,
     PairNotFound,
     bounds,
-    findm,
     preprocessing_bound,
 )
 from .synthesis import (
@@ -81,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArityMismatch",
     "BoundSet",
-    "CircuitFile",
     "CostTable",
     "DEFAULT_TABLE",
     "ExpansionResult",
@@ -104,20 +96,15 @@ __all__ = [
     "WidthMismatch",
     "WrongCount",
     "apply_gate",
-    "apply_sequence",
     "bounds",
     "cx",
     "embed_truth_table",
     "expand_mct",
-    "findm",
     "format_permutation",
     "format_real",
-    "format_truth_table",
     "load_cost_table",
     "mct",
-    "parity",
     "parse_permutation",
-    "parse_real",
     "parse_report",
     "parse_truth_table",
     "peephole",
@@ -126,7 +113,6 @@ __all__ = [
     "read_cost_table",
     "read_real",
     "resolve_table",
-    "run_circuit",
     "sample",
     "search_two_bit",
     "synthesize",

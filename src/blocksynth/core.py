@@ -167,24 +167,9 @@ class Permutation:
         if sorted(self.entries) != list(range(size)):
             raise NotABijection("entries are not a permutation of 0..2^n-1")
 
-    @classmethod
-    def identity(cls, width: int) -> "Permutation":
-        return cls(width, tuple(range(1 << width)))
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[int]) -> "Permutation":
-        size = len(entries)
-        width = size.bit_length() - 1
-        if size != 1 << width or size < 2:
-            raise NotABijection(f"entry count {size} is not a power of two >= 2")
-        return cls(width, tuple(entries))
-
     @property
     def size(self) -> int:
         return 1 << self.width
-
-    def __call__(self, column: int) -> int:
-        return self.entries[column]
 
 
 @dataclass(frozen=True)
@@ -206,17 +191,6 @@ class GateSequence:
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
-
-    def __add__(self, other: "GateSequence") -> "GateSequence":
-        if other.width != self.width:
-            raise WidthMismatch(f"{self.width} vs {other.width}")
-        return GateSequence(self.width, self.gates + other.gates)
-
-    @classmethod
-    def of(cls, *gates: Gate) -> "GateSequence":
-        if not gates:
-            raise ValueError("use GateSequence(width) for an empty sequence")
-        return cls(gates[0].width, tuple(gates))
 
 
 # Affine column map: (images of column bits 0..n-1, offset).  Column c maps
@@ -312,32 +286,6 @@ def apply_gate(perm: Permutation, gate: Gate) -> Permutation:
     return Permutation(perm.width, tuple(entries))
 
 
-def apply_sequence(
-    perm: Permutation, acc: GateSequence, seq: GateSequence
-) -> tuple[Permutation, GateSequence]:
-    """Apply ``seq`` to ``perm`` and append it to the accumulator ``acc``."""
-    if perm.width != seq.width or acc.width != seq.width:
-        raise WidthMismatch(
-            f"widths differ: perm {perm.width}, acc {acc.width}, seq {seq.width}"
-        )
-    entries = list(perm.entries)
-    scratch = [0] * perm.size  # one throwaway ``pos`` for every gate
-    for g in seq.gates:
-        exchange_columns(entries, *g.masks(), scratch)
-    return Permutation(perm.width, tuple(entries)), acc + seq
-
-
-def run_circuit(seq: GateSequence, x: int) -> int:
-    """Execute the sequence left-to-right on the input bit string ``x``."""
-    if not 0 <= x < (1 << seq.width):
-        raise ValueError(f"input {x} outside 0..2^{seq.width}-1")
-    for g in seq.gates:
-        ones, zeros, tmask = g.masks()
-        if (x & ones) == ones and (x & zeros) == 0:
-            x ^= tmask
-    return x
-
-
 def _bit_planes(width: int, values: Iterable[int]) -> list[int]:
     """Index l (1..width) holds, as bit x, line l's bit of ``values[x]``."""
     rows = [format(v, f"0{width}b") for v in values]
@@ -363,23 +311,6 @@ def verify_identity(perm: Permutation, seq: GateSequence) -> bool:
             fire &= v[line] if positive else ~v[line]
         v[g.target] ^= fire
     return v == _bit_planes(n, perm.entries)
-
-
-def parity(perm: Permutation) -> Literal["even", "odd"]:
-    """Sign of the permutation via cycle decomposition."""
-    seen = [False] * perm.size
-    transpositions = 0
-    for start in range(perm.size):
-        if seen[start]:
-            continue
-        length = 0
-        c = start
-        while not seen[c]:
-            seen[c] = True
-            c = perm.entries[c]
-            length += 1
-        transpositions += length - 1
-    return "even" if transpositions % 2 == 0 else "odd"
 
 
 def sample(

@@ -77,6 +77,8 @@ def load_cost_table(text: str, name: str = "custom") -> CostTable:
             raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
         if controls < 0 or costv < 0:
             raise ValueError(f"line {lineno}: negative value in {raw!r}")
+        if controls in entries:
+            raise ValueError(f"line {lineno}: control count {controls} given twice")
         entries[controls] = costv
     if not entries:
         raise ValueError("cost table text contains no entries")

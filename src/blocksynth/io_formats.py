@@ -5,14 +5,17 @@ line-oriented format.  Circuit files use the common reversible-circuit
 subset: a ``.version``/``.numvars``/``.variables`` header, then ``t<k>``
 gate lines between ``.begin`` and ``.end`` where ``t<k>`` takes k names,
 the last one being the target (so ``t1 x3`` is an X on the line named x3).
-Negative controls are materialized as X conjugations on write; read files
-therefore always come back with positive controls.
+``read_real`` is the one reader: it returns the ``GateSequence`` and reads
+past the ``.inputs``/``.outputs``/``.constants``/``.garbage`` annotations;
+``format_real`` writes ``.outputs`` and ``.garbage`` for embedded truth
+tables.  Negative controls are materialized as
+X conjugations on write; read files therefore always come back with
+positive controls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import Gate, GateSequence, MAX_WIDTH, Permutation
 from .synthesis import SynthesisReport
@@ -142,13 +145,6 @@ def parse_truth_table(text: str) -> TruthTable:
     return TruthTable(n_in, n_out, tuple(body))
 
 
-def format_truth_table(table: TruthTable) -> str:
-    lines = [f"{table.n_in} {table.n_out}"]
-    for start in range(0, len(table.rows), 16):
-        lines.append(" ".join(str(v) for v in table.rows[start : start + 16]))
-    return "\n".join(lines) + "\n"
-
-
 def embed_truth_table(table: TruthTable) -> tuple[Permutation, int]:
     """Reversible embedding with garbage on the least significant lines.
 
@@ -180,38 +176,20 @@ def embed_truth_table(table: TruthTable) -> tuple[Permutation, int]:
 # Circuit files.
 
 
-@dataclass(frozen=True)
-class CircuitFile:
-    """Parsed circuit file: declared lines, gates, optional annotations."""
-
-    width: int
-    variables: tuple[str, ...]
-    gates: tuple[Gate, ...]
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    constants: str = ""
-    garbage: str = ""
-
-    def to_sequence(self) -> GateSequence:
-        return GateSequence(self.width, self.gates)
-
-
-def parse_real(text: str) -> CircuitFile:
+def read_real(text: str) -> GateSequence:
     """Parse a circuit file; every error names the offending line.
 
     The header directives must come before ``.begin``, so the width and the
     line names are fixed for the whole body, and one dict maps each distinct
-    gate line to its ``Gate``: a line that recurs is parsed once.
+    gate line to its ``Gate``: a line that recurs is parsed once.  The
+    ``.inputs``, ``.outputs``, ``.constants`` and ``.garbage`` annotations
+    are accepted and dropped.
     """
     width = 0
     variables: tuple[str, ...] = ()
     var_index: dict[str, int] = {}
     parsed: dict[str, Gate] = {}
     gates: list[Gate] = []
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    constants = ""
-    garbage = ""
     begun = ended = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -228,7 +206,7 @@ def parse_real(text: str) -> CircuitFile:
         if head.startswith("."):
             if begun and head not in (".begin", ".end"):
                 raise UnknownDirective(f"line {lineno}: {head} after .begin")
-            if head == ".version":
+            if head in (".version", ".inputs", ".outputs", ".constants", ".garbage"):
                 pass
             elif head == ".numvars":
                 if len(toks) != 2:
@@ -255,14 +233,6 @@ def parse_real(text: str) -> CircuitFile:
                 if len(var_index) != len(variables):
                     twice = next(v for v in variables if variables.count(v) > 1)
                     raise ArityMismatch(f"line {lineno}: variable {twice!r} named twice")
-            elif head == ".inputs":
-                inputs = tuple(toks[1:])
-            elif head == ".outputs":
-                outputs = tuple(toks[1:])
-            elif head == ".constants":
-                constants = toks[1] if len(toks) > 1 else ""
-            elif head == ".garbage":
-                garbage = toks[1] if len(toks) > 1 else ""
             elif head == ".begin":
                 if begun:
                     raise UnknownDirective(f"line {lineno}: second .begin")
@@ -303,22 +273,11 @@ def parse_real(text: str) -> CircuitFile:
         parsed[line] = g
     if not ended:
         raise UnknownDirective("missing .end")
-    return CircuitFile(
-        width, variables, tuple(gates), inputs, outputs, constants, garbage
-    )
-
-
-def read_real(text: str) -> GateSequence:
-    return parse_real(text).to_sequence()
+    return GateSequence(width, tuple(gates))
 
 
 def format_real(
-    seq: GateSequence,
-    *,
-    inputs: tuple[str, ...] = (),
-    outputs: tuple[str, ...] = (),
-    constants: str = "",
-    garbage: str = "",
+    seq: GateSequence, *, outputs: tuple[str, ...] = (), garbage: str = ""
 ) -> str:
     """Serialize a sequence; negative controls become X conjugations.
 
@@ -327,17 +286,9 @@ def format_real(
     """
     n = seq.width
     names = [f"x{i}" for i in range(1, n + 1)]
-    lines = [
-        ".version 2.0",
-        f".numvars {n}",
-        ".variables " + " ".join(names),
-    ]
-    if inputs:
-        lines.append(".inputs " + " ".join(inputs))
+    lines = [".version 2.0", f".numvars {n}", ".variables " + " ".join(names)]
     if outputs:
         lines.append(".outputs " + " ".join(outputs))
-    if constants:
-        lines.append(".constants " + constants)
     if garbage:
         lines.append(".garbage " + garbage)
     lines.append(".begin")

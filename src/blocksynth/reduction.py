@@ -42,7 +42,8 @@ through the frame (``_Engine.row``, ``col``, ``walk`` and ``pairs_from``);
 whole-array readers take ``entries`` or ``pos``, which materialize it.
 
 Iteration i searches inside a shrinking column region (``_region_mask``:
-columns whose first m-1 bits are all set, m = findm(i, n)); there the
+columns whose first m-1 bits are all set, for the smallest m whose region
+starts at or past column 2i, the paper's findm(i, n)); there the
 conjoining MCT — controls on lines 1..m-1 plus line n — is guaranteed to
 fire on the chosen pair and provably cannot touch any column of an
 already-allocated block.  When no admissible pair sits inside the region
@@ -145,27 +146,14 @@ def _pair_split(pos: Sequence[int]) -> tuple[int, int]:
 # Region geometry.
 
 
-def findm(l: int, n: int) -> int:
-    """Smallest m ≥ 1 whose region (see ``_region_mask``) starts at or past
-    column 2l; m = 1 when l = 0.
-
-    Columns whose m-1 most significant bits are all 1 are the region where
-    the conjoining MCT (controls on lines 1..m-1 plus line n) is guaranteed
-    to fire.  Defined for block-wise positions 0..2^(n-1)-1; the position
-    one past the end has no region.
-    """
-    if not 0 <= l < 1 << (n - 1):
-        raise ValueError(f"l={l} outside 0..2^{n-1}-1")
-    # 2^n - 2^(n-m+1) >= 2l  <=>  2^(n-m+1) <= 2^n - 2l
-    return max(1, n + 2 - ((1 << n) - 2 * l).bit_length())
-
-
 def _region_mask(n: int, i: int) -> int:
     """Columns c with (c & mask) == mask are in iteration i's region: those
-    whose first m-1 bits are all set, m = findm(i, n).  They are also the
-    columns c >= mask.  As n - m + 1 is one less than the bit length of
-    2^n - 2i (see ``findm``), the mask is 2^n less the largest power of two
-    not above 2^n - 2i; i must lie in 0..2^(n-1)-1."""
+    whose first m-1 bits are all set, for the smallest m >= 1 (the paper's
+    findm(i, n)) whose region starts at or past column 2i.  Those columns
+    are the c >= 2^n - 2^(n-m+1), so the mask is 2^n less the largest power
+    of two not above 2^n - 2i.  The conjoining MCT, controls on lines
+    1..m-1 plus line n, is guaranteed to fire there.  i must lie in
+    0..2^(n-1)-1; the position one past the end has no region."""
     return (1 << n) - (1 << ((1 << n) - 2 * i).bit_length() >> 1)
 
 

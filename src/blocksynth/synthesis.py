@@ -39,7 +39,8 @@ current blocks and a histogram of the candidates by slot gap, without
 running any candidate's masks (``_count_free``).
 
 Each stage's Toffoli count, less what its region lifts and mix repair
-gates cost, is checked against ``bounds(w).per_reduction_total``.
+gates cost, is checked against ``bounds(w).per_reduction_total``, and its
+preprocessing pass, less its lifts, against ``preprocessing_bound(w)``.
 Adjacent identical gates are cancelled (``peephole``), and the result is
 always verified against the input before being returned.  A failure of
 either check is an internal error, not a user error.
@@ -51,6 +52,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .conditioning import _mix_engine, _run_preprocess
@@ -79,6 +81,7 @@ from .reduction import (
     _run_normal,
     _track,
     bounds,
+    preprocessing_bound,
 )
 
 
@@ -91,13 +94,16 @@ class SynthesisConfig:
     j = (r-1).bit_length(), so 1 <= j <= MAX_WIDTH); missing entries default
     to depth 1, and depth 0 reproduces the plain scan-order selection.
     ``exhaustive_tail`` switches the last positions of a stage to exact
-    branch-and-bound (0 disables).
+    branch-and-bound (0 disables).  ``depths`` is kept as a read-only copy,
+    so the caller's dict can change without getting past the checks below.
     """
 
     depths: Optional[Mapping[int, int]] = None
     exhaustive_tail: int = 9
 
     def __post_init__(self) -> None:
+        if self.depths is not None:
+            object.__setattr__(self, "depths", MappingProxyType(dict(self.depths)))
         depths = self.depths or {}
         checked = [("exhaustive_tail", self.exhaustive_tail)]
         checked += [("lookahead depths", d) for d in depths.values()]
@@ -117,6 +123,12 @@ class SynthesisConfig:
             raise ValueError(
                 f"lookahead depth buckets must be within 1..{MAX_WIDTH}, got {stray[0]}"
             )
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; ``bench --jobs`` sends configs to
+        # worker processes.
+        depths = None if self.depths is None else dict(self.depths)
+        return SynthesisConfig, (depths, self.exhaustive_tail)
 
     def depth_for(self, remaining_rows: int) -> int:
         if remaining_rows <= 0:
@@ -456,9 +468,19 @@ def synthesize(
                     mstats = _mix_engine(engine)
                     mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
                     mix_gates = len(engine.gates)
-                mark = len(engine.gates)
+                mark, lifted = len(engine.gates), engine.lift_toffoli
                 _run_preprocess(engine)
                 pre_gates = len(engine.gates) - mark
+                spent = sum(
+                    toffoli_equivalents((ones | zeros).bit_count())
+                    for ones, zeros, _ in engine.gates[mark:]
+                ) - (engine.lift_toffoli - lifted)
+                budget = preprocessing_bound(w)
+                if spent > budget:
+                    raise RuntimeError(
+                        f"internal error: width-{w} preprocessing spent {spent} Toffolis "
+                        f"besides its lifts, over its budget of {budget}"
+                    )
             mark = len(engine.gates)
             _run_general(
                 engine,

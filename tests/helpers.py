@@ -2,7 +2,9 @@
 
 Everything here recomputes expectations from first principles (bit fiddling,
 brute-force search, explicit summation) without calling into the package's
-own logic, so that tests compare two genuinely separate computations.
+own logic, so that tests compare two genuinely separate computations.  The
+one exception, ``apply_sequence``, only chains the package's own
+``apply_gate``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import ceil, comb
+
+from blocksynth import apply_gate
 
 
 def sim_gate(width: int, target: int, controls, x: int) -> int:
@@ -31,6 +35,30 @@ def sim_circuit(width: int, gates, x: int) -> int:
     for target, controls in gates:
         x = sim_gate(width, target, controls, x)
     return x
+
+
+def apply_sequence(perm, seq):
+    """``perm`` with ``seq``'s gates applied in order, one ``apply_gate``
+    each."""
+    for g in seq:
+        perm = apply_gate(perm, g)
+    return perm
+
+
+def findm(l: int, n: int) -> int:
+    """The paper's m for block-wise position l: the smallest m >= 1 whose
+    region, the columns whose m-1 most significant bits are all 1, starts
+    at or past column 2l.  Found by trying m = 1, 2, ... in turn.
+
+    Defined for l in 0..2^(n-1)-1; the position one past the end has no
+    region.
+    """
+    if not 0 <= l < 1 << (n - 1):
+        raise ValueError(f"l={l} outside 0..2^{n-1}-1")
+    m = 1
+    while (1 << n) - (1 << (n - m + 1)) < 2 * l:
+        m += 1
+    return m
 
 
 def as_plain(seq):

@@ -26,7 +26,6 @@ from blocksynth import (
     bounds,
     cx,
     expand_mct,
-    findm,
     mct,
     parse_permutation,
     sample,
@@ -50,6 +49,7 @@ from helpers import (
     as_plain,
     circuit_table,
     conjoin_budget,
+    findm,
     independent_parity,
     mismatch_rows,
     positions,
@@ -87,11 +87,9 @@ def test_criterion_01_worked_gate_trace():
     assert apply_gate(p, x(3, 1)).entries == (5, 3, 6, 4, 7, 2, 0, 1)
     assert apply_gate(p, cx(3, 2, 1)).entries == (7, 2, 6, 4, 5, 3, 0, 1)
     assert apply_gate(p, mct(3, [3, 1], 2)).entries == (7, 2, 0, 1, 5, 4, 6, 3)
-    five = GateSequence.of(
-        cx(3, 1, 3), mct(3, [3, 1], 2), x(3, 2), cx(3, 2, 3), mct(3, [2, 3], 1)
-    )
+    five = GateSequence(3, (cx(3, 1, 3), mct(3, [3, 1], 2), x(3, 2), cx(3, 2, 3), mct(3, [2, 3], 1)))
     assert verify_identity(p, five)
-    assert not verify_identity(p, GateSequence.of(x(3, 1)))
+    assert not verify_identity(p, GateSequence(3, (x(3, 1),)))
     report("[criterion 1] PASS: worked gate trace matches byte for byte")
 
 
@@ -274,7 +272,7 @@ def test_criterion_07_expansion_equivalence():
     for m in range(3, 8):
         width = m + 1
         gate = mct(width, list(range(1, m + 1)), width)
-        result = expand_mct(GateSequence.of(gate), policy="clean")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="clean")
         assert toffoli_count(result.circuit) == 2 * m - 3
         work = result.work_lines
         full = width + work

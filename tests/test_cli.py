@@ -17,7 +17,6 @@ import pytest
 from blocksynth import (
     MAX_WIDTH,
     format_permutation,
-    parse_real,
     parse_report,
     quantum_cost,
     read_real,
@@ -103,11 +102,10 @@ class TestSynth:
         fields = dict(zip(*[iter(capsys.readouterr().out.split())] * 2))
         assert fields["width"] == "2"
         assert fields["garbage"] == "1"
-        cf = parse_real(out.read_text())
-        assert cf.outputs == ("f1", "g1")
-        assert cf.garbage == "-1"
+        text = out.read_text()
+        assert ".outputs f1 g1\n.garbage -1\n" in text
         # high line carries xor(x1, x2): embedded map sends x to f(x)*2 + k
-        table = circuit_table(2, as_plain(cf.to_sequence()))
+        table = circuit_table(2, as_plain(read_real(text)))
         assert [v >> 1 for v in table] == [0, 1, 1, 0]
 
     def test_report_file(self, tmp_path):
@@ -290,6 +288,16 @@ class TestCost:
         assert int(lines["quantum_cost"]) == len(seq)  # every gate costs 1
         assert lines["cost_table"] == "flat.qc"
 
+    def test_repeated_control_count_is_a_clean_error(self, tmp_path, capsys):
+        out = self._circuit(tmp_path)
+        table = tmp_path / "twice.qc"
+        table.write_text("0 1\n1 1\n2 5\n2 7\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--circuit", str(out), "--cost-table", str(table)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: line 4: control count 2 given twice\n"
+
     def test_incomplete_cost_table_is_a_clean_error(self, tmp_path, capsys):
         out = self._circuit(tmp_path)
         capsys.readouterr()
@@ -435,6 +443,13 @@ class TestBench:
         assert rc == 0
         names = [l.split("\t")[0] for l in capsys.readouterr().out.splitlines()[1:]]
         assert names == ["a.perm", "b.perm", "xor.tt"]
+
+    def test_parallel_jobs_take_a_depth(self, tmp_path, capsys):
+        # The config travels to the workers by pickle, read-only depths too.
+        self._fill(tmp_path)
+        assert main(["bench", str(tmp_path), "--jobs", "2", "--depth", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [l.split("\t")[0] for l in rows] == ["a.perm", "b.perm", "xor.tt"]
 
     def test_empty_directory(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

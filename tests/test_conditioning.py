@@ -11,7 +11,6 @@ from blocksynth import (
     GateSequence,
     Permutation,
     apply_gate,
-    apply_sequence,
     cx,
     mct,
     sample,
@@ -29,13 +28,11 @@ from blocksynth.conditioning import (
     _walsh_spectrum,
 )
 from blocksynth.reduction import _Engine
-from helpers import flat_spectrum, mismatch_rows, positions
+from helpers import apply_sequence, flat_spectrum, mismatch_rows, positions
 
 # Hand-classified width-4 map: 2 normal, 6 inverted, 8 interrupting rows —
 # exactly on the mixing target and a valid preprocessing input.
-HALF_INTERRUPTING = Permutation.from_entries(
-    (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11)
-)
+HALF_INTERRUPTING = Permutation(4, (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11))
 HALF_POS = positions(HALF_INTERRUPTING)
 
 
@@ -77,7 +74,7 @@ def first_pick(p):
 def permutations(draw, min_width=3, max_width=5):
     width = draw(st.integers(min_width, max_width))
     entries = draw(st.permutations(tuple(range(1 << width))))
-    return Permutation.from_entries(tuple(entries))
+    return Permutation(width, tuple(entries))
 
 
 class TestWalshScoring:
@@ -169,7 +166,7 @@ class TestSpectralPick:
         moves = [cx(3, c, t) for c in range(1, 4) for t in range(1, 4) if t != c]
         maps = {}
         for entries in orderings(range(8)):
-            p = Permutation.from_entries(entries)
+            p = Permutation(3, entries)
             pos = positions(p)
             maps.setdefault(tuple(sorted(pos[r] ^ pos[r + 1] for r in (0, 2, 4, 6))), p)
         landings = 0
@@ -232,7 +229,7 @@ class TestMix:
     def test_reaches_target_exactly(self, p):
         mixed, seq = mix(p)
         assert mismatch_rows(mixed.entries) == p.size // 2
-        replayed, _ = apply_sequence(p, GateSequence(p.width), seq)
+        replayed = apply_sequence(p, seq)
         assert replayed == mixed
 
     def test_deterministic(self):
@@ -252,7 +249,7 @@ class TestMix:
         # the pair count for every a: no CX circuit lands, and the output is
         # a composite plus fully controlled repair toggles — never anything
         # in between.
-        p = Permutation.identity(4)
+        p = Permutation(4, tuple(range(16)))
         mixed, seq = mix(p)
         assert mismatch_rows(mixed.entries) == 8
         assert len(seq) >= 1
@@ -300,9 +297,7 @@ class TestPreprocess:
     def test_worked_example(self):
         result, seq = preprocess(HALF_INTERRUPTING)
         assert _pair_split(positions(result)) == (4, 4)  # 8 rows each, none interrupting
-        replayed, _ = apply_sequence(
-            HALF_INTERRUPTING, GateSequence(4), seq
-        )
+        replayed = apply_sequence(HALF_INTERRUPTING, seq)
         assert replayed == result
 
     def test_single_last_line_gate_is_the_quarter_flip(self):
@@ -360,12 +355,12 @@ class TestInternalChecks:
         monkeypatch.setattr(
             conditioning, "_interrupting_pairs", lambda pos: bytearray([1] * 4)
         )
-        engine = _Engine(Permutation.identity(3))
+        engine = _Engine(Permutation(3, tuple(range(8))))
         with pytest.raises(RuntimeError, match="internal error: no slot lowers"):
             _fixups(engine, 4)
 
     def test_fixup_without_progress(self, monkeypatch):
-        engine = _Engine(Permutation.identity(4))
+        engine = _Engine(Permutation(4, tuple(range(16))))
         monkeypatch.setattr(engine, "emit", lambda *m: None)
         with pytest.raises(RuntimeError, match="internal error: a mix fixup moved"):
             _fixups(engine, 8)
@@ -375,7 +370,7 @@ class TestInternalChecks:
         # target (4 interrupting rows), not balanced, not reducible.  With
         # no composite and repairs that emit nothing, mixing ends off
         # target, and synthesize itself must say so.
-        p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 6, 7))
+        p = Permutation(3, (0, 1, 2, 3, 5, 4, 6, 7))
         assert mismatch_rows(p.entries) == 0
         monkeypatch.setattr(conditioning, "_fixups", lambda engine, target: 0)
         monkeypatch.setattr(conditioning, "_walsh_spectrum", flat_spectrum)

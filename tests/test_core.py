@@ -15,11 +15,8 @@ from blocksynth import (
     PreconditionViolated,
     WidthMismatch,
     apply_gate,
-    apply_sequence,
     cx,
     mct,
-    parity,
-    run_circuit,
     sample,
     toffoli,
     verify_identity,
@@ -27,14 +24,21 @@ from blocksynth import (
 )
 from blocksynth.core import exchange_columns
 from blocksynth.reduction import _Engine
-from helpers import as_plain, circuit_table, positions, sim_circuit
+from helpers import (
+    apply_sequence,
+    as_plain,
+    circuit_table,
+    independent_parity,
+    positions,
+    sim_circuit,
+)
 
 
 @st.composite
 def permutations(draw, min_width=1, max_width=4):
     width = draw(st.integers(min_width, max_width))
     entries = draw(st.permutations(tuple(range(1 << width))))
-    return Permutation.from_entries(tuple(entries))
+    return Permutation(width, tuple(entries))
 
 
 @st.composite
@@ -116,25 +120,25 @@ class TestGateBasics:
 
 class TestPermutationBasics:
     def test_identity(self):
-        p = Permutation.identity(3)
-        assert p.entries == tuple(range(8))
+        p = Permutation(3, tuple(range(8)))
+        assert p.entries == tuple(range(8)) and p.size == 8
 
     def test_from_entries_rejects_non_bijection(self):
         with pytest.raises(NotABijection):
-            Permutation.from_entries((0, 0, 2, 3))
+            Permutation(2, (0, 0, 2, 3))
         with pytest.raises(NotABijection):
-            Permutation.from_entries((0, 1, 2))  # not a power of two
+            Permutation(2, (0, 1, 2))  # too few entries for the width
 
     def test_from_entries_rejects_out_of_range(self):
         with pytest.raises(NotABijection):
-            Permutation.from_entries((0, 1, 2, 7))
+            Permutation(2, (0, 1, 2, 7))
 
     @pytest.mark.parametrize("entries", [(0, 1, 2, 3.0), (0, 1, "2", 3), (False, True)])
     def test_rejects_entries_that_are_not_ints(self, entries):
         # 3.0 == 3, so a float entry passes the bijection check and only
         # fails later, as an index.
         with pytest.raises(NotABijection, match="must be ints"):
-            Permutation.from_entries(entries)
+            Permutation(len(entries).bit_length() - 1, entries)
 
     @pytest.mark.parametrize("width", [2.0, "2", None])
     def test_rejects_a_width_that_is_not_an_int(self, width):
@@ -147,16 +151,11 @@ class TestPermutationBasics:
         with pytest.raises(ValueError):
             Permutation(0, ())
 
-    def test_call_and_position(self):
-        p = Permutation.from_entries((2, 0, 3, 1))
-        assert [p(c) for c in range(4)] == [2, 0, 3, 1]
-        assert positions(p) == [1, 3, 0, 2]
-
 
 class TestHandVerifiedApplication:
     """Column-swap semantics on the fixed map (7,2,0,1,5,3,6,4)."""
 
-    P = Permutation.from_entries((7, 2, 0, 1, 5, 3, 6, 4))
+    P = Permutation(3, (7, 2, 0, 1, 5, 3, 6, 4))
 
     def test_toffoli_swaps_last_two_columns(self):
         q = apply_gate(self.P, toffoli(3, 1, 2, 3))
@@ -180,19 +179,15 @@ class TestHandVerifiedApplication:
 
 
 class TestRunCircuit:
-    SEQ = GateSequence.of(toffoli(3, 1, 2, 3), cx(3, 1, 2), x(3, 1))
+    """The reference simulator runs a circuit on hand-worked inputs."""
+
+    SEQ = GateSequence(3, (toffoli(3, 1, 2, 3), cx(3, 1, 2), x(3, 1)))
 
     @pytest.mark.parametrize(
         "x_in,x_out", [(6, 1), (0, 4), (7, 0), (3, 7)]
     )
     def test_hand_vectors(self, x_in, x_out):
-        assert run_circuit(self.SEQ, x_in) == x_out
-
-    def test_input_range(self):
-        with pytest.raises(ValueError):
-            run_circuit(self.SEQ, 8)
-        with pytest.raises(ValueError):
-            run_circuit(self.SEQ, -1)
+        assert sim_circuit(3, as_plain(self.SEQ), x_in) == x_out
 
 
 class TestFiveGateIdentity:
@@ -202,19 +197,19 @@ class TestFiveGateIdentity:
     and running them as a circuit reproduces that map on every input.
     """
 
-    SEQ = GateSequence.of(
-        x(3, 1), cx(3, 1, 3), toffoli(3, 1, 2, 3), cx(3, 3, 1), x(3, 2)
+    SEQ = GateSequence(
+        3, (x(3, 1), cx(3, 1, 3), toffoli(3, 1, 2, 3), cx(3, 3, 1), x(3, 2))
     )
-    P = Permutation.from_entries((3, 6, 4, 1, 2, 7, 0, 5))
+    P = Permutation(3, (3, 6, 4, 1, 2, 7, 0, 5))
 
     def test_reaches_identity(self):
         assert verify_identity(self.P, self.SEQ)
 
     def test_circuit_computes_the_map(self):
-        assert [run_circuit(self.SEQ, c) for c in range(8)] == list(self.P.entries)
+        assert circuit_table(3, as_plain(self.SEQ)) == list(self.P.entries)
 
     def test_intermediate_states(self):
-        p = Permutation.identity(3)
+        p = Permutation(3, tuple(range(8)))
         states = []
         for g in self.SEQ:
             p = apply_gate(p, g)
@@ -231,19 +226,11 @@ class TestFiveGateIdentity:
 class TestAgainstIndependentSimulator:
     @given(perm_and_gates())
     @settings(max_examples=150)
-    def test_run_circuit_matches_reference(self, pg):
-        _, seq = pg
-        table = circuit_table(seq.width, as_plain(seq))
-        for c in range(1 << seq.width):
-            assert run_circuit(seq, c) == table[c]
-
-    @given(perm_and_gates())
-    @settings(max_examples=150)
     def test_dual_reading(self, pg):
         """The circuit computing P is exactly the sequence mapping P to I."""
         _, seq = pg
         table = circuit_table(seq.width, as_plain(seq))
-        computed = Permutation.from_entries(tuple(table))
+        computed = Permutation(seq.width, tuple(table))
         assert verify_identity(computed, seq)
 
     @given(permutations(), st.data())
@@ -252,28 +239,19 @@ class TestAgainstIndependentSimulator:
         g = data.draw(gates(perm.width))
         assert apply_gate(apply_gate(perm, g), g) == perm
 
-    @given(perm_and_gates())
-    @settings(max_examples=100)
-    def test_apply_sequence_accumulates(self, pg):
-        perm, seq = pg
-        acc0 = GateSequence(perm.width)
-        result, acc = apply_sequence(perm, acc0, seq)
-        step = perm
-        for g in seq:
-            step = apply_gate(step, g)
-        assert result == step
-        assert acc.gates == seq.gates
-
 
 class TestParity:
+    """The reference sign pinned to hand values, then each gate's effect on
+    it."""
+
     def test_identity_even(self):
-        assert parity(Permutation.identity(3)) == "even"
+        assert independent_parity(range(8)) == "even"
 
     def test_single_swap_odd(self):
-        assert parity(Permutation.from_entries((1, 0, 2, 3))) == "odd"
+        assert independent_parity((1, 0, 2, 3)) == "odd"
 
     def test_three_cycle_even(self):
-        assert parity(Permutation.from_entries((1, 2, 0, 3))) == "even"
+        assert independent_parity((1, 2, 0, 3)) == "even"
 
     @given(permutations(), st.data())
     @settings(max_examples=100)
@@ -281,8 +259,8 @@ class TestParity:
         """A gate swaps 2^(n-1-c) disjoint column pairs, c = control count."""
         g = data.draw(gates(perm.width))
         swaps = 1 << (perm.width - 1 - g.control_count)
-        before = parity(perm)
-        after = parity(apply_gate(perm, g))
+        before = independent_parity(perm.entries)
+        after = independent_parity(apply_gate(perm, g).entries)
         flipped = before != after
         assert flipped == (swaps % 2 == 1)
 
@@ -297,16 +275,17 @@ class TestReduceWidth:
         return engine
 
     def test_identity(self):
-        assert self.stripped(Permutation.identity(3)).snapshot() == Permutation.identity(2)
+        identity = Permutation(3, tuple(range(8)))
+        assert self.stripped(identity).snapshot() == Permutation(2, (0, 1, 2, 3))
 
     def test_blockwise_map(self):
-        engine = self.stripped(Permutation.from_entries((2, 3, 0, 1)))
-        assert engine.snapshot() == Permutation.from_entries((1, 0))
+        engine = self.stripped(Permutation(2, (2, 3, 0, 1)))
+        assert engine.snapshot() == Permutation(1, (1, 0))
         assert (engine.n, engine.size, engine.pos) == (1, 2, [1, 0])
 
     def test_rejects_odd_low_entry(self):
         with pytest.raises(RuntimeError, match="internal error: columns 0,1 hold rows 1,0"):
-            self.stripped(Permutation.from_entries((1, 0, 2, 3)))
+            self.stripped(Permutation(2, (1, 0, 2, 3)))
 
 
 class TestSample:
@@ -330,16 +309,16 @@ class TestSample:
 
 class TestVerifyIdentity:
     def test_positive(self):
-        p = Permutation.from_entries((1, 0, 2, 3))
-        assert verify_identity(p, GateSequence.of(mct(2, [(1, False)], 2)))
+        p = Permutation(2, (1, 0, 2, 3))
+        assert verify_identity(p, GateSequence(2, (mct(2, [(1, False)], 2),)))
 
     def test_negative(self):
-        p = Permutation.from_entries((1, 0, 2, 3))
-        assert not verify_identity(p, GateSequence.of(x(2, 2)))
+        p = Permutation(2, (1, 0, 2, 3))
+        assert not verify_identity(p, GateSequence(2, (x(2, 2),)))
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):
-            verify_identity(Permutation.identity(2), GateSequence(3))
+            verify_identity(Permutation(2, tuple(range(4))), GateSequence(3))
 
 
 def full_scan(entries, pos, gate):
@@ -415,7 +394,7 @@ class TestBitSlicedVerify:
             # Undoing seq on the identity gives the map seq realizes; an
             # optional transposition breaks it again.
             rev = GateSequence(perm.width, gs[::-1])
-            perm, _ = apply_sequence(Permutation.identity(perm.width), rev, rev)
+            perm = apply_sequence(Permutation(perm.width, tuple(range(perm.size))), rev)
             if data.draw(st.booleans(), label="tamper"):
                 entries = list(perm.entries)
                 a, b = data.draw(
@@ -423,7 +402,7 @@ class TestBitSlicedVerify:
                 )
                 entries[a], entries[b] = entries[b], entries[a]
                 perm = Permutation(perm.width, tuple(entries))
-        reached, _ = apply_sequence(perm, GateSequence(perm.width), seq)
+        reached = apply_sequence(perm, seq)
         assert verify_identity(perm, seq) == (reached.entries == tuple(range(reached.size)))
 
 

@@ -42,28 +42,31 @@ class TestToffoliCount:
         assert toffoli_count(GateSequence(3, ())) == 0
 
     def test_small_gates_are_free(self):
-        seq = GateSequence.of(x(3, 1), cx(3, 1, 2), cx(3, 3, 1, positive=False))
+        seq = GateSequence(3, (x(3, 1), cx(3, 1, 2), cx(3, 3, 1, positive=False)))
         assert toffoli_count(seq) == 0
 
     def test_hand_counted_values(self):
         # 2m-3 per gate with m >= 2 controls: 1, 3, 5, 7 for m = 2..5
-        assert toffoli_count(GateSequence.of(toffoli(3, 1, 2, 3))) == 1
-        assert toffoli_count(GateSequence.of(mct(4, [1, 2, 3], 4))) == 3
-        assert toffoli_count(GateSequence.of(mct(5, [1, 2, 3, 4], 5))) == 5
-        assert toffoli_count(GateSequence.of(mct(6, [1, 2, 3, 4, 5], 6))) == 7
+        assert toffoli_count(GateSequence(3, (toffoli(3, 1, 2, 3),))) == 1
+        assert toffoli_count(GateSequence(4, (mct(4, [1, 2, 3], 4),))) == 3
+        assert toffoli_count(GateSequence(5, (mct(5, [1, 2, 3, 4], 5),))) == 5
+        assert toffoli_count(GateSequence(6, (mct(6, [1, 2, 3, 4, 5], 6),))) == 7
 
     def test_polarity_does_not_change_the_count(self):
-        pos = GateSequence.of(mct(4, [1, 2, 3], 4))
-        neg = GateSequence.of(mct(4, [(1, False), (2, False), (3, True)], 4))
+        pos = GateSequence(4, (mct(4, [1, 2, 3], 4),))
+        neg = GateSequence(4, (mct(4, [(1, False), (2, False), (3, True)], 4),))
         assert toffoli_count(pos) == toffoli_count(neg) == 3
 
     def test_mixed_sequence_sums_contributions(self):
-        seq = GateSequence.of(
-            x(5, 2),
-            toffoli(5, 1, 2, 3),
-            mct(5, [1, 2, 3, 4], 5),
-            cx(5, 5, 1),
-            mct(5, [2, 3, 4], 1),
+        seq = GateSequence(
+            5,
+            (
+                x(5, 2),
+                toffoli(5, 1, 2, 3),
+                mct(5, [1, 2, 3, 4], 5),
+                cx(5, 5, 1),
+                mct(5, [2, 3, 4], 1),
+            ),
         )
         assert toffoli_count(seq) == 0 + 1 + 5 + 0 + 3
 
@@ -74,35 +77,35 @@ class TestToffoliCount:
 
 class TestQuantumCost:
     def test_default_table_small_gates(self):
-        assert quantum_cost(GateSequence.of(x(3, 1))) == 1
-        assert quantum_cost(GateSequence.of(cx(3, 1, 2))) == 1
-        assert quantum_cost(GateSequence.of(toffoli(3, 1, 2, 3))) == 5
+        assert quantum_cost(GateSequence(3, (x(3, 1),))) == 1
+        assert quantum_cost(GateSequence(3, (cx(3, 1, 2),))) == 1
+        assert quantum_cost(GateSequence(3, (toffoli(3, 1, 2, 3),))) == 5
 
     def test_default_table_larger_gates(self):
-        assert quantum_cost(GateSequence.of(mct(4, [1, 2, 3], 4))) == 13
-        assert quantum_cost(GateSequence.of(mct(5, [1, 2, 3, 4], 5))) == 29
+        assert quantum_cost(GateSequence(4, (mct(4, [1, 2, 3], 4),))) == 13
+        assert quantum_cost(GateSequence(5, (mct(5, [1, 2, 3, 4], 5),))) == 29
         # five or more controls fall on the 5*(2m-3) line
-        assert quantum_cost(GateSequence.of(mct(6, [1, 2, 3, 4, 5], 6))) == 35
-        assert quantum_cost(GateSequence.of(mct(7, list(range(1, 7)), 7))) == 45
-        assert quantum_cost(GateSequence.of(mct(8, list(range(1, 8)), 8))) == 55
+        assert quantum_cost(GateSequence(6, (mct(6, [1, 2, 3, 4, 5], 6),))) == 35
+        assert quantum_cost(GateSequence(7, (mct(7, list(range(1, 7)), 7),))) == 45
+        assert quantum_cost(GateSequence(8, (mct(8, list(range(1, 8)), 8),))) == 55
 
     def test_polarity_never_changes_the_price(self):
-        pos = GateSequence.of(mct(4, [1, 2, 3], 4))
-        neg = GateSequence.of(mct(4, [(1, False), (2, True), (3, False)], 4))
+        pos = GateSequence(4, (mct(4, [1, 2, 3], 4),))
+        neg = GateSequence(4, (mct(4, [(1, False), (2, True), (3, False)], 4),))
         assert quantum_cost(pos) == quantum_cost(neg) == 13
 
     def test_sequence_sums_per_gate_costs(self):
-        seq = GateSequence.of(x(4, 1), cx(4, 1, 2), toffoli(4, 1, 2, 3), mct(4, [1, 2, 3], 4))
+        seq = GateSequence(4, (x(4, 1), cx(4, 1, 2), toffoli(4, 1, 2, 3), mct(4, [1, 2, 3], 4)))
         assert quantum_cost(seq) == 1 + 1 + 5 + 13
 
     def test_custom_table_changes_the_result(self):
         table = CostTable("flat", {0: 2, 1: 3, 2: 7})
-        seq = GateSequence.of(x(3, 1), cx(3, 1, 2), toffoli(3, 1, 2, 3))
+        seq = GateSequence(3, (x(3, 1), cx(3, 1, 2), toffoli(3, 1, 2, 3)))
         assert quantum_cost(seq, table) == 2 + 3 + 7
 
     def test_missing_entry_raises_instead_of_guessing(self):
         table = CostTable("tiny", {0: 1, 1: 1})
-        seq = GateSequence.of(toffoli(3, 1, 2, 3))
+        seq = GateSequence(3, (toffoli(3, 1, 2, 3),))
         with pytest.raises(MissingCostEntry):
             quantum_cost(seq, table)
 
@@ -137,9 +140,9 @@ class TestCostTableParsing:
         assert table.name == "sample"
         assert table.qc == {0: 1, 1: 2, 2: 9}
 
-    def test_later_lines_override_earlier_ones(self):
-        table = load_cost_table("2 5\n2 11\n")
-        assert table.cost_of(2) == 11
+    def test_rejects_a_control_count_given_twice(self):
+        with pytest.raises(ValueError, match="^line 2: control count 2 given twice$"):
+            load_cost_table("2 5\n2 7\n")
 
     def test_rejects_wrong_field_count(self):
         with pytest.raises(ValueError):
@@ -192,7 +195,7 @@ class TestCleanExpansion:
     def test_single_gate_spends_exactly_the_budget(self, m):
         n = m + 1
         gate = mct(n, list(range(1, m + 1)), n)
-        result = expand_mct(GateSequence.of(gate), policy="clean")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="clean")
         assert result.work_lines == m - 2
         assert toffoli_count(result.circuit) == 2 * m - 3
         assert all(g.control_count <= 2 for g in result.circuit)
@@ -205,7 +208,7 @@ class TestCleanExpansion:
         # and hand the work lines back zeroed.
         n = m + 1
         gate = mct(n, list(range(1, m + 1)), n)
-        result = expand_mct(GateSequence.of(gate), policy="clean")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="clean")
         work = result.work_lines
         width = n + work
         assert result.circuit.width == width
@@ -219,7 +222,7 @@ class TestCleanExpansion:
 
     def test_negative_controls_are_conjugated_away(self):
         gate = mct(4, [(1, False), (2, True), (3, False)], 4)
-        result = expand_mct(GateSequence.of(gate), policy="clean")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="clean")
         # 2m-3 Toffolis plus an X pair per negative control
         assert toffoli_count(result.circuit) == 3
         assert sum(1 for g in result.circuit if g.control_count == 0) == 4
@@ -233,14 +236,14 @@ class TestCleanExpansion:
             assert out >> result.work_lines == expected[col]
 
     def test_small_gates_pass_through_without_work_lines(self):
-        seq = GateSequence.of(x(3, 2), cx(3, 1, 3), toffoli(3, 1, 2, 3))
+        seq = GateSequence(3, (x(3, 2), cx(3, 1, 3), toffoli(3, 1, 2, 3)))
         result = expand_mct(seq, policy="clean")
         assert result.work_lines == 0
         assert result.circuit.width == 3
         assert list(result.circuit) == list(seq)
 
     def test_negative_small_gates_get_x_pairs(self):
-        seq = GateSequence.of(cx(3, 2, 3, positive=False))
+        seq = GateSequence(3, (cx(3, 2, 3, positive=False),))
         result = expand_mct(seq, policy="clean")
         assert result.work_lines == 0
         plain = as_plain(result.circuit)
@@ -249,20 +252,26 @@ class TestCleanExpansion:
         assert all(pos for g in result.circuit for _, pos in g.controls)
 
     def test_work_lines_sized_by_largest_gate(self):
-        seq = GateSequence.of(
-            toffoli(6, 1, 2, 3),
-            mct(6, [1, 2, 3, 4, 5], 6),
-            mct(6, [1, 2, 3], 5),
+        seq = GateSequence(
+            6,
+            (
+                toffoli(6, 1, 2, 3),
+                mct(6, [1, 2, 3, 4, 5], 6),
+                mct(6, [1, 2, 3], 5),
+            ),
         )
         result = expand_mct(seq, policy="clean")
         assert result.work_lines == 5 - 2
 
     def test_whole_sequence_functional_equality(self):
-        seq = GateSequence.of(
-            mct(5, [1, 2, 3], 5),
-            cx(5, 5, 2),
-            mct(5, [(2, False), (3, True), (4, True), (5, False)], 1),
-            x(5, 4),
+        seq = GateSequence(
+            5,
+            (
+                mct(5, [1, 2, 3], 5),
+                cx(5, 5, 2),
+                mct(5, [(2, False), (3, True), (4, True), (5, False)], 1),
+                x(5, 4),
+            ),
         )
         result = expand_mct(seq, policy="clean")
         work = result.work_lines
@@ -291,7 +300,7 @@ class TestDirtyExpansion:
         # no matter the prior value" is tested for both ancilla settings.
         n = m + extra
         gate = mct(n, list(range(1, m + 1)), n)
-        result = expand_mct(GateSequence.of(gate), policy="dirty")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="dirty")
         expected_work = 1 if extra == 1 else 0
         assert result.work_lines == expected_work
         width = n + result.work_lines
@@ -303,17 +312,20 @@ class TestDirtyExpansion:
 
     def test_negative_controls_are_conjugated_away(self):
         gate = mct(5, [(1, False), (2, True), (4, False)], 3)
-        result = expand_mct(GateSequence.of(gate), policy="dirty")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="dirty")
         width = 5 + result.work_lines
         expected = _widened_gate_table(gate, width)
         assert circuit_table(width, as_plain(result.circuit)) == expected
 
     def test_mixed_sequence_equivalence(self):
-        seq = GateSequence.of(
-            mct(5, [1, 2, 4], 5),
-            x(5, 3),
-            mct(5, [(1, True), (2, False), (3, True), (4, True)], 5),
-            cx(5, 5, 1),
+        seq = GateSequence(
+            5,
+            (
+                mct(5, [1, 2, 4], 5),
+                x(5, 3),
+                mct(5, [(1, True), (2, False), (3, True), (4, True)], 5),
+                cx(5, 5, 1),
+            ),
         )
         result = expand_mct(seq, policy="dirty")
         width = 5 + result.work_lines
@@ -322,7 +334,7 @@ class TestDirtyExpansion:
         assert circuit_table(width, as_plain(result.circuit)) == expected
 
     def test_no_append_when_some_line_is_always_idle(self):
-        seq = GateSequence.of(mct(6, [1, 2, 3, 4], 6))
+        seq = GateSequence(6, (mct(6, [1, 2, 3, 4], 6),))
         result = expand_mct(seq, policy="dirty")
         assert result.work_lines == 0
         assert result.circuit.width == 6
@@ -343,13 +355,13 @@ class TestExpansionChecks:
             lambda width, controls, target, policy, clean_base: [mct(width, controls, target)],
         )
         with pytest.raises(RuntimeError, match="internal error: expansion left C"):
-            expand_mct(GateSequence.of(mct(5, [1, 2, 3], 5)))
+            expand_mct(GateSequence(5, (mct(5, [1, 2, 3], 5),)))
 
 
 class TestExpansionValidation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            expand_mct(GateSequence.of(x(3, 1)), policy="bogus")
+            expand_mct(GateSequence(3, (x(3, 1),)), policy="bogus")
 
     def test_empty_sequence(self):
         for policy in ("clean", "dirty"):
@@ -378,7 +390,7 @@ class TestRandomizedExpansion:
     @given(random_mct_gates())
     @settings(max_examples=40, deadline=None)
     def test_clean_matches_reference_simulator(self, gate):
-        result = expand_mct(GateSequence.of(gate), policy="clean")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="clean")
         work = result.work_lines
         width = gate.width + work
         expected = _widened_gate_table(gate, gate.width)
@@ -391,7 +403,7 @@ class TestRandomizedExpansion:
     @given(random_mct_gates())
     @settings(max_examples=40, deadline=None)
     def test_dirty_matches_reference_simulator(self, gate):
-        result = expand_mct(GateSequence.of(gate), policy="dirty")
+        result = expand_mct(GateSequence(gate.width, (gate,)), policy="dirty")
         width = gate.width + result.work_lines
         expected = _widened_gate_table(gate, width)
         assert circuit_table(width, as_plain(result.circuit)) == expected

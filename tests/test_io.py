@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from blocksynth import (
     ArityMismatch,
-    CircuitFile,
     GateSequence,
     MalformedInteger,
     MAX_WIDTH,
@@ -30,10 +29,8 @@ from blocksynth import (
     expand_mct,
     format_permutation,
     format_real,
-    format_truth_table,
     mct,
     parse_permutation,
-    parse_real,
     parse_report,
     parse_truth_table,
     read_real,
@@ -61,10 +58,10 @@ def permutations(draw, min_width=1, max_width=6):
 
 class TestPermutationFormat:
     def test_format_hand_checked(self):
-        assert format_permutation(Permutation.identity(3)) == "3\n0 1 2 3 4 5 6 7\n"
+        assert format_permutation(Permutation(3, tuple(range(8)))) == "3\n0 1 2 3 4 5 6 7\n"
 
     def test_format_wraps_every_16_values(self):
-        text = format_permutation(Permutation.identity(5))
+        text = format_permutation(Permutation(5, tuple(range(32))))
         lines = text.splitlines()
         assert lines[0] == "5"
         assert len(lines) == 1 + 2
@@ -115,10 +112,6 @@ class TestPermutationFormat:
 
 
 class TestTruthTableFormat:
-    def test_format_hand_checked(self):
-        table = TruthTable(2, 1, (0, 1, 1, 0))
-        assert format_truth_table(table) == "2 1\n0 1 1 0\n"
-
     @given(
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=1, max_value=5),
@@ -131,7 +124,8 @@ class TestTruthTableFormat:
             for _ in range(1 << n_in)
         )
         table = TruthTable(n_in, n_out, rows)
-        assert parse_truth_table(format_truth_table(table)) == table
+        text = f"{n_in} {n_out}\n" + " ".join(map(str, rows)) + "\n"
+        assert parse_truth_table(text) == table
 
     def test_validation_wrong_row_count(self):
         with pytest.raises(WrongCount):
@@ -232,10 +226,9 @@ t3 a b c   # a Toffoli
 
 class TestCircuitFileParsing:
     def test_hand_written_file(self):
-        cf = parse_real(HAND_WRITTEN)
-        assert cf.width == 3
-        assert cf.variables == ("a", "b", "c")
-        assert cf.gates == (x(3, 3), cx(3, 1, 2), toffoli(3, 1, 2, 3))
+        seq = read_real(HAND_WRITTEN)
+        assert seq.width == 3
+        assert seq.gates == (x(3, 3), cx(3, 1, 2), toffoli(3, 1, 2, 3))
 
     def test_read_real_returns_a_sequence(self):
         seq = read_real(HAND_WRITTEN)
@@ -244,123 +237,118 @@ class TestCircuitFileParsing:
         assert len(seq) == 3
 
     def test_annotations_survive(self):
-        text = format_real(
-            GateSequence.of(cx(2, 1, 2)),
-            inputs=("p", "q"),
-            outputs=("p", "r"),
-            constants="--",
-            garbage="-1",
+        # Annotation directives are read past; the gates come through.
+        text = (
+            ".numvars 2\n.variables p q\n.inputs p q\n.outputs p r\n"
+            ".constants --\n.garbage -1\n.begin\nt2 p q\n.end\n"
         )
-        cf = parse_real(text)
-        assert cf.inputs == ("p", "q")
-        assert cf.outputs == ("p", "r")
-        assert cf.constants == "--"
-        assert cf.garbage == "-1"
+        assert read_real(text) == GateSequence(2, (cx(2, 1, 2),))
+
+    def test_annotation_after_begin(self):
+        text = ".numvars 1\n.variables a\n.begin\n.garbage -\n.end\n"
+        with pytest.raises(UnknownDirective, match=r"^line 4: .garbage after .begin"):
+            read_real(text)
 
     def test_unknown_directive(self):
         with pytest.raises(UnknownDirective):
-            parse_real(".frobnicate 3\n")
+            read_real(".frobnicate 3\n")
 
     def test_gate_before_begin(self):
         with pytest.raises(UnknownDirective):
-            parse_real(".numvars 1\n.variables a\nt1 a\n.begin\n.end\n")
+            read_real(".numvars 1\n.variables a\nt1 a\n.begin\n.end\n")
 
     def test_unsupported_gate_type(self):
         text = ".numvars 2\n.variables a b\n.begin\nf2 a b\n.end\n"
         with pytest.raises(UnknownDirective):
-            parse_real(text)
+            read_real(text)
 
     def test_arity_mismatch_on_gate(self):
         text = ".numvars 2\n.variables a b\n.begin\nt2 a\n.end\n"
         with pytest.raises(ArityMismatch):
-            parse_real(text)
+            read_real(text)
 
     def test_unknown_line_name(self):
         text = ".numvars 2\n.variables a b\n.begin\nt1 z\n.end\n"
         with pytest.raises(UnknownLineName):
-            parse_real(text)
+            read_real(text)
 
     def test_numvars_must_be_integer(self):
         with pytest.raises(MalformedInteger):
-            parse_real(".numvars many\n")
+            read_real(".numvars many\n")
 
     def test_numvars_takes_one_value(self):
         with pytest.raises(ArityMismatch):
-            parse_real(".numvars 2 3\n")
+            read_real(".numvars 2 3\n")
 
     def test_variables_count_must_match(self):
         with pytest.raises(ArityMismatch):
-            parse_real(".numvars 3\n.variables a b\n")
+            read_real(".numvars 3\n.variables a b\n")
 
     def test_begin_requires_declarations(self):
         with pytest.raises(ArityMismatch):
-            parse_real(".begin\n.end\n")
+            read_real(".begin\n.end\n")
 
     def test_missing_end(self):
         with pytest.raises(UnknownDirective):
-            parse_real(".numvars 1\n.variables a\n.begin\nt1 a\n")
+            read_real(".numvars 1\n.variables a\n.begin\nt1 a\n")
 
     def test_content_after_end(self):
         text = ".numvars 1\n.variables a\n.begin\n.end\nt1 a\n"
         with pytest.raises(UnknownDirective):
-            parse_real(text)
+            read_real(text)
 
     def test_duplicate_variable_names(self):
         text = ".numvars 2\n.variables a a\n.begin\nt1 a\n.end\n"
         with pytest.raises(ArityMismatch, match=r"^line 2: .*'a'"):
-            parse_real(text)
+            read_real(text)
 
     def test_numvars_after_begin(self):
         text = ".numvars 2\n.variables a b\n.begin\n.numvars 3\nt1 a\n.end\n"
         with pytest.raises(UnknownDirective, match=r"^line 4: "):
-            parse_real(text)
+            read_real(text)
 
     def test_variables_after_begin(self):
         text = ".numvars 2\n.variables a b\n.begin\nt1 a\n.variables b a\nt1 a\n.end\n"
         with pytest.raises(UnknownDirective, match=r"^line 5: "):
-            parse_real(text)
+            read_real(text)
 
     def test_numvars_must_match_earlier_variables(self):
         text = ".variables a b c\n.numvars 2\n.begin\nt1 c\n.end\n"
         with pytest.raises(ArityMismatch, match=r"^line 2: "):
-            parse_real(text)
+            read_real(text)
 
     def test_end_without_begin(self):
         with pytest.raises(UnknownDirective, match=r"^line 3: "):
-            parse_real(".numvars 1\n.variables a\n.end\n")
+            read_real(".numvars 1\n.variables a\n.end\n")
 
     def test_second_begin(self):
         text = ".numvars 1\n.variables a\n.begin\nt1 a\n.begin\nt1 a\n.end\n"
         with pytest.raises(UnknownDirective, match=r"^line 5: "):
-            parse_real(text)
+            read_real(text)
 
     def test_invalid_gate_names_its_line(self):
         text = ".numvars 2\n.variables a b\n.begin\nt1 a\nt2 a a\n.end\n"
         with pytest.raises(ArityMismatch, match=r"^line 5: control line 1 repeated"):
-            parse_real(text)
+            read_real(text)
 
     def test_recurring_gate_lines_give_equal_gates(self):
         text = ".numvars 2\n.variables a b\n.begin\nt2 a b\nt1 b\nt2 a b  # again\n.end\n"
-        assert parse_real(text).gates == (cx(2, 1, 2), x(2, 2), cx(2, 1, 2))
+        assert read_real(text).gates == (cx(2, 1, 2), x(2, 2), cx(2, 1, 2))
 
 
 class TestCircuitFileRoundTrip:
     def test_positive_controls_round_trip_exactly(self):
-        seq = GateSequence.of(
-            x(4, 2), cx(4, 1, 3), toffoli(4, 2, 3, 4), mct(4, [1, 2, 3], 4)
-        )
-        parsed = parse_real(format_real(seq))
-        assert parsed.width == 4
-        assert parsed.gates == seq.gates
+        seq = GateSequence(4, (x(4, 2), cx(4, 1, 3), toffoli(4, 2, 3, 4), mct(4, [1, 2, 3], 4)))
+        assert read_real(format_real(seq)) == seq
 
     def test_negative_controls_become_x_conjugations(self):
-        seq = GateSequence.of(cx(3, 2, 3, positive=False))
+        seq = GateSequence(3, (cx(3, 2, 3, positive=False),))
         text = format_real(seq)
         body = [l for l in text.splitlines() if not l.startswith(".")]
         assert body == ["t1 x2", "t2 x2 x3", "t1 x2"]
-        parsed = parse_real(text)
+        parsed = read_real(text)
         assert all(pos for g in parsed.gates for _, pos in g.controls)
-        assert circuit_table(3, as_plain(parsed.to_sequence())) == circuit_table(
+        assert circuit_table(3, as_plain(parsed)) == circuit_table(
             3, as_plain(seq)
         )
 

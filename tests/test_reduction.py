@@ -14,10 +14,8 @@ from blocksynth import (
     Permutation,
     PreconditionViolated,
     apply_gate,
-    apply_sequence,
     bounds,
     cx,
-    findm,
     mct,
     preprocessing_bound,
     sample,
@@ -40,9 +38,11 @@ from blocksynth.reduction import (
 )
 from blocksynth.synthesis import _admissible_from, _blocks, _count_free
 from helpers import (
+    apply_sequence,
     balanced_entries,
     conditioning_budget,
     conjoin_budget,
+    findm,
     mismatch_rows,
     positions,
     rebalance_budget,
@@ -50,14 +50,14 @@ from helpers import (
     with_identity_wire,
 )
 
-ID3 = Permutation.identity(3)
+ID3 = Permutation(3, tuple(range(8)))
 
 
 @st.composite
 def permutations(draw, min_width=2, max_width=4):
     width = draw(st.integers(min_width, max_width))
     entries = draw(st.permutations(tuple(range(1 << width))))
-    return Permutation.from_entries(tuple(entries))
+    return Permutation(width, tuple(entries))
 
 
 @st.composite
@@ -171,15 +171,13 @@ class TestClassification:
         assert _pair_split(positions(ID3)) == (4, 0)
 
     def test_hand_worked_width_4(self):
-        p = Permutation.from_entries(
-            (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11)
-        )
+        p = Permutation(4, (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11))
         assert _pair_split(positions(p)) == (1, 3)
         assert mismatch_rows(p.entries) == 8
 
     def test_swapped_pair_counts(self):
         # Swapping columns 0,1 leaves pair <0,1> inverted; others normal.
-        p = Permutation.from_entries((1, 0, 2, 3, 4, 5, 6, 7))
+        p = Permutation(3, (1, 0, 2, 3, 4, 5, 6, 7))
         assert _pair_split(positions(p)) == (3, 1)
 
     @given(permutations())
@@ -233,17 +231,17 @@ class TestBlockTests:
     reads pair triples; both must find the same blocks."""
 
     def test_holds_block_even(self):
-        engine = _Engine(Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7)))
+        engine = _Engine(Permutation(3, (0, 1, 6, 3, 2, 5, 4, 7)))
         assert [_holds_block(engine, i, NORMAL) for i in range(4)] == [True] + [False] * 3
         assert not any(_holds_block(engine, i, INVERTED) for i in range(4))
 
     def test_holds_block_odd(self):
-        engine = _Engine(Permutation.from_entries((1, 0, 3, 2)))
+        engine = _Engine(Permutation(2, (1, 0, 3, 2)))
         assert [_holds_block(engine, i, INVERTED) for i in range(2)] == [True, True]
         assert not any(_holds_block(engine, i, NORMAL) for i in range(2))
 
     def test_count_free_identity(self):
-        engine = _Engine(Permutation.identity(3))
+        engine = _Engine(Permutation(3, tuple(range(8))))
         pairs = _pairs_from(engine, 0)
         assert _blocks(pairs, NORMAL) == 4
         assert _blocks(_pairs_from(engine, 2), NORMAL) == 2
@@ -256,7 +254,7 @@ class TestBlockTests:
 
     def test_count_free_one_block(self):
         # Rows 0, 1 sit at columns 2, 3: one even block, at position 1.
-        engine = _Engine(Permutation.from_entries((7, 2, 0, 1, 5, 3, 6, 4)))
+        engine = _Engine(Permutation(3, (7, 2, 0, 1, 5, 3, 6, 4)))
         assert _blocks(_pairs_from(engine, 0), NORMAL) == 1
         assert _blocks(_pairs_from(engine, 0), INVERTED) == 0
         assert _blocks(_pairs_from(engine, 2), NORMAL) == 0
@@ -277,14 +275,14 @@ class TestPick:
         assert _Engine(ID3).scan_region(1, NORMAL) == (4, 5)
 
     def test_reports_smaller_column_first(self):
-        p = Permutation.from_entries((0, 1, 2, 3, 5, 7, 6, 4))
+        p = Permutation(3, (0, 1, 2, 3, 5, 7, 6, 4))
         # region for position 1 starts at column 4; row 5 sits at column 4,
         # its partner row 4 at column 7.
         assert _Engine(p).scan_region(1, INVERTED) == (5, 4)
 
     def test_raises_when_region_empty(self):
         # every pair is interrupting and has a member below the region
-        p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
+        p = Permutation(3, (0, 2, 4, 6, 1, 3, 5, 7))
         assert _Engine(p).scan_region(1, INVERTED) is None
         with pytest.raises(PairNotFound):
             _pick_rows(_Engine(p), 1, INVERTED)
@@ -300,18 +298,18 @@ class TestNPick:
 
     def test_skips_non_normal_members(self):
         # Region [4,8) holds only inverted pairs; falls back outside.
-        p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
+        p = Permutation(3, (0, 1, 2, 3, 5, 4, 7, 6))
         assert _pick_rows(_Engine(p), 1, NORMAL) == (2, 3)
 
     def test_fallback_maximizes_smaller_column(self):
         # Two normal pairs below the region: <0,1> at columns 0,1 and
         # <2,3> at columns 2,3 with position 1's region empty of normals.
-        p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
+        p = Permutation(3, (0, 1, 2, 3, 5, 4, 7, 6))
         pair = _pick_rows(_Engine(p), 1, NORMAL)
         assert pair == (2, 3)  # columns 2,3 beat columns 0,1
 
     def test_raises_when_no_normal_pair_left(self):
-        p = Permutation.from_entries((0, 2, 4, 6, 1, 3, 5, 7))
+        p = Permutation(3, (0, 2, 4, 6, 1, 3, 5, 7))
         with pytest.raises(PairNotFound):
             _pick_rows(_Engine(p), 1, NORMAL)
 
@@ -322,7 +320,7 @@ class TestLift:
         assert len(seq) == 0
 
     def test_moves_pair_into_region(self):
-        p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
+        p = Permutation(3, (0, 1, 2, 3, 5, 4, 7, 6))
         a, b = _pick_rows(_Engine(p), 1, NORMAL)
         _, out = lifted(p, 1, (a, b))
         start = _region_mask(3, 1)
@@ -330,7 +328,7 @@ class TestLift:
         assert positions(out)[b] >= start
 
     def test_preserves_columns_below_target(self):
-        p = Permutation.from_entries((0, 1, 2, 3, 5, 4, 7, 6))
+        p = Permutation(3, (0, 1, 2, 3, 5, 4, 7, 6))
         pair = _pick_rows(_Engine(p), 1, NORMAL)
         _, out = lifted(p, 1, pair)
         assert out.entries[:2] == p.entries[:2]
@@ -345,7 +343,7 @@ class TestLift:
         except PairNotFound:
             return
         seq, out = lifted(p, i, (a, b))
-        assert apply_sequence(p, GateSequence(n), seq)[0] == out
+        assert apply_sequence(p, seq) == out
         mask = _region_mask(n, i)
         before, after = positions(p), positions(out)
         assert after[a] & mask == mask
@@ -365,10 +363,10 @@ class TestCons:
     def test_hand_worked_example(self):
         # The columns differ only on lines 2 and 3, so the CX run is empty
         # and so is its X wrapper; only the region MCT remains.
-        p = Permutation.from_entries((0, 1, 6, 3, 2, 5, 4, 7))
+        p = Permutation(3, (0, 1, 6, 3, 2, 5, 4, 7))
         seq = conjoining(p, 1, (5, 4))
-        assert seq == GateSequence.of(mct(3, [1, 3], 2))
-        out, _ = apply_sequence(p, GateSequence(3), seq)
+        assert seq == GateSequence(3, (mct(3, [1, 3], 2),))
+        out = apply_sequence(p, seq)
         assert out.entries == (0, 1, 6, 3, 2, 7, 4, 5)
         assert positions(out)[4] ^ positions(out)[5] == 1
 
@@ -376,14 +374,14 @@ class TestCons:
         assert len(conjoining(ID3, 1, (6, 7))) == 0
 
     def test_same_parity_rejected(self):
-        p = Permutation.from_entries((0, 2, 1, 3, 4, 5, 6, 7))
+        p = Permutation(3, (0, 2, 1, 3, 4, 5, 6, 7))
         # rows 0 and 1 sit at columns 0 and 2: both even.
         with pytest.raises(PreconditionViolated):
             conjoining(p, 0, (0, 1))
 
     def test_out_of_region_prefix_difference_rejected(self):
         # rows 4,5 at columns 2,5 differ on line 1, protected for i=2.
-        p = Permutation.from_entries((0, 1, 4, 3, 2, 5, 6, 7))
+        p = Permutation(3, (0, 1, 4, 3, 2, 5, 6, 7))
         with pytest.raises(PreconditionViolated):
             conjoining(p, 2, (4, 5))
 
@@ -415,24 +413,24 @@ class TestCons:
             assert all(
                 g.controls[0][0] == delta and g.target != n for g in cxs
             )
-        out, _ = apply_sequence(p2, GateSequence(n), seq)
+        out = apply_sequence(p2, seq)
         pos = positions(out)
         assert pos[pair[0]] ^ pos[pair[1]] == 1
 
 
 class TestAlloc:
     def test_hand_worked_slide(self):
-        p = Permutation.from_entries((0, 1, 6, 3, 2, 7, 4, 5))
+        p = Permutation(3, (0, 1, 6, 3, 2, 7, 4, 5))
         seq = sliding(p, 1, 4)
-        assert seq == GateSequence.of(cx(3, 2, 1))
-        out, _ = apply_sequence(p, GateSequence(3), seq)
+        assert seq == GateSequence(3, (cx(3, 2, 1),))
+        out = apply_sequence(p, seq)
         assert out.entries == (0, 1, 4, 5, 2, 7, 6, 3)
 
     def test_uncontrolled_slide(self):
-        p = Permutation.from_entries((2, 3, 0, 1, 4, 5, 6, 7))
+        p = Permutation(3, (2, 3, 0, 1, 4, 5, 6, 7))
         seq = sliding(p, 0, 0)
-        assert seq == GateSequence.of(x(3, 2))
-        out, _ = apply_sequence(p, GateSequence(3), seq)
+        assert seq == GateSequence(3, (x(3, 2),))
+        out = apply_sequence(p, seq)
         assert out.entries[:2] == (0, 1)
 
     def test_empty_when_in_place(self):
@@ -448,12 +446,12 @@ class TestAlloc:
         except PairNotFound:
             return
         _, p2 = lifted(p, i, (a, b))
-        p3, _ = apply_sequence(p2, GateSequence(n), conjoining(p2, i, (a, b)))
+        p3 = apply_sequence(p2, conjoining(p2, i, (a, b)))
         seq = sliding(p3, i, a)
         for g in seq:
             assert g.target != n
             assert g.control_count <= max(1, bin(i).count("1"))
-        out, _ = apply_sequence(p3, GateSequence(n), seq)
+        out = apply_sequence(p3, seq)
         pos = positions(out)
         assert {pos[a], pos[b]} == {2 * i, 2 * i + 1}
 
@@ -504,7 +502,7 @@ class TestReduceGeneral:
     @given(st.integers(2, 5), st.integers(0, 2000))
     @settings(max_examples=100, deadline=None)
     def test_reduces_balanced_input(self, width, seed):
-        p = Permutation.from_entries(balanced_entries(width, seed))
+        p = Permutation(width, balanced_entries(width, seed))
         res, seq = reduced(p, _run_general)
         assert has_identity_last_line(res)
         assert verify_reduction(p, seq, res)
@@ -584,7 +582,7 @@ class TestFusedEmission:
         assert engine._entries == list(p.entries)
         engine.emit((8 | 1, 0, 4))
         assert engine._entries != list(p.entries)
-        replayed, _ = apply_sequence(p, GateSequence(4), engine.sequence())
+        replayed = apply_sequence(p, engine.sequence())
         assert engine.snapshot() == replayed
 
     @given(aligned_perms(min_width=3, max_width=6), st.data())
@@ -594,7 +592,7 @@ class TestFusedEmission:
         last = data.draw(st.integers(0, p.size // 2 - 1))
         for i in range(last + 1):
             engine.allocate(i, *_pick_rows(engine, i, NORMAL))
-        replayed, _ = apply_sequence(p, GateSequence(p.width), engine.sequence())
+        replayed = apply_sequence(p, engine.sequence())
         assert engine.snapshot() == replayed
         assert engine.pos == positions(replayed)
 
@@ -619,7 +617,7 @@ class TestAllocateChecks:
 
 
 def verify_reduction(p, seq, expected):
-    got, _ = apply_sequence(p, GateSequence(p.width), seq)
+    got = apply_sequence(p, seq)
     return got == expected
 
 
@@ -636,7 +634,7 @@ class TestEngineStrip:
         assert (engine.n, engine.size, engine.pos) == (width, q.size, positions(q))
 
     def test_gates_after_strip_keep_their_lines_and_are_shared(self):
-        engine = _Engine(Permutation.identity(4))
+        engine = _Engine(Permutation(4, tuple(range(16))))
         engine.emit((0b1000, 0, 0b0010), (0b1000, 0, 0b0010))  # CX 1->3, twice
         first = engine.sequence()
         engine.strip()
@@ -645,10 +643,10 @@ class TestEngineStrip:
         (gate,) = engine.sequence()
         assert gate == cx(4, 1, 3)
         assert gate is first.gates[0] is first.gates[1]
-        assert engine.snapshot() == apply_gate(Permutation.identity(3), cx(3, 1, 3))
+        assert engine.snapshot() == apply_gate(Permutation(3, tuple(range(8))), cx(3, 1, 3))
 
     def test_strip_starts_a_new_stage_record(self):
-        engine = _Engine(Permutation.from_entries(balanced_entries(4, 1)))
+        engine = _Engine(Permutation(4, balanced_entries(4, 1)))
         _run_general(engine)
         assert engine.gates and engine.region_lifts and engine.lift_toffoli
         engine.strip()

@@ -21,7 +21,6 @@ from blocksynth import (
     SynthesisConfig,
     WidthMismatch,
     bounds,
-    findm,
     peephole,
     quantum_cost,
     sample,
@@ -55,6 +54,7 @@ from blocksynth.synthesis import (
 from helpers import (
     as_plain,
     circuit_table,
+    findm,
     flat_spectrum,
     independent_parity,
     positions,
@@ -104,12 +104,12 @@ def _bfs_two_bit_distances() -> dict[tuple[int, ...], int]:
 class TestSearchTwoBit:
     def test_rejects_other_widths(self):
         with pytest.raises(WidthMismatch):
-            search_two_bit(Permutation.identity(3))
+            search_two_bit(Permutation(3, tuple(range(8))))
         with pytest.raises(WidthMismatch):
-            search_two_bit(Permutation.identity(1))
+            search_two_bit(Permutation(1, (0, 1)))
 
     def test_identity_is_free(self):
-        assert len(search_two_bit(Permutation.identity(2))) == 0
+        assert len(search_two_bit(Permutation(2, (0, 1, 2, 3)))) == 0
 
     def test_all_24_permutations_realized(self):
         import itertools
@@ -136,20 +136,20 @@ class TestSearchTwoBit:
 class TestPeephole:
     def test_cancels_adjacent_identical_pair(self):
         g = toffoli(3, 1, 2, 3)
-        assert len(peephole(GateSequence.of(g, g))) == 0
+        assert len(peephole(GateSequence(g.width, (g, g)))) == 0
 
     def test_cancellation_cascades(self):
         a, b = x(3, 1), cx(3, 1, 2)
-        seq = GateSequence.of(a, b, b, a)
+        seq = GateSequence(a.width, (a, b, b, a))
         assert len(peephole(seq)) == 0
 
     def test_leaves_separated_duplicates(self):
         a, b = x(3, 1), cx(3, 1, 2)
-        seq = GateSequence.of(a, b, a)
+        seq = GateSequence(a.width, (a, b, a))
         assert list(peephole(seq)) == [a, b, a]
 
     def test_different_polarity_does_not_cancel(self):
-        seq = GateSequence.of(cx(3, 1, 2), cx(3, 1, 2, positive=False))
+        seq = GateSequence(3, (cx(3, 1, 2), cx(3, 1, 2, positive=False)))
         assert len(peephole(seq)) == 2
 
     @given(permutations(min_width=3, max_width=4))
@@ -178,7 +178,7 @@ def normal_phase_selector(perm, cfg=None):
 
 class TestSelectWithLookahead:
     def test_identity_start_picks_the_first_block(self):
-        _, select = normal_phase_selector(Permutation.identity(3))
+        _, select = normal_phase_selector(Permutation(3, tuple(range(8))))
         assert select(0) == (0, 1)
 
     def test_depth_zero_degrades_to_scan_order(self):
@@ -186,7 +186,7 @@ class TestSelectWithLookahead:
         # at depth 0 the selector declines and the reduction takes its plain
         # scan, which on the width-3 identity at position 1 settles on rows 4
         # and 5 (first admissible pair in region scan order)
-        engine, select = normal_phase_selector(Permutation.identity(3), cfg)
+        engine, select = normal_phase_selector(Permutation(3, tuple(range(8))), cfg)
         assert select(1) is None
         assert _pick_rows(engine, 1, NORMAL) == (4, 5)
 
@@ -226,7 +226,7 @@ def _emitted(n, i, ca, cb):
 
 def _destinations(n, gates):
     """The column each column's contents reach once ``gates`` have run."""
-    perm = Permutation.identity(n)
+    perm = Permutation(n, tuple(range(1 << n)))
     for g in gates:
         perm = apply_gate(perm, g)
     return positions(perm)
@@ -450,7 +450,7 @@ class TestStateTable:
 class TestSynthesizeEndToEnd:
     def test_identity_costs_nothing(self):
         for width in range(1, 7):
-            seq, report = synthesize(Permutation.identity(width))
+            seq, report = synthesize(Permutation(width, tuple(range(1 << width))))
             assert len(seq) == 0
             assert report.gate_count == 0
             assert report.toffoli_total == 0
@@ -564,6 +564,16 @@ class TestSynthesizeEndToEnd:
         with pytest.raises(RuntimeError, match="internal error: the width-5 stage .* budget of 1$"):
             synthesize(sample(5, 1))
 
+    def test_preprocessing_over_its_budget_is_an_internal_error(self, monkeypatch):
+        # Preprocessing has its own budget, checked net of its lifts with a
+        # raise, so it holds under ``python -O``.  Width 5 preprocesses.
+        perm = sample(5, 1)
+        _, report = synthesize(perm)
+        assert report.stages[0].pre_gates
+        monkeypatch.setattr(synthesis, "preprocessing_bound", lambda w: 0)
+        with pytest.raises(RuntimeError, match="internal error: width-5 preprocessing .* budget of 0$"):
+            synthesize(perm)
+
     def test_mix_repairs_sit_outside_the_stage_budget(self):
         # At the default config this map's width-4 stage needs three mix
         # repair gates (3 Toffolis each) and ends one Toffoli over its
@@ -620,7 +630,7 @@ class TestSynthesizeEndToEnd:
     def test_xor_with_a_constant_costs_no_toffoli(self, width, k):
         # x -> x ^ k is all inverted at every stage where k has the last
         # line's bit: one X there makes it all normal, with nothing to mix.
-        seq, report = synthesize(Permutation.from_entries(tuple(v ^ k for v in range(1 << width))))
+        seq, report = synthesize(Permutation(width, tuple(v ^ k for v in range(1 << width))))
         assert report.toffoli_total == 0
         assert len(seq) == k.bit_count()
         assert report.assumption1_deviations == 0
@@ -728,6 +738,16 @@ class TestSynthesisConfig:
         assert cfg.depth_for(5) == 2
         assert cfg.depth_for(8) == 2
         assert cfg.depth_for(9) == 1
+
+    def test_depths_are_copied(self):
+        # Changing the caller's dict afterwards must not get past the checks.
+        depths = {3: 1}
+        cfg = SynthesisConfig(depths=depths)
+        depths[3] = 1.5
+        assert cfg.depth_for(5) == 1
+        with pytest.raises(TypeError):
+            cfg.depths[3] = 2  # type: ignore[index]
+        assert synthesize(sample(6, 1), cfg)[1].toffoli_total == synthesize(sample(6, 1))[1].toffoli_total
 
     def test_settable_values(self):
         names = [f.name for f in dataclasses.fields(SynthesisConfig)]
