@@ -19,7 +19,6 @@ from .core import (
     WidthMismatch,
     apply_gate,
     cx,
-    mct,
     sample,
     toffoli,
     verify_identity,
@@ -103,7 +102,6 @@ __all__ = [
     "format_permutation",
     "format_real",
     "load_cost_table",
-    "mct",
     "parse_permutation",
     "parse_report",
     "parse_truth_table",

@@ -137,12 +137,11 @@ def toffoli(width: int, c1: int, c2: int, target: int) -> Gate:
     return Gate(width, target, ((c1, True), (c2, True)))
 
 
-def mct(width: int, controls: Iterable[int | tuple[int, bool]], target: int) -> Gate:
-    """Multiple-controlled NOT; bare ints mean positive controls."""
-    normalized = tuple(
-        (c, True) if isinstance(c, int) else (c[0], bool(c[1])) for c in controls
-    )
-    return Gate(width, target, normalized)
+def _check_width(width: int) -> None:
+    if type(width) is not int:
+        raise ValueError(f"width must be an int, got {width!r}")
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
 
 
 @dataclass(frozen=True)
@@ -153,10 +152,7 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.width) is not int:
-            raise ValueError(f"width must be an int, got {self.width!r}")
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
+        _check_width(self.width)
         size = 1 << self.width
         if len(self.entries) != size:
             raise NotABijection(
@@ -321,6 +317,7 @@ def sample(
     ``parity_aligned`` keeps every row at a column of its own parity
     (r_i ≡ i mod 2), i.e. all relevant pairs sit at normal positions.
     """
+    _check_width(width)  # before allocating 2^width rows
     stride = {"uniform": 1, "parity_aligned": 2}.get(kind)
     if stride is None:
         raise ValueError(f"unknown sample kind {kind!r}")

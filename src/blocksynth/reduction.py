@@ -37,9 +37,9 @@ The engine keeps its copy behind an affine column frame: an X or CX gate
 is an affine map of the column numbers, so ``emit`` folds it into the
 frame in O(n) and moves no entry.  Only gates with two or more controls
 swap entries, 2^(n-1-m) pairs each.  So the CX runs of a conjoin or a
-slide cost nothing but the conjoining or sliding MCT's walk.  Reads go
-through the frame (``_Engine.row``, ``col``, ``walk`` and ``pairs_from``);
-whole-array readers take ``entries`` or ``pos``, which materialize it.
+slide cost nothing but the conjoining or sliding MCT's walk.  Every read
+goes through the frame and writes nothing (``_Engine.row``, ``col``,
+``walk``, ``pairs_from``, and ``entries`` or ``pos`` for a whole array).
 
 Iteration i searches inside a shrinking column region (``_region_mask``:
 columns whose first m-1 bits are all set, for the smallest m whose region
@@ -296,10 +296,11 @@ class _Engine:
     only a gate with two or more controls moves stored entries, walking its
     subcube's image (``core.exchange_columns``).  Single reads go through
     ``row`` and ``col``, column scans (``walk``) through half-width tables
-    built once per frame (``_tables``), and ``pairs_from`` through one full
-    table of F⁻¹.  ``entries`` and ``pos`` materialize the frame into the
-    stored lists and reset it to the identity, so they are only valid until
-    the next ``emit``.
+    built once per frame (``_tables``), ``pairs_from`` and ``pos`` through
+    one full table of F⁻¹, and ``entries`` through one of F.  No read
+    writes: ``entries`` and ``pos`` return new lists, the stored lists
+    change only through the MCT walks, and the frame only through ``emit``
+    until ``strip`` resets it.
 
     One engine carries a whole synthesis: ``strip`` drops the identity last
     line after each stage's reduction and starts the next stage's record.
@@ -324,7 +325,6 @@ class _Engine:
         self._f = [1 << b for b in range(self.n)]  # column bit -> stored
         self._g = list(self._f)  # stored bit -> column
         self._f0 = self._g0 = 0
-        self._framed = False  # set by the first fold; False means F is the identity
         self._tabs: Optional[tuple[list[int], ...]] = None
 
     def _start_stage(self) -> None:
@@ -343,38 +343,23 @@ class _Engine:
             )
         return self._tabs
 
-    def _settle(self) -> None:
-        """Move every row to its column and reset the frame."""
-        if self._framed:
-            stored = _span(self._f, self._f0)  # column -> stored column
-            columns = _span(self._g, self._g0)  # stored column -> column
-            self._entries = list(map(self._entries.__getitem__, stored))
-            self._pos = list(map(columns.__getitem__, self._pos))
-            self._reset_frame()
-
     @property
     def entries(self) -> list[int]:
-        """Row at each column; valid until the next ``emit``."""
-        self._settle()
-        return self._entries
+        """A new list of the row at each column."""
+        return list(map(self._entries.__getitem__, _span(self._f, self._f0)))
 
     @property
     def pos(self) -> list[int]:
-        """Column of each row; valid until the next ``emit``."""
-        self._settle()
-        return self._pos
+        """A new list of the column of each row."""
+        return list(map(_span(self._g, self._g0).__getitem__, self._pos))
 
     def row(self, column: int) -> int:
         """The row at ``column``."""
-        if self._framed:
-            column = self._f0 ^ linear_image(self._f, column)
-        return self._entries[column]
+        return self._entries[self._f0 ^ linear_image(self._f, column)]
 
     def col(self, row: int) -> int:
         """The column of ``row``."""
-        if self._framed:
-            return self._g0 ^ linear_image(self._g, self._pos[row])
-        return self._pos[row]
+        return self._g0 ^ linear_image(self._g, self._pos[row])
 
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
@@ -382,7 +367,7 @@ class _Engine:
     def strip(self) -> None:
         """Drop the last line of a Q ⊗ I_2 state, leaving Q, and start a new
         stage."""
-        entries = self.entries
+        entries, pos = self.entries, self.pos
         for c in range(0, self.size, 2):
             lo, hi = entries[c], entries[c + 1]
             if lo & 1 or hi != lo + 1:
@@ -391,7 +376,7 @@ class _Engine:
                     "the last line is not an identity wire"
                 )
         self._entries = [row >> 1 for row in entries[::2]]
-        self._pos = [col >> 1 for col in self._pos[::2]]
+        self._pos = [col >> 1 for col in pos[::2]]
         self.n -= 1
         self.size >>= 1
         self._reset_frame()
@@ -428,12 +413,10 @@ class _Engine:
         """
         self.gates.extend(gates)
         f, f0, g, g0 = self._f, self._f0, self._g, self._g0
-        framed = self._framed
         for ones, zeros, tmask in gates:
             controls = ones | zeros
             if controls & (controls - 1):
-                frame = (f, f0) if framed else None
-                exchange_columns(self._entries, ones, zeros, tmask, self._pos, frame)
+                exchange_columns(self._entries, ones, zeros, tmask, self._pos, (f, f0))
                 continue
             check_target(ones, zeros, tmask)
             if tmask & (tmask - 1):
@@ -449,8 +432,8 @@ class _Engine:
                 f0 ^= image
             if g0 & ones == ones and not g0 & zeros:
                 g0 ^= tmask
-            framed, self._tabs = True, None
-        self._f0, self._g, self._g0, self._framed = f0, g, g0, framed
+            self._tabs = None
+        self._f0, self._g, self._g0 = f0, g, g0
 
     def lift_pair(self, i: int, a: int, b: int) -> tuple[int, int]:
         """Move both rows into the iteration-i region, and return their
@@ -495,8 +478,7 @@ class _Engine:
         """(even row r, column of r, column of r + 1) for each pair whose
         even row sits at column 2i or past it, by row."""
         pos, start = self._pos, 2 * i
-        # stored column -> column
-        columns = _span(self._g, self._g0) if self._framed else range(self.size)
+        columns = _span(self._g, self._g0)  # stored column -> column
         return [
             (r, c, columns[pos[r + 1]])
             for r in range(0, self.size, 2)
@@ -523,12 +505,8 @@ class _Engine:
 
     def best_out_of_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """Unallocated pair of ``kind`` maximizing its smaller column."""
-        pos = self.pos
         best: Optional[tuple[int, int, int]] = None
-        for base in range(0, self.size, 2):
-            ca, cb = pos[base], pos[base + 1]
-            if ca < 2 * i and cb < 2 * i:
-                continue  # allocated
+        for base, ca, cb in self.pairs_from(i):
             if not (ca ^ cb) & 1 or ca & 1 != kind:
                 continue
             lo = min(ca, cb)

@@ -9,10 +9,10 @@ then reduction; a balanced normal/inverted split goes to the general
 reduction; anything else is first mixed.  An already-reducible state is
 all-normal and holds every block, so its stage emits nothing.  The engine
 records mask triples and folds the X and CX gates among them into its
-affine column frame, so the census and the end-of-stage strip read the
-state through ``_Engine.pos`` and ``entries``, which materialize the frame
-once, and the selectors through ``_Engine.pairs_from``, which maps the
-pairs' columns through it.  When a stage ends its ``Gate``s are built at the
+affine column frame, and every read maps through that frame: the census
+and the end-of-stage strip take whole arrays (``_Engine.pos`` and
+``entries``), the selectors the unallocated pairs
+(``_Engine.pairs_from``).  When a stage ends its ``Gate``s are built at the
 input width (lines keep their numbers; the stripped lines are the trailing
 ones), and ``_Engine.strip`` drops the identity last line.  Width 2 is
 finished from a precomputed optimal table, width 1 with at most one X,
@@ -515,7 +515,7 @@ def synthesize(
 
     if engine.n == 2:
         engine.emit(*(g.masks() for g in search_two_bit(engine.snapshot())))
-    elif engine.entries[0]:
+    elif engine.row(0):
         engine.emit((0, 0, 1))
     out.extend(engine.sequence())
 

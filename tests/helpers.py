@@ -1,10 +1,10 @@
-"""Independent oracles shared by the test suite, and one stub.
+"""Independent oracles and two shorthands shared by the test suite.
 
 Everything here recomputes expectations from first principles (bit fiddling,
 brute-force search, explicit summation) without calling into the package's
 own logic, so that tests compare two genuinely separate computations.  The
-one exception, ``apply_sequence``, only chains the package's own
-``apply_gate``.
+exceptions build on the package: ``apply_sequence`` only chains its own
+``apply_gate``, and ``mct`` is shorthand for a ``Gate``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import ceil, comb
 
-from blocksynth import apply_gate
+from blocksynth import Gate, apply_gate
 
 
 def sim_gate(width: int, target: int, controls, x: int) -> int:
@@ -35,6 +35,16 @@ def sim_circuit(width: int, gates, x: int) -> int:
     for target, controls in gates:
         x = sim_gate(width, target, controls, x)
     return x
+
+
+def mct(width: int, controls, target: int) -> Gate:
+    """A ``Gate`` with ``controls`` given as bare lines (positive) or
+    (line, polarity) pairs."""
+    return Gate(
+        width,
+        target,
+        tuple((c, True) if isinstance(c, int) else (c[0], bool(c[1])) for c in controls),
+    )
 
 
 def apply_sequence(perm, seq):

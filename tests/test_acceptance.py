@@ -26,7 +26,6 @@ from blocksynth import (
     bounds,
     cx,
     expand_mct,
-    mct,
     parse_permutation,
     sample,
     synthesize,
@@ -51,6 +50,7 @@ from helpers import (
     conjoin_budget,
     findm,
     independent_parity,
+    mct,
     mismatch_rows,
     positions,
     sim_circuit,

@@ -12,7 +12,6 @@ from blocksynth import (
     Permutation,
     apply_gate,
     cx,
-    mct,
     sample,
     synthesize,
 )
@@ -28,7 +27,7 @@ from blocksynth.conditioning import (
     _walsh_spectrum,
 )
 from blocksynth.reduction import _Engine
-from helpers import apply_sequence, flat_spectrum, mismatch_rows, positions
+from helpers import apply_sequence, flat_spectrum, mct, mismatch_rows, positions
 
 # Hand-classified width-4 map: 2 normal, 6 inverted, 8 interrupting rows —
 # exactly on the mixing target and a valid preprocessing input.

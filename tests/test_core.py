@@ -16,12 +16,12 @@ from blocksynth import (
     WidthMismatch,
     apply_gate,
     cx,
-    mct,
     sample,
     toffoli,
     verify_identity,
     x,
 )
+from blocksynth import core
 from blocksynth.core import exchange_columns
 from blocksynth.reduction import _Engine
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     as_plain,
     circuit_table,
     independent_parity,
+    mct,
     positions,
     sim_circuit,
 )
@@ -94,9 +95,6 @@ class TestGateBasics:
         assert str(x(3, 2)) == "X@2"
         assert str(cx(3, 1, 3)) == "C(1)X@3"
         assert str(mct(3, [(1, True), (3, False)], 2)) == "C(1,!3)X@2"
-
-    def test_bare_int_controls_are_positive(self):
-        assert mct(3, [1, 3], 2) == mct(3, [(1, True), (3, True)], 2)
 
     @given(st.integers(1, 8).flatmap(lambda w: gates(w)))
     def test_equal_gates_built_apart_hash_alike(self, g):
@@ -305,6 +303,19 @@ class TestSample:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             sample(3, 0, "weird")
+
+    @pytest.mark.parametrize("width", [2.0, "3", -1, 0, 5])
+    def test_width_checked_before_any_row_is_built(self, width, monkeypatch):
+        # With the cap lowered to 4, width 5 stands in for a width too wide
+        # to build; a shuffle means rows were allocated before the check.
+        monkeypatch.setattr(core, "MAX_WIDTH", 4)
+
+        def refuse(self, rows):
+            raise RuntimeError("rows built before the width check")
+
+        monkeypatch.setattr(random.Random, "shuffle", refuse)
+        with pytest.raises(ValueError, match="^width must be"):
+            sample(width, 0)
 
 
 class TestVerifyIdentity:

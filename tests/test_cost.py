@@ -20,7 +20,6 @@ from blocksynth import (
     cx,
     expand_mct,
     load_cost_table,
-    mct,
     quantum_cost,
     read_cost_table,
     resolve_table,
@@ -30,7 +29,7 @@ from blocksynth import (
 )
 from blocksynth import cost
 
-from helpers import as_plain, circuit_table
+from helpers import as_plain, circuit_table, mct
 
 
 # ---------------------------------------------------------------------------

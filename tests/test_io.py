@@ -29,7 +29,6 @@ from blocksynth import (
     expand_mct,
     format_permutation,
     format_real,
-    mct,
     parse_permutation,
     parse_report,
     parse_truth_table,
@@ -42,7 +41,7 @@ from blocksynth import (
 )
 
 from blocksynth import cost
-from helpers import as_plain, circuit_table
+from helpers import as_plain, circuit_table, mct
 
 
 @st.composite

@@ -16,7 +16,6 @@ from blocksynth import (
     apply_gate,
     bounds,
     cx,
-    mct,
     preprocessing_bound,
     sample,
     toffoli_count,
@@ -43,6 +42,7 @@ from helpers import (
     conditioning_budget,
     conjoin_budget,
     findm,
+    mct,
     mismatch_rows,
     positions,
     rebalance_budget,
@@ -567,7 +567,7 @@ class TestFusedEmission:
             assert engine.pairs_from(i) == sorted(
                 (r, pos[r], pos[r + 1]) for r in state.entries[2 * i :] if not r & 1
             )
-            if data.draw(st.booleans()):  # materializes and resets the frame
+            if data.draw(st.booleans()):  # a whole-array read between emits
                 assert engine.snapshot() == state
         assert engine.snapshot() == state
         assert engine.pos == positions(state)
@@ -584,6 +584,24 @@ class TestFusedEmission:
         assert engine._entries != list(p.entries)
         replayed = apply_sequence(p, engine.sequence())
         assert engine.snapshot() == replayed
+
+    def test_reads_write_no_engine_state(self):
+        # After folded CX gates the whole-array reads go through the frame
+        # and leave the stored lists alone; a list they return is the
+        # caller's, so a later MCT does not change it.
+        p = sample(4, 3)
+        engine = _Engine(p)
+        engine.emit((8, 0, 2), (0, 8, 1))  # CX 1->3 and C(!1)X@4: both fold
+        stored, stored_pos = list(engine._entries), list(engine._pos)
+        pos = engine.pos
+        held = list(pos)
+        replayed = apply_sequence(p, engine.sequence())
+        assert engine.entries == list(replayed.entries)
+        assert engine.snapshot() == replayed
+        assert (engine._entries, engine._pos) == (stored, stored_pos)
+        engine.emit((8 | 1, 0, 4))  # an MCT swaps stored entries
+        assert engine._entries != stored
+        assert pos == held
 
     @given(aligned_perms(min_width=3, max_width=6), st.data())
     @settings(max_examples=100, deadline=None)
