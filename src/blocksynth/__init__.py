@@ -13,6 +13,7 @@ from .core import (
     MAX_WIDTH,
     Gate,
     GateSequence,
+    InternalError,
     NotABijection,
     Permutation,
     PreconditionViolated,
@@ -78,6 +79,7 @@ __all__ = [
     "ExpansionResult",
     "Gate",
     "GateSequence",
+    "InternalError",
     "MAX_WIDTH",
     "MalformedInteger",
     "MissingCostEntry",

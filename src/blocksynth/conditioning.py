@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .core import Masks
+from .core import InternalError, Masks
 from .reduction import (
     INVERTED,
     NORMAL,
@@ -85,7 +85,7 @@ def _exact_move(width: int, src: int, dst: int) -> Masks:
     """
     diff = src ^ dst
     if diff == 0 or diff & (diff - 1):
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: exact move between columns {src},{dst} needs a "
             "single differing bit"
         )
@@ -110,7 +110,7 @@ def _fixups(engine: _Engine, target: int) -> int:
         mism = _interrupting_pairs(pos)
         lam = 2 * sum(mism)
         if last is not None and abs(lam - target) >= abs(last - target):
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: a mix fixup moved the interrupting count from "
                 f"{last} to {lam}, not toward {target}"
             )
@@ -129,7 +129,7 @@ def _fixups(engine: _Engine, target: int) -> int:
                 break
         if slot_found is None:
             if not want_int:
-                raise RuntimeError(
+                raise InternalError(
                     f"internal error: no slot lowers the interrupting count {lam} "
                     f"toward {target}"
                 )
@@ -194,7 +194,7 @@ def _mix_engine(engine: _Engine) -> MixStats:
     fixes = _fixups(engine, target) if spectrum[a] else 0
     lam = engine.size - 2 * sum(_pair_split(engine.pos))
     if lam != target:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: mixing left {lam} interrupting rows, not {target}"
         )
     return MixStats(len(moves), fixes, engine.size - 1)
@@ -229,7 +229,7 @@ def _pre_pick_rows(engine: _Engine, i: int, deficits: list[int]) -> tuple[int, i
     An interrupting pair's members sit at columns of equal parity, so the
     two scans never meet the same pair."""
     if min(deficits) < 0:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: negative conversion deficits {deficits[0]},"
             f"{deficits[1]} at pseudo-block {i}"
         )
@@ -272,7 +272,7 @@ def _run_preprocess(engine: _Engine) -> None:
     normal, inverted = _pair_split(engine.pos)
     interrupting = engine.size // 2 - normal - inverted
     if interrupting or normal != inverted:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: preprocessing ended in a {2 * normal}:"
             f"{2 * inverted}:{2 * interrupting} split, not an exact balance"
         )

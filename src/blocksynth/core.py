@@ -54,6 +54,10 @@ class PreconditionViolated(ValueError):
     """An operation was invoked on a state outside its contract."""
 
 
+class InternalError(RuntimeError):
+    """A check of the library's own work failed: a bug, not bad input."""
+
+
 # A gate as its column masks (must-be-1, must-be-0, target): the one gate
 # form between ``_Engine`` and ``_Engine.sequence``, which builds ``Gate``s.
 Masks = tuple[int, int, int]

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from typing import Literal, Mapping, Optional
 
-from .core import Gate, GateSequence, cx, toffoli, x
+from .core import Gate, GateSequence, InternalError, cx, toffoli, x
 
 
 class MissingCostEntry(KeyError):
@@ -144,7 +144,7 @@ def _v_chain(width: int, controls: list[int], target: int, dirt: list[int]) -> l
     if s == 2:
         return [toffoli(width, controls[0], controls[1], target)]
     if len(dirt) < s - 2:
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: a {s}-controlled V-chain needs {s - 2} borrowed "
             f"lines, got {len(dirt)}"
         )
@@ -225,7 +225,7 @@ def _expand_gate(g: Gate, width: int, policy: str, clean_base: int) -> list[Gate
     piece += conjugate
     for p in piece:
         if p.control_count > 2 or not all(pos for _, pos in p.controls):
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: expansion left {p}, which is not a NOT, CNOT "
                 "or Toffoli with positive controls"
             )

@@ -66,6 +66,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .core import (
     Gate,
     GateSequence,
+    InternalError,
     Masks,
     Permutation,
     PreconditionViolated,
@@ -371,7 +372,7 @@ class _Engine:
         for c in range(0, self.size, 2):
             lo, hi = entries[c], entries[c + 1]
             if lo & 1 or hi != lo + 1:
-                raise RuntimeError(
+                raise InternalError(
                     f"internal error: columns {c},{c + 1} hold rows {lo},{hi}; "
                     "the last line is not an identity wire"
                 )
@@ -459,7 +460,7 @@ class _Engine:
         self.emit(*masks)
         ca, cb = _track(ca, masks), _track(cb, masks)
         if ca ^ cb != 1:
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: conjoining rows {a},{b} left them at columns "
                 f"{ca},{cb}"
             )
@@ -467,7 +468,7 @@ class _Engine:
         self.emit(*masks)
         ca, cb = _track(ca, masks), _track(cb, masks)
         if {ca, cb} != {2 * i, 2 * i + 1}:
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: allocating rows {a},{b} to position {i} left "
                 f"them at columns {ca},{cb}"
             )

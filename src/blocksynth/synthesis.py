@@ -30,20 +30,22 @@ pairs, and pick orders and successive selections often reach the same one.
 An entry holds the state's exact cost, or a budget it could not beat; a
 child is looked up before it is searched.  The scorer works on plain data:
 one (row, column, partner column) triple per unallocated pair, and each
-candidate's gates as the (ones, zeros, target) column masks that
-``reduction``'s gate builders produce.  It never copies the engine or
-builds a ``Gate``; the engine records the masks of the pair it emits.  The
-search's root collects every candidate that reaches the best total; ties
-go to the pair that leaves the most free blocks, a count read off the
-current blocks and a histogram of the candidates by slot gap, without
-running any candidate's masks (``_count_free``).
+candidate's conjoin and slide in closed form (``_pair_gates``): at most four
+(ones, zeros, target) column masks, each CX run one triple that targets all
+its lines, priced by the conjoining and sliding MCTs alone.  It never copies
+the engine or builds a ``Gate``; the engine emits the chosen pair gate by
+gate, from ``reduction``'s gate builders.  The search's root collects
+every candidate that reaches the best total; ties go to the pair that
+leaves the most free blocks, a count read off the current blocks and a
+histogram of the candidates by slot gap, without running any candidate's
+masks (``_count_free``).
 
 Each stage's Toffoli count, less what its region lifts and mix repair
 gates cost, is checked against ``bounds(w).per_reduction_total``, and its
 preprocessing pass, less its lifts, against ``preprocessing_bound(w)``.
 Adjacent identical gates are cancelled (``peephole``), and the result is
 always verified against the input before being returned.  A failure of
-either check is an internal error, not a user error.
+either check is an ``InternalError``, not a user error.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .conditioning import _mix_engine, _run_preprocess
 from .core import (
     Gate,
     GateSequence,
+    InternalError,
     MAX_WIDTH,
     Masks,
     Permutation,
@@ -72,14 +75,11 @@ from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalent
 from .reduction import (
     INVERTED,
     NORMAL,
-    _alloc_masks,
-    _cons_masks,
     _Engine,
     _pair_split,
     _region_mask,
     _run_general,
     _run_normal,
-    _track,
     bounds,
     preprocessing_bound,
 )
@@ -175,7 +175,7 @@ class SynthesisReport:
 # Lookahead pair selection.
 
 
-# ``_pair_gates`` builds and costs one candidate's masks; it and ``_suffix``
+# ``_pair_gates`` prices one candidate in closed form; it and ``_suffix``
 # run once per scored candidate and search node.  ``_count_free`` runs once
 # per tied candidate and reads no masks.  So a profile or trace of these
 # module attributes counts the search.
@@ -184,25 +184,40 @@ class SynthesisReport:
 Pairs = list[tuple[int, int, int]]
 
 
-def _pair_gates(
-    n: int, i: int, ca: int, cb: int, memo: dict
-) -> tuple[list[Masks], int]:
-    """Construction+slide gates for a pair at columns (ca, cb), as masks,
-    and their Toffoli cost.
+def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
+    """Conjoin-plus-slide of the in-region pair at columns (ca, cb), as at
+    most four mask triples, and its Toffoli cost.
 
-    ``memo`` lives for one selection, whose width is fixed and whose search
-    meets the same (i, ca, cb) in many branches.
+    The triples move every column as ``reduction._cons_masks`` and
+    ``_alloc_masks`` do, with each CX run folded into one triple whose
+    target holds all the run's lines (a run wrapped in X on its control is
+    the run with that control negative).  Only the conjoining and sliding
+    MCTs cost anything.  The conjoining MCT moves only the odd member, so
+    the slot is the even member's column after the run, shifted right.
     """
-    key = (i, ca, cb)
-    found = memo.get(key)
-    if found is None:
-        masks = _cons_masks(n, i, ca, cb)
-        masks += _alloc_masks(n, i, _track(ca, masks))
-        cost = 0
-        for ones, zeros, _ in masks:
-            cost += toffoli_equivalents((ones | zeros).bit_count())
-        found = memo[key] = (masks, cost)
-    return found
+    masks: list[Masks] = []
+    cost = 0
+    gamma = ca ^ cb
+    even = cb if ca & 1 else ca
+    if gamma != 1:
+        t = 1 << gamma.bit_length() >> 1  # the top line the columns differ on
+        run = gamma & (t - 2)
+        if run:
+            masks.append((0, t, run) if 2 * i & t else (t, 0, run))
+            if (even ^ 2 * i) & t:
+                even ^= run
+        region = _region_mask(n, i)
+        masks.append((region | 1, 0, t))
+        cost = toffoli_equivalents(region.bit_count() + 1)
+    gamma = i ^ (even >> 1)  # slot to position, in block coordinates
+    if gamma:
+        below = 1 << gamma.bit_length() >> 1
+        if gamma ^ below:
+            masks.append((below << 1, 0, (gamma ^ below) << 1))
+        low = i & (below - 1)
+        masks.append((low << 1, 0, below << 1))
+        cost += toffoli_equivalents(low.bit_count())
+    return masks, cost
 
 
 def _admissible_from(
@@ -266,7 +281,6 @@ def _suffix(
     phase_end: int,
     kind: int,
     budget: float,
-    memo: dict,
     seen: Optional[dict],
     tied: Optional[list[tuple[int, int, int, int]]] = None,
 ) -> Optional[int]:
@@ -291,7 +305,7 @@ def _suffix(
         return 0
     scored = []
     for cand in cands:
-        masks, c0 = _pair_gates(n, i, cand[2], cand[3], memo)
+        masks, c0 = _pair_gates(n, i, cand[2], cand[3])
         scored.append((c0, cand, masks))
     scored.sort(key=lambda t: t[0])
     slack = 0 if tied is None else 1
@@ -315,7 +329,7 @@ def _suffix(
                 sub = v if exact and v < left else None
             else:
                 sub = _suffix(
-                    n, nxt, i + 1, depth_left - 1, phase_end, kind, left, memo, seen
+                    n, nxt, i + 1, depth_left - 1, phase_end, kind, left, seen
                 )
                 if key is not None:
                     seen[key] = (False, left) if sub is None else (True, sub)
@@ -345,7 +359,7 @@ def _lookahead_choose(
     the lowest rows.  ``seen`` is ``_suffix``'s state table, or None; a
     table stays valid while ``n``, ``kind`` and ``phase_end`` do."""
     tied: list[tuple[int, int, int, int]] = []
-    _suffix(n, pairs, i, d, phase_end, kind, math.inf, {}, seen, tied)
+    _suffix(n, pairs, i, d, phase_end, kind, math.inf, seen, tied)
     if len(tied) > 1:
         # ``max`` keeps the first of equals, and the sort puts rows in order.
         blocks = _blocks(pairs, kind)
@@ -477,7 +491,7 @@ def synthesize(
                 ) - (engine.lift_toffoli - lifted)
                 budget = preprocessing_bound(w)
                 if spent > budget:
-                    raise RuntimeError(
+                    raise InternalError(
                         f"internal error: width-{w} preprocessing spent {spent} Toffolis "
                         f"besides its lifts, over its budget of {budget}"
                     )
@@ -505,7 +519,7 @@ def synthesize(
         # logged deviations from the analysis behind the budget.
         spent = stage.toffoli - stage.lift_toffoli - mix_fix * toffoli_equivalents(w - 1)
         if spent > stage.bound:
-            raise RuntimeError(
+            raise InternalError(
                 f"internal error: the width-{w} stage spent {spent} Toffolis besides "
                 f"its lifts and mix repairs, over its budget of {stage.bound}"
             )
@@ -521,7 +535,7 @@ def synthesize(
 
     seq = peephole(GateSequence(n0, tuple(out)))
     if not verify_identity(perm, seq):
-        raise RuntimeError(
+        raise InternalError(
             "internal error: synthesized circuit does not realize the input"
         )
     report = SynthesisReport(

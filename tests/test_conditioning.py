@@ -9,6 +9,7 @@ from itertools import permutations as orderings, product
 from blocksynth import (
     Gate,
     GateSequence,
+    InternalError,
     Permutation,
     apply_gate,
     cx,
@@ -346,7 +347,7 @@ class TestInternalChecks:
 
     @pytest.mark.parametrize("src,dst", [(0, 3), (5, 5)])
     def test_exact_move_needs_one_differing_bit(self, src, dst):
-        with pytest.raises(RuntimeError, match="internal error: exact move"):
+        with pytest.raises(InternalError, match="internal error: exact move"):
             _exact_move(3, src, dst)
 
     def test_missing_lowering_slot(self, monkeypatch):
@@ -355,13 +356,13 @@ class TestInternalChecks:
             conditioning, "_interrupting_pairs", lambda pos: bytearray([1] * 4)
         )
         engine = _Engine(Permutation(3, tuple(range(8))))
-        with pytest.raises(RuntimeError, match="internal error: no slot lowers"):
+        with pytest.raises(InternalError, match="internal error: no slot lowers"):
             _fixups(engine, 4)
 
     def test_fixup_without_progress(self, monkeypatch):
         engine = _Engine(Permutation(4, tuple(range(16))))
         monkeypatch.setattr(engine, "emit", lambda *m: None)
-        with pytest.raises(RuntimeError, match="internal error: a mix fixup moved"):
+        with pytest.raises(InternalError, match="internal error: a mix fixup moved"):
             _fixups(engine, 8)
 
     def test_mix_postcondition(self, monkeypatch):
@@ -373,13 +374,13 @@ class TestInternalChecks:
         assert mismatch_rows(p.entries) == 0
         monkeypatch.setattr(conditioning, "_fixups", lambda engine, target: 0)
         monkeypatch.setattr(conditioning, "_walsh_spectrum", flat_spectrum)
-        with pytest.raises(RuntimeError, match="internal error: mixing left 0"):
+        with pytest.raises(InternalError, match="internal error: mixing left 0"):
             synthesize(p)
 
     def test_negative_deficits(self, monkeypatch):
         # Five normal pairs claimed where a quarter of the rows makes four.
         monkeypatch.setattr(conditioning, "_pair_split", lambda pos: (5, 0))
-        with pytest.raises(RuntimeError, match="internal error: negative conversion"):
+        with pytest.raises(InternalError, match="internal error: negative conversion"):
             _run_preprocess(_Engine(HALF_INTERRUPTING))
 
     def test_preprocess_postcondition(self, monkeypatch):
@@ -392,5 +393,5 @@ class TestInternalChecks:
         monkeypatch.setattr(
             conditioning, "_pair_split", lambda pos: splits.pop() if splits else _pair_split(pos)
         )
-        with pytest.raises(RuntimeError, match="internal error: preprocessing ended in a 10:6:0"):
+        with pytest.raises(InternalError, match="internal error: preprocessing ended in a 10:6:0"):
             synthesize(HALF_INTERRUPTING)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from blocksynth import (
     Gate,
     GateSequence,
+    InternalError,
     MAX_WIDTH,
     NotABijection,
     Permutation,
@@ -282,7 +283,7 @@ class TestReduceWidth:
         assert (engine.n, engine.size, engine.pos) == (1, 2, [1, 0])
 
     def test_rejects_odd_low_entry(self):
-        with pytest.raises(RuntimeError, match="internal error: columns 0,1 hold rows 1,0"):
+        with pytest.raises(InternalError, match="internal error: columns 0,1 hold rows 1,0"):
             self.stripped(Permutation(2, (1, 0, 2, 3)))
 
 

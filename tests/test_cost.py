@@ -16,6 +16,7 @@ from blocksynth import (
     CostTable,
     DEFAULT_TABLE,
     GateSequence,
+    InternalError,
     MissingCostEntry,
     cx,
     expand_mct,
@@ -344,7 +345,7 @@ class TestExpansionChecks:
     under ``python -O``."""
 
     def test_short_borrowed_lines(self):
-        with pytest.raises(RuntimeError, match="internal error: a 4-controlled V-chain"):
+        with pytest.raises(InternalError, match="internal error: a 4-controlled V-chain"):
             cost._v_chain(6, [1, 2, 3, 4], 6, [5])
 
     def test_unexpanded_gate(self, monkeypatch):
@@ -353,7 +354,7 @@ class TestExpansionChecks:
             "_expand_positive",
             lambda width, controls, target, policy, clean_base: [mct(width, controls, target)],
         )
-        with pytest.raises(RuntimeError, match="internal error: expansion left C"):
+        with pytest.raises(InternalError, match="internal error: expansion left C"):
             expand_mct(GateSequence(5, (mct(5, [1, 2, 3], 5),)))
 
 

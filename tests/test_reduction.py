@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from blocksynth import (
     Gate,
     GateSequence,
+    InternalError,
     PairNotFound,
     Permutation,
     PreconditionViolated,
@@ -623,14 +624,14 @@ class TestAllocateChecks:
         monkeypatch.setattr(reduction, "_cons_masks", lambda n, i, a, b: [])
         # rows 0 and 1 at columns 0 and 3: opposite parity, not adjacent
         engine = _Engine(Permutation(3, (0, 2, 3, 1, 4, 5, 6, 7)))
-        with pytest.raises(RuntimeError, match="internal error: conjoining rows 0,1"):
+        with pytest.raises(InternalError, match="internal error: conjoining rows 0,1"):
             engine.allocate(0, 0, 1)
 
     def test_unallocated_pair_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(reduction, "_alloc_masks", lambda n, i, a: [])
         # rows 2 and 3 already form a block, but at position 1
         engine = _Engine(ID3)
-        with pytest.raises(RuntimeError, match="internal error: allocating rows 2,3"):
+        with pytest.raises(InternalError, match="internal error: allocating rows 2,3"):
             engine.allocate(0, 2, 3)
 
 

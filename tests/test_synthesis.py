@@ -13,10 +13,11 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
+    InternalError,
     Permutation,
     SynthesisConfig,
     WidthMismatch,
@@ -39,6 +40,7 @@ from blocksynth.reduction import (
     _Engine,
     _pick_rows,
     _region_mask,
+    _track,
 )
 from blocksynth.synthesis import (
     _admissible_from,
@@ -48,7 +50,6 @@ from blocksynth.synthesis import (
     _make_selector,
     _pair_gates,
     _suffix,
-    _track,
 )
 
 from helpers import (
@@ -207,7 +208,7 @@ class TestSelectWithLookahead:
 @st.composite
 def in_region_pairs(draw):
     """(n, i, ca, cb): opposite-parity columns ca < cb in position i's region."""
-    n = draw(st.integers(3, 8))
+    n = draw(st.integers(3, 10))
     i = draw(st.integers(0, (1 << (n - 1)) - 1))
     mask = _region_mask(n, i)
     region = [c for c in range(1 << n) if c & mask == mask]
@@ -236,11 +237,14 @@ class TestScorerModel:
     """The scorer's mask triples stand in for the gates the engine emits."""
 
     @given(in_region_pairs())
+    @example((4, 1, 10, 11))  # already a block: no conjoin
+    @example((4, 2, 8, 15))  # a negatively controlled run that moves the even member
+    @example((4, 4, 8, 15))  # conjoined into its slot: no slide
     @settings(max_examples=300, deadline=None)
     def test_masks_move_columns_like_the_emitted_gates(self, case):
         n, i, ca, cb = case
         gates = _emitted(n, i, ca, cb)
-        masks, cost = _pair_gates(n, i, ca, cb, {})
+        masks, cost = _pair_gates(n, i, ca, cb)
         dest = _destinations(n, gates)
         for c in range(1 << n):
             assert _track(c, masks) == dest[c]
@@ -401,14 +405,14 @@ class TestStateTable:
         states = [(i, pairs)]
         for row, _, ca, cb in _admissible_from(n, pairs, i, kind)[:2]:
             if i + 1 < phase_end:
-                masks, _ = _pair_gates(n, i, ca, cb, {})
+                masks, _ = _pair_gates(n, i, ca, cb)
                 states.append((i + 1, _advance(pairs, row & ~1, masks)))
         calls = []
         for _ in range(data.draw(st.integers(1, 6))):
             k = data.draw(st.integers(0, len(states) - 1))
             depth = data.draw(st.integers(1, 3))
             at, state = states[k]
-            best = _suffix(n, state, at, depth, phase_end, kind, math.inf, {}, _NoTable())
+            best = _suffix(n, state, at, depth, phase_end, kind, math.inf, _NoTable())
             # Budgets near the best meet the entries at their edges.
             budget = data.draw(st.one_of(st.integers(max(1, best - 2), best + 2), st.just(math.inf)))
             calls.append((budget, k, depth))
@@ -417,9 +421,9 @@ class TestStateTable:
         seen: dict = {}
         for budget, k, depth in calls:
             at, state = states[k]
-            want = _suffix(n, state, at, depth, phase_end, kind, budget, {}, _NoTable())
+            want = _suffix(n, state, at, depth, phase_end, kind, budget, _NoTable())
             for _ in range(2):  # the repeat is answered from the table
-                assert _suffix(n, state, at, depth, phase_end, kind, budget, {}, seen) == want
+                assert _suffix(n, state, at, depth, phase_end, kind, budget, seen) == want
 
     @given(
         st.integers(3, 6),
@@ -551,7 +555,7 @@ class TestSynthesizeEndToEnd:
         # under ``python -O``; a reduction that does nothing breaks it.
         perm = sample(4, 1, "parity_aligned")
         monkeypatch.setattr(synthesis, "_run_normal", lambda engine, selector=None: None)
-        with pytest.raises(RuntimeError, match="internal error: .* not an identity wire"):
+        with pytest.raises(InternalError, match="internal error: .* not an identity wire"):
             synthesize(perm)
 
     def test_a_stage_over_its_budget_is_an_internal_error(self, monkeypatch):
@@ -561,7 +565,7 @@ class TestSynthesizeEndToEnd:
         monkeypatch.setattr(
             synthesis, "bounds", lambda w: dataclasses.replace(real(w), per_reduction_total=1)
         )
-        with pytest.raises(RuntimeError, match="internal error: the width-5 stage .* budget of 1$"):
+        with pytest.raises(InternalError, match="internal error: the width-5 stage .* budget of 1$"):
             synthesize(sample(5, 1))
 
     def test_preprocessing_over_its_budget_is_an_internal_error(self, monkeypatch):
@@ -571,7 +575,7 @@ class TestSynthesizeEndToEnd:
         _, report = synthesize(perm)
         assert report.stages[0].pre_gates
         monkeypatch.setattr(synthesis, "preprocessing_bound", lambda w: 0)
-        with pytest.raises(RuntimeError, match="internal error: width-5 preprocessing .* budget of 0$"):
+        with pytest.raises(InternalError, match="internal error: width-5 preprocessing .* budget of 0$"):
             synthesize(perm)
 
     def test_mix_repairs_sit_outside_the_stage_budget(self):
