@@ -29,16 +29,22 @@ state is the position, the depth left and the unallocated pairs' column
 pairs, and pick orders and successive selections often reach the same one.
 An entry holds the state's exact cost, or a budget it could not beat; a
 child is looked up before it is searched.  The scorer works on plain data:
-one (row, column, partner column) triple per unallocated pair, and each
-candidate's conjoin and slide in closed form (``_pair_gates``): at most four
-(ones, zeros, target) column masks, each CX run one triple that targets all
-its lines, priced by the conjoining and sliding MCTs alone.  It never copies
-the engine or builds a ``Gate``; the engine emits the chosen pair gate by
-gate, from ``reduction``'s gate builders.  The search's root collects
-every candidate that reaches the best total; ties go to the pair that
-leaves the most free blocks, a count read off the current blocks and a
-histogram of the candidates by slot gap, without running any candidate's
-masks (``_count_free``).
+one (row, column, partner column) triple per unallocated pair.  A node
+whose children are searched builds each candidate's conjoin and slide in
+closed form (``_pair_gates``): at most four (ones, zeros, target) column
+masks, each CX run one triple that targets all its lines, priced by the
+conjoining and sliding MCTs alone.  A node whose children are leaves (every
+depth-1 selection, and the last position of a tail search) needs only
+prices, and at one position a price takes two values: the slide's, the same
+for every candidate, plus the conjoin's unless the pair is a block.  So
+``_price_leaves`` prices the candidates in the pass that filters them, with
+no masks and no sort.  The scorer never copies the engine or builds a
+``Gate``; the engine emits the chosen pair gate by gate, from
+``reduction``'s gate builders.  The search's root collects every candidate
+that reaches the best total, and the census of its state: the phase's
+blocks and a histogram of the candidates by slot gap.  Ties go to the pair
+that leaves the most free blocks, a count read off that census without
+running any candidate's masks (``_count_free``).
 
 Each stage's Toffoli count, less what its region lifts and mix repair
 gates cost, is checked against ``bounds(w).per_reduction_total``, and its
@@ -175,13 +181,17 @@ class SynthesisReport:
 # Lookahead pair selection.
 
 
-# ``_pair_gates`` prices one candidate in closed form; it and ``_suffix``
-# run once per scored candidate and search node.  ``_count_free`` runs once
-# per tied candidate and reads no masks.  So a profile or trace of these
-# module attributes counts the search.
+# ``_pair_gates`` builds one candidate's masks and price; it runs once per
+# candidate of a node whose children are searched.  ``_suffix`` runs once
+# per search node, and prices a node whose children are leaves in its
+# filtering pass (``_price_leaves``).  ``_count_free`` runs once per tied
+# candidate and reads no masks.  So a profile or trace of these module
+# attributes counts the search.
 
 # (even row r, column of r, column of r + 1), one per unallocated pair.
 Pairs = list[tuple[int, int, int]]
+# (smaller-column row, partner, smaller column, larger column).
+Cand = tuple[int, int, int, int]
 
 
 def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
@@ -220,9 +230,7 @@ def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
     return masks, cost
 
 
-def _admissible_from(
-    n: int, pairs: Pairs, i: int, kind: int
-) -> list[tuple[int, int, int, int]]:
+def _admissible_from(n: int, pairs: Pairs, i: int, kind: int) -> list[Cand]:
     """In-region pairs of the phase kind as (smaller-column row, partner,
     their columns), by row."""
     mask = _region_mask(n, i)
@@ -233,7 +241,6 @@ def _admissible_from(
         if ca & 1 != kind or cb & 1 == kind:
             continue
         out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
-    out.sort()
     return out
 
 
@@ -273,6 +280,74 @@ def _count_free(blocks: int, gaps: Counter[int], gap: int) -> int:
     return blocks - gaps[0] + gaps[gap] - 1
 
 
+class _Root:
+    """What a search's root hands ``_lookahead_choose``: the candidates
+    whose total equals the best, and the tie-break census of the root's
+    state (``_count_free``'s ``blocks`` and ``gaps``)."""
+
+    __slots__ = ("tied", "blocks", "gaps")
+
+    def __init__(self) -> None:
+        self.tied: list[Cand] = []
+        self.blocks = 0
+        self.gaps: Counter[int] = Counter()
+
+
+def _price_leaves(
+    n: int, pairs: Pairs, i: int, kind: int, budget: float, root: Optional[_Root]
+) -> Optional[int]:
+    """``_suffix`` at a node whose children are leaves: the cheapest
+    candidate's price, found in the pass that filters the pairs.
+
+    A candidate's price is ``_pair_gates``' cost, and at one position it
+    takes two values: the slide's, plus the conjoin's unless the pair is a
+    block.  The conjoin costs the same for every candidate.  So does the
+    slide, whose controls are the bits of i below the top bit where i and
+    the slot differ.  Every region column starts with the region's m-1
+    ones, and 2i either lies past the previous region's first column and
+    starts with m-2 ones then a 0, or is the region's first column.  In the
+    first case every slot first differs from i on that 0, so the controls
+    are i's bits past the prefix.  In the second, i holds no 1 past the
+    prefix, and no slide costs anything.  At a root the pass also collects
+    the tied candidates and the tie-break census.
+    """
+    region = _region_mask(n, i)
+    conjoin = toffoli_equivalents(region.bit_count() + 1)
+    best = math.inf
+    tied: list[Cand] = []
+    gaps = []
+    blocks = 0
+    for r, c, p in pairs:
+        if c & p & region != region:
+            if c ^ p == 1 and c & 1 == kind:
+                blocks += 1
+            continue
+        gamma = c ^ p
+        if c & 1 != kind or not gamma & 1:
+            continue  # of the other kind, or interrupting
+        cost = conjoin
+        if gamma == 1:
+            blocks += 1
+            cost = 0
+        gaps.append(gamma >> 1)
+        if cost <= best:
+            cand = (r, r + 1, c, p) if c < p else (r + 1, r, p, c)
+            if cost < best:
+                best, tied = cost, [cand]
+            else:
+                tied.append(cand)
+    if root is not None:
+        root.blocks, root.gaps = blocks, Counter(gaps)
+    if not gaps:
+        return 0
+    best += toffoli_equivalents((i & ~(region >> 1)).bit_count())  # the slide
+    if best >= budget:
+        return None
+    if root is not None:
+        root.tied = tied
+    return best
+
+
 def _suffix(
     n: int,
     pairs: Pairs,
@@ -282,15 +357,16 @@ def _suffix(
     kind: int,
     budget: float,
     seen: Optional[dict],
-    tied: Optional[list[tuple[int, int, int, int]]] = None,
+    root: Optional[_Root] = None,
 ) -> Optional[int]:
     """Cheapest total over the next ``depth_left`` positions, or None if the
     incoming budget cannot be beaten.  Runs dry (cost 0) where no admissible
     pair exists — the plain fallback path is not modelled.
 
-    At the root, ``tied`` collects every candidate whose total equals the
-    best: the budget keeps one unit of slack there, so each candidate that
-    can reach the best is costed exactly, whatever the visiting order.
+    At the root, ``root.tied`` collects every candidate whose total equals
+    the best: the budget keeps one unit of slack there, so each candidate
+    that can reach the best is costed exactly, whatever the visiting order.
+    ``root`` also gets the root state's tie-break census.
 
     Below the root the answer depends only on the state, so ``seen``, when
     given, keeps one entry per child state searched: (True, its exact
@@ -300,7 +376,14 @@ def _suffix(
     """
     if depth_left == 0 or i >= phase_end:
         return 0
+    if depth_left == 1 or i + 1 >= phase_end:
+        return _price_leaves(n, pairs, i, kind, budget, root)
     cands = _admissible_from(n, pairs, i, kind)
+    tied = None
+    if root is not None:
+        root.blocks = _blocks(pairs, kind)
+        root.gaps = Counter((ca ^ cb) >> 1 for _, _, ca, cb in cands)
+        tied = root.tied
     if not cands:
         return 0
     scored = []
@@ -313,28 +396,23 @@ def _suffix(
     for c0, cand, masks in scored:
         if c0 >= budget:
             break
-        if depth_left == 1 or i + 1 >= phase_end:
-            sub = 0
+        nxt = _advance(pairs, cand[0] & ~1, masks)
+        left = budget - c0
+        key = known = None
+        if seen is not None:
+            # Rows never matter; the even row's column keeps the pair kind.
+            key = (i + 1, depth_left - 1, frozenset((c, p) for _, c, p in nxt))
+            known = seen.get(key)
+        if known is not None and (known[0] or known[1] >= left):
+            # An exact cost answers any budget; a bound, any at or below it.
+            exact, v = known
+            sub = v if exact and v < left else None
         else:
-            nxt = _advance(pairs, cand[0] & ~1, masks)
-            left = budget - c0
-            key = known = None
-            if seen is not None:
-                # Rows never matter; the even row's column keeps the pair kind.
-                key = (i + 1, depth_left - 1, frozenset((c, p) for _, c, p in nxt))
-                known = seen.get(key)
-            if known is not None and (known[0] or known[1] >= left):
-                # An exact cost answers any budget; a bound, any at or below it.
-                exact, v = known
-                sub = v if exact and v < left else None
-            else:
-                sub = _suffix(
-                    n, nxt, i + 1, depth_left - 1, phase_end, kind, left, seen
-                )
-                if key is not None:
-                    seen[key] = (False, left) if sub is None else (True, sub)
-            if sub is None:
-                continue
+            sub = _suffix(n, nxt, i + 1, depth_left - 1, phase_end, kind, left, seen)
+            if key is not None:
+                seen[key] = (False, left) if sub is None else (True, sub)
+        if sub is None:
+            continue
         total = c0 + sub
         if best is None or total < best:
             best, budget = total, total + slack
@@ -358,13 +436,14 @@ def _lookahead_choose(
     positions; ties go to the pair leaving the most free blocks, then to
     the lowest rows.  ``seen`` is ``_suffix``'s state table, or None; a
     table stays valid while ``n``, ``kind`` and ``phase_end`` do."""
-    tied: list[tuple[int, int, int, int]] = []
-    _suffix(n, pairs, i, d, phase_end, kind, math.inf, seen, tied)
+    root = _Root()
+    _suffix(n, pairs, i, d, phase_end, kind, math.inf, seen, root)
+    tied = root.tied
     if len(tied) > 1:
         # ``max`` keeps the first of equals, and the sort puts rows in order.
-        blocks = _blocks(pairs, kind)
-        gaps = Counter((ca ^ cb) >> 1 for _, _, ca, cb in _admissible_from(n, pairs, i, kind))
-        return max(sorted(tied), key=lambda t: _count_free(blocks, gaps, (t[2] ^ t[3]) >> 1))[:2]
+        return max(
+            sorted(tied), key=lambda t: _count_free(root.blocks, root.gaps, (t[2] ^ t[3]) >> 1)
+        )[:2]
     return tied[0][:2] if tied else None
 
 

@@ -49,6 +49,8 @@ from blocksynth.synthesis import (
     _count_free,
     _make_selector,
     _pair_gates,
+    _price_leaves,
+    _Root,
     _suffix,
 )
 
@@ -206,9 +208,9 @@ class TestSelectWithLookahead:
 
 
 @st.composite
-def in_region_pairs(draw):
+def in_region_pairs(draw, max_width=10):
     """(n, i, ca, cb): opposite-parity columns ca < cb in position i's region."""
-    n = draw(st.integers(3, 10))
+    n = draw(st.integers(3, max_width))
     i = draw(st.integers(0, (1 << (n - 1)) - 1))
     mask = _region_mask(n, i)
     region = [c for c in range(1 << n) if c & mask == mask]
@@ -286,6 +288,108 @@ class TestScorerModel:
                 expected += 1
         gaps = Counter((c ^ p) >> 1 for _, _, c, p in cands)
         assert _count_free(_blocks(pairs, kind), gaps, (ca ^ cb) >> 1) == expected
+
+
+@st.composite
+def pair_states(draw, max_width=9):
+    """(n, i, pairs): the unallocated pairs at position i of a column
+    layout drawn from all blocks (of one kind) through fully random."""
+    n = draw(st.integers(3, max_width))
+    size = 1 << n
+    flip = draw(st.sampled_from([0, 1]))  # 1 makes every block inverted
+    pos = [c ^ flip for c in range(size)]
+    for _ in range(draw(st.integers(0, size))):
+        a, b = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        pos[a], pos[b] = pos[b], pos[a]
+    i = draw(st.integers(0, (1 << (n - 1)) - 1))
+    pairs = [(r, pos[r], pos[r + 1]) for r in range(0, size, 2) if pos[r] >= 2 * i]
+    return n, i, pairs
+
+
+def _priced_one_by_one(n, pairs, i, kind, budget):
+    """A depth-1 search's value and tied candidates, pricing each
+    admissible pair with its masks."""
+    prices = {c: _pair_gates(n, i, c[2], c[3])[1] for c in _admissible_from(n, pairs, i, kind)}
+    if not prices:
+        return 0, set()
+    best = min(prices.values())
+    if best >= budget:
+        return None, set()
+    return best, {c for c, v in prices.items() if v == best}
+
+
+class TestLeafPass:
+    """A node whose children are leaves prices its candidates in the pass
+    that filters them; it must agree with pricing each one's masks."""
+
+    @given(in_region_pairs(max_width=11), st.booleans())
+    @example((4, 1, 10, 11), False)  # already a block: no conjoin
+    @example((4, 2, 8, 15), False)  # a negatively controlled run that moves the even member
+    @example((4, 2, 8, 15), True)
+    @settings(max_examples=400, deadline=None)
+    def test_leaf_price_is_the_masks_price(self, case, swap):
+        n, i, ca, cb = case
+        c, p = (cb, ca) if swap else (ca, cb)  # either column on the even row
+        assert _price_leaves(n, [(0, c, p)], i, c & 1, math.inf, None) == _pair_gates(n, i, ca, cb)[1]
+
+    @given(pair_states(), st.sampled_from([NORMAL, INVERTED]), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_depth_one_matches_pricing_each_candidate(self, state, kind, last, data):
+        n, i, pairs = state
+        best, _ = _priced_one_by_one(n, pairs, i, kind, math.inf)
+        # Budgets at or below the best must fail the search.
+        budget = data.draw(st.one_of(st.just(math.inf), st.integers(0, best + 2)))
+        # Depth 1, or the last position of a deeper search.
+        depth, phase_end = (3, i + 1) if last else (1, 1 << (n - 1))
+        root = _Root()
+        got = _suffix(n, pairs, i, depth, phase_end, kind, budget, None, root)
+        assert (got, set(root.tied)) == _priced_one_by_one(n, pairs, i, kind, budget)
+        assert len(root.tied) == len(set(root.tied))
+        assert _suffix(n, pairs, i, depth, phase_end, kind, budget, None) == got
+
+    @given(pair_states(max_width=7), st.sampled_from([NORMAL, INVERTED]), st.integers(1, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_root_census_matches_a_rescan(self, state, kind, depth):
+        n, i, pairs = state
+        root = _Root()
+        _suffix(n, pairs, i, depth, 1 << (n - 1), kind, math.inf, None, root)
+        cands = _admissible_from(n, pairs, i, kind)
+        assert root.blocks == _blocks(pairs, kind)
+        assert root.gaps == Counter((ca ^ cb) >> 1 for _, _, ca, cb in cands)
+
+
+@st.composite
+def mask_gates(draw, n):
+    """One (ones, zeros, target) triple on a single target line."""
+    t = 1 << draw(st.integers(0, n - 1))
+    ones = zeros = 0
+    for b in range(n):
+        if 1 << b != t:
+            pick = draw(st.sampled_from([0, 0, 1, 2]))
+            ones |= (pick == 1) << b
+            zeros |= (pick == 2) << b
+    return ones, zeros, t
+
+
+class TestPairOrder:
+    """``_admissible_from`` lists candidates by row because its input is by
+    row: ``pairs_from`` builds it so and ``_advance`` keeps the order."""
+
+    @given(st.integers(3, 7), st.integers(0, 10_000), st.sampled_from([NORMAL, INVERTED]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pairs_from_and_advance_keep_row_order(self, n, seed, kind, data):
+        engine = _Engine(sample(n, seed))
+        engine.emit(*data.draw(st.lists(mask_gates(n), max_size=6)))
+        i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
+        pairs = engine.pairs_from(i)
+        rows = [r for r, _, _ in pairs]
+        assert rows == sorted(set(rows)) and all(r % 2 == 0 for r in rows)
+        cands = _admissible_from(n, pairs, i, kind)
+        assert cands == sorted(cands)
+        for row, _, ca, cb in cands[:3]:
+            masks, _ = _pair_gates(n, i, ca, cb)
+            moved = _advance(pairs, row & ~1, masks)
+            assert [r for r, _, _ in moved] == [r for r in rows if r != row & ~1]
 
 
 def _reference_choice(perm, i, kind, phase_end, depth):
