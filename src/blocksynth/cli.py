@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .core import MAX_WIDTH, GateSequence, Permutation, verify_identity
@@ -217,15 +216,7 @@ def _bench_one(path: str, cfg: SynthesisConfig, table: CostTable) -> dict[str, o
     }
 
 
-def _bench_failure(name: str, exc: Exception) -> None:
-    # A usage error already names the file, worded as ``synth`` words it.
-    message = str(exc) if isinstance(exc, UsageError) else f"{name}: {exc}"
-    print(f"error: {message}", file=sys.stderr)
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         names = sorted(
             f
@@ -238,36 +229,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"no .perm or .tt files in {args.directory}")
     cfg = _config_from_args(args)
     table = _table_from_args(args)
-    paths = [os.path.join(args.directory, f) for f in names]
-    results: dict[str, dict[str, object]] = {}
-    # The pool starts all its workers up front: never more than there are
-    # files or cores.
-    workers = min(args.jobs, len(paths), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_bench_one, path, cfg, table) for name, path in zip(names, paths)}
-        for name, fut in futures.items():
-            try:
-                results[name] = fut.result()
-            except Exception as exc:
-                _bench_failure(name, exc)
-    else:
-        for name, path in zip(names, paths):
-            try:
-                results[name] = _bench_one(path, cfg, table)
-            except Exception as exc:
-                _bench_failure(name, exc)
     columns = ["name", "in", "out", "garbage", "quantum_cost", "toffoli", "seconds"]
     print("\t".join(columns))
     for name in names:
-        row = results.get(name)
-        if row is None:
+        try:
+            row = _bench_one(os.path.join(args.directory, name), cfg, table)
+        except Exception as exc:
+            # A usage error already names the file, worded as ``synth`` words it.
+            message = str(exc) if isinstance(exc, UsageError) else f"{name}: {exc}"
+            print(f"error: {message}", file=sys.stderr)
             continue
-        print(
-            "\t".join(
-                f"{row[c]:.3f}" if c == "seconds" else str(row[c]) for c in columns
-            )
-        )
+        print("\t".join(f"{row[c]:.3f}" if c == "seconds" else str(row[c]) for c in columns))
     return 0
 
 
@@ -309,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="synthesize every .perm/.tt in a directory")
     p.add_argument("directory")
-    p.add_argument("--jobs", type=int, default=1)
     _add_config_args(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -1,22 +1,24 @@
 """End-to-end circuit synthesis for arbitrary permutations.
 
-``synthesize`` walks the width down one line at a time on one working copy,
-an ``_Engine`` built from the input.  At each stage the pair census of the
-current state (``reduction._pair_split``) picks the path: all-normal states
-go straight to reduction, and all-inverted ones too after one X on the
-last line; an exact half count of interrupting rows goes to preprocessing
-then reduction; a balanced normal/inverted split goes to the general
-reduction; anything else is first mixed.  An already-reducible state is
-all-normal and holds every block, so its stage emits nothing.  The engine
-records mask triples and folds the X and CX gates among them into its
-affine column frame, and every read maps through that frame: the census
-and the end-of-stage strip take whole arrays (``_Engine.pos`` and
-``entries``), the selectors the unallocated pairs
-(``_Engine.pairs_from``).  When a stage ends its ``Gate``s are built at the
-input width (lines keep their numbers; the stripped lines are the trailing
-ones), and ``_Engine.strip`` drops the identity last line.  Width 2 is
-finished from a precomputed optimal table, width 1 with at most one X,
-both on the same engine, which builds each distinct gate once per call.
+``synthesize`` drives the widths and the endgame: it walks the width down
+one line at a time on one working copy, an ``_Engine`` built from the
+input, and runs one ``_stage`` per width.  In ``_stage`` the pair census
+of the current state (``reduction._pair_split``) picks the path:
+all-normal states go straight to reduction, and all-inverted ones too
+after one X on the last line; an exact half count of interrupting rows
+goes to preprocessing then reduction; a balanced normal/inverted split
+goes to the general reduction; anything else is first mixed.  An
+already-reducible state is all-normal and holds every block, so its stage
+emits nothing.  The engine records mask triples and folds the X and CX
+gates among them into its affine column frame, and every read maps
+through that frame: the census and the end-of-stage strip take whole
+arrays (``_Engine.pos`` and ``entries``), the selectors the unallocated
+pairs (``_Engine.pairs_from``).  When a stage ends its ``Gate``s are
+built at the input width (lines keep their numbers; the stripped lines are
+the trailing ones), and ``_Engine.strip`` drops the identity last line.
+Width 2 is finished from a precomputed optimal table, width 1 with at most
+one X, both on the same engine, which builds each distinct gate once per
+call.
 
 Pair selection inside the reductions is one branch and bound, ``_suffix``:
 candidate pairs are scored by the exact Toffoli-equivalents of their
@@ -46,9 +48,10 @@ blocks and a histogram of the candidates by slot gap.  Ties go to the pair
 that leaves the most free blocks, a count read off that census without
 running any candidate's masks (``_count_free``).
 
-Each stage's Toffoli count, less what its region lifts and mix repair
-gates cost, is checked against ``bounds(w).per_reduction_total``, and its
-preprocessing pass, less its lifts, against ``preprocessing_bound(w)``.
+``_stage`` also keeps the stage's gate ledger (``StageStats``) and checks
+its Toffoli count, less what its region lifts and mix repair gates cost,
+against ``bounds(w).per_reduction_total``, and its preprocessing pass, less
+its lifts, against ``preprocessing_bound(w)``.
 Adjacent identical gates are cancelled (``peephole``), and the result is
 always verified against the input before being returned.  A failure of
 either check is an ``InternalError``, not a user error.
@@ -129,12 +132,6 @@ class SynthesisConfig:
             raise ValueError(
                 f"lookahead depth buckets must be within 1..{MAX_WIDTH}, got {stray[0]}"
             )
-
-    def __reduce__(self):
-        # A mappingproxy does not pickle; ``bench --jobs`` sends configs to
-        # worker processes.
-        depths = None if self.depths is None else dict(self.depths)
-        return SynthesisConfig, (depths, self.exhaustive_tail)
 
     def depth_for(self, remaining_rows: int) -> int:
         if remaining_rows <= 0:
@@ -528,6 +525,69 @@ def peephole(seq: GateSequence) -> GateSequence:
 # The pipeline.
 
 
+def _stage(engine: _Engine, cfg: SynthesisConfig) -> StageStats:
+    """Reduce ``engine``'s state P to Q ⊗ I_2 and account for the stage.
+
+    The stage's gates run in three parts: the X or mixing gates
+    (``mix_gates``), preprocessing (``pre_gates``) and the reduction
+    (``red_gates``).  Both budgets are checked once the reduction is done;
+    the caller takes the gates (``_Engine.sequence``) and strips the line.
+    """
+    w, pairs = engine.n, engine.size // 2
+    mix_depth = mix_fix = 0
+    normal, inverted = _pair_split(engine.pos)
+    if inverted == pairs:  # X on the last line makes every pair normal
+        engine.emit((0, 0, 1))
+        normal = pairs
+    general = normal != pairs
+    preprocess = general and not normal == inverted == pairs // 2  # not balanced
+    if preprocess and normal + inverted != pairs // 2:  # not half interrupting
+        mstats = _mix_engine(engine)
+        mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
+    mix_gates, lifted = len(engine.gates), engine.lift_toffoli
+    if preprocess:
+        _run_preprocess(engine)
+    pre_gates = len(engine.gates) - mix_gates
+    pre_lifts = engine.lift_toffoli - lifted
+    if general:
+        _run_general(
+            engine,
+            _make_selector(engine, NORMAL, pairs // 2, cfg),
+            _make_selector(engine, INVERTED, pairs, cfg),
+        )
+    else:
+        _run_normal(engine, _make_selector(engine, NORMAL, pairs, cfg))
+    # 2m - 3 depends only on the control count m, which masks carry as well
+    # as the ``Gate``s that ``sequence`` builds.
+    toffolis = [toffoli_equivalents((ones | zeros).bit_count()) for ones, zeros, _ in engine.gates]
+    stage = StageStats(
+        width=w,
+        mix_gates=mix_gates,
+        pre_gates=pre_gates,
+        red_gates=len(engine.gates) - mix_gates - pre_gates,
+        toffoli=sum(toffolis),
+        bound=bounds(w).per_reduction_total,
+        region_lifts=engine.region_lifts,
+        mix_depth=mix_depth,
+        mix_fixups=mix_fix,
+        lift_toffoli=engine.lift_toffoli,
+    )
+    # Region lifts and mix repair gates (each fully controlled) are the
+    # logged deviations from the analysis behind the budgets.
+    pre_spent = sum(toffolis[mix_gates:mix_gates + pre_gates]) - pre_lifts
+    stage_spent = stage.toffoli - stage.lift_toffoli - mix_fix * toffoli_equivalents(w - 1)
+    for what, spent, besides, budget in (
+        (f"width-{w} preprocessing", pre_spent, "its lifts", preprocessing_bound(w)),
+        (f"the width-{w} stage", stage_spent, "its lifts and mix repairs", stage.bound),
+    ):
+        if spent > budget:
+            raise InternalError(
+                f"internal error: {what} spent {spent} Toffolis besides {besides}, "
+                f"over its budget of {budget}"
+            )
+    return stage
+
+
 def synthesize(
     perm: Permutation, cfg: Optional[SynthesisConfig] = None
 ) -> tuple[GateSequence, SynthesisReport]:
@@ -544,66 +604,9 @@ def synthesize(
     stages: list[StageStats] = []
     engine = _Engine(perm)
 
-    for w in range(n0, 2, -1):
-        mix_gates = pre_gates = mix_depth = mix_fix = 0
-        pairs = engine.size // 2
-        normal, inverted = _pair_split(engine.pos)
-        if inverted == pairs:  # X on the last line makes every pair normal
-            engine.emit((0, 0, 1))
-            normal = pairs
-            mix_gates = 1
-        if normal == pairs:
-            _run_normal(engine, _make_selector(engine, NORMAL, pairs, cfg))
-            red_gates = len(engine.gates) - mix_gates
-        else:
-            if not normal == inverted == pairs // 2:  # not balanced
-                if normal + inverted != pairs // 2:  # not half interrupting
-                    mstats = _mix_engine(engine)
-                    mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
-                    mix_gates = len(engine.gates)
-                mark, lifted = len(engine.gates), engine.lift_toffoli
-                _run_preprocess(engine)
-                pre_gates = len(engine.gates) - mark
-                spent = sum(
-                    toffoli_equivalents((ones | zeros).bit_count())
-                    for ones, zeros, _ in engine.gates[mark:]
-                ) - (engine.lift_toffoli - lifted)
-                budget = preprocessing_bound(w)
-                if spent > budget:
-                    raise InternalError(
-                        f"internal error: width-{w} preprocessing spent {spent} Toffolis "
-                        f"besides its lifts, over its budget of {budget}"
-                    )
-            mark = len(engine.gates)
-            _run_general(
-                engine,
-                _make_selector(engine, NORMAL, pairs // 2, cfg),
-                _make_selector(engine, INVERTED, pairs, cfg),
-            )
-            red_gates = len(engine.gates) - mark
-        stage_seq = engine.sequence()
-        stage = StageStats(
-            width=w,
-            mix_gates=mix_gates,
-            pre_gates=pre_gates,
-            red_gates=red_gates,
-            toffoli=toffoli_count(stage_seq),
-            bound=bounds(w).per_reduction_total,
-            region_lifts=engine.region_lifts,
-            mix_depth=mix_depth,
-            mix_fixups=mix_fix,
-            lift_toffoli=engine.lift_toffoli,
-        )
-        # Region lifts and mix repair gates (each fully controlled) are the
-        # logged deviations from the analysis behind the budget.
-        spent = stage.toffoli - stage.lift_toffoli - mix_fix * toffoli_equivalents(w - 1)
-        if spent > stage.bound:
-            raise InternalError(
-                f"internal error: the width-{w} stage spent {spent} Toffolis besides "
-                f"its lifts and mix repairs, over its budget of {stage.bound}"
-            )
-        stages.append(stage)
-        out.extend(stage_seq)
+    for _ in range(n0, 2, -1):
+        stages.append(_stage(engine, cfg))
+        out.extend(engine.sequence())
         engine.strip()
 
     if engine.n == 2:

@@ -112,6 +112,34 @@ def balanced_entries(width: int, seed: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def half_interrupting_entries(width: int, seed: int) -> tuple[int, ...]:
+    """Row placement with exactly half the pairs interrupting.
+
+    Each of the first half of the pairs is normal or inverted at random.
+    Of the rest, the interrupting ones, the first half sit at two even
+    columns and the others at two odd columns, over shuffled even/odd
+    column pools.  Width must be at least 3.
+    """
+    size = 1 << width
+    pairs = size // 2
+    rng = random.Random(f"{seed}:half:{width}")
+    evens = list(range(0, size, 2))
+    odds = list(range(1, size, 2))
+    rng.shuffle(evens)
+    rng.shuffle(odds)
+    entries = [0] * size
+    for j in range(pairs):
+        if j < pairs // 2:  # normal, or inverted with the pools swapped
+            first, second = (evens, odds) if rng.random() < 0.5 else (odds, evens)
+        elif j < 3 * pairs // 4:
+            first = second = evens
+        else:
+            first = second = odds
+        entries[first.pop()] = 2 * j
+        entries[second.pop()] = 2 * j + 1
+    return tuple(entries)
+
+
 def independent_parity(entries) -> str:
     """Sign of a permutation by cycle decomposition (no package code)."""
     seen = [False] * len(entries)

@@ -7,9 +7,7 @@ to confirm the tool chain end to end.
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -437,20 +435,6 @@ class TestBench:
         assert names == ["a.perm", "b.perm", "xor.tt"]
         assert "broken.perm" in outerr.err
 
-    def test_parallel_jobs(self, tmp_path, capsys):
-        self._fill(tmp_path)
-        rc = main(["bench", str(tmp_path), "--jobs", "2"])
-        assert rc == 0
-        names = [l.split("\t")[0] for l in capsys.readouterr().out.splitlines()[1:]]
-        assert names == ["a.perm", "b.perm", "xor.tt"]
-
-    def test_parallel_jobs_take_a_depth(self, tmp_path, capsys):
-        # The config travels to the workers by pickle, read-only depths too.
-        self._fill(tmp_path)
-        assert main(["bench", str(tmp_path), "--jobs", "2", "--depth", "0"]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert [l.split("\t")[0] for l in rows] == ["a.perm", "b.perm", "xor.tt"]
-
     def test_empty_directory(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", str(tmp_path)])
@@ -462,14 +446,6 @@ class TestBench:
             main(["bench", str(tmp_path / "absent")])
         assert exc.value.code == 2
         capsys.readouterr()
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
-        self._fill(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", str(tmp_path), "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
 
     def test_rows_are_priced_with_the_cost_table(self, tmp_path, capsys):
         perm = sample(4, seed=2)
@@ -502,39 +478,6 @@ class TestBench:
             main(["bench", str(tmp_path), "--tail-exhaustive", "-1"])
         assert exc.value.code == 2
         assert "exhaustive_tail must be non-negative" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "jobs, cores, workers",
-        [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None), (64, 1, None), (64, None, None)],
-    )
-    def test_pool_is_clamped_to_files_and_cores(
-        self, tmp_path, capsys, monkeypatch, jobs, cores, workers
-    ):
-        # A stand-in pool that records its size and runs jobs in-process.
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        self._fill(tmp_path)  # three files
-        assert main(["bench", str(tmp_path), "--jobs", str(jobs)]) == 0
-        assert started == ([] if workers is None else [workers])
-        names = [l.split("\t")[0] for l in capsys.readouterr().out.splitlines()[1:]]
-        assert names == ["a.perm", "b.perm", "xor.tt"]
 
     def test_each_file_is_verified_once(self, tmp_path, capsys, monkeypatch):
         # synthesize verifies its circuit before returning; bench must not

@@ -13,6 +13,11 @@ branch and bound), and width-9 and width-11 maps at depth 0 with no tail
 (the plain scan and its fallbacks only; the width-11 one is where folding
 X and CX gates into the column frame of ``_Engine.emit``, and walking the
 MCTs through it, carry most of the time).
+
+``STAGE_LEDGER`` pins, for the same cases, the SHA-256 of
+``repr(report.stages)``: the per-stage gate split, Toffoli count, lifts and
+mix statistics.  A change that keeps the circuits but slips the ledger
+fails there.
 """
 
 from __future__ import annotations
@@ -77,3 +82,35 @@ def test_golden_circuit(name):
     seq, report = synthesize(perm, cfg)
     assert report.toffoli_total == toffoli
     assert hashlib.sha256(format_real(seq).encode()).hexdigest() == digest
+
+
+# name -> sha256 of repr(report.stages), for the cases of GOLDEN
+STAGE_LEDGER = {
+    "khazad":
+        "2632c0503b782ed0a9a59278f6016c0ab7901af7b09fdea4b62c7c8a21f17ce2",
+    "sample-10-1":
+        "fb6394d9cd1c8edabfe9d14a721f25297f41379118c7ae25c951d2b827737916",
+    "sample-11-1-depth-0-no-tail":
+        "1ce2341a88489001315bbb1d562a8c76aebe9a33ef4f7fc42c58fe028f8a3cf3",
+    "sample-6-1-depth-2":
+        "f4c8c24bb593367559757cd455e6513c7e7bc420ee7a07d67e297442065626f6",
+    "sample-8-1":
+        "5cd117ad011cb276cc7733bc21a0f823d5d43d7c95b3ce0f90a2c1962300d317",
+    "sample-8-2":
+        "f2922ace010aadbf465f91de0f4ce8e3c3569f863fa1b6afecf0ca65eba8cdea",
+    "sample-9-1-depth-0-no-tail":
+        "a2fb44015a842e60ec2a0457daef1bc0f267234a35335dcae2d8747c99c858c3",
+    "skipjack":
+        "ff7db54bfcf56d8fe3a2500b4b29f730c9d5ba3cdd8045c57439414a2cae767e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stage_ledger(name):
+    source, cfg, _, _ = GOLDEN[name]
+    if isinstance(source, str):
+        perm = parse_permutation((BENCH / f"{source}.perm").read_text())
+    else:
+        perm = sample(*source)
+    _, report = synthesize(perm, cfg)
+    assert hashlib.sha256(repr(report.stages).encode()).hexdigest() == STAGE_LEDGER[name]

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
@@ -38,6 +38,7 @@ from blocksynth.reduction import (
     _alloc_masks,
     _cons_masks,
     _Engine,
+    _pair_split,
     _pick_rows,
     _region_mask,
     _track,
@@ -51,14 +52,17 @@ from blocksynth.synthesis import (
     _pair_gates,
     _price_leaves,
     _Root,
+    _stage,
     _suffix,
 )
 
 from helpers import (
     as_plain,
+    balanced_entries,
     circuit_table,
     findm,
     flat_spectrum,
+    half_interrupting_entries,
     independent_parity,
     positions,
     sim_circuit,
@@ -553,6 +557,64 @@ class TestStateTable:
 
 # ---------------------------------------------------------------------------
 # Full pipeline
+
+
+def _swapped_pairs(entries) -> tuple[int, ...]:
+    """Each column pair's entries exchanged: every row changes column parity."""
+    out = list(entries)
+    out[::2], out[1::2] = entries[1::2], entries[::2]
+    return tuple(out)
+
+
+# path -> (entries at (width, seed), the phase calls the stage makes)
+STAGE_PATHS = {
+    "all-normal": (
+        lambda w, s: sample(w, s, "parity_aligned").entries, ["_run_normal"],
+    ),
+    "all-inverted": (
+        lambda w, s: _swapped_pairs(sample(w, s, "parity_aligned").entries), ["_run_normal"],
+    ),
+    "balanced": (balanced_entries, ["_run_general"]),
+    "half-interrupting": (half_interrupting_entries, ["_run_preprocess", "_run_general"]),
+    "mixed": (
+        lambda w, s: sample(w, s).entries, ["_mix_engine", "_run_preprocess", "_run_general"],
+    ),
+}
+
+
+class TestStage:
+    """``_stage`` on each dispatch path of the census: the expected phases
+    run, the gate ledger adds up, and the state it leaves strips."""
+
+    @pytest.mark.parametrize("path", sorted(STAGE_PATHS))
+    @given(st.integers(3, 8), st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_dispatch_and_ledger(self, path, width, seed):
+        build, phases = STAGE_PATHS[path]
+        engine = _Engine(Permutation(width, build(width, seed)))
+        pairs = engine.size // 2
+        normal, inverted = _pair_split(engine.pos)
+        if path == "mixed":  # a uniform map lands on another path now and then
+            assume(pairs not in (normal, inverted) and normal + inverted != pairs // 2)
+            assume((normal, inverted) != (pairs // 2, pairs // 2))  # not balanced
+        called = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_mix_engine", "_run_preprocess", "_run_normal", "_run_general"):
+                def spy(*args, _name=name, _real=getattr(synthesis, name)):
+                    called.append(_name)
+                    return _real(*args)
+                mp.setattr(synthesis, name, spy)
+            stage = _stage(engine, SynthesisConfig())
+        assert called == phases
+        assert stage.width == width
+        if path == "all-inverted":
+            assert engine.gates[:stage.mix_gates] == [(0, 0, 1)]  # X on the last line
+        assert (stage.mix_gates > 0) == (path in ("all-inverted", "mixed"))
+        assert (stage.pre_gates > 0) == (path in ("half-interrupting", "mixed"))
+        assert stage.mix_gates + stage.pre_gates + stage.red_gates == len(engine.gates)
+        assert stage.toffoli == toffoli_count(engine.sequence())
+        engine.strip()
+        assert engine.n == width - 1
 
 
 class TestSynthesizeEndToEnd:
