@@ -25,28 +25,33 @@ candidate pairs are scored by the exact Toffoli-equivalents of their
 construction and slide gates plus the best reachable score over the next
 positions.  Lookahead searches a per-scale depth ahead; near the end of a
 stage (``exhaustive_tail``) the depth runs to the end of the phase, so the
-same search solves the tail exactly.  The selections of one phase that
-search to its end share a table of the states met below their roots: a
-state is the position, the depth left and the unallocated pairs' column
-pairs, and pick orders and successive selections often reach the same one.
-An entry holds the state's exact cost, or a budget it could not beat; a
-child is looked up before it is searched.  The scorer works on plain data:
-one (row, column, partner column) triple per unallocated pair.  A node
-whose children are searched builds each candidate's conjoin and slide in
-closed form (``_pair_gates``): at most four (ones, zeros, target) column
-masks, each CX run one triple that targets all its lines, priced by the
-conjoining and sliding MCTs alone.  A node whose children are leaves (every
-depth-1 selection, and the last position of a tail search) needs only
-prices, and at one position a price takes two values: the slide's, the same
-for every candidate, plus the conjoin's unless the pair is a block.  So
-``_price_leaves`` prices the candidates in the pass that filters them, with
-no masks and no sort.  The scorer never copies the engine or builds a
-``Gate``; the engine emits the chosen pair gate by gate, from
-``reduction``'s gate builders.  The search's root collects every candidate
-that reaches the best total, and the census of its state: the phase's
-blocks and a histogram of the candidates by slot gap.  Ties go to the pair
-that leaves the most free blocks, a count read off that census without
-running any candidate's masks (``_count_free``).
+same search solves the tail exactly.  Rows stay at the search's root
+(``_lookahead_choose``), which reads the engine's (row, column, partner
+column) triples; below it a pair is its two columns alone.  The selections
+of one phase that search to its end share a table of the states met below
+their roots: a state is the position, the depth left and the unallocated
+pairs' column pairs, and pick orders and successive selections often reach
+the same one.  An entry holds the state's exact cost, or a budget it could
+not beat; a child is looked up before it is searched.  A node whose
+children are searched builds each candidate's conjoin and slide in closed
+form (``_pair_gates``): at most four (ones, zeros, target) column masks,
+each CX run one triple that targets all its lines, priced by the conjoining
+and sliding MCTs alone.  Every selection of a phase shares one memo of
+those, keyed by position and columns.  A node whose children are leaves
+(every depth-1 selection, and the last position of a tail search) needs
+only prices, and at one position a price takes two values: the slide's,
+the same for every candidate, plus the conjoin's unless the pair is a
+block.  So such a node is priced in the pass that filters its pairs, with
+no masks and no sort (``_price_leaves``, or the root's own pass).  A search
+to the end of a phase that ends at 2^(n-1) is also bounded: every position
+left pays its slide, and a conjoin is due unless every pair left is a
+block (``_floor``).  That bound holds only if no node runs dry, which
+``_fills_phase`` checks of the root's state.  The scorer never copies the
+engine or builds a ``Gate``; the engine emits the chosen pair gate by gate,
+from ``reduction``'s gate builders.  Ties go to the pair that leaves the
+most free blocks, a rank read off the root's histogram of the candidates
+by slot gap without running any candidate's masks (``_count_free``), then
+to the lowest rows.
 
 ``_stage`` also keeps the stage's gate ledger (``StageStats``) and checks
 its Toffoli count, less what its region lifts and mix repair gates cost,
@@ -178,17 +183,25 @@ class SynthesisReport:
 # Lookahead pair selection.
 
 
-# ``_pair_gates`` builds one candidate's masks and price; it runs once per
-# candidate of a node whose children are searched.  ``_suffix`` runs once
-# per search node, and prices a node whose children are leaves in its
-# filtering pass (``_price_leaves``).  ``_count_free`` runs once per tied
-# candidate and reads no masks.  So a profile or trace of these module
-# attributes counts the search.
+# ``_pair_gates`` builds one candidate's masks and price; a selector's memo
+# calls it once per distinct (position, columns) that a node whose children
+# are searched meets.  ``_suffix`` runs once per search node but a root
+# whose children are leaves, which ``_lookahead_choose`` prices itself; it
+# prices a node whose children are leaves in its filtering pass
+# (``_price_leaves``).  ``_count_free`` runs once per tied candidate and
+# reads no masks.  So a profile or trace of these module attributes counts
+# the search.
 
 # (even row r, column of r, column of r + 1), one per unallocated pair.
 Pairs = list[tuple[int, int, int]]
+# (column of the even row, column of the odd row): a pair below the root,
+# where rows never matter.
+Cols = list[tuple[int, int]]
 # (smaller-column row, partner, smaller column, larger column).
 Cand = tuple[int, int, int, int]
+# For each position j from a search's root on: the slides of positions j
+# up to the phase end together, and j's conjoin (``_floor``).
+Floor = dict[int, tuple[int, int]]
 
 
 def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
@@ -227,72 +240,82 @@ def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
     return masks, cost
 
 
-def _admissible_from(n: int, pairs: Pairs, i: int, kind: int) -> list[Cand]:
-    """In-region pairs of the phase kind as (smaller-column row, partner,
-    their columns), by row."""
-    mask = _region_mask(n, i)
+def _advance(cols: Cols, skip: tuple[int, int], masks: list[Masks]) -> Cols:
+    """The pairs other than ``skip``, moved by ``masks``."""
     out = []
-    for r, ca, cb in pairs:
-        if (ca & mask) != mask or (cb & mask) != mask:
+    for pair in cols:
+        if pair == skip:
             continue
-        if ca & 1 != kind or cb & 1 == kind:
-            continue
-        out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
-    return out
-
-
-def _advance(pairs: Pairs, skip: int, masks: list[Masks]) -> Pairs:
-    """The pairs other than row ``skip``'s, moved by ``masks``."""
-    out = []
-    for r, c, p in pairs:
-        if r == skip:
-            continue
+        c, p = pair
         for ones, zeros, tmask in masks:
             if c & ones == ones and not c & zeros:
                 c ^= tmask
             if p & ones == ones and not p & zeros:
                 p ^= tmask
-        out.append((r, c, p))
+        out.append((c, p))
     return out
 
 
-def _blocks(pairs: Pairs, kind: int) -> int:
-    """Blocks of the phase kind among ``pairs``."""
-    return sum(1 for _, c, p in pairs if c ^ p == 1 and c & 1 == kind)
+def _count_free(gaps: Counter[int], gap: int) -> int:
+    """The tie-break rank of the in-region pair whose slots differ by
+    ``gap``: the blocks of the phase kind it leaves once conjoined and
+    slid, less a constant of the node.
 
-
-def _count_free(blocks: int, gaps: Counter[int], gap: int) -> int:
-    """Blocks of the phase kind left once the in-region pair whose slots
-    differ by ``gap`` is conjoined and slid, besides that pair itself.
-
-    ``blocks`` counts the phase's blocks now, ``gaps`` the admissible pairs
-    by slot gap (``gaps[0]`` are the blocks inside the region).  The only
-    gate touching line n is the conjoining MCT, which flips the candidate's
-    top differing line on the region's odd columns.  The gates before it
-    change every pair's column difference by one invertible linear map, and
-    never a region line.  So each block outside the region stays one, each
-    block inside it breaks, and each admissible pair with the candidate's
-    difference becomes one.
+    ``gaps`` counts the admissible pairs by slot gap (``gaps[0]`` are the
+    blocks inside the region).  The only gate touching line n is the
+    conjoining MCT, which flips the candidate's top differing line on the
+    region's odd columns.  The gates before it change every pair's column
+    difference by one invertible linear map, and never a region line.  So
+    each block outside the region stays one, each block inside it breaks,
+    and each admissible pair with the candidate's difference becomes one.
+    Of B blocks of the phase kind, B - gaps[0] + gaps[gap] - 1 are left
+    besides the pair itself, and only gaps[gap] depends on the candidate.
     """
-    return blocks - gaps[0] + gaps[gap] - 1
+    return gaps[gap]
 
 
-class _Root:
-    """What a search's root hands ``_lookahead_choose``: the candidates
-    whose total equals the best, and the tie-break census of the root's
-    state (``_count_free``'s ``blocks`` and ``gaps``)."""
+def _fills_phase(n: int, pairs: Pairs, i: int, kind: int) -> bool:
+    """The pairs hold exactly the columns 2i..2^n-1, and every one is of
+    the phase kind: one even and one odd column, the even row's of parity
+    ``kind``.  Then no node of a search from position i runs dry.
 
-    __slots__ = ("tied", "blocks", "gaps")
+    Position i's region holds 2^k of the 2^n - 2i columns left, where
+    2^n - 2i < 2^(k+1).  So the columns outside it are fewer than the pairs
+    left, and some pair lies wholly inside it: an admissible pair.  No gate
+    a candidate emits targets line n, so every pair keeps its kind; and the
+    gates keep the columns below 2i among themselves, so a child's pairs
+    hold exactly the columns from 2i + 2 on.
+    """
+    lo = 2 * i
+    return len(pairs) == (1 << (n - 1)) - i and all(
+        (c ^ p) & 1 and c & 1 == kind and c >= lo and p >= lo for _, c, p in pairs
+    )
 
-    def __init__(self) -> None:
-        self.tied: list[Cand] = []
-        self.blocks = 0
-        self.gaps: Counter[int] = Counter()
+
+def _slide(n: int, i: int) -> int:
+    """What the slide to position i costs every in-region candidate (see
+    ``_price_leaves``)."""
+    return toffoli_equivalents((i & ~(_region_mask(n, i) >> 1)).bit_count())
 
 
-def _price_leaves(
-    n: int, pairs: Pairs, i: int, kind: int, budget: float, root: Optional[_Root]
-) -> Optional[int]:
+def _floor(n: int, start: int, end: int) -> Floor:
+    """For each position j in ``start``..``end - 1``: the slides of
+    positions j..end-1 together, and j's conjoin.
+
+    At one position every in-region candidate pays the same slide (see
+    ``_price_leaves``).  The conjoin's controls are the region's lines plus
+    line n, and the region mask only grows with the position, so a conjoin
+    never gets cheaper later in a phase.
+    """
+    out = {}
+    slides = 0
+    for j in range(end - 1, start - 1, -1):
+        slides += _slide(n, j)
+        out[j] = (slides, toffoli_equivalents(_region_mask(n, j).bit_count() + 1))
+    return out
+
+
+def _price_leaves(n: int, cols: Cols, i: int, kind: int, budget: float) -> Optional[int]:
     """``_suffix`` at a node whose children are leaves: the cheapest
     candidate's price, found in the pass that filters the pairs.
 
@@ -305,107 +328,111 @@ def _price_leaves(
     starts with m-2 ones then a 0, or is the region's first column.  In the
     first case every slot first differs from i on that 0, so the controls
     are i's bits past the prefix.  In the second, i holds no 1 past the
-    prefix, and no slide costs anything.  At a root the pass also collects
-    the tied candidates and the tie-break census.
+    prefix, and no slide costs anything.  So the pass stops at the first
+    in-region block.
     """
     region = _region_mask(n, i)
-    conjoin = toffoli_equivalents(region.bit_count() + 1)
-    best = math.inf
-    tied: list[Cand] = []
-    gaps = []
-    blocks = 0
-    for r, c, p in pairs:
-        if c & p & region != region:
-            if c ^ p == 1 and c & 1 == kind:
-                blocks += 1
-            continue
-        gamma = c ^ p
-        if c & 1 != kind or not gamma & 1:
-            continue  # of the other kind, or interrupting
-        cost = conjoin
-        if gamma == 1:
-            blocks += 1
-            cost = 0
-        gaps.append(gamma >> 1)
-        if cost <= best:
-            cand = (r, r + 1, c, p) if c < p else (r + 1, r, p, c)
-            if cost < best:
-                best, tied = cost, [cand]
-            else:
-                tied.append(cand)
-    if root is not None:
-        root.blocks, root.gaps = blocks, Counter(gaps)
-    if not gaps:
+    block = None  # stays None while no pair is admissible
+    for c, p in cols:
+        if c & p & region == region and c & 1 == kind and (c ^ p) & 1:
+            block = c ^ p == 1
+            if block:
+                break
+    if block is None:
         return 0
-    best += toffoli_equivalents((i & ~(region >> 1)).bit_count())  # the slide
-    if best >= budget:
-        return None
-    if root is not None:
-        root.tied = tied
-    return best
+    best = _slide(n, i)
+    if not block:
+        best += toffoli_equivalents(region.bit_count() + 1)  # the conjoin
+    return None if best >= budget else best
 
 
 def _suffix(
     n: int,
-    pairs: Pairs,
+    cols: Cols,
     i: int,
     depth_left: int,
     phase_end: int,
     kind: int,
     budget: float,
     seen: Optional[dict],
-    root: Optional[_Root] = None,
+    gates: dict,
+    floor: Optional[Floor] = None,
+    tied: Optional[Cols] = None,
 ) -> Optional[int]:
     """Cheapest total over the next ``depth_left`` positions, or None if the
     incoming budget cannot be beaten.  Runs dry (cost 0) where no admissible
-    pair exists — the plain fallback path is not modelled.
+    pair exists — the plain fallback path is not modelled.  ``gates`` holds
+    ``_pair_gates``' answers by (position, columns).
 
-    At the root, ``root.tied`` collects every candidate whose total equals
-    the best: the budget keeps one unit of slack there, so each candidate
-    that can reach the best is costed exactly, whatever the visiting order.
-    ``root`` also gets the root state's tie-break census.
+    At a root whose children are searched, ``tied`` collects every pair
+    whose total equals the best: the budget keeps one unit of slack there,
+    so each candidate that can reach the best is costed exactly, whatever
+    the visiting order.
 
     Below the root the answer depends only on the state, so ``seen``, when
     given, keeps one entry per child state searched: (True, its exact
     minimum) or (False, a budget it could not beat).  A child is looked up
     before it is searched, and searched again only when its entry cannot
     decide the new budget.
+
+    ``floor`` (``_floor`` of the phase) is given only to a search that runs
+    to the end of a phase ending at 2^(n-1), from a state that passes
+    ``_fills_phase``.  There every child's positions all get a pair: it
+    pays their slides, and unless every pair it holds is a block, a
+    conjoin no cheaper than its first position's, since only a conjoin
+    makes a block (each CX run keeps column difference 1, and the slide's
+    controls lie strictly between line n and its target).  Every child
+    holds a pair that is not a block, whichever candidate it took, when
+    some pair besides the candidates is not one, or when the candidates
+    differ in their column difference: a conjoin turns exactly the
+    candidates with its difference into blocks and breaks those already in
+    the region (see ``_count_free``).  A child whose bound reaches its
+    budget would fail it, so it is not searched.
     """
     if depth_left == 0 or i >= phase_end:
         return 0
     if depth_left == 1 or i + 1 >= phase_end:
-        return _price_leaves(n, pairs, i, kind, budget, root)
-    cands = _admissible_from(n, pairs, i, kind)
-    tied = None
-    if root is not None:
-        root.blocks = _blocks(pairs, kind)
-        root.gaps = Counter((ca ^ cb) >> 1 for _, _, ca, cb in cands)
-        tied = root.tied
-    if not cands:
-        return 0
+        return _price_leaves(n, cols, i, kind, budget)
+    region = _region_mask(n, i)
     scored = []
-    for cand in cands:
-        masks, c0 = _pair_gates(n, i, cand[2], cand[3])
-        scored.append((c0, cand, masks))
+    gammas = set()
+    loose = False  # some pair besides the candidates is not a block
+    for pair in cols:
+        c, p = pair
+        gamma = c ^ p
+        if c & p & region != region or c & 1 != kind or not gamma & 1:
+            loose = loose or gamma != 1
+            continue
+        gammas.add(gamma)
+        key = (i, c, p)
+        priced = gates.get(key)
+        if priced is None:
+            priced = gates[key] = _pair_gates(n, i, c, p)
+        scored.append((priced[1], pair, priced[0]))
+    if not scored:
+        return 0
     scored.sort(key=lambda t: t[0])
+    bound = 0
+    if floor is not None:
+        slides, conjoin = floor[i + 1]
+        bound = slides + conjoin if loose or len(gammas) > 1 else slides
     slack = 0 if tied is None else 1
     best: Optional[int] = None
-    for c0, cand, masks in scored:
-        if c0 >= budget:
-            break
-        nxt = _advance(pairs, cand[0] & ~1, masks)
+    for c0, pair, masks in scored:
         left = budget - c0
+        if left <= bound:
+            break  # and so would every dearer candidate
+        nxt = _advance(cols, pair, masks)
         key = known = None
         if seen is not None:
-            # Rows never matter; the even row's column keeps the pair kind.
-            key = (i + 1, depth_left - 1, frozenset((c, p) for _, c, p in nxt))
+            key = (i + 1, depth_left - 1, frozenset(nxt))
             known = seen.get(key)
         if known is not None and (known[0] or known[1] >= left):
             # An exact cost answers any budget; a bound, any at or below it.
             exact, v = known
             sub = v if exact and v < left else None
         else:
-            sub = _suffix(n, nxt, i + 1, depth_left - 1, phase_end, kind, left, seen)
+            sub = _suffix(n, nxt, i + 1, depth_left - 1, phase_end, kind, left, seen, gates, floor)
             if key is not None:
                 seen[key] = (False, left) if sub is None else (True, sub)
         if sub is None:
@@ -416,7 +443,7 @@ def _suffix(
             if tied is not None:
                 tied.clear()
         if tied is not None:
-            tied.append(cand)
+            tied.append(pair)
     return best
 
 
@@ -428,19 +455,41 @@ def _lookahead_choose(
     phase_end: int,
     d: int,
     seen: Optional[dict],
+    gates: dict,
+    floor: Optional[Floor],
 ) -> Optional[tuple[int, int]]:
     """The pair that ``_suffix`` finds cheapest over the next ``d``
     positions; ties go to the pair leaving the most free blocks, then to
-    the lowest rows.  ``seen`` is ``_suffix``'s state table, or None; a
-    table stays valid while ``n``, ``kind`` and ``phase_end`` do."""
-    root = _Root()
-    _suffix(n, pairs, i, d, phase_end, kind, math.inf, seen, root)
-    tied = root.tied
+    the lowest rows.  ``seen``, ``gates`` and ``floor`` are ``_suffix``'s;
+    the first two stay valid while ``n``, ``kind`` and ``phase_end`` do.
+
+    Rows stay at the root.  Its pass filters the engine's triples into
+    candidates and their slot-gap census (``_count_free``'s ``gaps``).
+    Where its children are leaves it prices them too: the slide costs every
+    candidate the same, so the cheapest are the blocks, if any, unless the
+    conjoin is free as well, a CX at position 0 (see ``_price_leaves``).
+    Otherwise ``_suffix`` searches on the pairs' columns alone, and the
+    tied column pairs map back to their candidates.
+    """
+    region = _region_mask(n, i)
+    cands: list[Cand] = [
+        (r, r + 1, c, p) if c < p else (r + 1, r, p, c)
+        for r, c, p in pairs
+        if c & p & region == region and c & 1 == kind and (c ^ p) & 1
+    ]
+    if d == 1 or i + 1 >= phase_end:
+        blocks = [t for t in cands if t[2] ^ t[3] == 1]
+        tied = blocks if blocks and toffoli_equivalents(region.bit_count() + 1) else cands
+    else:
+        found: Cols = []
+        cols = [(c, p) for _, c, p in pairs]
+        _suffix(n, cols, i, d, phase_end, kind, math.inf, seen, gates, floor, found)
+        ordered = {(c, p) if c < p else (p, c) for c, p in found}
+        tied = [t for t in cands if t[2:] in ordered]
     if len(tied) > 1:
+        gaps = Counter((t[2] ^ t[3]) >> 1 for t in cands)
         # ``max`` keeps the first of equals, and the sort puts rows in order.
-        return max(
-            sorted(tied), key=lambda t: _count_free(root.blocks, root.gaps, (t[2] ^ t[3]) >> 1)
-        )[:2]
+        return max(sorted(tied), key=lambda t: _count_free(gaps, (t[2] ^ t[3]) >> 1))[:2]
     return tied[0][:2] if tied else None
 
 
@@ -454,23 +503,37 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
     admissible pair; the reduction then takes its plain scan.
 
     The selections whose search runs to ``phase_end`` share one ``_suffix``
-    state table, dropped with the selector: each such selection's states
-    were mostly met by the one before it.  A search of fixed depth meets
-    its states at other depths next time, and the few orders that reach
-    one state within a search do not repay the keys, so it keeps none.
+    state table: each such selection's states were mostly met by the one
+    before it.  A search of fixed depth meets its states at other depths
+    next time, and the few orders that reach one state within a search do
+    not repay the keys, so it keeps none.  Every selection shares one memo
+    of ``_pair_gates``.  Both are dropped with the selector.  A search to
+    the end of a phase ending at 2^(n-1) is bounded by ``_floor``, if its
+    state passes ``_fills_phase``; a reduction's state there always does.
     """
     n = engine.n
     tail_at = (1 << (n - 1)) - cfg.exhaustive_tail
     seen: dict = {}
+    gates: dict = {}
+    floor: Floor = {}
+
     def select(i: int) -> Optional[tuple[int, int]]:
+        nonlocal floor
         if i >= tail_at:
             d = phase_end - i
         else:
             d = cfg.depth_for(2 * (phase_end - i))
         if d <= 0:
             return None
-        table = seen if d >= phase_end - i else None
-        return _lookahead_choose(n, engine.pairs_from(i), i, kind, phase_end, d, table)
+        pairs = engine.pairs_from(i)
+        if d < phase_end - i:
+            return _lookahead_choose(n, pairs, i, kind, phase_end, d, None, gates, None)
+        bound = None
+        if phase_end == 1 << (n - 1) and _fills_phase(n, pairs, i, kind):
+            if i not in floor:
+                floor = _floor(n, i, phase_end)
+            bound = floor
+        return _lookahead_choose(n, pairs, i, kind, phase_end, d, seen, gates, bound)
     return select
 
 

@@ -1,6 +1,7 @@
 """Pair classification, region geometry, pair selection, conjoin/slide gate
 construction, and whole reductions."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -36,7 +37,7 @@ from blocksynth.reduction import (
     _run_general,
     _run_normal,
 )
-from blocksynth.synthesis import _admissible_from, _blocks, _count_free
+from blocksynth.synthesis import _count_free, _price_leaves, _slide
 from helpers import (
     apply_sequence,
     balanced_entries,
@@ -220,16 +221,25 @@ class TestConservation:
         assert _pair_split(positions(moved)) == _pair_split(positions(p))
 
 
-def _pairs_from(engine, i):
-    """The scorer's (even row, column, partner column) triples for the
-    pairs whose even row sits at or past column 2i."""
+def _cols_from(engine, i):
+    """The scorer's (column, partner column) pairs, even row's column first,
+    for the pairs whose even row sits at or past column 2i."""
     pos = engine.pos
-    return [(r, pos[r], pos[r + 1]) for r in engine.entries[2 * i :] if not r & 1]
+    return [(pos[r], pos[r + 1]) for r in engine.entries[2 * i :] if not r & 1]
+
+
+def _free_after(p, i, kind, pair):
+    """Blocks of ``kind`` the engine leaves besides ``pair`` once it has
+    allocated ``pair`` to position i."""
+    engine = _Engine(p)
+    engine.allocate(i, *pair)
+    return sum(_holds_block(engine, q, kind) for q in range(p.size // 2) if q != i)
 
 
 class TestBlockTests:
-    """``_holds_block`` reads the entries array, the scorer's ``_blocks``
-    reads pair triples; both must find the same blocks."""
+    """``_holds_block`` reads the entries array, the scorer reads column
+    pairs; both must find the same blocks, and the tie-break must rank
+    candidates as the blocks the engine leaves them."""
 
     def test_holds_block_even(self):
         engine = _Engine(Permutation(3, (0, 1, 6, 3, 2, 5, 4, 7)))
@@ -242,33 +252,53 @@ class TestBlockTests:
         assert not any(_holds_block(engine, i, NORMAL) for i in range(2))
 
     def test_count_free_identity(self):
-        engine = _Engine(Permutation(3, tuple(range(8))))
-        pairs = _pairs_from(engine, 0)
-        assert _blocks(pairs, NORMAL) == 4
-        assert _blocks(_pairs_from(engine, 2), NORMAL) == 2
-        assert _blocks(pairs, INVERTED) == 0
         # Position 0's region is every column, so all four blocks are
-        # candidates at gap 0; taking row 0's pair leaves the other three.
-        gaps = Counter((ca ^ cb) >> 1 for *_, ca, cb in _admissible_from(3, pairs, 0, NORMAL))
+        # candidates at gap 0; they rank alike, and taking any one leaves
+        # the other three.
+        cols = _cols_from(_Engine(ID3), 0)
+        gaps = Counter((c ^ p) >> 1 for c, p in cols)
         assert gaps == {0: 4}
-        assert _count_free(4, gaps, 0) == 3
+        assert {_count_free(gaps, 0)} == {4}
+        assert {_free_after(ID3, 0, NORMAL, (r, r + 1)) for r in (0, 2, 4, 6)} == {3}
 
     def test_count_free_one_block(self):
-        # Rows 0, 1 sit at columns 2, 3: one even block, at position 1.
-        engine = _Engine(Permutation(3, (7, 2, 0, 1, 5, 3, 6, 4)))
-        assert _blocks(_pairs_from(engine, 0), NORMAL) == 1
-        assert _blocks(_pairs_from(engine, 0), INVERTED) == 0
-        assert _blocks(_pairs_from(engine, 2), NORMAL) == 0
+        # Rows 2, 3 sit at columns 2, 3: one even block, at position 1.  At
+        # position 0 it ranks below the two normal pairs at gap 1: taking
+        # either of those makes the other a block, taking the block leaves
+        # none.
+        p = Permutation(3, (7, 6, 2, 3, 4, 1, 0, 5))
+        engine = _Engine(p)
+        assert [_holds_block(engine, i, NORMAL) for i in range(4)] == [False, True, False, False]
+        cols = [(c, q) for c, q in _cols_from(engine, 0) if (c ^ q) & 1 and not c & 1]
+        assert sorted(cols) == [(2, 3), (4, 7), (6, 5)]
+        gaps = Counter((c ^ q) >> 1 for c, q in cols)
+        assert [_count_free(gaps, g) for g in (0, 1, 1)] == [1, 2, 2]
+        assert [_free_after(p, 0, NORMAL, rows) for rows in ((2, 3), (4, 5), (0, 1))] == [0, 1, 1]
 
     @given(permutations(), st.data())
     @settings(max_examples=120)
     def test_block_tests_agree(self, p, data):
+        # The leaf pass prices a position at the slide alone exactly when
+        # an in-region block of the kind sits there; past position 0 every
+        # other pair pays a conjoin.
         engine = _Engine(p)
-        i = data.draw(st.integers(0, p.size // 2 - 1))
-        pairs = _pairs_from(engine, i)
+        n = p.width
+        i = data.draw(st.integers(1, p.size // 2 - 1))
+        region = _region_mask(n, i)
+        cols = _cols_from(engine, i)
         for kind in (NORMAL, INVERTED):
-            held = sum(_holds_block(engine, q, kind) for q in range(i, p.size // 2))
-            assert _blocks(pairs, kind) == held
+            held = any(
+                _holds_block(engine, q, kind)
+                for q in range(i, p.size // 2)
+                if 2 * q & region == region
+            )
+            admissible = [
+                (c, q) for c, q in cols if c & q & region == region and (c ^ q) & 1 and c & 1 == kind
+            ]
+            if not admissible:
+                assert not held
+                continue
+            assert (_price_leaves(n, cols, i, kind, math.inf) == _slide(n, i)) == held
 
 
 class TestPick:

@@ -44,14 +44,14 @@ from blocksynth.reduction import (
     _track,
 )
 from blocksynth.synthesis import (
-    _admissible_from,
     _advance,
-    _blocks,
     _count_free,
+    _fills_phase,
+    _floor,
+    _lookahead_choose,
     _make_selector,
     _pair_gates,
     _price_leaves,
-    _Root,
     _stage,
     _suffix,
 )
@@ -239,6 +239,16 @@ def _destinations(n, gates):
     return positions(perm)
 
 
+def _admissible(n, cols, i, kind):
+    """The in-region (column, partner column) pairs of ``kind``."""
+    top = findm(i, n) - 1  # the region's columns start with top 1-bits
+    inside = {c for c in range(1 << n) if c >> (n - top) == (1 << top) - 1}
+    return [
+        (c, p) for c, p in cols
+        if c in inside and p in inside and c % 2 == kind and p % 2 != kind
+    ]
+
+
 class TestScorerModel:
     """The scorer's mask triples stand in for the gates the engine emits."""
 
@@ -257,6 +267,14 @@ class TestScorerModel:
         assert {_track(ca, masks), _track(cb, masks)} == {2 * i, 2 * i + 1}
         assert cost == toffoli_count(GateSequence(n, tuple(gates)))
 
+    @given(in_region_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_masks_keep_the_allocated_columns(self, case):
+        # ``_fills_phase``'s induction: the columns below 2i stay below it.
+        n, i, ca, cb = case
+        masks, _ = _pair_gates(n, i, ca, cb)
+        assert sorted(_track(c, masks) for c in range(2 * i)) == list(range(2 * i))
+
     @given(
         st.integers(3, 8),
         st.integers(0, 10_000),
@@ -265,33 +283,39 @@ class TestScorerModel:
     )
     @settings(max_examples=150, deadline=None)
     def test_free_block_count_matches_running_every_mask(self, n, seed, kind, data):
+        # ``_count_free`` ranks two candidates apart by as many blocks as
+        # the engine's gates leave apart.
         pos = positions(sample(n, seed))
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
 
         def pairs_and_cands():
-            pairs = [(r, pos[r], pos[r + 1]) for r in range(0, 1 << n, 2)]
-            return pairs, _admissible_from(n, pairs, i, kind)
+            pairs = [(pos[r], pos[r + 1]) for r in range(0, 1 << n, 2)]
+            return pairs, _admissible(n, pairs, i, kind)
 
         pairs, cands = pairs_and_cands()
         if not cands:
             return
-        a, _, ca, cb = data.draw(st.sampled_from(cands))
+        ca, cb = data.draw(st.sampled_from(cands))
         if data.draw(st.booleans()):
             # Conjoin the drawn pair first: it stays a candidate, now at
             # slot gap 0.
             moved = _destinations(n, [Gate.from_masks(n, *m) for m in _cons_masks(n, i, ca, cb)])
             pos = [moved[c] for c in pos]
+            ca, cb = moved[ca], moved[cb]
             pairs, cands = pairs_and_cands()
-            a, _, ca, cb = next(c for c in cands if c[0] >> 1 == a >> 1)
-            assert ca ^ cb == 1
-        dest = _destinations(n, _emitted(n, i, ca, cb))
-        expected = 0
-        for r, c, p in pairs:
-            c, p = dest[c], dest[p]
-            if r != a & ~1 and c ^ p == 1 and c & 1 == kind:
-                expected += 1
-        gaps = Counter((c ^ p) >> 1 for _, _, c, p in cands)
-        assert _count_free(_blocks(pairs, kind), gaps, (ca ^ cb) >> 1) == expected
+            assert ca ^ cb == 1 and (ca, cb) in cands
+
+        def left_free(pair):
+            dest = _destinations(n, _emitted(n, i, min(pair), max(pair)))
+            return sum(
+                1 for c, p in pairs
+                if (c, p) != pair and dest[c] ^ dest[p] == 1 and dest[c] & 1 == kind
+            )
+
+        gaps = Counter((c ^ p) >> 1 for c, p in cands)
+        other = data.draw(st.sampled_from(cands))
+        ranks = [_count_free(gaps, (c ^ p) >> 1) for c, p in ((ca, cb), other)]
+        assert ranks[0] - ranks[1] == left_free((ca, cb)) - left_free(other)
 
 
 @st.composite
@@ -310,10 +334,10 @@ def pair_states(draw, max_width=9):
     return n, i, pairs
 
 
-def _priced_one_by_one(n, pairs, i, kind, budget):
-    """A depth-1 search's value and tied candidates, pricing each
+def _priced_one_by_one(n, cols, i, kind, budget):
+    """A depth-1 search's value and tied column pairs, pricing each
     admissible pair with its masks."""
-    prices = {c: _pair_gates(n, i, c[2], c[3])[1] for c in _admissible_from(n, pairs, i, kind)}
+    prices = {(c, p): _pair_gates(n, i, c, p)[1] for c, p in _admissible(n, cols, i, kind)}
     if not prices:
         return 0, set()
     best = min(prices.values())
@@ -334,32 +358,42 @@ class TestLeafPass:
     def test_leaf_price_is_the_masks_price(self, case, swap):
         n, i, ca, cb = case
         c, p = (cb, ca) if swap else (ca, cb)  # either column on the even row
-        assert _price_leaves(n, [(0, c, p)], i, c & 1, math.inf, None) == _pair_gates(n, i, ca, cb)[1]
+        assert _price_leaves(n, [(c, p)], i, c & 1, math.inf) == _pair_gates(n, i, ca, cb)[1]
 
     @given(pair_states(), st.sampled_from([NORMAL, INVERTED]), st.booleans(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_depth_one_matches_pricing_each_candidate(self, state, kind, last, data):
         n, i, pairs = state
-        best, _ = _priced_one_by_one(n, pairs, i, kind, math.inf)
+        cols = [(c, p) for _, c, p in pairs]
+        best, tied = _priced_one_by_one(n, cols, i, kind, math.inf)
         # Budgets at or below the best must fail the search.
         budget = data.draw(st.one_of(st.just(math.inf), st.integers(0, best + 2)))
         # Depth 1, or the last position of a deeper search.
         depth, phase_end = (3, i + 1) if last else (1, 1 << (n - 1))
-        root = _Root()
-        got = _suffix(n, pairs, i, depth, phase_end, kind, budget, None, root)
-        assert (got, set(root.tied)) == _priced_one_by_one(n, pairs, i, kind, budget)
-        assert len(root.tied) == len(set(root.tied))
-        assert _suffix(n, pairs, i, depth, phase_end, kind, budget, None) == got
+        got = _suffix(n, cols, i, depth, phase_end, kind, budget, None, {})
+        assert got == _priced_one_by_one(n, cols, i, kind, budget)[0]
+        # A root prices in its own pass: it picks one of the cheapest.
+        pick = _lookahead_choose(n, pairs, i, kind, phase_end, depth, None, {}, None)
+        rows = {(c, p): (r, r + 1) if c < p else (r + 1, r) for r, c, p in pairs}
+        assert pick in {rows[t] for t in tied} if tied else pick is None
 
     @given(pair_states(max_width=7), st.sampled_from([NORMAL, INVERTED]), st.integers(1, 2))
     @settings(max_examples=150, deadline=None)
     def test_root_census_matches_a_rescan(self, state, kind, depth):
+        # The gap census that the root hands ``_count_free``.
         n, i, pairs = state
-        root = _Root()
-        _suffix(n, pairs, i, depth, 1 << (n - 1), kind, math.inf, None, root)
-        cands = _admissible_from(n, pairs, i, kind)
-        assert root.blocks == _blocks(pairs, kind)
-        assert root.gaps == Counter((ca ^ cb) >> 1 for _, _, ca, cb in cands)
+        census = []
+        count_free = synthesis._count_free
+
+        def spy(gaps, gap):
+            census.append(gaps)
+            return count_free(gaps, gap)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_count_free", spy)
+            _lookahead_choose(n, pairs, i, kind, 1 << (n - 1), depth, None, {}, None)
+        cands = _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
+        assert all(gaps == Counter((c ^ p) >> 1 for c, p in cands) for gaps in census)
 
 
 @st.composite
@@ -375,25 +409,176 @@ def mask_gates(draw, n):
     return ones, zeros, t
 
 
-class TestPairOrder:
-    """``_admissible_from`` lists candidates by row because its input is by
-    row: ``pairs_from`` builds it so and ``_advance`` keeps the order."""
+@st.composite
+def filled_states(draw, max_width=5, max_left=5):
+    """(perm, i, kind) as in a phase that ends at 2^(n-1): blocks below
+    column 2i, and from there on pairs of ``kind`` alone, filling every
+    column."""
+    n = draw(st.integers(3, max_width))
+    half = 1 << (n - 1)
+    kind = draw(st.sampled_from([NORMAL, INVERTED]))
+    i = draw(st.integers(max(0, half - max_left), half - 1))
+    evens = draw(st.permutations(range(2 * i, 1 << n, 2)))
+    odds = draw(st.permutations(range(2 * i + 1, 1 << n, 2)))
+    pos = []
+    for q in range(i):
+        pos += [2 * q ^ kind, 2 * q + 1 ^ kind]
+    for even, odd in zip(evens, odds):
+        pos += [odd, even] if kind else [even, odd]
+    entries = [0] * (1 << n)
+    for r, c in enumerate(pos):
+        entries[c] = r
+    return Permutation(n, tuple(entries)), i, kind
 
-    @given(st.integers(3, 7), st.integers(0, 10_000), st.sampled_from([NORMAL, INVERTED]), st.data())
+
+def _bound_for(n, pairs, i, kind, phase_end, d):
+    """The ``_floor`` a selector hands this search, or None."""
+    if d >= phase_end - i and phase_end == 1 << (n - 1) and _fills_phase(n, pairs, i, kind):
+        return _floor(n, i, phase_end)
+    return None
+
+
+class TestPairOrder:
+    """Below the root a pair is its two columns, and the root ranks its
+    ties by rows; no answer may depend on the order the pairs come in.
+    The memo of pair gates must hold only ``_pair_gates``' answers."""
+
+    @given(
+        st.integers(3, 6),
+        st.integers(0, 10_000),
+        st.sampled_from([NORMAL, INVERTED]),
+        st.sampled_from([1, 2, 3, "end"]),
+        st.data(),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_pairs_from_and_advance_keep_row_order(self, n, seed, kind, data):
-        engine = _Engine(sample(n, seed))
+    def test_root_pick_ignores_pair_order(self, n, seed, kind, depth, data):
+        engine = _Engine(sample(n, seed, data.draw(st.sampled_from(["uniform", "parity_aligned"]))))
         engine.emit(*data.draw(st.lists(mask_gates(n), max_size=6)))
-        i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
+        half = 1 << (n - 1)
+        phase_end = data.draw(st.sampled_from([half // 2, half]))
+        i = data.draw(st.integers(max(0, phase_end - 3), phase_end - 1))
+        d = phase_end - i if depth == "end" else depth
         pairs = engine.pairs_from(i)
-        rows = [r for r, _, _ in pairs]
-        assert rows == sorted(set(rows)) and all(r % 2 == 0 for r in rows)
-        cands = _admissible_from(n, pairs, i, kind)
-        assert cands == sorted(cands)
-        for row, _, ca, cb in cands[:3]:
-            masks, _ = _pair_gates(n, i, ca, cb)
-            moved = _advance(pairs, row & ~1, masks)
-            assert [r for r, _, _ in moved] == [r for r in rows if r != row & ~1]
+        shuffled = data.draw(st.permutations(pairs))
+        floor = _bound_for(n, pairs, i, kind, phase_end, d)
+        want = _lookahead_choose(n, pairs, i, kind, phase_end, d, {}, {}, floor)
+        assert _lookahead_choose(n, shuffled, i, kind, phase_end, d, {}, {}, floor) == want
+
+    @given(filled_states(max_width=6), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_root_pick_ignores_pair_order_in_a_bounded_tail(self, state, table, data):
+        perm, i, kind = state
+        n, half = perm.width, perm.size // 2
+        pairs = _Engine(perm).pairs_from(i)
+        shuffled = data.draw(st.permutations(pairs))
+        floor = _bound_for(n, pairs, i, kind, half, half - i)
+        assert floor is not None
+        seen = {} if table else None
+        want = _lookahead_choose(n, pairs, i, kind, half, half - i, seen, {}, floor)
+        seen = {} if table else None
+        assert _lookahead_choose(n, shuffled, i, kind, half, half - i, seen, {}, floor) == want
+
+    @given(pair_states(max_width=6), st.sampled_from([NORMAL, INVERTED]), st.integers(1, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_child_value_ignores_pair_order(self, state, kind, depth, data):
+        n, i, pairs = state
+        cols = [(c, p) for _, c, p in pairs]
+        shuffled = data.draw(st.permutations(cols))
+        phase_end = data.draw(st.sampled_from([min(i + depth, 1 << (n - 1)), 1 << (n - 1)]))
+        budget = data.draw(st.one_of(st.just(math.inf), st.integers(0, 60)))
+        want = _suffix(n, cols, i, depth, phase_end, kind, budget, {}, {})
+        assert _suffix(n, shuffled, i, depth, phase_end, kind, budget, {}, {}) == want
+
+    @given(filled_states(max_width=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_child_value_ignores_pair_order_in_a_bounded_tail(self, state, data):
+        perm, i, kind = state
+        n, half = perm.width, perm.size // 2
+        cols = [(c, p) for _, c, p in _Engine(perm).pairs_from(i)]
+        shuffled = data.draw(st.permutations(cols))
+        floor = _floor(n, i, half)
+        budget = data.draw(st.one_of(st.just(math.inf), st.integers(0, 60)))
+        want = _suffix(n, cols, i, half - i, half, kind, budget, {}, {}, floor)
+        assert _suffix(n, shuffled, i, half - i, half, kind, budget, {}, {}, floor) == want
+
+    @pytest.mark.parametrize(
+        "width, seed, cfg",
+        [
+            (6, 3, SynthesisConfig()),
+            (7, 4, SynthesisConfig(exhaustive_tail=12)),
+            (5, 5, SynthesisConfig(depths={j: 2 for j in range(1, 25)})),
+        ],
+    )
+    def test_memo_entries_are_the_pair_gates(self, width, seed, cfg):
+        # One memo per selector, shared by its selections and by no other
+        # selector; after the phase every entry is ``_pair_gates``' answer.
+        make, choose = synthesis._make_selector, synthesis._lookahead_choose
+        current = [None]
+        calls = []
+
+        def spied_make(*args):
+            select, number = make(*args), object()
+
+            def spied_select(i):
+                current[0] = number
+                return select(i)
+
+            return spied_select
+
+        def spied_choose(n, pairs, i, kind, phase_end, d, seen, gates, floor):
+            calls.append((current[0], n, gates))
+            return choose(n, pairs, i, kind, phase_end, d, seen, gates, floor)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_make_selector", spied_make)
+            mp.setattr(synthesis, "_lookahead_choose", spied_choose)
+            synthesize(sample(width, seed), cfg)
+        memo_of = {}
+        for number, n, gates in calls:
+            assert memo_of.setdefault(number, (n, gates))[1] is gates
+        assert len({id(gates) for _, gates in memo_of.values()}) == len(memo_of)
+        entries = [(n, key, got) for n, gates in memo_of.values() for key, got in gates.items()]
+        assert entries
+        for n, (i, c, p), got in entries:
+            assert got == _pair_gates(n, i, c, p)
+
+
+def _ref_candidates(p, i, kind):
+    """The in-region pairs of ``kind`` as (smaller-column row, partner,
+    smaller column, larger column), read off the permutation."""
+    n = p.width
+    top = findm(i, n) - 1  # the region's columns start with top 1-bits
+    pos = positions(p)
+    out = []
+    for r in range(0, p.size, 2):
+        ca, cb = pos[r], pos[r + 1]
+        if any(c >> (n - top) != (1 << top) - 1 for c in (ca, cb)):
+            continue
+        if ca % 2 == kind and cb % 2 != kind:  # the even row's column parity
+            out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
+    return out
+
+
+def _ref_allocated(p, i, cand):
+    """The permutation once ``cand``'s emitted gates have run, and their
+    Toffoli count."""
+    gates = _emitted(p.width, i, cand[2], cand[3])
+    for g in gates:
+        p = apply_gate(p, g)
+    return p, toffoli_count(GateSequence(p.width, tuple(gates)))
+
+
+def _reference_cost(p, i, kind, phase_end, left):
+    """The least Toffoli count over the next ``left`` positions (up to
+    ``phase_end``), by brute force; a position with no candidate ends the
+    count, as in the search."""
+    if left == 0 or i >= phase_end:
+        return 0
+    moves = (_ref_allocated(p, i, c) for c in _ref_candidates(p, i, kind))
+    return min(
+        (cost + _reference_cost(q, i + 1, kind, phase_end, left - 1) for q, cost in moves),
+        default=0,
+    )
 
 
 def _reference_choice(perm, i, kind, phase_end, depth):
@@ -404,42 +589,113 @@ def _reference_choice(perm, i, kind, phase_end, depth):
     ``depth`` positions (up to ``phase_end``), then leaves the most blocks
     of ``kind`` after position i, then has the lowest rows.
     """
-    n = perm.width
-
-    def candidates(p, i):
-        top = findm(i, n) - 1  # the region's columns start with top 1-bits
-        pos = positions(p)
-        out = []
-        for r in range(0, p.size, 2):
-            ca, cb = pos[r], pos[r + 1]
-            if any(c >> (n - top) != (1 << top) - 1 for c in (ca, cb)):
-                continue
-            if ca % 2 == kind and cb % 2 != kind:  # the even row's column parity
-                out.append((r, r + 1, ca, cb) if ca < cb else (r + 1, r, cb, ca))
-        return out
-
-    def allocated(p, i, cand):
-        gates = _emitted(n, i, cand[2], cand[3])
-        for g in gates:
-            p = apply_gate(p, g)
-        return p, toffoli_count(GateSequence(n, tuple(gates)))
-
-    def cheapest(p, i, left):
-        if left == 0 or i >= phase_end:
-            return 0
-        moves = (allocated(p, i, c) for c in candidates(p, i))
-        return min((cost + cheapest(q, i + 1, left - 1) for q, cost in moves), default=0)
 
     def blocks_after(p, i):
         slots = (p.entries[2 * q : 2 * q + 2] for q in range(i + 1, p.size // 2))
         return sum(1 for lo, hi in slots if (lo, hi)[kind] % 2 == 0 and lo ^ hi == 1)
 
     scored = []
-    for cand in candidates(perm, i):
-        q, cost = allocated(perm, i, cand)
-        total = cost + cheapest(q, i + 1, depth - 1)
+    for cand in _ref_candidates(perm, i, kind):
+        q, cost = _ref_allocated(perm, i, cand)
+        total = cost + _reference_cost(q, i + 1, kind, phase_end, depth - 1)
         scored.append((total, -blocks_after(q, i), min(cand[:2]), cand[:2]))
     return min(scored)[-1] if scored else None
+
+
+class TestTailBound:
+    """A search to the end of a phase ending at 2^(n-1) skips each child
+    whose ``_floor`` bound reaches its budget.  That is exact only if no
+    node of such a search runs dry, and only if the bound never exceeds
+    what a child's positions cost."""
+
+    @given(
+        st.integers(3, 8),
+        st.integers(0, 10_000),
+        st.sampled_from(["uniform", "parity_aligned"]),
+        st.sampled_from(["default", "depth-2", "tail-12"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_phases_ending_at_half_never_run_dry(self, n, seed, sample_kind, config):
+        if config == "depth-2":
+            n = min(n, 6)
+        cfg = {
+            "default": SynthesisConfig(),
+            "depth-2": SynthesisConfig(depths={j: 2 for j in range(1, 25)}),
+            "tail-12": SynthesisConfig(exhaustive_tail=12),
+        }[config]
+        choose, suffix = synthesis._lookahead_choose, synthesis._suffix
+
+        def spied_choose(n, pairs, i, kind, phase_end, d, seen, gates, floor):
+            if phase_end == 1 << (n - 1):
+                assert _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
+                # The premise holds, so every search to the end is bounded.
+                assert _fills_phase(n, pairs, i, kind)
+                assert (floor is not None) == (d >= phase_end - i)
+            return choose(n, pairs, i, kind, phase_end, d, seen, gates, floor)
+
+        def spied_suffix(n, cols, i, depth_left, phase_end, kind, *rest):
+            if phase_end == 1 << (n - 1) and depth_left and i < phase_end:
+                assert _admissible(n, cols, i, kind)
+            return suffix(n, cols, i, depth_left, phase_end, kind, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_lookahead_choose", spied_choose)
+            mp.setattr(synthesis, "_suffix", spied_suffix)
+            synthesize(sample(n, seed, sample_kind), cfg)
+
+    @given(filled_states(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_search_matches_brute_force(self, state, data):
+        perm, i, kind = state
+        n, half = perm.width, perm.size // 2
+        pairs = _Engine(perm).pairs_from(i)
+        assert _fills_phase(n, pairs, i, kind)
+        want = _reference_cost(perm, i, kind, half, half - i)
+        budget = data.draw(st.one_of(st.just(math.inf), st.integers(max(0, want - 2), want + 3)))
+        cols = [(c, p) for _, c, p in pairs]
+        floor = _floor(n, i, half)
+        for seen in (None, {}):
+            got = _suffix(n, cols, i, half - i, half, kind, budget, seen, {}, floor)
+            assert got == (want if want < budget else None)
+        pick = _lookahead_choose(n, pairs, i, kind, half, half - i, {}, {}, floor)
+        assert pick == _reference_choice(perm, i, kind, half, half - i)
+
+    @given(filled_states(max_width=7, max_left=64), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fills_phase_reads_the_premise(self, state, data):
+        perm, i, kind = state
+        n = perm.width
+        pairs = _Engine(perm).pairs_from(i)
+        assert _fills_phase(n, pairs, i, kind)
+        assert not _fills_phase(n, pairs, i, kind ^ 1)
+        assert not _fills_phase(n, pairs[1:], i, kind)
+        if len(pairs) > 1:
+            # Two pairs trade columns of different parities: both interrupt.
+            a, b = data.draw(st.permutations(range(len(pairs))))[:2]
+            (ra, ca, pa), (rb, cb, pb) = pairs[a], pairs[b]
+            broken = list(pairs)
+            broken[a], broken[b] = (ra, ca, cb), (rb, pa, pb)
+            assert not _fills_phase(n, broken, i, kind)
+
+    @pytest.mark.parametrize("seed", [93, 131, 197])
+    def test_a_state_that_can_run_dry_is_not_bounded(self, seed):
+        # Here a search from position 0 runs dry, and the bound would cut
+        # the best pick; ``_fills_phase`` refuses the state, so the
+        # selector picks as the brute force does.
+        perm = sample(3, seed)
+        pairs = _Engine(perm).pairs_from(0)
+        assert not _fills_phase(3, pairs, 0, INVERTED)
+        want = _reference_choice(perm, 0, INVERTED, 4, 4)
+        assert _lookahead_choose(3, pairs, 0, INVERTED, 4, 4, {}, {}, _floor(3, 0, 4)) != want
+        select = _make_selector(_Engine(perm), INVERTED, 4, SynthesisConfig(exhaustive_tail=4))
+        assert select(0) == want
+
+    def test_floor_sums_the_slides_and_keeps_the_conjoin(self):
+        # Width 5, positions 5..7 (region 10000): slides with the
+        # controls 111, 110 and 101, and a two-control conjoin.
+        assert _floor(5, 5, 8) == {7: (3, 1), 6: (4, 1), 5: (5, 1)}
+        # Positions 11..15: the conjoin grows with the region.
+        assert [_floor(5, 11, 16)[j][1] for j in range(11, 16)] == [3, 3, 5, 5, 7]
 
 
 class TestOneSearch:
@@ -507,31 +763,32 @@ class TestStateTable:
         perm = sample(n, seed, sample_kind)
         phase_end = data.draw(st.sampled_from([perm.size // 4, perm.size // 2]))
         i = data.draw(st.integers(max(0, phase_end - 8), phase_end - 1))
-        pairs = _Engine(perm).pairs_from(i)
+        cols = [(c, p) for _, c, p in _Engine(perm).pairs_from(i)]
         # The root and two of its children, so later calls meet states that
         # earlier ones stored.
-        states = [(i, pairs)]
-        for row, _, ca, cb in _admissible_from(n, pairs, i, kind)[:2]:
+        states = [(i, cols)]
+        for pair in _admissible(n, cols, i, kind)[:2]:
             if i + 1 < phase_end:
-                masks, _ = _pair_gates(n, i, ca, cb)
-                states.append((i + 1, _advance(pairs, row & ~1, masks)))
+                masks, _ = _pair_gates(n, i, *pair)
+                states.append((i + 1, _advance(cols, pair, masks)))
         calls = []
         for _ in range(data.draw(st.integers(1, 6))):
             k = data.draw(st.integers(0, len(states) - 1))
             depth = data.draw(st.integers(1, 3))
             at, state = states[k]
-            best = _suffix(n, state, at, depth, phase_end, kind, math.inf, _NoTable())
+            best = _suffix(n, state, at, depth, phase_end, kind, math.inf, _NoTable(), {})
             # Budgets near the best meet the entries at their edges.
             budget = data.draw(st.one_of(st.integers(max(1, best - 2), best + 2), st.just(math.inf)))
             calls.append((budget, k, depth))
         if falling:
             calls.sort(key=lambda call: -call[0])
         seen: dict = {}
+        gates: dict = {}
         for budget, k, depth in calls:
             at, state = states[k]
-            want = _suffix(n, state, at, depth, phase_end, kind, budget, _NoTable())
+            want = _suffix(n, state, at, depth, phase_end, kind, budget, _NoTable(), {})
             for _ in range(2):  # the repeat is answered from the table
-                assert _suffix(n, state, at, depth, phase_end, kind, budget, seen) == want
+                assert _suffix(n, state, at, depth, phase_end, kind, budget, seen, gates) == want
 
     @given(
         st.integers(3, 6),
@@ -544,9 +801,9 @@ class TestStateTable:
     def test_phase_long_table_picks_as_a_fresh_one(self, n, seed, sample_kind, depth, tail):
         choose = synthesis._lookahead_choose
 
-        def checked(n, pairs, i, kind, phase_end, d, seen):
-            got = choose(n, pairs, i, kind, phase_end, d, seen)
-            assert got == choose(n, pairs, i, kind, phase_end, d, {})
+        def checked(n, pairs, i, kind, phase_end, d, seen, gates, floor):
+            got = choose(n, pairs, i, kind, phase_end, d, seen, gates, floor)
+            assert got == choose(n, pairs, i, kind, phase_end, d, {}, {}, floor)
             return got
 
         cfg = SynthesisConfig(depths={j: depth for j in range(1, 25)}, exhaustive_tail=tail)
