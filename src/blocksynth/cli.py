@@ -86,7 +86,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tail-exhaustive",
         type=int,
-        default=9,
+        default=SynthesisConfig.exhaustive_tail,
         help="exact search over the last positions of a stage (0 disables)",
     )
     p.add_argument("--cost-table", help="quantum-cost table file")

@@ -204,30 +204,36 @@ def _mix_engine(engine: _Engine) -> MixStats:
 # Preprocessing of half-interrupting states.
 
 
-def _scan_member(engine: _Engine, i: int, col_parity: int, kind: int) -> Optional[int]:
+def _scan_member(
+    engine: _Engine, i: int, col_parity: int, kind: int, taken: bytearray
+) -> Optional[int]:
     """First unconsumed interrupting member at a column of ``col_parity``
     whose flip to the other column parity turns its pair to ``kind``: the
     region's columns from the left, then the rest from 2i (the region is
-    every column >= its mask)."""
+    every column >= its mask).  ``taken`` marks the consumed pairs, and the
+    partner's column parity is read off its stored slot."""
     mask = _region_mask(engine.n, i)
+    odd, offset = engine.parity_mask()
     columns = chain(range(mask + col_parity, engine.size, 2), range(2 * i + col_parity, mask, 2))
-    for col, r, pcol in engine.walk(columns):
-        if pcol < 2 * i:
-            continue  # pair already consumed: its other member is parked
-        if (col ^ pcol) & 1:
-            continue  # not an interrupting pair
+    for col, r, slot in engine.walk(columns):
         if (r ^ col) & 1 == kind:
             continue  # once flipped, (r ^ column) & 1 must read ``kind``
+        if taken[r >> 1]:
+            continue  # pair already consumed: one member is parked
+        if ((slot & odd).bit_count() ^ offset ^ col_parity) & 1:
+            continue  # not an interrupting pair
         return r
     return None
 
 
-def _pre_pick_rows(engine: _Engine, i: int, deficits: list[int]) -> tuple[int, int]:
+def _pre_pick_rows(
+    engine: _Engine, i: int, deficits: list[int], taken: bytearray
+) -> tuple[int, int]:
     """Pseudo-block i's even-column and odd-column members.  Each steers its
     pair toward the larger of ``deficits`` (the outstanding normal and
-    inverted conversions; normal on a tie) and decrements it in place.
-    An interrupting pair's members sit at columns of equal parity, so the
-    two scans never meet the same pair."""
+    inverted conversions; normal on a tie) and decrements it in place, and
+    marks its pair in ``taken``.  An interrupting pair's members sit at
+    columns of equal parity, so the two scans never meet the same pair."""
     if min(deficits) < 0:
         raise InternalError(
             f"internal error: negative conversion deficits {deficits[0]},"
@@ -238,12 +244,13 @@ def _pre_pick_rows(engine: _Engine, i: int, deficits: list[int]) -> tuple[int, i
     chosen = []
     for parity in (0, 1):
         kind = NORMAL if deficits[NORMAL] >= deficits[INVERTED] else INVERTED
-        row = _scan_member(engine, i, parity, kind)
+        row = _scan_member(engine, i, parity, kind, taken)
         if row is None:
             raise PairNotFound(
                 f"no unconsumed interrupting member at column parity {parity}"
             )
         chosen.append(row)
+        taken[row >> 1] = 1
         deficits[kind] -= 1
     return chosen[0], chosen[1]
 
@@ -265,8 +272,9 @@ def _run_preprocess(engine: _Engine) -> None:
     """
     quarter = engine.size // 4
     deficits = [quarter - count for count in _pair_split(engine.pos)]
+    taken = bytearray(engine.size // 2)  # pair p has a member parked
     for i in range(engine.size // 8):
-        a, b = _pre_pick_rows(engine, i, deficits)
+        a, b = _pre_pick_rows(engine, i, deficits, taken)
         engine.allocate(i, a, b)
     engine.emit((0, 3 << (engine.n - 2), 1))  # C(!1,!2)X on line n
     normal, inverted = _pair_split(engine.pos)

@@ -39,7 +39,8 @@ frame in O(n) and moves no entry.  Only gates with two or more controls
 swap entries, 2^(n-1-m) pairs each.  So the CX runs of a conjoin or a
 slide cost nothing but the conjoining or sliding MCT's walk.  Every read
 goes through the frame and writes nothing (``_Engine.row``, ``col``,
-``walk``, ``pairs_from``, and ``entries`` or ``pos`` for a whole array).
+``at``, ``walk``, ``pairs_from``, and ``entries`` or ``pos`` for a whole
+array).
 
 Iteration i searches inside a shrinking column region (``_region_mask``:
 columns whose first m-1 bits are all set, for the smallest m whose region
@@ -296,12 +297,15 @@ class _Engine:
     affine map of the columns, so ``emit`` folds it into the frame in O(n);
     only a gate with two or more controls moves stored entries, walking its
     subcube's image (``core.exchange_columns``).  Single reads go through
-    ``row`` and ``col``, column scans (``walk``) through half-width tables
-    built once per frame (``_tables``), ``pairs_from`` and ``pos`` through
-    one full table of F⁻¹, and ``entries`` through one of F.  No read
-    writes: ``entries`` and ``pos`` return new lists, the stored lists
-    change only through the MCT walks, and the frame only through ``emit``
-    until ``strip`` resets it.
+    ``row``, ``col`` and ``at`` (a stored slot's column).  A column scan
+    (``walk``) steps F along the columns it visits and yields each row's
+    partner as a stored slot, so its callers test the partner's column
+    parity from one mask of F⁻¹ (``parity_mask``) and map the full column
+    only for the members that pass.  ``pairs_from`` and ``pos`` build one
+    full table of F⁻¹, and ``entries`` one of F; nothing else builds a
+    table.  No read writes: ``entries`` and ``pos`` return new lists, the
+    stored lists change only through the MCT walks, and the frame only
+    through ``emit`` until ``strip`` resets it.
 
     One engine carries a whole synthesis: ``strip`` drops the identity last
     line after each stage's reduction and starts the next stage's record.
@@ -326,23 +330,11 @@ class _Engine:
         self._f = [1 << b for b in range(self.n)]  # column bit -> stored
         self._g = list(self._f)  # stored bit -> column
         self._f0 = self._g0 = 0
-        self._tabs: Optional[tuple[list[int], ...]] = None
 
     def _start_stage(self) -> None:
         self.gates: list[Masks] = []
         self.region_lifts = 0
         self.lift_toffoli = 0
-
-    def _tables(self) -> tuple[list[int], ...]:
-        """(F high, F low, F⁻¹ high, F⁻¹ low): F(c) is F high[c >> h] ^
-        F low[c & (2^h - 1)] with h = n // 2, and likewise F⁻¹."""
-        if self._tabs is None:
-            h = self.n >> 1
-            f, g = self._f, self._g
-            self._tabs = (
-                _span(f[h:], self._f0), _span(f[:h], 0), _span(g[h:], self._g0), _span(g[:h], 0)
-            )
-        return self._tabs
 
     @property
     def entries(self) -> list[int]:
@@ -360,7 +352,17 @@ class _Engine:
 
     def col(self, row: int) -> int:
         """The column of ``row``."""
-        return self._g0 ^ linear_image(self._g, self._pos[row])
+        return self.at(self._pos[row])
+
+    def at(self, slot: int) -> int:
+        """The column whose row is stored at ``slot``: F⁻¹(slot)."""
+        return self._g0 ^ linear_image(self._g, slot)
+
+    def parity_mask(self) -> tuple[int, int]:
+        """(m, p): the column at stored slot s is odd exactly when
+        ``(s & m).bit_count() + p`` is odd.  m holds the stored bits whose
+        image under F⁻¹ has column bit 0, and p is that bit of the offset."""
+        return sum(1 << b for b, v in enumerate(self._g) if v & 1), self._g0 & 1
 
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
@@ -433,7 +435,6 @@ class _Engine:
                 f0 ^= image
             if g0 & ones == ones and not g0 & zeros:
                 g0 ^= tmask
-            self._tabs = None
         self._f0, self._g, self._g0 = f0, g, g0
 
     def lift_pair(self, i: int, a: int, b: int) -> tuple[int, int]:
@@ -487,20 +488,27 @@ class _Engine:
         ]
 
     def walk(self, columns: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-        """(column, its row r, the column of r ^ 1) for each of ``columns``."""
-        entries, pos = self._entries, self._pos
-        fhi, flo, ghi, glo = self._tables()
-        h, low = self.n >> 1, (1 << (self.n >> 1)) - 1
+        """(column, its row r, the stored slot of r ^ 1) for each of
+        ``columns``.  F steps along the columns: moving from column c to c'
+        moves the stored slot by F's image of c ^ c', a few bits for
+        neighbours.  ``at`` maps a slot to its column."""
+        entries, pos, f = self._entries, self._pos, self._f
+        slot, prev = self._f0, 0
         for c in columns:
-            r = entries[fhi[c >> h] ^ flo[c & low]]
-            s = pos[r ^ 1]
-            yield c, r, ghi[s >> h] ^ glo[s & low]
+            slot ^= linear_image(f, c ^ prev)
+            prev = c
+            r = entries[slot]
+            yield c, r, pos[r ^ 1]
 
     def scan_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """First in-region pair of ``kind`` by ascending column, the member
-        at the smaller column first."""
-        for col, a, t in self.walk(range(_region_mask(self.n, i), self.size - 1)):
-            if (a ^ col) & 1 == kind and t > col and (a ^ 1 ^ t) & 1 == kind:
+        at the smaller column first.  The row's own kind and its partner's
+        column parity are tested before the partner's column is mapped."""
+        odd, offset = self.parity_mask()
+        for col, a, s in self.walk(range(_region_mask(self.n, i), self.size - 1)):
+            if (a ^ col) & 1 != kind or ((s & odd).bit_count() ^ offset ^ col) & 1 == 0:
+                continue  # not kind-k: its members sit at opposite parities
+            if self.at(s) > col:
                 return a, a ^ 1
         return None
 

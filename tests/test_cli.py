@@ -14,7 +14,9 @@ import pytest
 
 from blocksynth import (
     MAX_WIDTH,
+    SynthesisConfig,
     format_permutation,
+    format_real,
     parse_report,
     quantum_cost,
     read_real,
@@ -124,6 +126,19 @@ class TestSynth:
         assert rc == 0
         parsed = parse_report(report_path.read_text())
         assert parsed["depths"] != "default"
+
+    def test_no_flags_write_the_default_config_circuit(self, tmp_path):
+        # sample(7, 3)'s circuit changes when the tail moves from 9 to 8 or
+        # 10, so a CLI default that drifted from the config's would show.
+        perm = sample(7, seed=3)
+        src = write_perm(tmp_path, "p.perm", perm)
+        out = tmp_path / "p.real"
+        assert main(["synth", src, "--out", str(out)]) == 0
+        expected = format_real(synthesize(perm, SynthesisConfig())[0])
+        assert out.read_text() == expected
+        for tail in (8, 10):
+            moved = SynthesisConfig(exhaustive_tail=tail)
+            assert format_real(synthesize(perm, moved)[0]) != expected
 
     def test_missing_input_file(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

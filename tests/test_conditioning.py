@@ -27,8 +27,15 @@ from blocksynth.conditioning import (
     _run_preprocess,
     _walsh_spectrum,
 )
-from blocksynth.reduction import _Engine
-from helpers import apply_sequence, flat_spectrum, mct, mismatch_rows, positions
+from blocksynth.reduction import INVERTED, NORMAL, _Engine, _region_mask
+from helpers import (
+    apply_sequence,
+    flat_spectrum,
+    half_interrupting_entries,
+    mct,
+    mismatch_rows,
+    positions,
+)
 
 # Hand-classified width-4 map: 2 normal, 6 inverted, 8 interrupting rows —
 # exactly on the mixing target and a valid preprocessing input.
@@ -67,7 +74,28 @@ def first_pick(p):
     """The first pseudo-block's members, and the deficits they leave."""
     engine = _Engine(p)
     deficits = state_deficits(engine, 0)
-    return _pre_pick_rows(engine, 0, deficits), deficits
+    return _pre_pick_rows(engine, 0, deficits, bytearray(engine.size // 2)), deficits
+
+
+def parked_rule_picks(engine, i, deficits):
+    """Pseudo-block i's members by the rule read off the whole state: at
+    each column parity, the first interrupting member, over the region's
+    columns and then the rest from 2i, whose partner is not parked below
+    column 2i and whose flip turns its pair to the kind with the larger
+    deficit.  Decrements ``deficits`` like ``_pre_pick_rows``."""
+    entries, pos = engine.entries, engine.pos
+    region = _region_mask(engine.n, i)
+    chosen = []
+    for parity in (0, 1):
+        kind = NORMAL if deficits[NORMAL] >= deficits[INVERTED] else INVERTED
+        for c in [*range(region + parity, engine.size, 2), *range(2 * i + parity, region, 2)]:
+            r = entries[c]
+            partner = pos[r ^ 1]
+            if partner >= 2 * i and not (c ^ partner) & 1 and (r ^ c) & 1 != kind:
+                chosen.append(r)
+                break
+        deficits[kind] -= 1
+    return tuple(chosen)
 
 
 @st.composite
@@ -323,15 +351,40 @@ class TestPreprocess:
         mixed, _ = mix(sample(width, seed))
         seen = []
 
-        def checked(engine, i, deficits):
+        def checked(engine, i, deficits, taken):
             assert deficits == state_deficits(engine, i)
             seen.append(i)
-            return _pre_pick_rows(engine, i, deficits)
+            return _pre_pick_rows(engine, i, deficits, taken)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(conditioning, "_pre_pick_rows", checked)
             preprocess(mixed)
         assert seen == list(range(mixed.size // 8))
+
+    @given(st.integers(3, 8), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_taken_marks_the_parked_pairs(self, width, seed):
+        # At every pseudo-block ``taken`` must mark exactly the pairs with a
+        # member parked below column 2i, and the picks must be the ones
+        # that rule makes on the whole state.
+        p = Permutation(width, half_interrupting_entries(width, seed))
+        seen = []
+
+        def checked(engine, i, deficits, taken):
+            pos = engine.pos
+            parked = [min(pos[r], pos[r + 1]) < 2 * i for r in range(0, engine.size, 2)]
+            assert list(map(bool, taken)) == parked
+            expected = parked_rule_picks(engine, i, list(deficits))
+            picked = _pre_pick_rows(engine, i, deficits, taken)
+            assert picked == expected
+            seen.append(i)
+            return picked
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conditioning, "_pre_pick_rows", checked)
+            result, _ = preprocess(p)
+        assert seen == list(range(p.size // 8))
+        assert _pair_split(positions(result)) == (p.size // 4, p.size // 4)
 
     @given(st.integers(3, 5), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)

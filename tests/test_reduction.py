@@ -542,6 +542,25 @@ class TestReduceGeneral:
         assert last_line[0] == seq.gates[-1]
 
 
+def region_pick(state, i, kind):
+    """What ``scan_region`` must return, read off the whole state: of the
+    pairs with both members in position i's region, at columns of opposite
+    parity and the even row's column of parity ``kind``, the one with the
+    smallest column, that member first."""
+    pos, region = positions(state), _region_mask(state.width, i)
+    found = [
+        min(pos[r], pos[r + 1])
+        for r in range(0, state.size, 2)
+        if pos[r] & pos[r + 1] & region == region
+        and (pos[r] ^ pos[r + 1]) & 1
+        and pos[r] & 1 == kind
+    ]
+    if not found:
+        return None
+    a = state.entries[min(found)]
+    return a, a ^ 1
+
+
 @st.composite
 def gate_batches(draw):
     """A width 3..9 and batches of gates for one ``emit`` each: X gates, CX
@@ -598,6 +617,20 @@ class TestFusedEmission:
             assert engine.pairs_from(i) == sorted(
                 (r, pos[r], pos[r + 1]) for r in state.entries[2 * i :] if not r & 1
             )
+            # A walk steps the frame from column to column, forward and back.
+            lo = data.draw(st.integers(0, state.size - 1))
+            hi = data.draw(st.integers(lo, state.size))
+            jumps = data.draw(st.lists(st.integers(0, state.size - 1), max_size=8))
+            columns = [*range(lo, hi), *jumps]
+            walked = list(engine.walk(columns))
+            assert [(c, r) for c, r, _ in walked] == [(c, state.entries[c]) for c in columns]
+            assert [engine.at(s) for _, _, s in walked] == [pos[r ^ 1] for _, r, _ in walked]
+            odd, offset = engine.parity_mask()
+            assert [((s & odd).bit_count() ^ offset) & 1 for s in range(state.size)] == [
+                engine.at(s) & 1 for s in range(state.size)
+            ]
+            for kind in (NORMAL, INVERTED):
+                assert engine.scan_region(i, kind) == region_pick(state, i, kind)
             if data.draw(st.booleans()):  # a whole-array read between emits
                 assert engine.snapshot() == state
         assert engine.snapshot() == state
