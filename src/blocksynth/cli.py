@@ -58,7 +58,8 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
     """Read a permutation or truth-table file; returns (perm, n_out, garbage).
 
     The two formats are told apart by token count: a width-n permutation
-    file holds 2^n + 1 tokens, a truth table 2^n_in + 2.
+    file holds 2^n + 1 tokens, a truth table 2^n_in + 2.  A count that
+    fits neither is reported as such, not parsed as a truth table.
     """
     text = _read_text(path)
     toks = _tokens(text)
@@ -70,8 +71,14 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
         raise UsageError(f"{path}: first token {toks[0]!r} is not an integer") from None
     if not 1 <= first <= MAX_WIDTH:
         raise UsageError(f"{path}: width {first} outside 1..{MAX_WIDTH}")
+    rows = 1 << first
+    if len(toks) - rows not in (1, 2):
+        raise UsageError(
+            f"{path}: expected {rows} entries, or 'n_in n_out' then {rows} "
+            f"rows; found {len(toks) - 1} values after the leading {first}"
+        )
     try:
-        if len(toks) == (1 << first) + 1:
+        if len(toks) == rows + 1:
             perm = parse_permutation(text)
             return perm, perm.width, 0
         table = parse_truth_table(text)

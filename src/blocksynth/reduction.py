@@ -13,10 +13,13 @@ position.
 
 One *reduction* turns a width-n permutation into Q ⊗ I_2 — the last line
 becomes an identity wire — by conjoining each relevant pair into adjacent
-columns (``_cons_masks``) and sliding the resulting block to its home
-position (``_alloc_masks``), one block-wise position per iteration.  The
-driver is ``_Engine``, a working copy that applies gates and tracks row
-positions; ``_Engine.allocate`` runs one iteration for a chosen pair.
+columns and sliding the resulting block to its home position, one
+block-wise position per iteration.  ``_pair_gates`` builds a pair's
+conjoin and slide as mask triples, and is the one builder of them:
+``synthesis`` prices its candidates with it.  The driver is ``_Engine``, a
+working copy that applies gates and tracks row positions;
+``_Engine.allocate`` runs one iteration for a chosen pair, emitting
+``_pair_gates``' triples one target line per gate.
 ``_run_normal`` handles inputs whose pairs all sit at normal positions and
 never emits a gate targeting the last line; ``_run_general`` handles the
 balanced normal/inverted case with exactly one last-line gate at the very
@@ -70,7 +73,6 @@ from .core import (
     InternalError,
     Masks,
     Permutation,
-    PreconditionViolated,
     check_target,
     exchange_columns,
     linear_image,
@@ -164,73 +166,39 @@ def _region_mask(n: int, i: int) -> int:
 # return mask triples.
 
 
-def _block_bit(index: int, line: int, width: int) -> int:
-    """Bit of an (n-1)-bit block position index at block line 1..n-1."""
-    return (index >> (width - 1 - line)) & 1
+def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
+    """Conjoin-plus-slide of the in-region pair at columns (ca, cb), as at
+    most four mask triples, and its Toffoli cost.
 
-
-def _cons_masks(n: int, i: int, alpha: int, beta: int) -> list[Masks]:
-    """Gates conjoining the residents of columns ``alpha`` and ``beta`` into
-    two columns differing only in bit n; empty when they already do.
-
-    Requires opposite column parity, and the pair to sit inside the
-    iteration-i region whenever its columns differ on a protected prefix
-    line (a line of the region mask).
+    Each CX run is one triple whose target holds all its lines; a run that
+    the paper wraps in X on its control has that control negative.  Only
+    the conjoining and sliding MCTs cost anything.  The conjoining MCT
+    moves only the odd member, so the slot is the even member's column
+    after the run, shifted right.
     """
-    gamma = alpha ^ beta
-    if (gamma & 1) == 0:
-        raise PreconditionViolated(
-            f"columns {alpha} and {beta} share parity; the pair cannot be "
-            "conjoined into last-bit-adjacent columns"
-        )
-    region = _region_mask(n, i)
-    delta = n + 1 - gamma.bit_length()  # first line on which the columns differ
-    if delta == n:
-        return []  # already a block
-    if gamma & region:
-        raise PreconditionViolated(
-            f"pair columns {alpha},{beta} differ inside the protected prefix "
-            f"(line {delta}); lift the pair into the region first"
-        )
-    t = 1 << (n - delta)
-    out: list[Masks] = []
-    # CX delta->j for each lower differing line, wrapped in X on delta when
-    # block position i has delta's bit set; no run, no wrapper.
-    rest = gamma & (t - 2)  # differing lines delta+1..n-1
-    while rest:
-        bit = 1 << (rest.bit_length() - 1)
-        out.append((t, 0, bit))
-        rest ^= bit
-    if out and _block_bit(i, delta, n) == 1:
-        out = [(0, 0, t), *out, (0, 0, t)]
-    out.append((region | 1, 0, t))  # controls on lines 1..m-1 and line n
-    return out
-
-
-def _track(column: int, masks: list[Masks]) -> int:
-    """Where ``masks``, applied in order, move ``column``."""
-    for ones, zeros, tmask in masks:
-        if column & ones == ones and not column & zeros:
-            column ^= tmask
-    return column
-
-
-def _alloc_masks(n: int, i: int, alpha: int) -> list[Masks]:
-    """Gates sliding the conjoined pair at column ``alpha`` to position i;
-    empty when it is already there."""
-    gamma = i ^ (alpha >> 1)  # in block coordinates: line l is bit n-1-l
-    if gamma == 0:
-        return []  # already allocated
-    below = 1 << (gamma.bit_length() - 1)  # first differing block line
-    t = below << 1
-    out: list[Masks] = []
-    rest = gamma ^ below
-    while rest:
-        bit = 1 << (rest.bit_length() - 1)
-        out.append((t, 0, bit << 1))
-        rest ^= bit
-    out.append(((i & (below - 1)) << 1, 0, t))  # i's set bits below the target
-    return out
+    masks: list[Masks] = []
+    cost = 0
+    gamma = ca ^ cb
+    even = cb if ca & 1 else ca
+    if gamma != 1:
+        t = 1 << gamma.bit_length() >> 1  # the top line the columns differ on
+        run = gamma & (t - 2)
+        if run:
+            masks.append((0, t, run) if 2 * i & t else (t, 0, run))
+            if (even ^ 2 * i) & t:
+                even ^= run
+        region = _region_mask(n, i)
+        masks.append((region | 1, 0, t))
+        cost = toffoli_equivalents(region.bit_count() + 1)
+    gamma = i ^ (even >> 1)  # slot to position, in block coordinates
+    if gamma:
+        below = 1 << gamma.bit_length() >> 1
+        if gamma ^ below:
+            masks.append((below << 1, 0, (gamma ^ below) << 1))
+        low = i & (below - 1)
+        masks.append((low << 1, 0, below << 1))
+        cost += toffoli_equivalents(low.bit_count())
+    return masks, cost
 
 
 def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
@@ -455,19 +423,24 @@ class _Engine:
         return cols[0], cols[1]
 
     def allocate(self, i: int, a: int, b: int) -> None:
-        """Lift if needed, conjoin, then slide the pair to position i."""
+        """Lift if needed, then conjoin the pair and slide it to position i.
+
+        The gates are ``_pair_gates``' triples, one target line each: a CX
+        run targets its lines from the lowest one, and a negatively
+        controlled run is that run between two X on its control.
+        """
         ca, cb = self.lift_pair(i, a, b)
-        masks = _cons_masks(self.n, i, ca, cb)
-        self.emit(*masks)
-        ca, cb = _track(ca, masks), _track(cb, masks)
-        if ca ^ cb != 1:
-            raise InternalError(
-                f"internal error: conjoining rows {a},{b} left them at columns "
-                f"{ca},{cb}"
-            )
-        masks = _alloc_masks(self.n, i, ca)
-        self.emit(*masks)
-        ca, cb = _track(ca, masks), _track(cb, masks)
+        gates: list[Masks] = []
+        for ones, zeros, tmask in _pair_gates(self.n, i, ca, cb)[0]:
+            wrap = [(0, 0, zeros)] if zeros else []
+            gates += wrap
+            while tmask:
+                bit = 1 << tmask.bit_length() >> 1
+                gates.append((ones | zeros, 0, bit))
+                tmask ^= bit
+            gates += wrap
+        self.emit(*gates)
+        ca, cb = self.col(a), self.col(b)
         if {ca, cb} != {2 * i, 2 * i + 1}:
             raise InternalError(
                 f"internal error: allocating rows {a},{b} to position {i} left "
@@ -506,8 +479,10 @@ class _Engine:
         column parity are tested before the partner's column is mapped."""
         odd, offset = self.parity_mask()
         for col, a, s in self.walk(range(_region_mask(self.n, i), self.size - 1)):
+            # Skip a member of the other kind (its pair's columns have
+            # opposite parities) or of an interrupting pair (equal ones).
             if (a ^ col) & 1 != kind or ((s & odd).bit_count() ^ offset ^ col) & 1 == 0:
-                continue  # not kind-k: its members sit at opposite parities
+                continue
             if self.at(s) > col:
                 return a, a ^ 1
         return None

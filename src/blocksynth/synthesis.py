@@ -34,24 +34,24 @@ pairs' column pairs, and pick orders and successive selections often reach
 the same one.  An entry holds the state's exact cost, or a budget it could
 not beat; a child is looked up before it is searched.  A node whose
 children are searched builds each candidate's conjoin and slide in closed
-form (``_pair_gates``): at most four (ones, zeros, target) column masks,
-each CX run one triple that targets all its lines, priced by the conjoining
-and sliding MCTs alone.  Every selection of a phase shares one memo of
-those, keyed by position and columns.  A node whose children are leaves
-(every depth-1 selection, and the last position of a tail search) needs
-only prices, and at one position a price takes two values: the slide's,
-the same for every candidate, plus the conjoin's unless the pair is a
-block.  So such a node is priced in the pass that filters its pairs, with
-no masks and no sort (``_price_leaves``, or the root's own pass).  A search
-to the end of a phase that ends at 2^(n-1) is also bounded: every position
-left pays its slide, and a conjoin is due unless every pair left is a
-block (``_floor``).  That bound holds only if no node runs dry, which
-``_fills_phase`` checks of the root's state.  The scorer never copies the
-engine or builds a ``Gate``; the engine emits the chosen pair gate by gate,
-from ``reduction``'s gate builders.  Ties go to the pair that leaves the
-most free blocks, a rank read off the root's histogram of the candidates
-by slot gap without running any candidate's masks (``_count_free``), then
-to the lowest rows.
+form (``reduction._pair_gates``): at most four (ones, zeros, target)
+column masks, each CX run one triple that targets all its lines, priced by
+the conjoining and sliding MCTs alone.  Every selection of a phase shares
+one memo of those, keyed by position and columns.  A node whose children
+are leaves (every depth-1 selection, and the last position of a tail
+search) needs only prices, and at one position a price takes two values:
+the slide's, the same for every candidate, plus the conjoin's unless the
+pair is a block.  So such a node is priced in the pass that filters its
+pairs, with no masks and no sort (``_price_leaves``, or the root's own
+pass).  A search to the end of a phase that ends at 2^(n-1) is also
+bounded: every position left pays its slide, and a conjoin is due unless
+every pair left is a block (``_floor``).  That bound holds only if no node
+runs dry, which ``_fills_phase`` checks of the root's state.  The scorer
+never copies the engine or builds a ``Gate``; the engine emits the chosen
+pair's triples from the same ``_pair_gates``, one gate per target line.
+Ties go to the pair that leaves the most free blocks, a rank read off the
+root's histogram of the candidates by slot gap without running any
+candidate's masks (``_count_free``), then to the lowest rows.
 
 ``_stage`` also keeps the stage's gate ledger (``StageStats``) and checks
 its Toffoli count, less what its region lifts and mix repair gates cost,
@@ -90,6 +90,7 @@ from .reduction import (
     INVERTED,
     NORMAL,
     _Engine,
+    _pair_gates,
     _pair_split,
     _region_mask,
     _run_general,
@@ -189,8 +190,9 @@ class SynthesisReport:
 # whose children are leaves, which ``_lookahead_choose`` prices itself; it
 # prices a node whose children are leaves in its filtering pass
 # (``_price_leaves``).  ``_count_free`` runs once per tied candidate and
-# reads no masks.  So a profile or trace of these module attributes counts
-# the search.
+# reads no masks.  The search looks these up in this module's globals, and
+# ``_Engine.allocate`` its ``_pair_gates`` in ``reduction``'s.  So a profile
+# or trace of these module attributes counts the search alone.
 
 # (even row r, column of r, column of r + 1), one per unallocated pair.
 Pairs = list[tuple[int, int, int]]
@@ -202,42 +204,6 @@ Cand = tuple[int, int, int, int]
 # For each position j from a search's root on: the slides of positions j
 # up to the phase end together, and j's conjoin (``_floor``).
 Floor = dict[int, tuple[int, int]]
-
-
-def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
-    """Conjoin-plus-slide of the in-region pair at columns (ca, cb), as at
-    most four mask triples, and its Toffoli cost.
-
-    The triples move every column as ``reduction._cons_masks`` and
-    ``_alloc_masks`` do, with each CX run folded into one triple whose
-    target holds all the run's lines (a run wrapped in X on its control is
-    the run with that control negative).  Only the conjoining and sliding
-    MCTs cost anything.  The conjoining MCT moves only the odd member, so
-    the slot is the even member's column after the run, shifted right.
-    """
-    masks: list[Masks] = []
-    cost = 0
-    gamma = ca ^ cb
-    even = cb if ca & 1 else ca
-    if gamma != 1:
-        t = 1 << gamma.bit_length() >> 1  # the top line the columns differ on
-        run = gamma & (t - 2)
-        if run:
-            masks.append((0, t, run) if 2 * i & t else (t, 0, run))
-            if (even ^ 2 * i) & t:
-                even ^= run
-        region = _region_mask(n, i)
-        masks.append((region | 1, 0, t))
-        cost = toffoli_equivalents(region.bit_count() + 1)
-    gamma = i ^ (even >> 1)  # slot to position, in block coordinates
-    if gamma:
-        below = 1 << gamma.bit_length() >> 1
-        if gamma ^ below:
-            masks.append((below << 1, 0, (gamma ^ below) << 1))
-        low = i & (below - 1)
-        masks.append((low << 1, 0, below << 1))
-        cost += toffoli_equivalents(low.bit_count())
-    return masks, cost
 
 
 def _advance(cols: Cols, skip: tuple[int, int], masks: list[Masks]) -> Cols:

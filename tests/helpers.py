@@ -4,7 +4,8 @@ Everything here recomputes expectations from first principles (bit fiddling,
 brute-force search, explicit summation) without calling into the package's
 own logic, so that tests compare two genuinely separate computations.  The
 exceptions build on the package: ``apply_sequence`` only chains its own
-``apply_gate``, and ``mct`` is shorthand for a ``Gate``.
+``apply_gate``, ``mct`` is shorthand for a ``Gate``, and ``cons_masks``
+raises its ``PreconditionViolated``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from fractions import Fraction
 from math import ceil, comb
 
-from blocksynth import Gate, apply_gate
+from blocksynth import Gate, PreconditionViolated, apply_gate
 
 
 def sim_gate(width: int, target: int, controls, x: int) -> int:
@@ -69,6 +70,87 @@ def findm(l: int, n: int) -> int:
     while (1 << n) - (1 << (n - m + 1)) < 2 * l:
         m += 1
     return m
+
+
+def region_mask(n: int, i: int) -> int:
+    """The m-1 most significant of n bits, m = findm(i, n): a column is in
+    position i's region when it holds them all."""
+    m = findm(i, n)
+    return ((1 << (m - 1)) - 1) << (n - m + 1)
+
+
+# --- The paper's conjoin and slide, gate by gate. ---------------------------
+# Each returns (ones, zeros, target) column-mask triples, one target line
+# per gate, in the order the package's engine emits them.
+
+
+def block_bit(index: int, line: int, width: int) -> int:
+    """Bit of an (n-1)-bit block position index at block line 1..n-1."""
+    return (index >> (width - 1 - line)) & 1
+
+
+def cons_masks(n: int, i: int, alpha: int, beta: int) -> list:
+    """Gates conjoining the residents of columns ``alpha`` and ``beta`` into
+    two columns differing only in bit n; empty when they already do.
+
+    Requires opposite column parity, and the pair to sit inside the
+    iteration-i region whenever its columns differ on a protected prefix
+    line (a line of the region mask).
+    """
+    gamma = alpha ^ beta
+    if (gamma & 1) == 0:
+        raise PreconditionViolated(
+            f"columns {alpha} and {beta} share parity; the pair cannot be "
+            "conjoined into last-bit-adjacent columns"
+        )
+    region = region_mask(n, i)
+    delta = n + 1 - gamma.bit_length()  # first line on which the columns differ
+    if delta == n:
+        return []  # already a block
+    if gamma & region:
+        raise PreconditionViolated(
+            f"pair columns {alpha},{beta} differ inside the protected prefix "
+            f"(line {delta}); lift the pair into the region first"
+        )
+    t = 1 << (n - delta)
+    out = []
+    # CX delta->j for each lower differing line, wrapped in X on delta when
+    # block position i has delta's bit set; no run, no wrapper.
+    rest = gamma & (t - 2)  # differing lines delta+1..n-1
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        out.append((t, 0, bit))
+        rest ^= bit
+    if out and block_bit(i, delta, n) == 1:
+        out = [(0, 0, t), *out, (0, 0, t)]
+    out.append((region | 1, 0, t))  # controls on lines 1..m-1 and line n
+    return out
+
+
+def track(column: int, masks) -> int:
+    """Where ``masks``, applied in order, move ``column``."""
+    for ones, zeros, tmask in masks:
+        if column & ones == ones and not column & zeros:
+            column ^= tmask
+    return column
+
+
+def alloc_masks(n: int, i: int, alpha: int) -> list:
+    """Gates sliding the conjoined pair at column ``alpha`` to position i;
+    empty when it is already there."""
+    gamma = i ^ (alpha >> 1)  # in block coordinates: line l is bit n-1-l
+    if gamma == 0:
+        return []  # already allocated
+    below = 1 << (gamma.bit_length() - 1)  # first differing block line
+    t = below << 1
+    out = []
+    rest = gamma ^ below
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        out.append((t, 0, bit << 1))
+        rest ^= bit
+    out.append(((i & (below - 1)) << 1, 0, t))  # i's set bits below the target
+    return out
 
 
 def as_plain(seq):

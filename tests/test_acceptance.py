@@ -36,8 +36,6 @@ from blocksynth import (
 from blocksynth.conditioning import _mix_engine, _run_preprocess
 from blocksynth.reduction import (
     NORMAL,
-    _alloc_masks,
-    _cons_masks,
     _Engine,
     _pair_split,
     _pick_rows,
@@ -45,9 +43,11 @@ from blocksynth.reduction import (
 )
 
 from helpers import (
+    alloc_masks,
     as_plain,
     circuit_table,
     conjoin_budget,
+    cons_masks,
     findm,
     independent_parity,
     mct,
@@ -138,7 +138,8 @@ def _conditioning(n: int) -> int:
 
 
 def test_criterion_04_per_call_budgets_width_8():
-    """1000 parity-aligned samples driven through the public pair API.
+    """1000 parity-aligned samples driven through the package's pair picks
+    and the paper's gate-by-gate conjoin and slide (tests/helpers.py).
 
     Every in-region conjoining call stays within (n-m-1) CX + 2 X + one
     m-control closing gate; every slide's closing gate has at most
@@ -169,7 +170,7 @@ def test_criterion_04_per_call_budgets_width_8():
             a, b = _pick_rows(engine, i, NORMAL)
             engine.lift_pair(i, a, b)
             pos = engine.pos  # valid until the next emit
-            cgates = _cons_masks(n, i, pos[a], pos[b])
+            cgates = cons_masks(n, i, pos[a], pos[b])
             if cgates:
                 m = findm(i, n)
                 *body, last = [(ones | zeros).bit_count() for ones, zeros, _ in cgates]
@@ -180,7 +181,7 @@ def test_criterion_04_per_call_budgets_width_8():
                 assert cxs <= n - m - 1
                 engine.emit(*cgates)
                 pos = engine.pos
-            agates = _alloc_masks(n, i, pos[a])
+            agates = alloc_masks(n, i, pos[a])
             if agates:
                 *body, last = [(ones | zeros).bit_count() for ones, zeros, _ in agates]
                 assert last <= bin(i).count("1")
@@ -191,7 +192,7 @@ def test_criterion_04_per_call_budgets_width_8():
         total = toffoli_count(engine.sequence())
         assert total <= aggregate_cap, (k, total)
         worst = max(worst, total)
-        if k < 3:  # the manual drive replays the production reduction
+        if k < 3:  # the oracle's drive replays the production reduction
             ref = _Engine(perm)
             _run_normal(ref)
             assert engine.gates == ref.gates

@@ -161,6 +161,18 @@ class TestSynth:
         assert exc.value.code == 2
         assert f"n_out {MAX_WIDTH + 1} outside 1..{MAX_WIDTH}" in capsys.readouterr().err
 
+    def test_wrong_entry_count_names_the_expected_count(self, tmp_path, capsys):
+        # 8 tokens fit neither a width-3 permutation (9) nor a truth table (10).
+        src = tmp_path / "short.perm"
+        src.write_text("3\n0 1 2 3 4 5 6\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(src)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: expected 8 entries, or 'n_in n_out' then 8 rows; "
+            "found 7 values after the leading 3\n"
+        )
+
     def test_empty_input(self, tmp_path):
         src = tmp_path / "empty.perm"
         src.write_text("# nothing\n")

@@ -27,8 +27,6 @@ from blocksynth import reduction
 from blocksynth.reduction import (
     INVERTED,
     NORMAL,
-    _alloc_masks,
-    _cons_masks,
     _Engine,
     _holds_block,
     _pair_split,
@@ -39,10 +37,12 @@ from blocksynth.reduction import (
 )
 from blocksynth.synthesis import _count_free, _price_leaves, _slide
 from helpers import (
+    alloc_masks,
     apply_sequence,
     balanced_entries,
     conditioning_budget,
     conjoin_budget,
+    cons_masks,
     findm,
     mct,
     mismatch_rows,
@@ -82,11 +82,11 @@ def as_sequence(n, masks):
 
 def conjoining(p, i, pair):
     pos = positions(p)
-    return as_sequence(p.width, _cons_masks(p.width, i, pos[pair[0]], pos[pair[1]]))
+    return as_sequence(p.width, cons_masks(p.width, i, pos[pair[0]], pos[pair[1]]))
 
 
 def sliding(p, i, a):
-    return as_sequence(p.width, _alloc_masks(p.width, i, positions(p)[a]))
+    return as_sequence(p.width, alloc_masks(p.width, i, positions(p)[a]))
 
 
 def has_identity_last_line(p):
@@ -391,6 +391,9 @@ class TestLift:
 
 
 class TestCons:
+    """The paper's conjoin, as the oracle in tests/helpers.py builds it;
+    test_synthesis.py pins ``_Engine.allocate``'s gates to that oracle."""
+
     def test_hand_worked_example(self):
         # The columns differ only on lines 2 and 3, so the CX run is empty
         # and so is its X wrapper; only the region MCT remains.
@@ -450,6 +453,8 @@ class TestCons:
 
 
 class TestAlloc:
+    """The paper's slide, as the oracle in tests/helpers.py builds it."""
+
     def test_hand_worked_slide(self):
         p = Permutation(3, (0, 1, 6, 3, 2, 7, 4, 5))
         seq = sliding(p, 1, 4)
@@ -680,18 +685,18 @@ class TestFusedEmission:
 
 
 class TestAllocateChecks:
-    """``_Engine.allocate`` checks its post-conditions with explicit raises,
-    so they still hold under ``python -O``."""
+    """``_Engine.allocate`` checks its post-condition with an explicit raise,
+    so it still holds under ``python -O``."""
 
     def test_unconjoined_pair_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_cons_masks", lambda n, i, a, b: [])
+        monkeypatch.setattr(reduction, "_pair_gates", lambda n, i, a, b: ([], 0))
         # rows 0 and 1 at columns 0 and 3: opposite parity, not adjacent
         engine = _Engine(Permutation(3, (0, 2, 3, 1, 4, 5, 6, 7)))
-        with pytest.raises(InternalError, match="internal error: conjoining rows 0,1"):
+        with pytest.raises(InternalError, match="internal error: allocating rows 0,1"):
             engine.allocate(0, 0, 1)
 
     def test_unallocated_pair_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_alloc_masks", lambda n, i, a: [])
+        monkeypatch.setattr(reduction, "_pair_gates", lambda n, i, a, b: ([], 0))
         # rows 2 and 3 already form a block, but at position 1
         engine = _Engine(ID3)
         with pytest.raises(InternalError, match="internal error: allocating rows 2,3"):

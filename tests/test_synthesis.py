@@ -35,13 +35,10 @@ from blocksynth.core import Gate, GateSequence, apply_gate, cx, toffoli
 from blocksynth.reduction import (
     INVERTED,
     NORMAL,
-    _alloc_masks,
-    _cons_masks,
     _Engine,
     _pair_split,
     _pick_rows,
     _region_mask,
-    _track,
 )
 from blocksynth.synthesis import (
     _advance,
@@ -57,15 +54,18 @@ from blocksynth.synthesis import (
 )
 
 from helpers import (
+    alloc_masks,
     as_plain,
     balanced_entries,
     circuit_table,
+    cons_masks,
     findm,
     flat_spectrum,
     half_interrupting_entries,
     independent_parity,
     positions,
     sim_circuit,
+    track,
     with_identity_wire,
 )
 
@@ -224,11 +224,13 @@ def in_region_pairs(draw, max_width=10):
 
 
 def _emitted(n, i, ca, cb):
-    """The gates ``_Engine.allocate`` emits for an in-region pair, built
-    from its mask triples the way ``_Engine.sequence`` builds them."""
-    gates = [Gate.from_masks(n, *m) for m in _cons_masks(n, i, ca, cb)]
+    """The paper's conjoin-plus-slide gates for an in-region pair, from the
+    oracle in tests/helpers.py, built the way ``_Engine.sequence`` builds
+    them.  ``_Engine.allocate`` emits the same list (see
+    ``test_allocate_emits_the_oracle_gates``)."""
+    gates = [Gate.from_masks(n, *m) for m in cons_masks(n, i, ca, cb)]
     moved = _destinations(n, gates)[ca]
-    return gates + [Gate.from_masks(n, *m) for m in _alloc_masks(n, i, moved)]
+    return gates + [Gate.from_masks(n, *m) for m in alloc_masks(n, i, moved)]
 
 
 def _destinations(n, gates):
@@ -257,14 +259,28 @@ class TestScorerModel:
     @example((4, 2, 8, 15))  # a negatively controlled run that moves the even member
     @example((4, 4, 8, 15))  # conjoined into its slot: no slide
     @settings(max_examples=300, deadline=None)
+    def test_allocate_emits_the_oracle_gates(self, case):
+        # The engine splits ``_pair_gates``' triples into the paper's
+        # conjoin-plus-slide list, gate for gate.
+        n, i, ca, cb = case
+        engine = _Engine(Permutation(n, tuple(range(1 << n))))  # row c at column c
+        engine.allocate(i, ca, cb)
+        conjoin = cons_masks(n, i, ca, cb)
+        assert engine.gates == conjoin + alloc_masks(n, i, track(ca, conjoin))
+
+    @given(in_region_pairs())
+    @example((4, 1, 10, 11))  # already a block: no conjoin
+    @example((4, 2, 8, 15))  # a negatively controlled run that moves the even member
+    @example((4, 4, 8, 15))  # conjoined into its slot: no slide
+    @settings(max_examples=300, deadline=None)
     def test_masks_move_columns_like_the_emitted_gates(self, case):
         n, i, ca, cb = case
         gates = _emitted(n, i, ca, cb)
         masks, cost = _pair_gates(n, i, ca, cb)
         dest = _destinations(n, gates)
         for c in range(1 << n):
-            assert _track(c, masks) == dest[c]
-        assert {_track(ca, masks), _track(cb, masks)} == {2 * i, 2 * i + 1}
+            assert track(c, masks) == dest[c]
+        assert {track(ca, masks), track(cb, masks)} == {2 * i, 2 * i + 1}
         assert cost == toffoli_count(GateSequence(n, tuple(gates)))
 
     @given(in_region_pairs())
@@ -273,7 +289,7 @@ class TestScorerModel:
         # ``_fills_phase``'s induction: the columns below 2i stay below it.
         n, i, ca, cb = case
         masks, _ = _pair_gates(n, i, ca, cb)
-        assert sorted(_track(c, masks) for c in range(2 * i)) == list(range(2 * i))
+        assert sorted(track(c, masks) for c in range(2 * i)) == list(range(2 * i))
 
     @given(
         st.integers(3, 8),
@@ -299,7 +315,7 @@ class TestScorerModel:
         if data.draw(st.booleans()):
             # Conjoin the drawn pair first: it stays a candidate, now at
             # slot gap 0.
-            moved = _destinations(n, [Gate.from_masks(n, *m) for m in _cons_masks(n, i, ca, cb)])
+            moved = _destinations(n, [Gate.from_masks(n, *m) for m in cons_masks(n, i, ca, cb)])
             pos = [moved[c] for c in pos]
             ca, cb = moved[ca], moved[cb]
             pairs, cands = pairs_and_cands()
