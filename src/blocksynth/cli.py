@@ -59,7 +59,9 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
 
     The two formats are told apart by token count: a width-n permutation
     file holds 2^n + 1 tokens, a truth table 2^n_in + 2.  A count that
-    fits neither is reported as such, not parsed as a truth table.
+    fits neither is reported as such, not parsed as a truth table.  A
+    truth table that fails to parse may be a permutation with one value too
+    many, and the message says so.
     """
     text = _read_text(path)
     toks = _tokens(text)
@@ -85,7 +87,13 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
         perm, garbage = embed_truth_table(table)
         return perm, table.n_out, garbage
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        message = f"{path}: {exc}"
+        if len(toks) == rows + 2:  # read as a truth table, it could be either
+            message += (
+                f"; as a width-{first} permutation it has one value too many "
+                f"({rows + 1} after the leading {first}, expected {rows})"
+            )
+        raise UsageError(message) from None
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:

@@ -22,12 +22,16 @@ controlled Toffoli.  The flipped member of each chosen pair changes its
 match status, so picking the mismatching or matching member steers the
 pair to normal or inverted — the choice is made against the live deficit
 so the result is an exact balanced split with zero interrupting rows.
+Each member is found on the engine's bit planes: the candidates are one
+row mask, less the rows of the consumed pairs, and the pick is the row at
+the smallest column among them (``_Engine.lowest``), in the region first.
+The census (``reduction._pair_split``) is two popcounts of the parity
+plane; the mixing pass reads the whole column array once per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 from .core import InternalError, Masks
@@ -192,7 +196,7 @@ def _mix_engine(engine: _Engine) -> MixStats:
     moves = _composite(a)
     engine.emit(*moves)
     fixes = _fixups(engine, target) if spectrum[a] else 0
-    lam = engine.size - 2 * sum(_pair_split(engine.pos))
+    lam = engine.size - 2 * sum(_pair_split(engine))
     if lam != target:
         raise InternalError(
             f"internal error: mixing left {lam} interrupting rows, not {target}"
@@ -204,36 +208,36 @@ def _mix_engine(engine: _Engine) -> MixStats:
 # Preprocessing of half-interrupting states.
 
 
-def _scan_member(
-    engine: _Engine, i: int, col_parity: int, kind: int, taken: bytearray
-) -> Optional[int]:
+def _scan_member(engine: _Engine, i: int, col_parity: int, kind: int, taken: int) -> Optional[int]:
     """First unconsumed interrupting member at a column of ``col_parity``
     whose flip to the other column parity turns its pair to ``kind``: the
     region's columns from the left, then the rest from 2i (the region is
-    every column >= its mask).  ``taken`` marks the consumed pairs, and the
-    partner's column parity is read off its stored slot."""
-    mask = _region_mask(engine.n, i)
-    odd, offset = engine.parity_mask()
-    columns = chain(range(mask + col_parity, engine.size, 2), range(2 * i + col_parity, mask, 2))
-    for col, r, slot in engine.walk(columns):
-        if (r ^ col) & 1 == kind:
-            continue  # once flipped, (r ^ column) & 1 must read ``kind``
-        if taken[r >> 1]:
-            continue  # pair already consumed: one member is parked
-        if ((slot & odd).bit_count() ^ offset ^ col_parity) & 1:
-            continue  # not an interrupting pair
-        return r
-    return None
+    every column >= its mask).  ``taken`` is the mask of the rows of the
+    consumed pairs, which hold every column below 2i.
+
+    Such a member's row parity is fixed: once flipped, (row ^ column) & 1
+    must read ``kind``.  So the members are one lane of rows, at columns of
+    ``col_parity`` with partners there too, and each scan is a bit-sliced
+    minimum (``_Engine.lowest``)."""
+    parity = engine.q[0]
+    at = parity if col_parity else parity ^ engine.full
+    lane = engine.even if col_parity ^ kind else engine.odd
+    rows = lane & at & engine.partners(at) & ~taken
+    if not rows:
+        return None
+    inside = rows & engine.fire(_region_mask(engine.n, i), 0)
+    return engine.lowest(inside or rows)
 
 
 def _pre_pick_rows(
-    engine: _Engine, i: int, deficits: list[int], taken: bytearray
+    engine: _Engine, i: int, deficits: list[int], taken: int
 ) -> tuple[int, int]:
     """Pseudo-block i's even-column and odd-column members.  Each steers its
     pair toward the larger of ``deficits`` (the outstanding normal and
-    inverted conversions; normal on a tie) and decrements it in place, and
-    marks its pair in ``taken``.  An interrupting pair's members sit at
-    columns of equal parity, so the two scans never meet the same pair."""
+    inverted conversions; normal on a tie) and decrements it in place.
+    ``taken`` is the mask of the rows of the pairs already consumed.  An
+    interrupting pair's members sit at columns of equal parity, so the two
+    scans never meet the same pair."""
     if min(deficits) < 0:
         raise InternalError(
             f"internal error: negative conversion deficits {deficits[0]},"
@@ -250,7 +254,6 @@ def _pre_pick_rows(
                 f"no unconsumed interrupting member at column parity {parity}"
             )
         chosen.append(row)
-        taken[row >> 1] = 1
         deficits[kind] -= 1
     return chosen[0], chosen[1]
 
@@ -271,13 +274,14 @@ def _run_preprocess(engine: _Engine) -> None:
     are read off the state once, and each pick settles one conversion.
     """
     quarter = engine.size // 4
-    deficits = [quarter - count for count in _pair_split(engine.pos)]
-    taken = bytearray(engine.size // 2)  # pair p has a member parked
+    deficits = [quarter - count for count in _pair_split(engine)]
+    taken = 0  # the rows of the pairs with a member parked
     for i in range(engine.size // 8):
         a, b = _pre_pick_rows(engine, i, deficits, taken)
+        taken |= 3 << (a & ~1) | 3 << (b & ~1)
         engine.allocate(i, a, b)
     engine.emit((0, 3 << (engine.n - 2), 1))  # C(!1,!2)X on line n
-    normal, inverted = _pair_split(engine.pos)
+    normal, inverted = _pair_split(engine)
     interrupting = engine.size // 2 - normal - inverted
     if interrupting or normal != inverted:
         raise InternalError(

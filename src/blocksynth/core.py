@@ -16,28 +16,33 @@ that share their controls commute, so a run of them is the single map
 c -> c ^ T on the satisfying columns, T the XOR of their target bits; the
 kernel takes such a multi-bit target mask and still visits 2^(n-1-m) pairs.
 
-A gate with at most one control is an affine map of the column numbers
-(c -> c ^ T, or c -> c ^ T when bit t of c reads the control's value).  So
-a holder of the entries may leave them in place and compose such gates
-into an affine column frame F instead: column c's entry is stored at F(c).
-``exchange_columns`` takes that frame and walks the image of the
-satisfying subcube, at the same 2^(n-1-m) pairs; ``reduction._Engine``
-keeps such a frame.
+The same map read by rows is cheaper to carry out: keep, for each column
+bit b, a *bit plane*, an int whose bit r is bit b of row r's column.  A
+gate then ANDs the planes of its controls (complemented for a negative
+one) into the mask of the rows it moves, and XORs that mask into each
+target plane: O(m + |T|) big-int operations in place of the kernel's
+2^(n-1-m) pair visits.
+``reduction._Engine`` keeps its working copy that way.  ``_planes`` and
+``_values`` turn a list of numbers into planes and back in C-level byte
+passes, one byte lane of eight planes at a time.
 
 The same ``GateSequence`` that maps a permutation P to the identity, executed
 left-to-right as a circuit on an input register x, computes P(x).  That dual
 reading is the contract for every emitted circuit, and ``verify_identity``
-checks it bit-sliced over all 2^n inputs at once: line l is one int whose
-bit x is line l's value on input x, a gate does ``v[target] ^= AND(controls)``,
-and the result must equal the bit-planes of P's entries.
+checks it bit-sliced over all 2^n inputs at once: each line is one plane
+whose bit x is the line's value on input x, a gate does
+``v[target] ^= AND(controls)``, and the result must equal the planes of P's
+entries.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 MAX_WIDTH = 24
 
@@ -193,29 +198,7 @@ class GateSequence:
         return iter(self.gates)
 
 
-# Affine column map: (images of column bits 0..n-1, offset).  Column c maps
-# to the offset XOR the images of c's set bits.
-Frame = tuple[Sequence[int], int]
-
-
-def linear_image(images: Sequence[int], mask: int) -> int:
-    """XOR of ``images[b]`` over the set bits b of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out ^= images[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def exchange_columns(
-    entries: list[int],
-    ones: int,
-    zeros: int,
-    tmask: int,
-    pos: list[int] | None = None,
-    frame: Frame | None = None,
-) -> None:
+def exchange_columns(entries: list[int], ones: int, zeros: int, tmask: int) -> None:
     """Apply the map c -> c ^ ``tmask`` to the columns c that have every
     ``ones`` bit set and every ``zeros`` bit clear, in place.
 
@@ -223,36 +206,22 @@ def exchange_columns(
     with several it is the run of same-control gates, one per target bit, in
     any order (they commute).  Visits each exchanged column pair once, from
     its side with ``tmask``'s top bit clear: 2^(n-1-m) pairs for m controls.
-    ``pos``, when given, is the inverse of ``entries`` and is kept in step.
-
-    ``frame``, when given, is an affine map F from the gate's columns to the
-    indices of ``entries``: the pair (c, c ^ tmask) is stored at (F(c),
-    F(c) ^ F's image of ``tmask``).  The walk starts at F(``ones``) and
-    steps by the images of the free bits, so it costs the same as without a
-    frame, which is the identity.  Raises ``PreconditionViolated`` when
-    ``tmask`` is empty or overlaps a control.
+    Raises ``PreconditionViolated`` when ``tmask`` is empty or overlaps a
+    control.
     """
     check_target(ones, zeros, tmask)
-    if pos is None:
-        pos = [0] * len(entries)  # scratch: nobody reads it
     free = (len(entries) - 1) & ~(ones | zeros | 1 << tmask.bit_length() >> 1)
     steps = []
     while free:
         low = free & -free
         steps.append(low)
         free ^= low
-    if frame is not None:
-        images, offset = frame
-        ones, tmask = offset ^ linear_image(images, ones), linear_image(images, tmask)
-        steps = [images[low.bit_length() - 1] for low in steps]
     order = _gray_order(len(steps))
     steps.append(0)
     c = ones
     for k in order:
         d = c ^ tmask
-        ra, rb = entries[c], entries[d]
-        entries[c], entries[d] = rb, ra
-        pos[ra], pos[rb] = d, c
+        entries[c], entries[d] = entries[d], entries[c]
         c ^= steps[k]
 
 
@@ -286,11 +255,62 @@ def apply_gate(perm: Permutation, gate: Gate) -> Permutation:
     return Permutation(perm.width, tuple(entries))
 
 
-def _bit_planes(width: int, values: Iterable[int]) -> list[int]:
-    """Index l (1..width) holds, as bit x, line l's bit of ``values[x]``."""
-    rows = [format(v, f"0{width}b") for v in values]
-    rows.reverse()  # bit x of a plane is character size-1-x of its string
-    return [0] + [int("".join(plane), 2) for plane in zip(*rows)]
+# A value of up to 8, 16 or 32 bits fills one, two or four bytes of an
+# ``array`` lane; byte j of the lane holds bits 8j..8j+7 of the value.
+_LANE_CODES = {1: "B", 2: "H", 4: "I"}
+_LITTLE = sys.byteorder == "little"
+# Table k maps a byte to the ASCII digit of its bit k, and the ASCII digit
+# "1" back to bit k set, "0" to nothing.
+_TO_DIGIT = [bytes(48 + (v >> k & 1) for v in range(256)) for k in range(8)]
+_FROM_DIGIT = [bytes((v == 49) << k for v in range(256)) for k in range(8)]
+
+
+def _lane(width: int) -> tuple[int, str]:
+    """Bytes per value of ``width`` bits, and the ``array`` type code."""
+    size = 1 if width <= 8 else 2 if width <= 16 else 4
+    return size, _LANE_CODES[size]
+
+
+def _planes(values: Sequence[int], width: int) -> list[int]:
+    """Plane b holds, as bit x, bit b of ``values[x]``, for b < ``width``.
+
+    Each byte lane of the values is sliced out of one ``array``; a
+    translation table turns a lane into the digits of one plane, read
+    highest x first by ``int``.
+    """
+    size, code = _lane(width)
+    raw = array(code, values)
+    raw.reverse()
+    data = raw.tobytes()
+    out = []
+    for b in range(width):
+        if not b & 7:
+            j = b >> 3
+            lane = data[j if _LITTLE else size - 1 - j :: size]
+        out.append(int(lane.translate(_TO_DIGIT[b & 7]), 2))
+    return out
+
+
+def _values(planes: Sequence[int], count: int) -> list[int]:
+    """Inverse of ``_planes``: the ``count`` values whose bit b at index x
+    is bit x of ``planes[b]``.
+
+    A plane's binary digits, translated to bit b of a byte each, read as
+    one big-endian int whose byte x is that bit of value x; eight such ints
+    OR into one byte lane of the result.
+    """
+    width = len(planes)
+    size, code = _lane(width)
+    out = bytearray(count * size)
+    digits = f"0{count}b"
+    for j in range(0, width, 8):
+        lane = 0
+        for b in range(j, min(j + 8, width)):
+            text = format(planes[b], digits).encode()
+            lane |= int.from_bytes(text.translate(_FROM_DIGIT[b - j]), "big")
+        k = j >> 3
+        out[k if _LITTLE else size - 1 - k :: size] = lane.to_bytes(count, "little")
+    return memoryview(out).cast(code).tolist()
 
 
 def verify_identity(perm: Permutation, seq: GateSequence) -> bool:
@@ -298,19 +318,20 @@ def verify_identity(perm: Permutation, seq: GateSequence) -> bool:
 
     Equivalently (the emitted-circuit contract): running ``seq`` as a circuit
     on every input x returns perm(x).  That is how it is checked, on all 2^n
-    inputs at once: ``v[l]`` holds line l's value on input x as bit x.
+    inputs at once: plane ``v[n - l]`` holds line l's value on input x as
+    bit x.
     """
     if perm.width != seq.width:
         raise WidthMismatch(f"permutation width {perm.width}, seq width {seq.width}")
     n = perm.width
     full = (1 << perm.size) - 1
-    v = _bit_planes(n, range(perm.size))
+    v = _planes(range(perm.size), n)  # line l is plane n - l
     for g in seq.gates:
         fire = full
         for line, positive in g.controls:
-            fire &= v[line] if positive else ~v[line]
-        v[g.target] ^= fire
-    return v == _bit_planes(n, perm.entries)
+            fire &= v[n - line] if positive else ~v[n - line]
+        v[n - g.target] ^= fire
+    return v == _planes(perm.entries, n)
 
 
 def sample(

@@ -18,6 +18,7 @@ lend each other their controls as scratch.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Literal, Mapping, Optional
 
@@ -96,13 +97,16 @@ def resolve_table(path: Optional[str] = None) -> CostTable:
 
 
 def toffoli_count(seq: GateSequence) -> int:
-    """Toffoli-equivalents summed over the gates of ``seq``."""
-    return sum(toffoli_equivalents(g.control_count) for g in seq)
+    """Toffoli-equivalents summed over the gates of ``seq``, each distinct
+    gate priced once (``Gate`` caches its hash)."""
+    return sum(toffoli_equivalents(g.control_count) * k for g, k in Counter(seq.gates).items())
 
 
 def quantum_cost(seq: GateSequence, table: Optional[CostTable] = None) -> int:
+    """The ``table`` cost summed over the gates of ``seq``, each distinct
+    gate priced once."""
     t = table or DEFAULT_TABLE
-    return sum(t.cost_of(g.control_count) for g in seq)
+    return sum(t.cost_of(g.control_count) * k for g, k in Counter(seq.gates).items())
 
 
 # ---------------------------------------------------------------------------

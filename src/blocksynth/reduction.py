@@ -36,14 +36,12 @@ column-mask triple (``core.Masks``): the builders here and in
 ``conditioning`` return triples, ``_Engine.emit`` records and applies them,
 and ``_Engine.sequence`` builds the stage's ``Gate``s at the input width,
 each distinct one once per engine.
-The engine keeps its copy behind an affine column frame: an X or CX gate
-is an affine map of the column numbers, so ``emit`` folds it into the
-frame in O(n) and moves no entry.  Only gates with two or more controls
-swap entries, 2^(n-1-m) pairs each.  So the CX runs of a conjoin or a
-slide cost nothing but the conjoining or sliding MCT's walk.  Every read
-goes through the frame and writes nothing (``_Engine.row``, ``col``,
-``at``, ``walk``, ``pairs_from``, and ``entries`` or ``pos`` for a whole
-array).
+The engine keeps its copy as row-indexed bit planes: bit r of plane b is
+bit b of row r's column.  Any gate costs O(m + |T|) big-int operations on
+them, and a scan is a few more: the rows in a region, the members of a
+pair kind and the row at the smallest column of a set are each an AND
+chain over the planes.  Only whole-array readers (``_Engine.pos``,
+``entries`` and ``pairs_from``) transpose the planes into a list.
 
 Iteration i searches inside a shrinking column region (``_region_mask``:
 columns whose first m-1 bits are all set, for the smallest m whose region
@@ -65,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 from .core import (
     Gate,
@@ -73,9 +71,9 @@ from .core import (
     InternalError,
     Masks,
     Permutation,
+    _planes,
+    _values,
     check_target,
-    exchange_columns,
-    linear_image,
 )
 from .cost import toffoli_equivalents
 
@@ -134,16 +132,17 @@ def preprocessing_bound(n: int) -> int:
     return math.ceil(raw)
 
 
-def _pair_split(pos: Sequence[int]) -> tuple[int, int]:
+def _pair_split(engine: _Engine) -> tuple[int, int]:
     """Counts of normal and of inverted pairs; the rest are interrupting.
 
-    ``pos`` maps each row to its column.
+    Two popcounts of the parity plane: a normal pair's even row sits at an
+    even column and its odd row at an odd one, an inverted pair's the other
+    way round.
     """
-    split = [0, 0]
-    for p in range(0, len(pos), 2):
-        if (pos[p] ^ pos[p + 1]) & 1:
-            split[pos[p] & 1] += 1
-    return split[NORMAL], split[INVERTED]
+    parity, even = engine.q[0], engine.even
+    normal = parity >> 1 & ~parity & even
+    inverted = parity & ~(parity >> 1) & even
+    return normal.bit_count(), inverted.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +246,25 @@ def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
 Selector = Callable[[int], Optional[tuple[int, int]]]
 
 
-def _span(images: list[int], offset: int) -> list[int]:
-    """Entry x is ``offset`` XOR the images of x's set bits."""
-    out = [offset]
-    for image in images:
-        out += [v ^ image for v in out]
-    return out
-
-
 class _Engine:
     """Applies gates to a working copy while tracking row positions.
 
-    The copy is stored behind an affine column frame F: the row at column c
-    sits at ``_entries[F(c)]``, and row r's column is F⁻¹(``_pos[r]``).
-    Each map is kept as the images of the column bits (``_f``, ``_g``) plus
-    an offset (``_f0``, ``_g0``).  A gate with at most one control is an
-    affine map of the columns, so ``emit`` folds it into the frame in O(n);
-    only a gate with two or more controls moves stored entries, walking its
-    subcube's image (``core.exchange_columns``).  Single reads go through
-    ``row``, ``col`` and ``at`` (a stored slot's column).  A column scan
-    (``walk``) steps F along the columns it visits and yields each row's
-    partner as a stored slot, so its callers test the partner's column
-    parity from one mask of F⁻¹ (``parity_mask``) and map the full column
-    only for the members that pass.  ``pairs_from`` and ``pos`` build one
-    full table of F⁻¹, and ``entries`` one of F; nothing else builds a
-    table.  No read writes: ``entries`` and ``pos`` return new lists, the
-    stored lists change only through the MCT walks, and the frame only
-    through ``emit`` until ``strip`` resets it.
+    The copy is n row-indexed bit planes and nothing else: bit r of
+    ``q[b]`` is bit b of row r's column (``core._planes`` of the row
+    positions), so ``q[0]`` is the parity plane.  ``emit`` applies a gate
+    (ones, zeros, T) of any control count as the mask of the rows it moves,
+    the AND of the planes of ``ones`` and of the complements of the planes
+    of ``zeros`` (``fire``), XORed into the plane of each target bit.
+
+    Reads write nothing.  ``col`` and ``row`` take n bit tests or n ANDs.
+    ``fire`` also answers which rows sit in a region or at a column pair,
+    and ``lowest`` which row of a set sits at the smallest column: a
+    bit-sliced minimum, n AND steps from the top bit.  So a scan is a few
+    big-int operations on the planes (``kind_pairs``, ``scan_region``,
+    ``blocks``).  Only whole-array readers transpose the planes
+    (``core._values``): ``pos``, ``entries`` and ``pairs_from``, each a new
+    list.  ``full``, ``even`` and ``odd`` are the masks of all rows, the
+    even rows and the odd rows.
 
     One engine carries a whole synthesis: ``strip`` drops the identity last
     line after each stage's reduction and starts the next stage's record.
@@ -285,19 +276,19 @@ class _Engine:
 
     def __init__(self, perm: Permutation):
         self.width = self.n = perm.width
-        self.size = perm.size
-        self._entries = list(perm.entries)
-        self._pos = [0] * self.size
+        pos = [0] * perm.size
         for col, row in enumerate(perm.entries):
-            self._pos[row] = col
+            pos[row] = col
+        self.q = _planes(pos, self.n)
         self.built: dict[Masks, Gate] = {}  # every Gate built, by its masks
-        self._reset_frame()
+        self._resize()
         self._start_stage()
 
-    def _reset_frame(self) -> None:
-        self._f = [1 << b for b in range(self.n)]  # column bit -> stored
-        self._g = list(self._f)  # stored bit -> column
-        self._f0 = self._g0 = 0
+    def _resize(self) -> None:
+        self.size = 1 << self.n
+        self.full = (1 << self.size) - 1
+        self.even = self.full // 3  # 0b0101...01
+        self.odd = self.even << 1
 
     def _start_stage(self) -> None:
         self.gates: list[Masks] = []
@@ -305,52 +296,84 @@ class _Engine:
         self.lift_toffoli = 0
 
     @property
-    def entries(self) -> list[int]:
-        """A new list of the row at each column."""
-        return list(map(self._entries.__getitem__, _span(self._f, self._f0)))
-
-    @property
     def pos(self) -> list[int]:
         """A new list of the column of each row."""
-        return list(map(_span(self._g, self._g0).__getitem__, self._pos))
+        return _values(self.q, self.size)
+
+    @property
+    def entries(self) -> list[int]:
+        """A new list of the row at each column."""
+        out = [0] * self.size
+        for row, col in enumerate(self.pos):
+            out[col] = row
+        return out
+
+    def fire(self, ones: int, zeros: int) -> int:
+        """The mask of the rows whose column has every ``ones`` bit set and
+        every ``zeros`` bit clear."""
+        q, rows = self.q, self.full
+        while ones:
+            low = ones & -ones
+            rows &= q[low.bit_length() - 1]
+            ones ^= low
+        while zeros:
+            low = zeros & -zeros
+            rows &= ~q[low.bit_length() - 1]
+            zeros ^= low
+        return rows
 
     def row(self, column: int) -> int:
         """The row at ``column``."""
-        return self._entries[self._f0 ^ linear_image(self._f, column)]
+        return self.fire(column, (self.size - 1) ^ column).bit_length() - 1
 
     def col(self, row: int) -> int:
         """The column of ``row``."""
-        return self.at(self._pos[row])
+        bit, column = 1 << row, 0
+        for b, plane in enumerate(self.q):
+            if plane & bit:
+                column |= 1 << b
+        return column
 
-    def at(self, slot: int) -> int:
-        """The column whose row is stored at ``slot``: F⁻¹(slot)."""
-        return self._g0 ^ linear_image(self._g, slot)
+    def lowest(self, rows: int) -> int:
+        """The row at the smallest column among ``rows``, a nonempty mask.
+        From the top bit down, keep the rows with a 0 there if any has."""
+        for plane in reversed(self.q):
+            low = rows & ~plane
+            if low:
+                rows = low
+        return rows.bit_length() - 1
 
-    def parity_mask(self) -> tuple[int, int]:
-        """(m, p): the column at stored slot s is odd exactly when
-        ``(s & m).bit_count() + p`` is odd.  m holds the stored bits whose
-        image under F⁻¹ has column bit 0, and p is that bit of the offset."""
-        return sum(1 << b for b, v in enumerate(self._g) if v & 1), self._g0 & 1
+    def partners(self, rows: int) -> int:
+        """``rows`` with each row's bit moved to its pair partner's."""
+        return rows >> 1 & self.even | (rows & self.even) << 1
 
     def snapshot(self) -> Permutation:
         return Permutation(self.n, tuple(self.entries))
 
     def strip(self) -> None:
         """Drop the last line of a Q ⊗ I_2 state, leaving Q, and start a new
-        stage."""
-        entries, pos = self.entries, self.pos
-        for c in range(0, self.size, 2):
-            lo, hi = entries[c], entries[c + 1]
-            if lo & 1 or hi != lo + 1:
-                raise InternalError(
-                    f"internal error: columns {c},{c + 1} hold rows {lo},{hi}; "
-                    "the last line is not an identity wire"
-                )
-        self._entries = [row >> 1 for row in entries[::2]]
-        self._pos = [col >> 1 for col in pos[::2]]
+        stage.
+
+        In such a state every row's column has the row's parity, and the
+        two rows of a pair agree on every other column bit; row r of Q is
+        row 2r, so each remaining plane keeps its even bits.
+        """
+        q = self.q
+        if q[0] != self.odd or any((plane ^ plane >> 1) & self.even for plane in q[1:]):
+            entries = self.entries
+            for c in range(0, self.size, 2):
+                lo, hi = entries[c], entries[c + 1]
+                if lo & 1 or hi != lo + 1:
+                    raise InternalError(
+                        f"internal error: columns {c},{c + 1} hold rows {lo},{hi}; "
+                        "the last line is not an identity wire"
+                    )
+        # Binary digits run from bit size-1 down, so the odd-indexed digits
+        # are the even bits.
+        digits = f"0{self.size}b"
+        self.q = [int(format(plane, digits)[1::2], 2) for plane in q[1:]]
         self.n -= 1
-        self.size >>= 1
-        self._reset_frame()
+        self._resize()
         self._start_stage()
 
     def sequence(self) -> GateSequence:
@@ -373,37 +396,22 @@ class _Engine:
         return GateSequence(self.width, tuple(out))
 
     def emit(self, *gates: Masks) -> None:
-        """Record ``gates`` and apply them in order: one with two or more
-        controls walks the stored entries, any other folds into the frame.
-
-        The gate g maps column c to g(c), so the new frame is F ∘ g and its
-        inverse g ∘ F⁻¹.  For a CX from control bit t onto targets T, F's
-        image of t gains F's image of T, and each image of F⁻¹ holding t
-        gains T; an X on T, or a negative control, also moves F's offset by
-        F's image of T.  F⁻¹'s offset is the old one mapped by g.
-        """
+        """Record ``gates`` and apply them in order.  Gates in a row with the
+        same controls share one mask of moved rows: none of them targets a
+        control, so the mask stays valid."""
         self.gates.extend(gates)
-        f, f0, g, g0 = self._f, self._f0, self._g, self._g0
-        for ones, zeros, tmask in gates:
-            controls = ones | zeros
-            if controls & (controls - 1):
-                exchange_columns(self._entries, ones, zeros, tmask, self._pos, (f, f0))
-                continue
-            check_target(ones, zeros, tmask)
-            if tmask & (tmask - 1):
-                image = linear_image(f, tmask)
-            else:
-                image = f[tmask.bit_length() - 1]
-            if controls:
-                f[controls.bit_length() - 1] ^= image
-                for b, v in enumerate(g):
-                    if v & controls:
-                        g[b] = v ^ tmask
-            if not ones:
-                f0 ^= image
-            if g0 & ones == ones and not g0 & zeros:
-                g0 ^= tmask
-        self._f0, self._g, self._g0 = f0, g, g0
+        q = self.q
+        ones = zeros = -1
+        for o, z, t in gates:
+            if not t or t & (o | z):
+                check_target(o, z, t)
+            if o != ones or z != zeros:
+                ones, zeros = o, z
+                moved = self.fire(o, z)
+            while t:
+                low = t & -t
+                q[low.bit_length() - 1] ^= moved
+                t ^= low
 
     def lift_pair(self, i: int, a: int, b: int) -> tuple[int, int]:
         """Move both rows into the iteration-i region, and return their
@@ -421,6 +429,10 @@ class _Engine:
                 self.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
                 cols = [self.col(a), self.col(b)]
         return cols[0], cols[1]
+
+    def at_position(self, i: int) -> int:
+        """The mask of the two rows at columns 2i and 2i + 1."""
+        return self.fire(2 * i, (self.size - 2) ^ 2 * i)
 
     def allocate(self, i: int, a: int, b: int) -> None:
         """Lift if needed, then conjoin the pair and slide it to position i.
@@ -440,11 +452,10 @@ class _Engine:
                 tmask ^= bit
             gates += wrap
         self.emit(*gates)
-        ca, cb = self.col(a), self.col(b)
-        if {ca, cb} != {2 * i, 2 * i + 1}:
+        if self.at_position(i) != 1 << a | 1 << b:
             raise InternalError(
                 f"internal error: allocating rows {a},{b} to position {i} left "
-                f"them at columns {ca},{cb}"
+                f"them at columns {self.col(a)},{self.col(b)}"
             )
 
     # -- scans ------------------------------------------------------------
@@ -452,40 +463,35 @@ class _Engine:
     def pairs_from(self, i: int) -> list[tuple[int, int, int]]:
         """(even row r, column of r, column of r + 1) for each pair whose
         even row sits at column 2i or past it, by row."""
-        pos, start = self._pos, 2 * i
-        columns = _span(self._g, self._g0)  # stored column -> column
-        return [
-            (r, c, columns[pos[r + 1]])
-            for r in range(0, self.size, 2)
-            if (c := columns[pos[r]]) >= start
-        ]
+        pos, start = self.pos, 2 * i
+        return [(r, c, pos[r + 1]) for r in range(0, self.size, 2) if (c := pos[r]) >= start]
 
-    def walk(self, columns: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-        """(column, its row r, the stored slot of r ^ 1) for each of
-        ``columns``.  F steps along the columns: moving from column c to c'
-        moves the stored slot by F's image of c ^ c', a few bits for
-        neighbours.  ``at`` maps a slot to its column."""
-        entries, pos, f = self._entries, self._pos, self._f
-        slot, prev = self._f0, 0
-        for c in columns:
-            slot ^= linear_image(f, c ^ prev)
-            prev = c
-            r = entries[slot]
-            yield c, r, pos[r ^ 1]
+    def kind_pairs(self, i: int, kind: int) -> int:
+        """The mask of the rows of every pair of ``kind`` with both members
+        in iteration i's region.  Such members have (row ^ column) & 1 ==
+        ``kind``, read off the parity plane; the members of an interrupting
+        pair differ there, so neither has a partner in the set."""
+        rows = self.q[0] ^ (self.odd if kind else self.even)
+        rows &= self.fire(_region_mask(self.n, i), 0)
+        return rows & self.partners(rows)
+
+    def blocks(self, rows: int) -> int:
+        """The even rows of ``rows`` whose pair sits at one column pair: the
+        two rows' planes agree above bit 0."""
+        apart = 0
+        for plane in self.q[1:]:
+            apart |= plane ^ plane >> 1
+        return rows & self.even & ~apart
 
     def scan_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """First in-region pair of ``kind`` by ascending column, the member
-        at the smaller column first.  The row's own kind and its partner's
-        column parity are tested before the partner's column is mapped."""
-        odd, offset = self.parity_mask()
-        for col, a, s in self.walk(range(_region_mask(self.n, i), self.size - 1)):
-            # Skip a member of the other kind (its pair's columns have
-            # opposite parities) or of an interrupting pair (equal ones).
-            if (a ^ col) & 1 != kind or ((s & odd).bit_count() ^ offset ^ col) & 1 == 0:
-                continue
-            if self.at(s) > col:
-                return a, a ^ 1
-        return None
+        at the smaller column first: the row at the smallest column over
+        both members of every such pair."""
+        rows = self.kind_pairs(i, kind)
+        if not rows:
+            return None
+        a = self.lowest(rows)
+        return a, a ^ 1
 
     def best_out_of_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """Unallocated pair of ``kind`` maximizing its smaller column."""
@@ -518,9 +524,12 @@ def _pick_rows(engine: _Engine, i: int, kind: int) -> tuple[int, int]:
 
 
 def _holds_block(engine: _Engine, i: int, kind: int) -> bool:
-    """Position i already carries a block of ``kind`` (free win)."""
-    lo, hi = engine.row(2 * i), engine.row(2 * i + 1)
-    return lo ^ hi == 1 and lo & 1 == kind
+    """Position i already carries a block of ``kind`` (free win): the rows
+    at its columns are a pair, and the even row's column parity is
+    ``kind``."""
+    rows = engine.at_position(i)
+    low = rows & -rows
+    return rows == 3 * low and bool(low & engine.even) and bool(engine.q[0] & low) == kind
 
 
 def _fill(

@@ -9,13 +9,13 @@ after one X on the last line; an exact half count of interrupting rows
 goes to preprocessing then reduction; a balanced normal/inverted split
 goes to the general reduction; anything else is first mixed.  An
 already-reducible state is all-normal and holds every block, so its stage
-emits nothing.  The engine records mask triples and folds the X and CX
-gates among them into its affine column frame, and every read maps
-through that frame: the census and the end-of-stage strip take whole
-arrays (``_Engine.pos`` and ``entries``), the selectors the unallocated
-pairs (``_Engine.pairs_from``).  When a stage ends its ``Gate``s are
-built at the input width (lines keep their numbers; the stripped lines are
-the trailing ones), and ``_Engine.strip`` drops the identity last line.
+emits nothing.  The engine records mask triples and applies them to its
+row-indexed bit planes; the census and the end-of-stage strip read the
+planes directly, and a selector whose children are searched reads the
+unallocated pairs (``_Engine.pairs_from``).  When a stage ends its
+``Gate``s are built at the input width (lines keep their numbers; the
+stripped lines are the trailing ones), and ``_Engine.strip`` drops the
+identity last line.
 Width 2 is finished from a precomputed optimal table, width 1 with at most
 one X, both on the same engine, which builds each distinct gate once per
 call.
@@ -25,7 +25,7 @@ candidate pairs are scored by the exact Toffoli-equivalents of their
 construction and slide gates plus the best reachable score over the next
 positions.  Lookahead searches a per-scale depth ahead; near the end of a
 stage (``exhaustive_tail``) the depth runs to the end of the phase, so the
-same search solves the tail exactly.  Rows stay at the search's root
+same search solves the tail exactly.  Rows stay at the root of a search
 (``_lookahead_choose``), which reads the engine's (row, column, partner
 column) triples; below it a pair is its two columns alone.  The selections
 of one phase that search to its end share a table of the states met below
@@ -42,9 +42,11 @@ are leaves (every depth-1 selection, and the last position of a tail
 search) needs only prices, and at one position a price takes two values:
 the slide's, the same for every candidate, plus the conjoin's unless the
 pair is a block.  So such a node is priced in the pass that filters its
-pairs, with no masks and no sort (``_price_leaves``, or the root's own
-pass).  A search to the end of a phase that ends at 2^(n-1) is also
-bounded: every position left pays its slide, and a conjoin is due unless
+pairs, with no masks and no sort (``_price_leaves``).  Such a root
+(``_choose_leaf``) reads the engine's planes instead of a pair list: the
+candidates and the blocks among them are row masks, and where a block is
+cheapest the pick is the block at the lowest row.  A search to the end of
+a phase that ends at 2^(n-1) is also bounded: every position left pays its slide, and a conjoin is due unless
 every pair left is a block (``_floor``).  That bound holds only if no node
 runs dry, which ``_fills_phase`` checks of the root's state.  The scorer
 never copies the engine or builds a ``Gate``; the engine emits the chosen
@@ -187,10 +189,11 @@ class SynthesisReport:
 # ``_pair_gates`` builds one candidate's masks and price; a selector's memo
 # calls it once per distinct (position, columns) that a node whose children
 # are searched meets.  ``_suffix`` runs once per search node but a root
-# whose children are leaves, which ``_lookahead_choose`` prices itself; it
-# prices a node whose children are leaves in its filtering pass
-# (``_price_leaves``).  ``_count_free`` runs once per tied candidate and
-# reads no masks.  The search looks these up in this module's globals, and
+# whose children are leaves, which ``_choose_leaf`` answers from the
+# planes; it prices a node whose children are leaves in its filtering pass
+# (``_price_leaves``).  ``_count_free`` runs once per tied candidate,
+# except at a leaf root whose cheapest pairs are blocks, and reads no
+# masks.  The search looks these up in this module's globals, and
 # ``_Engine.allocate`` its ``_pair_gates`` in ``reduction``'s.  So a profile
 # or trace of these module attributes counts the search alone.
 
@@ -413,6 +416,50 @@ def _suffix(
     return best
 
 
+def _break_tie(cands: list[Cand], tied: list[Cand]) -> Optional[tuple[int, int]]:
+    """The rows of the ``tied`` candidate that leaves the most free blocks
+    (``_count_free``, over the slot gaps of all ``cands``), then of the one
+    at the lowest rows; None when nothing is tied."""
+    if len(tied) > 1:
+        gaps = Counter((t[2] ^ t[3]) >> 1 for t in cands)
+        # ``max`` keeps the first of equals, and the sort puts rows in order.
+        return max(sorted(tied), key=lambda t: _count_free(gaps, (t[2] ^ t[3]) >> 1))[:2]
+    return tied[0][:2] if tied else None
+
+
+def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]]:
+    """The cheapest pair at a root whose children are leaves (depth 1, or
+    the last position of a search), read off the engine's planes.
+
+    The slide costs every candidate the same, so the cheapest are the
+    blocks, if any, unless the conjoin is free as well, a CX at position 0
+    (see ``_price_leaves``).  Blocks tie on their slot gap, so the pick is
+    the block at the lowest even row, whose member at the smaller column is
+    the one whose row parity is ``kind``.  Otherwise every candidate ties,
+    and ``_break_tie`` ranks them by their columns, read off one transpose
+    of the planes (``_Engine.pos``): with ten candidates at width 8 and
+    sixty at width 11 on average, that costs less than a column read per
+    member.
+    """
+    rows = engine.kind_pairs(i, kind) & engine.even
+    if toffoli_equivalents(_region_mask(engine.n, i).bit_count() + 1):
+        blocks = engine.blocks(rows)
+        if blocks:
+            r = (blocks & -blocks).bit_length() - 1
+            return r ^ kind, r ^ kind ^ 1
+    if not rows:
+        return None
+    pos = engine.pos
+    cands: list[Cand] = []
+    while rows:
+        low = rows & -rows
+        r = low.bit_length() - 1
+        c, p = pos[r], pos[r + 1]
+        cands.append((r, r + 1, c, p) if c < p else (r + 1, r, p, c))
+        rows ^= low
+    return _break_tie(cands, cands)
+
+
 def _lookahead_choose(
     n: int,
     pairs: Pairs,
@@ -429,13 +476,11 @@ def _lookahead_choose(
     the lowest rows.  ``seen``, ``gates`` and ``floor`` are ``_suffix``'s;
     the first two stay valid while ``n``, ``kind`` and ``phase_end`` do.
 
-    Rows stay at the root.  Its pass filters the engine's triples into
-    candidates and their slot-gap census (``_count_free``'s ``gaps``).
-    Where its children are leaves it prices them too: the slide costs every
-    candidate the same, so the cheapest are the blocks, if any, unless the
-    conjoin is free as well, a CX at position 0 (see ``_price_leaves``).
-    Otherwise ``_suffix`` searches on the pairs' columns alone, and the
-    tied column pairs map back to their candidates.
+    This is the root whose children are searched: ``d`` >= 2 and i + 1 <
+    ``phase_end``; ``_choose_leaf`` takes the others.  Rows stay at the
+    root.  Its pass filters the engine's triples into candidates;
+    ``_suffix`` searches on the pairs' columns alone, and the tied column
+    pairs map back to their candidates.
     """
     region = _region_mask(n, i)
     cands: list[Cand] = [
@@ -443,20 +488,11 @@ def _lookahead_choose(
         for r, c, p in pairs
         if c & p & region == region and c & 1 == kind and (c ^ p) & 1
     ]
-    if d == 1 or i + 1 >= phase_end:
-        blocks = [t for t in cands if t[2] ^ t[3] == 1]
-        tied = blocks if blocks and toffoli_equivalents(region.bit_count() + 1) else cands
-    else:
-        found: Cols = []
-        cols = [(c, p) for _, c, p in pairs]
-        _suffix(n, cols, i, d, phase_end, kind, math.inf, seen, gates, floor, found)
-        ordered = {(c, p) if c < p else (p, c) for c, p in found}
-        tied = [t for t in cands if t[2:] in ordered]
-    if len(tied) > 1:
-        gaps = Counter((t[2] ^ t[3]) >> 1 for t in cands)
-        # ``max`` keeps the first of equals, and the sort puts rows in order.
-        return max(sorted(tied), key=lambda t: _count_free(gaps, (t[2] ^ t[3]) >> 1))[:2]
-    return tied[0][:2] if tied else None
+    found: Cols = []
+    cols = [(c, p) for _, c, p in pairs]
+    _suffix(n, cols, i, d, phase_end, kind, math.inf, seen, gates, floor, found)
+    ordered = {(c, p) if c < p else (p, c) for c, p in found}
+    return _break_tie(cands, [t for t in cands if t[2:] in ordered])
 
 
 def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisConfig):
@@ -491,6 +527,8 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
             d = cfg.depth_for(2 * (phase_end - i))
         if d <= 0:
             return None
+        if d == 1 or i + 1 >= phase_end:
+            return _choose_leaf(engine, i, kind)
         pairs = engine.pairs_from(i)
         if d < phase_end - i:
             return _lookahead_choose(n, pairs, i, kind, phase_end, d, None, gates, None)
@@ -564,7 +602,7 @@ def _stage(engine: _Engine, cfg: SynthesisConfig) -> StageStats:
     """
     w, pairs = engine.n, engine.size // 2
     mix_depth = mix_fix = 0
-    normal, inverted = _pair_split(engine.pos)
+    normal, inverted = _pair_split(engine)
     if inverted == pairs:  # X on the last line makes every pair normal
         engine.emit((0, 0, 1))
         normal = pairs

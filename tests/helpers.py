@@ -11,6 +11,7 @@ raises its ``PreconditionViolated``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, comb
 
@@ -77,6 +78,65 @@ def region_mask(n: int, i: int) -> int:
     position i's region when it holds them all."""
     m = findm(i, n)
     return ((1 << (m - 1)) - 1) << (n - m + 1)
+
+
+# --- The engine's scans as column walks. -----------------------------------
+# Each walks the columns of a plain (entries, pos) state in the order the
+# scan's contract names, so the engine's bit-plane scans have an oracle.
+
+
+def walk_region(entries, pos, region: int, kind: int):
+    """The first pair of ``kind`` with both members in the region (the
+    columns >= ``region``) by ascending column, the member at the smaller
+    column first; None when there is none.  A member of a kind-k pair has
+    (row ^ column) & 1 == k and its partner a column of the other parity."""
+    for col in range(region, len(entries) - 1):
+        a = entries[col]
+        partner = pos[a ^ 1]
+        if (a ^ col) & 1 != kind or not (partner ^ col) & 1:
+            continue
+        if partner > col:
+            return a, a ^ 1
+    return None
+
+
+def walk_member(entries, pos, region: int, i: int, col_parity: int, kind: int, taken: int):
+    """The first interrupting member at a column of ``col_parity``, over
+    the region's columns and then the rest from 2i, whose row is not in the
+    mask ``taken`` and whose flip to the other column parity turns its pair
+    to ``kind``; None when there is none."""
+    columns = [*range(region + col_parity, len(entries), 2), *range(2 * i + col_parity, region, 2)]
+    for col in columns:
+        r = entries[col]
+        if (r ^ col) & 1 == kind or taken >> r & 1 or (pos[r ^ 1] ^ col) & 1:
+            continue
+        return r
+    return None
+
+
+def leaf_pick(pairs, region: int, kind: int):
+    """A depth-1 root's pick among ``pairs``, (even row, its column, its
+    partner's column) triples: the in-region pairs of ``kind`` all pay the
+    same slide, and all but the blocks a conjoin, which is free only when
+    the region is every column.  Ties go to the pair whose slot gap the
+    most candidates share, then to the lowest rows."""
+    cands = [
+        (r, r + 1, c, p) if c < p else (r + 1, r, p, c)
+        for r, c, p in pairs
+        if c & p & region == region and c & 1 == kind and (c ^ p) & 1
+    ]
+    blocks = [t for t in cands if t[2] ^ t[3] == 1]
+    tied = blocks if blocks and region else cands
+    if not tied:
+        return None
+    gaps = Counter((t[2] ^ t[3]) >> 1 for t in cands)
+    return max(sorted(tied), key=lambda t: gaps[(t[2] ^ t[3]) >> 1])[:2]
+
+
+def pairs_at(pos, i: int):
+    """(even row r, column of r, column of r + 1) for each pair whose even
+    row sits at column 2i or past it, by row."""
+    return [(r, pos[r], pos[r + 1]) for r in range(0, len(pos), 2) if pos[r] >= 2 * i]
 
 
 # --- The paper's conjoin and slide, gate by gate. ---------------------------

@@ -52,7 +52,6 @@ from helpers import (
     independent_parity,
     mct,
     mismatch_rows,
-    positions,
     sim_circuit,
     slide_budget,
 )
@@ -218,7 +217,7 @@ def test_criterion_05_conditioning_postconditions():
         if stats.fixup_gates == 0 and stats.depth <= 2:
             depth_shallow += 1
         _run_preprocess(engine)
-        if _pair_split(engine.pos) == (64, 64):  # 128 rows each, none interrupting
+        if _pair_split(engine) == (64, 64):  # 128 rows each, none interrupting
             balanced_ok += 1
     assert exact_hits == samples, f"only {exact_hits}/{samples} hit {target}"
     assert balanced_ok == samples, f"only {balanced_ok}/{samples} balanced"
@@ -253,7 +252,7 @@ def test_criterion_06_invariant_suite():
         gate = random_gate(width)
         after_perm = apply_gate(perm, gate)
         if gate.target != width:  # off-last-line gates preserve all classes
-            assert _pair_split(positions(after_perm)) == _pair_split(positions(perm))
+            assert _pair_split(_Engine(after_perm)) == _pair_split(_Engine(perm))
             conserved += 1
         assert (mismatch_rows(after_perm.entries) - mismatch_rows(perm.entries)) % 4 == 0
         deltas += 1

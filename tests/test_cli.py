@@ -173,6 +173,19 @@ class TestSynth:
             "found 7 values after the leading 3\n"
         )
 
+    def test_one_value_too_many_names_both_readings(self, tmp_path, capsys):
+        # 10 tokens read as a truth table with n_out 0, which fails; they
+        # also read as a width-3 permutation with one value too many.
+        src = tmp_path / "long.perm"
+        src.write_text("3\n0 1 2 3 4 5 6 7 7\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(src)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: n_out 0 outside 1..{MAX_WIDTH}; as a width-3 permutation "
+            "it has one value too many (9 after the leading 3, expected 8)\n"
+        )
+
     def test_empty_input(self, tmp_path):
         src = tmp_path / "empty.perm"
         src.write_text("# nothing\n")

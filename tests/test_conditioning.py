@@ -63,7 +63,7 @@ def state_deficits(engine, i):
     resident parked below column 2i will make once the quarter flip moves
     it to the other column parity (a mismatching one turns its pair
     normal, a matching one inverted)."""
-    normal, inverted = _pair_split(engine.pos)
+    normal, inverted = _pair_split(engine)
     parked_mismatching = sum((engine.entries[c] ^ c) & 1 for c in range(2 * i))
     parked_matching = 2 * i - parked_mismatching
     quarter = engine.size // 4
@@ -74,7 +74,7 @@ def first_pick(p):
     """The first pseudo-block's members, and the deficits they leave."""
     engine = _Engine(p)
     deficits = state_deficits(engine, 0)
-    return _pre_pick_rows(engine, 0, deficits, bytearray(engine.size // 2)), deficits
+    return _pre_pick_rows(engine, 0, deficits, 0), deficits
 
 
 def parked_rule_picks(engine, i, deficits):
@@ -324,7 +324,7 @@ class TestPrePick:
 class TestPreprocess:
     def test_worked_example(self):
         result, seq = preprocess(HALF_INTERRUPTING)
-        assert _pair_split(positions(result)) == (4, 4)  # 8 rows each, none interrupting
+        assert _pair_split(_Engine(result)) == (4, 4)  # 8 rows each, none interrupting
         replayed = apply_sequence(HALF_INTERRUPTING, seq)
         assert replayed == result
 
@@ -340,7 +340,7 @@ class TestPreprocess:
         p = sample(width, seed)
         mixed, _ = mix(p)
         result, seq = preprocess(mixed)
-        assert _pair_split(positions(result)) == (result.size // 4, result.size // 4)
+        assert _pair_split(_Engine(result)) == (result.size // 4, result.size // 4)
         assert sum(g.target == width for g in seq) == 1
 
     @given(st.integers(3, 6), st.integers(0, 500))
@@ -364,16 +364,16 @@ class TestPreprocess:
     @given(st.integers(3, 8), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_taken_marks_the_parked_pairs(self, width, seed):
-        # At every pseudo-block ``taken`` must mark exactly the pairs with a
-        # member parked below column 2i, and the picks must be the ones
-        # that rule makes on the whole state.
+        # At every pseudo-block ``taken`` must hold exactly the rows of the
+        # pairs with a member parked below column 2i, and the picks must be
+        # the ones that rule makes on the whole state.
         p = Permutation(width, half_interrupting_entries(width, seed))
         seen = []
 
         def checked(engine, i, deficits, taken):
             pos = engine.pos
-            parked = [min(pos[r], pos[r + 1]) < 2 * i for r in range(0, engine.size, 2)]
-            assert list(map(bool, taken)) == parked
+            parked = [r for r in range(0, engine.size, 2) if min(pos[r], pos[r + 1]) < 2 * i]
+            assert taken == sum(3 << r for r in parked)
             expected = parked_rule_picks(engine, i, list(deficits))
             picked = _pre_pick_rows(engine, i, deficits, taken)
             assert picked == expected
@@ -384,7 +384,7 @@ class TestPreprocess:
             patch.setattr(conditioning, "_pre_pick_rows", checked)
             result, _ = preprocess(p)
         assert seen == list(range(p.size // 8))
-        assert _pair_split(positions(result)) == (p.size // 4, p.size // 4)
+        assert _pair_split(_Engine(result)) == (p.size // 4, p.size // 4)
 
     @given(st.integers(3, 5), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -432,7 +432,7 @@ class TestInternalChecks:
 
     def test_negative_deficits(self, monkeypatch):
         # Five normal pairs claimed where a quarter of the rows makes four.
-        monkeypatch.setattr(conditioning, "_pair_split", lambda pos: (5, 0))
+        monkeypatch.setattr(conditioning, "_pair_split", lambda engine: (5, 0))
         with pytest.raises(InternalError, match="internal error: negative conversion"):
             _run_preprocess(_Engine(HALF_INTERRUPTING))
 
@@ -444,7 +444,7 @@ class TestInternalChecks:
         # directly, inside synthesize.
         splits = [(0, 4)]
         monkeypatch.setattr(
-            conditioning, "_pair_split", lambda pos: splits.pop() if splits else _pair_split(pos)
+            conditioning, "_pair_split", lambda engine: splits.pop() if splits else _pair_split(engine)
         )
         with pytest.raises(InternalError, match="internal error: preprocessing ended in a 10:6:0"):
             synthesize(HALF_INTERRUPTING)

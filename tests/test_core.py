@@ -31,7 +31,6 @@ from helpers import (
     circuit_table,
     independent_parity,
     mct,
-    positions,
     sim_circuit,
 )
 
@@ -333,14 +332,13 @@ class TestVerifyIdentity:
             verify_identity(Permutation(2, tuple(range(4))), GateSequence(3))
 
 
-def full_scan(entries, pos, gate):
+def full_scan(entries, gate):
     """Reference gate application: test every column against the controls."""
     ones, zeros, tmask = gate.masks()
     for c in range(len(entries)):
         if c & tmask == 0 and c & ones == ones and c & zeros == 0:
             d = c | tmask
             entries[c], entries[d] = entries[d], entries[c]
-            pos[entries[c]], pos[entries[d]] = c, d
 
 
 class TestExchangeColumns:
@@ -350,15 +348,12 @@ class TestExchangeColumns:
     @settings(max_examples=200)
     def test_matches_full_scan(self, perm, data):
         gs = data.draw(st.lists(gates(perm.width), min_size=1, max_size=4))
-        entries, pos = list(perm.entries), positions(perm)
-        ref_entries, ref_pos = list(entries), list(pos)
-        plain = list(entries)
+        entries = list(perm.entries)
+        ref_entries = list(entries)
         for g in gs:
-            exchange_columns(entries, *g.masks(), pos)
-            exchange_columns(plain, *g.masks())
-            full_scan(ref_entries, ref_pos, g)
-        assert entries == ref_entries == plain
-        assert pos == ref_pos
+            exchange_columns(entries, *g.masks())
+            full_scan(ref_entries, g)
+        assert entries == ref_entries
 
     @given(shuffled(min_width=2), st.data())
     @settings(max_examples=200)
@@ -376,13 +371,12 @@ class TestExchangeColumns:
         tmask = 0
         for g in run:
             tmask |= g.masks()[2]
-        entries, pos = list(perm.entries), positions(perm)
-        exchange_columns(entries, ones, zeros, tmask, pos)
-        ref_entries, ref_pos = list(perm.entries), positions(perm)
+        entries = list(perm.entries)
+        exchange_columns(entries, ones, zeros, tmask)
+        ref_entries = list(perm.entries)
         for g in data.draw(st.permutations(run)):
-            full_scan(ref_entries, ref_pos, g)
+            full_scan(ref_entries, g)
         assert entries == ref_entries
-        assert pos == ref_pos
 
     @pytest.mark.parametrize(
         "ones, zeros, tmask", [(0, 0, 0), (0b100, 0, 0b110), (0, 0b001, 0b011)]
@@ -392,6 +386,21 @@ class TestExchangeColumns:
         with pytest.raises(PreconditionViolated, match="target mask"):
             exchange_columns(entries, ones, zeros, tmask)
         assert entries == list(range(8))
+
+
+class TestPlaneTranspose:
+    """``core._planes`` and ``core._values`` against the bit definition, on
+    every byte-lane width up to ``MAX_WIDTH``."""
+
+    @given(st.integers(1, 24), st.data())
+    @settings(max_examples=200)
+    def test_round_trip_matches_the_bits(self, width, data):
+        values = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=40))
+        planes = core._planes(values, width)
+        assert planes == [
+            sum((v >> b & 1) << x for x, v in enumerate(values)) for b in range(width)
+        ]
+        assert core._values(planes, len(values)) == values
 
 
 class TestBitSlicedVerify:

@@ -10,9 +10,9 @@ the default config (depth 1 with the exhaustive tail), a width-10 map at
 the default config (where lookahead ties, and so the free-block
 tie-break, are most frequent), a width-6 map at depth 2 (the ``_suffix``
 branch and bound), and width-9 and width-11 maps at depth 0 with no tail
-(the plain scan and its fallbacks only; the width-11 one is where folding
-X and CX gates into the column frame of ``_Engine.emit``, and walking the
-MCTs through it, carry most of the time).
+(the plain scan and its fallbacks only; the width-11 one is where the
+gates ``_Engine.emit`` applies to its bit planes, and the bit-sliced
+scans, carry most of the time).
 
 ``STAGE_LEDGER`` pins, for the same cases, the SHA-256 of
 ``repr(report.stages)``: the per-stage gate split, Toffoli count, lifts and

@@ -2,6 +2,7 @@
 construction, and whole reductions."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -35,7 +36,8 @@ from blocksynth.reduction import (
     _run_general,
     _run_normal,
 )
-from blocksynth.synthesis import _count_free, _price_leaves, _slide
+from blocksynth.conditioning import _scan_member
+from blocksynth.synthesis import _choose_leaf, _count_free, _price_leaves, _slide
 from helpers import (
     alloc_masks,
     apply_sequence,
@@ -44,11 +46,16 @@ from helpers import (
     conjoin_budget,
     cons_masks,
     findm,
+    leaf_pick,
     mct,
     mismatch_rows,
+    pairs_at,
     positions,
     rebalance_budget,
+    region_mask,
     slide_budget,
+    walk_member,
+    walk_region,
     with_identity_wire,
 )
 
@@ -170,29 +177,29 @@ class TestClassification:
     """The census counts pairs: (normal, inverted), the rest interrupting."""
 
     def test_identity_all_normal(self):
-        assert _pair_split(positions(ID3)) == (4, 0)
+        assert _pair_split(_Engine(ID3)) == (4, 0)
 
     def test_hand_worked_width_4(self):
         p = Permutation(4, (3, 10, 14, 6, 12, 2, 0, 15, 5, 8, 13, 9, 1, 4, 7, 11))
-        assert _pair_split(positions(p)) == (1, 3)
+        assert _pair_split(_Engine(p)) == (1, 3)
         assert mismatch_rows(p.entries) == 8
 
     def test_swapped_pair_counts(self):
         # Swapping columns 0,1 leaves pair <0,1> inverted; others normal.
         p = Permutation(3, (1, 0, 2, 3, 4, 5, 6, 7))
-        assert _pair_split(positions(p)) == (3, 1)
+        assert _pair_split(_Engine(p)) == (3, 1)
 
     @given(permutations())
     @settings(max_examples=120)
     def test_counts_are_even_and_sum(self, p):
-        normal, inverted = _pair_split(positions(p))
+        normal, inverted = _pair_split(_Engine(p))
         assert 2 * (normal + inverted) <= p.size
         assert (p.size - 2 * (normal + inverted)) % 4 == 0
 
     @given(permutations())
     @settings(max_examples=120)
     def test_interrupting_matches_reference(self, p):
-        normal, inverted = _pair_split(positions(p))
+        normal, inverted = _pair_split(_Engine(p))
         assert p.size - 2 * (normal + inverted) == mismatch_rows(p.entries)
 
     @given(permutations())
@@ -201,13 +208,13 @@ class TestClassification:
         # Each member of a kind-k pair has (row ^ column) & 1 == k.
         pos = positions(p)
         bits = [{(r ^ pos[r]) & 1, (r + 1 ^ pos[r + 1]) & 1} for r in range(0, p.size, 2)]
-        assert _pair_split(pos) == (bits.count({NORMAL}), bits.count({INVERTED}))
+        assert _pair_split(_Engine(p)) == (bits.count({NORMAL}), bits.count({INVERTED}))
 
     @given(st.integers(2, 5), st.integers(0, 30))
     @settings(max_examples=50)
     def test_parity_aligned_classifies_all_normal(self, width, seed):
         p = sample(width, seed, "parity_aligned")
-        assert _pair_split(positions(p)) == (p.size // 2, 0)
+        assert _pair_split(_Engine(p)) == (p.size // 2, 0)
 
 
 class TestConservation:
@@ -218,7 +225,7 @@ class TestConservation:
     def test_counts_invariant_without_last_line_target(self, p, data):
         target = data.draw(st.integers(1, p.width - 1))
         moved = apply_gate(p, x(p.width, target))
-        assert _pair_split(positions(moved)) == _pair_split(positions(p))
+        assert _pair_split(_Engine(moved)) == _pair_split(_Engine(p))
 
 
 def _cols_from(engine, i):
@@ -567,17 +574,18 @@ def region_pick(state, i, kind):
 
 
 @st.composite
-def gate_batches(draw):
-    """A width 3..9 and batches of gates for one ``emit`` each: X gates, CX
-    runs of either polarity onto one or more targets, and MCTs with 2..n-1
-    controls."""
-    n = draw(st.integers(3, 9))
+def gate_batches(draw, max_width=9):
+    """A width 3..``max_width`` and batches of gates for one ``emit`` each:
+    X gates, CX runs of either polarity onto one or more targets, MCTs with
+    2..n-1 controls of either polarity, and same-control runs given as one
+    triple with a multi-bit target."""
+    n = draw(st.integers(3, max_width))
     lines = st.integers(0, n - 1).map(lambda b: 1 << b)
     batches = []
     for _ in range(draw(st.integers(1, 6))):
         batch = []
         for _ in range(draw(st.integers(1, 4))):
-            shape = draw(st.sampled_from(["x", "cx", "mct"]))
+            shape = draw(st.sampled_from(["x", "cx", "mct", "run"]))
             if shape == "x":
                 batch.append((0, 0, draw(lines)))
                 continue
@@ -588,88 +596,107 @@ def gate_batches(draw):
                 for t in targets:  # a run: one CX per target, same control
                     batch.append((control, 0, t) if positive else (0, control, t))
                 continue
-            m = draw(st.integers(2, n - 1))
+            k = 1 if shape == "mct" else draw(st.integers(1, n - 1))  # target lines
+            m = draw(st.integers(2 if shape == "mct" else 0, n - k))
             ones = zeros = 0
-            for bit in order[1 : 1 + m]:
+            for bit in order[k : k + m]:
                 if draw(st.booleans()):
                     ones |= bit
                 else:
                     zeros |= bit
-            batch.append((ones, zeros, order[0]))
+            batch.append((ones, zeros, sum(order[:k])))
         batches.append(batch)
     return n, batches
 
 
+def replay(state, batch):
+    """``state`` with ``batch``'s triples applied in order, a multi-bit
+    target as one gate per target line."""
+    n = state.width
+    for ones, zeros, tmask in batch:
+        for b in range(n):
+            if tmask >> b & 1:
+                state = apply_gate(state, Gate.from_masks(n, ones, zeros, 1 << b))
+    return state
+
+
 class TestFusedEmission:
-    """``_Engine.emit`` folds X and CX gates into the column frame and
-    walks only the others; every read must still see the state that the
-    recorded gates replay to."""
+    """``_Engine.emit`` applies each gate to the bit planes as one mask of
+    moved rows, shared by a run of gates with the same controls; every read
+    must still see the state that the recorded gates replay to."""
 
     @given(gate_batches(), st.integers(0, 10_000), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_frame_matches_a_plain_replay(self, case, seed, data):
+    def test_planes_match_a_plain_replay(self, case, seed, data):
         n, batches = case
         state = sample(n, seed)
         engine = _Engine(state)
         for batch in batches:
             engine.emit(*batch)
-            for ones, zeros, t in batch:
-                state = apply_gate(state, Gate.from_masks(n, ones, zeros, t))
+            state = replay(state, batch)
             pos = positions(state)
+            assert engine.pos == pos
+            assert engine.entries == list(state.entries)
             assert [engine.row(c) for c in range(state.size)] == list(state.entries)
             assert [engine.col(r) for r in range(state.size)] == pos
             i = data.draw(st.integers(0, state.size // 2 - 1))
             assert engine.pairs_from(i) == sorted(
                 (r, pos[r], pos[r + 1]) for r in state.entries[2 * i :] if not r & 1
             )
-            # A walk steps the frame from column to column, forward and back.
-            lo = data.draw(st.integers(0, state.size - 1))
-            hi = data.draw(st.integers(lo, state.size))
-            jumps = data.draw(st.lists(st.integers(0, state.size - 1), max_size=8))
-            columns = [*range(lo, hi), *jumps]
-            walked = list(engine.walk(columns))
-            assert [(c, r) for c, r, _ in walked] == [(c, state.entries[c]) for c in columns]
-            assert [engine.at(s) for _, _, s in walked] == [pos[r ^ 1] for _, r, _ in walked]
-            odd, offset = engine.parity_mask()
-            assert [((s & odd).bit_count() ^ offset) & 1 for s in range(state.size)] == [
-                engine.at(s) & 1 for s in range(state.size)
-            ]
             for kind in (NORMAL, INVERTED):
                 assert engine.scan_region(i, kind) == region_pick(state, i, kind)
             if data.draw(st.booleans()):  # a whole-array read between emits
                 assert engine.snapshot() == state
         assert engine.snapshot() == state
-        assert engine.pos == positions(state)
+        assert engine.q == [
+            sum((c >> b & 1) << r for r, c in enumerate(positions(state))) for b in range(n)
+        ]
 
-    def test_conjoin_sandwich_moves_no_entry(self):
-        # X(2) · CX(2->3) · CX(2->4) · X(2) at width 4 only changes the
-        # frame; the MCT after it walks the stored entries.
+    def test_conjoin_sandwich_shares_masks(self):
+        # X(2) · CX(2->3) · CX(2->4) · X(2) at width 4: the two CX gates
+        # share their controls, so the batch takes three masks of moved
+        # rows, not four; the MCT after it takes one more.
         p = sample(4, 3)
         engine = _Engine(p)
-        sandwich = [(0, 0, 4), (4, 0, 2), (4, 0, 1), (0, 0, 4)]
-        engine.emit(*sandwich)
-        assert engine._entries == list(p.entries)
+        fired = []
+        fire = engine.fire
+        engine.fire = lambda ones, zeros: fired.append((ones, zeros)) or fire(ones, zeros)
+        engine.emit((0, 0, 4), (4, 0, 2), (4, 0, 1), (0, 0, 4))
+        assert fired == [(0, 0), (4, 0), (0, 0)]
         engine.emit((8 | 1, 0, 4))
-        assert engine._entries != list(p.entries)
+        assert fired[3:] == [(9, 0)]
         replayed = apply_sequence(p, engine.sequence())
         assert engine.snapshot() == replayed
 
     def test_reads_write_no_engine_state(self):
-        # After folded CX gates the whole-array reads go through the frame
-        # and leave the stored lists alone; a list they return is the
-        # caller's, so a later MCT does not change it.
+        # Every read leaves the planes alone; a list a read returns is the
+        # caller's, so a later gate does not change it.
         p = sample(4, 3)
         engine = _Engine(p)
-        engine.emit((8, 0, 2), (0, 8, 1))  # CX 1->3 and C(!1)X@4: both fold
-        stored, stored_pos = list(engine._entries), list(engine._pos)
+        engine.emit((8, 0, 2), (0, 8, 1))  # CX 1->3 and C(!1)X@4
+        planes = engine.q
+        stored = list(planes)
         pos = engine.pos
         held = list(pos)
         replayed = apply_sequence(p, engine.sequence())
         assert engine.entries == list(replayed.entries)
         assert engine.snapshot() == replayed
-        assert (engine._entries, engine._pos) == (stored, stored_pos)
-        engine.emit((8 | 1, 0, 4))  # an MCT swaps stored entries
-        assert engine._entries != stored
+        for i in range(engine.size // 2):
+            engine.pairs_from(i)
+            engine.at_position(i)
+            for kind in (NORMAL, INVERTED):
+                engine.scan_region(i, kind)
+                engine.best_out_of_region(i, kind)
+                engine.blocks(engine.kind_pairs(i, kind))
+                _holds_block(engine, i, kind)
+        _pair_split(engine)
+        for c in range(engine.size):
+            engine.row(c)
+            engine.col(c)
+            engine.lowest(engine.full >> c)
+        assert engine.q is planes and planes == stored
+        engine.emit((8 | 1, 0, 4))  # an MCT moves rows
+        assert engine.q != stored
         assert pos == held
 
     @given(aligned_perms(min_width=3, max_width=6), st.data())
@@ -682,6 +709,38 @@ class TestFusedEmission:
         replayed = apply_sequence(p, engine.sequence())
         assert engine.snapshot() == replayed
         assert engine.pos == positions(replayed)
+
+
+class TestPlaneScans:
+    """The scans are bit-sliced minima over the planes; each must return
+    what a walk over the columns in its contract's order returns."""
+
+    @given(gate_batches(max_width=12), st.integers(0, 10_000), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scans_match_the_column_walks(self, case, seed, data):
+        n, batches = case
+        state = sample(n, seed, data.draw(st.sampled_from(["uniform", "parity_aligned"])))
+        engine = _Engine(state)
+        for batch in batches[: data.draw(st.integers(0, len(batches)))]:
+            engine.emit(*batch)
+            state = replay(state, batch)
+        entries, pos = list(state.entries), positions(state)
+        i = data.draw(st.integers(0, state.size // 2 - 1))
+        region = region_mask(n, i)
+        # ``taken`` holds the pairs with a member below column 2i, and some
+        # others.
+        rng = random.Random(data.draw(st.integers(0, 10_000)))
+        taken = 0
+        for r in range(0, state.size, 2):
+            if min(pos[r], pos[r + 1]) < 2 * i or rng.random() < 0.25:
+                taken |= 3 << r
+        for kind in (NORMAL, INVERTED):
+            assert engine.scan_region(i, kind) == walk_region(entries, pos, region, kind)
+            assert _choose_leaf(engine, i, kind) == leaf_pick(pairs_at(pos, i), region, kind)
+            for parity in (0, 1):
+                assert _scan_member(engine, i, parity, kind, taken) == walk_member(
+                    entries, pos, region, i, parity, kind, taken
+                )
 
 
 class TestAllocateChecks:

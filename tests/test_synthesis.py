@@ -42,6 +42,7 @@ from blocksynth.reduction import (
 )
 from blocksynth.synthesis import (
     _advance,
+    _choose_leaf,
     _count_free,
     _fills_phase,
     _floor,
@@ -63,6 +64,7 @@ from helpers import (
     flat_spectrum,
     half_interrupting_entries,
     independent_parity,
+    leaf_pick,
     positions,
     sim_circuit,
     track,
@@ -336,8 +338,9 @@ class TestScorerModel:
 
 @st.composite
 def pair_states(draw, max_width=9):
-    """(n, i, pairs): the unallocated pairs at position i of a column
-    layout drawn from all blocks (of one kind) through fully random."""
+    """(n, i, pairs, perm): the unallocated pairs at position i of a column
+    layout drawn from all blocks (of one kind) through fully random, and
+    the whole layout as a permutation."""
     n = draw(st.integers(3, max_width))
     size = 1 << n
     flip = draw(st.sampled_from([0, 1]))  # 1 makes every block inverted
@@ -347,7 +350,10 @@ def pair_states(draw, max_width=9):
         pos[a], pos[b] = pos[b], pos[a]
     i = draw(st.integers(0, (1 << (n - 1)) - 1))
     pairs = [(r, pos[r], pos[r + 1]) for r in range(0, size, 2) if pos[r] >= 2 * i]
-    return n, i, pairs
+    entries = [0] * size
+    for r, c in enumerate(pos):
+        entries[c] = r
+    return n, i, pairs, Permutation(n, tuple(entries))
 
 
 def _priced_one_by_one(n, cols, i, kind, budget):
@@ -379,7 +385,7 @@ class TestLeafPass:
     @given(pair_states(), st.sampled_from([NORMAL, INVERTED]), st.booleans(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_depth_one_matches_pricing_each_candidate(self, state, kind, last, data):
-        n, i, pairs = state
+        n, i, pairs, perm = state
         cols = [(c, p) for _, c, p in pairs]
         best, tied = _priced_one_by_one(n, cols, i, kind, math.inf)
         # Budgets at or below the best must fail the search.
@@ -388,16 +394,16 @@ class TestLeafPass:
         depth, phase_end = (3, i + 1) if last else (1, 1 << (n - 1))
         got = _suffix(n, cols, i, depth, phase_end, kind, budget, None, {})
         assert got == _priced_one_by_one(n, cols, i, kind, budget)[0]
-        # A root prices in its own pass: it picks one of the cheapest.
-        pick = _lookahead_choose(n, pairs, i, kind, phase_end, depth, None, {}, None)
+        # A root reads the planes: it picks one of the cheapest.
+        pick = _choose_leaf(_Engine(perm), i, kind)
         rows = {(c, p): (r, r + 1) if c < p else (r + 1, r) for r, c, p in pairs}
         assert pick in {rows[t] for t in tied} if tied else pick is None
 
     @given(pair_states(max_width=7), st.sampled_from([NORMAL, INVERTED]), st.integers(1, 2))
     @settings(max_examples=150, deadline=None)
     def test_root_census_matches_a_rescan(self, state, kind, depth):
-        # The gap census that the root hands ``_count_free``.
-        n, i, pairs = state
+        # The gap census that either root hands ``_count_free``.
+        n, i, pairs, perm = state
         census = []
         count_free = synthesis._count_free
 
@@ -407,7 +413,10 @@ class TestLeafPass:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_count_free", spy)
-            _lookahead_choose(n, pairs, i, kind, 1 << (n - 1), depth, None, {}, None)
+            if depth == 1 or i + 1 >= 1 << (n - 1):
+                _choose_leaf(_Engine(perm), i, kind)
+            else:
+                _lookahead_choose(n, pairs, i, kind, 1 << (n - 1), depth, None, {}, None)
         cands = _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
         assert all(gaps == Counter((c ^ p) >> 1 for c, p in cands) for gaps in census)
 
@@ -476,6 +485,12 @@ class TestPairOrder:
         d = phase_end - i if depth == "end" else depth
         pairs = engine.pairs_from(i)
         shuffled = data.draw(st.permutations(pairs))
+        if d == 1 or i + 1 >= phase_end:
+            # A leaf root reads no pair list; its oracle ignores the order.
+            want = leaf_pick(pairs, _region_mask(n, i), kind)
+            assert leaf_pick(shuffled, _region_mask(n, i), kind) == want
+            assert _choose_leaf(engine, i, kind) == want
+            return
         floor = _bound_for(n, pairs, i, kind, phase_end, d)
         want = _lookahead_choose(n, pairs, i, kind, phase_end, d, {}, {}, floor)
         assert _lookahead_choose(n, shuffled, i, kind, phase_end, d, {}, {}, floor) == want
@@ -485,8 +500,14 @@ class TestPairOrder:
     def test_root_pick_ignores_pair_order_in_a_bounded_tail(self, state, table, data):
         perm, i, kind = state
         n, half = perm.width, perm.size // 2
-        pairs = _Engine(perm).pairs_from(i)
+        engine = _Engine(perm)
+        pairs = engine.pairs_from(i)
         shuffled = data.draw(st.permutations(pairs))
+        if i + 1 == half:  # the last position: a leaf root
+            want = leaf_pick(pairs, _region_mask(n, i), kind)
+            assert leaf_pick(shuffled, _region_mask(n, i), kind) == want
+            assert _choose_leaf(engine, i, kind) == want
+            return
         floor = _bound_for(n, pairs, i, kind, half, half - i)
         assert floor is not None
         seen = {} if table else None
@@ -497,7 +518,7 @@ class TestPairOrder:
     @given(pair_states(max_width=6), st.sampled_from([NORMAL, INVERTED]), st.integers(1, 3), st.data())
     @settings(max_examples=100, deadline=None)
     def test_child_value_ignores_pair_order(self, state, kind, depth, data):
-        n, i, pairs = state
+        n, i, pairs, _ = state
         cols = [(c, p) for _, c, p in pairs]
         shuffled = data.draw(st.permutations(cols))
         phase_end = data.draw(st.sampled_from([min(i + depth, 1 << (n - 1)), 1 << (n - 1)]))
@@ -673,7 +694,10 @@ class TestTailBound:
         for seen in (None, {}):
             got = _suffix(n, cols, i, half - i, half, kind, budget, seen, {}, floor)
             assert got == (want if want < budget else None)
-        pick = _lookahead_choose(n, pairs, i, kind, half, half - i, {}, {}, floor)
+        if i + 1 < half:
+            pick = _lookahead_choose(n, pairs, i, kind, half, half - i, {}, {}, floor)
+        else:
+            pick = _choose_leaf(_Engine(perm), i, kind)
         assert pick == _reference_choice(perm, i, kind, half, half - i)
 
     @given(filled_states(max_width=7, max_left=64), st.data())
@@ -866,7 +890,7 @@ class TestStage:
         build, phases = STAGE_PATHS[path]
         engine = _Engine(Permutation(width, build(width, seed)))
         pairs = engine.size // 2
-        normal, inverted = _pair_split(engine.pos)
+        normal, inverted = _pair_split(engine)
         if path == "mixed":  # a uniform map lands on another path now and then
             assume(pairs not in (normal, inverted) and normal + inverted != pairs // 2)
             assume((normal, inverted) != (pairs // 2, pairs // 2))  # not balanced
