@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Literal, Mapping, Optional
 
 from .core import Gate, GateSequence, InternalError, cx, toffoli, x
@@ -96,17 +97,23 @@ def resolve_table(path: Optional[str] = None) -> CostTable:
     return read_cost_table(path) if path else DEFAULT_TABLE
 
 
+def _control_counts(seq: GateSequence) -> Counter[int]:
+    """How many gates of ``seq`` have each control count, the only thing a
+    gate's price depends on; counted with no Python-level call per gate."""
+    return Counter(map(len, map(attrgetter("controls"), seq.gates)))
+
+
 def toffoli_count(seq: GateSequence) -> int:
-    """Toffoli-equivalents summed over the gates of ``seq``, each distinct
-    gate priced once (``Gate`` caches its hash)."""
-    return sum(toffoli_equivalents(g.control_count) * k for g, k in Counter(seq.gates).items())
+    """Toffoli-equivalents summed over the gates of ``seq``, each control
+    count priced once."""
+    return sum(toffoli_equivalents(m) * k for m, k in _control_counts(seq).items())
 
 
 def quantum_cost(seq: GateSequence, table: Optional[CostTable] = None) -> int:
-    """The ``table`` cost summed over the gates of ``seq``, each distinct
-    gate priced once."""
+    """The ``table`` cost summed over the gates of ``seq``, each control
+    count priced once."""
     t = table or DEFAULT_TABLE
-    return sum(t.cost_of(g.control_count) * k for g, k in Counter(seq.gates).items())
+    return sum(t.cost_of(m) * k for m, k in _control_counts(seq).items())
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +213,7 @@ def expand_mct(
         raise ValueError(f"unknown expansion policy {policy!r}")
     n = seq.width
     if policy == "clean":
-        m_max = max((g.control_count for g in seq), default=0)
+        m_max = max(map(len, map(attrgetter("controls"), seq.gates)), default=0)
         work = max(0, m_max - 2)
     else:
         work = 1 if any(g.control_count >= 3 and g.control_count + 2 > n for g in seq) else 0

@@ -261,7 +261,7 @@ class _Engine:
     and ``lowest`` which row of a set sits at the smallest column: a
     bit-sliced minimum, n AND steps from the top bit.  So a scan is a few
     big-int operations on the planes (``kind_pairs``, ``scan_region``,
-    ``blocks``).  Only whole-array readers transpose the planes
+    ``differences``).  Only whole-array readers transpose the planes
     (``core._values``): ``pos``, ``entries`` and ``pairs_from``, each a new
     list.  ``full``, ``even`` and ``odd`` are the masks of all rows, the
     even rows and the odd rows.
@@ -475,13 +475,12 @@ class _Engine:
         rows &= self.fire(_region_mask(self.n, i), 0)
         return rows & self.partners(rows)
 
-    def blocks(self, rows: int) -> int:
-        """The even rows of ``rows`` whose pair sits at one column pair: the
-        two rows' planes agree above bit 0."""
-        apart = 0
-        for plane in self.q[1:]:
-            apart |= plane ^ plane >> 1
-        return rows & self.even & ~apart
+    def differences(self, rows: int) -> list[int]:
+        """For each column bit b from 1 up, the rows of ``rows``, a mask of
+        even rows, whose pair's two columns differ on bit b: bit r of entry
+        b - 1 is bit b of col(r) ^ col(r + 1).  A pair in none of them sits
+        at one column pair."""
+        return [(plane ^ plane >> 1) & rows for plane in self.q[1:]]
 
     def scan_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
         """First in-region pair of ``kind`` by ascending column, the member

@@ -45,15 +45,20 @@ pair is a block.  So such a node is priced in the pass that filters its
 pairs, with no masks and no sort (``_price_leaves``).  Such a root
 (``_choose_leaf``) reads the engine's planes instead of a pair list: the
 candidates and the blocks among them are row masks, and where a block is
-cheapest the pick is the block at the lowest row.  A search to the end of
-a phase that ends at 2^(n-1) is also bounded: every position left pays its slide, and a conjoin is due unless
-every pair left is a block (``_floor``).  That bound holds only if no node
-runs dry, which ``_fills_phase`` checks of the root's state.  The scorer
+cheapest the pick is the block at the lowest row.  Otherwise its
+candidates all tie, and the planes of the pairs' column differences split
+them into groups by slot gap.  A search to the end of a phase that ends
+at 2^(n-1) is also bounded: every position left pays its slide, and a
+conjoin is due unless every pair left is a block (``_floor``).  That
+bound holds only if no node runs dry, which ``_fills_phase`` checks of the
+root's state.  The scorer
 never copies the engine or builds a ``Gate``; the engine emits the chosen
 pair's triples from the same ``_pair_gates``, one gate per target line.
 Ties go to the pair that leaves the most free blocks, a rank read off the
 root's histogram of the candidates by slot gap without running any
-candidate's masks (``_count_free``), then to the lowest rows.
+candidate's masks (``_count_free``), then to the lowest rows.  At a leaf
+root that rank is the size of the candidate's slot-gap group, so the pick
+comes from the biggest group.
 
 ``_stage`` also keeps the stage's gate ledger (``StageStats``) and checks
 its Toffoli count, less what its region lifts and mix repair gates cost,
@@ -191,11 +196,12 @@ class SynthesisReport:
 # are searched meets.  ``_suffix`` runs once per search node but a root
 # whose children are leaves, which ``_choose_leaf`` answers from the
 # planes; it prices a node whose children are leaves in its filtering pass
-# (``_price_leaves``).  ``_count_free`` runs once per tied candidate,
-# except at a leaf root whose cheapest pairs are blocks, and reads no
-# masks.  The search looks these up in this module's globals, and
-# ``_Engine.allocate`` its ``_pair_gates`` in ``reduction``'s.  So a profile
-# or trace of these module attributes counts the search alone.
+# (``_price_leaves``).  ``_count_free`` runs once per tied candidate at a
+# root whose children are searched, and reads no masks; a leaf root ranks
+# its ties on the planes and never calls it.  The search looks these up in
+# this module's globals, and ``_Engine.allocate`` its ``_pair_gates`` in
+# ``reduction``'s.  So a profile or trace of these module attributes
+# counts the search alone.
 
 # (even row r, column of r, column of r + 1), one per unallocated pair.
 Pairs = list[tuple[int, int, int]]
@@ -434,30 +440,46 @@ def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]
     The slide costs every candidate the same, so the cheapest are the
     blocks, if any, unless the conjoin is free as well, a CX at position 0
     (see ``_price_leaves``).  Blocks tie on their slot gap, so the pick is
-    the block at the lowest even row, whose member at the smaller column is
-    the one whose row parity is ``kind``.  Otherwise every candidate ties,
-    and ``_break_tie`` ranks them by their columns, read off one transpose
-    of the planes (``_Engine.pos``): with ten candidates at width 8 and
-    sixty at width 11 on average, that costs less than a column read per
-    member.
+    the block at the lowest even row.  Otherwise every candidate ties, and
+    the pick is ``_break_tie``'s over all of them: the slot gap that the
+    most candidates share, then the lowest even row r (the smaller-column
+    row is r or r + 1, so rows sort by r).  The planes of the pairs'
+    column differences (``_Engine.differences``) split the candidate rows
+    into their gap groups, one AND per group and gap bit, so no column is
+    read.  The member at the smaller column is the one with a 0 on the
+    top bit the columns differ on, or for a block, whose row parity is
+    ``kind``.
     """
     rows = engine.kind_pairs(i, kind) & engine.even
+    if not rows:
+        return None
+    diffs = engine.differences(rows)
     if toffoli_equivalents(_region_mask(engine.n, i).bit_count() + 1):
-        blocks = engine.blocks(rows)
+        apart = 0
+        for d in diffs:
+            apart |= d
+        blocks = rows & ~apart
         if blocks:
             r = (blocks & -blocks).bit_length() - 1
             return r ^ kind, r ^ kind ^ 1
-    if not rows:
-        return None
-    pos = engine.pos
-    cands: list[Cand] = []
-    while rows:
-        low = rows & -rows
-        r = low.bit_length() - 1
-        c, p = pos[r], pos[r + 1]
-        cands.append((r, r + 1, c, p) if c < p else (r + 1, r, p, c))
-        rows ^= low
-    return _break_tie(cands, cands)
+    groups = [rows]
+    for d in reversed(diffs):
+        split = []
+        for g in groups:
+            ones = g & d
+            if ones and ones != g:
+                split += (ones, g ^ ones)
+            else:
+                split.append(g)
+        groups = split
+    # The biggest group, then the lowest row: a group's lowest bit.
+    sizes = list(map(int.bit_count, groups))
+    top = max(sizes)
+    r = min(g & -g for g, size in zip(groups, sizes) if size == top).bit_length() - 1
+    for b in range(len(diffs), 0, -1):
+        if diffs[b - 1] >> r & 1:
+            return (r + 1, r) if engine.q[b] >> r & 1 else (r, r + 1)
+    return r ^ kind, r ^ kind ^ 1
 
 
 def _lookahead_choose(
@@ -578,10 +600,11 @@ def search_two_bit(perm: Permutation) -> GateSequence:
 
 
 def peephole(seq: GateSequence) -> GateSequence:
-    """Cancel adjacent identical gates (every gate is an involution)."""
+    """Cancel adjacent identical gates (every gate is an involution).  The
+    cached hashes decide almost every comparison before ``==`` runs."""
     stack: list[Gate] = []
     for g in seq:
-        if stack and stack[-1] == g:
+        if stack and stack[-1]._hash == g._hash and stack[-1] == g:
             stack.pop()
         else:
             stack.append(g)

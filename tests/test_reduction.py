@@ -687,7 +687,7 @@ class TestFusedEmission:
             for kind in (NORMAL, INVERTED):
                 engine.scan_region(i, kind)
                 engine.best_out_of_region(i, kind)
-                engine.blocks(engine.kind_pairs(i, kind))
+                engine.differences(engine.kind_pairs(i, kind) & engine.even)
                 _holds_block(engine, i, kind)
         _pair_split(engine)
         for c in range(engine.size):

@@ -65,6 +65,7 @@ from helpers import (
     half_interrupting_entries,
     independent_parity,
     leaf_pick,
+    pairs_at,
     positions,
     sim_circuit,
     track,
@@ -399,11 +400,13 @@ class TestLeafPass:
         rows = {(c, p): (r, r + 1) if c < p else (r + 1, r) for r, c, p in pairs}
         assert pick in {rows[t] for t in tied} if tied else pick is None
 
-    @given(pair_states(max_width=7), st.sampled_from([NORMAL, INVERTED]), st.integers(1, 2))
+    @given(pair_states(max_width=7), st.sampled_from([NORMAL, INVERTED]), st.integers(2, 3))
     @settings(max_examples=150, deadline=None)
     def test_root_census_matches_a_rescan(self, state, kind, depth):
-        # The gap census that either root hands ``_count_free``.
+        # The gap census that a root whose children are searched hands
+        # ``_count_free``; a leaf root ranks its ties on the planes.
         n, i, pairs, perm = state
+        assume(i + 1 < 1 << (n - 1))
         census = []
         count_free = synthesis._count_free
 
@@ -413,12 +416,51 @@ class TestLeafPass:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_count_free", spy)
-            if depth == 1 or i + 1 >= 1 << (n - 1):
-                _choose_leaf(_Engine(perm), i, kind)
-            else:
-                _lookahead_choose(n, pairs, i, kind, 1 << (n - 1), depth, None, {}, None)
+            _lookahead_choose(n, pairs, i, kind, 1 << (n - 1), depth, None, {}, None)
         cands = _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
         assert all(gaps == Counter((c ^ p) >> 1 for c, p in cands) for gaps in census)
+
+
+def _layout(pos):
+    """The permutation whose row r sits at column ``pos[r]``."""
+    entries = [0] * len(pos)
+    for r, c in enumerate(pos):
+        entries[c] = r
+    return Permutation(len(pos).bit_length() - 1, tuple(entries))
+
+
+class TestLeafTies:
+    """A leaf root whose candidates all tie ranks them on the planes: the
+    slot gap the most candidates share, then the lowest row, and the
+    member at the smaller column first.  Each case must agree with
+    ``leaf_pick``, which ranks the columns themselves."""
+
+    def check(self, pos, i, kind, want):
+        perm = _layout(pos)
+        n = perm.width
+        assert leaf_pick(pairs_at(pos, i), _region_mask(n, i), kind) == want
+        assert _choose_leaf(_Engine(perm), i, kind) == want
+
+    def test_blocks_tie_with_the_other_pairs_at_position_0(self):
+        # Position 0's conjoin is a free CX, so the blocks (gap 0, rows 2
+        # and 4) cost what the pair at gap 1 (rows 0, 1) does, and the
+        # bigger group wins although it holds no lowest row.
+        self.check([0, 3, 4, 5, 6, 7, 1, 2], 0, NORMAL, (2, 3))
+        # Here the gap-1 group (rows 0 and 4) outnumbers the one block
+        # (rows 2, 3); row 0 sits at column 6, past row 1's 5.
+        self.check([6, 5, 2, 3, 4, 7, 1, 0], 0, NORMAL, (1, 0))
+
+    @pytest.mark.parametrize("flip", [0, 1])
+    def test_equal_groups_go_to_the_lowest_row(self, flip):
+        # Position 4 of width 4: the region is columns 8..15, the conjoin
+        # costs a Toffoli and no block sits there.  Rows 0 and 6 share gap
+        # 3, rows 2 and 4 gap 1: the group holding row 0 wins, and row 0
+        # sits at the larger column.  Flipping every column's parity makes
+        # every pair inverted and keeps the gaps and the column order.
+        pos = [14, 9, 8, 11, 12, 15, 10, 13, *range(8)]
+        kind = INVERTED if flip else NORMAL
+        self.check([c ^ flip for c in pos], 4, kind, (1, 0))
+        self.check([c ^ flip for c in pos], 4, kind ^ 1, None)
 
 
 @st.composite
