@@ -40,9 +40,11 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Literal, Sequence
+from operator import attrgetter
+from typing import Iterator, Literal, Optional, Sequence
 
 MAX_WIDTH = 24
 
@@ -183,6 +185,12 @@ class GateSequence:
 
     width: int
     gates: tuple[Gate, ...] = ()
+    # How many gates have each control count, filled on first use: the
+    # census that ``toffoli_count``, ``quantum_cost`` and ``expand_mct``
+    # share.  Not compared or shown, and ``dataclasses.replace`` starts over.
+    _census: Optional[Counter[int]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         for g in self.gates:
@@ -196,6 +204,14 @@ class GateSequence:
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
+
+    def _control_counts(self) -> Counter[int]:
+        """The census: gates per control count, counted once per sequence
+        with no Python-level call per gate."""
+        if self._census is None:
+            census = Counter(map(len, map(attrgetter("controls"), self.gates)))
+            object.__setattr__(self, "_census", census)
+        return self._census
 
 
 def exchange_columns(entries: list[int], ones: int, zeros: int, tmask: int) -> None:

@@ -5,25 +5,27 @@ controls counts as 2m-3 Toffoli-equivalents, smaller gates are free
 (``toffoli_equivalents``, which pair selection and region lifts also use).
 ``quantum_cost`` looks each gate up in a :class:`CostTable` keyed by control
 count (polarity never changes the price); lookups outside the table raise
-:class:`MissingCostEntry` rather than guessing.
+:class:`MissingCostEntry` rather than guessing.  Both price each control
+count once, from the census that a ``GateSequence`` counts once and keeps.
 
 ``expand_mct`` rewrites a circuit into NOT/CNOT/Toffoli gates only.  The
 default *clean* policy chains each m-controlled gate through m-2 shared
 work lines that start and end at zero, spending exactly 2m-3 Toffolis.  The
 *dirty* policy borrows lines that merely need to be restored: 4 Toffolis at
 m=3, 10 at m=4, and 8(m-3) for m >= 5 via a two-factor split whose halves
-lend each other their controls as scratch.
+lend each other their controls as scratch.  A call expands each distinct
+input gate once and builds each distinct output gate once (``_Pieces`` and
+``_Gates``), so the work grows with the distinct gates, not the gate lines.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain
 from typing import Literal, Mapping, Optional
 
-from .core import Gate, GateSequence, InternalError, cx, toffoli, x
+from .core import Gate, GateSequence, InternalError
 
 
 class MissingCostEntry(KeyError):
@@ -97,23 +99,17 @@ def resolve_table(path: Optional[str] = None) -> CostTable:
     return read_cost_table(path) if path else DEFAULT_TABLE
 
 
-def _control_counts(seq: GateSequence) -> Counter[int]:
-    """How many gates of ``seq`` have each control count, the only thing a
-    gate's price depends on; counted with no Python-level call per gate."""
-    return Counter(map(len, map(attrgetter("controls"), seq.gates)))
-
-
 def toffoli_count(seq: GateSequence) -> int:
     """Toffoli-equivalents summed over the gates of ``seq``, each control
     count priced once."""
-    return sum(toffoli_equivalents(m) * k for m, k in _control_counts(seq).items())
+    return sum(toffoli_equivalents(m) * k for m, k in seq._control_counts().items())
 
 
 def quantum_cost(seq: GateSequence, table: Optional[CostTable] = None) -> int:
     """The ``table`` cost summed over the gates of ``seq``, each control
     count priced once."""
     t = table or DEFAULT_TABLE
-    return sum(t.cost_of(m) * k for m, k in _control_counts(seq).items())
+    return sum(t.cost_of(m) * k for m, k in seq._control_counts().items())
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +122,53 @@ class ExpansionResult:
     work_lines: int
 
 
-def _clean_ladder(width: int, controls: list[int], target: int, base: int) -> list[Gate]:
+class _Gates(dict):
+    """One expansion's output gates, keyed by (target, *controls): a missing
+    key builds its ``Gate`` at ``width`` with positive controls, so each
+    distinct gate is built once per call and every piece holding it shares
+    the object."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, key: tuple[int, ...]) -> Gate:
+        target, *controls = key
+        g = self[key] = Gate(self.width, target, tuple((l, True) for l in controls))
+        return g
+
+
+class _Pieces(dict):
+    """One expansion's pieces, keyed by input gate: a missing gate is
+    expanded from ``gates`` on first lookup, so each distinct input gate is
+    expanded once per call."""
+
+    def __init__(self, gates: _Gates, policy: str, clean_base: int) -> None:
+        super().__init__()
+        self.gates, self.policy, self.clean_base = gates, policy, clean_base
+
+    def __missing__(self, g: Gate) -> list[Gate]:
+        conjugate = [self.gates[(l,)] for l, positive in sorted(g.controls) if not positive]
+        controls = sorted(l for l, _ in g.controls)
+        middle = _expand_positive(self.gates, controls, g.target, self.policy, self.clean_base)
+        piece = self[g] = conjugate + middle + conjugate
+        return piece
+
+
+def _clean_ladder(gates: _Gates, controls: list[int], target: int, base: int) -> list[Gate]:
     """2m-3 Toffolis through zeroed work lines base+1, base+2, ..."""
     m = len(controls)
     work = [base + q for q in range(1, m - 1)]
-    compute = [toffoli(width, controls[0], controls[1], work[0])]
+    compute = [gates[work[0], controls[0], controls[1]]]
     for q in range(1, m - 2):
-        compute.append(toffoli(width, controls[q + 1], work[q - 1], work[q]))
+        compute.append(gates[work[q], controls[q + 1], work[q - 1]])
     out = list(compute)
-    out.append(toffoli(width, controls[m - 1], work[m - 3], target))
+    out.append(gates[target, controls[m - 1], work[m - 3]])
     out.extend(reversed(compute))
     return out
 
 
-def _v_chain(width: int, controls: list[int], target: int, dirt: list[int]) -> list[Gate]:
+def _v_chain(gates: _Gates, controls: list[int], target: int, dirt: list[int]) -> list[Gate]:
     """m-controlled X using m-2 borrowed lines, 4(m-2) Toffolis (m >= 3).
 
     The borrowed lines may hold anything; they are restored.  Layout for
@@ -150,49 +179,41 @@ def _v_chain(width: int, controls: list[int], target: int, dirt: list[int]) -> l
         chain = D + base + reversed(D[1:]) applied twice
     """
     s = len(controls)
-    if s == 1:
-        return [cx(width, controls[0], target)]
-    if s == 2:
-        return [toffoli(width, controls[0], controls[1], target)]
+    if s <= 2:
+        return [gates[(target, *controls)]]
     if len(dirt) < s - 2:
         raise InternalError(
             f"internal error: a {s}-controlled V-chain needs {s - 2} borrowed "
             f"lines, got {len(dirt)}"
         )
     a = dirt[: s - 2]
-    descend = [toffoli(width, controls[s - 1], a[s - 3], target)]
+    descend = [gates[target, controls[s - 1], a[s - 3]]]
     for q in range(s - 3):
-        descend.append(toffoli(width, controls[s - 2 - q], a[s - 4 - q], a[s - 3 - q]))
-    base = toffoli(width, controls[0], controls[1], a[0])
+        descend.append(gates[a[s - 3 - q], controls[s - 2 - q], a[s - 4 - q]])
+    base = gates[a[0], controls[0], controls[1]]
     half = descend + [base] + list(reversed(descend[1:]))
     return half + half
 
 
 def _expand_positive(
-    width: int, controls: list[int], target: int, policy: str, clean_base: int
+    gates: _Gates, controls: list[int], target: int, policy: str, clean_base: int
 ) -> list[Gate]:
     m = len(controls)
-    if m == 0:
-        return [x(width, target)]
-    if m == 1:
-        return [cx(width, controls[0], target)]
-    if m == 2:
-        return [toffoli(width, controls[0], controls[1], target)]
+    if m <= 2:
+        return [gates[(target, *controls)]]
     if policy == "clean":
-        return _clean_ladder(width, controls, target, clean_base)
+        return _clean_ladder(gates, controls, target, clean_base)
     support = set(controls) | {target}
-    spare = [l for l in range(1, width + 1) if l not in support]
+    a = next(l for l in range(1, gates.width + 1) if l not in support)
     if m == 3:
-        a = spare[0]
-        g_top = toffoli(width, controls[2], a, target)
-        g_bot = toffoli(width, controls[0], controls[1], a)
+        g_top = gates[target, controls[2], a]
+        g_bot = gates[a, controls[0], controls[1]]
         return [g_top, g_bot, g_top, g_bot]
     k = (m + 1) // 2
-    a = spare[0]
     b_controls = controls[:k]
     a_controls = sorted(controls[k:] + [a])
-    factor_a = _v_chain(width, a_controls, target, b_controls)
-    factor_b = _v_chain(width, b_controls, a, controls[k:])
+    factor_a = _v_chain(gates, a_controls, target, b_controls)
+    factor_b = _v_chain(gates, b_controls, a, controls[k:])
     return factor_a + factor_b + factor_a + factor_b
 
 
@@ -206,38 +227,29 @@ def expand_mct(
     before and after each expanded gate.  Dirty policy borrows existing
     lines outside a gate's support and appends at most one extra line (only
     when some gate touches every original line); borrowed lines are restored
-    no matter their prior value.  Each distinct gate is expanded, and its
-    piece checked, once per call.
+    no matter their prior value.
+
+    Each distinct input gate is expanded once per call, and each distinct
+    output gate is built once: the pieces share one table of ``Gate``
+    objects, so the output holds one object per distinct gate.  Every
+    distinct gate in the pieces is checked to be a NOT, CNOT or Toffoli with
+    positive controls, whether or not the table built it.
     """
     if policy not in ("clean", "dirty"):
         raise ValueError(f"unknown expansion policy {policy!r}")
     n = seq.width
+    counts = seq._control_counts()
     if policy == "clean":
-        m_max = max(map(len, map(attrgetter("controls"), seq.gates)), default=0)
-        work = max(0, m_max - 2)
+        work = max(0, max(counts, default=0) - 2)
     else:
-        work = 1 if any(g.control_count >= 3 and g.control_count + 2 > n for g in seq) else 0
-    width = n + work
-    pieces: dict[Gate, list[Gate]] = {}  # each distinct gate, expanded once
-    out: list[Gate] = []
-    for g in seq:
-        piece = pieces.get(g)
-        if piece is None:
-            piece = pieces[g] = _expand_gate(g, width, policy, n)
-        out.extend(piece)
-    return ExpansionResult(GateSequence(width, tuple(out)), work)
-
-
-def _expand_gate(g: Gate, width: int, policy: str, clean_base: int) -> list[Gate]:
-    """``g`` at ``width`` in NOTs, CNOTs and Toffolis with positive controls."""
-    conjugate = [x(width, l) for l, positive in sorted(g.controls) if not positive]
-    controls = sorted(l for l, _ in g.controls)
-    piece = conjugate + _expand_positive(width, controls, g.target, policy, clean_base)
-    piece += conjugate
-    for p in piece:
+        work = 1 if any(m >= 3 and m + 2 > n for m in counts) else 0
+    pieces = _Pieces(_Gates(n + work), policy, n)
+    out = tuple(chain.from_iterable(map(pieces.__getitem__, seq.gates)))
+    found = list(chain.from_iterable(pieces.values()))
+    for p in dict(zip(map(id, found), found)).values():  # each object once
         if p.control_count > 2 or not all(pos for _, pos in p.controls):
             raise InternalError(
                 f"internal error: expansion left {p}, which is not a NOT, CNOT "
                 "or Toffoli with positive controls"
             )
-    return piece
+    return ExpansionResult(GateSequence(n + work, out), work)

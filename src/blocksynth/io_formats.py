@@ -16,6 +16,7 @@ positive controls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .core import Gate, GateSequence, MAX_WIDTH, Permutation
 from .synthesis import SynthesisReport
@@ -179,19 +180,26 @@ def embed_truth_table(table: TruthTable) -> tuple[Permutation, int]:
 def read_real(text: str) -> GateSequence:
     """Parse a circuit file; every error names the offending line.
 
-    The header directives must come before ``.begin``, so the width and the
-    line names are fixed for the whole body, and one dict maps each distinct
-    gate line to its ``Gate``: a line that recurs is parsed once.  The
-    ``.inputs``, ``.outputs``, ``.constants`` and ``.garbage`` annotations
-    are accepted and dropped.
+    The header directives must come before ``.begin``, each of ``.numvars``
+    and ``.variables`` at most once, so the width and the line names are
+    fixed for the whole body.  One dict maps each gate line, raw and with
+    its comment and spaces stripped, to its ``Gate``: a raw line that
+    recurs costs one lookup, and a gate written two ways is parsed once.
+    The dict is emptied at ``.end``, so any content after it is an error.
+    The ``.inputs``, ``.outputs``, ``.constants`` and ``.garbage``
+    annotations are accepted and dropped.
     """
-    width = 0
-    variables: tuple[str, ...] = ()
+    width: Optional[int] = None
+    variables: Optional[tuple[str, ...]] = None
     var_index: dict[str, int] = {}
     parsed: dict[str, Gate] = {}
     gates: list[Gate] = []
     begun = ended = False
     for lineno, raw in enumerate(text.splitlines(), 1):
+        g = parsed.get(raw)
+        if g is not None:
+            gates.append(g)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -200,6 +208,7 @@ def read_real(text: str) -> GateSequence:
         g = parsed.get(line)
         if g is not None:
             gates.append(g)
+            parsed[raw] = g
             continue
         toks = line.split()
         head = toks[0]
@@ -209,6 +218,8 @@ def read_real(text: str) -> GateSequence:
             if head in (".version", ".inputs", ".outputs", ".constants", ".garbage"):
                 pass
             elif head == ".numvars":
+                if width is not None:
+                    raise ArityMismatch(f"line {lineno}: second .numvars")
                 if len(toks) != 2:
                     raise ArityMismatch(f"line {lineno}: .numvars takes one value")
                 try:
@@ -217,14 +228,16 @@ def read_real(text: str) -> GateSequence:
                     raise MalformedInteger(
                         f"line {lineno}: bad .numvars value {toks[1]!r}"
                     ) from None
-                if variables and len(variables) != width:
+                if variables is not None and len(variables) != width:
                     raise ArityMismatch(
                         f"line {lineno}: {width} variables declared, "
                         f"{len(variables)} named"
                     )
             elif head == ".variables":
+                if variables is not None:
+                    raise ArityMismatch(f"line {lineno}: second .variables")
                 variables = tuple(toks[1:])
-                if width and len(variables) != width:
+                if width is not None and len(variables) != width:
                     raise ArityMismatch(
                         f"line {lineno}: {width} variables declared, "
                         f"{len(variables)} named"
@@ -236,7 +249,7 @@ def read_real(text: str) -> GateSequence:
             elif head == ".begin":
                 if begun:
                     raise UnknownDirective(f"line {lineno}: second .begin")
-                if width < 1 or not variables:
+                if width is None or width < 1 or not variables:
                     raise ArityMismatch(
                         f"line {lineno}: .begin before .numvars/.variables"
                     )
@@ -245,6 +258,7 @@ def read_real(text: str) -> GateSequence:
                 if not begun:
                     raise UnknownDirective(f"line {lineno}: .end without .begin")
                 ended = True
+                parsed.clear()
             else:
                 raise UnknownDirective(f"line {lineno}: {head}")
             continue
@@ -270,7 +284,7 @@ def read_real(text: str) -> GateSequence:
         except ValueError as exc:
             raise ArityMismatch(f"line {lineno}: {exc}") from None
         gates.append(g)
-        parsed[line] = g
+        parsed[raw] = parsed[line] = g
     if not ended:
         raise UnknownDirective("missing .end")
     return GateSequence(width, tuple(gates))

@@ -8,6 +8,8 @@ arbitrary junk that must be restored (dirty policy).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,15 @@ from blocksynth import (
     GateSequence,
     InternalError,
     MissingCostEntry,
+    SynthesisConfig,
     cx,
     expand_mct,
     load_cost_table,
     quantum_cost,
     read_cost_table,
     resolve_table,
+    sample,
+    synthesize,
     toffoli,
     toffoli_count,
     x,
@@ -121,6 +126,37 @@ class TestQuantumCost:
         assert DEFAULT_TABLE.qc[4] == 29
         for m in range(5, 24):
             assert DEFAULT_TABLE.qc[m] == 5 * (2 * m - 3)
+
+
+class TestControlCountCensus:
+    """Both counters read one census per sequence, kept out of equality and
+    repr."""
+
+    SEQ = (x(4, 1), toffoli(4, 1, 2, 3), mct(4, [1, 2, 3], 4), mct(4, [(1, False), 2, 4], 3))
+
+    def test_counters_share_one_census(self):
+        seq = GateSequence(4, self.SEQ)
+        assert seq._census is None
+        assert toffoli_count(seq) == 1 + 3 + 3
+        census = seq._census
+        assert census == {0: 1, 2: 1, 3: 2}
+        assert quantum_cost(seq) == 1 + 5 + 13 + 13
+        assert seq._census is census
+
+    def test_census_is_not_compared_or_shown(self):
+        counted = GateSequence(4, self.SEQ)
+        toffoli_count(counted)
+        fresh = GateSequence(4, self.SEQ)
+        assert counted == fresh and hash(counted) == hash(fresh)
+        assert repr(counted) == repr(fresh)
+        assert "_census" not in repr(counted)
+
+    def test_replace_starts_a_fresh_census(self):
+        seq = GateSequence(4, self.SEQ)
+        toffoli_count(seq)
+        shorter = replace(seq, gates=self.SEQ[:1])
+        assert shorter._census is None
+        assert toffoli_count(shorter) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +388,29 @@ class TestExpansionChecks:
         monkeypatch.setattr(
             cost,
             "_expand_positive",
-            lambda width, controls, target, policy, clean_base: [mct(width, controls, target)],
+            lambda gates, controls, target, policy, clean_base: [mct(gates.width, controls, target)],
         )
         with pytest.raises(InternalError, match="internal error: expansion left C"):
             expand_mct(GateSequence(5, (mct(5, [1, 2, 3], 5),)))
+
+
+class TestExpansionSharing:
+    """Each distinct output gate is built once per call, so the expansion
+    holds one object per distinct gate."""
+
+    @pytest.mark.parametrize("policy", ["clean", "dirty"])
+    def test_one_object_per_distinct_gate(self, policy):
+        cfg = SynthesisConfig(depths={j: 0 for j in range(1, 25)}, exhaustive_tail=0)
+        seq, _ = synthesize(sample(10, 1), cfg)
+        out = expand_mct(seq, policy).circuit.gates
+        assert len({id(g) for g in out}) == len(set(out))
+
+    def test_polarity_variants_share_their_toffolis(self):
+        seq = GateSequence(5, (mct(5, [1, 2, 3], 5), mct(5, [(1, False), 2, 3], 5)))
+        out = expand_mct(seq).circuit.gates
+        assert len(out) == 3 + 5  # the second gate is X-conjugated on line 1
+        assert out[3] is out[7] and out[3] == x(6, 1)
+        assert all(a is b for a, b in zip(out[:3], out[4:7]))
 
 
 class TestExpansionValidation:

@@ -330,6 +330,44 @@ class TestCircuitFileParsing:
         with pytest.raises(ArityMismatch, match=r"^line 5: control line 1 repeated"):
             read_real(text)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            ".numvars 2\n.numvars 3\n.variables a b c\n",
+            ".variables a b\n.variables a b c\n.numvars 3\n",
+        ],
+        ids=["numvars-twice", "variables-twice"],
+    )
+    def test_second_declaration_names_its_line(self, header):
+        with pytest.raises(ArityMismatch, match=r"^line 2: second \.(numvars|variables)$"):
+            read_real(header + ".begin\nt1 a\n.end\n")
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            ".numvars 3\n.variables a b c\n.numvars 3\n",
+            ".variables a b c\n.numvars 3\n.variables a b c\n",
+        ],
+        ids=["numvars-after-both", "variables-after-both"],
+    )
+    def test_repeating_a_matching_declaration_is_still_an_error(self, header):
+        with pytest.raises(ArityMismatch, match=r"^line 3: second "):
+            read_real(header + ".begin\nt1 a\n.end\n")
+
+    def test_body_line_repeated_after_end(self):
+        text = ".numvars 2\n.variables a b\n.begin\nt2 a b\nt2 a b\n.end\nt2 a b\n"
+        with pytest.raises(UnknownDirective, match=r"^line 7: content after \.end$"):
+            read_real(text)
+
+    def test_one_gate_written_several_ways(self):
+        plain = ".numvars 3\n.variables a b c\n.begin\nt3 a b c\n.end\n"
+        variants = ["t3 a b c  # a Toffoli", "  t3  a\tb   c  ", "t3 a b c\r"]
+        text = plain.replace("t3 a b c\n", "t3 a b c\n" + "\n".join(variants) + "\n")
+        gates = read_real(text).gates
+        assert gates == (toffoli(3, 1, 2, 3),) * 4
+        crlf = read_real(plain.replace("\n", "\r\n")).gates
+        assert crlf == (toffoli(3, 1, 2, 3),)
+
     def test_recurring_gate_lines_give_equal_gates(self):
         text = ".numvars 2\n.variables a b\n.begin\nt2 a b\nt1 b\nt2 a b  # again\n.end\n"
         assert read_real(text).gates == (cx(2, 1, 2), x(2, 2), cx(2, 1, 2))
@@ -419,7 +457,7 @@ class TestToolsAgainstPerGateReferences:
         for g in seq:
             negatives, positive = _conjugated(g, width)
             controls = [l for l, _ in positive.controls]
-            piece = cost._expand_positive(width, controls, g.target, policy, seq.width)
+            piece = cost._expand_positive(cost._Gates(width), controls, g.target, policy, seq.width)
             expected += negatives + piece + negatives
         assert result.circuit.gates == tuple(expected)
 
