@@ -222,7 +222,8 @@ def _scan_member(engine: _Engine, i: int, col_parity: int, kind: int, taken: int
     parity = engine.q[0]
     at = parity if col_parity else parity ^ engine.full
     lane = engine.even if col_parity ^ kind else engine.odd
-    rows = lane & at & engine.partners(at) & ~taken
+    rows = lane & at & engine.partners(at)
+    rows ^= rows & taken
     if not rows:
         return None
     inside = rows & engine.fire(_region_mask(engine.n, i), 0)

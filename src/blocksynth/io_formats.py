@@ -266,11 +266,14 @@ def read_real(text: str) -> GateSequence:
             raise UnknownDirective(
                 f"line {lineno}: gate line {head!r} outside .begin/.end"
             )
-        if not (head[0] == "t" and head[1:].isdigit()):
+        # ``str.isdigit`` alone also accepts digits such as "²" or "٣".
+        if not (head[0] == "t" and head[1:].isascii() and head[1:].isdigit()):
             raise UnknownDirective(f"line {lineno}: unsupported gate type {head!r}")
         arity = int(head[1:])
+        if arity < 1:
+            raise ArityMismatch(f"line {lineno}: {head}: a gate names at least one line")
         operands = toks[1:]
-        if len(operands) != arity or arity < 1:
+        if len(operands) != arity:
             raise ArityMismatch(
                 f"line {lineno}: {head} needs {arity} line names, got {len(operands)}"
             )

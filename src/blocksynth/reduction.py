@@ -18,8 +18,8 @@ block-wise position per iteration.  ``_pair_gates`` builds a pair's
 conjoin and slide as mask triples, and is the one builder of them:
 ``synthesis`` prices its candidates with it.  The driver is ``_Engine``, a
 working copy that applies gates and tracks row positions;
-``_Engine.allocate`` runs one iteration for a chosen pair, emitting
-``_pair_gates``' triples one target line per gate.
+``_Engine.allocate`` runs one iteration for a chosen pair, applying each of
+``_pair_gates``' triples once and recording it one target line per gate.
 ``_run_normal`` handles inputs whose pairs all sit at normal positions and
 never emits a gate targeting the last line; ``_run_general`` handles the
 balanced normal/inverted case with exactly one last-line gate at the very
@@ -33,9 +33,10 @@ One ``_Engine`` serves a whole ``synthesize`` call: after each reduction
 ``_Engine.strip`` drops the identity last line in place, so the next stage
 works on Q.  Inside the pipeline a gate is its (ones, zeros, target)
 column-mask triple (``core.Masks``): the builders here and in
-``conditioning`` return triples, ``_Engine.emit`` records and applies them,
-and ``_Engine.sequence`` builds the stage's ``Gate``s at the input width,
-each distinct one once per engine.
+``conditioning`` return triples, ``_Engine.emit`` records and applies them
+(``allocate`` records its own), ``_Engine.apply`` is the one place where a
+gate changes the state, and ``_Engine.sequence`` builds the stage's
+``Gate``s at the input width, each distinct one once per engine.
 The engine keeps its copy as row-indexed bit planes: bit r of plane b is
 bit b of row r's column.  Any gate costs O(m + |T|) big-int operations on
 them, and a scan is a few more: the rows in a region, the members of a
@@ -135,14 +136,14 @@ def preprocessing_bound(n: int) -> int:
 def _pair_split(engine: _Engine) -> tuple[int, int]:
     """Counts of normal and of inverted pairs; the rest are interrupting.
 
-    Two popcounts of the parity plane: a normal pair's even row sits at an
-    even column and its odd row at an odd one, an inverted pair's the other
-    way round.
+    Two popcounts of the parity plane: a normal or inverted pair's members
+    sit at columns of opposite parity, a normal pair's odd row at an odd
+    column and an inverted pair's at an even one.
     """
-    parity, even = engine.q[0], engine.even
-    normal = parity >> 1 & ~parity & even
-    inverted = parity & ~(parity >> 1) & even
-    return normal.bit_count(), inverted.bit_count()
+    parity = engine.q[0]
+    split = (parity ^ parity >> 1) & engine.even
+    normal = (split & parity >> 1).bit_count()
+    return normal, split.bit_count() - normal
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +252,17 @@ class _Engine:
 
     The copy is n row-indexed bit planes and nothing else: bit r of
     ``q[b]`` is bit b of row r's column (``core._planes`` of the row
-    positions), so ``q[0]`` is the parity plane.  ``emit`` applies a gate
+    positions), so ``q[0]`` is the parity plane.  ``apply`` applies a gate
     (ones, zeros, T) of any control count as the mask of the rows it moves,
-    the AND of the planes of ``ones`` and of the complements of the planes
-    of ``zeros`` (``fire``), XORed into the plane of each target bit.
+    the rows set in the planes of ``ones`` and clear in the planes of
+    ``zeros`` (``fire``), XORed into the plane of each target bit.  It is
+    the only place where a gate changes the planes: ``emit`` and
+    ``allocate`` record gates and call it.  A clear bit is read as
+    ``rows ^ rows & plane``, never through the complement of a plane, a
+    negative big int.
 
-    Reads write nothing.  ``col`` and ``row`` take n bit tests or n ANDs.
+    Reads write nothing.  ``col`` and ``row`` take n bit tests or n ANDs,
+    and ``cols`` reads two rows' columns in one pass.
     ``fire`` also answers which rows sit in a region or at a column pair,
     and ``lowest`` which row of a set sits at the smallest column: a
     bit-sliced minimum, n AND steps from the top bit.  So a scan is a few
@@ -318,7 +324,7 @@ class _Engine:
             ones ^= low
         while zeros:
             low = zeros & -zeros
-            rows &= ~q[low.bit_length() - 1]
+            rows ^= rows & q[low.bit_length() - 1]
             zeros ^= low
         return rows
 
@@ -334,11 +340,31 @@ class _Engine:
                 column |= 1 << b
         return column
 
+    def cols(self, a: int, b: int) -> tuple[int, int]:
+        """The columns of rows ``a`` and ``b``, read in one pass over the
+        planes: one AND per plane picks both rows' bits."""
+        bit_a = 1 << a
+        both = bit_a | 1 << b
+        ca = cb = 0
+        bit = 1
+        for plane in self.q:
+            v = plane & both
+            if v:
+                if v == both:
+                    ca |= bit
+                    cb |= bit
+                elif v == bit_a:
+                    ca |= bit
+                else:
+                    cb |= bit
+            bit <<= 1
+        return ca, cb
+
     def lowest(self, rows: int) -> int:
         """The row at the smallest column among ``rows``, a nonempty mask.
         From the top bit down, keep the rows with a 0 there if any has."""
         for plane in reversed(self.q):
-            low = rows & ~plane
+            low = rows ^ rows & plane
             if low:
                 rows = low
         return rows.bit_length() - 1
@@ -395,23 +421,38 @@ class _Engine:
             out.append(g)
         return GateSequence(self.width, tuple(out))
 
-    def emit(self, *gates: Masks) -> None:
-        """Record ``gates`` and apply them in order.  Gates in a row with the
-        same controls share one mask of moved rows: none of them targets a
-        control, so the mask stays valid."""
-        self.gates.extend(gates)
+    def apply(self, ones: int, zeros: int, tmask: int) -> None:
+        """Apply the gate (ones, zeros, tmask) to the planes, recording
+        nothing: the rows that fire it move, so each target bit's plane
+        flips on them.  A multi-bit ``tmask`` is the run of one-target gates
+        with these controls, in any order."""
+        if not tmask or tmask & (ones | zeros):
+            check_target(ones, zeros, tmask)
+        moved = self.fire(ones, zeros)
         q = self.q
+        while tmask:
+            low = tmask & -tmask
+            q[low.bit_length() - 1] ^= moved
+            tmask ^= low
+
+    def emit(self, *gates: Masks) -> None:
+        """Record ``gates`` and apply them in order, one ``apply`` per run
+        of consecutive gates with the same controls.  None of them targets
+        a control, so the run's targets combine by XOR: a target the run
+        names twice moves nothing."""
+        self.gates.extend(gates)
         ones = zeros = -1
+        tmask = 0
         for o, z, t in gates:
             if not t or t & (o | z):
                 check_target(o, z, t)
             if o != ones or z != zeros:
-                ones, zeros = o, z
-                moved = self.fire(o, z)
-            while t:
-                low = t & -t
-                q[low.bit_length() - 1] ^= moved
-                t ^= low
+                if tmask:
+                    self.apply(ones, zeros, tmask)
+                ones, zeros, tmask = o, z, 0
+            tmask ^= t
+        if tmask:
+            self.apply(ones, zeros, tmask)
 
     def lift_pair(self, i: int, a: int, b: int) -> tuple[int, int]:
         """Move both rows into the iteration-i region, and return their
@@ -419,7 +460,9 @@ class _Engine:
         never drop below 2i, so left-allocated blocks survive (see
         ``_lift_step``)."""
         mask = _region_mask(self.n, i)
-        cols = [self.col(a), self.col(b)]
+        ca, cb = cols = self.cols(a, b)
+        if ca & cb & mask == mask:
+            return cols
         for k in (0, 1):
             if cols[k] & mask != mask:
                 self.region_lifts += 1
@@ -427,8 +470,8 @@ class _Engine:
                 ones, zeros, t = _lift_step(self.n, i, cols[k], cols[1 - k])
                 self.emit((ones, zeros, t))
                 self.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
-                cols = [self.col(a), self.col(b)]
-        return cols[0], cols[1]
+                cols = self.cols(a, b)
+        return cols
 
     def at_position(self, i: int) -> int:
         """The mask of the two rows at columns 2i and 2i + 1."""
@@ -437,25 +480,29 @@ class _Engine:
     def allocate(self, i: int, a: int, b: int) -> None:
         """Lift if needed, then conjoin the pair and slide it to position i.
 
-        The gates are ``_pair_gates``' triples, one target line each: a CX
-        run targets its lines from the lowest one, and a negatively
-        controlled run is that run between two X on its control.
+        Each of ``_pair_gates``' triples is applied whole, and recorded one
+        target line per gate: a CX run targets its lines from the lowest
+        one, and a negatively controlled run is that run between two X on
+        its control.
         """
         ca, cb = self.lift_pair(i, a, b)
-        gates: list[Masks] = []
+        record = self.gates.append
         for ones, zeros, tmask in _pair_gates(self.n, i, ca, cb)[0]:
-            wrap = [(0, 0, zeros)] if zeros else []
-            gates += wrap
+            self.apply(ones, zeros, tmask)
+            if zeros:
+                record((0, 0, zeros))
+            controls = ones | zeros
             while tmask:
                 bit = 1 << tmask.bit_length() >> 1
-                gates.append((ones | zeros, 0, bit))
+                record((controls, 0, bit))
                 tmask ^= bit
-            gates += wrap
-        self.emit(*gates)
-        if self.at_position(i) != 1 << a | 1 << b:
+            if zeros:
+                record((0, 0, zeros))
+        ca, cb = self.cols(a, b)
+        if ca ^ cb != 1 or ca >> 1 != i:
             raise InternalError(
                 f"internal error: allocating rows {a},{b} to position {i} left "
-                f"them at columns {self.col(a)},{self.col(b)}"
+                f"them at columns {ca},{cb}"
             )
 
     # -- scans ------------------------------------------------------------

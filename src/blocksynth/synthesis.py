@@ -458,7 +458,7 @@ def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]
         apart = 0
         for d in diffs:
             apart |= d
-        blocks = rows & ~apart
+        blocks = rows ^ rows & apart
         if blocks:
             r = (blocks & -blocks).bit_length() - 1
             return r ^ kind, r ^ kind ^ 1

@@ -261,9 +261,22 @@ class TestCircuitFileParsing:
         with pytest.raises(UnknownDirective):
             read_real(text)
 
+    @pytest.mark.parametrize("head", ["t²", "t٣", "t³ a b c", "t", "t-1", "t+2", "t 2"])
+    def test_gate_head_takes_ascii_digits_only(self, head):
+        # "²" passes ``str.isdigit`` but not ``int``; "٣" would read as 3.
+        text = f".numvars 3\n.variables a b c\n.begin\n{head} a b\n.end\n"
+        with pytest.raises(UnknownDirective, match=r"^line 4: unsupported gate type"):
+            read_real(text)
+
+    @pytest.mark.parametrize("line", ["t0", "t0 a b", "t00 a"])
+    def test_gate_naming_no_line_is_an_arity_error(self, line):
+        text = f".numvars 2\n.variables a b\n.begin\n{line}\n.end\n"
+        with pytest.raises(ArityMismatch, match=r"^line 4: t0+: a gate names at least one line$"):
+            read_real(text)
+
     def test_arity_mismatch_on_gate(self):
         text = ".numvars 2\n.variables a b\n.begin\nt2 a\n.end\n"
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ArityMismatch, match=r"^line 4: t2 needs 2 line names, got 1$"):
             read_real(text)
 
     def test_unknown_line_name(self):

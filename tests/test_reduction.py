@@ -762,6 +762,133 @@ class TestAllocateChecks:
             engine.allocate(0, 2, 3)
 
 
+def planes_of(state):
+    """Bit r of entry b is bit b of row r's column."""
+    pos = positions(state)
+    return [sum((c >> b & 1) << r for r, c in enumerate(pos)) for b in range(state.width)]
+
+
+def allocate_any(p, general, picks):
+    """Fill the positions of a reduction in order, each with the
+    unallocated pair of the position's kind that ``picks`` chooses, in
+    either member order, in or out of the region; after every ``allocate``
+    the planes must be those of a plain replay of the recorded gates.  A
+    ``general`` (balanced) state takes normal pairs in the first quarter of
+    the positions and inverted ones after, as ``_run_general`` does.
+    ``picks(i, pairs)`` returns an index into twice ``pairs`` (the second
+    half swaps the members), or None to stop.  Returns the engine."""
+    engine = _Engine(p)
+    for i in range(p.size // 2):
+        kind = INVERTED if general and i >= p.size // 4 else NORMAL
+        pos = engine.pos
+        pairs = [
+            (r, r + 1)
+            for r in range(0, p.size, 2)
+            if min(pos[r], pos[r + 1]) >= 2 * i
+            and (pos[r] ^ pos[r + 1]) & 1
+            and pos[r] & 1 == kind
+        ]
+        k = picks(i, pairs)
+        if k is None:
+            break
+        a, b = pairs[k] if k < len(pairs) else pairs[k - len(pairs)][::-1]
+        engine.allocate(i, a, b)
+        assert engine.at_position(i) == 1 << a | 1 << b
+        assert engine.q == planes_of(apply_sequence(p, engine.sequence()))
+    return engine
+
+
+class TestApplyKernel:
+    """``_Engine.apply`` is the one writer of the planes: ``emit`` calls it
+    once per run of same-control gates, and ``allocate`` once per
+    ``_pair_gates`` triple while it records the triple's per-line gates."""
+
+    @given(st.integers(3, 7), st.integers(0, 10_000), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_allocate_matches_a_replay_of_its_sequence(self, width, seed, general, data):
+        if general:
+            p = Permutation(width, balanced_entries(width, seed))
+        else:
+            p = sample(width, seed, "parity_aligned")
+        last = data.draw(st.integers(0, p.size // 2 - 1))
+
+        def picks(i, pairs):
+            if i > last:
+                return None
+            return data.draw(st.integers(0, 2 * len(pairs) - 1))
+
+        allocate_any(p, general, picks)
+
+    def test_the_property_reaches_lifts_and_negative_runs(self):
+        # The property above draws from these kinds of state; these seeds
+        # show that random picks reach both region lifts and negatively
+        # controlled runs, which ``allocate`` records between two X.
+        lifts = wrapped = 0
+        for width in (4, 5, 6):
+            for seed in range(4):
+                rng = random.Random(seed)
+                p = Permutation(width, balanced_entries(width, seed))
+                engine = allocate_any(p, True, lambda i, pairs: rng.randrange(2 * len(pairs)))
+                lifts += engine.region_lifts
+                wrapped += sum(g[:2] == (0, 0) for g in engine.gates)
+        assert lifts > 0 and wrapped > 0
+
+    def test_a_repeated_target_cancels(self):
+        p = sample(4, 3)
+        engine = _Engine(p)
+        planes = list(engine.q)
+        engine.emit((4, 0, 2), (4, 0, 2))
+        assert engine.q == planes
+        assert engine.gates == [(4, 0, 2), (4, 0, 2)]
+        assert engine.snapshot() == apply_sequence(p, engine.sequence()) == p
+
+    def test_emit_checks_each_gate_even_when_targets_cancel(self):
+        engine = _Engine(sample(3, 1))
+        with pytest.raises(PreconditionViolated):
+            engine.emit((4, 0, 4), (4, 0, 4))
+        with pytest.raises(PreconditionViolated):
+            engine.emit((4, 0, 0))
+
+    @pytest.mark.parametrize("triple", [(4, 0, 4 | 2), (0, 4, 4 | 1), (2, 1, 0)])
+    def test_an_overlapping_pair_gate_is_a_precondition_violation(self, monkeypatch, triple):
+        monkeypatch.setattr(reduction, "_pair_gates", lambda n, i, a, b: ([triple], 0))
+        # position 0's region is every column, so no lift runs first
+        engine = _Engine(Permutation(3, (0, 2, 3, 1, 4, 5, 6, 7)))
+        with pytest.raises(PreconditionViolated):
+            engine.allocate(0, 0, 1)
+        assert engine.gates == []
+
+    @given(gate_batches(max_width=10), st.integers(0, 10_000), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_two_column_read_matches_col(self, case, seed, data):
+        n, batches = case
+        engine = _Engine(sample(n, seed))
+        for batch in batches:
+            engine.emit(*batch)
+        rows = st.integers(0, engine.size - 1)
+        for _ in range(4):
+            a, b = data.draw(rows), data.draw(rows)
+            assert engine.cols(a, b) == (engine.col(a), engine.col(b))
+        assert engine.cols(a, a ^ 1) == (engine.col(a), engine.col(a ^ 1))
+
+    @pytest.mark.parametrize("width, seed", [(3, 1), (5, 2), (7, 3)])
+    def test_an_in_region_pair_gets_no_lift(self, width, seed):
+        engine = _Engine(sample(width, seed, "parity_aligned"))
+        for i in range(engine.size // 2):
+            found = engine.scan_region(i, NORMAL)
+            if found is not None and not _holds_block(engine, i, NORMAL):
+                break
+            engine.allocate(i, *_pick_rows(engine, i, NORMAL))
+        else:
+            pytest.fail("no in-region pair to allocate")
+        before = (len(engine.gates), engine.region_lifts, engine.lift_toffoli)
+        cols = engine.cols(*found)
+        assert engine.lift_pair(i, *found) == cols
+        assert (len(engine.gates), engine.region_lifts, engine.lift_toffoli) == before
+        engine.allocate(i, *found)
+        assert (engine.region_lifts, engine.lift_toffoli) == before[1:]
+
+
 def verify_reduction(p, seq, expected):
     got = apply_sequence(p, seq)
     return got == expected
