@@ -10,19 +10,18 @@ A gate acts on a permutation by exchanging columns: for every column ``c``
 whose bits satisfy all controls, the entries at ``c`` and at ``c`` with the
 target bit flipped are swapped.  Because a control may never sit on the
 target line, the set of satisfying columns is closed under the target flip.
-``exchange_columns`` is the one implementation of this: it walks only the
-gate's satisfying subcube, 2^(n-1-m) column pairs for m controls.  Gates
-that share their controls commute, so a run of them is the single map
-c -> c ^ T on the satisfying columns, T the XOR of their target bits; the
-kernel takes such a multi-bit target mask and still visits 2^(n-1-m) pairs.
+``apply_gate`` maps a permutation's columns that way, one new permutation
+per gate.  Gates that share their controls commute, so a run of them is
+the single map c -> c ^ T on the satisfying columns, T the XOR of their
+target bits.
 
-The same map read by rows is cheaper to carry out: keep, for each column
-bit b, a *bit plane*, an int whose bit r is bit b of row r's column.  A
-gate then ANDs the planes of its controls (complemented for a negative
-one) into the mask of the rows it moves, and XORs that mask into each
-target plane: O(m + |T|) big-int operations in place of the kernel's
-2^(n-1-m) pair visits.
-``reduction._Engine`` keeps its working copy that way.  ``_planes`` and
+The same map read by rows is cheaper to carry out in place: keep, for each
+column bit b, a *bit plane*, an int whose bit r is bit b of row r's
+column.  A gate then ANDs the planes of its controls (complemented for a
+negative one) into the mask of the rows it moves, and XORs that mask into
+each target plane: O(m + |T|) big-int operations for m controls.
+``reduction._Engine`` keeps its working copy that way, and is the one
+kernel that applies the gates of a synthesis.  ``_planes`` and
 ``_values`` turn a list of numbers into planes and back in C-level byte
 passes, one byte lane of eight planes at a time.
 
@@ -42,7 +41,6 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, Literal, Optional, Sequence
 
@@ -214,44 +212,6 @@ class GateSequence:
         return self._census
 
 
-def exchange_columns(entries: list[int], ones: int, zeros: int, tmask: int) -> None:
-    """Apply the map c -> c ^ ``tmask`` to the columns c that have every
-    ``ones`` bit set and every ``zeros`` bit clear, in place.
-
-    With one target bit that is the gate with masks ``(ones, zeros, tmask)``;
-    with several it is the run of same-control gates, one per target bit, in
-    any order (they commute).  Visits each exchanged column pair once, from
-    its side with ``tmask``'s top bit clear: 2^(n-1-m) pairs for m controls.
-    Raises ``PreconditionViolated`` when ``tmask`` is empty or overlaps a
-    control.
-    """
-    check_target(ones, zeros, tmask)
-    free = (len(entries) - 1) & ~(ones | zeros | 1 << tmask.bit_length() >> 1)
-    steps = []
-    while free:
-        low = free & -free
-        steps.append(low)
-        free ^= low
-    order = _gray_order(len(steps))
-    steps.append(0)
-    c = ones
-    for k in order:
-        d = c ^ tmask
-        entries[c], entries[d] = entries[d], entries[c]
-        c ^= steps[k]
-
-
-@lru_cache(maxsize=None)
-def _gray_order(k: int) -> tuple[int, ...]:
-    """The free bit that each step of a k-bit Gray-code walk flips: step j
-    flips the lowest set bit of j + 1, so the walk meets every subset of the
-    free bits once; the closing step is k, which flips nothing."""
-    order: tuple[int, ...] = ()
-    for j in range(k):
-        order = order + (j,) + order
-    return order + (k,)
-
-
 def check_target(ones: int, zeros: int, tmask: int) -> None:
     """Raise ``PreconditionViolated`` when ``tmask`` is empty or overlaps a
     control."""
@@ -263,12 +223,17 @@ def check_target(ones: int, zeros: int, tmask: int) -> None:
 
 
 def apply_gate(perm: Permutation, gate: Gate) -> Permutation:
-    """Exchange the column pairs selected by ``gate``'s controls."""
+    """Exchange the column pairs selected by ``gate``'s controls: column c
+    takes the entry at c with the target bit flipped when c satisfies every
+    control, and keeps its own otherwise."""
     if perm.width != gate.width:
         raise WidthMismatch(f"permutation width {perm.width}, gate width {gate.width}")
-    entries = list(perm.entries)
-    exchange_columns(entries, *gate.masks())
-    return Permutation(perm.width, tuple(entries))
+    ones, zeros, t = gate.masks()
+    e = perm.entries
+    return Permutation(
+        perm.width,
+        tuple(e[c ^ t] if c & ones == ones and not c & zeros else e[c] for c in range(perm.size)),
+    )
 
 
 # A value of up to 8, 16 or 32 bits fills one, two or four bytes of an

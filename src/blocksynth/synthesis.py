@@ -46,19 +46,22 @@ pairs, with no masks and no sort (``_price_leaves``).  Such a root
 (``_choose_leaf``) reads the engine's planes instead of a pair list: the
 candidates and the blocks among them are row masks, and where a block is
 cheapest the pick is the block at the lowest row.  Otherwise its
-candidates all tie, and the planes of the pairs' column differences split
-them into groups by slot gap.  A search to the end of a phase that ends
+candidates all tie.  A search to the end of a phase that ends
 at 2^(n-1) is also bounded: every position left pays its slide, and a
 conjoin is due unless every pair left is a block (``_floor``).  That
 bound holds only if no node runs dry, which ``_fills_phase`` checks of the
 root's state.  The scorer
 never copies the engine or builds a ``Gate``; the engine emits the chosen
 pair's triples from the same ``_pair_gates``, one gate per target line.
-Ties go to the pair that leaves the most free blocks, a rank read off the
-root's histogram of the candidates by slot gap without running any
-candidate's masks (``_count_free``), then to the lowest rows.  At a leaf
-root that rank is the size of the candidate's slot-gap group, so the pick
-comes from the biggest group.
+
+Every root breaks a tie one way (``_rank_ties``), on the engine's planes:
+the planes of the pairs' column differences split the candidates' even
+rows into groups by slot gap, and the tie goes to the pair that leaves
+the most free blocks, the size of its group (``_count_free``), then to
+the lowest rows.  No candidate's masks run.  A leaf root ranks all its
+candidates; a searched root (``_lookahead_choose``) maps ``_suffix``'s
+tied column pairs back to their rows and ranks only the groups holding
+one, unless a single pair ties.
 
 ``_stage`` also keeps the stage's gate ledger (``StageStats``) and checks
 its Toffoli count, less what its region lifts and mix repair gates cost,
@@ -73,7 +76,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -196,20 +198,18 @@ class SynthesisReport:
 # are searched meets.  ``_suffix`` runs once per search node but a root
 # whose children are leaves, which ``_choose_leaf`` answers from the
 # planes; it prices a node whose children are leaves in its filtering pass
-# (``_price_leaves``).  ``_count_free`` runs once per tied candidate at a
-# root whose children are searched, and reads no masks; a leaf root ranks
-# its ties on the planes and never calls it.  The search looks these up in
+# (``_price_leaves``).  ``_count_free`` runs once per root that ranks a
+# tie, leaf or searched, and reads no masks.  The search looks these up in
 # this module's globals, and ``_Engine.allocate`` its ``_pair_gates`` in
 # ``reduction``'s.  So a profile or trace of these module attributes
 # counts the search alone.
 
-# (even row r, column of r, column of r + 1), one per unallocated pair.
+# (even row r, column of r, column of r + 1), one per unallocated pair: a
+# searched root maps the column pairs that ``_suffix`` ties back to rows.
 Pairs = list[tuple[int, int, int]]
 # (column of the even row, column of the odd row): a pair below the root,
 # where rows never matter.
 Cols = list[tuple[int, int]]
-# (smaller-column row, partner, smaller column, larger column).
-Cand = tuple[int, int, int, int]
 # For each position j from a search's root on: the slides of positions j
 # up to the phase end together, and j's conjoin (``_floor``).
 Floor = dict[int, tuple[int, int]]
@@ -231,22 +231,22 @@ def _advance(cols: Cols, skip: tuple[int, int], masks: list[Masks]) -> Cols:
     return out
 
 
-def _count_free(gaps: Counter[int], gap: int) -> int:
-    """The tie-break rank of the in-region pair whose slots differ by
-    ``gap``: the blocks of the phase kind it leaves once conjoined and
-    slid, less a constant of the node.
+def _count_free(groups: list[int]) -> list[int]:
+    """The tie-break rank of each group of a root's candidates, split by
+    slot gap (masks of their even rows): the blocks of the phase kind that a
+    member leaves once conjoined and slid, less a constant of the node.
 
-    ``gaps`` counts the admissible pairs by slot gap (``gaps[0]`` are the
-    blocks inside the region).  The only gate touching line n is the
+    That rank is the group's size.  The only gate touching line n is the
     conjoining MCT, which flips the candidate's top differing line on the
     region's odd columns.  The gates before it change every pair's column
     difference by one invertible linear map, and never a region line.  So
     each block outside the region stays one, each block inside it breaks,
-    and each admissible pair with the candidate's difference becomes one.
-    Of B blocks of the phase kind, B - gaps[0] + gaps[gap] - 1 are left
-    besides the pair itself, and only gaps[gap] depends on the candidate.
+    and each admissible pair with the candidate's slot gap becomes one.  Of
+    B blocks of the phase kind, B - Z + G - 1 are left besides the pair
+    itself, where Z counts the blocks inside the region (the group at gap
+    0) and G the candidate's group; only G depends on the candidate.
     """
-    return gaps[gap]
+    return list(map(int.bit_count, groups))
 
 
 def _fills_phase(n: int, pairs: Pairs, i: int, kind: int) -> bool:
@@ -340,9 +340,9 @@ def _suffix(
     ``_pair_gates``' answers by (position, columns).
 
     At a root whose children are searched, ``tied`` collects every pair
-    whose total equals the best: the budget keeps one unit of slack there,
-    so each candidate that can reach the best is costed exactly, whatever
-    the visiting order.
+    whose total equals the best, for ``_rank_ties``: the budget keeps one
+    unit of slack there, so each candidate that can reach the best is
+    costed exactly, whatever the visiting order.
 
     Below the root the answer depends only on the state, so ``seen``, when
     given, keeps one entry per child state searched: (True, its exact
@@ -422,15 +422,38 @@ def _suffix(
     return best
 
 
-def _break_tie(cands: list[Cand], tied: list[Cand]) -> Optional[tuple[int, int]]:
-    """The rows of the ``tied`` candidate that leaves the most free blocks
-    (``_count_free``, over the slot gaps of all ``cands``), then of the one
-    at the lowest rows; None when nothing is tied."""
-    if len(tied) > 1:
-        gaps = Counter((t[2] ^ t[3]) >> 1 for t in cands)
-        # ``max`` keeps the first of equals, and the sort puts rows in order.
-        return max(sorted(tied), key=lambda t: _count_free(gaps, (t[2] ^ t[3]) >> 1))[:2]
-    return tied[0][:2] if tied else None
+def _rank_ties(engine: _Engine, rows: int, diffs: list[int], tied: int) -> tuple[int, int]:
+    """The pick among the ``tied`` rows, a nonempty part of ``rows``, the
+    even rows of a root's candidates: the member at the smaller column
+    first, of the pair that leaves the most free blocks (``_count_free``),
+    then of the lowest even row r (the smaller-column row is r or r + 1, so
+    rows sort by r).
+
+    ``diffs`` (``_Engine.differences`` of ``rows``) split ``rows`` into
+    groups by slot gap, one AND per group and gap bit, so no column is
+    read; only the groups holding a tied row are ranked.  The member at the
+    smaller column is the one with a 0 on the top bit the columns differ
+    on: bit 0 for a block.
+    """
+    groups = [rows]
+    for d in reversed(diffs):
+        split = []
+        for g in groups:
+            ones = g & d
+            if ones and ones != g:
+                split += (ones, g ^ ones)
+            else:
+                split.append(g)
+        groups = split
+    sizes = _count_free(groups)
+    if tied != rows:
+        sizes = [size if g & tied else 0 for g, size in zip(groups, sizes)]
+        groups = [g & tied for g in groups]
+    # The biggest group, then the lowest row: a group's lowest bit.
+    top = max(sizes)
+    r = min(g & -g for g, size in zip(groups, sizes) if size == top).bit_length() - 1
+    b = next((b for b in range(len(diffs), 0, -1) if diffs[b - 1] >> r & 1), 0)
+    return (r + 1, r) if engine.q[b] >> r & 1 else (r, r + 1)
 
 
 def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]]:
@@ -440,15 +463,9 @@ def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]
     The slide costs every candidate the same, so the cheapest are the
     blocks, if any, unless the conjoin is free as well, a CX at position 0
     (see ``_price_leaves``).  Blocks tie on their slot gap, so the pick is
-    the block at the lowest even row.  Otherwise every candidate ties, and
-    the pick is ``_break_tie``'s over all of them: the slot gap that the
-    most candidates share, then the lowest even row r (the smaller-column
-    row is r or r + 1, so rows sort by r).  The planes of the pairs'
-    column differences (``_Engine.differences``) split the candidate rows
-    into their gap groups, one AND per group and gap bit, so no column is
-    read.  The member at the smaller column is the one with a 0 on the
-    top bit the columns differ on, or for a block, whose row parity is
-    ``kind``.
+    the block at the lowest even row, the member whose row parity is
+    ``kind`` first.  Otherwise every candidate ties, and ``_rank_ties``
+    picks among all of them.
     """
     rows = engine.kind_pairs(i, kind) & engine.even
     if not rows:
@@ -462,28 +479,11 @@ def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]
         if blocks:
             r = (blocks & -blocks).bit_length() - 1
             return r ^ kind, r ^ kind ^ 1
-    groups = [rows]
-    for d in reversed(diffs):
-        split = []
-        for g in groups:
-            ones = g & d
-            if ones and ones != g:
-                split += (ones, g ^ ones)
-            else:
-                split.append(g)
-        groups = split
-    # The biggest group, then the lowest row: a group's lowest bit.
-    sizes = list(map(int.bit_count, groups))
-    top = max(sizes)
-    r = min(g & -g for g, size in zip(groups, sizes) if size == top).bit_length() - 1
-    for b in range(len(diffs), 0, -1):
-        if diffs[b - 1] >> r & 1:
-            return (r + 1, r) if engine.q[b] >> r & 1 else (r, r + 1)
-    return r ^ kind, r ^ kind ^ 1
+    return _rank_ties(engine, rows, diffs, rows)
 
 
 def _lookahead_choose(
-    n: int,
+    engine: _Engine,
     pairs: Pairs,
     i: int,
     kind: int,
@@ -494,27 +494,31 @@ def _lookahead_choose(
     floor: Optional[Floor],
 ) -> Optional[tuple[int, int]]:
     """The pair that ``_suffix`` finds cheapest over the next ``d``
-    positions; ties go to the pair leaving the most free blocks, then to
-    the lowest rows.  ``seen``, ``gates`` and ``floor`` are ``_suffix``'s;
-    the first two stay valid while ``n``, ``kind`` and ``phase_end`` do.
+    positions from the engine's state, whose unallocated pairs are
+    ``pairs``; ``_rank_ties`` breaks a tie.  ``seen``, ``gates`` and
+    ``floor`` are ``_suffix``'s; the first two stay valid while the width,
+    ``kind`` and ``phase_end`` do.
 
     This is the root whose children are searched: ``d`` >= 2 and i + 1 <
-    ``phase_end``; ``_choose_leaf`` takes the others.  Rows stay at the
-    root.  Its pass filters the engine's triples into candidates;
-    ``_suffix`` searches on the pairs' columns alone, and the tied column
-    pairs map back to their candidates.
+    ``phase_end``; ``_choose_leaf`` takes the others.  ``_suffix`` searches
+    on the pairs' columns alone, and ``pairs`` maps the tied column pairs
+    back to their even rows.
     """
-    region = _region_mask(n, i)
-    cands: list[Cand] = [
-        (r, r + 1, c, p) if c < p else (r + 1, r, p, c)
-        for r, c, p in pairs
-        if c & p & region == region and c & 1 == kind and (c ^ p) & 1
-    ]
-    found: Cols = []
+    tied: Cols = []
     cols = [(c, p) for _, c, p in pairs]
-    _suffix(n, cols, i, d, phase_end, kind, math.inf, seen, gates, floor, found)
-    ordered = {(c, p) if c < p else (p, c) for c, p in found}
-    return _break_tie(cands, [t for t in cands if t[2:] in ordered])
+    _suffix(engine.n, cols, i, d, phase_end, kind, math.inf, seen, gates, floor, tied)
+    if not tied:
+        return None
+    if len(tied) == 1:
+        r, c, p = pairs[cols.index(tied[0])]
+        return (r, r + 1) if c < p else (r + 1, r)
+    found = set(tied)
+    mask = 0
+    for r, c, p in pairs:
+        if (c, p) in found:
+            mask |= 1 << r
+    rows = engine.kind_pairs(i, kind) & engine.even
+    return _rank_ties(engine, rows, engine.differences(rows), mask)
 
 
 def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisConfig):
@@ -553,13 +557,13 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
             return _choose_leaf(engine, i, kind)
         pairs = engine.pairs_from(i)
         if d < phase_end - i:
-            return _lookahead_choose(n, pairs, i, kind, phase_end, d, None, gates, None)
+            return _lookahead_choose(engine, pairs, i, kind, phase_end, d, None, gates, None)
         bound = None
         if phase_end == 1 << (n - 1) and _fills_phase(n, pairs, i, kind):
             if i not in floor:
                 floor = _floor(n, i, phase_end)
             bound = floor
-        return _lookahead_choose(n, pairs, i, kind, phase_end, d, seen, gates, bound)
+        return _lookahead_choose(engine, pairs, i, kind, phase_end, d, seen, gates, bound)
     return select
 
 

@@ -114,23 +114,36 @@ def walk_member(entries, pos, region: int, i: int, col_parity: int, kind: int, t
     return None
 
 
-def leaf_pick(pairs, region: int, kind: int):
-    """A depth-1 root's pick among ``pairs``, (even row, its column, its
-    partner's column) triples: the in-region pairs of ``kind`` all pay the
-    same slide, and all but the blocks a conjoin, which is free only when
-    the region is every column.  Ties go to the pair whose slot gap the
-    most candidates share, then to the lowest rows."""
-    cands = [
+def candidates(pairs, region: int, kind: int):
+    """The in-region pairs of ``kind`` among ``pairs``, (even row, its
+    column, its partner's column) triples, each as (smaller-column row,
+    partner, smaller column, larger column)."""
+    return [
         (r, r + 1, c, p) if c < p else (r + 1, r, p, c)
         for r, c, p in pairs
         if c & p & region == region and c & 1 == kind and (c ^ p) & 1
     ]
-    blocks = [t for t in cands if t[2] ^ t[3] == 1]
-    tied = blocks if blocks and region else cands
+
+
+def tie_pick(cands, tied):
+    """A root's pick among the ``tied`` candidates, some of ``cands``, both
+    as ``candidates`` gives them: the one whose slot gap the most of
+    ``cands`` share, then the one at the lowest rows; None when nothing is
+    tied."""
     if not tied:
         return None
     gaps = Counter((t[2] ^ t[3]) >> 1 for t in cands)
     return max(sorted(tied), key=lambda t: gaps[(t[2] ^ t[3]) >> 1])[:2]
+
+
+def leaf_pick(pairs, region: int, kind: int):
+    """A depth-1 root's pick among ``pairs``, (even row, its column, its
+    partner's column) triples: the in-region pairs of ``kind`` all pay the
+    same slide, and all but the blocks a conjoin, which is free only when
+    the region is every column.  ``tie_pick`` ranks the cheapest."""
+    cands = candidates(pairs, region, kind)
+    blocks = [t for t in cands if t[2] ^ t[3] == 1]
+    return tie_pick(cands, blocks if blocks and region else cands)
 
 
 def pairs_at(pos, i: int):

@@ -13,7 +13,6 @@ from blocksynth import (
     MAX_WIDTH,
     NotABijection,
     Permutation,
-    PreconditionViolated,
     WidthMismatch,
     apply_gate,
     cx,
@@ -23,7 +22,6 @@ from blocksynth import (
     x,
 )
 from blocksynth import core
-from blocksynth.core import exchange_columns
 from blocksynth.reduction import _Engine
 from helpers import (
     apply_sequence,
@@ -342,50 +340,18 @@ def full_scan(entries, gate):
 
 
 class TestExchangeColumns:
-    """The subcube kernel against a full scan over all 2^n columns."""
+    """``apply_gate``'s column map against a full scan over all 2^n
+    columns."""
 
     @given(shuffled(), st.data())
     @settings(max_examples=200)
     def test_matches_full_scan(self, perm, data):
         gs = data.draw(st.lists(gates(perm.width), min_size=1, max_size=4))
-        entries = list(perm.entries)
-        ref_entries = list(entries)
-        for g in gs:
-            exchange_columns(entries, *g.masks())
-            full_scan(ref_entries, g)
-        assert entries == ref_entries
-
-    @given(shuffled(min_width=2), st.data())
-    @settings(max_examples=200)
-    def test_multi_bit_target_is_its_cx_run(self, perm, data):
-        # One pass with several target bits against the single-target gates
-        # sharing its controls, applied one by one.
-        n = perm.width
-        lines = data.draw(st.permutations(range(1, n + 1)))
-        k = data.draw(st.integers(2, n))
-        targets, spare = lines[:k], lines[k:]
-        picked = spare[: data.draw(st.integers(0, len(spare)))]
-        controls = tuple((l, data.draw(st.booleans())) for l in picked)
-        run = [Gate(n, t, controls) for t in targets]
-        ones, zeros, _ = run[0].masks()
-        tmask = 0
-        for g in run:
-            tmask |= g.masks()[2]
-        entries = list(perm.entries)
-        exchange_columns(entries, ones, zeros, tmask)
         ref_entries = list(perm.entries)
-        for g in data.draw(st.permutations(run)):
+        for g in gs:
+            perm = apply_gate(perm, g)
             full_scan(ref_entries, g)
-        assert entries == ref_entries
-
-    @pytest.mark.parametrize(
-        "ones, zeros, tmask", [(0, 0, 0), (0b100, 0, 0b110), (0, 0b001, 0b011)]
-    )
-    def test_empty_or_overlapping_target_mask_rejected(self, ones, zeros, tmask):
-        entries = list(range(8))
-        with pytest.raises(PreconditionViolated, match="target mask"):
-            exchange_columns(entries, ones, zeros, tmask)
-        assert entries == list(range(8))
+        assert list(perm.entries) == ref_entries
 
 
 class TestPlaneTranspose:

@@ -18,18 +18,26 @@ scans, carry most of the time).
 ``repr(report.stages)``: the per-stage gate split, Toffoli count, lifts and
 mix statistics.  A change that keeps the circuits but slips the ledger
 fails there.
+
+``CIRCUIT_DIGEST`` pins the last line of ``scripts/circuit_digest.py``:
+one SHA-256 over the circuits and stage ledgers of 126 syntheses, a wider
+corpus than the cases above.  A change that alters circuits on purpose
+updates it with the goldens.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from blocksynth import SynthesisConfig, format_real, parse_permutation, sample, synthesize
 
-BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+REPO = Path(__file__).resolve().parent.parent
+BENCH = REPO / "benchmarks"
 
 DEFAULT = SynthesisConfig()
 DEPTH_2 = SynthesisConfig(depths={j: 2 for j in range(1, 25)})
@@ -114,3 +122,19 @@ def test_golden_stage_ledger(name):
         perm = sample(*source)
     _, report = synthesize(perm, cfg)
     assert hashlib.sha256(repr(report.stages).encode()).hexdigest() == STAGE_LEDGER[name]
+
+
+CIRCUIT_DIGEST = (
+    "combined 180bf69e9fc587aba70c3636314e68656dce50c47553cc25208387a8188598ec"
+    " over 126 syntheses"
+)
+
+
+def test_circuit_digest(monkeypatch, capsys):
+    path = REPO / "scripts" / "circuit_digest.py"
+    spec = importlib.util.spec_from_file_location("circuit_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--quiet"])
+    assert script.main() == 0
+    assert capsys.readouterr().out.strip() == CIRCUIT_DIGEST

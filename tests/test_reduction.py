@@ -3,7 +3,6 @@ construction, and whole reductions."""
 
 import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from blocksynth import (
     toffoli_count,
     x,
 )
-from blocksynth import reduction
+from blocksynth import reduction, synthesis
 from blocksynth.reduction import (
     INVERTED,
     NORMAL,
@@ -243,6 +242,22 @@ def _free_after(p, i, kind, pair):
     return sum(_holds_block(engine, q, kind) for q in range(p.size // 2) if q != i)
 
 
+def _ranked_groups(engine, i, kind):
+    """{group: rank} for the slot-gap groups that the leaf root at position
+    i hands ``_count_free``, and the ranks it returns."""
+    ranked = {}
+
+    def spy(groups):
+        ranks = _count_free(groups)
+        ranked.update(zip(groups, ranks))
+        return ranks
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_count_free", spy)
+        _choose_leaf(engine, i, kind)
+    return ranked
+
+
 class TestBlockTests:
     """``_holds_block`` reads the entries array, the scorer reads column
     pairs; both must find the same blocks, and the tie-break must rank
@@ -260,12 +275,11 @@ class TestBlockTests:
 
     def test_count_free_identity(self):
         # Position 0's region is every column, so all four blocks are
-        # candidates at gap 0; they rank alike, and taking any one leaves
-        # the other three.
-        cols = _cols_from(_Engine(ID3), 0)
-        gaps = Counter((c ^ p) >> 1 for c, p in cols)
-        assert gaps == {0: 4}
-        assert {_count_free(gaps, 0)} == {4}
+        # candidates at gap 0, and the free conjoin makes the leaf root
+        # rank them: one group of rank 4, and taking any one leaves the
+        # other three.
+        ranked = _ranked_groups(_Engine(ID3), 0, NORMAL)
+        assert ranked == {1 << 0 | 1 << 2 | 1 << 4 | 1 << 6: 4}
         assert {_free_after(ID3, 0, NORMAL, (r, r + 1)) for r in (0, 2, 4, 6)} == {3}
 
     def test_count_free_one_block(self):
@@ -278,8 +292,9 @@ class TestBlockTests:
         assert [_holds_block(engine, i, NORMAL) for i in range(4)] == [False, True, False, False]
         cols = [(c, q) for c, q in _cols_from(engine, 0) if (c ^ q) & 1 and not c & 1]
         assert sorted(cols) == [(2, 3), (4, 7), (6, 5)]
-        gaps = Counter((c ^ q) >> 1 for c, q in cols)
-        assert [_count_free(gaps, g) for g in (0, 1, 1)] == [1, 2, 2]
+        # The block (row 2) is the group at gap 0, rows 0 and 4 the one at
+        # gap 1.
+        assert _ranked_groups(engine, 0, NORMAL) == {1 << 2: 1, 1 << 0 | 1 << 4: 2}
         assert [_free_after(p, 0, NORMAL, rows) for rows in ((2, 3), (4, 5), (0, 1))] == [0, 1, 1]
 
     @given(permutations(), st.data())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -58,6 +57,7 @@ from helpers import (
     alloc_masks,
     as_plain,
     balanced_entries,
+    candidates,
     circuit_table,
     cons_masks,
     findm,
@@ -68,6 +68,7 @@ from helpers import (
     pairs_at,
     positions,
     sim_circuit,
+    tie_pick,
     track,
     with_identity_wire,
 )
@@ -302,8 +303,8 @@ class TestScorerModel:
     )
     @settings(max_examples=150, deadline=None)
     def test_free_block_count_matches_running_every_mask(self, n, seed, kind, data):
-        # ``_count_free`` ranks two candidates apart by as many blocks as
-        # the engine's gates leave apart.
+        # ``_count_free`` ranks two candidates' slot-gap groups apart by as
+        # many blocks as the engine's gates leave apart.
         pos = positions(sample(n, seed))
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
 
@@ -331,9 +332,14 @@ class TestScorerModel:
                 if (c, p) != pair and dest[c] ^ dest[p] == 1 and dest[c] & 1 == kind
             )
 
-        gaps = Counter((c ^ p) >> 1 for c, p in cands)
+        groups: dict = {}  # slot gap -> the mask of its candidates' even rows
+        for k, pair in enumerate(pairs):
+            if pair in cands:
+                gap = (pair[0] ^ pair[1]) >> 1
+                groups[gap] = groups.get(gap, 0) | 1 << 2 * k
+        rank = dict(zip(groups, _count_free(list(groups.values()))))
         other = data.draw(st.sampled_from(cands))
-        ranks = [_count_free(gaps, (c ^ p) >> 1) for c, p in ((ca, cb), other)]
+        ranks = [rank[(c ^ p) >> 1] for c, p in ((ca, cb), other)]
         assert ranks[0] - ranks[1] == left_free((ca, cb)) - left_free(other)
 
 
@@ -403,22 +409,28 @@ class TestLeafPass:
     @given(pair_states(max_width=7), st.sampled_from([NORMAL, INVERTED]), st.integers(2, 3))
     @settings(max_examples=150, deadline=None)
     def test_root_census_matches_a_rescan(self, state, kind, depth):
-        # The gap census that a root whose children are searched hands
-        # ``_count_free``; a leaf root ranks its ties on the planes.
+        # The groups that a root hands ``_count_free``, leaf and searched
+        # alike: its candidates' even rows, split by slot gap.
         n, i, pairs, perm = state
-        assume(i + 1 < 1 << (n - 1))
         census = []
         count_free = synthesis._count_free
 
-        def spy(gaps, gap):
-            census.append(gaps)
-            return count_free(gaps, gap)
+        def spy(groups):
+            census.append(groups)
+            return count_free(groups)
 
+        engine = _Engine(perm)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_count_free", spy)
-            _lookahead_choose(n, pairs, i, kind, 1 << (n - 1), depth, None, {}, None)
-        cands = _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
-        assert all(gaps == Counter((c ^ p) >> 1 for c, p in cands) for gaps in census)
+            _choose_leaf(engine, i, kind)
+            if i + 1 < 1 << (n - 1):
+                _lookahead_choose(engine, pairs, i, kind, 1 << (n - 1), depth, None, {}, None)
+        cands = set(_admissible(n, [(c, p) for _, c, p in pairs], i, kind))
+        want: dict = {}  # slot gap -> the mask of its candidates' even rows
+        for r, c, p in pairs:
+            if (c, p) in cands:
+                want[(c ^ p) >> 1] = want.get((c ^ p) >> 1, 0) | 1 << r
+        assert all(sorted(groups) == sorted(want.values()) for groups in census)
 
 
 def _layout(pos):
@@ -461,6 +473,31 @@ class TestLeafTies:
         kind = INVERTED if flip else NORMAL
         self.check([c ^ flip for c in pos], 4, kind, (1, 0))
         self.check([c ^ flip for c in pos], 4, kind ^ 1, None)
+
+
+class TestSearchedTies:
+    """A root whose children are searched ranks ``_suffix``'s tied pairs by
+    the rule a leaf root ranks its own by: ``tie_pick`` over the tied set."""
+
+    @given(pair_states(max_width=7), st.sampled_from([NORMAL, INVERTED]), st.sampled_from([2, 3, "end"]))
+    @settings(max_examples=150, deadline=None)
+    def test_pick_is_tie_pick_over_the_tied_set(self, state, kind, depth):
+        n, i, pairs, perm = state
+        half = 1 << (n - 1)
+        engine = _Engine(perm)
+        if depth == "end":
+            # A search to the phase end, from at most five positions before it.
+            i = max(i, half - 5)
+            pairs = engine.pairs_from(i)
+        assume(i + 1 < half)
+        d = half - i if depth == "end" else depth
+        floor = _bound_for(n, pairs, i, kind, half, d)
+        tied: list = []
+        _suffix(n, [(c, p) for _, c, p in pairs], i, d, half, kind, math.inf, None, {}, floor, tied)
+        cands = candidates(pairs, _region_mask(n, i), kind)
+        found = {tuple(sorted(pair)) for pair in tied}
+        want = tie_pick(cands, [t for t in cands if t[2:] in found])
+        assert _lookahead_choose(engine, pairs, i, kind, half, d, {}, {}, floor) == want
 
 
 @st.composite
@@ -534,8 +571,8 @@ class TestPairOrder:
             assert _choose_leaf(engine, i, kind) == want
             return
         floor = _bound_for(n, pairs, i, kind, phase_end, d)
-        want = _lookahead_choose(n, pairs, i, kind, phase_end, d, {}, {}, floor)
-        assert _lookahead_choose(n, shuffled, i, kind, phase_end, d, {}, {}, floor) == want
+        want = _lookahead_choose(engine, pairs, i, kind, phase_end, d, {}, {}, floor)
+        assert _lookahead_choose(engine, shuffled, i, kind, phase_end, d, {}, {}, floor) == want
 
     @given(filled_states(max_width=6), st.booleans(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -553,9 +590,9 @@ class TestPairOrder:
         floor = _bound_for(n, pairs, i, kind, half, half - i)
         assert floor is not None
         seen = {} if table else None
-        want = _lookahead_choose(n, pairs, i, kind, half, half - i, seen, {}, floor)
+        want = _lookahead_choose(engine, pairs, i, kind, half, half - i, seen, {}, floor)
         seen = {} if table else None
-        assert _lookahead_choose(n, shuffled, i, kind, half, half - i, seen, {}, floor) == want
+        assert _lookahead_choose(engine, shuffled, i, kind, half, half - i, seen, {}, floor) == want
 
     @given(pair_states(max_width=6), st.sampled_from([NORMAL, INVERTED]), st.integers(1, 3), st.data())
     @settings(max_examples=100, deadline=None)
@@ -604,9 +641,9 @@ class TestPairOrder:
 
             return spied_select
 
-        def spied_choose(n, pairs, i, kind, phase_end, d, seen, gates, floor):
-            calls.append((current[0], n, gates))
-            return choose(n, pairs, i, kind, phase_end, d, seen, gates, floor)
+        def spied_choose(engine, pairs, i, kind, phase_end, d, seen, gates, floor):
+            calls.append((current[0], engine.n, gates))
+            return choose(engine, pairs, i, kind, phase_end, d, seen, gates, floor)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_make_selector", spied_make)
@@ -704,13 +741,14 @@ class TestTailBound:
         }[config]
         choose, suffix = synthesis._lookahead_choose, synthesis._suffix
 
-        def spied_choose(n, pairs, i, kind, phase_end, d, seen, gates, floor):
+        def spied_choose(engine, pairs, i, kind, phase_end, d, seen, gates, floor):
+            n = engine.n
             if phase_end == 1 << (n - 1):
                 assert _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
                 # The premise holds, so every search to the end is bounded.
                 assert _fills_phase(n, pairs, i, kind)
                 assert (floor is not None) == (d >= phase_end - i)
-            return choose(n, pairs, i, kind, phase_end, d, seen, gates, floor)
+            return choose(engine, pairs, i, kind, phase_end, d, seen, gates, floor)
 
         def spied_suffix(n, cols, i, depth_left, phase_end, kind, *rest):
             if phase_end == 1 << (n - 1) and depth_left and i < phase_end:
@@ -737,7 +775,7 @@ class TestTailBound:
             got = _suffix(n, cols, i, half - i, half, kind, budget, seen, {}, floor)
             assert got == (want if want < budget else None)
         if i + 1 < half:
-            pick = _lookahead_choose(n, pairs, i, kind, half, half - i, {}, {}, floor)
+            pick = _lookahead_choose(_Engine(perm), pairs, i, kind, half, half - i, {}, {}, floor)
         else:
             pick = _choose_leaf(_Engine(perm), i, kind)
         assert pick == _reference_choice(perm, i, kind, half, half - i)
@@ -768,7 +806,8 @@ class TestTailBound:
         pairs = _Engine(perm).pairs_from(0)
         assert not _fills_phase(3, pairs, 0, INVERTED)
         want = _reference_choice(perm, 0, INVERTED, 4, 4)
-        assert _lookahead_choose(3, pairs, 0, INVERTED, 4, 4, {}, {}, _floor(3, 0, 4)) != want
+        engine = _Engine(perm)
+        assert _lookahead_choose(engine, pairs, 0, INVERTED, 4, 4, {}, {}, _floor(3, 0, 4)) != want
         select = _make_selector(_Engine(perm), INVERTED, 4, SynthesisConfig(exhaustive_tail=4))
         assert select(0) == want
 
@@ -883,9 +922,9 @@ class TestStateTable:
     def test_phase_long_table_picks_as_a_fresh_one(self, n, seed, sample_kind, depth, tail):
         choose = synthesis._lookahead_choose
 
-        def checked(n, pairs, i, kind, phase_end, d, seen, gates, floor):
-            got = choose(n, pairs, i, kind, phase_end, d, seen, gates, floor)
-            assert got == choose(n, pairs, i, kind, phase_end, d, {}, {}, floor)
+        def checked(engine, pairs, i, kind, phase_end, d, seen, gates, floor):
+            got = choose(engine, pairs, i, kind, phase_end, d, seen, gates, floor)
+            assert got == choose(engine, pairs, i, kind, phase_end, d, {}, {}, floor)
             return got
 
         cfg = SynthesisConfig(depths={j: depth for j in range(1, 25)}, exhaustive_tail=tail)
