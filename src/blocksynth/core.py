@@ -161,6 +161,8 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A copy, so a caller's list cannot change after the checks.
+        object.__setattr__(self, "entries", tuple(self.entries))
         _check_width(self.width)
         size = 1 << self.width
         if len(self.entries) != size:
@@ -191,6 +193,8 @@ class GateSequence:
     )
 
     def __post_init__(self) -> None:
+        # A copy, so a caller's list cannot change under the census.
+        object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.width != self.width:
                 raise WidthMismatch(

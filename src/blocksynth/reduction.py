@@ -33,10 +33,10 @@ One ``_Engine`` serves a whole ``synthesize`` call: after each reduction
 ``_Engine.strip`` drops the identity last line in place, so the next stage
 works on Q.  Inside the pipeline a gate is its (ones, zeros, target)
 column-mask triple (``core.Masks``): the builders here and in
-``conditioning`` return triples, ``_Engine.emit`` records and applies them
-(``allocate`` records its own), ``_Engine.apply`` is the one place where a
-gate changes the state, and ``_Engine.sequence`` builds the stage's
-``Gate``s at the input width, each distinct one once per engine.
+``conditioning`` return triples, ``_Engine.emit`` and ``allocate`` apply,
+record and price them, ``_Engine.apply`` is the one place where a gate
+changes the state, and ``_Engine.sequence`` builds the stage's ``Gate``s
+at the input width, each distinct one once per engine.
 The engine keeps its copy as row-indexed bit planes: bit r of plane b is
 bit b of row r's column.  Any gate costs O(m + |T|) big-int operations on
 them, and a scan is a few more: the rows in a region, the members of a
@@ -275,9 +275,10 @@ class _Engine:
     One engine carries a whole synthesis: ``strip`` drops the identity last
     line after each stage's reduction and starts the next stage's record.
     Gates are recorded as mask triples at the current width; ``sequence``
-    builds the stage's ``Gate``s at the input width.  ``region_lifts``
-    counts the stage's members moved into the region and ``lift_toffoli``
-    the Toffoli-equivalents their lift gates cost.
+    builds the stage's ``Gate``s at the input width.  ``toffoli`` sums the
+    Toffoli-equivalents of the stage's gates, ``region_lifts`` counts its
+    members moved into the region and ``lift_toffoli`` is the part of
+    ``toffoli`` their lift gates cost.
     """
 
     def __init__(self, perm: Permutation):
@@ -298,6 +299,7 @@ class _Engine:
 
     def _start_stage(self) -> None:
         self.gates: list[Masks] = []
+        self.toffoli = 0
         self.region_lifts = 0
         self.lift_toffoli = 0
 
@@ -436,41 +438,31 @@ class _Engine:
             tmask ^= low
 
     def emit(self, *gates: Masks) -> None:
-        """Record ``gates`` and apply them in order, one ``apply`` per run
-        of consecutive gates with the same controls.  None of them targets
-        a control, so the run's targets combine by XOR: a target the run
-        names twice moves nothing."""
-        self.gates.extend(gates)
-        ones = zeros = -1
-        tmask = 0
-        for o, z, t in gates:
-            if not t or t & (o | z):
-                check_target(o, z, t)
-            if o != ones or z != zeros:
-                if tmask:
-                    self.apply(ones, zeros, tmask)
-                ones, zeros, tmask = o, z, 0
-            tmask ^= t
-        if tmask:
-            self.apply(ones, zeros, tmask)
+        """Apply ``gates`` in order, and record and price each."""
+        record = self.gates.append
+        for gate in gates:
+            ones, zeros, _ = gate
+            self.apply(*gate)
+            record(gate)
+            self.toffoli += toffoli_equivalents((ones | zeros).bit_count())
 
     def lift_pair(self, i: int, a: int, b: int) -> tuple[int, int]:
         """Move both rows into the iteration-i region, and return their
         columns; no gate when both already sit there.  Touched columns
         never drop below 2i, so left-allocated blocks survive (see
-        ``_lift_step``)."""
+        ``_lift_step``).  Their gates' price is ``toffoli``'s growth."""
         mask = _region_mask(self.n, i)
         ca, cb = cols = self.cols(a, b)
         if ca & cb & mask == mask:
             return cols
+        spent = self.toffoli
         for k in (0, 1):
             if cols[k] & mask != mask:
                 self.region_lifts += 1
             while cols[k] & mask != mask:
-                ones, zeros, t = _lift_step(self.n, i, cols[k], cols[1 - k])
-                self.emit((ones, zeros, t))
-                self.lift_toffoli += toffoli_equivalents((ones | zeros).bit_count())
+                self.emit(_lift_step(self.n, i, cols[k], cols[1 - k]))
                 cols = self.cols(a, b)
+        self.lift_toffoli += self.toffoli - spent
         return cols
 
     def at_position(self, i: int) -> int:
@@ -483,11 +475,12 @@ class _Engine:
         Each of ``_pair_gates``' triples is applied whole, and recorded one
         target line per gate: a CX run targets its lines from the lowest
         one, and a negatively controlled run is that run between two X on
-        its control.
+        its control.  They cost what ``_pair_gates`` returns.
         """
         ca, cb = self.lift_pair(i, a, b)
         record = self.gates.append
-        for ones, zeros, tmask in _pair_gates(self.n, i, ca, cb)[0]:
+        masks, cost = _pair_gates(self.n, i, ca, cb)
+        for ones, zeros, tmask in masks:
             self.apply(ones, zeros, tmask)
             if zeros:
                 record((0, 0, zeros))
@@ -498,6 +491,7 @@ class _Engine:
                 tmask ^= bit
             if zeros:
                 record((0, 0, zeros))
+        self.toffoli += cost
         ca, cb = self.cols(a, b)
         if ca ^ cb != 1 or ca >> 1 != i:
             raise InternalError(

@@ -63,10 +63,10 @@ candidates; a searched root (``_lookahead_choose``) maps ``_suffix``'s
 tied column pairs back to their rows and ranks only the groups holding
 one, unless a single pair ties.
 
-``_stage`` also keeps the stage's gate ledger (``StageStats``) and checks
-its Toffoli count, less what its region lifts and mix repair gates cost,
-against ``bounds(w).per_reduction_total``, and its preprocessing pass, less
-its lifts, against ``preprocessing_bound(w)``.
+``_stage`` reads the stage's gate ledger (``StageStats``) off the engine's
+running totals, and checks its Toffoli count, less what its region lifts
+and mix repair gates cost, against ``bounds(w).per_reduction_total``, and
+its preprocessing pass, less its lifts, against ``preprocessing_bound(w)``.
 Adjacent identical gates are cancelled (``peephole``), and the result is
 always verified against the input before being returned.  A failure of
 either check is an ``InternalError``, not a user error.
@@ -638,11 +638,13 @@ def _stage(engine: _Engine, cfg: SynthesisConfig) -> StageStats:
     if preprocess and normal + inverted != pairs // 2:  # not half interrupting
         mstats = _mix_engine(engine)
         mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
-    mix_gates, lifted = len(engine.gates), engine.lift_toffoli
+    # Each part's figures are the growth of the engine's totals across it.
+    # No lift runs before preprocessing.
+    mix_gates, mix_toffoli = len(engine.gates), engine.toffoli
     if preprocess:
         _run_preprocess(engine)
     pre_gates = len(engine.gates) - mix_gates
-    pre_lifts = engine.lift_toffoli - lifted
+    pre_spent = engine.toffoli - mix_toffoli - engine.lift_toffoli
     if general:
         _run_general(
             engine,
@@ -651,25 +653,21 @@ def _stage(engine: _Engine, cfg: SynthesisConfig) -> StageStats:
         )
     else:
         _run_normal(engine, _make_selector(engine, NORMAL, pairs, cfg))
-    # 2m - 3 depends only on the control count m, which masks carry as well
-    # as the ``Gate``s that ``sequence`` builds.
-    toffolis = [toffoli_equivalents((ones | zeros).bit_count()) for ones, zeros, _ in engine.gates]
     stage = StageStats(
         width=w,
         mix_gates=mix_gates,
         pre_gates=pre_gates,
         red_gates=len(engine.gates) - mix_gates - pre_gates,
-        toffoli=sum(toffolis),
+        toffoli=engine.toffoli,
         bound=bounds(w).per_reduction_total,
         region_lifts=engine.region_lifts,
         mix_depth=mix_depth,
         mix_fixups=mix_fix,
         lift_toffoli=engine.lift_toffoli,
     )
-    # Region lifts and mix repair gates (each fully controlled) are the
-    # logged deviations from the analysis behind the budgets.
-    pre_spent = sum(toffolis[mix_gates:mix_gates + pre_gates]) - pre_lifts
-    stage_spent = stage.toffoli - stage.lift_toffoli - mix_fix * toffoli_equivalents(w - 1)
+    # Region lifts and mix repair gates are the logged deviations from the
+    # analysis behind the budgets; the repairs are mixing's only Toffolis.
+    stage_spent = stage.toffoli - stage.lift_toffoli - mix_toffoli
     for what, spent, besides, budget in (
         (f"width-{w} preprocessing", pre_spent, "its lifts", preprocessing_bound(w)),
         (f"the width-{w} stage", stage_spent, "its lifts and mix repairs", stage.bound),

@@ -18,6 +18,7 @@ from blocksynth import (
     cx,
     sample,
     toffoli,
+    toffoli_count,
     verify_identity,
     x,
 )
@@ -146,6 +147,30 @@ class TestPermutationBasics:
             Permutation(MAX_WIDTH + 1, ())
         with pytest.raises(ValueError):
             Permutation(0, ())
+
+    def test_a_list_of_entries_is_copied(self):
+        # The bijection check passes on the list; a later change to it must
+        # not reach the permutation.
+        entries = [1, 0, 2, 3]
+        p = Permutation(2, entries)
+        entries[0] = 0
+        assert p.entries == (1, 0, 2, 3)
+
+    def test_a_list_built_permutation_is_the_tuple_built_one(self):
+        p, q = Permutation(2, [1, 0, 2, 3]), Permutation(2, (1, 0, 2, 3))
+        assert p == q and hash(p) == hash(q)
+
+
+class TestGateSequenceBasics:
+    def test_a_list_of_gates_is_copied(self):
+        # The census is cached on first use; a gate appended to the
+        # caller's list later must reach neither ``len`` nor the census.
+        gates = [x(3, 1), toffoli(3, 1, 2, 3)]
+        seq = GateSequence(3, gates)
+        assert toffoli_count(seq) == 1
+        gates.append(toffoli(3, 1, 3, 2))
+        assert len(seq) == 2 and seq.gates == tuple(gates[:2])
+        assert toffoli_count(seq) == toffoli_count(GateSequence(3, tuple(gates[:2]))) == 1
 
 
 class TestHandVerifiedApplication:

@@ -36,6 +36,7 @@ from blocksynth.reduction import (
     _run_normal,
 )
 from blocksynth.conditioning import _scan_member
+from blocksynth.cost import toffoli_equivalents
 from blocksynth.synthesis import _choose_leaf, _count_free, _price_leaves, _slide
 from helpers import (
     alloc_masks,
@@ -637,8 +638,8 @@ def replay(state, batch):
 
 class TestFusedEmission:
     """``_Engine.emit`` applies each gate to the bit planes as one mask of
-    moved rows, shared by a run of gates with the same controls; every read
-    must still see the state that the recorded gates replay to."""
+    moved rows, XORed into each target plane; every read must still see
+    the state that the recorded gates replay to."""
 
     @given(gate_batches(), st.integers(0, 10_000), st.data())
     @settings(max_examples=300, deadline=None)
@@ -667,21 +668,13 @@ class TestFusedEmission:
             sum((c >> b & 1) << r for r, c in enumerate(positions(state))) for b in range(n)
         ]
 
-    def test_conjoin_sandwich_shares_masks(self):
-        # X(2) · CX(2->3) · CX(2->4) · X(2) at width 4: the two CX gates
-        # share their controls, so the batch takes three masks of moved
-        # rows, not four; the MCT after it takes one more.
+    def test_conjoin_sandwich_replays(self):
+        # X(2) · CX(2->3) · CX(2->4) · X(2) at width 4, then an MCT.
         p = sample(4, 3)
         engine = _Engine(p)
-        fired = []
-        fire = engine.fire
-        engine.fire = lambda ones, zeros: fired.append((ones, zeros)) or fire(ones, zeros)
         engine.emit((0, 0, 4), (4, 0, 2), (4, 0, 1), (0, 0, 4))
-        assert fired == [(0, 0), (4, 0), (0, 0)]
         engine.emit((8 | 1, 0, 4))
-        assert fired[3:] == [(9, 0)]
-        replayed = apply_sequence(p, engine.sequence())
-        assert engine.snapshot() == replayed
+        assert engine.snapshot() == apply_sequence(p, engine.sequence())
 
     def test_reads_write_no_engine_state(self):
         # Every read leaves the planes alone; a list a read returns is the
@@ -815,8 +808,8 @@ def allocate_any(p, general, picks):
 
 class TestApplyKernel:
     """``_Engine.apply`` is the one writer of the planes: ``emit`` calls it
-    once per run of same-control gates, and ``allocate`` once per
-    ``_pair_gates`` triple while it records the triple's per-line gates."""
+    once per gate, and ``allocate`` once per ``_pair_gates`` triple while
+    it records the triple's per-line gates."""
 
     @given(st.integers(3, 7), st.integers(0, 10_000), st.booleans(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -902,6 +895,49 @@ class TestApplyKernel:
         assert (len(engine.gates), engine.region_lifts, engine.lift_toffoli) == before
         engine.allocate(i, *found)
         assert (engine.region_lifts, engine.lift_toffoli) == before[1:]
+
+
+def priced(gates):
+    """Toffoli-equivalents of mask triples, each one gate."""
+    return sum(toffoli_equivalents((ones | zeros).bit_count()) for ones, zeros, _ in gates)
+
+
+class TestLedger:
+    """The engine prices each gate as it records it: ``toffoli`` is the
+    price of every recorded gate, and ``lift_toffoli`` the part of it that
+    the lift gates cost."""
+
+    @given(gate_batches(), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_emit_prices_what_it_records(self, case, seed):
+        n, batches = case
+        engine = _Engine(sample(n, seed))
+        for batch in batches:
+            engine.emit(*batch)
+            assert engine.toffoli == priced(engine.gates)
+        assert engine.lift_toffoli == engine.region_lifts == 0
+
+    @given(st.integers(3, 7), st.integers(0, 10_000), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_allocate_prices_what_it_records(self, width, seed, general, data):
+        if general:
+            p = Permutation(width, balanced_entries(width, seed))
+        else:
+            p = sample(width, seed, "parity_aligned")
+        lifts = []
+
+        def lift_step(*args, _real=reduction._lift_step):
+            lifts.append(_real(*args))
+            return lifts[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_lift_step", lift_step)
+            engine = allocate_any(
+                p, general, lambda i, pairs: data.draw(st.integers(0, 2 * len(pairs) - 1))
+            )
+        assert engine.toffoli == priced(engine.gates)
+        assert engine.lift_toffoli == priced(lifts)
+        assert engine.toffoli == toffoli_count(engine.sequence())
 
 
 def verify_reduction(p, seq, expected):

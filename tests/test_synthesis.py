@@ -122,6 +122,12 @@ class TestSearchTwoBit:
     def test_identity_is_free(self):
         assert len(search_two_bit(Permutation(2, (0, 1, 2, 3)))) == 0
 
+    def test_a_list_built_permutation_is_looked_up(self):
+        # The table is keyed by entry tuples.
+        assert search_two_bit(Permutation(2, [1, 0, 2, 3])) == search_two_bit(
+            Permutation(2, (1, 0, 2, 3))
+        )
+
     def test_all_24_permutations_realized(self):
         import itertools
 
