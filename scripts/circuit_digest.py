@@ -10,7 +10,8 @@ and stage ledgers on the whole corpus.
 The corpus is khazad, skipjack and ``sample(w, seed, kind)`` for widths
 3-9, seeds 1-3 and both kinds (uniform and parity_aligned). Every map runs
 at the default config and at depth 0 with no exhaustive tail; the maps up
-to width 8 also run at depth 2. That is 126 syntheses.
+to width 8 also run with a 12-position exhaustive tail, where the tail's
+search runs deepest. That is 126 syntheses.
 
 Usage: PYTHONPATH=src python3 scripts/circuit_digest.py [--quiet]
 """
@@ -28,9 +29,9 @@ BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 CONFIGS = {
     "default": SynthesisConfig(),
     "d0t0": SynthesisConfig(depths={j: 0 for j in range(1, 25)}, exhaustive_tail=0),
-    "depth2": SynthesisConfig(depths={j: 2 for j in range(1, 25)}),
+    "tail12": SynthesisConfig(exhaustive_tail=12),
 }
-DEPTH2_MAX_WIDTH = 8
+TAIL12_MAX_WIDTH = 8
 
 
 def corpus():
@@ -47,7 +48,7 @@ def cases():
     """(case name, permutation, config) for each synthesis."""
     for name, perm in corpus():
         for label, cfg in CONFIGS.items():
-            if label != "depth2" or perm.width <= DEPTH2_MAX_WIDTH:
+            if label != "tail12" or perm.width <= TAIL12_MAX_WIDTH:
                 yield f"{name} {label}", perm, cfg
 
 

@@ -97,7 +97,7 @@ def _load_spec(path: str) -> tuple[Permutation, int, int]:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, help="constant lookahead depth")
+    p.add_argument("--depth", type=int, help="lookahead depth before the tail: 1 (default) or 0")
     p.add_argument(
         "--tail-exhaustive",
         type=int,

@@ -117,7 +117,10 @@ class Gate:
 
     @classmethod
     def from_masks(cls, width: int, ones: int, zeros: int, tmask: int) -> "Gate":
-        """Inverse of ``masks``; controls come out in ascending line order."""
+        """Inverse of ``masks``; controls come out in ascending line order.
+        ``tmask`` must hold exactly one bit: a gate has one target line."""
+        if not tmask or tmask & (tmask - 1):
+            raise ValueError(f"target mask {tmask:#x} must hold exactly one line")
         controls = []
         rest = ones | zeros
         while rest:  # highest control bit first: the lowest line number

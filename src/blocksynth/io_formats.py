@@ -107,6 +107,8 @@ class TruthTable:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A copy, so a caller's list cannot change after the checks.
+        object.__setattr__(self, "rows", tuple(self.rows))
         if not (1 <= self.n_in <= MAX_WIDTH and 1 <= self.n_out <= MAX_WIDTH):
             raise WrongCount(
                 f"need 1 <= n_in, n_out <= {MAX_WIDTH}, got {self.n_in}/{self.n_out}"

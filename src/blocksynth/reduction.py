@@ -72,6 +72,7 @@ from .core import (
     InternalError,
     Masks,
     Permutation,
+    PreconditionViolated,
     _planes,
     _values,
     check_target,
@@ -438,7 +439,10 @@ class _Engine:
             tmask ^= low
 
     def emit(self, *gates: Masks) -> None:
-        """Apply ``gates`` in order, and record and price each."""
+        """Apply ``gates`` in order, and record and price each as one gate:
+        a multi-bit target raises ``PreconditionViolated`` before any runs."""
+        if any(tmask & (tmask - 1) for _, _, tmask in gates):
+            raise PreconditionViolated(f"emit records one target line per gate, got {gates}")
         record = self.gates.append
         for gate in gates:
             ones, zeros, _ = gate

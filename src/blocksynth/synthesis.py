@@ -22,21 +22,21 @@ call.
 
 Pair selection inside the reductions is one branch and bound, ``_suffix``:
 candidate pairs are scored by the exact Toffoli-equivalents of their
-construction and slide gates plus the best reachable score over the next
-positions.  Lookahead searches a per-scale depth ahead; near the end of a
-stage (``exhaustive_tail``) the depth runs to the end of the phase, so the
-same search solves the tail exactly.  Rows stay at the root of a search
+construction and slide gates plus the best reachable score over the rest
+of the phase.  It runs near the end of a stage (``exhaustive_tail``) and
+solves that tail exactly; before it a selection looks one position ahead
+(depth 1) or not at all (depth 0).  Rows stay at the root of a search
 (``_lookahead_choose``), which reads the engine's (row, column, partner
-column) triples; below it a pair is its two columns alone.  The selections
-of one phase that search to its end share a table of the states met below
-their roots: a state is the position, the depth left and the unallocated
-pairs' column pairs, and pick orders and successive selections often reach
-the same one.  An entry holds the state's exact cost, or a budget it could
-not beat; a child is looked up before it is searched.  A node whose
-children are searched builds each candidate's conjoin and slide in closed
-form (``reduction._pair_gates``): at most four (ones, zeros, target)
-column masks, each CX run one triple that targets all its lines, priced by
-the conjoining and sliding MCTs alone.  Every selection of a phase shares
+column) triples; below it a pair is its two columns alone.  The tail's
+selections in one phase share a table of the states met below their
+roots: a state is the position and the unallocated pairs' column pairs,
+and pick orders and successive selections often reach the same one.  An
+entry holds the state's exact cost, or a budget it could not beat; a
+child is looked up before it is searched.  A node whose children are
+searched builds each candidate's conjoin and slide in closed form
+(``reduction._pair_gates``): at most four (ones, zeros, target) column
+masks, each CX run one triple that targets all its lines, priced by the
+conjoining and sliding MCTs alone.  Every selection of a phase shares
 one memo of those, keyed by position and columns.  A node whose children
 are leaves (every depth-1 selection, and the last position of a tail
 search) needs only prices, and at one position a price takes two values:
@@ -46,13 +46,13 @@ pairs, with no masks and no sort (``_price_leaves``).  Such a root
 (``_choose_leaf``) reads the engine's planes instead of a pair list: the
 candidates and the blocks among them are row masks, and where a block is
 cheapest the pick is the block at the lowest row.  Otherwise its
-candidates all tie.  A search to the end of a phase that ends
-at 2^(n-1) is also bounded: every position left pays its slide, and a
-conjoin is due unless every pair left is a block (``_floor``).  That
-bound holds only if no node runs dry, which ``_fills_phase`` checks of the
-root's state.  The scorer
-never copies the engine or builds a ``Gate``; the engine emits the chosen
-pair's triples from the same ``_pair_gates``, one gate per target line.
+candidates all tie.  A search to the end of a phase that ends at 2^(n-1)
+is also bounded: every position left pays its slide, and a conjoin is due
+unless every pair left is a block (``_floor``).  That bound holds only if
+no node runs dry, which ``_fills_phase`` checks of the root's state.  The
+scorer never copies the engine or builds a ``Gate``; the engine emits the
+chosen pair's triples from the same ``_pair_gates``, one gate per target
+line.
 
 Every root breaks a tie one way (``_rank_ties``), on the engine's planes:
 the planes of the pairs' column differences split the candidates' even
@@ -113,13 +113,14 @@ from .reduction import (
 class SynthesisConfig:
     """Tuning knobs for ``synthesize``.
 
-    ``depths`` maps j to the lookahead depth used while the remaining row
-    count r of the current phase satisfies 2^(j-1) < r <= 2^j (that is,
-    j = (r-1).bit_length(), so 1 <= j <= MAX_WIDTH); missing entries default
-    to depth 1, and depth 0 reproduces the plain scan-order selection.
-    ``exhaustive_tail`` switches the last positions of a stage to exact
-    branch-and-bound (0 disables).  ``depths`` is kept as a read-only copy,
-    so the caller's dict can change without getting past the checks below.
+    ``depths`` maps j to the lookahead depth, 0 or 1, used while the
+    remaining row count r of the current phase satisfies 2^(j-1) < r <= 2^j
+    (that is, j = (r-1).bit_length(), so 1 <= j <= MAX_WIDTH); missing
+    entries default to depth 1, and depth 0 reproduces the plain
+    scan-order selection.  ``exhaustive_tail`` switches the last positions
+    of a stage to exact branch-and-bound (0 disables).  ``depths`` is kept
+    as a read-only copy, so the caller's dict can change without getting
+    past the checks below.
     """
 
     depths: Optional[Mapping[int, int]] = None
@@ -129,15 +130,14 @@ class SynthesisConfig:
         if self.depths is not None:
             object.__setattr__(self, "depths", MappingProxyType(dict(self.depths)))
         depths = self.depths or {}
-        checked = [("exhaustive_tail", self.exhaustive_tail)]
-        checked += [("lookahead depths", d) for d in depths.values()]
-        for what, value in checked:
-            # A fractional depth never counts down to 0: its search would
-            # run to the end of every phase.
-            if type(value) is not int:
-                raise ValueError(f"{what} must be of type int, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{what} must be non-negative, got {value}")
+        tail = self.exhaustive_tail
+        if type(tail) is not int:
+            raise ValueError(f"exhaustive_tail must be of type int, got {tail!r}")
+        if tail < 0:
+            raise ValueError(f"exhaustive_tail must be non-negative, got {tail}")
+        for d in depths.values():
+            if type(d) is not int or d not in (0, 1):
+                raise ValueError(f"lookahead depths must be 0 or 1, got {d!r}")
         for j in depths:
             # ``depth_for`` looks buckets up by int: any other key is never read.
             if type(j) is not int:
@@ -325,16 +325,15 @@ def _suffix(
     n: int,
     cols: Cols,
     i: int,
-    depth_left: int,
     phase_end: int,
     kind: int,
     budget: float,
-    seen: Optional[dict],
+    seen: dict,
     gates: dict,
     floor: Optional[Floor] = None,
     tied: Optional[Cols] = None,
 ) -> Optional[int]:
-    """Cheapest total over the next ``depth_left`` positions, or None if the
+    """Cheapest total over positions i..``phase_end`` - 1, or None if the
     incoming budget cannot be beaten.  Runs dry (cost 0) where no admissible
     pair exists — the plain fallback path is not modelled.  ``gates`` holds
     ``_pair_gates``' answers by (position, columns).
@@ -344,11 +343,11 @@ def _suffix(
     unit of slack there, so each candidate that can reach the best is
     costed exactly, whatever the visiting order.
 
-    Below the root the answer depends only on the state, so ``seen``, when
-    given, keeps one entry per child state searched: (True, its exact
-    minimum) or (False, a budget it could not beat).  A child is looked up
-    before it is searched, and searched again only when its entry cannot
-    decide the new budget.
+    Below the root the answer depends only on the state, the position and
+    the pairs' columns, so ``seen`` keeps one entry per child state
+    searched: (True, its exact minimum) or (False, a budget it could not
+    beat).  A child is looked up before it is searched, and searched again
+    only when its entry cannot decide the new budget.
 
     ``floor`` (``_floor`` of the phase) is given only to a search that runs
     to the end of a phase ending at 2^(n-1), from a state that passes
@@ -364,9 +363,9 @@ def _suffix(
     the region (see ``_count_free``).  A child whose bound reaches its
     budget would fail it, so it is not searched.
     """
-    if depth_left == 0 or i >= phase_end:
+    if i >= phase_end:
         return 0
-    if depth_left == 1 or i + 1 >= phase_end:
+    if i + 1 >= phase_end:
         return _price_leaves(n, cols, i, kind, budget)
     region = _region_mask(n, i)
     scored = []
@@ -398,18 +397,15 @@ def _suffix(
         if left <= bound:
             break  # and so would every dearer candidate
         nxt = _advance(cols, pair, masks)
-        key = known = None
-        if seen is not None:
-            key = (i + 1, depth_left - 1, frozenset(nxt))
-            known = seen.get(key)
+        key = (i + 1, frozenset(nxt))
+        known = seen.get(key)
         if known is not None and (known[0] or known[1] >= left):
             # An exact cost answers any budget; a bound, any at or below it.
             exact, v = known
             sub = v if exact and v < left else None
         else:
-            sub = _suffix(n, nxt, i + 1, depth_left - 1, phase_end, kind, left, seen, gates, floor)
-            if key is not None:
-                seen[key] = (False, left) if sub is None else (True, sub)
+            sub = _suffix(n, nxt, i + 1, phase_end, kind, left, seen, gates, floor)
+            seen[key] = (False, left) if sub is None else (True, sub)
         if sub is None:
             continue
         total = c0 + sub
@@ -488,25 +484,24 @@ def _lookahead_choose(
     i: int,
     kind: int,
     phase_end: int,
-    d: int,
-    seen: Optional[dict],
+    seen: dict,
     gates: dict,
     floor: Optional[Floor],
 ) -> Optional[tuple[int, int]]:
-    """The pair that ``_suffix`` finds cheapest over the next ``d``
-    positions from the engine's state, whose unallocated pairs are
-    ``pairs``; ``_rank_ties`` breaks a tie.  ``seen``, ``gates`` and
-    ``floor`` are ``_suffix``'s; the first two stay valid while the width,
-    ``kind`` and ``phase_end`` do.
+    """The pair that ``_suffix`` finds cheapest over the rest of the phase
+    from the engine's state, whose unallocated pairs are ``pairs``;
+    ``_rank_ties`` breaks a tie.  ``seen``, ``gates`` and ``floor`` are
+    ``_suffix``'s; the first two stay valid while the width, ``kind`` and
+    ``phase_end`` do.
 
-    This is the root whose children are searched: ``d`` >= 2 and i + 1 <
+    This is the root whose children are searched, a tail root with i + 1 <
     ``phase_end``; ``_choose_leaf`` takes the others.  ``_suffix`` searches
     on the pairs' columns alone, and ``pairs`` maps the tied column pairs
     back to their even rows.
     """
     tied: Cols = []
     cols = [(c, p) for _, c, p in pairs]
-    _suffix(engine.n, cols, i, d, phase_end, kind, math.inf, seen, gates, floor, tied)
+    _suffix(engine.n, cols, i, phase_end, kind, math.inf, seen, gates, floor, tied)
     if not tied:
         return None
     if len(tied) == 1:
@@ -527,17 +522,18 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
     ``kind`` NORMAL selects among in-region normal pairs for the positions
     before ``phase_end`` (a quarter of the columns in a general reduction,
     half in an all-normal one), INVERTED among inverted pairs up to half.
-    The selector returns None at depth 0 or when the region holds no
-    admissible pair; the reduction then takes its plain scan.
+    Before the last ``exhaustive_tail`` positions of the stage a selection
+    is a leaf root at depth 1 (``_choose_leaf``); at depth 0 the selector
+    returns None, and so does any root whose region holds no admissible
+    pair; the reduction then takes its plain scan.  In the tail every
+    selection searches to ``phase_end``.
 
-    The selections whose search runs to ``phase_end`` share one ``_suffix``
-    state table: each such selection's states were mostly met by the one
-    before it.  A search of fixed depth meets its states at other depths
-    next time, and the few orders that reach one state within a search do
-    not repay the keys, so it keeps none.  Every selection shares one memo
-    of ``_pair_gates``.  Both are dropped with the selector.  A search to
-    the end of a phase ending at 2^(n-1) is bounded by ``_floor``, if its
-    state passes ``_fills_phase``; a reduction's state there always does.
+    The tail's selections share one ``_suffix`` state table: each one's
+    states were mostly met by the one before it.  Every selection shares
+    one memo of ``_pair_gates``.  Both are dropped with the selector.  A
+    search to the end of a phase ending at 2^(n-1) is bounded by
+    ``_floor``, if its state passes ``_fills_phase``; a reduction's state
+    there always does.
     """
     n = engine.n
     tail_at = (1 << (n - 1)) - cfg.exhaustive_tail
@@ -547,23 +543,17 @@ def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisCon
 
     def select(i: int) -> Optional[tuple[int, int]]:
         nonlocal floor
-        if i >= tail_at:
-            d = phase_end - i
-        else:
-            d = cfg.depth_for(2 * (phase_end - i))
-        if d <= 0:
-            return None
-        if d == 1 or i + 1 >= phase_end:
+        if i < tail_at:
+            return _choose_leaf(engine, i, kind) if cfg.depth_for(2 * (phase_end - i)) else None
+        if i + 1 >= phase_end:
             return _choose_leaf(engine, i, kind)
         pairs = engine.pairs_from(i)
-        if d < phase_end - i:
-            return _lookahead_choose(engine, pairs, i, kind, phase_end, d, None, gates, None)
         bound = None
         if phase_end == 1 << (n - 1) and _fills_phase(n, pairs, i, kind):
             if i not in floor:
                 floor = _floor(n, i, phase_end)
             bound = floor
-        return _lookahead_choose(engine, pairs, i, kind, phase_end, d, seen, gates, bound)
+        return _lookahead_choose(engine, pairs, i, kind, phase_end, seen, gates, bound)
     return select
 
 

@@ -287,7 +287,7 @@ def test_criterion_07_expansion_equivalence():
 
 def test_criterion_08_sbox_benchmarks():
     """Both 8-bit S-boxes synthesize correctly, garbage-free, in budget."""
-    cfg = SynthesisConfig(depths={j: 2 for j in range(1, 25)})
+    cfg = SynthesisConfig()
     lines = []
     for name, tof_1x in (("skipjack", 771), ("khazad", 742)):
         path = REPO / "benchmarks" / f"{name}.perm"

@@ -122,7 +122,7 @@ class TestSynth:
         perm = sample(4, seed=2)
         src = write_perm(tmp_path, "p.perm", perm)
         report_path = tmp_path / "p.report"
-        rc = main(["synth", src, "--depth", "2", "--report", str(report_path)])
+        rc = main(["synth", src, "--depth", "0", "--report", str(report_path)])
         assert rc == 0
         parsed = parse_report(report_path.read_text())
         assert parsed["depths"] != "default"
@@ -196,8 +196,9 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--depth", "-3"], "lookahead depths must be non-negative, got -3"),
+            (["--depth", "-3"], "lookahead depths must be 0 or 1, got -3"),
             (["--tail-exhaustive", "-4"], "exhaustive_tail must be non-negative, got -4"),
+            (["--depth", "2"], "lookahead depths must be 0 or 1, got 2"),
         ],
     )
     def test_bad_config_values_are_usage_errors(self, tmp_path, capsys, flags, message):

@@ -108,6 +108,12 @@ class TestGateBasics:
     def test_from_masks_hand_value(self):
         assert Gate.from_masks(3, 0b100, 0b001, 0b010) == mct(3, [(1, True), (3, False)], 2)
 
+    @pytest.mark.parametrize("tmask", [0, 0b11, 0b101])
+    def test_from_masks_needs_one_target_line(self, tmask):
+        # A gate has one target: a mask of none or of two lines is no gate.
+        with pytest.raises(ValueError, match="must hold exactly one line"):
+            Gate.from_masks(4, 8, 0, tmask)
+
     @given(st.integers(1, 8).flatmap(lambda w: gates(w)))
     def test_from_masks_inverts_masks(self, g):
         # controls come back in ascending line order

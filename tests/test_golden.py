@@ -8,8 +8,9 @@ circuits on purpose regenerates them and says why.
 The cases cover the selection paths: the S-boxes and two width-8 maps at
 the default config (depth 1 with the exhaustive tail), a width-10 map at
 the default config (where lookahead ties, and so the free-block
-tie-break, are most frequent), a width-6 map at depth 2 (the ``_suffix``
-branch and bound), and width-9 and width-11 maps at depth 0 with no tail
+tie-break, are most frequent), a width-6 map with a 12-position tail (the
+``_suffix`` branch and bound, up to 12 positions deep), and width-9 and
+width-11 maps at depth 0 with no tail
 (the plain scan and its fallbacks only; the width-11 one is where the
 gates ``_Engine.emit`` applies to its bit planes, and the bit-sliced
 scans, carry most of the time).
@@ -40,7 +41,7 @@ REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "benchmarks"
 
 DEFAULT = SynthesisConfig()
-DEPTH_2 = SynthesisConfig(depths={j: 2 for j in range(1, 25)})
+TAIL_12 = SynthesisConfig(exhaustive_tail=12)
 DEPTH_0_NO_TAIL = SynthesisConfig(depths={j: 0 for j in range(1, 25)}, exhaustive_tail=0)
 
 # name -> (map, config, Toffoli count, sha256 of format_real)
@@ -65,9 +66,9 @@ GOLDEN = {
         (10, 1), DEFAULT, 5600,
         "2a7d8d139cf66e358ab047dd7f582ad6466fd24a07a83dfd215d13814c0c1ba5",
     ),
-    "sample-6-1-depth-2": (
-        (6, 1), DEPTH_2, 119,
-        "8894b2b14220e025fb776e0e2160e18a6a557f83a6e700b61f4613114982cd06",
+    "sample-6-1-tail-12": (
+        (6, 1), TAIL_12, 117,
+        "c2ec51efb4d3af5a6c8518423da9cda3e0a9b1f3806cce6458e3c6c43fbf8c27",
     ),
     "sample-9-1-depth-0-no-tail": (
         (9, 1), DEPTH_0_NO_TAIL, 2920,
@@ -100,8 +101,8 @@ STAGE_LEDGER = {
         "fb6394d9cd1c8edabfe9d14a721f25297f41379118c7ae25c951d2b827737916",
     "sample-11-1-depth-0-no-tail":
         "1ce2341a88489001315bbb1d562a8c76aebe9a33ef4f7fc42c58fe028f8a3cf3",
-    "sample-6-1-depth-2":
-        "f4c8c24bb593367559757cd455e6513c7e7bc420ee7a07d67e297442065626f6",
+    "sample-6-1-tail-12":
+        "90f8bd665ce7dc7020f70da37420acf20470c8f2605c331392ad82bfba46b6c7",
     "sample-8-1":
         "5cd117ad011cb276cc7733bc21a0f823d5d43d7c95b3ce0f90a2c1962300d317",
     "sample-8-2":
@@ -125,7 +126,7 @@ def test_golden_stage_ledger(name):
 
 
 CIRCUIT_DIGEST = (
-    "combined 180bf69e9fc587aba70c3636314e68656dce50c47553cc25208387a8188598ec"
+    "combined 84b004bc5ff57e74d7ebaf90a1611de4cf716c589388ec62dcc4216a8bea8007"
     " over 126 syntheses"
 )
 

@@ -130,6 +130,18 @@ class TestTruthTableFormat:
         with pytest.raises(WrongCount):
             TruthTable(2, 1, (0, 1, 1))
 
+    def test_a_list_of_rows_is_copied(self):
+        # The row count and range checks pass on the list; a later change
+        # to it must not reach the table.
+        rows = [0, 1]
+        table = TruthTable(1, 1, rows)
+        rows.append(5)
+        assert table.rows == (0, 1)
+
+    def test_a_list_built_table_is_the_tuple_built_one(self):
+        a, b = TruthTable(1, 1, [0, 1]), TruthTable(1, 1, (0, 1))
+        assert a == b and hash(a) == hash(b)
+
     def test_validation_value_out_of_range(self):
         with pytest.raises(MalformedInteger):
             TruthTable(2, 1, (0, 1, 2, 0))

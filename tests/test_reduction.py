@@ -593,8 +593,8 @@ def region_pick(state, i, kind):
 def gate_batches(draw, max_width=9):
     """A width 3..``max_width`` and batches of gates for one ``emit`` each:
     X gates, CX runs of either polarity onto one or more targets, MCTs with
-    2..n-1 controls of either polarity, and same-control runs given as one
-    triple with a multi-bit target."""
+    2..n-1 controls of either polarity, and same-control runs, one triple
+    per target line."""
     n = draw(st.integers(3, max_width))
     lines = st.integers(0, n - 1).map(lambda b: 1 << b)
     batches = []
@@ -620,19 +620,15 @@ def gate_batches(draw, max_width=9):
                     ones |= bit
                 else:
                     zeros |= bit
-            batch.append((ones, zeros, sum(order[:k])))
+            batch += [(ones, zeros, t) for t in order[:k]]
         batches.append(batch)
     return n, batches
 
 
 def replay(state, batch):
-    """``state`` with ``batch``'s triples applied in order, a multi-bit
-    target as one gate per target line."""
-    n = state.width
-    for ones, zeros, tmask in batch:
-        for b in range(n):
-            if tmask >> b & 1:
-                state = apply_gate(state, Gate.from_masks(n, ones, zeros, 1 << b))
+    """``state`` with ``batch``'s triples applied in order."""
+    for masks in batch:
+        state = apply_gate(state, Gate.from_masks(state.width, *masks))
     return state
 
 
@@ -675,6 +671,16 @@ class TestFusedEmission:
         engine.emit((0, 0, 4), (4, 0, 2), (4, 0, 1), (0, 0, 4))
         engine.emit((8 | 1, 0, 4))
         assert engine.snapshot() == apply_sequence(p, engine.sequence())
+
+    def test_a_multi_line_target_is_refused_before_any_gate_runs(self):
+        # ``emit`` records one gate per triple, so a triple flipping two
+        # planes would leave a recorded circuit that does not replay.
+        p = sample(4, 3)
+        engine = _Engine(p)
+        with pytest.raises(PreconditionViolated, match="one target line per gate"):
+            engine.emit((0, 0, 8), (12, 0, 3))
+        assert engine.snapshot() == p
+        assert (engine.gates, engine.toffoli) == ([], 0)
 
     def test_reads_write_no_engine_state(self):
         # Every read leaves the planes alone; a list a read returns is the
