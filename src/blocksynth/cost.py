@@ -21,8 +21,10 @@ input gate once and builds each distinct output gate once (``_Pieces`` and
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 from typing import Literal, Mapping, Optional
 
 from .core import Gate, GateSequence, InternalError
@@ -36,10 +38,14 @@ class MissingCostEntry(KeyError):
 
 @dataclass(frozen=True)
 class CostTable:
-    """Quantum-cost lookup keyed by number of controls."""
+    """Quantum-cost lookup keyed by number of controls.  ``qc`` is kept as
+    a read-only copy, so no caller's dict can change a later price."""
 
     name: str
     qc: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "qc", MappingProxyType(dict(self.qc)))
 
     def cost_of(self, controls: int) -> int:
         try:
@@ -90,8 +96,12 @@ def load_cost_table(text: str, name: str = "custom") -> CostTable:
 
 
 def read_cost_table(path: str) -> CostTable:
+    """The table in the file at ``path``, named after the file.  Each
+    whitespace run and each ``#`` of the name becomes ``_``, so a report's
+    ``cost_table`` line reads back as the one name."""
+    name = re.sub(r"\s+", "_", os.path.basename(path)).replace("#", "_")
     with open(path, "r", encoding="utf-8") as fh:
-        return load_cost_table(fh.read(), name=os.path.basename(path))
+        return load_cost_table(fh.read(), name=name)
 
 
 def resolve_table(path: Optional[str] = None) -> CostTable:

@@ -25,8 +25,8 @@ never emits a gate targeting the last line; ``_run_general`` handles the
 balanced normal/inverted case with exactly one last-line gate at the very
 end.  Both fill their positions through ``_fill``, keyed by the phase's
 pair kind.  ``synthesis.synthesize`` dispatches to them by the census and
-supplies the lookahead selectors; where a selector declines,
-``_pick_rows`` takes the first in-region pair of the kind
+supplies the selectors, which pick the pair at every position; the plain
+pick, ``_pick_rows``, takes the first in-region pair of the kind
 (``_Engine.scan_region``), else the best one outside the region.
 
 One ``_Engine`` serves a whole ``synthesize`` call: after each reduction
@@ -162,6 +162,12 @@ def _region_mask(n: int, i: int) -> int:
     return (1 << n) - (1 << ((1 << n) - 2 * i).bit_length() >> 1)
 
 
+def _conjoin(n: int, i: int) -> int:
+    """The Toffoli cost of iteration i's conjoining MCT: controls on the
+    region's lines plus line n."""
+    return toffoli_equivalents(_region_mask(n, i).bit_count() + 1)
+
+
 # ---------------------------------------------------------------------------
 # Gate construction: pure functions of (width, iteration, columns) that
 # return mask triples.
@@ -188,9 +194,8 @@ def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
             masks.append((0, t, run) if 2 * i & t else (t, 0, run))
             if (even ^ 2 * i) & t:
                 even ^= run
-        region = _region_mask(n, i)
-        masks.append((region | 1, 0, t))
-        cost = toffoli_equivalents(region.bit_count() + 1)
+        masks.append((_region_mask(n, i) | 1, 0, t))
+        cost = _conjoin(n, i)
     gamma = i ^ (even >> 1)  # slot to position, in block coordinates
     if gamma:
         below = 1 << gamma.bit_length() >> 1
@@ -243,9 +248,8 @@ def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
 # Mutable engine shared by the reduction and preprocessing drivers.
 
 
-# A selector maps an iteration index to the chosen pair of row numbers, or
-# None to delegate to the engine's plain scan.
-Selector = Callable[[int], Optional[tuple[int, int]]]
+# A selector maps an iteration index to the chosen pair of row numbers.
+Selector = Callable[[int], tuple[int, int]]
 
 
 class _Engine:
@@ -262,8 +266,8 @@ class _Engine:
     ``rows ^ rows & plane``, never through the complement of a plane, a
     negative big int.
 
-    Reads write nothing.  ``col`` and ``row`` take n bit tests or n ANDs,
-    and ``cols`` reads two rows' columns in one pass.
+    Reads write nothing.  ``row`` takes n ANDs, and ``cols`` reads two
+    rows' columns in one pass.
     ``fire`` also answers which rows sit in a region or at a column pair,
     and ``lowest`` which row of a set sits at the smallest column: a
     bit-sliced minimum, n AND steps from the top bit.  So a scan is a few
@@ -334,14 +338,6 @@ class _Engine:
     def row(self, column: int) -> int:
         """The row at ``column``."""
         return self.fire(column, (self.size - 1) ^ column).bit_length() - 1
-
-    def col(self, row: int) -> int:
-        """The column of ``row``."""
-        bit, column = 1 << row, 0
-        for b, plane in enumerate(self.q):
-            if plane & bit:
-                column |= 1 << b
-        return column
 
     def cols(self, a: int, b: int) -> tuple[int, int]:
         """The columns of rows ``a`` and ``b``, read in one pass over the
@@ -576,29 +572,21 @@ def _holds_block(engine: _Engine, i: int, kind: int) -> bool:
     return rows == 3 * low and bool(low & engine.even) and bool(engine.q[0] & low) == kind
 
 
-def _fill(
-    engine: _Engine, positions: range, kind: int, selector: Optional[Selector]
-) -> None:
+def _fill(engine: _Engine, positions: range, kind: int, selector: Selector) -> None:
     """Give each position a block of ``kind``: keep one it already holds,
-    else allocate the selector's pair, else ``_pick_rows``'s."""
+    else allocate the selector's pair."""
     for i in positions:
-        if _holds_block(engine, i, kind):
-            continue
-        chosen = selector(i) if selector is not None else None
-        if chosen is None:
-            chosen = _pick_rows(engine, i, kind)
-        engine.allocate(i, *chosen)
+        if not _holds_block(engine, i, kind):
+            engine.allocate(i, *selector(i))
 
 
-def _run_normal(engine: _Engine, selector: Optional[Selector] = None) -> None:
+def _run_normal(engine: _Engine, selector: Selector) -> None:
     """Reduce an all-normal state; no emitted gate targets the last line."""
     _fill(engine, range(engine.size // 2), NORMAL, selector)
 
 
 def _run_general(
-    engine: _Engine,
-    normal_selector: Optional[Selector] = None,
-    inverted_selector: Optional[Selector] = None,
+    engine: _Engine, normal_selector: Selector, inverted_selector: Selector
 ) -> None:
     """Reduce a balanced state (half normal, half inverted, no interrupting).
 

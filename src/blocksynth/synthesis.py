@@ -46,13 +46,16 @@ pairs, with no masks and no sort (``_price_leaves``).  Such a root
 (``_choose_leaf``) reads the engine's planes instead of a pair list: the
 candidates and the blocks among them are row masks, and where a block is
 cheapest the pick is the block at the lowest row.  Otherwise its
-candidates all tie.  A search to the end of a phase that ends at 2^(n-1)
-is also bounded: every position left pays its slide, and a conjoin is due
-unless every pair left is a block (``_floor``).  That bound holds only if
-no node runs dry, which ``_fills_phase`` checks of the root's state.  The
-scorer never copies the engine or builds a ``Gate``; the engine emits the
-chosen pair's triples from the same ``_pair_gates``, one gate per target
-line.
+candidates all tie.  Every search in a phase that ends at 2^(n-1), a
+reduction's final phase, is also bounded: every position left pays its
+slide, and a conjoin is due unless every pair left is a block
+(``_floor``).  That bound holds only if no node runs dry, which every
+state of that phase guarantees (see ``_make_selector``).  The scorer never
+copies the engine or builds a ``Gate``; the engine emits the chosen pair's
+triples from the same ``_pair_gates``, one gate per target line.  A
+selector returns a pick at every position: where its root finds no
+admissible pair in the region, or at depth 0 before the tail, it takes
+the plain pick (``reduction._pick_rows``).
 
 Every root breaks a tie one way (``_rank_ties``), on the engine's planes:
 the planes of the pairs' column differences split the candidates' even
@@ -98,9 +101,12 @@ from .cost import DEFAULT_TABLE, quantum_cost, toffoli_count, toffoli_equivalent
 from .reduction import (
     INVERTED,
     NORMAL,
+    Selector,
+    _conjoin,
     _Engine,
     _pair_gates,
     _pair_split,
+    _pick_rows,
     _region_mask,
     _run_general,
     _run_normal,
@@ -249,24 +255,6 @@ def _count_free(groups: list[int]) -> list[int]:
     return list(map(int.bit_count, groups))
 
 
-def _fills_phase(n: int, pairs: Pairs, i: int, kind: int) -> bool:
-    """The pairs hold exactly the columns 2i..2^n-1, and every one is of
-    the phase kind: one even and one odd column, the even row's of parity
-    ``kind``.  Then no node of a search from position i runs dry.
-
-    Position i's region holds 2^k of the 2^n - 2i columns left, where
-    2^n - 2i < 2^(k+1).  So the columns outside it are fewer than the pairs
-    left, and some pair lies wholly inside it: an admissible pair.  No gate
-    a candidate emits targets line n, so every pair keeps its kind; and the
-    gates keep the columns below 2i among themselves, so a child's pairs
-    hold exactly the columns from 2i + 2 on.
-    """
-    lo = 2 * i
-    return len(pairs) == (1 << (n - 1)) - i and all(
-        (c ^ p) & 1 and c & 1 == kind and c >= lo and p >= lo for _, c, p in pairs
-    )
-
-
 def _slide(n: int, i: int) -> int:
     """What the slide to position i costs every in-region candidate (see
     ``_price_leaves``)."""
@@ -286,7 +274,7 @@ def _floor(n: int, start: int, end: int) -> Floor:
     slides = 0
     for j in range(end - 1, start - 1, -1):
         slides += _slide(n, j)
-        out[j] = (slides, toffoli_equivalents(_region_mask(n, j).bit_count() + 1))
+        out[j] = (slides, _conjoin(n, j))
     return out
 
 
@@ -317,7 +305,7 @@ def _price_leaves(n: int, cols: Cols, i: int, kind: int, budget: float) -> Optio
         return 0
     best = _slide(n, i)
     if not block:
-        best += toffoli_equivalents(region.bit_count() + 1)  # the conjoin
+        best += _conjoin(n, i)
     return None if best >= budget else best
 
 
@@ -335,7 +323,7 @@ def _suffix(
 ) -> Optional[int]:
     """Cheapest total over positions i..``phase_end`` - 1, or None if the
     incoming budget cannot be beaten.  Runs dry (cost 0) where no admissible
-    pair exists — the plain fallback path is not modelled.  ``gates`` holds
+    pair exists: the plain pick's lift is not modelled.  ``gates`` holds
     ``_pair_gates``' answers by (position, columns).
 
     At a root whose children are searched, ``tied`` collects every pair
@@ -350,18 +338,18 @@ def _suffix(
     only when its entry cannot decide the new budget.
 
     ``floor`` (``_floor`` of the phase) is given only to a search that runs
-    to the end of a phase ending at 2^(n-1), from a state that passes
-    ``_fills_phase``.  There every child's positions all get a pair: it
-    pays their slides, and unless every pair it holds is a block, a
-    conjoin no cheaper than its first position's, since only a conjoin
-    makes a block (each CX run keeps column difference 1, and the slide's
-    controls lie strictly between line n and its target).  Every child
-    holds a pair that is not a block, whichever candidate it took, when
-    some pair besides the candidates is not one, or when the candidates
-    differ in their column difference: a conjoin turns exactly the
-    candidates with its difference into blocks and breaks those already in
-    the region (see ``_count_free``).  A child whose bound reaches its
-    budget would fail it, so it is not searched.
+    to the end of a phase ending at 2^(n-1), a reduction's final phase,
+    where no node runs dry (see ``_make_selector``).  There every child's
+    positions all get a pair: it pays their slides, and unless every pair
+    it holds is a block, a conjoin no cheaper than its first position's,
+    since only a conjoin makes a block (each CX run keeps column
+    difference 1, and the slide's controls lie strictly between line n and
+    its target).  Every child holds a pair that is not a block, whichever
+    candidate it took, when some pair besides the candidates is not one, or
+    when the candidates differ in their column difference: a conjoin turns
+    exactly the candidates with its difference into blocks and breaks
+    those already in the region (see ``_count_free``).  A child whose bound
+    reaches its budget would fail it, so it is not searched.
     """
     if i >= phase_end:
         return 0
@@ -467,7 +455,7 @@ def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]
     if not rows:
         return None
     diffs = engine.differences(rows)
-    if toffoli_equivalents(_region_mask(engine.n, i).bit_count() + 1):
+    if _conjoin(engine.n, i):
         apart = 0
         for d in diffs:
             apart |= d
@@ -516,44 +504,54 @@ def _lookahead_choose(
     return _rank_ties(engine, rows, engine.differences(rows), mask)
 
 
-def _make_selector(engine: _Engine, kind: int, phase_end: int, cfg: SynthesisConfig):
-    """The lookahead selector for one phase of a reduction on ``engine``.
+def _make_selector(
+    engine: _Engine, kind: int, phase_end: int, cfg: SynthesisConfig
+) -> Selector:
+    """The selector for one phase of a reduction on ``engine``: it returns
+    the pair to allocate at every position it is asked about.
 
-    ``kind`` NORMAL selects among in-region normal pairs for the positions
-    before ``phase_end`` (a quarter of the columns in a general reduction,
-    half in an all-normal one), INVERTED among inverted pairs up to half.
-    Before the last ``exhaustive_tail`` positions of the stage a selection
-    is a leaf root at depth 1 (``_choose_leaf``); at depth 0 the selector
-    returns None, and so does any root whose region holds no admissible
-    pair; the reduction then takes its plain scan.  In the tail every
-    selection searches to ``phase_end``.
+    ``kind`` NORMAL selects among normal pairs for the positions before
+    ``phase_end`` (a quarter of the columns in a general reduction, half in
+    an all-normal one), INVERTED among inverted pairs up to half.  Before
+    the last ``exhaustive_tail`` positions of the stage a selection is a
+    leaf root at depth 1 (``_choose_leaf``) or the plain pick at depth 0
+    (``_pick_rows``).  In the tail every selection searches to
+    ``phase_end``.  A root whose region holds no admissible pair takes the
+    plain pick too, which then lifts the best pair outside the region.
 
     The tail's selections share one ``_suffix`` state table: each one's
     states were mostly met by the one before it.  Every selection shares
-    one memo of ``_pair_gates``.  Both are dropped with the selector.  A
-    search to the end of a phase ending at 2^(n-1) is bounded by
-    ``_floor``, if its state passes ``_fills_phase``; a reduction's state
-    there always does.
+    one memo of ``_pair_gates``.  Both are dropped with the selector.
+
+    A phase ending at 2^(n-1) is its reduction's last, and the phase's
+    ``_floor`` bounds each of its searches.  The selector's precondition,
+    under which that bound is exact, is that ``engine`` holds the
+    reduction's state at each position i asked for.  There every pair left
+    is of ``kind`` (no gate before the closing CX targets line n, so no
+    pair changes kind), and the blocks below position i hold the columns
+    below 2i, so the pairs left hold exactly the columns from 2i on.  Then
+    no node of a search from i runs dry.  Position i's region holds 2^k of
+    the 2^n - 2i columns left, where 2^n - 2i < 2^(k+1).  So the columns
+    outside it are fewer than the pairs left, and some pair lies wholly
+    inside it: an admissible pair.  No gate a candidate emits targets line
+    n, so every pair keeps its kind; and the gates keep the columns below
+    2i among themselves, so a child's pairs hold exactly the columns from
+    2i + 2 on.
     """
     n = engine.n
     tail_at = (1 << (n - 1)) - cfg.exhaustive_tail
     seen: dict = {}
     gates: dict = {}
-    floor: Floor = {}
+    floor = _floor(n, max(tail_at, 0), phase_end) if phase_end == 1 << (n - 1) else None
 
-    def select(i: int) -> Optional[tuple[int, int]]:
-        nonlocal floor
-        if i < tail_at:
-            return _choose_leaf(engine, i, kind) if cfg.depth_for(2 * (phase_end - i)) else None
-        if i + 1 >= phase_end:
-            return _choose_leaf(engine, i, kind)
-        pairs = engine.pairs_from(i)
-        bound = None
-        if phase_end == 1 << (n - 1) and _fills_phase(n, pairs, i, kind):
-            if i not in floor:
-                floor = _floor(n, i, phase_end)
-            bound = floor
-        return _lookahead_choose(engine, pairs, i, kind, phase_end, seen, gates, bound)
+    def select(i: int) -> tuple[int, int]:
+        found = None
+        if i >= tail_at and i + 1 < phase_end:
+            pairs = engine.pairs_from(i)
+            found = _lookahead_choose(engine, pairs, i, kind, phase_end, seen, gates, floor)
+        elif i >= tail_at or cfg.depth_for(2 * (phase_end - i)):
+            found = _choose_leaf(engine, i, kind)
+        return _pick_rows(engine, i, kind) if found is None else found
     return select
 
 

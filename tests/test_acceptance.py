@@ -193,7 +193,7 @@ def test_criterion_04_per_call_budgets_width_8():
         worst = max(worst, total)
         if k < 3:  # the oracle's drive replays the production reduction
             ref = _Engine(perm)
-            _run_normal(ref)
+            _run_normal(ref, lambda i: _pick_rows(ref, i, NORMAL))
             assert engine.gates == ref.gates
     elapsed = time.perf_counter() - t0
     report(

@@ -234,6 +234,19 @@ class TestSynth:
         assert parsed["quantum_cost_total"] == int(fields["quantum_cost"])
         assert parsed["cost_table"] == "flat.qc"
 
+    @pytest.mark.parametrize(
+        "file_name, name", [("my table.txt", "my_table.txt"), ("t#1.txt", "t_1.txt")]
+    )
+    def test_a_cost_table_name_reads_back_from_the_report(self, tmp_path, file_name, name):
+        # A space would split the report line in three, and a ``#`` start a
+        # comment: the table's name turns both into ``_``.
+        src = write_perm(tmp_path, "p.perm", sample(4, seed=9))
+        table = tmp_path / file_name
+        table.write_text(Path(write_flat_table(tmp_path)).read_text())
+        report_path = tmp_path / "p.report"
+        assert main(["synth", src, "--cost-table", str(table), "--report", str(report_path)]) == 0
+        assert parse_report(report_path.read_text())["cost_table"] == name
+
 
 @pytest.mark.parametrize("command", ["synth", "bench"])
 @pytest.mark.parametrize(

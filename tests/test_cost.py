@@ -117,6 +117,23 @@ class TestQuantumCost:
     def test_missing_entry_is_a_key_error(self):
         assert issubclass(MissingCostEntry, KeyError)
 
+    def test_a_table_keeps_its_own_copy_of_the_prices(self):
+        prices = {0: 1, 1: 1, 2: 5}
+        table = CostTable("x", prices)
+        prices[2] = 999
+        assert quantum_cost(GateSequence(3, (toffoli(3, 1, 2, 3),)), table) == 5
+
+    def test_the_default_prices_are_read_only(self):
+        prices = DEFAULT_TABLE.qc
+        try:
+            prices[2] = 999
+        except TypeError:
+            pass
+        else:
+            prices[2] = 5  # undone, so that no later test prices with 999
+            pytest.fail("DEFAULT_TABLE's prices took a new entry")
+        assert quantum_cost(GateSequence(3, (toffoli(3, 1, 2, 3),))) == 5
+
     def test_default_table_formula(self):
         # frozen shape of the built-in table
         assert DEFAULT_TABLE.qc[0] == 1

@@ -102,10 +102,16 @@ def has_identity_last_line(p):
     return all(e[c] % 2 == 0 and e[c + 1] == e[c] + 1 for c in range(0, p.size, 2))
 
 
-def reduced(p, run):
-    """Run a whole reduction on a fresh engine: (result, gates)."""
+def plain(engine, kind):
+    """A selector that takes the plain pick of ``kind`` at every position."""
+    return lambda i: _pick_rows(engine, i, kind)
+
+
+def reduced(p, run, *kinds):
+    """Run a whole reduction on a fresh engine, one plain selector for each
+    of its phases' ``kinds``: (result, gates)."""
     engine = _Engine(p)
-    run(engine)
+    run(engine, *(plain(engine, kind) for kind in kinds))
     return engine.snapshot(), engine.sequence()
 
 
@@ -542,13 +548,13 @@ class TestBounds:
 
 class TestReduceNormal:
     def test_identity_costs_nothing(self):
-        res, seq = reduced(ID3, _run_normal)
+        res, seq = reduced(ID3, _run_normal, NORMAL)
         assert res == ID3 and len(seq) == 0
 
     @given(aligned_perms(min_width=2, max_width=5))
     @settings(max_examples=100, deadline=None)
     def test_reduces_and_respects_budget(self, p):
-        res, seq = reduced(p, _run_normal)
+        res, seq = reduced(p, _run_normal, NORMAL)
         assert has_identity_last_line(res)
         assert verify_reduction(p, seq, res)
         assert all(g.target != p.width for g in seq)
@@ -562,7 +568,7 @@ class TestReduceGeneral:
     @settings(max_examples=100, deadline=None)
     def test_reduces_balanced_input(self, width, seed):
         p = Permutation(width, balanced_entries(width, seed))
-        res, seq = reduced(p, _run_general)
+        res, seq = reduced(p, _run_general, NORMAL, INVERTED)
         assert has_identity_last_line(res)
         assert verify_reduction(p, seq, res)
         last_line = [g for g in seq if g.target == p.width]
@@ -650,7 +656,6 @@ class TestFusedEmission:
             assert engine.pos == pos
             assert engine.entries == list(state.entries)
             assert [engine.row(c) for c in range(state.size)] == list(state.entries)
-            assert [engine.col(r) for r in range(state.size)] == pos
             i = data.draw(st.integers(0, state.size // 2 - 1))
             assert engine.pairs_from(i) == sorted(
                 (r, pos[r], pos[r + 1]) for r in state.entries[2 * i :] if not r & 1
@@ -706,7 +711,6 @@ class TestFusedEmission:
         _pair_split(engine)
         for c in range(engine.size):
             engine.row(c)
-            engine.col(c)
             engine.lowest(engine.full >> c)
         assert engine.q is planes and planes == stored
         engine.emit((8 | 1, 0, 4))  # an MCT moves rows
@@ -879,11 +883,12 @@ class TestApplyKernel:
         engine = _Engine(sample(n, seed))
         for batch in batches:
             engine.emit(*batch)
+        pos = engine.pos
         rows = st.integers(0, engine.size - 1)
         for _ in range(4):
             a, b = data.draw(rows), data.draw(rows)
-            assert engine.cols(a, b) == (engine.col(a), engine.col(b))
-        assert engine.cols(a, a ^ 1) == (engine.col(a), engine.col(a ^ 1))
+            assert engine.cols(a, b) == (pos[a], pos[b])
+        assert engine.cols(a, a ^ 1) == (pos[a], pos[a ^ 1])
 
     @pytest.mark.parametrize("width, seed", [(3, 1), (5, 2), (7, 3)])
     def test_an_in_region_pair_gets_no_lift(self, width, seed):
@@ -977,7 +982,7 @@ class TestEngineStrip:
 
     def test_strip_starts_a_new_stage_record(self):
         engine = _Engine(Permutation(4, balanced_entries(4, 1)))
-        _run_general(engine)
+        _run_general(engine, plain(engine, NORMAL), plain(engine, INVERTED))
         assert engine.gates and engine.region_lifts and engine.lift_toffoli
         engine.strip()
         assert (engine.gates, engine.region_lifts, engine.lift_toffoli) == ([], 0, 0)

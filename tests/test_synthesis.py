@@ -12,7 +12,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from blocksynth import (
@@ -43,7 +43,6 @@ from blocksynth.synthesis import (
     _advance,
     _choose_leaf,
     _count_free,
-    _fills_phase,
     _floor,
     _lookahead_choose,
     _make_selector,
@@ -60,6 +59,7 @@ from helpers import (
     candidates,
     circuit_table,
     cons_masks,
+    fills_phase,
     findm,
     flat_spectrum,
     half_interrupting_entries,
@@ -200,12 +200,11 @@ class TestSelectWithLookahead:
 
     def test_depth_zero_degrades_to_scan_order(self):
         cfg = SynthesisConfig(depths={j: 0 for j in range(1, 12)}, exhaustive_tail=0)
-        # at depth 0 the selector declines and the reduction takes its plain
-        # scan, which on the width-3 identity at position 1 settles on rows 4
-        # and 5 (first admissible pair in region scan order)
-        engine, select = normal_phase_selector(Permutation(3, tuple(range(8))), cfg)
-        assert select(1) is None
-        assert _pick_rows(engine, 1, NORMAL) == (4, 5)
+        # at depth 0 the selector takes the plain scan, which on the width-3
+        # identity at position 1 settles on rows 4 and 5 (first admissible
+        # pair in region scan order)
+        _, select = normal_phase_selector(Permutation(3, tuple(range(8))), cfg)
+        assert select(1) == (4, 5)
 
     @given(permutations(min_width=3, max_width=5), st.sampled_from([0, 8]))
     @settings(max_examples=30, deadline=None)
@@ -298,7 +297,8 @@ class TestScorerModel:
     @given(in_region_pairs())
     @settings(max_examples=300, deadline=None)
     def test_masks_keep_the_allocated_columns(self, case):
-        # ``_fills_phase``'s induction: the columns below 2i stay below it.
+        # The induction in ``_make_selector``'s precondition: the columns
+        # below 2i stay below it.
         n, i, ca, cb = case
         masks, _ = _pair_gates(n, i, ca, cb)
         assert sorted(track(c, masks) for c in range(2 * i)) == list(range(2 * i))
@@ -549,7 +549,7 @@ def filled_states(draw, max_width=5, max_left=5):
 
 def _bound_for(n, pairs, i, kind, phase_end):
     """The ``_floor`` a selector hands this search, or None."""
-    if phase_end == 1 << (n - 1) and _fills_phase(n, pairs, i, kind):
+    if phase_end == 1 << (n - 1) and fills_phase(n, pairs, i, kind):
         return _floor(n, i, phase_end)
     return None
 
@@ -755,9 +755,10 @@ class TestTailBound:
             n = engine.n
             if phase_end == 1 << (n - 1):
                 assert _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
-                # The premise holds, so every search is bounded.
-                assert _fills_phase(n, pairs, i, kind)
-                assert floor is not None
+                # The selector's precondition holds at every searched root,
+                # so the bound it puts on every search is exact.
+                assert fills_phase(n, pairs, i, kind)
+                assert floor is not None and i + 1 in floor
             return choose(engine, pairs, i, kind, phase_end, seen, gates, floor)
 
         def spied_suffix(n, cols, i, phase_end, kind, *rest):
@@ -776,7 +777,7 @@ class TestTailBound:
         perm, i, kind = state
         n, half = perm.width, perm.size // 2
         pairs = _Engine(perm).pairs_from(i)
-        assert _fills_phase(n, pairs, i, kind)
+        assert fills_phase(n, pairs, i, kind)
         want = _reference_cost(perm, i, kind, half, half - i)
         budget = data.draw(st.one_of(st.just(math.inf), st.integers(max(0, want - 2), want + 3)))
         cols = [(c, p) for _, c, p in pairs]
@@ -784,11 +785,10 @@ class TestTailBound:
         for seen in (_NoTable(), {}):
             got = _suffix(n, cols, i, half, kind, budget, seen, {}, floor)
             assert got == (want if want < budget else None)
-        if i + 1 < half:
-            pick = _lookahead_choose(_Engine(perm), pairs, i, kind, half, {}, {}, floor)
-        else:
-            pick = _choose_leaf(_Engine(perm), i, kind)
-        assert pick == _reference_choice(perm, i, kind, half, half - i)
+        # The state meets the selector's precondition, so its bounded pick
+        # is exact.
+        select = _make_selector(_Engine(perm), kind, half, SynthesisConfig(exhaustive_tail=half))
+        assert select(i) == _reference_choice(perm, i, kind, half, half - i)
 
     @given(filled_states(max_width=7, max_left=64), st.data())
     @settings(max_examples=100, deadline=None)
@@ -796,30 +796,32 @@ class TestTailBound:
         perm, i, kind = state
         n = perm.width
         pairs = _Engine(perm).pairs_from(i)
-        assert _fills_phase(n, pairs, i, kind)
-        assert not _fills_phase(n, pairs, i, kind ^ 1)
-        assert not _fills_phase(n, pairs[1:], i, kind)
+        assert fills_phase(n, pairs, i, kind)
+        assert not fills_phase(n, pairs, i, kind ^ 1)
+        assert not fills_phase(n, pairs[1:], i, kind)
         if len(pairs) > 1:
             # Two pairs trade columns of different parities: both interrupt.
             a, b = data.draw(st.permutations(range(len(pairs))))[:2]
             (ra, ca, pa), (rb, cb, pb) = pairs[a], pairs[b]
             broken = list(pairs)
             broken[a], broken[b] = (ra, ca, cb), (rb, pa, pb)
-            assert not _fills_phase(n, broken, i, kind)
+            assert not fills_phase(n, broken, i, kind)
 
     @pytest.mark.parametrize("seed", [93, 131, 197])
     def test_a_state_that_can_run_dry_is_not_bounded(self, seed):
         # Here a search from position 0 runs dry, and the bound would cut
-        # the best pick; ``_fills_phase`` refuses the state, so the
-        # selector picks as the brute force does.
+        # the best pick; the unbounded search picks as the brute force does.
+        # No reduction builds such a state: the selector bounds every search
+        # of a phase ending at half, and
+        # ``test_phases_ending_at_half_never_run_dry`` checks the premise at
+        # each of them.
         perm = sample(3, seed)
         pairs = _Engine(perm).pairs_from(0)
-        assert not _fills_phase(3, pairs, 0, INVERTED)
+        assert not fills_phase(3, pairs, 0, INVERTED)
         want = _reference_choice(perm, 0, INVERTED, 4, 4)
         engine = _Engine(perm)
         assert _lookahead_choose(engine, pairs, 0, INVERTED, 4, {}, {}, _floor(3, 0, 4)) != want
-        select = _make_selector(_Engine(perm), INVERTED, 4, SynthesisConfig(exhaustive_tail=4))
-        assert select(0) == want
+        assert _lookahead_choose(engine, pairs, 0, INVERTED, 4, {}, {}, None) == want
 
     def test_floor_sums_the_slides_and_keeps_the_conjoin(self):
         # Width 5, positions 5..7 (region 10000): slides with the
@@ -827,6 +829,54 @@ class TestTailBound:
         assert _floor(5, 5, 8) == {7: (3, 1), 6: (4, 1), 5: (5, 1)}
         # Positions 11..15: the conjoin grows with the region.
         assert [_floor(5, 11, 16)[j][1] for j in range(11, 16)] == [3, 3, 5, 5, 7]
+
+
+@st.composite
+def mixed_ties(draw):
+    """(perm, i, phase_end, kind): a searched root whose tied candidates
+    differ in their first position's cost (``_pair_gates``), so the search
+    meets them out of row order.  A layout starts from all blocks of
+    ``kind`` and takes random swaps; layouts are drawn until one has such a
+    root two or three positions before its phase end."""
+    rnd = draw(st.randoms(use_true_random=False))
+    for _ in range(200):
+        n = rnd.choice([4, 5])
+        size = 1 << n
+        kind = rnd.choice([NORMAL, INVERTED])
+        pos = [c ^ kind for c in range(size)]
+        for _ in range(rnd.randint(1, size)):
+            a, b = rnd.randrange(size), rnd.randrange(size)
+            pos[a], pos[b] = pos[b], pos[a]
+        perm = _layout(pos)
+        engine = _Engine(perm)
+        roots = []
+        for i in range(1, size // 2 - 1):
+            cols = [(c, p) for _, c, p in engine.pairs_from(i)]
+            for phase_end in range(i + 2, min(i + 3, size // 2) + 1):
+                tied: list = []
+                _suffix(n, cols, i, phase_end, kind, math.inf, _NoTable(), {}, None, tied)
+                if len({_pair_gates(n, i, c, p)[1] for c, p in tied}) > 1:
+                    roots.append((i, phase_end))
+        if roots:
+            return (perm, *rnd.choice(roots), kind)
+    reject()
+
+
+def _searched_pick(perm, i, kind, phase_end):
+    """``_lookahead_choose``'s pick at position i of ``perm``, bounded as a
+    selector bounds it where the state meets the premise."""
+    engine = _Engine(perm)
+    pairs = engine.pairs_from(i)
+    floor = _bound_for(perm.width, pairs, i, kind, phase_end)
+    return _lookahead_choose(engine, pairs, i, kind, phase_end, {}, {}, floor)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e)
 
 
 class TestOneSearch:
@@ -859,18 +909,36 @@ class TestOneSearch:
             i = data.draw(st.integers(0, phase_end - 1))
             phase_end = min(i + left, phase_end)
             cfg = SynthesisConfig(exhaustive_tail=1 << (n - 1))
-        select = _make_selector(_Engine(perm), kind, phase_end, cfg)
+        engine = _Engine(perm)
+        pairs = engine.pairs_from(i)
         want = _reference_choice(perm, i, kind, phase_end, 1 if left == 1 else phase_end - i)
-        assert select(i) == want
+        searched = left != 1 and i + 1 < phase_end
+        if searched and phase_end == perm.size // 2 and not fills_phase(n, pairs, i, kind):
+            # No reduction's final phase holds this state, so the selector's
+            # bound does not apply: the unbounded search must match.
+            assert _lookahead_choose(engine, pairs, i, kind, phase_end, {}, {}, None) == want
+            return
+        if want is None:
+            # No admissible pair in the region: the selector takes the plain pick.
+            want = _outcome(_pick_rows, engine, i, kind)
+        assert _outcome(_make_selector(engine, kind, phase_end, cfg), i) == want
+
+    @given(mixed_ties())
+    @settings(max_examples=60, deadline=None)
+    def test_ties_of_different_first_costs_pick_by_the_rule(self, state):
+        # The tie-break ranks the tied pairs as ``tie_pick`` does, never by
+        # the order the search met them in.
+        perm, i, phase_end, kind = state
+        want = _reference_choice(perm, i, kind, phase_end, phase_end - i)
+        assert _searched_pick(perm, i, kind, phase_end) == want
 
     @pytest.mark.parametrize("seed, phase_end, i", [(35, 4, 1), (77, 8, 3)])
     def test_ties_reached_through_different_first_costs(self, seed, phase_end, i):
         # Here tied candidates differ in their first position's cost, so the
         # search meets them out of row order; the tie-break must not.
         perm = sample(4, seed, "parity_aligned")
-        cfg = SynthesisConfig(exhaustive_tail=8)  # the whole stage is tail
-        select = _make_selector(_Engine(perm), NORMAL, phase_end, cfg)
-        assert select(i) == _reference_choice(perm, i, NORMAL, phase_end, phase_end - i)
+        want = _reference_choice(perm, i, NORMAL, phase_end, phase_end - i)
+        assert _searched_pick(perm, i, NORMAL, phase_end) == want
 
 
 class _NoTable(dict):
