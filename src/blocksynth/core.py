@@ -118,9 +118,12 @@ class Gate:
     @classmethod
     def from_masks(cls, width: int, ones: int, zeros: int, tmask: int) -> "Gate":
         """Inverse of ``masks``; controls come out in ascending line order.
-        ``tmask`` must hold exactly one bit: a gate has one target line."""
+        ``tmask`` must hold exactly one bit: a gate has one target line.  A
+        line cannot be both a positive and a negative control."""
         if not tmask or tmask & (tmask - 1):
             raise ValueError(f"target mask {tmask:#x} must hold exactly one line")
+        if ones & zeros:
+            raise ValueError(f"control masks {ones:#x} and {zeros:#x} share a line")
         controls = []
         rest = ones | zeros
         while rest:  # highest control bit first: the lowest line number

@@ -374,7 +374,8 @@ def write_report(report: SynthesisReport) -> str:
 
 
 def parse_report(text: str) -> dict[str, object]:
-    """Invert ``write_report``: ints as int, floats as float, rest as str."""
+    """Invert ``write_report``: ints as int, floats as float, rest as str.
+    A name stays a str, even one like ``12`` or ``nan``."""
     out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -384,6 +385,9 @@ def parse_report(text: str) -> dict[str, object]:
         if len(parts) != 2:
             raise WrongCount(f"line {lineno}: expected 'key value', got {raw!r}")
         key, value = parts
+        if key in ("format", "cost_table", "depths"):
+            out[key] = value
+            continue
         try:
             out[key] = int(value)
         except ValueError:

@@ -34,9 +34,9 @@ One ``_Engine`` serves a whole ``synthesize`` call: after each reduction
 works on Q.  Inside the pipeline a gate is its (ones, zeros, target)
 column-mask triple (``core.Masks``): the builders here and in
 ``conditioning`` return triples, ``_Engine.emit`` and ``allocate`` apply,
-record and price them, ``_Engine.apply`` is the one place where a gate
-changes the state, and ``_Engine.sequence`` builds the stage's ``Gate``s
-at the input width, each distinct one once per engine.
+price and record them at the input width in one record for the whole call,
+``_Engine.apply`` is the one place where a gate changes the state, and
+``_Engine.sequence`` builds the record's ``Gate``s, each distinct one once.
 The engine keeps its copy as row-indexed bit planes: bit r of plane b is
 bit b of row r's column.  Any gate costs O(m + |T|) big-int operations on
 them, and a scan is a few more: the rows in a region, the members of a
@@ -277,13 +277,13 @@ class _Engine:
     list.  ``full``, ``even`` and ``odd`` are the masks of all rows, the
     even rows and the odd rows.
 
-    One engine carries a whole synthesis: ``strip`` drops the identity last
-    line after each stage's reduction and starts the next stage's record.
-    Gates are recorded as mask triples at the current width; ``sequence``
-    builds the stage's ``Gate``s at the input width.  ``toffoli`` sums the
-    Toffoli-equivalents of the stage's gates, ``region_lifts`` counts its
-    members moved into the region and ``lift_toffoli`` is the part of
-    ``toffoli`` their lift gates cost.
+    One engine, one record and one ledger carry a whole synthesis: ``strip``
+    drops the identity last line, the low column bit, and resets nothing.
+    ``emit`` and ``allocate`` record each gate at the input width, its masks
+    shifted left by ``shift``, and ``sequence`` builds the whole record.
+    ``toffoli`` sums the Toffoli-equivalents of the recorded gates,
+    ``region_lifts`` counts the members moved into a region and
+    ``lift_toffoli`` is the part of ``toffoli`` their lift gates cost.
     """
 
     def __init__(self, perm: Permutation):
@@ -292,21 +292,16 @@ class _Engine:
         for col, row in enumerate(perm.entries):
             pos[row] = col
         self.q = _planes(pos, self.n)
-        self.built: dict[Masks, Gate] = {}  # every Gate built, by its masks
+        self.gates: list[Masks] = []
+        self.toffoli = self.region_lifts = self.lift_toffoli = 0
         self._resize()
-        self._start_stage()
 
     def _resize(self) -> None:
         self.size = 1 << self.n
         self.full = (1 << self.size) - 1
         self.even = self.full // 3  # 0b0101...01
         self.odd = self.even << 1
-
-    def _start_stage(self) -> None:
-        self.gates: list[Masks] = []
-        self.toffoli = 0
-        self.region_lifts = 0
-        self.lift_toffoli = 0
+        self.shift = self.width - self.n
 
     @property
     def pos(self) -> list[int]:
@@ -376,8 +371,8 @@ class _Engine:
         return Permutation(self.n, tuple(self.entries))
 
     def strip(self) -> None:
-        """Drop the last line of a Q ⊗ I_2 state, leaving Q, and start a new
-        stage.
+        """Drop the last line of a Q ⊗ I_2 state, leaving Q; the record and
+        the totals run on.
 
         In such a state every row's column has the row's parity, and the
         two rows of a pair agree on every other column bit; row r of Q is
@@ -399,26 +394,12 @@ class _Engine:
         self.q = [int(format(plane, digits)[1::2], 2) for plane in q[1:]]
         self.n -= 1
         self._resize()
-        self._start_stage()
 
     def sequence(self) -> GateSequence:
-        """The gates recorded since the last ``strip``, built at the input
-        width.
-
-        A wider circuit keeps the same 1-based lines and adds trailing ones,
-        which are the low column bits, so each mask shifts left.  ``built``
-        maps a shifted triple to its ``Gate``, so a gate that recurs in any
-        stage is built and validated once per engine.
-        """
-        shift, built = self.width - self.n, self.built
-        out = []
-        for o, z, t in self.gates:
-            key = (o << shift, z << shift, t << shift)
-            g = built.get(key)
-            if g is None:
-                g = built[key] = Gate.from_masks(self.width, *key)
-            out.append(g)
-        return GateSequence(self.width, tuple(out))
+        """Every recorded gate, built at the input width: a gate that recurs
+        is built and validated once, and shared."""
+        built = {key: Gate.from_masks(self.width, *key) for key in dict.fromkeys(self.gates)}
+        return GateSequence(self.width, tuple(map(built.__getitem__, self.gates)))
 
     def apply(self, ones: int, zeros: int, tmask: int) -> None:
         """Apply the gate (ones, zeros, tmask) to the planes, recording
@@ -436,14 +417,17 @@ class _Engine:
 
     def emit(self, *gates: Masks) -> None:
         """Apply ``gates`` in order, and record and price each as one gate:
-        a multi-bit target raises ``PreconditionViolated`` before any runs."""
-        if any(tmask & (tmask - 1) for _, _, tmask in gates):
-            raise PreconditionViolated(f"emit records one target line per gate, got {gates}")
-        record = self.gates.append
+        a multi-bit target, or a line that is both a positive and a negative
+        control, raises ``PreconditionViolated`` before any runs."""
+        if any(tmask & (tmask - 1) or ones & zeros for ones, zeros, tmask in gates):
+            raise PreconditionViolated(
+                f"emit records one target line per gate, each control 1 or 0, got {gates}"
+            )
+        record, s = self.gates.append, self.shift
         for gate in gates:
-            ones, zeros, _ = gate
+            ones, zeros, tmask = gate
             self.apply(*gate)
-            record(gate)
+            record((ones << s, zeros << s, tmask << s))
             self.toffoli += toffoli_equivalents((ones | zeros).bit_count())
 
     def lift_pair(self, i: int, a: int, b: int) -> tuple[int, int]:
@@ -472,16 +456,18 @@ class _Engine:
     def allocate(self, i: int, a: int, b: int) -> None:
         """Lift if needed, then conjoin the pair and slide it to position i.
 
-        Each of ``_pair_gates``' triples is applied whole, and recorded one
-        target line per gate: a CX run targets its lines from the lowest
-        one, and a negatively controlled run is that run between two X on
-        its control.  They cost what ``_pair_gates`` returns.
+        Each of ``_pair_gates``' triples is applied whole, and recorded at
+        the input width one target line per gate: a CX run targets its
+        lines from the lowest one, and a negatively controlled run is that
+        run between two X on its control.  They cost what ``_pair_gates``
+        returns.
         """
         ca, cb = self.lift_pair(i, a, b)
-        record = self.gates.append
+        record, s = self.gates.append, self.shift
         masks, cost = _pair_gates(self.n, i, ca, cb)
         for ones, zeros, tmask in masks:
             self.apply(ones, zeros, tmask)
+            ones, zeros, tmask = ones << s, zeros << s, tmask << s
             if zeros:
                 record((0, 0, zeros))
             controls = ones | zeros

@@ -12,13 +12,13 @@ already-reducible state is all-normal and holds every block, so its stage
 emits nothing.  The engine records mask triples and applies them to its
 row-indexed bit planes; the census and the end-of-stage strip read the
 planes directly, and a selector whose children are searched reads the
-unallocated pairs (``_Engine.pairs_from``).  When a stage ends its
-``Gate``s are built at the input width (lines keep their numbers; the
-stripped lines are the trailing ones), and ``_Engine.strip`` drops the
-identity last line.
-Width 2 is finished from a precomputed optimal table, width 1 with at most
-one X, both on the same engine, which builds each distinct gate once per
-call.
+unallocated pairs (``_Engine.pairs_from``).  When a stage ends
+``_Engine.strip`` drops the identity last line.  The engine records every
+gate at the input width (lines keep their numbers; the stripped lines are
+the trailing ones), so the whole synthesis is one record.  Width 2 is
+finished from a precomputed optimal table, width 1 with at most one X, both
+on the same engine, and then its record is built once, each distinct gate
+once (``_Engine.sequence``).
 
 Pair selection inside the reductions is one branch and bound, ``_suffix``:
 candidate pairs are scored by the exact Toffoli-equivalents of their
@@ -66,10 +66,11 @@ candidates; a searched root (``_lookahead_choose``) maps ``_suffix``'s
 tied column pairs back to their rows and ranks only the groups holding
 one, unless a single pair ties.
 
-``_stage`` reads the stage's gate ledger (``StageStats``) off the engine's
-running totals, and checks its Toffoli count, less what its region lifts
-and mix repair gates cost, against ``bounds(w).per_reduction_total``, and
-its preprocessing pass, less its lifts, against ``preprocessing_bound(w)``.
+``_stage`` reads the stage's gate ledger (``StageStats``) as the growth of
+the engine's running totals since the stage began, and checks its Toffoli
+count, less what its region lifts and mix repair gates cost, against
+``bounds(w).per_reduction_total``, and its preprocessing pass, less its
+lifts, against ``preprocessing_bound(w)``.
 Adjacent identical gates are cancelled (``peephole``), and the result is
 always verified against the input before being returned.  A failure of
 either check is an ``InternalError``, not a user error.
@@ -612,10 +613,12 @@ def _stage(engine: _Engine, cfg: SynthesisConfig) -> StageStats:
 
     The stage's gates run in three parts: the X or mixing gates
     (``mix_gates``), preprocessing (``pre_gates``) and the reduction
-    (``red_gates``).  Both budgets are checked once the reduction is done;
-    the caller takes the gates (``_Engine.sequence``) and strips the line.
+    (``red_gates``).  Each figure is a total's growth since the stage
+    began or across a part, and both budgets are checked at the end.
     """
     w, pairs = engine.n, engine.size // 2
+    gates0, toffoli0 = len(engine.gates), engine.toffoli
+    lifts0, lift_toffoli0 = engine.region_lifts, engine.lift_toffoli
     mix_depth = mix_fix = 0
     normal, inverted = _pair_split(engine)
     if inverted == pairs:  # X on the last line makes every pair normal
@@ -626,13 +629,12 @@ def _stage(engine: _Engine, cfg: SynthesisConfig) -> StageStats:
     if preprocess and normal + inverted != pairs // 2:  # not half interrupting
         mstats = _mix_engine(engine)
         mix_depth, mix_fix = mstats.depth, mstats.fixup_gates
-    # Each part's figures are the growth of the engine's totals across it.
     # No lift runs before preprocessing.
-    mix_gates, mix_toffoli = len(engine.gates), engine.toffoli
+    mix_gates, mix_toffoli = len(engine.gates) - gates0, engine.toffoli - toffoli0
     if preprocess:
         _run_preprocess(engine)
-    pre_gates = len(engine.gates) - mix_gates
-    pre_spent = engine.toffoli - mix_toffoli - engine.lift_toffoli
+    pre_gates = len(engine.gates) - gates0 - mix_gates
+    pre_spent = engine.toffoli - toffoli0 - mix_toffoli - (engine.lift_toffoli - lift_toffoli0)
     if general:
         _run_general(
             engine,
@@ -645,13 +647,13 @@ def _stage(engine: _Engine, cfg: SynthesisConfig) -> StageStats:
         width=w,
         mix_gates=mix_gates,
         pre_gates=pre_gates,
-        red_gates=len(engine.gates) - mix_gates - pre_gates,
-        toffoli=engine.toffoli,
+        red_gates=len(engine.gates) - gates0 - mix_gates - pre_gates,
+        toffoli=engine.toffoli - toffoli0,
         bound=bounds(w).per_reduction_total,
-        region_lifts=engine.region_lifts,
+        region_lifts=engine.region_lifts - lifts0,
         mix_depth=mix_depth,
         mix_fixups=mix_fix,
-        lift_toffoli=engine.lift_toffoli,
+        lift_toffoli=engine.lift_toffoli - lift_toffoli0,
     )
     # Region lifts and mix repair gates are the logged deviations from the
     # analysis behind the budgets; the repairs are mixing's only Toffolis.
@@ -680,22 +682,19 @@ def synthesize(
     cfg = cfg or SynthesisConfig()
     t0 = time.perf_counter()
     n0 = perm.width
-    out: list[Gate] = []
     stages: list[StageStats] = []
     engine = _Engine(perm)
 
     for _ in range(n0, 2, -1):
         stages.append(_stage(engine, cfg))
-        out.extend(engine.sequence())
         engine.strip()
 
     if engine.n == 2:
         engine.emit(*(g.masks() for g in search_two_bit(engine.snapshot())))
     elif engine.row(0):
         engine.emit((0, 0, 1))
-    out.extend(engine.sequence())
 
-    seq = peephole(GateSequence(n0, tuple(out)))
+    seq = peephole(engine.sequence())
     if not verify_identity(perm, seq):
         raise InternalError(
             "internal error: synthesized circuit does not realize the input"
@@ -708,10 +707,10 @@ def synthesize(
         quantum_cost_total=quantum_cost(seq, DEFAULT_TABLE),
         bound_total=sum(s.bound for s in stages),
         assumption1_deviations=sum(s.mix_fixups for s in stages),
-        region_lifts=sum(s.region_lifts for s in stages),
+        region_lifts=engine.region_lifts,
         wall_time_s=time.perf_counter() - t0,
         cost_table=DEFAULT_TABLE.name,
         config=cfg,
-        lift_toffoli=sum(s.lift_toffoli for s in stages),
+        lift_toffoli=engine.lift_toffoli,
     )
     return seq, report

@@ -235,11 +235,19 @@ class TestSynth:
         assert parsed["cost_table"] == "flat.qc"
 
     @pytest.mark.parametrize(
-        "file_name, name", [("my table.txt", "my_table.txt"), ("t#1.txt", "t_1.txt")]
+        "file_name, name",
+        [
+            ("my table.txt", "my_table.txt"),
+            ("t#1.txt", "t_1.txt"),
+            ("12", "12"),
+            ("nan", "nan"),
+            ("1e3", "1e3"),
+        ],
     )
     def test_a_cost_table_name_reads_back_from_the_report(self, tmp_path, file_name, name):
         # A space would split the report line in three, and a ``#`` start a
-        # comment: the table's name turns both into ``_``.
+        # comment: the table's name turns both into ``_``.  A name that
+        # looks like a number reads back as the name.
         src = write_perm(tmp_path, "p.perm", sample(4, seed=9))
         table = tmp_path / file_name
         table.write_text(Path(write_flat_table(tmp_path)).read_text())

@@ -114,6 +114,12 @@ class TestGateBasics:
         with pytest.raises(ValueError, match="must hold exactly one line"):
             Gate.from_masks(4, 8, 0, tmask)
 
+    @pytest.mark.parametrize("ones, zeros", [(4, 4), (6, 4), (4, 6)])
+    def test_from_masks_refuses_a_line_both_one_and_zero(self, ones, zeros):
+        # Line 1 must be 1 and 0 at once: no positive control means that.
+        with pytest.raises(ValueError, match="share a line"):
+            Gate.from_masks(3, ones, zeros, 1)
+
     @given(st.integers(1, 8).flatmap(lambda w: gates(w)))
     def test_from_masks_inverts_masks(self, g):
         # controls come back in ascending line order

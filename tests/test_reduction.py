@@ -860,6 +860,16 @@ class TestApplyKernel:
         assert engine.gates == [(4, 0, 2), (4, 0, 2)]
         assert engine.snapshot() == apply_sequence(p, engine.sequence()) == p
 
+    def test_a_line_both_one_and_zero_is_refused_before_any_gate_runs(self):
+        # Such a gate fires on no row, but ``sequence`` would build it as a
+        # positive control, so the record would not replay.
+        p = sample(3, 2)
+        engine = _Engine(p)
+        with pytest.raises(PreconditionViolated, match="each control 1 or 0"):
+            engine.emit((4, 0, 2), (4, 4, 1))
+        assert engine.snapshot() == p
+        assert (engine.gates, engine.toffoli) == ([], 0)
+
     def test_emit_checks_each_gate_even_when_targets_cancel(self):
         engine = _Engine(sample(3, 1))
         with pytest.raises(PreconditionViolated):
@@ -969,21 +979,27 @@ class TestEngineStrip:
         assert (engine.n, engine.size, engine.pos) == (width, q.size, positions(q))
 
     def test_gates_after_strip_keep_their_lines_and_are_shared(self):
+        # The stripped line is the trailing one, so a gate at width 3 is
+        # recorded at width 4 with its masks shifted one bit left.
         engine = _Engine(Permutation(4, tuple(range(16))))
         engine.emit((0b1000, 0, 0b0010), (0b1000, 0, 0b0010))  # CX 1->3, twice
-        first = engine.sequence()
         engine.strip()
-        assert (engine.width, engine.n, engine.gates) == (4, 3, [])
+        assert (engine.width, engine.n, engine.shift) == (4, 3, 1)
         engine.emit((0b100, 0, 0b001))  # CX 1->3 at width 3
-        (gate,) = engine.sequence()
-        assert gate == cx(4, 1, 3)
-        assert gate is first.gates[0] is first.gates[1]
+        assert engine.gates == [(0b1000, 0, 0b0010)] * 3
+        seq = engine.sequence()
+        assert seq.gates[2] == cx(4, 1, 3)
+        assert seq.gates[2] is seq.gates[0] is seq.gates[1]
         assert engine.snapshot() == apply_gate(Permutation(3, tuple(range(8))), cx(3, 1, 3))
 
-    def test_strip_starts_a_new_stage_record(self):
-        engine = _Engine(Permutation(4, balanced_entries(4, 1)))
+    def test_strip_keeps_the_record_and_the_totals(self):
+        p = Permutation(4, balanced_entries(4, 1))
+        engine = _Engine(p)
         _run_general(engine, plain(engine, NORMAL), plain(engine, INVERTED))
-        assert engine.gates and engine.region_lifts and engine.lift_toffoli
+        kept = (list(engine.gates), engine.toffoli, engine.region_lifts, engine.lift_toffoli)
+        assert all(kept)
         engine.strip()
-        assert (engine.gates, engine.region_lifts, engine.lift_toffoli) == ([], 0, 0)
-        assert len(engine.sequence()) == 0
+        assert (engine.gates, engine.toffoli, engine.region_lifts, engine.lift_toffoli) == kept
+        # The one record replays the input to Q ⊗ I_2, Q the stripped state.
+        q = engine.snapshot()
+        assert apply_sequence(p, engine.sequence()).entries == with_identity_wire(q.entries)

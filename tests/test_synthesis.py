@@ -1079,6 +1079,49 @@ class TestStage:
         engine.strip()
         assert engine.n == width - 1
 
+    @pytest.mark.parametrize("cfg", [SynthesisConfig(), DEPTH_ZERO], ids=["default", "d0t0"])
+    @given(st.integers(3, 7), st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_stage_ledgers_partition_the_record(self, cfg, width, seed):
+        # One engine runs every stage, as ``synthesize`` drives it, and keeps
+        # one record.  Each stage's ledger is the slice it appended, cut
+        # where preprocessing and the reduction start.
+        perm = sample(width, seed)
+        engine = _Engine(perm)
+        starts = []
+
+        def spy(real):
+            def run(engine, *selectors):
+                starts.append(len(engine.gates))
+                return real(engine, *selectors)
+            return run
+
+        stages = []
+        start = 0
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_run_preprocess", "_run_normal", "_run_general"):
+                mp.setattr(synthesis, name, spy(getattr(synthesis, name)))
+            for _ in range(width, 2, -1):
+                lifts, lift_toffoli = engine.region_lifts, engine.lift_toffoli
+                starts.clear()
+                stage = _stage(engine, cfg)
+                end = len(engine.gates)
+                parts = (starts[0] - start, starts[-1] - starts[0], end - starts[-1])
+                assert (stage.mix_gates, stage.pre_gates, stage.red_gates) == parts
+                piece = tuple(Gate.from_masks(width, *g) for g in engine.gates[start:end])
+                assert stage.toffoli == toffoli_count(GateSequence(width, piece))
+                assert stage.region_lifts == engine.region_lifts - lifts
+                assert stage.lift_toffoli == engine.lift_toffoli - lift_toffoli
+                stages.append(stage)
+                engine.strip()
+                start = end
+        endgame = search_two_bit(engine.snapshot())
+        engine.emit(*(g.masks() for g in endgame))
+        assert start + len(endgame) == len(engine.gates)
+        seq = engine.sequence()
+        assert circuit_table(width, as_plain(seq)) == list(perm.entries)
+        assert tuple(stages) == synthesize(perm, cfg)[1].stages
+
 
 class TestSynthesizeEndToEnd:
     def test_identity_costs_nothing(self):
