@@ -56,7 +56,6 @@ from .io_formats import (
 )
 from .reduction import (
     BoundSet,
-    PairNotFound,
     bounds,
     preprocessing_bound,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "MalformedInteger",
     "MissingCostEntry",
     "NotABijection",
-    "PairNotFound",
     "Permutation",
     "PreconditionViolated",
     "StageStats",

@@ -39,12 +39,16 @@ class UsageError(Exception):
     """Bad input or usage; ``main`` prints ``error: <message>`` and exits 2."""
 
 
+def _why_unreadable(exc: OSError | UnicodeDecodeError) -> str:
+    return exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {_why_unreadable(exc)}") from None
 
 
 def _read_circuit(path: str) -> GateSequence:
@@ -126,13 +130,15 @@ def _write(path: str, text: str) -> None:
 
 
 def _table_from_args(args: argparse.Namespace) -> CostTable:
-    """The command's cost table, resolved once; unreadable is a usage error."""
+    """The command's cost table, resolved once; a file that cannot be read
+    or decoded is a usage error that names it."""
     try:
         return resolve_table(args.cost_table)
+    except (OSError, UnicodeDecodeError) as exc:
+        why = _why_unreadable(exc)
+        raise UsageError(f"cannot read cost table {args.cost_table}: {why}") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    except OSError as exc:
-        raise UsageError(f"cannot read cost table: {exc.strerror}") from None
 
 
 def _priced(seq: GateSequence, table: CostTable) -> int:

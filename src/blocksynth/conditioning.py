@@ -38,7 +38,6 @@ from .core import InternalError, Masks
 from .reduction import (
     INVERTED,
     NORMAL,
-    PairNotFound,
     _Engine,
     _pair_split,
     _region_mask,
@@ -245,14 +244,17 @@ def _pre_pick_rows(
             f"{deficits[1]} at pseudo-block {i}"
         )
     if sum(deficits) <= 0:
-        raise PairNotFound("no pseudo-block conversions are outstanding")
+        raise InternalError(
+            f"internal error: no pseudo-block conversions are outstanding at pseudo-block {i}"
+        )
     chosen = []
     for parity in (0, 1):
         kind = NORMAL if deficits[NORMAL] >= deficits[INVERTED] else INVERTED
         row = _scan_member(engine, i, parity, kind, taken)
         if row is None:
-            raise PairNotFound(
-                f"no unconsumed interrupting member at column parity {parity}"
+            raise InternalError(
+                "internal error: no unconsumed interrupting member at column "
+                f"parity {parity} for pseudo-block {i}"
             )
         chosen.append(row)
         deficits[kind] -= 1

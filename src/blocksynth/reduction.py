@@ -26,8 +26,8 @@ balanced normal/inverted case with exactly one last-line gate at the very
 end.  Both fill their positions through ``_fill``, keyed by the phase's
 pair kind.  ``synthesis.synthesize`` dispatches to them by the census and
 supplies the selectors, which pick the pair at every position; the plain
-pick, ``_pick_rows``, takes the first in-region pair of the kind
-(``_Engine.scan_region``), else the best one outside the region.
+pick, ``_pick_rows``, takes the in-region pair of the kind at the smallest
+column, else the unallocated one whose smaller column is largest.
 
 One ``_Engine`` serves a whole ``synthesize`` call: after each reduction
 ``_Engine.strip`` drops the identity last line in place, so the next stage
@@ -42,7 +42,9 @@ bit b of row r's column.  Any gate costs O(m + |T|) big-int operations on
 them, and a scan is a few more: the rows in a region, the members of a
 pair kind and the row at the smallest column of a set are each an AND
 chain over the planes.  Only whole-array readers (``_Engine.pos``,
-``entries`` and ``pairs_from``) transpose the planes into a list.
+``entries`` and ``pairs_from``) transpose the planes into a list; a pair
+read that way is its two columns, the even row's first, and ``_Engine.row``
+gives back a column's row.
 
 Iteration i searches inside a shrinking column region (``_region_mask``:
 columns whose first m-1 bits are all set, for the smallest m whose region
@@ -64,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import (
     Gate,
@@ -82,10 +84,6 @@ from .cost import toffoli_equivalents
 
 # The pair kinds, as the bit each member's (row ^ column) parity reads.
 NORMAL, INVERTED = 0, 1
-
-
-class PairNotFound(ValueError):
-    """No admissible relevant pair exists — the state violates a contract."""
 
 
 @dataclass(frozen=True)
@@ -271,11 +269,11 @@ class _Engine:
     ``fire`` also answers which rows sit in a region or at a column pair,
     and ``lowest`` which row of a set sits at the smallest column: a
     bit-sliced minimum, n AND steps from the top bit.  So a scan is a few
-    big-int operations on the planes (``kind_pairs``, ``scan_region``,
-    ``differences``).  Only whole-array readers transpose the planes
-    (``core._values``): ``pos``, ``entries`` and ``pairs_from``, each a new
-    list.  ``full``, ``even`` and ``odd`` are the masks of all rows, the
-    even rows and the odd rows.
+    big-int operations on the planes (``kind_pairs``, ``differences``).
+    Only whole-array readers transpose the planes (``core._values``):
+    ``pos``, ``entries`` and ``pairs_from``, each a new list.  ``full``,
+    ``even`` and ``odd`` are the masks of all rows, the even rows and the
+    odd rows.
 
     One engine, one record and one ledger carry a whole synthesis: ``strip``
     drops the identity last line, the low column bit, and resets nothing.
@@ -487,11 +485,11 @@ class _Engine:
 
     # -- scans ------------------------------------------------------------
 
-    def pairs_from(self, i: int) -> list[tuple[int, int, int]]:
-        """(even row r, column of r, column of r + 1) for each pair whose
-        even row sits at column 2i or past it, by row."""
+    def pairs_from(self, i: int) -> list[tuple[int, int]]:
+        """(column of r, column of r + 1) for each even row r that sits at
+        column 2i or past it, by row."""
         pos, start = self.pos, 2 * i
-        return [(r, c, pos[r + 1]) for r in range(0, self.size, 2) if (c := pos[r]) >= start]
+        return [(c, p) for c, p in zip(pos[::2], pos[1::2]) if c >= start]
 
     def kind_pairs(self, i: int, kind: int) -> int:
         """The mask of the rows of every pair of ``kind`` with both members
@@ -509,40 +507,23 @@ class _Engine:
         at one column pair."""
         return [(plane ^ plane >> 1) & rows for plane in self.q[1:]]
 
-    def scan_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
-        """First in-region pair of ``kind`` by ascending column, the member
-        at the smaller column first: the row at the smallest column over
-        both members of every such pair."""
-        rows = self.kind_pairs(i, kind)
-        if not rows:
-            return None
-        a = self.lowest(rows)
-        return a, a ^ 1
-
-    def best_out_of_region(self, i: int, kind: int) -> Optional[tuple[int, int]]:
-        """Unallocated pair of ``kind`` maximizing its smaller column."""
-        best: Optional[tuple[int, int, int]] = None
-        for base, ca, cb in self.pairs_from(i):
-            if not (ca ^ cb) & 1 or ca & 1 != kind:
-                continue
-            lo = min(ca, cb)
-            if best is None or lo > best[0]:
-                ordered = (base, base + 1) if ca < cb else (base + 1, base)
-                best = (lo, *ordered)
-        if best is None:
-            return None
-        return best[1], best[2]
-
 
 def _pick_rows(engine: _Engine, i: int, kind: int) -> tuple[int, int]:
-    """The plain pick: the region scan, else the best pair outside it."""
-    found = engine.scan_region(i, kind)
-    if found is None:
-        found = engine.best_out_of_region(i, kind)
-    if found is None:
+    """The plain pick of a pair of ``kind``, the member at the smaller
+    column first: in the region, the pair at the smallest column (the row
+    at the smallest column over both members of every such pair); else the
+    unallocated pair whose smaller column is largest: no two pairs share a
+    column, so that pair is unique."""
+    rows = engine.kind_pairs(i, kind)
+    if rows:
+        a = engine.lowest(rows)
+        return a, a ^ 1
+    lows = [min(c, p) for c, p in engine.pairs_from(i) if (c ^ p) & 1 and c & 1 == kind]
+    if not lows:
         name = "inverted" if kind else "normal"
-        raise PairNotFound(f"no unallocated {name} pair left for position {i}")
-    return found
+        raise InternalError(f"internal error: no unallocated {name} pair left for position {i}")
+    a = engine.row(max(lows))
+    return a, a ^ 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ already-reducible state is all-normal and holds every block, so its stage
 emits nothing.  The engine records mask triples and applies them to its
 row-indexed bit planes; the census and the end-of-stage strip read the
 planes directly, and a selector whose children are searched reads the
-unallocated pairs (``_Engine.pairs_from``).  When a stage ends
+unallocated pairs' columns (``_Engine.pairs_from``).  When a stage ends
 ``_Engine.strip`` drops the identity last line.  The engine records every
 gate at the input width (lines keep their numbers; the stripped lines are
 the trailing ones), so the whole synthesis is one record.  Width 2 is
@@ -25,10 +25,11 @@ candidate pairs are scored by the exact Toffoli-equivalents of their
 construction and slide gates plus the best reachable score over the rest
 of the phase.  It runs near the end of a stage (``exhaustive_tail``) and
 solves that tail exactly; before it a selection looks one position ahead
-(depth 1) or not at all (depth 0).  Rows stay at the root of a search
-(``_lookahead_choose``), which reads the engine's (row, column, partner
-column) triples; below it a pair is its two columns alone.  The tail's
-selections in one phase share a table of the states met below their
+(depth 1) or not at all (depth 0).  From a search's root
+(``_lookahead_choose``, which reads ``_Engine.pairs_from``) to its leaves
+a pair is its two columns alone, the even row's first; the root maps its
+tied pairs back to rows with ``_Engine.row`` of their first columns.  The
+tail's selections in one phase share a table of the states met below their
 roots: a state is the position and the unallocated pairs' column pairs,
 and pick orders and successive selections often reach the same one.  An
 entry holds the state's exact cost, or a budget it could not beat; a
@@ -211,11 +212,9 @@ class SynthesisReport:
 # ``reduction``'s.  So a profile or trace of these module attributes
 # counts the search alone.
 
-# (even row r, column of r, column of r + 1), one per unallocated pair: a
-# searched root maps the column pairs that ``_suffix`` ties back to rows.
-Pairs = list[tuple[int, int, int]]
-# (column of the even row, column of the odd row): a pair below the root,
-# where rows never matter.
+# (column of the even row, column of the odd row), one per unallocated
+# pair: rows never matter below a search's root, and at the root the even
+# row is the row at the first column.
 Cols = list[tuple[int, int]]
 # For each position j from a search's root on: the slides of positions j
 # up to the phase end together, and j's conjoin (``_floor``).
@@ -352,8 +351,6 @@ def _suffix(
     those already in the region (see ``_count_free``).  A child whose bound
     reaches its budget would fail it, so it is not searched.
     """
-    if i >= phase_end:
-        return 0
     if i + 1 >= phase_end:
         return _price_leaves(n, cols, i, kind, budget)
     region = _region_mask(n, i)
@@ -469,7 +466,7 @@ def _choose_leaf(engine: _Engine, i: int, kind: int) -> Optional[tuple[int, int]
 
 def _lookahead_choose(
     engine: _Engine,
-    pairs: Pairs,
+    cols: Cols,
     i: int,
     kind: int,
     phase_end: int,
@@ -478,29 +475,27 @@ def _lookahead_choose(
     floor: Optional[Floor],
 ) -> Optional[tuple[int, int]]:
     """The pair that ``_suffix`` finds cheapest over the rest of the phase
-    from the engine's state, whose unallocated pairs are ``pairs``;
+    from the engine's state, whose unallocated pairs are ``cols``;
     ``_rank_ties`` breaks a tie.  ``seen``, ``gates`` and ``floor`` are
     ``_suffix``'s; the first two stay valid while the width, ``kind`` and
     ``phase_end`` do.
 
     This is the root whose children are searched, a tail root with i + 1 <
     ``phase_end``; ``_choose_leaf`` takes the others.  ``_suffix`` searches
-    on the pairs' columns alone, and ``pairs`` maps the tied column pairs
-    back to their even rows.
+    on the pairs' columns alone, and each tied pair's even row is the row
+    at its first column.
     """
     tied: Cols = []
-    cols = [(c, p) for _, c, p in pairs]
     _suffix(engine.n, cols, i, phase_end, kind, math.inf, seen, gates, floor, tied)
     if not tied:
         return None
     if len(tied) == 1:
-        r, c, p = pairs[cols.index(tied[0])]
+        c, p = tied[0]
+        r = engine.row(c)
         return (r, r + 1) if c < p else (r + 1, r)
-    found = set(tied)
     mask = 0
-    for r, c, p in pairs:
-        if (c, p) in found:
-            mask |= 1 << r
+    for c, _ in tied:
+        mask |= 1 << engine.row(c)
     rows = engine.kind_pairs(i, kind) & engine.even
     return _rank_ties(engine, rows, engine.differences(rows), mask)
 
@@ -548,8 +543,8 @@ def _make_selector(
     def select(i: int) -> tuple[int, int]:
         found = None
         if i >= tail_at and i + 1 < phase_end:
-            pairs = engine.pairs_from(i)
-            found = _lookahead_choose(engine, pairs, i, kind, phase_end, seen, gates, floor)
+            cols = engine.pairs_from(i)
+            found = _lookahead_choose(engine, cols, i, kind, phase_end, seen, gates, floor)
         elif i >= tail_at or cfg.depth_for(2 * (phase_end - i)):
             found = _choose_leaf(engine, i, kind)
         return _pick_rows(engine, i, kind) if found is None else found

@@ -146,15 +146,15 @@ def leaf_pick(pairs, region: int, kind: int):
     return tie_pick(cands, blocks if blocks and region else cands)
 
 
-def fills_phase(n: int, pairs, i: int, kind: int) -> bool:
+def fills_phase(n: int, cols, i: int, kind: int) -> bool:
     """The premise of a bounded search from position i of a phase ending at
-    2^(n-1): ``pairs``, (even row, its column, its partner's column)
-    triples, hold exactly the columns 2i..2^n-1, and every one is of
-    ``kind``, one even and one odd column with the even row's of parity
-    ``kind``.  Every state of a reduction's final phase meets it."""
+    2^(n-1): ``cols``, (even row's column, its partner's column) pairs,
+    hold exactly the columns 2i..2^n-1, and every one is of ``kind``, one
+    even and one odd column with the even row's of parity ``kind``.  Every
+    state of a reduction's final phase meets it."""
     lo = 2 * i
-    return len(pairs) == (1 << (n - 1)) - i and all(
-        (c ^ p) & 1 and c & 1 == kind and c >= lo and p >= lo for _, c, p in pairs
+    return len(cols) == (1 << (n - 1)) - i and all(
+        (c ^ p) & 1 and c & 1 == kind and c >= lo and p >= lo for c, p in cols
     )
 
 

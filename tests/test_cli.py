@@ -56,6 +56,14 @@ def write_gap_table(tmp_path):
 GAP_MESSAGE = "cost table 'gap.qc' has no entry for 1 controls"
 
 
+def write_non_utf8(tmp_path, name):
+    """A width-3 permutation file whose last value is a byte that is not
+    UTF-8."""
+    path = tmp_path / name
+    path.write_bytes(b"3\n0 1 2 3 4 5 6 \xff\n")
+    return str(path)
+
+
 def write_undeclared_line(tmp_path):
     """A .real file whose line 6 names an undeclared variable."""
     bad = tmp_path / "bad.real"
@@ -214,6 +222,13 @@ class TestSynth:
             main(["synth", src, "--cost-table", str(tmp_path / "absent.qc")])
         assert exc.value.code == 2
 
+    def test_a_non_utf8_input_is_a_usage_error_that_names_it(self, tmp_path, capsys):
+        src = write_non_utf8(tmp_path, "latin.perm")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", src])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: cannot read {src}: not UTF-8 text\n"
+
     def test_missing_cost_entry_prints_unquoted(self, tmp_path, capsys):
         src = write_perm(tmp_path, "p.perm", sample(4, seed=3))
         with pytest.raises(SystemExit) as exc:
@@ -304,6 +319,17 @@ class TestVerify:
             main(["verify", "--perm", src3, "--circuit", str(out4)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--perm", "--circuit"])
+    def test_a_non_utf8_file_is_a_usage_error_that_names_it(self, tmp_path, capsys, flag):
+        src, out = self._synth(tmp_path)
+        bad = write_non_utf8(tmp_path, "latin.txt")
+        files = {"--perm": src, "--circuit": str(out), flag: bad}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--perm", files["--perm"], "--circuit", files["--circuit"]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text\n"
+
     def test_malformed_circuit(self, tmp_path):
         src = write_perm(tmp_path, "p.perm", sample(3, seed=1))
         bad = tmp_path / "bad.real"
@@ -357,6 +383,19 @@ class TestCost:
             main(["cost", "--circuit", str(out), "--cost-table", str(table)])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: line 4: control count 2 given twice\n"
+
+    @pytest.mark.parametrize("written", [False, True])
+    def test_an_unreadable_cost_table_is_named(self, tmp_path, capsys, written):
+        # A missing table, or one that is not UTF-8 text.
+        out = self._circuit(tmp_path)
+        table = write_non_utf8(tmp_path, "latin.qc") if written else str(tmp_path / "absent.qc")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--circuit", str(out), "--cost-table", table])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read cost table {table}: ")
+        assert err.endswith(": not UTF-8 text\n" if written else "\n")
 
     def test_incomplete_cost_table_is_a_clean_error(self, tmp_path, capsys):
         out = self._circuit(tmp_path)

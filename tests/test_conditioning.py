@@ -436,6 +436,16 @@ class TestInternalChecks:
         with pytest.raises(InternalError, match="internal error: negative conversion"):
             _run_preprocess(_Engine(HALF_INTERRUPTING))
 
+    def test_no_outstanding_conversions(self):
+        with pytest.raises(InternalError, match="internal error: no pseudo-block conversions"):
+            _pre_pick_rows(_Engine(HALF_INTERRUPTING), 0, [0, 0], 0)
+
+    def test_no_interrupting_member(self):
+        # The identity's pairs are all normal: no member to flip.
+        engine = _Engine(Permutation(3, tuple(range(8))))
+        with pytest.raises(InternalError, match="internal error: no unconsumed interrupting"):
+            _pre_pick_rows(engine, 0, [1, 0], 0)
+
     def test_preprocess_postcondition(self, monkeypatch):
         # The opening split claims no normal pairs and four inverted, so the
         # deficits ask for four normal conversions and every interrupting

@@ -393,6 +393,10 @@ class TestCircuitFileParsing:
         crlf = read_real(plain.replace("\n", "\r\n")).gates
         assert crlf == (toffoli(3, 1, 2, 3),)
 
+    def test_blank_and_comment_lines_between_gates_are_skipped(self):
+        text = ".numvars 2\n.variables a b\n.begin\nt2 a b\n\n# a note\n   \nt1 b\n.end\n"
+        assert read_real(text).gates == (cx(2, 1, 2), x(2, 2))
+
     def test_recurring_gate_lines_give_equal_gates(self):
         text = ".numvars 2\n.variables a b\n.begin\nt2 a b\nt1 b\nt2 a b  # again\n.end\n"
         assert read_real(text).gates == (cx(2, 1, 2), x(2, 2), cx(2, 1, 2))

@@ -1,6 +1,7 @@
 """Pair classification, region geometry, pair selection, conjoin/slide gate
 construction, and whole reductions."""
 
+import contextlib
 import math
 import random
 
@@ -12,7 +13,6 @@ from blocksynth import (
     Gate,
     GateSequence,
     InternalError,
-    PairNotFound,
     Permutation,
     PreconditionViolated,
     apply_gate,
@@ -331,24 +331,28 @@ class TestBlockTests:
 
 
 class TestPick:
+    """The plain pick inside the region: the pair at the smallest column."""
+
     def test_identity_region_pair(self):
-        assert _Engine(ID3).scan_region(1, NORMAL) == (4, 5)
+        assert _Engine(ID3).kind_pairs(1, NORMAL)
+        assert _pick_rows(_Engine(ID3), 1, NORMAL) == (4, 5)
 
     def test_reports_smaller_column_first(self):
         p = Permutation(3, (0, 1, 2, 3, 5, 7, 6, 4))
         # region for position 1 starts at column 4; row 5 sits at column 4,
         # its partner row 4 at column 7.
-        assert _Engine(p).scan_region(1, INVERTED) == (5, 4)
+        assert _Engine(p).kind_pairs(1, INVERTED)
+        assert _pick_rows(_Engine(p), 1, INVERTED) == (5, 4)
 
     def test_raises_when_region_empty(self):
         # every pair is interrupting and has a member below the region
         p = Permutation(3, (0, 2, 4, 6, 1, 3, 5, 7))
-        assert _Engine(p).scan_region(1, INVERTED) is None
-        with pytest.raises(PairNotFound):
+        assert not _Engine(p).kind_pairs(1, INVERTED)
+        with pytest.raises(InternalError, match="internal error: no unallocated inverted pair"):
             _pick_rows(_Engine(p), 1, INVERTED)
 
     def test_pair_iterates(self):
-        a, b = _Engine(ID3).scan_region(1, NORMAL)
+        a, b = _pick_rows(_Engine(ID3), 1, NORMAL)
         assert (a, b) == (4, 5)
 
 
@@ -367,10 +371,14 @@ class TestNPick:
         p = Permutation(3, (0, 1, 2, 3, 5, 4, 7, 6))
         pair = _pick_rows(_Engine(p), 1, NORMAL)
         assert pair == (2, 3)  # columns 2,3 beat columns 0,1
+        # <2,3> at columns 2,5 and <4,5> at columns 4,3, both outside the
+        # region: the larger smaller column, 3, wins, its member first.
+        q = Permutation(3, (0, 1, 2, 5, 4, 3, 7, 6))
+        assert _pick_rows(_Engine(q), 1, NORMAL) == (5, 4)
 
     def test_raises_when_no_normal_pair_left(self):
         p = Permutation(3, (0, 2, 4, 6, 1, 3, 5, 7))
-        with pytest.raises(PairNotFound):
+        with pytest.raises(InternalError, match="internal error: no unallocated normal pair"):
             _pick_rows(_Engine(p), 1, NORMAL)
 
 
@@ -400,7 +408,7 @@ class TestLift:
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
             a, b = _pick_rows(_Engine(p), i, NORMAL)
-        except PairNotFound:
+        except InternalError:
             return
         seq, out = lifted(p, i, (a, b))
         assert apply_sequence(p, seq) == out
@@ -455,7 +463,7 @@ class TestCons:
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
             pair = _pick_rows(_Engine(p), i, NORMAL)
-        except PairNotFound:
+        except InternalError:
             return
         _, p2 = lifted(p, i, pair)
         seq = conjoining(p2, i, pair)
@@ -508,7 +516,7 @@ class TestAlloc:
         i = data.draw(st.integers(0, (1 << (n - 1)) - 1))
         try:
             a, b = _pick_rows(_Engine(p), i, NORMAL)
-        except PairNotFound:
+        except InternalError:
             return
         _, p2 = lifted(p, i, (a, b))
         p3 = apply_sequence(p2, conjoining(p2, i, (a, b)))
@@ -577,10 +585,11 @@ class TestReduceGeneral:
 
 
 def region_pick(state, i, kind):
-    """What ``scan_region`` must return, read off the whole state: of the
-    pairs with both members in position i's region, at columns of opposite
-    parity and the even row's column of parity ``kind``, the one with the
-    smallest column, that member first."""
+    """What ``_pick_rows`` must return when the region holds a pair of
+    ``kind``, read off the whole state: of the pairs with both members in
+    position i's region, at columns of opposite parity and the even row's
+    column of parity ``kind``, the one with the smallest column, that
+    member first; None when there is none."""
     pos, region = positions(state), _region_mask(state.width, i)
     found = [
         min(pos[r], pos[r + 1])
@@ -593,6 +602,38 @@ def region_pick(state, i, kind):
         return None
     a = state.entries[min(found)]
     return a, a ^ 1
+
+
+def outside_pick(state, i, kind):
+    """What ``_pick_rows`` must return when ``region_pick`` finds nothing,
+    read off the whole state: of the pairs whose even row sits at column 2i
+    or past it, at columns of opposite parity and the even row's of parity
+    ``kind``, the one whose smaller column is largest, that member first;
+    None when there is none."""
+    pos = positions(state)
+    found = [
+        min(pos[r], pos[r + 1])
+        for r in range(0, state.size, 2)
+        if pos[r] >= 2 * i and (pos[r] ^ pos[r + 1]) & 1 and pos[r] & 1 == kind
+    ]
+    if not found:
+        return None
+    a = state.entries[max(found)]
+    return a, a ^ 1
+
+
+def check_plain_pick(engine, state, i, kind, in_region):
+    """``_pick_rows`` on ``engine``, which holds ``state``, on both
+    branches: ``in_region`` (an in-region reference's answer) when the
+    region holds a pair of ``kind``, else ``outside_pick``, else an
+    ``InternalError``."""
+    assert bool(engine.kind_pairs(i, kind)) == (in_region is not None)
+    want = outside_pick(state, i, kind) if in_region is None else in_region
+    if want is None:
+        with pytest.raises(InternalError, match="internal error: no unallocated"):
+            _pick_rows(engine, i, kind)
+    else:
+        assert _pick_rows(engine, i, kind) == want
 
 
 @st.composite
@@ -657,11 +698,11 @@ class TestFusedEmission:
             assert engine.entries == list(state.entries)
             assert [engine.row(c) for c in range(state.size)] == list(state.entries)
             i = data.draw(st.integers(0, state.size // 2 - 1))
-            assert engine.pairs_from(i) == sorted(
-                (r, pos[r], pos[r + 1]) for r in state.entries[2 * i :] if not r & 1
-            )
+            assert engine.pairs_from(i) == [
+                (pos[r], pos[r + 1]) for r in sorted(state.entries[2 * i :]) if not r & 1
+            ]
             for kind in (NORMAL, INVERTED):
-                assert engine.scan_region(i, kind) == region_pick(state, i, kind)
+                check_plain_pick(engine, state, i, kind, region_pick(state, i, kind))
             if data.draw(st.booleans()):  # a whole-array read between emits
                 assert engine.snapshot() == state
         assert engine.snapshot() == state
@@ -704,8 +745,8 @@ class TestFusedEmission:
             engine.pairs_from(i)
             engine.at_position(i)
             for kind in (NORMAL, INVERTED):
-                engine.scan_region(i, kind)
-                engine.best_out_of_region(i, kind)
+                with contextlib.suppress(InternalError):
+                    _pick_rows(engine, i, kind)
                 engine.differences(engine.kind_pairs(i, kind) & engine.even)
                 _holds_block(engine, i, kind)
         _pair_split(engine)
@@ -753,7 +794,7 @@ class TestPlaneScans:
             if min(pos[r], pos[r + 1]) < 2 * i or rng.random() < 0.25:
                 taken |= 3 << r
         for kind in (NORMAL, INVERTED):
-            assert engine.scan_region(i, kind) == walk_region(entries, pos, region, kind)
+            check_plain_pick(engine, state, i, kind, walk_region(entries, pos, region, kind))
             assert _choose_leaf(engine, i, kind) == leaf_pick(pairs_at(pos, i), region, kind)
             for parity in (0, 1):
                 assert _scan_member(engine, i, parity, kind, taken) == walk_member(
@@ -904,8 +945,8 @@ class TestApplyKernel:
     def test_an_in_region_pair_gets_no_lift(self, width, seed):
         engine = _Engine(sample(width, seed, "parity_aligned"))
         for i in range(engine.size // 2):
-            found = engine.scan_region(i, NORMAL)
-            if found is not None and not _holds_block(engine, i, NORMAL):
+            if engine.kind_pairs(i, NORMAL) and not _holds_block(engine, i, NORMAL):
+                found = _pick_rows(engine, i, NORMAL)
                 break
             engine.allocate(i, *_pick_rows(engine, i, NORMAL))
         else:

@@ -420,6 +420,7 @@ class TestLeafPass:
         # alike: its candidates' even rows, split by slot gap.  The searched
         # root's phase ends ``left`` positions on.
         n, i, pairs, perm = state
+        cols = [(c, p) for _, c, p in pairs]
         phase_end = min(i + left, 1 << (n - 1))
         census = []
         count_free = synthesis._count_free
@@ -433,8 +434,8 @@ class TestLeafPass:
             mp.setattr(synthesis, "_count_free", spy)
             _choose_leaf(engine, i, kind)
             if i + 1 < phase_end:
-                _lookahead_choose(engine, pairs, i, kind, phase_end, _NoTable(), {}, None)
-        cands = set(_admissible(n, [(c, p) for _, c, p in pairs], i, kind))
+                _lookahead_choose(engine, cols, i, kind, phase_end, _NoTable(), {}, None)
+        cands = set(_admissible(n, cols, i, kind))
         want: dict = {}  # slot gap -> the mask of its candidates' even rows
         for r, c, p in pairs:
             if (c, p) in cands:
@@ -499,17 +500,17 @@ class TestSearchedTies:
         if left == "half":
             # A phase ending at half, from at most five positions before it.
             i = max(i, half - 5)
-            pairs = engine.pairs_from(i)
+            pairs = pairs_at(engine.pos, i)
         phase_end = half if left == "half" else min(i + left, half)
         assume(i + 1 < phase_end)
-        floor = _bound_for(n, pairs, i, kind, phase_end)
-        tied: list = []
         cols = [(c, p) for _, c, p in pairs]
+        floor = _bound_for(n, cols, i, kind, phase_end)
+        tied: list = []
         _suffix(n, cols, i, phase_end, kind, math.inf, _NoTable(), {}, floor, tied)
         cands = candidates(pairs, _region_mask(n, i), kind)
         found = {tuple(sorted(pair)) for pair in tied}
         want = tie_pick(cands, [t for t in cands if t[2:] in found])
-        assert _lookahead_choose(engine, pairs, i, kind, phase_end, {}, {}, floor) == want
+        assert _lookahead_choose(engine, cols, i, kind, phase_end, {}, {}, floor) == want
 
 
 @st.composite
@@ -547,9 +548,9 @@ def filled_states(draw, max_width=5, max_left=5):
     return Permutation(n, tuple(entries)), i, kind
 
 
-def _bound_for(n, pairs, i, kind, phase_end):
+def _bound_for(n, cols, i, kind, phase_end):
     """The ``_floor`` a selector hands this search, or None."""
-    if phase_end == 1 << (n - 1) and fills_phase(n, pairs, i, kind):
+    if phase_end == 1 << (n - 1) and fills_phase(n, cols, i, kind):
         return _floor(n, i, phase_end)
     return None
 
@@ -572,16 +573,17 @@ class TestPairOrder:
         half = 1 << (n - 1)
         phase_end = data.draw(st.sampled_from([half // 2, half]))
         i = data.draw(st.integers(max(0, phase_end - 3), phase_end - 1))
-        pairs = engine.pairs_from(i)
-        shuffled = data.draw(st.permutations(pairs))
         if i + 1 >= phase_end:
             # A leaf root reads no pair list; its oracle ignores the order.
+            pairs = pairs_at(engine.pos, i)
             want = leaf_pick(pairs, _region_mask(n, i), kind)
-            assert leaf_pick(shuffled, _region_mask(n, i), kind) == want
+            assert leaf_pick(data.draw(st.permutations(pairs)), _region_mask(n, i), kind) == want
             assert _choose_leaf(engine, i, kind) == want
             return
-        floor = _bound_for(n, pairs, i, kind, phase_end)
-        want = _lookahead_choose(engine, pairs, i, kind, phase_end, {}, {}, floor)
+        cols = engine.pairs_from(i)
+        shuffled = data.draw(st.permutations(cols))
+        floor = _bound_for(n, cols, i, kind, phase_end)
+        want = _lookahead_choose(engine, cols, i, kind, phase_end, {}, {}, floor)
         assert _lookahead_choose(engine, shuffled, i, kind, phase_end, {}, {}, floor) == want
 
     @given(filled_states(max_width=6), st.booleans(), st.data())
@@ -590,17 +592,18 @@ class TestPairOrder:
         perm, i, kind = state
         n, half = perm.width, perm.size // 2
         engine = _Engine(perm)
-        pairs = engine.pairs_from(i)
-        shuffled = data.draw(st.permutations(pairs))
         if i + 1 == half:  # the last position: a leaf root
+            pairs = pairs_at(engine.pos, i)
             want = leaf_pick(pairs, _region_mask(n, i), kind)
-            assert leaf_pick(shuffled, _region_mask(n, i), kind) == want
+            assert leaf_pick(data.draw(st.permutations(pairs)), _region_mask(n, i), kind) == want
             assert _choose_leaf(engine, i, kind) == want
             return
-        floor = _bound_for(n, pairs, i, kind, half)
+        cols = engine.pairs_from(i)
+        shuffled = data.draw(st.permutations(cols))
+        floor = _bound_for(n, cols, i, kind, half)
         assert floor is not None
         seen = {} if table else _NoTable()
-        want = _lookahead_choose(engine, pairs, i, kind, half, seen, {}, floor)
+        want = _lookahead_choose(engine, cols, i, kind, half, seen, {}, floor)
         seen = {} if table else _NoTable()
         assert _lookahead_choose(engine, shuffled, i, kind, half, seen, {}, floor) == want
 
@@ -620,7 +623,7 @@ class TestPairOrder:
     def test_child_value_ignores_pair_order_in_a_bounded_tail(self, state, data):
         perm, i, kind = state
         n, half = perm.width, perm.size // 2
-        cols = [(c, p) for _, c, p in _Engine(perm).pairs_from(i)]
+        cols = _Engine(perm).pairs_from(i)
         shuffled = data.draw(st.permutations(cols))
         floor = _floor(n, i, half)
         budget = data.draw(st.one_of(st.just(math.inf), st.integers(0, 60)))
@@ -651,9 +654,9 @@ class TestPairOrder:
 
             return spied_select
 
-        def spied_choose(engine, pairs, i, kind, phase_end, seen, gates, floor):
+        def spied_choose(engine, cols, i, kind, phase_end, seen, gates, floor):
             calls.append((current[0], engine.n, gates))
-            return choose(engine, pairs, i, kind, phase_end, seen, gates, floor)
+            return choose(engine, cols, i, kind, phase_end, seen, gates, floor)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_make_selector", spied_make)
@@ -751,15 +754,15 @@ class TestTailBound:
         }[config]
         choose, suffix = synthesis._lookahead_choose, synthesis._suffix
 
-        def spied_choose(engine, pairs, i, kind, phase_end, seen, gates, floor):
+        def spied_choose(engine, cols, i, kind, phase_end, seen, gates, floor):
             n = engine.n
             if phase_end == 1 << (n - 1):
-                assert _admissible(n, [(c, p) for _, c, p in pairs], i, kind)
+                assert _admissible(n, cols, i, kind)
                 # The selector's precondition holds at every searched root,
                 # so the bound it puts on every search is exact.
-                assert fills_phase(n, pairs, i, kind)
+                assert fills_phase(n, cols, i, kind)
                 assert floor is not None and i + 1 in floor
-            return choose(engine, pairs, i, kind, phase_end, seen, gates, floor)
+            return choose(engine, cols, i, kind, phase_end, seen, gates, floor)
 
         def spied_suffix(n, cols, i, phase_end, kind, *rest):
             if phase_end == 1 << (n - 1) and i < phase_end:
@@ -776,11 +779,10 @@ class TestTailBound:
     def test_bounded_search_matches_brute_force(self, state, data):
         perm, i, kind = state
         n, half = perm.width, perm.size // 2
-        pairs = _Engine(perm).pairs_from(i)
-        assert fills_phase(n, pairs, i, kind)
+        cols = _Engine(perm).pairs_from(i)
+        assert fills_phase(n, cols, i, kind)
         want = _reference_cost(perm, i, kind, half, half - i)
         budget = data.draw(st.one_of(st.just(math.inf), st.integers(max(0, want - 2), want + 3)))
-        cols = [(c, p) for _, c, p in pairs]
         floor = _floor(n, i, half)
         for seen in (_NoTable(), {}):
             got = _suffix(n, cols, i, half, kind, budget, seen, {}, floor)
@@ -795,16 +797,16 @@ class TestTailBound:
     def test_fills_phase_reads_the_premise(self, state, data):
         perm, i, kind = state
         n = perm.width
-        pairs = _Engine(perm).pairs_from(i)
-        assert fills_phase(n, pairs, i, kind)
-        assert not fills_phase(n, pairs, i, kind ^ 1)
-        assert not fills_phase(n, pairs[1:], i, kind)
-        if len(pairs) > 1:
+        cols = _Engine(perm).pairs_from(i)
+        assert fills_phase(n, cols, i, kind)
+        assert not fills_phase(n, cols, i, kind ^ 1)
+        assert not fills_phase(n, cols[1:], i, kind)
+        if len(cols) > 1:
             # Two pairs trade columns of different parities: both interrupt.
-            a, b = data.draw(st.permutations(range(len(pairs))))[:2]
-            (ra, ca, pa), (rb, cb, pb) = pairs[a], pairs[b]
-            broken = list(pairs)
-            broken[a], broken[b] = (ra, ca, cb), (rb, pa, pb)
+            a, b = data.draw(st.permutations(range(len(cols))))[:2]
+            (ca, pa), (cb, pb) = cols[a], cols[b]
+            broken = list(cols)
+            broken[a], broken[b] = (ca, cb), (pa, pb)
             assert not fills_phase(n, broken, i, kind)
 
     @pytest.mark.parametrize("seed", [93, 131, 197])
@@ -816,12 +818,12 @@ class TestTailBound:
         # ``test_phases_ending_at_half_never_run_dry`` checks the premise at
         # each of them.
         perm = sample(3, seed)
-        pairs = _Engine(perm).pairs_from(0)
-        assert not fills_phase(3, pairs, 0, INVERTED)
+        cols = _Engine(perm).pairs_from(0)
+        assert not fills_phase(3, cols, 0, INVERTED)
         want = _reference_choice(perm, 0, INVERTED, 4, 4)
         engine = _Engine(perm)
-        assert _lookahead_choose(engine, pairs, 0, INVERTED, 4, {}, {}, _floor(3, 0, 4)) != want
-        assert _lookahead_choose(engine, pairs, 0, INVERTED, 4, {}, {}, None) == want
+        assert _lookahead_choose(engine, cols, 0, INVERTED, 4, {}, {}, _floor(3, 0, 4)) != want
+        assert _lookahead_choose(engine, cols, 0, INVERTED, 4, {}, {}, None) == want
 
     def test_floor_sums_the_slides_and_keeps_the_conjoin(self):
         # Width 5, positions 5..7 (region 10000): slides with the
@@ -851,7 +853,7 @@ def mixed_ties(draw):
         engine = _Engine(perm)
         roots = []
         for i in range(1, size // 2 - 1):
-            cols = [(c, p) for _, c, p in engine.pairs_from(i)]
+            cols = engine.pairs_from(i)
             for phase_end in range(i + 2, min(i + 3, size // 2) + 1):
                 tied: list = []
                 _suffix(n, cols, i, phase_end, kind, math.inf, _NoTable(), {}, None, tied)
@@ -866,16 +868,16 @@ def _searched_pick(perm, i, kind, phase_end):
     """``_lookahead_choose``'s pick at position i of ``perm``, bounded as a
     selector bounds it where the state meets the premise."""
     engine = _Engine(perm)
-    pairs = engine.pairs_from(i)
-    floor = _bound_for(perm.width, pairs, i, kind, phase_end)
-    return _lookahead_choose(engine, pairs, i, kind, phase_end, {}, {}, floor)
+    cols = engine.pairs_from(i)
+    floor = _bound_for(perm.width, cols, i, kind, phase_end)
+    return _lookahead_choose(engine, cols, i, kind, phase_end, {}, {}, floor)
 
 
 def _outcome(f, *args):
-    """``f(*args)``, or the type of the ``ValueError`` it raises."""
+    """``f(*args)``, or the type of the ``InternalError`` it raises."""
     try:
         return f(*args)
-    except ValueError as e:
+    except InternalError as e:
         return type(e)
 
 
@@ -910,13 +912,13 @@ class TestOneSearch:
             phase_end = min(i + left, phase_end)
             cfg = SynthesisConfig(exhaustive_tail=1 << (n - 1))
         engine = _Engine(perm)
-        pairs = engine.pairs_from(i)
+        cols = engine.pairs_from(i)
         want = _reference_choice(perm, i, kind, phase_end, 1 if left == 1 else phase_end - i)
         searched = left != 1 and i + 1 < phase_end
-        if searched and phase_end == perm.size // 2 and not fills_phase(n, pairs, i, kind):
+        if searched and phase_end == perm.size // 2 and not fills_phase(n, cols, i, kind):
             # No reduction's final phase holds this state, so the selector's
             # bound does not apply: the unbounded search must match.
-            assert _lookahead_choose(engine, pairs, i, kind, phase_end, {}, {}, None) == want
+            assert _lookahead_choose(engine, cols, i, kind, phase_end, {}, {}, None) == want
             return
         if want is None:
             # No admissible pair in the region: the selector takes the plain pick.
@@ -970,7 +972,7 @@ class TestStateTable:
         i = data.draw(st.integers(max(0, phase_end - 8), phase_end - 1))
         # One table serves one phase end, at most three positions on.
         phase_end = data.draw(st.integers(i + 1, min(i + 3, phase_end)))
-        cols = [(c, p) for _, c, p in _Engine(perm).pairs_from(i)]
+        cols = _Engine(perm).pairs_from(i)
         # The root and two of its children, so later calls meet states that
         # earlier ones stored.
         states = [(i, cols)]
@@ -1007,9 +1009,9 @@ class TestStateTable:
     def test_phase_long_table_picks_as_a_fresh_one(self, n, seed, sample_kind, depth, tail):
         choose = synthesis._lookahead_choose
 
-        def checked(engine, pairs, i, kind, phase_end, seen, gates, floor):
-            got = choose(engine, pairs, i, kind, phase_end, seen, gates, floor)
-            assert got == choose(engine, pairs, i, kind, phase_end, {}, {}, floor)
+        def checked(engine, cols, i, kind, phase_end, seen, gates, floor):
+            got = choose(engine, cols, i, kind, phase_end, seen, gates, floor)
+            assert got == choose(engine, cols, i, kind, phase_end, {}, {}, floor)
             return got
 
         cfg = SynthesisConfig(depths={j: depth for j in range(1, 25)}, exhaustive_tail=tail)
