@@ -31,7 +31,9 @@ plane; the mixing pass reads the whole column array once per stage.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import add, sub, xor
 from typing import Optional
 
 from .core import InternalError, Masks
@@ -68,15 +70,14 @@ def _walsh_spectrum(pos: list[int]) -> list[int]:
     """
     size = len(pos)
     spectrum = [0] * size
-    for a in range(0, size, 2):
-        spectrum[pos[a] ^ pos[a + 1]] += 1
-    h = 1
-    while h < size:  # in-place fast Walsh-Hadamard transform
-        for base in range(0, size, 2 * h):
-            for j in range(base, base + h):
-                x, y = spectrum[j], spectrum[j + h]
-                spectrum[j], spectrum[j + h] = x + y, x - y
-        h *= 2
+    for d, count in Counter(map(xor, pos[0::2], pos[1::2])).items():
+        spectrum[d] = count
+    # Constant-geometry fast Walsh-Hadamard transform: each pass folds the
+    # low index bit into sums and differences and moves it to the top, so
+    # after one pass per bit the indices are back in order.
+    for _ in range(size.bit_length() - 1):
+        even, odd = spectrum[0::2], spectrum[1::2]
+        spectrum = list(map(add, even, odd)) + list(map(sub, even, odd))
     return spectrum
 
 

@@ -36,7 +36,9 @@ column-mask triple (``core.Masks``): the builders here and in
 ``conditioning`` return triples, ``_Engine.emit`` and ``allocate`` apply,
 price and record them at the input width in one record for the whole call,
 ``_Engine.apply`` is the one place where a gate changes the state, and
-``_Engine.sequence`` builds the record's ``Gate``s, each distinct one once.
+``_Engine.sequence`` builds the record's ``Gate``s from a table that
+outlives the call: each distinct gate of a width is built once per
+process.
 The engine keeps its copy as row-indexed bit planes: bit r of plane b is
 bit b of row r's column.  Any gate costs O(m + |T|) big-int operations on
 them, and a scan is a few more: the rows in a region, the members of a
@@ -65,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .core import (
@@ -111,12 +112,12 @@ def bounds(n: int) -> BoundSet:
         for j in range(2, n - 1)
         for i in range(2, n - j + 1)
     )
-    extra_frac = (
-        Fraction(5 * (1 << n), 16)
+    # ceil(5 * 2^n / 16): fractional only at width 3.
+    extra = (
+        ((5 << n) + 15) // 16
         + (2 * n - 5)
         + sum((2 * i - 3) * math.comb(n - 3, i) for i in range(2, n - 2))
     )
-    extra = math.ceil(extra_frac)
     return BoundSet(n, n_c, n_a, extra, n_c + n_a + extra)
 
 
@@ -124,12 +125,12 @@ def preprocessing_bound(n: int) -> int:
     """Toffoli budget for one preprocessing pass (ceiled at width 3)."""
     if n < 3:
         raise ValueError(f"width >= 3 required, got {n}")
-    raw = (
-        Fraction(3 * (1 << n), 16)
+    # ceil(3 * 2^n / 16): fractional only at width 3.
+    return (
+        ((3 << n) + 15) // 16
         - 1
         + sum((2 * i - 3) * math.comb(n - 3, i) for i in range(2, n - 2))
     )
-    return math.ceil(raw)
 
 
 def _pair_split(engine: _Engine) -> tuple[int, int]:
@@ -171,9 +172,10 @@ def _conjoin(n: int, i: int) -> int:
 # return mask triples.
 
 
-def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
+def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[tuple[Masks, ...], int]:
     """Conjoin-plus-slide of the in-region pair at columns (ca, cb), as at
-    most four mask triples, and its Toffoli cost.
+    most four mask triples, and its Toffoli cost.  The answer is all
+    tuples, so a memo of it can be shared without being changed.
 
     Each CX run is one triple whose target holds all its lines; a run that
     the paper wraps in X on its control has that control negative.  Only
@@ -202,7 +204,7 @@ def _pair_gates(n: int, i: int, ca: int, cb: int) -> tuple[list[Masks], int]:
         low = i & (below - 1)
         masks.append((low << 1, 0, below << 1))
         cost += toffoli_equivalents(low.bit_count())
-    return masks, cost
+    return tuple(masks), cost
 
 
 def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
@@ -248,6 +250,13 @@ def _lift_step(n: int, i: int, column: int, protected: int) -> Masks:
 
 # A selector maps an iteration index to the chosen pair of row numbers.
 Selector = Callable[[int], tuple[int, int]]
+
+# Every ``Gate`` that ``_Engine.sequence`` has built, by width and then by
+# its (ones, zeros, target) triple.  A gate is a pure function of the two
+# and is immutable, so the table lives as long as the process: maps of one
+# width share most of their gates (uniform width-8 maps: 196 after one map,
+# 270 after 400).
+_GATES: dict[int, dict[Masks, Gate]] = {}
 
 
 class _Engine:
@@ -394,9 +403,12 @@ class _Engine:
         self._resize()
 
     def sequence(self) -> GateSequence:
-        """Every recorded gate, built at the input width: a gate that recurs
-        is built and validated once, and shared."""
-        built = {key: Gate.from_masks(self.width, *key) for key in dict.fromkeys(self.gates)}
+        """Every recorded gate, built at the input width.  A gate is looked
+        up in ``_GATES`` and built and validated only on a miss, so one
+        that recurs, in this record or any other of the width, is shared."""
+        built = _GATES.setdefault(self.width, {})
+        for key in set(self.gates).difference(built):
+            built[key] = Gate.from_masks(self.width, *key)
         return GateSequence(self.width, tuple(map(built.__getitem__, self.gates)))
 
     def apply(self, ones: int, zeros: int, tmask: int) -> None:
@@ -432,7 +444,11 @@ class _Engine:
         """Move both rows into the iteration-i region, and return their
         columns; no gate when both already sit there.  Touched columns
         never drop below 2i, so left-allocated blocks survive (see
-        ``_lift_step``).  Their gates' price is ``toffoli``'s growth."""
+        ``_lift_step``).  Their gates' price is ``toffoli``'s growth.
+
+        Each step sets one region line the member lacks, so a member is in
+        after at most n steps; a step that sets none (rows that are not one
+        pair) raises ``InternalError`` rather than loop."""
         mask = _region_mask(self.n, i)
         ca, cb = cols = self.cols(a, b)
         if ca & cb & mask == mask:
@@ -442,8 +458,15 @@ class _Engine:
             if cols[k] & mask != mask:
                 self.region_lifts += 1
             while cols[k] & mask != mask:
+                before = cols
                 self.emit(_lift_step(self.n, i, cols[k], cols[1 - k]))
                 cols = self.cols(a, b)
+                if (cols[k] & mask).bit_count() <= (before[k] & mask).bit_count():
+                    raise InternalError(
+                        f"internal error: a lift step at position {i} moved rows "
+                        f"{a},{b} from columns {before[0]},{before[1]} to "
+                        f"{cols[0]},{cols[1]}, adding no region line to row {(a, b)[k]}"
+                    )
         self.lift_toffoli += self.toffoli - spent
         return cols
 

@@ -18,7 +18,7 @@ gate at the input width (lines keep their numbers; the stripped lines are
 the trailing ones), so the whole synthesis is one record.  Width 2 is
 finished from a precomputed optimal table, width 1 with at most one X, both
 on the same engine, and then its record is built once, each distinct gate
-once (``_Engine.sequence``).
+of the width once per process (``_Engine.sequence``).
 
 Pair selection inside the reductions is one branch and bound, ``_suffix``:
 candidate pairs are scored by the exact Toffoli-equivalents of their
@@ -37,8 +37,9 @@ child is looked up before it is searched.  A node whose children are
 searched builds each candidate's conjoin and slide in closed form
 (``reduction._pair_gates``): at most four (ones, zeros, target) column
 masks, each CX run one triple that targets all its lines, priced by the
-conjoining and sliding MCTs alone.  Every selection of a phase shares
-one memo of those, keyed by position and columns.  A node whose children
+conjoining and sliding MCTs alone.  Every selection of a width shares
+one memo of those, keyed by position and columns, that lives as long as
+the process (``_PRICES``).  A node whose children
 are leaves (every depth-1 selection, and the last position of a tail
 search) needs only prices, and at one position a price takes two values:
 the slide's, the same for every candidate, plus the conjoin's unless the
@@ -201,16 +202,16 @@ class SynthesisReport:
 # Lookahead pair selection.
 
 
-# ``_pair_gates`` builds one candidate's masks and price; a selector's memo
+# ``_pair_gates`` builds one candidate's masks and price; the width's memo
 # calls it once per distinct (position, columns) that a node whose children
-# are searched meets.  ``_suffix`` runs once per search node but a root
-# whose children are leaves, which ``_choose_leaf`` answers from the
-# planes; it prices a node whose children are leaves in its filtering pass
-# (``_price_leaves``).  ``_count_free`` runs once per root that ranks a
-# tie, leaf or searched, and reads no masks.  The search looks these up in
-# this module's globals, and ``_Engine.allocate`` its ``_pair_gates`` in
-# ``reduction``'s.  So a profile or trace of these module attributes
-# counts the search alone.
+# are searched meets, in the whole process.  ``_suffix`` runs once per
+# search node but a root whose children are leaves, which ``_choose_leaf``
+# answers from the planes; it prices a node whose children are leaves in
+# its filtering pass (``_price_leaves``).  ``_count_free`` runs once per
+# root that ranks a tie, leaf or searched, and reads no masks.  The search
+# looks these up in this module's globals, and ``_Engine.allocate`` its
+# ``_pair_gates`` in ``reduction``'s.  So a profile or trace of these
+# module attributes counts the search alone.
 
 # (column of the even row, column of the odd row), one per unallocated
 # pair: rows never matter below a search's root, and at the root the even
@@ -219,9 +220,15 @@ Cols = list[tuple[int, int]]
 # For each position j from a search's root on: the slides of positions j
 # up to the phase end together, and j's conjoin (``_floor``).
 Floor = dict[int, tuple[int, int]]
+# ``_pair_gates``' answers by width, then by (position, even row's column,
+# odd row's column).  Each is a pure function of its keys and all tuples,
+# so every selector of a width shares one memo for the life of the
+# process (uniform width-8 maps at the default config: 443 entries over all
+# widths after one map, 875 after 400).
+_PRICES: dict[int, dict[tuple[int, int, int], tuple[tuple[Masks, ...], int]]] = {}
 
 
-def _advance(cols: Cols, skip: tuple[int, int], masks: list[Masks]) -> Cols:
+def _advance(cols: Cols, skip: tuple[int, int], masks: tuple[Masks, ...]) -> Cols:
     """The pairs other than ``skip``, moved by ``masks``."""
     out = []
     for pair in cols:
@@ -477,8 +484,8 @@ def _lookahead_choose(
     """The pair that ``_suffix`` finds cheapest over the rest of the phase
     from the engine's state, whose unallocated pairs are ``cols``;
     ``_rank_ties`` breaks a tie.  ``seen``, ``gates`` and ``floor`` are
-    ``_suffix``'s; the first two stay valid while the width, ``kind`` and
-    ``phase_end`` do.
+    ``_suffix``'s; ``seen`` stays valid while the width, ``kind`` and
+    ``phase_end`` do, and ``gates`` while the width does.
 
     This is the root whose children are searched, a tail root with i + 1 <
     ``phase_end``; ``_choose_leaf`` takes the others.  ``_suffix`` searches
@@ -516,8 +523,9 @@ def _make_selector(
     plain pick too, which then lifts the best pair outside the region.
 
     The tail's selections share one ``_suffix`` state table: each one's
-    states were mostly met by the one before it.  Every selection shares
-    one memo of ``_pair_gates``.  Both are dropped with the selector.
+    states were mostly met by the one before it, and it is dropped with
+    the selector.  Every selector of the width shares one memo of
+    ``_pair_gates``, ``_PRICES[n]``, which outlives it.
 
     A phase ending at 2^(n-1) is its reduction's last, and the phase's
     ``_floor`` bounds each of its searches.  The selector's precondition,
@@ -537,7 +545,7 @@ def _make_selector(
     n = engine.n
     tail_at = (1 << (n - 1)) - cfg.exhaustive_tail
     seen: dict = {}
-    gates: dict = {}
+    gates = _PRICES.setdefault(n, {})
     floor = _floor(n, max(tail_at, 0), phase_end) if phase_end == 1 << (n - 1) else None
 
     def select(i: int) -> tuple[int, int]:

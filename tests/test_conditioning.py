@@ -1,5 +1,7 @@
 """Mixing and preprocessing: driving row distributions to the balanced split."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,7 +107,31 @@ def permutations(draw, min_width=3, max_width=5):
     return Permutation(width, tuple(entries))
 
 
+def butterfly_spectrum(pos):
+    """The Walsh spectrum by the in-place butterfly: the histogram of the
+    pairs' column differences, then log2(size) passes of strides 1, 2, 4..."""
+    size = len(pos)
+    spectrum = [0] * size
+    for a in range(0, size, 2):
+        spectrum[pos[a] ^ pos[a + 1]] += 1
+    h = 1
+    while h < size:
+        for base in range(0, size, 2 * h):
+            for j in range(base, base + h):
+                x, y = spectrum[j], spectrum[j + h]
+                spectrum[j], spectrum[j + h] = x + y, x - y
+        h *= 2
+    return spectrum
+
+
 class TestWalshScoring:
+    @pytest.mark.parametrize("width", range(2, 12))
+    def test_spectrum_matches_the_butterfly(self, width):
+        for seed in range(3):
+            pos = list(range(1 << width))
+            random.Random(seed).shuffle(pos)
+            assert _walsh_spectrum(pos) == butterfly_spectrum(pos)
+
     @given(permutations(max_width=6), st.data())
     @settings(max_examples=120, deadline=None)
     def test_count_after_composite_is_pairs_plus_spectrum(self, p, data):

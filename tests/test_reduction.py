@@ -13,6 +13,7 @@ from blocksynth import (
     Gate,
     GateSequence,
     InternalError,
+    MAX_WIDTH,
     Permutation,
     PreconditionViolated,
     apply_gate,
@@ -426,6 +427,29 @@ class TestLift:
                 positive = sum(1 << (n - l) for l, pol in g.controls if pol)
                 assert positive >= 2 * i
 
+    def test_a_step_that_adds_no_region_line_is_an_internal_error(self, monkeypatch):
+        # A step that misses its member would otherwise be emitted again and
+        # again; the spy stops such a loop after a few steps.
+        p = Permutation(3, (0, 1, 2, 3, 5, 4, 7, 6))
+        a, b = _pick_rows(_Engine(p), 1, NORMAL)
+        steps = []
+
+        def misses(n, i, column, protected):
+            steps.append(column)
+            if len(steps) > 20:
+                raise RuntimeError("lift_pair kept stepping")
+            t = 1 << (_region_mask(n, i) & ~column).bit_length() >> 1
+            line = 2 if t == 1 else 1  # a control line the column fails
+            return (0, line, t) if column & line else (line, 0, t)
+
+        monkeypatch.setattr(reduction, "_lift_step", misses)
+        engine = _Engine(p)
+        cols = engine.cols(a, b)
+        moved = rf"position 1 moved rows {a},{b} from columns {cols[0]},{cols[1]} to"
+        with pytest.raises(InternalError, match=moved):
+            engine.lift_pair(1, a, b)
+        assert len(steps) == 1
+
 
 class TestCons:
     """The paper's conjoin, as the oracle in tests/helpers.py builds it;
@@ -537,8 +561,10 @@ class TestBounds:
         assert (b8.n_c, b8.n_a, b8.extra) == (354, 303, 163)
         assert b8.per_reduction_total == 820
 
+    # The budgets ceil 5 * 2^n / 16 and 3 * 2^n / 16 in integers; the
+    # oracles sum in ``Fraction``s, over every width a map can have.
     def test_against_independent_summation(self):
-        for n in range(3, 12):
+        for n in range(3, MAX_WIDTH + 1):
             b = bounds(n)
             assert b.n_c == conjoin_budget(n)
             assert b.n_a == slide_budget(n)
@@ -546,7 +572,7 @@ class TestBounds:
             assert b.per_reduction_total == b.n_c + b.n_a + b.extra
 
     def test_preprocessing_bound(self):
-        for n in range(3, 12):
+        for n in range(3, MAX_WIDTH + 1):
             assert preprocessing_bound(n) == rebalance_budget(n)
 
     def test_rejects_tiny_widths(self):

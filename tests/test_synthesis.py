@@ -21,6 +21,7 @@ from blocksynth import (
     SynthesisConfig,
     WidthMismatch,
     bounds,
+    format_real,
     peephole,
     quantum_cost,
     sample,
@@ -29,7 +30,7 @@ from blocksynth import (
     toffoli_count,
     x,
 )
-from blocksynth import conditioning, synthesis
+from blocksynth import conditioning, reduction, synthesis
 from blocksynth.core import Gate, GateSequence, apply_gate, cx, toffoli
 from blocksynth.reduction import (
     INVERTED,
@@ -639,8 +640,9 @@ class TestPairOrder:
         ],
     )
     def test_memo_entries_are_the_pair_gates(self, width, seed, cfg):
-        # One memo per selector, shared by its selections and by no other
-        # selector; after the phase every entry is ``_pair_gates``' answer.
+        # One memo per width, ``_PRICES[n]``, shared by every selector of
+        # that width across syntheses; every entry is ``_pair_gates``'
+        # answer, all tuples, so no caller can change a shared one.
         make, choose = synthesis._make_selector, synthesis._lookahead_choose
         current = [None]
         calls = []
@@ -659,16 +661,23 @@ class TestPairOrder:
             return choose(engine, cols, i, kind, phase_end, seen, gates, floor)
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_PRICES", {})
             mp.setattr(synthesis, "_make_selector", spied_make)
             mp.setattr(synthesis, "_lookahead_choose", spied_choose)
             synthesize(sample(width, seed), cfg)
+            synthesize(sample(width, seed + 1), cfg)
+            prices = synthesis._PRICES
         memo_of = {}
-        for number, n, gates in calls:
-            assert memo_of.setdefault(number, (n, gates))[1] is gates
-        assert len({id(gates) for _, gates in memo_of.values()}) == len(memo_of)
-        entries = [(n, key, got) for n, gates in memo_of.values() for key, got in gates.items()]
+        for _, n, gates in calls:
+            assert memo_of.setdefault(n, gates) is gates
+            assert gates is prices[n]
+        assert len({number for number, _, _ in calls}) > len(memo_of)  # selectors share
+        entries = [(n, key, got) for n, gates in memo_of.items() for key, got in gates.items()]
         assert entries
         for n, (i, c, p), got in entries:
+            masks, _ = got
+            assert type(got) is type(masks) is tuple
+            assert all(type(m) is tuple for m in masks)
             assert got == _pair_gates(n, i, c, p)
 
 
@@ -1191,9 +1200,12 @@ class TestSynthesizeEndToEnd:
     def test_each_output_gate_is_built_once(self, monkeypatch, width, seed):
         # Stage and endgame gates are built at the output width from their
         # masks, not built narrow and widened, and a gate that recurs is
-        # built once per call and shared.  The two-bit table's own width-2
-        # gates are built once per process, so the table is built first.
+        # built once per process and shared: from an empty gate table, a
+        # second synthesis of the map builds no ``Gate``.  The two-bit
+        # table's own width-2 gates are built once per process too, so the
+        # table is built first.
         synthesis._two_bit_table()
+        monkeypatch.setattr(reduction, "_GATES", {})
         built = []
         post_init = Gate.__post_init__
 
@@ -1207,6 +1219,28 @@ class TestSynthesizeEndToEnd:
         assert len(set(built)) == len(built)
         assert {id(g) for g in seq} <= {id(g) for g in built}
         assert len(built) < len(seq)
+        built.clear()
+        again, _ = synthesize(sample(width, seed))
+        assert built == []
+        assert list(map(id, again)) == list(map(id, seq))
+
+    @pytest.mark.parametrize("cfg", [SynthesisConfig(), DEPTH_ZERO], ids=["default", "d0t0"])
+    @given(st.integers(3, 8), st.integers(0, 10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_warm_tables_give_the_cold_circuit(self, cfg, width, seed):
+        # The gate table and the price memo outlive a synthesis; each entry
+        # is a pure function of its keys, so a map synthesized from empty
+        # tables and again after another map of its width filled them gets
+        # the same circuit and ledger.
+        perm = sample(width, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_GATES", {})
+            mp.setattr(synthesis, "_PRICES", {})
+            cold_seq, cold = synthesize(perm, cfg)
+            synthesize(sample(width, seed + 1), cfg)
+            warm_seq, warm = synthesize(perm, cfg)
+        assert format_real(warm_seq) == format_real(cold_seq)
+        assert repr(warm.stages) == repr(cold.stages)
 
     @pytest.mark.parametrize("cfg", [SynthesisConfig(), DEPTH_ZERO], ids=["default", "d0t0"])
     @given(st.integers(1, 7), st.integers(0, 10_000))
